@@ -72,13 +72,15 @@
 // -staged — restores the back-to-back waves; barrier output stays
 // byte-identical either way). Pipelined run-exchange maps seal
 // partitioned-but-unsorted waves (stream reducers impose no input order),
-// deleting the map-side sort from the barrier-less path. Section fetches
-// ride a pooled, multiplexed "BLR2" plane (shuffle.FetchPool): one
+// deleting the map-side sort from the barrier-less path. The run exchange
+// has one wire protocol, "BLR2", and one way to open a remote section:
+// through the pooled, multiplexed fetch plane (shuffle.FetchPool) — one
 // connection per peer run-server with request-id-framed pipelining
 // (prefetch bounded by MergeFanIn) and per-connection reusable decode
-// buffers plus arena string allocation, so the fetch path stops
-// allocating per section (mr.Result.FetchDials counts dials; compressed
-// block headers carry a CRC32 verified at decode). simmr.JobSpec.Staged
+// buffers plus arena string allocation, so the fetch path neither dials
+// nor allocates per section (mr.Result.FetchDials counts dials, churn
+// re-routes included; a connection opening with any other magic is
+// closed unanswered). simmr.JobSpec.Staged
 // and the per-pooled-peer Costs.RunFetchDelay model the same machinery
 // on the simulated cluster (harness.OverlapSweep sweeps staged vs
 // overlapped; overlap is never slower).
@@ -94,10 +96,11 @@
 // cmd/blmr -decode-workers, default min(GOMAXPROCS,8)) while the merger
 // consumes decoded blocks in submission order, so codec work overlaps
 // the merge — record order and job output are byte-identical at any
-// setting, and 1 decodes inline. Sealed runs carry the "BLC3" format:
-// per-block CRC32 plus a cross-block LZ dictionary window (a block's
-// matches may reach 32KiB into its predecessor's raw bytes; sections
-// still start self-contained), with "BLC1"/"BLC2" runs still decoding.
+// setting, and 1 decodes inline. Sealed runs have one format, "BLC3": a
+// per-block CRC32 that is always present and always checked, plus a
+// cross-block LZ dictionary window (a block's matches may reach 32KiB
+// into its predecessor's raw bytes; sections still start
+// self-contained). Older run magics are rejected as corrupt.
 //
 // The multi-process engine survives worker churn: workers heartbeat on
 // their control connection (exec.Options.HeartbeatInterval, cmd/blmr

@@ -3,7 +3,7 @@ package codec
 // Block-compressed spill runs. A sealed run is normally a flat stream of
 // uvarint-framed records (the None codec: exactly the historical format).
 // The compressed codecs wrap that stream in a self-describing run header
-// followed by fixed-size blocks, so section reads (dfs.OpenRunAt, the
+// followed by fixed-size blocks, so section reads (dfs.OpenRunAtComp, the
 // run-server wire path) stream block by block and only ever decompress the
 // blocks they touch:
 //
@@ -25,9 +25,9 @@ package codec
 // block that broke rather than surfacing as a confusing parse error
 // records later (or, for a corrupted stored block, not at all). Blocks
 // always hold whole records — a record never straddles a block boundary.
-// Decoders also accept the PR-5 "BLC2" header (same framing, tag is
-// encLen<<1|lz, never dict-dependent) and the PR-4 "BLC1" header (BLC2
-// framing without the CRC word): old sealed runs stay readable.
+// "BLC3" is the only format: sealed runs never outlive the state directory
+// they were written under, so the older "BLC1"/"BLC2" magics are rejected as
+// corrupt like any other.
 //
 // The LZ layer is snappy-shaped but dependency-free: a greedy byte-window
 // compressor emitting varint literal/copy tags, window reset per run (not
@@ -98,14 +98,9 @@ func ParseCompression(s string) (Compression, error) {
 	return 0, fmt.Errorf("codec: unknown compression %q (want none|block|delta)", s)
 }
 
-// runMagic opens every compressed run sealed by this version (cross-block
-// dictionary window); runMagicV2 (per-block CRCs, no dictionary) and
-// runMagicV1 (no CRCs) are older headers, still accepted on decode.
-var (
-	runMagic   = [4]byte{'B', 'L', 'C', '3'}
-	runMagicV2 = [4]byte{'B', 'L', 'C', '2'}
-	runMagicV1 = [4]byte{'B', 'L', 'C', '1'}
-)
+// runMagic opens every compressed run (per-block CRCs, cross-block
+// dictionary window).
+var runMagic = [4]byte{'B', 'L', 'C', '3'}
 
 // crcTable is the Castagnoli polynomial, the same choice snappy and iSCSI
 // made (hardware-accelerated on amd64/arm64).
@@ -464,35 +459,21 @@ func NewRunDecoderBytes(b []byte, comp Compression) RecordReader {
 	return NewRunDecoder(bytes.NewReader(b), comp)
 }
 
-// runHeader is the decoded 5-byte run preamble.
-type runHeader struct {
-	ver   uint8 // 1 = BLC1 (no CRC), 2 = BLC2, 3 = BLC3 (dict window)
-	delta bool
-}
-
-// readRunHeader reads and validates the run preamble.
-func readRunHeader(r ByteScanner) (runHeader, error) {
+// readRunHeader reads and validates the 5-byte run preamble, reporting
+// whether the run's blocks are front-coded (DeltaBlock).
+func readRunHeader(r ByteScanner) (delta bool, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return runHeader{}, fmt.Errorf("%w: truncated run header: %v", ErrCorrupt, err)
+		return false, fmt.Errorf("%w: truncated run header: %v", ErrCorrupt, err)
 	}
-	var h runHeader
-	switch [4]byte(hdr[:4]) {
-	case runMagic:
-		h.ver = 3
-	case runMagicV2:
-		h.ver = 2
-	case runMagicV1:
-		h.ver = 1
-	default:
-		return runHeader{}, fmt.Errorf("%w: bad run magic %q", ErrCorrupt, hdr[:4])
+	if [4]byte(hdr[:4]) != runMagic {
+		return false, fmt.Errorf("%w: bad run magic %q", ErrCorrupt, hdr[:4])
 	}
 	kind := Compression(hdr[4])
 	if kind != Block && kind != DeltaBlock {
-		return runHeader{}, fmt.Errorf("%w: bad run codec %d", ErrCorrupt, hdr[4])
+		return false, fmt.Errorf("%w: bad run codec %d", ErrCorrupt, hdr[4])
 	}
-	h.delta = kind == DeltaBlock
-	return h, nil
+	return kind == DeltaBlock, nil
 }
 
 // blockFrame is one block as framed on disk/wire: the undecoded payload
@@ -500,16 +481,15 @@ func readRunHeader(r ByteScanner) (runHeader, error) {
 type blockFrame struct {
 	rawLen  int
 	lz      bool
-	dict    bool // payload copies reach into the previous block's tail
-	hasCRC  bool
-	crc     uint32
+	dict    bool   // payload copies reach into the previous block's tail
+	crc     uint32 // CRC-32C of payload, always checked before decode
 	payload []byte // on-wire payload bytes (reused across frames)
 }
 
 // readBlockFrame reads the next block frame from r into f, reusing
 // f.payload. It returns false at the clean end of the run; every other
 // shortfall is an error.
-func readBlockFrame(r ByteScanner, ver uint8, f *blockFrame) (bool, error) {
+func readBlockFrame(r ByteScanner, f *blockFrame) (bool, error) {
 	rawLen, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {
@@ -521,16 +501,9 @@ func readBlockFrame(r ByteScanner, ver uint8, f *blockFrame) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%w: truncated block header: %v", ErrCorrupt, err)
 	}
-	var encLen uint64
-	if ver >= 3 {
-		encLen = encTag >> 2
-		f.lz = encTag&1 == 1
-		f.dict = encTag&2 == 2
-	} else {
-		encLen = encTag >> 1
-		f.lz = encTag&1 == 1
-		f.dict = false
-	}
+	encLen := encTag >> 2
+	f.lz = encTag&1 == 1
+	f.dict = encTag&2 == 2
 	if rawLen == 0 || rawLen > maxBlockRawBytes || encLen == 0 || encLen > rawLen {
 		return false, fmt.Errorf("%w: implausible block sizes raw=%d enc=%d", ErrCorrupt, rawLen, encLen)
 	}
@@ -538,14 +511,11 @@ func readBlockFrame(r ByteScanner, ver uint8, f *blockFrame) (bool, error) {
 		return false, fmt.Errorf("%w: stored block flagged dictionary-dependent", ErrCorrupt)
 	}
 	f.rawLen = int(rawLen)
-	f.hasCRC = ver >= 2
-	if f.hasCRC {
-		var cb [4]byte
-		if _, err := io.ReadFull(r, cb[:]); err != nil {
-			return false, fmt.Errorf("%w: truncated block checksum: %v", ErrCorrupt, err)
-		}
-		f.crc = binary.LittleEndian.Uint32(cb[:])
+	var cb [4]byte
+	if _, err := io.ReadFull(r, cb[:]); err != nil {
+		return false, fmt.Errorf("%w: truncated block checksum: %v", ErrCorrupt, err)
 	}
+	f.crc = binary.LittleEndian.Uint32(cb[:])
 	// Fill the payload chunked, so a corrupt (huge) length fails at the
 	// first missing byte rather than allocating the claimed size up front.
 	const chunk = 64 << 10
@@ -571,10 +541,8 @@ func readBlockFrame(r ByteScanner, ver uint8, f *blockFrame) (bool, error) {
 // CPU-heavy half of block decode, safe to run off the consuming goroutine
 // (it touches only the frame, hist, and dst).
 func decodeBlockPayload(dst []byte, f *blockFrame, hist []byte) ([]byte, error) {
-	if f.hasCRC {
-		if got := crc32.Checksum(f.payload, crcTable); got != f.crc {
-			return dst, fmt.Errorf("%w: block checksum mismatch: got %08x, want %08x", ErrCorrupt, got, f.crc)
-		}
+	if got := crc32.Checksum(f.payload, crcTable); got != f.crc {
+		return dst, fmt.Errorf("%w: block checksum mismatch: got %08x, want %08x", ErrCorrupt, got, f.crc)
 	}
 	if !f.lz {
 		if len(f.payload) != f.rawLen {
@@ -708,7 +676,6 @@ func (p *blockParser) nextDelta() (core.Record, bool) {
 // block's dictionary window without a copy.
 type blockReader struct {
 	r          ByteScanner
-	hdr        runHeader
 	headerDone bool
 	frame      blockFrame
 	p          blockParser
@@ -751,17 +718,16 @@ func (b *blockReader) Err() error { return b.err }
 // clean end of run or on error.
 func (b *blockReader) nextBlock() bool {
 	if !b.headerDone {
-		hdr, err := readRunHeader(b.r)
+		delta, err := readRunHeader(b.r)
 		if err != nil {
 			b.err = err
 			return false
 		}
-		b.hdr = hdr
-		b.p.delta = hdr.delta
+		b.p.delta = delta
 		b.p.arena = b.arena
 		b.headerDone = true
 	}
-	ok, err := readBlockFrame(b.r, b.hdr.ver, &b.frame)
+	ok, err := readBlockFrame(b.r, &b.frame)
 	if err != nil {
 		b.err = err
 		return false

@@ -240,25 +240,37 @@ func TestCompressedTruncationEveryOffset(t *testing.T) {
 	}
 }
 
-// TestCompressedCorruptHeader: bad magic and bad codec bytes are rejected.
+// TestCompressedCorruptHeader: bad magic and bad codec bytes are rejected,
+// by the serial and the parallel reader alike. The retired "BLC1"/"BLC2"
+// magics are bad magics like any other: nothing writes them and no sealed
+// run outlives its state directory, so the decoder carries no path for them.
 func TestCompressedCorruptHeader(t *testing.T) {
 	buf, _ := encodeRun(t, []core.Record{{Key: "k", Value: "v"}}, Block, 0)
+	pool := NewDecodePool(2)
+	defer pool.Close()
 	for _, mut := range []struct {
 		name string
 		at   int
 		to   byte
+		want string
 	}{
-		{"magic", 0, 'X'},
-		{"codec", 4, 99},
+		{"magic", 0, 'X', "bad run magic"},
+		{"BLC1", 3, '1', "bad run magic"},
+		{"BLC2", 3, '2', "bad run magic"},
+		{"codec", 4, 99, "bad run codec"},
 	} {
 		bad := append([]byte(nil), buf...)
 		bad[mut.at] = mut.to
-		rd := NewRunDecoderBytes(bad, Block)
-		if _, ok := rd.Next(); ok {
-			t.Fatalf("%s: decoded a record from a corrupt header", mut.name)
-		}
-		if !errors.Is(rd.Err(), ErrCorrupt) {
-			t.Fatalf("%s: err=%v, want ErrCorrupt", mut.name, rd.Err())
+		for name, rd := range map[string]RecordReader{
+			"serial":   NewRunDecoderBytes(bad, Block),
+			"parallel": NewParallelReader(pool, bytes.NewReader(bad), nil),
+		} {
+			if _, ok := rd.Next(); ok {
+				t.Fatalf("%s/%s: decoded a record from a corrupt header", mut.name, name)
+			}
+			if err := rd.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), mut.want) {
+				t.Fatalf("%s/%s: err=%v, want ErrCorrupt %q", mut.name, name, err, mut.want)
+			}
 		}
 	}
 }

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -77,35 +76,6 @@ func TestBlockCRCCatchesBitRot(t *testing.T) {
 	}
 }
 
-// downgradeRun rewrites a v3-sealed run as a "BLC1" or "BLC2" run by
-// re-walking the v3 framing: block tags drop the dict bit (ver 1/2 encode
-// encLen<<1|lz) and ver 1 additionally strips each block's CRC word. The
-// input must contain no dictionary-dependent blocks — older framings
-// cannot express them — so callers pick single-block or incompressible
-// data.
-func downgradeRun(t *testing.T, buf []byte, ver int) []byte {
-	t.Helper()
-	out := []byte{'B', 'L', 'C', byte('0' + ver), buf[4]}
-	src := buf[5:]
-	for len(src) > 0 {
-		rawLen, n1 := uvarint(t, src)
-		encTag, n2 := uvarint(t, src[n1:])
-		src = src[n1+n2:]
-		encLen := int(encTag >> 2)
-		if encTag&2 != 0 {
-			t.Fatalf("cannot downgrade a dictionary-dependent block to v%d", ver)
-		}
-		out = binary.AppendUvarint(out, rawLen)
-		out = binary.AppendUvarint(out, uint64(encLen)<<1|encTag&1)
-		if ver >= 2 {
-			out = append(out, src[:4]...) // keep the CRC word
-		}
-		out = append(out, src[4:4+encLen]...)
-		src = src[4+encLen:]
-	}
-	return out
-}
-
 func decodeAll(t *testing.T, buf []byte, comp Compression) []core.Record {
 	t.Helper()
 	dec := NewRunDecoderBytes(buf, comp)
@@ -121,50 +91,6 @@ func decodeAll(t *testing.T, buf []byte, comp Compression) []core.Record {
 		t.Fatalf("%v: decode: %v", comp, err)
 	}
 	return got
-}
-
-// TestOldRunsStillDecode: runs sealed with the PR-5 "BLC2" header (no
-// dictionary window) and the PR-4 "BLC1" header (no block CRCs either)
-// must keep decoding — wire and disk compatibility for sealed runs that
-// predate the current framing. Covered across the compressed single-block
-// shape and a multi-block stored (incompressible) shape.
-func TestOldRunsStillDecode(t *testing.T) {
-	small := crcTestRecords(500) // one compressed block, no dict blocks
-	big := make([]core.Record, 1500)
-	rng := uint64(0x9e3779b97f4a7c15)
-	for i := range big { // incompressible: every block stored, never dict
-		k := make([]byte, 40)
-		v := make([]byte, 200)
-		for j := range k {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			k[j] = byte(rng >> 33)
-		}
-		for j := range v {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			v[j] = byte(rng >> 33)
-		}
-		big[i] = core.Record{Key: string(k), Value: string(v)}
-	}
-	for _, tc := range []struct {
-		name string
-		recs []core.Record
-	}{{"small", small}, {"stored", big}} {
-		for _, comp := range []Compression{Block, DeltaBlock} {
-			buf := sealRun(t, tc.recs, comp)
-			for _, ver := range []int{1, 2} {
-				old := downgradeRun(t, buf, ver)
-				got := decodeAll(t, old, comp)
-				if len(got) != len(tc.recs) {
-					t.Fatalf("%s/%v: v%d run decoded %d records, want %d", tc.name, comp, ver, len(got), len(tc.recs))
-				}
-				for i := range got {
-					if got[i] != tc.recs[i] {
-						t.Fatalf("%s/%v: v%d record %d: %v vs %v", tc.name, comp, ver, i, got[i], tc.recs[i])
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestDictWindowRoundTrip: a multi-block repetitive run must produce at

@@ -175,17 +175,17 @@ func NewParallelReader(pool *DecodePool, r ByteScanner, arena *Arena) *ParallelR
 // readLoop frames blocks off the stream and feeds the pool, in order.
 func (pr *ParallelReader) readLoop(r ByteScanner) {
 	defer close(pr.futures)
-	hdr, err := readRunHeader(r)
+	delta, err := readRunHeader(r)
 	if err != nil {
 		pr.readErr = err
 		return
 	}
-	pr.delta = hdr.delta
+	pr.delta = delta
 	var prev *decodeJob
 	for {
 		j := jobPool.Get().(*decodeJob)
 		j.done = make(chan struct{})
-		ok, err := readBlockFrame(r, hdr.ver, &j.frame)
+		ok, err := readBlockFrame(r, &j.frame)
 		if err != nil || !ok {
 			recycleJob(j)
 			pr.readErr = err

@@ -9,8 +9,8 @@ package dfs
 // play; no replication, because spill runs are recomputable).
 //
 // Write path: a RunWriter accumulates arbitrary partial writes through a
-// buffered writer and seals the file on Close. Read path: OpenRun reopens a
-// sealed file as a RunReader, a sortx.Source that decodes records with a
+// buffered writer and seals the file on Close. Read path: OpenRunComp reopens
+// a sealed file as a RunReader, a sortx.Source that decodes records with a
 // bounded read buffer, so merging N runs costs O(N * readBufBytes) memory
 // no matter how large the runs are. A truncated or corrupt file surfaces
 // codec.ErrCorrupt from Err instead of panicking: partially written runs
@@ -42,7 +42,7 @@ const readBufBytes = 64 << 10
 var dirSeq atomic.Int64
 
 // RunDir is a directory of spill-run files shared by every task of one job
-// execution. Create/OpenRun are safe for concurrent use by multiple tasks;
+// execution. Create/OpenRunComp are safe for concurrent use by multiple tasks;
 // individual writers and readers are single-owner. The directory carries
 // the job's sealed-run codec: every run sealed into it uses the same
 // codec.Compression, and comp-aware readers (RunSet.Runs) decode with it.
@@ -163,7 +163,7 @@ func (w *RunWriter) Write(p []byte) (int, error) {
 	return n, w.err
 }
 
-// Path returns the file path of the run (valid after Close for OpenRun).
+// Path returns the file path of the run (valid after Close for OpenRunComp).
 func (w *RunWriter) Path() string { return w.path }
 
 // Bytes returns the bytes written so far.
@@ -202,9 +202,6 @@ type RunReader struct {
 	err error
 }
 
-// OpenRun reopens a sealed uncompressed run file for streaming reads.
-func OpenRun(path string) (*RunReader, error) { return OpenRunComp(path, codec.None) }
-
 // OpenRunComp reopens a sealed run file written with the given codec.
 func OpenRunComp(path string, comp codec.Compression) (*RunReader, error) {
 	f, err := os.Open(path)
@@ -214,18 +211,13 @@ func OpenRunComp(path string, comp codec.Compression) (*RunReader, error) {
 	return &RunReader{f: f, sr: codec.NewRunDecoder(bufio.NewReaderSize(f, readBufBytes), comp)}, nil
 }
 
-// OpenRunAt reopens the byte range [off, off+n) of a sealed spill file as
-// one streaming run — the read side of multi-partition segment files,
-// where each budget crossing seals a single file holding every partition's
-// sorted run back to back (Hadoop's io.sort spill layout) and the writer
-// remembers per-partition offsets.
-func OpenRunAt(path string, off, n int64) (*RunReader, error) {
-	return OpenRunAtComp(path, off, n, codec.None)
-}
-
-// OpenRunAtComp is OpenRunAt for a section sealed with the given codec.
-// Each section is a complete self-contained run (header and whole blocks),
-// so only the blocks the read actually touches are decompressed.
+// OpenRunAtComp reopens the byte range [off, off+n) of a sealed spill file
+// as one streaming run in the given codec — the read side of
+// multi-partition segment files, where each budget crossing seals a single
+// file holding every partition's sorted run back to back (Hadoop's io.sort
+// spill layout) and the writer remembers per-partition offsets. Each
+// section is a complete self-contained run (header and whole blocks), so
+// only the blocks the read actually touches are decompressed.
 func OpenRunAtComp(path string, off, n int64, comp codec.Compression) (*RunReader, error) {
 	f, err := os.Open(path)
 	if err != nil {

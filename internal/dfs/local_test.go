@@ -72,7 +72,7 @@ func TestRunWriterPartialWriteReopen(t *testing.T) {
 		t.Fatalf("dir accounted %d spilled bytes, want %d", d.SpilledBytes(), len(buf))
 	}
 
-	r, err := OpenRun(w.Path())
+	r, err := OpenRunComp(w.Path(), codec.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRunReaderTruncatedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenRun(w.Path())
+	r, err := OpenRunComp(w.Path(), codec.None)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestRunReaderTruncatedFile(t *testing.T) {
 		t.Fatalf("Err() = %v, want codec.ErrCorrupt", r.Err())
 	}
 	// The reader is a sortx.Source; the merger must report the failure.
-	r2, err := OpenRun(w.Path())
+	r2, err := OpenRunComp(w.Path(), codec.None)
 	if err != nil {
 		t.Fatal(err)
 	}

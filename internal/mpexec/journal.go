@@ -3,14 +3,11 @@ package mpexec
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
 
 	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
-	"blmr/internal/store"
 	"blmr/internal/wal"
 )
 
@@ -20,7 +17,7 @@ import (
 // service ticket ID, so replay can fold an interleaved multi-job stream
 // into per-job state:
 //
-//	'a' admit:   ticket | name | journalOpts | input records
+//	'a' admit:   ticket | name | opts | input records
 //	's' start:   ticket | coordinator job ID
 //	'm' mapDone: ticket | mapIndex | attempt | workerName | shuffleRecords |
 //	             spills | waveCount | { fileID | comp | crc | spanCount |
@@ -30,10 +27,10 @@ import (
 //	'd' done:    ticket
 //	'x' aborted: ticket | message
 //
-// journalOpts is the full execution-affecting exec.Options subset — unlike
-// the 'J' wire frame it includes Mappers (resume must re-split the input
-// identically), the scheduler knobs (Staged, Speculative, threshold) and
-// the heartbeat interval, because a resumed job must run under exactly the
+// opts is putOpts's layout (proto.go), every execution-affecting field of
+// exec.Options — Mappers (resume must re-split the input identically), the
+// scheduler knobs (Staged, Speculative, threshold) and the heartbeat
+// interval included — because a resumed job must run under exactly the
 // options it was admitted with to reproduce its output byte for byte.
 //
 // Replay keeps the latest record per key: the highest attempt per map
@@ -88,62 +85,11 @@ type ReattachState struct {
 	reduces map[int]exec.ReduceResult
 }
 
-func putJournalOpts(b []byte, o exec.Options) []byte {
-	b = binary.AppendUvarint(b, uint64(o.Mappers))
-	b = binary.AppendUvarint(b, uint64(o.Reducers))
-	b = binary.AppendUvarint(b, uint64(o.Mode))
-	b = binary.AppendUvarint(b, uint64(o.SpillBytes))
-	b = binary.AppendUvarint(b, uint64(o.SpillThresholdBytes))
-	b = binary.AppendUvarint(b, uint64(o.KVCacheBytes))
-	b = binary.AppendUvarint(b, uint64(o.MergeFanIn))
-	b = binary.AppendUvarint(b, uint64(o.BatchSize))
-	b = binary.AppendUvarint(b, uint64(o.CombineKeys))
-	b = binary.AppendUvarint(b, uint64(o.QueueCap))
-	b = binary.AppendUvarint(b, uint64(o.Store))
-	b = binary.AppendUvarint(b, uint64(o.Compression))
-	b = binary.AppendUvarint(b, uint64(o.DecodeWorkers))
-	b = binary.AppendUvarint(b, boolBit(o.Staged))
-	b = binary.AppendUvarint(b, boolBit(o.Speculative))
-	b = binary.AppendUvarint(b, uint64(math.Float64bits(o.SpeculativeThreshold)))
-	b = binary.AppendUvarint(b, uint64(o.HeartbeatInterval))
-	return b
-}
-
-func (d *dec) journalOpts() exec.Options {
-	var o exec.Options
-	o.Mappers = int(d.uvarint())
-	o.Reducers = int(d.uvarint())
-	o.Mode = exec.Mode(d.uvarint())
-	o.SpillBytes = int64(d.uvarint())
-	o.SpillThresholdBytes = int64(d.uvarint())
-	o.KVCacheBytes = int64(d.uvarint())
-	o.MergeFanIn = int(d.uvarint())
-	o.BatchSize = int(d.uvarint())
-	o.CombineKeys = int(d.uvarint())
-	o.QueueCap = int(d.uvarint())
-	o.Store = store.Kind(d.uvarint())
-	o.Compression = codec.Compression(d.uvarint())
-	o.DecodeWorkers = int(d.uvarint())
-	o.Staged = d.uvarint() != 0
-	o.Speculative = d.uvarint() != 0
-	o.SpeculativeThreshold = math.Float64frombits(d.uvarint())
-	o.HeartbeatInterval = time.Duration(d.uvarint())
-	o.Transport = shuffle.TCP // the only cross-process transport
-	return o
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 func encodeJournalAdmit(ticket uint64, name string, opts exec.Options, input []core.Record) []byte {
 	b := []byte{jAdmit}
 	b = binary.AppendUvarint(b, ticket)
 	b = putStr(b, name)
-	b = putJournalOpts(b, opts)
+	b = putOpts(b, opts)
 	return putRecords(b, input)
 }
 
@@ -233,7 +179,7 @@ func replayJournal(records [][]byte) (live []*journalJob, maxTicket uint64, maxJ
 				maps:    make(map[int]*journalMap),
 				reduces: make(map[int]exec.ReduceResult),
 			}
-			jj.opts = d.journalOpts()
+			jj.opts = d.opts()
 			jj.input = d.records()
 			if d.err != nil {
 				return nil, 0, 0, fmt.Errorf("mpexec: journal admit %d: %w", i, d.err)

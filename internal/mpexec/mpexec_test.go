@@ -30,8 +30,13 @@ func testJob() blexec.Job {
 	if os.Getenv("MPEXEC_APP") == "sort" {
 		app = apps.Sort()
 	}
-	job := blexec.Job{Name: app.Name, Mapper: app.Mapper, NewGroup: app.NewGroup,
-		NewStream: app.NewStream, Merger: app.Merger}
+	return slowed(jobFor(app))
+}
+
+// slowed applies the env-driven slowdowns the fault and restart tests use
+// to hold a job in the phase they kill at: MPEXEC_SLOW stretches every map
+// call, MPEXEC_SLOWRED every reduce group.
+func slowed(job blexec.Job) blexec.Job {
 	if os.Getenv("MPEXEC_SLOW") != "" {
 		inner := job.Mapper
 		job.Mapper = core.MapperFunc(func(k, v string, emit core.Emitter) {
@@ -83,15 +88,7 @@ func testOpts() blexec.Options {
 func testResolver() mpexec.JobResolver {
 	reg := map[string]blexec.Job{}
 	for _, app := range []apps.App{apps.WordCount(), apps.Sort(), apps.Grep("the")} {
-		job := jobFor(app)
-		if os.Getenv("MPEXEC_SLOW") != "" {
-			inner := job.Mapper
-			job.Mapper = core.MapperFunc(func(k, v string, emit core.Emitter) {
-				time.Sleep(2 * time.Millisecond)
-				inner.Map(k, v, emit)
-			})
-		}
-		reg[app.Name] = job
+		reg[app.Name] = slowed(jobFor(app))
 	}
 	return func(name string) (blexec.Job, bool) {
 		j, ok := reg[name]

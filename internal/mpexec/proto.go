@@ -27,9 +27,7 @@
 //	'A' reattach: jobCount | { job | fileCount | { fileID | crc } }
 //	                                                  (worker -> coord)
 //	'h' beat:    (empty)                              (worker -> coord)
-//	'J' job:     job | name | mode | reducers | spillBytes | spillThreshold |
-//	             kvCacheBytes | mergeFanIn | batchSize | combineKeys |
-//	             queueCap | store | compression       (coord -> worker)
+//	'J' job:     job | name | opts                    (coord -> worker)
 //	'j' jobEnd:  job                                  (coord -> worker)
 //	'M' map:     job | index | attempt | recordCount | codec records
 //	                                                  (coord -> worker)
@@ -55,9 +53,10 @@
 // state (spill directory, reduce sources, buffered pushes, latched abort).
 // 'J' opens a job on the worker: it names the user code (resolved from the
 // worker's job registry — both sides are launched from the same binary) and
-// ships the task-body option subset that must match the coordinator
-// (mode, partition count, spill budget, codec, ...), so heterogeneous jobs
-// can share one pool. 'j' closes it: the worker drops the job's state and
+// ships the job's options (opts is putOpts's layout, the same bytes the
+// journal's admit record holds), so the task bodies agree with the
+// coordinator on mode, partition count, spill budget, codec, ... and
+// heterogeneous jobs can share one pool. 'j' closes it: the worker drops the job's state and
 // removes its sealed runs once in-flight tasks drain. 'R' carries the
 // routing snapshot of every map already completed at dispatch; one 'S'
 // follows for each map that completes afterwards (empty segment lists
@@ -99,6 +98,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"time"
 
 	"blmr/internal/codec"
 	"blmr/internal/core"
@@ -226,13 +227,16 @@ func putRecords(b []byte, recs []core.Record) []byte {
 	return codec.AppendRecords(b, recs)
 }
 
-// encodeJobStart frames the 'J' that opens job id on a worker: the job's
-// registry name plus the task-body option subset both sides must agree on.
-func encodeJobStart(id int, name string, o exec.Options) []byte {
-	b := binary.AppendUvarint(nil, uint64(id))
-	b = putStr(b, name)
-	b = binary.AppendUvarint(b, uint64(o.Mode))
+// putOpts appends the one wire form of exec.Options: every field that
+// affects execution, shared by the 'J' frame and the journal's admit
+// record. SpillDir is left out — it names a directory on whichever machine
+// reads it, so each side keeps its own — and so is Transport, which across
+// processes is always TCP. A field added to exec.Options must be added
+// here and in opts; TestOptsRoundTrip fails until it is.
+func putOpts(b []byte, o exec.Options) []byte {
+	b = binary.AppendUvarint(b, uint64(o.Mappers))
 	b = binary.AppendUvarint(b, uint64(o.Reducers))
+	b = binary.AppendUvarint(b, uint64(o.Mode))
 	b = binary.AppendUvarint(b, uint64(o.SpillBytes))
 	b = binary.AppendUvarint(b, uint64(o.SpillThresholdBytes))
 	b = binary.AppendUvarint(b, uint64(o.KVCacheBytes))
@@ -242,18 +246,20 @@ func encodeJobStart(id int, name string, o exec.Options) []byte {
 	b = binary.AppendUvarint(b, uint64(o.QueueCap))
 	b = binary.AppendUvarint(b, uint64(o.Store))
 	b = binary.AppendUvarint(b, uint64(o.Compression))
+	b = binary.AppendUvarint(b, uint64(o.DecodeWorkers))
+	b = binary.AppendUvarint(b, boolBit(o.Staged))
+	b = binary.AppendUvarint(b, boolBit(o.Speculative))
+	b = binary.AppendUvarint(b, math.Float64bits(o.SpeculativeThreshold))
+	b = binary.AppendUvarint(b, uint64(o.HeartbeatInterval))
 	return b
 }
 
-// decodeJobStart unpacks a 'J' frame into the job id, registry name, and a
-// patch over the worker's base options.
-func decodeJobStart(payload []byte, base exec.Options) (id int, name string, o exec.Options, err error) {
-	d := &dec{buf: payload}
-	id = int(d.uvarint())
-	name = d.str()
-	o = base
-	o.Mode = exec.Mode(d.uvarint())
+// opts decodes what putOpts wrote.
+func (d *dec) opts() exec.Options {
+	var o exec.Options
+	o.Mappers = int(d.uvarint())
 	o.Reducers = int(d.uvarint())
+	o.Mode = exec.Mode(d.uvarint())
 	o.SpillBytes = int64(d.uvarint())
 	o.SpillThresholdBytes = int64(d.uvarint())
 	o.KVCacheBytes = int64(d.uvarint())
@@ -263,6 +269,38 @@ func decodeJobStart(payload []byte, base exec.Options) (id int, name string, o e
 	o.QueueCap = int(d.uvarint())
 	o.Store = store.Kind(d.uvarint())
 	o.Compression = codec.Compression(d.uvarint())
+	o.DecodeWorkers = int(d.uvarint())
+	o.Staged = d.uvarint() != 0
+	o.Speculative = d.uvarint() != 0
+	o.SpeculativeThreshold = math.Float64frombits(d.uvarint())
+	o.HeartbeatInterval = time.Duration(d.uvarint())
+	o.Transport = shuffle.TCP // the only cross-process transport
+	return o
+}
+
+func boolBit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// encodeJobStart frames the 'J' that opens job id on a worker: the job's
+// registry name plus its options.
+func encodeJobStart(id int, name string, o exec.Options) []byte {
+	b := binary.AppendUvarint(nil, uint64(id))
+	b = putStr(b, name)
+	return putOpts(b, o)
+}
+
+// decodeJobStart unpacks a 'J' frame into the job id, registry name and
+// options; the worker-local spill directory is carried over from base.
+func decodeJobStart(payload []byte, base exec.Options) (id int, name string, o exec.Options, err error) {
+	d := &dec{buf: payload}
+	id = int(d.uvarint())
+	name = d.str()
+	o = d.opts()
+	o.SpillDir = base.SpillDir
 	return id, name, o, d.err
 }
 

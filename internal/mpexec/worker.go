@@ -595,8 +595,7 @@ func (w *workerState) startReduce(epoch int, payload []byte) {
 		w.reply(epoch, msgError, encodeTaskError(jobID, msgReduceDone, partition, fmt.Sprintf("unknown job %d", jobID)))
 		return
 	}
-	src := shuffle.NewPushSource(nMaps, jb.opts.BatchSize)
-	src.SetPool(w.pool, jb.opts.MergeFanIn)
+	src := shuffle.NewPushSource(nMaps, jb.opts.BatchSize, w.pool, jb.opts.MergeFanIn)
 	w.mu.Lock()
 	aborted := jb.aborted
 	buffered := jb.early[partition]

@@ -40,6 +40,8 @@ func TestCompressedWaveFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	pool := NewFetchPool()
+	defer pool.Close()
 	parts := sortedWave()
 	w, _, ok, err := sealWave(dir, srv, "t", parts, nil)
 	if err != nil || !ok {
@@ -60,21 +62,8 @@ func TestCompressedWaveFetch(t *testing.T) {
 		if seg.Comp != codec.DeltaBlock {
 			t.Fatalf("segment codec = %v", seg.Comp)
 		}
-		run, err := seg.Open() // remote: w.Addr is the run-server
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []core.Record
-		for {
-			rec, ok := run.Next()
-			if !ok {
-				break
-			}
-			got = append(got, rec)
-		}
-		if err := run.Err(); err != nil {
-			t.Fatalf("partition %d: %v", p, err)
-		}
+		run := fetchRun(pool, seg) // remote: w.Addr is the run-server
+		got := drainRun(t, run)
 		_ = run.Close()
 		if len(got) != len(part) {
 			t.Fatalf("partition %d: %d records, want %d", p, len(got), len(part))
@@ -106,12 +95,11 @@ func TestCompressedFetchShortSection(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("sealWave: ok=%v err=%v", ok, err)
 	}
+	pool := NewFetchPool()
+	defer pool.Close()
 	sp := w.Spans[0]
 	for _, cut := range []int64{1, 7, sp.N / 2} {
-		run, err := FetchSegment(w.Addr, w.FileID, sp.Off, sp.N-cut, codec.Block)
-		if err != nil {
-			t.Fatal(err)
-		}
+		run := fetchRun(pool, Segment{Addr: w.Addr, FileID: w.FileID, Off: sp.Off, N: sp.N - cut, Comp: codec.Block})
 		for {
 			if _, ok := run.Next(); !ok {
 				break

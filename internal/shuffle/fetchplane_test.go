@@ -22,8 +22,8 @@ import (
 )
 
 // TestServerHandleCache: serving many sections of few sealed files must pay
-// one os.Open per distinct file, not one per section — and the BLR1
-// one-shot path shares the same cache.
+// one os.Open per distinct file, not one per section — and every
+// connection shares the one cache.
 func TestServerHandleCache(t *testing.T) {
 	dir, err := dfs.NewRunDir(t.TempDir())
 	if err != nil {
@@ -60,8 +60,7 @@ func TestServerHandleCache(t *testing.T) {
 				if !ok {
 					t.Fatalf("wave has no partition %d", r)
 				}
-				lr := NewLazyRun(seg)
-				lr.pool = pool
+				lr := fetchRun(pool, seg)
 				if got := drainRun(t, lr); len(got) != 40 {
 					t.Fatalf("section %d: %d records, want 40", sections, len(got))
 				}
@@ -74,18 +73,20 @@ func TestServerHandleCache(t *testing.T) {
 		t.Fatalf("%d sections cost %d opens, want %d (one per distinct file)", sections, got, files)
 	}
 
-	// The one-request-per-connection path rides the same cache: no new opens.
+	// A second peer's connection rides the same cache: no new opens.
+	pool2 := NewFetchPool()
+	defer pool2.Close()
 	seg, _ := waves[0].SegmentOf(0)
-	rr, err := FetchSegment(waves[0].Addr, seg.FileID, seg.Off, seg.N, codec.None)
-	if err != nil {
-		t.Fatal(err)
+	lr := fetchRun(pool2, seg)
+	if got := drainRun(t, lr); len(got) != 40 {
+		t.Fatalf("second connection: %d records, want 40", len(got))
 	}
-	if got := drainRun(t, rr); len(got) != 40 {
-		t.Fatalf("BLR1 fetch: %d records, want 40", len(got))
+	_ = lr.Close()
+	if d := pool2.Dials(); d != 1 {
+		t.Fatalf("second pool dialed %d times, want 1 (its own connection)", d)
 	}
-	_ = rr.Close()
 	if got := srv.Opens(); got != files {
-		t.Fatalf("BLR1 path bypassed the handle cache: %d opens, want %d", got, files)
+		t.Fatalf("second connection bypassed the handle cache: %d opens, want %d", got, files)
 	}
 }
 
@@ -197,16 +198,14 @@ func TestServerUnregister(t *testing.T) {
 
 	pool := NewFetchPool()
 	defer pool.Close()
-	lr := NewLazyRun(seg)
-	lr.pool = pool
+	lr := fetchRun(pool, seg)
 	if got := drainRun(t, lr); len(got) != 50 {
 		t.Fatalf("%d records, want 50", len(got))
 	}
 	_ = lr.Close()
 
 	srv.Unregister(seg.FileID)
-	gone := NewLazyRun(seg)
-	gone.pool = pool
+	gone := fetchRun(pool, seg)
 	if _, ok := gone.Next(); ok {
 		t.Fatal("fetched a record from an unregistered file")
 	}
@@ -257,9 +256,7 @@ func TestPooledFetchDecodeWorkers(t *testing.T) {
 			defer pool.Close()
 			var got []core.Record
 			for _, seg := range segs {
-				lr := NewLazyRun(seg)
-				lr.pool = pool
-				lr.useArena = true
+				lr := fetchRun(pool, seg)
 				got = append(got, drainRun(t, lr)...)
 				_ = lr.Close()
 			}

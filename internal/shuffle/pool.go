@@ -1,14 +1,14 @@
 package shuffle
 
-// The pooled fetch plane. PR 3's TCP exchange paid one net.Dial per fetched
-// section (one "BLR1" request per connection); at real fan-ins that is
-// thousands of dials per job and a fresh read buffer + decoder allocation
-// per section. FetchPool keeps one multiplexed "BLR2" connection per peer
-// run-server (more only under concurrent checkout, e.g. a fan-in-capped
-// merge streaming many runs at once), pipelines request-id-framed section
+// The pooled fetch plane: the only way to open a remote run section.
+// FetchPool keeps one multiplexed "BLR2" connection per peer run-server
+// (more only under concurrent checkout, e.g. a fan-in-capped merge
+// streaming many runs at once), pipelines request-id-framed section
 // requests on it, and reuses the connection's read buffer, decoder state
-// and string arena across every section it carries — the fetch path stops
-// allocating per section.
+// and string arena across every section it carries — the fetch path
+// neither dials nor allocates per section. Dials are retried under
+// DialRetry and counted (Result.FetchDials), so churn recovery re-opens
+// sections through the same measured path fault-free runs use.
 
 import (
 	"bufio"
@@ -109,8 +109,13 @@ func (p *FetchPool) decodePool() *codec.DecodePool {
 	return p.dec
 }
 
-// get checks out a connection to addr, dialing when none is idle.
+// get checks out a connection to addr, dialing when none is idle. A nil
+// pool (a transport with no run-server, whose segments are all local) has
+// no way to reach a remote section.
 func (p *FetchPool) get(addr string) (*poolConn, error) {
+	if p == nil {
+		return nil, fmt.Errorf("shuffle: remote run section on %s without a fetch pool", addr)
+	}
 	p.mu.Lock()
 	if cs := p.idle[addr]; len(cs) > 0 {
 		c := cs[len(cs)-1]
@@ -164,6 +169,10 @@ func (p *FetchPool) put(c *poolConn) {
 	p.idle[c.addr] = append(p.idle[c.addr], c)
 	p.mu.Unlock()
 }
+
+// maxFetchErrorBytes caps the message length accepted in an error response
+// (run-servers send a one-line reason).
+const maxFetchErrorBytes = 4 << 10
 
 // pendingSec is one request written on a connection whose response has not
 // been fully consumed yet.
@@ -274,14 +283,17 @@ func (c *poolConn) beginSection() (n int64, err error) {
 	if status != 0 {
 		c.pending = c.pending[:copy(c.pending, c.pending[1:])]
 		msg := "unknown fetch error"
-		if l, err := binary.ReadUvarint(c.br); err == nil {
+		// The length is the peer's word: past the cap the stream cannot be
+		// trusted (or resynced), so the conn is burned instead of allocating
+		// whatever it claims.
+		l, err := binary.ReadUvarint(c.br)
+		if err == nil && l <= maxFetchErrorBytes {
 			b := make([]byte, l)
-			if _, err := io.ReadFull(c.br, b); err == nil {
+			if _, err = io.ReadFull(c.br, b); err == nil {
 				msg = string(b)
-			} else {
-				c.broken = true
 			}
-		} else {
+		}
+		if err != nil || l > maxFetchErrorBytes {
 			c.broken = true
 		}
 		return 0, fmt.Errorf("shuffle: fetch run section from %s: %s", c.addr, msg)
@@ -298,18 +310,18 @@ func (c *poolConn) sectionDone() {
 // openSection begins the oldest requested section and returns a streaming
 // record reader over it. The returned run is owned by the connection
 // (reused per section): exactly one section may be open at a time, and it
-// must be drained or the connection abandoned. useArena cuts the decoded
-// record strings from the connection's shared arena (see codec.Arena).
-func (c *poolConn) openSection(comp codec.Compression, useArena bool) (*pooledRun, error) {
+// must be drained or the connection abandoned. Decoded record strings are
+// cut from the connection's shared arena (see codec.Arena). That is safe
+// for both consumers — the merge's grouped reducers fold or clone what they
+// retain, and the pipelined stores clone keys at node creation and fold
+// values or keep them as live output payload — so a chunk outlives its
+// decode window only by what the task genuinely keeps.
+func (c *poolConn) openSection(comp codec.Compression) (*pooledRun, error) {
 	n, err := c.beginSection()
 	if err != nil {
 		return nil, err
 	}
 	c.sr = sectionReader{br: c.br, remaining: n}
-	var arena *codec.Arena
-	if useArena {
-		arena = &c.arena
-	}
 	var rr codec.RecordReader
 	c.par = nil
 	if comp != codec.None && c.pool != nil {
@@ -317,12 +329,12 @@ func (c *poolConn) openSection(comp codec.Compression, useArena bool) (*pooledRu
 			// Compressed sections decode on the shared worker pool: block
 			// CRC + LZ work overlaps the merge (and other sections), while
 			// record parsing — and the arena — stays on this goroutine.
-			c.par = codec.NewParallelReader(dp, &c.sr, arena)
+			c.par = codec.NewParallelReader(dp, &c.sr, &c.arena)
 			rr = c.par
 		}
 	}
 	if rr == nil {
-		rr = c.dec.Reset(&c.sr, comp, arena)
+		rr = c.dec.Reset(&c.sr, comp, &c.arena)
 	}
 	c.run = pooledRun{
 		pc: c,
@@ -333,8 +345,8 @@ func (c *poolConn) openSection(comp codec.Compression, useArena bool) (*pooledRu
 }
 
 // pooledRun streams one fetched section off a pooled connection. It
-// implements sortx.Source plus a completion check; unlike RemoteRun it does
-// not own the connection — the checkout holder returns it to the pool.
+// implements sortx.Source plus a completion check; it does not own the
+// connection — the checkout holder returns it to the pool.
 type pooledRun struct {
 	pc   *poolConn
 	n    int64

@@ -32,6 +32,12 @@ func drainRun(t *testing.T, r sortx.Source) []core.Record {
 	return got
 }
 
+// fetchRun opens seg through pool the way a SegmentSource's runs do — the
+// one remote read path.
+func fetchRun(pool *FetchPool, seg Segment) *LazyRun {
+	return &LazyRun{seg: seg, pool: pool}
+}
+
 // TestPooledFetchRoundTrip: many sections fetched through one FetchPool
 // decode byte-identically to what was sealed, over one dial — the "BLR2"
 // multiplexed session — instead of one dial per section.
@@ -67,9 +73,7 @@ func TestPooledFetchRoundTrip(t *testing.T) {
 			defer pool.Close()
 			var got []core.Record
 			for _, seg := range segs {
-				lr := NewLazyRun(seg)
-				lr.pool = pool
-				lr.useArena = true
+				lr := fetchRun(pool, seg)
 				got = append(got, drainRun(t, lr)...)
 				if err := lr.Close(); err != nil {
 					t.Fatal(err)
@@ -114,8 +118,7 @@ func TestPooledFetchErrors(t *testing.T) {
 	defer pool.Close()
 
 	// Unknown file: error response, connection stays pooled and usable.
-	bad := NewLazyRun(Segment{Addr: w.Addr, FileID: 999, Off: 0, N: 10})
-	bad.pool = pool
+	bad := fetchRun(pool, Segment{Addr: w.Addr, FileID: 999, Off: 0, N: 10})
 	if _, ok := bad.Next(); ok {
 		t.Fatal("fetched a record from an unknown file")
 	}
@@ -123,8 +126,7 @@ func TestPooledFetchErrors(t *testing.T) {
 		t.Fatalf("unknown file error = %v", err)
 	}
 	_ = bad.Close()
-	good := NewLazyRun(seg)
-	good.pool = pool
+	good := fetchRun(pool, seg)
 	if got := drainRun(t, good); len(got) != 50 {
 		t.Fatalf("after error response: %d records, want 50", len(got))
 	}
@@ -134,8 +136,7 @@ func TestPooledFetchErrors(t *testing.T) {
 	}
 
 	// Short section: asking past the file's bytes must surface ErrCorrupt.
-	short := NewLazyRun(Segment{Addr: w.Addr, FileID: w.FileID, Off: seg.Off, N: seg.N + 100})
-	short.pool = pool
+	short := fetchRun(pool, Segment{Addr: w.Addr, FileID: w.FileID, Off: seg.Off, N: seg.N + 100})
 	for {
 		if _, ok := short.Next(); !ok {
 			break
@@ -173,8 +174,7 @@ func TestServerReapsPooledConns(t *testing.T) {
 	pool := NewFetchPool()
 	var runs []*LazyRun
 	for i := 0; i < 4; i++ {
-		lr := NewLazyRun(seg)
-		lr.pool = pool
+		lr := fetchRun(pool, seg)
 		drainRun(t, lr)
 		runs = append(runs, lr) // hold: next iteration dials a fresh conn
 	}
@@ -227,8 +227,7 @@ func TestPushSourceOverlap(t *testing.T) {
 		return seg
 	}
 
-	src := NewPushSource(3, 8)
-	src.SetPool(pool, 4)
+	src := NewPushSource(3, 8, pool, 4)
 	if err := src.Offer(0, 0, []Segment{seal("m0")}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +266,7 @@ func TestPushSourceOverlap(t *testing.T) {
 	}
 
 	// Fail wakes a source blocked on outstanding pushes.
-	blocked := NewPushSource(2, 8)
-	blocked.SetPool(pool, 4)
+	blocked := NewPushSource(2, 8, pool, 4)
 	if err := blocked.Offer(0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -324,9 +322,7 @@ func rerouteFixture(t *testing.T, recs []core.Record) (srv1, srv2 *Server, seg1,
 // fastReroute shrinks the source's recovery backoff so tests don't sit in
 // the production 50ms-based schedule.
 func fastReroute(src *PushSource) {
-	src.SetResolver(src.resolveSeg, retry.Policy{
-		Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Attempts: 8,
-	})
+	src.rpol = retry.Policy{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond, Attempts: 8}
 }
 
 // TestPushSourceReRouteParked: a fetch whose route was invalidated (serving
@@ -336,7 +332,9 @@ func TestPushSourceReRouteParked(t *testing.T) {
 	want := sortedRecs("m0", 80)
 	srv1, _, seg1, seg2 := rerouteFixture(t, want)
 
-	src := NewPushSource(1, 16)
+	pool := NewFetchPool()
+	defer pool.Close()
+	src := NewPushSource(1, 16, pool, 4)
 	fastReroute(src)
 	if err := src.Offer(0, 0, []Segment{seg1}); err != nil {
 		t.Fatal(err)
@@ -375,6 +373,10 @@ func TestPushSourceReRouteParked(t *testing.T) {
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The dead server was never reached; the replica cost one pooled dial.
+	if d := pool.Dials(); d != 1 {
+		t.Fatalf("parked re-route cost %d dials, want 1", d)
+	}
 }
 
 // TestPushSourceReRouteMidStream: killing the serving run-server while a
@@ -390,7 +392,9 @@ func TestPushSourceReRouteMidStream(t *testing.T) {
 	}
 	srv1, _, seg1, seg2 := rerouteFixture(t, want)
 
-	src := NewPushSource(1, 64)
+	pool := NewFetchPool()
+	defer pool.Close()
+	src := NewPushSource(1, 64, pool, 4)
 	fastReroute(src)
 	if err := src.Offer(0, 0, []Segment{seg1}); err != nil {
 		t.Fatal(err)
@@ -433,5 +437,10 @@ func TestPushSourceReRouteMidStream(t *testing.T) {
 	}
 	if err := src.Close(); err != nil {
 		t.Fatal(err)
+	}
+	// The re-route reopened through the pool — the dialed, retried, counted
+	// path fault-free fetches use: one dial per server.
+	if d := pool.Dials(); d != 2 {
+		t.Fatalf("mid-stream re-route cost %d dials, want 2 (doomed server + replica)", d)
 	}
 }

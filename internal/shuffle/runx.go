@@ -21,7 +21,7 @@ import (
 type runExchange struct {
 	cfg  Config
 	srv  *Server    // non-nil for the TCP kind
-	pool *FetchPool // non-nil for the TCP kind: pooled multiplexed fetches
+	pool *FetchPool // non-nil for the TCP kind: the only way to a remote section
 	fail *failState
 
 	mu       sync.Mutex
@@ -78,7 +78,7 @@ func (t *runExchange) MapSink(m int) MapSink {
 
 // ReduceSource implements Transport.
 func (t *runExchange) ReduceSource(r int) ReduceSource {
-	s := &SegmentSource{
+	return &SegmentSource{
 		nMaps: t.cfg.Maps,
 		segsOf: func(m int) []Segment {
 			t.mu.Lock()
@@ -96,11 +96,9 @@ func (t *runExchange) ReduceSource(r int) ReduceSource {
 		completed: t.completedByPart[r],
 		fail:      t.fail,
 		batchSize: t.cfg.BatchSize,
+		pool:      t.pool,
+		prefetch:  t.cfg.MergeFanIn,
 	}
-	if t.pool != nil {
-		s.SetPool(t.pool, t.cfg.MergeFanIn)
-	}
-	return s
 }
 
 // Fail implements Transport.

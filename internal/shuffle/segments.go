@@ -4,18 +4,21 @@ package shuffle
 // wave is one multi-partition segment file; a Segment addresses one
 // partition's byte section of one wave, either on the local filesystem
 // (SpillExchange) or behind a run-server (TCP, multi-process workers).
-// Remote sections go through a FetchPool when one is wired in — one
-// multiplexed connection per peer with pipelined prefetch — and fall back
-// to the one-dial-per-section "BLR1" fetch otherwise.
+// Every section is read through a LazyRun: local ones open the file,
+// remote ones go through the source's FetchPool — one multiplexed
+// connection per peer with pipelined prefetch. There is no other way to
+// open a remote section.
 //
 // Fetch recovery: sources fed by a live control plane (PushSource) carry a
 // route resolver. When a section fetch fails — dial error, dead server,
-// short section — the reader burns the connection, backs off, re-resolves
+// short section — the run burns the connection, backs off, re-resolves
 // the segment's current route (blocking until the control plane has routed
-// a re-executed attempt) and reopens, skipping the records it already
-// delivered. That leans on deterministic re-execution: a re-executed map
-// attempt seals byte-identical runs, so the skipped prefix is the same
-// data. Sources without a resolver keep the fail-fast behaviour.
+// a re-executed attempt), reopens through the pool and skips the records it
+// already delivered (LazyRun.recover, the one re-route routine for merged
+// and streamed consumption alike). That leans on deterministic
+// re-execution: a re-executed map attempt seals byte-identical runs, so the
+// skipped prefix is the same data. Sources without a resolver keep the
+// fail-fast behaviour.
 
 import (
 	"fmt"
@@ -77,29 +80,6 @@ func (w Wave) SegmentOf(r int) (Segment, bool) {
 	return Segment{Path: w.Path, Addr: w.Addr, FileID: w.FileID, Off: sp.Off, N: sp.N, Comp: w.Comp}, true
 }
 
-// RunCloser is a mergeable run that owns an underlying resource (file or
-// connection). dfs.RunReader and RemoteRun both satisfy it.
-type RunCloser interface {
-	sortx.Source
-	io.Closer
-}
-
-// Open opens the segment for streaming reads, locally or over the wire.
-func (s Segment) Open() (RunCloser, error) { return s.open(nil) }
-
-// open is Open with optional wire-byte accounting: fetched (remote) section
-// lengths are added to fetchBytes when non-nil. Compressed sections count
-// their compressed size — the bytes that actually cross the wire.
-func (s Segment) open(fetchBytes *atomic.Int64) (RunCloser, error) {
-	if s.Addr == "" {
-		return dfs.OpenRunAtComp(s.Path, s.Off, s.N, s.Comp)
-	}
-	if fetchBytes != nil {
-		fetchBytes.Add(s.N)
-	}
-	return FetchSegment(s.Addr, s.FileID, s.Off, s.N, s.Comp)
-}
-
 // Resolver re-resolves one map segment's current route after a fetch
 // failure. wait=true blocks until a valid route exists (a re-executed
 // attempt was pushed) or the source is failed; wait=false returns ok=false
@@ -111,29 +91,36 @@ type Resolver func(m, segIdx int, wait bool) (Segment, bool, error)
 // segments, checked-out pool connections) open at once, no matter how many
 // runs the partition has.
 type LazyRun struct {
-	seg      Segment
-	fetch    *atomic.Int64 // optional wire-byte counter
-	pool     *FetchPool    // optional pooled fetch plane for remote segments
-	useArena bool          // pooled fetches cut strings from the conn's arena
-	// resolve, when set, re-routes the run after a fetch failure (blocking
-	// until the control plane routes a live attempt), under rpol's backoff.
-	resolve   func() (Segment, error)
+	seg   Segment
+	fetch *atomic.Int64 // optional wire-byte counter
+	pool  *FetchPool    // the fetch plane remote segments open through
+	// held, when set, is a streaming source's connection with this run's
+	// section request already pipelined on it: the first open adopts it
+	// instead of checking one out, and hands it back through drop (not the
+	// pool) if the section does not end cleanly.
+	held *poolConn
+	drop func(*poolConn)
+	// route, when set, re-resolves the run's segment after a fetch failure
+	// (wait=true blocks until the control plane routes a live attempt),
+	// under rpol's backoff.
+	route     func(wait bool) (Segment, bool, error)
 	rpol      retry.Policy
 	src       sortx.Source
-	release   func() error // returns the conn to the pool / closes the file
+	release   func() error // returns the conn to its holder / closes the file
 	err       error
 	opened    bool
 	delivered int64 // records already handed to the merge (skip on re-route)
 }
 
-// NewLazyRun wraps a segment.
+// NewLazyRun wraps a local segment (a sealed run on this filesystem).
+// Remote segments are opened by the SegmentSource that owns their pool.
 func NewLazyRun(seg Segment) *LazyRun { return &LazyRun{seg: seg} }
 
 func (l *LazyRun) open() {
 	l.opened = true
 	l.err = nil
-	if l.seg.Addr == "" || l.pool == nil {
-		r, err := l.seg.open(l.fetch)
+	if l.seg.Addr == "" {
+		r, err := dfs.OpenRunAtComp(l.seg.Path, l.seg.Off, l.seg.N, l.seg.Comp)
 		if err != nil {
 			l.err = err
 			return
@@ -141,26 +128,39 @@ func (l *LazyRun) open() {
 		l.src, l.release = r, r.Close
 		return
 	}
-	pc, err := l.pool.get(l.seg.Addr)
-	if err != nil {
-		l.err = err
-		return
-	}
-	if l.fetch != nil {
-		l.fetch.Add(l.seg.N)
+	pc, held := l.held, l.held != nil
+	l.held = nil
+	var err error
+	if !held {
+		if pc, err = l.pool.get(l.seg.Addr); err != nil {
+			l.err = err
+			return
+		}
+		// Compressed sections count their compressed size — the bytes that
+		// actually cross the wire.
+		if l.fetch != nil {
+			l.fetch.Add(l.seg.N)
+		}
+		err = pc.request(l.seg.FileID, l.seg.Off, l.seg.N)
 	}
 	var pr *pooledRun
-	err = pc.request(l.seg.FileID, l.seg.Off, l.seg.N)
 	if err == nil {
-		pr, err = pc.openSection(l.seg.Comp, l.useArena)
+		pr, err = pc.openSection(l.seg.Comp)
+	}
+	put := func() error {
+		if !held {
+			l.pool.put(pc) // closed there if the conn is broken or mid-section
+		} else if pr == nil || !pr.done {
+			l.drop(pc) // desynced; a cleanly drained conn stays with its source
+		}
+		return nil
 	}
 	if err != nil {
-		l.pool.put(pc) // closed there if the conn is broken/desynced
 		l.err = err
+		_ = put()
 		return
 	}
-	l.src = pr
-	l.release = func() error { l.pool.put(pc); return nil } // burns if mid-section
+	l.src, l.release = pr, put
 }
 
 // Next implements sortx.Run.
@@ -192,10 +192,10 @@ func (l *LazyRun) Next() (core.Record, bool) {
 
 // recover re-routes after a fetch failure: burn the broken resource, back
 // off, re-resolve the segment (blocking until a live attempt is routed),
-// reopen and skip the prefix already delivered to the merge. Returns true
-// with l.src repositioned, or false with l.err set.
+// reopen through the pool and skip the prefix already delivered. Returns
+// true with l.src repositioned, or false with l.err set.
 func (l *LazyRun) recover() bool {
-	if l.resolve == nil {
+	if l.route == nil {
 		return false
 	}
 	pol := l.rpol.Normalize()
@@ -203,7 +203,7 @@ func (l *LazyRun) recover() bool {
 	for k := 1; k < pol.Attempts; k++ {
 		_ = l.Close()
 		time.Sleep(pol.Backoff(k))
-		seg, err := l.resolve()
+		seg, _, err := l.route(true)
 		if err != nil {
 			l.err = err // source failed/aborted: surface that, not the fetch error
 			return false
@@ -250,21 +250,14 @@ func (l *LazyRun) Close() error {
 	return rel()
 }
 
-// queuedSeg is one pending streaming segment, possibly with a prefetch
-// request already pipelined on a pooled connection.
-type queuedSeg struct {
-	seg  Segment
-	m, i int       // map index and segment index within the map (re-routing key)
-	pc   *poolConn // non-nil once the section request is pipelined
-}
-
 // SegmentSource is the run-exchange ReduceSource for one partition: Runs
 // waits for the map barrier and returns every segment as a lazy run;
 // NextBatch streams each map task's segments as that task completes,
 // re-batched to batchSize records (pipelined consumption at map-task
 // granularity — the overlap a cross-process shuffle can actually offer).
-// With a FetchPool wired in, NextBatch keeps up to the merge fan-in of
-// section requests pipelined ahead of consumption on per-peer connections.
+// Remote segments are fetched through pool (nil only when every segment is
+// local); NextBatch keeps up to prefetch section requests pipelined ahead
+// of consumption on one held connection per peer.
 type SegmentSource struct {
 	nMaps     int
 	segsOf    func(m int) []Segment // valid once map m has completed
@@ -280,34 +273,10 @@ type SegmentSource struct {
 
 	// streaming state
 	seen     int
-	queue    []queuedSeg
-	inflight int                  // queued sections already requested
+	queue    []*LazyRun           // completed maps' runs, in consumption order
+	inflight int                  // queued runs whose section is already requested
 	conns    map[string]*poolConn // conns held for pipelined streaming
-	cur      sortx.Source
-	curDone  func() error // releases cur's resource
-	curPC    *poolConn    // cur's pooled conn (nil for direct opens)
-	curM     int          // cur's re-routing key
-	curI     int
-	curCount int64 // records delivered from cur (skip on re-route)
-}
-
-// SetPool wires the pooled fetch plane in: remote segments are fetched
-// over per-peer multiplexed connections, with up to fanIn section requests
-// pipelined ahead of streaming consumption.
-func (s *SegmentSource) SetPool(p *FetchPool, fanIn int) {
-	s.pool = p
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	s.prefetch = fanIn
-}
-
-// SetResolver wires fetch re-route recovery: failed section fetches
-// re-resolve their route through f under pol's capped backoff instead of
-// failing the task.
-func (s *SegmentSource) SetResolver(f Resolver, pol retry.Policy) {
-	s.resolve = f
-	s.rpol = pol
+	cur      *LazyRun
 }
 
 // FetchBytes reports how many bytes this partition fetched from remote
@@ -315,12 +284,18 @@ func (s *SegmentSource) SetResolver(f Resolver, pol retry.Policy) {
 // opened sections count nothing).
 func (s *SegmentSource) FetchBytes() int64 { return s.fetch.Load() }
 
+// run wraps map m's i-th segment as a lazy run of this source: fetched
+// through its pool, counted in FetchBytes, re-routed through its resolver.
+func (s *SegmentSource) run(seg Segment, m, i int) *LazyRun {
+	lr := &LazyRun{seg: seg, fetch: &s.fetch, pool: s.pool, drop: s.dropConn, rpol: s.rpol}
+	if s.resolve != nil {
+		lr.route = func(wait bool) (Segment, bool, error) { return s.resolve(m, i, wait) }
+	}
+	return lr
+}
+
 // Runs implements ReduceSource: block on the map barrier, then return every
-// segment as a lazy run in (map task, publish order) order. Remote runs go
-// through the pooled fetch plane when one is wired in, decoding through
-// each connection's reusable buffers and string arena (the merge's grouped
-// consumers fold or clone what they retain, so arena chunks stay
-// short-lived).
+// segment as a lazy run in (map task, publish order) order.
 func (s *SegmentSource) Runs() ([]sortx.Run, error) {
 	select {
 	case <-s.mapsDone:
@@ -329,21 +304,8 @@ func (s *SegmentSource) Runs() ([]sortx.Run, error) {
 	}
 	var runs []sortx.Run
 	for m := 0; m < s.nMaps; m++ {
-		segs := s.segsOf(m)
-		for i := range segs {
-			lr := NewLazyRun(segs[i])
-			lr.fetch = &s.fetch
-			lr.pool = s.pool
-			lr.useArena = true
-			if s.resolve != nil {
-				m, i := m, i
-				lr.resolve = func() (Segment, error) {
-					seg, _, err := s.resolve(m, i, true)
-					return seg, err
-				}
-				lr.rpol = s.rpol
-			}
-			runs = append(runs, lr)
+		for i, seg := range s.segsOf(m) {
+			runs = append(runs, s.run(seg, m, i))
 		}
 	}
 	return runs, nil
@@ -367,150 +329,62 @@ func (s *SegmentSource) connFor(addr string) (*poolConn, error) {
 }
 
 // dropConn removes a broken streaming connection: pipelined requests on it
-// are forgotten (their queue entries re-request elsewhere) and the conn is
-// closed via the pool.
+// are forgotten (their runs re-request elsewhere) and the conn is closed via
+// the pool.
 func (s *SegmentSource) dropConn(pc *poolConn) {
-	for i := range s.queue {
-		if s.queue[i].pc == pc {
-			s.queue[i].pc = nil
+	for _, lr := range s.queue {
+		if lr.held == pc {
+			lr.held = nil
 			s.inflight--
 		}
 	}
-	delete(s.conns, pc.addr)
+	if s.conns[pc.addr] == pc { // a replacement conn to the same peer stays held
+		delete(s.conns, pc.addr)
+	}
 	pc.broken = true
 	s.pool.put(pc) // broken: closed there
 }
 
-// pump pipelines section requests for queued remote segments, bounded by
-// the prefetch budget. Requests go out in queue order per peer, matching
-// the order the responses will be consumed in. With a resolver wired in,
-// unreachable peers are skipped (their segments open — and re-route — at
-// the queue head instead) and stale routes are refreshed first.
+// pump pipelines section requests for queued remote runs, bounded by the
+// prefetch budget. Requests go out in queue order per peer, matching the
+// order the responses will be consumed in. With a resolver wired in, stale
+// routes are refreshed first and unreachable peers are skipped: their runs
+// open — and re-route — themselves at the queue head instead.
 func (s *SegmentSource) pump() error {
-	if s.pool == nil {
-		return nil
-	}
-	for i := range s.queue {
+	for _, lr := range s.queue {
 		if s.inflight >= s.prefetch {
 			return nil
 		}
-		q := &s.queue[i]
-		if q.pc != nil || q.seg.Addr == "" {
+		if lr.held != nil || lr.seg.Addr == "" {
 			continue
 		}
-		if s.resolve != nil {
-			seg, ok, err := s.resolve(q.m, q.i, false)
+		if lr.route != nil {
+			seg, ok, err := lr.route(false)
 			if err != nil {
 				return err
 			}
 			if !ok {
 				continue // invalidated, not yet re-routed: wait at the head
 			}
-			q.seg = seg
+			lr.seg = seg
 		}
-		pc, err := s.connFor(q.seg.Addr)
+		pc, err := s.connFor(lr.seg.Addr)
+		if err == nil {
+			if err = pc.request(lr.seg.FileID, lr.seg.Off, lr.seg.N); err != nil {
+				s.dropConn(pc)
+			}
+		}
 		if err != nil {
-			if s.resolve != nil {
-				continue // dead peer: the head open re-routes it
+			if lr.route != nil {
+				continue // dead peer
 			}
 			return err
 		}
-		if err := pc.request(q.seg.FileID, q.seg.Off, q.seg.N); err != nil {
-			s.dropConn(pc)
-			if s.resolve != nil {
-				continue
-			}
-			return err
-		}
-		s.fetch.Add(q.seg.N)
-		q.pc = pc
+		s.fetch.Add(lr.seg.N)
+		lr.held = pc
 		s.inflight++
 	}
 	return nil
-}
-
-// openHead opens the queue's head segment for streaming.
-func (s *SegmentSource) openHead() error {
-	q := s.queue[0]
-	s.queue = s.queue[1:]
-	s.curM, s.curI, s.curCount = q.m, q.i, 0
-	if q.pc != nil {
-		s.inflight--
-		// Arena decode is safe for streaming consumers too: the pipelined
-		// stores clone keys at node creation and fold values (aggregation)
-		// or retain them as live output payload (identity), so a chunk
-		// outlives its decode window only by what the task genuinely keeps.
-		pr, err := q.pc.openSection(q.seg.Comp, true)
-		if err != nil {
-			s.dropConn(q.pc)
-			return err
-		}
-		s.cur = pr
-		s.curDone = func() error { return nil } // conn returns at Close
-		s.curPC = q.pc
-		return nil
-	}
-	r, err := q.seg.open(&s.fetch)
-	if err != nil {
-		return err
-	}
-	s.cur = r
-	s.curDone = r.Close
-	s.curPC = nil
-	return nil
-}
-
-// recoverStream re-routes the current streaming section after cause: burn
-// the broken resource, back off, re-resolve (blocking until the control
-// plane routes a live attempt), reopen directly and skip the records
-// already delivered. Returns nil with s.cur repositioned, or the error to
-// surface.
-func (s *SegmentSource) recoverStream(cause error) error {
-	if s.resolve == nil {
-		return cause
-	}
-	if s.curPC != nil {
-		if _, held := s.conns[s.curPC.addr]; held {
-			s.dropConn(s.curPC)
-		}
-	} else if s.curDone != nil {
-		_ = s.curDone()
-	}
-	s.cur, s.curDone, s.curPC = nil, nil, nil
-	pol := s.rpol.Normalize()
-	lastErr := cause
-	for k := 1; k < pol.Attempts; k++ {
-		time.Sleep(pol.Backoff(k))
-		seg, _, err := s.resolve(s.curM, s.curI, true)
-		if err != nil {
-			return err // source failed/aborted
-		}
-		r, err := seg.open(&s.fetch)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var skipped int64
-		reread := true
-		for skipped < s.curCount {
-			if _, ok := r.Next(); !ok {
-				lastErr = r.Err()
-				if lastErr == nil {
-					lastErr = fmt.Errorf("shuffle: re-routed section ended %d records short of the consumed prefix (nondeterministic map output?)", s.curCount-skipped)
-				}
-				_ = r.Close()
-				reread = false
-				break
-			}
-			skipped++
-		}
-		if !reread {
-			continue
-		}
-		s.cur, s.curDone, s.curPC = r, r.Close, nil
-		return nil
-	}
-	return fmt.Errorf("shuffle: fetch re-route gave up after %d attempts: %w", pol.Attempts, lastErr)
 }
 
 // NextBatch implements ReduceSource: stream records of completed map tasks.
@@ -526,20 +400,16 @@ func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
 				if !ok {
 					break
 				}
-				s.curCount++
 				batch = append(batch, rec)
 			}
 			if len(batch) == s.batchSize {
 				return batch, true, nil
 			}
 			if err := s.cur.Err(); err != nil {
-				if err = s.recoverStream(err); err != nil {
-					return nil, false, err
-				}
-				continue
+				return nil, false, err // the run already exhausted its re-routes
 			}
-			cerr := s.curDone()
-			s.cur, s.curDone, s.curPC = nil, nil, nil
+			cerr := s.cur.Close()
+			s.cur = nil
 			if cerr != nil {
 				return nil, false, cerr
 			}
@@ -548,10 +418,9 @@ func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
 			return nil, false, err
 		}
 		if len(s.queue) > 0 {
-			if err := s.openHead(); err != nil {
-				if err = s.recoverStream(err); err != nil {
-					return nil, false, err
-				}
+			s.cur, s.queue = s.queue[0], s.queue[1:]
+			if s.cur.held != nil {
+				s.inflight-- // adopted on open: no longer a queued prefetch
 			}
 			continue
 		}
@@ -566,9 +435,8 @@ func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
 		select {
 		case m := <-s.completed:
 			s.seen++
-			segs := s.segsOf(m)
-			for i := range segs {
-				s.queue = append(s.queue, queuedSeg{seg: segs[i], m: m, i: i})
+			for i, seg := range s.segsOf(m) {
+				s.queue = append(s.queue, s.run(seg, m, i))
 			}
 		case <-s.fail.done:
 			return nil, false, s.fail.failed()
@@ -579,14 +447,14 @@ func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
 // Recycle implements ReduceSource (run-exchange batches are not pooled).
 func (s *SegmentSource) Recycle([]core.Record) {}
 
-// Close implements ReduceSource: release the current reader and hand every
+// Close implements ReduceSource: release the current run and hand every
 // held streaming connection back to the pool (connections abandoned
 // mid-section or with requests still pipelined are closed there instead).
 func (s *SegmentSource) Close() error {
 	var err error
 	if s.cur != nil {
-		err = s.curDone()
-		s.cur, s.curDone, s.curPC = nil, nil, nil
+		err = s.cur.Close()
+		s.cur = nil
 	}
 	for _, pc := range s.conns {
 		s.pool.put(pc)
@@ -622,8 +490,10 @@ type PushSource struct {
 	routeCh chan struct{} // closed and replaced on every route change
 }
 
-// NewPushSource builds a source expecting one Offer per map task.
-func NewPushSource(nMaps, batchSize int) *PushSource {
+// NewPushSource builds a source expecting one Offer per map task. Offered
+// segments are fetched through pool, with up to fanIn (the merge fan-in)
+// section requests pipelined ahead of streaming consumption.
+func NewPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int) *PushSource {
 	if batchSize <= 0 {
 		batchSize = 256
 	}
@@ -650,10 +520,13 @@ func NewPushSource(nMaps, batchSize int) *PushSource {
 		completed: p.ch,
 		fail:      newFailState(),
 		batchSize: batchSize,
+		pool:      pool,
+		prefetch:  fanIn,
+		// Failed section fetches re-resolve their route under this capped
+		// backoff instead of failing the task.
+		resolve: p.resolveSeg,
+		rpol:    retry.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Attempts: 8},
 	}
-	p.SegmentSource.SetResolver(p.resolveSeg, retry.Policy{
-		Base: 50 * time.Millisecond, Max: 2 * time.Second, Attempts: 8,
-	})
 	return p
 }
 

@@ -5,57 +5,41 @@ package shuffle
 // (internal/mpexec) — a worker seals runs into its local dfs.RunDir,
 // registers each file with its Server, and any reduce task (same process or
 // another worker) fetches a partition's byte section by (file ID, offset,
-// length).
+// length) through a FetchPool.
 //
-// Wire format (all integers are unsigned varints). A connection opens with
-// a 4-byte magic selecting the protocol:
+// Wire format, "BLR2" (all integers are unsigned varints). A connection
+// opens with the 4-byte magic and then carries any number of
+// request-id-framed section requests back to back, so a fetching peer dials
+// each run-server once and pipelines its section requests:
 //
-//	"BLR1" — one request per connection (the PR-3 protocol, kept for
-//	compatibility; FetchSegment still speaks it):
+//	request:  reqID | fileID | off | n
+//	response: reqID | status byte (0 = ok, 1 = error)
+//	          ok:    exactly n bytes of the sealed run file at [off, off+n)
+//	          error: msgLen | msg bytes
 //
-//	  request:  fileID | off | n
-//	  response: status byte (0 = ok, 1 = error)
-//	            ok:    exactly n bytes of the sealed run file at [off, off+n)
-//	            error: msgLen | msg bytes
-//
-//	"BLR2" — the pooled fetch plane: the connection stays open and carries
-//	any number of request-id-framed section requests back to back, so a
-//	fetching peer dials each run-server once and pipelines its section
-//	requests (FetchPool):
-//
-//	  request:  reqID | fileID | off | n
-//	  response: reqID | status byte
-//	            ok:    exactly n bytes of the section
-//	            error: msgLen | msg bytes
-//
-// Responses are served in request order per connection (an error response
-// leaves the connection usable; a framing violation severs it). The
-// section payload is the same codec record stream dfs.OpenRunAt reads
-// locally, so a truncated transfer (killed worker, reset connection)
-// surfaces codec.ErrCorrupt or a short-section error from the fetching
-// side's Err — never silent data loss.
+// Any other opening magic — older protocol versions included — is answered
+// with nothing and the connection is closed. Responses are served in request
+// order per connection (an error response leaves the connection usable; a
+// framing violation severs it). The section payload is the same codec record
+// stream dfs.OpenRunAtComp reads locally, so a truncated transfer (killed
+// worker, reset connection) surfaces codec.ErrCorrupt or a short-section
+// error from the fetching side's Err — never silent data loss.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
-
-	"blmr/internal/codec"
-	"blmr/internal/core"
 )
 
-// serverMagic guards against stray connections to the run port (the
-// one-request-per-connection protocol); serverMagicMux opens a pooled,
-// multiplexed session.
-var (
-	serverMagic    = [4]byte{'B', 'L', 'R', '1'}
-	serverMagicMux = [4]byte{'B', 'L', 'R', '2'}
-)
+// serverMagicMux opens every run-server connection; it guards against stray
+// connections to the run port.
+var serverMagicMux = [4]byte{'B', 'L', 'R', '2'}
 
 // zeroCopyMinBytes is the sendfile cutover: sections at least this large
 // flush the response header and ship their payload with sendfileSection
@@ -197,10 +181,7 @@ func (s *Server) serve(conn net.Conn) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return
 	}
-	switch magic {
-	case serverMagic:
-		s.serveOnce(conn, br)
-	case serverMagicMux:
+	if magic == serverMagicMux {
 		s.serveMux(conn, br)
 	}
 }
@@ -236,29 +217,6 @@ func (s *Server) sendSectionBody(conn net.Conn, bw *bufio.Writer, f *os.File, of
 	return io.Copy(bw, io.NewSectionReader(f, off, n))
 }
 
-// serveOnce handles one "BLR1" request and hangs up. It shares the handle
-// cache and the zero-copy send with the pooled path.
-func (s *Server) serveOnce(conn net.Conn, br *bufio.Reader) {
-	fileID, err1 := binary.ReadUvarint(br)
-	off, err2 := binary.ReadUvarint(br)
-	n, err3 := binary.ReadUvarint(br)
-	if err1 != nil || err2 != nil || err3 != nil {
-		return
-	}
-	f, rel, err := s.openRegistered(fileID)
-	if err != nil {
-		writeFetchError(conn, err.Error())
-		return
-	}
-	defer rel()
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	_ = bw.WriteByte(0)
-	if _, err := s.sendSectionBody(conn, bw, f, int64(off), int64(n)); err != nil {
-		return // fetcher sees a short section
-	}
-	_ = bw.Flush()
-}
-
 // serveMux serves "BLR2" section requests until the peer hangs up (or the
 // server closes the connection). The write buffer and copy buffer are
 // per-connection, so a pooled peer's whole fetch stream allocates once.
@@ -277,6 +235,13 @@ func (s *Server) serveMux(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		hdr = binary.AppendUvarint(hdr[:0], reqID)
+		if off > math.MaxInt64 || n > math.MaxInt64 {
+			// Would go negative as int64 and read as an empty section.
+			if !writeMuxError(bw, hdr, fmt.Sprintf("run section [%d, +%d) out of range", off, n)) {
+				return
+			}
+			continue
+		}
 		f, rel, err := s.openRegistered(fileID)
 		if err != nil {
 			if !writeMuxError(bw, hdr, err.Error()) {
@@ -312,106 +277,3 @@ func writeMuxError(bw *bufio.Writer, hdr []byte, msg string) bool {
 	}
 	return bw.Flush() == nil
 }
-
-func writeFetchError(w io.Writer, msg string) {
-	buf := []byte{1}
-	buf = binary.AppendUvarint(buf, uint64(len(msg)))
-	buf = append(buf, msg...)
-	_, _ = w.Write(buf)
-}
-
-// RemoteRun streams one fetched run section. It implements sortx.Source
-// (Next/Err) plus Close, like dfs.RunReader — a short or reset transfer
-// surfaces through Err, indistinguishable from a locally truncated run.
-// Compressed sections travel compressed (the server ships the sealed file
-// bytes verbatim) and are decompressed block by block here, on the
-// fetching side — the merger's side — so wire volume shrinks with the
-// sealed-run codec.
-type RemoteRun struct {
-	conn net.Conn
-	cr   *countingReader
-	sr   codec.RecordReader
-	n    int64
-	err  error
-}
-
-// countingReader tracks how many payload bytes actually arrived, so a
-// transfer cut at a record boundary cannot masquerade as a clean end.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// FetchSegment dials addr and requests the section [off, off+n) of the
-// registered file fileID, decoding it with the given sealed-run codec. The
-// returned run streams records as the bytes arrive; it holds the
-// connection until Close.
-func FetchSegment(addr string, fileID uint64, off, n int64, comp codec.Compression) (*RemoteRun, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("shuffle: dial run-server %s: %w", addr, err)
-	}
-	req := append([]byte(nil), serverMagic[:]...)
-	req = binary.AppendUvarint(req, fileID)
-	req = binary.AppendUvarint(req, uint64(off))
-	req = binary.AppendUvarint(req, uint64(n))
-	if _, err := conn.Write(req); err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("shuffle: request run section: %w", err)
-	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	status, err := br.ReadByte()
-	if err != nil {
-		_ = conn.Close()
-		return nil, fmt.Errorf("shuffle: fetch run section from %s: %w", addr, err)
-	}
-	if status != 0 {
-		msg := "unknown fetch error"
-		if l, err := binary.ReadUvarint(br); err == nil {
-			b := make([]byte, l)
-			if _, err := io.ReadFull(br, b); err == nil {
-				msg = string(b)
-			}
-		}
-		_ = conn.Close()
-		return nil, fmt.Errorf("shuffle: fetch run section from %s: %s", addr, msg)
-	}
-	cr := &countingReader{r: io.LimitReader(br, n)}
-	return &RemoteRun{
-		conn: conn,
-		cr:   cr,
-		sr:   codec.NewRunDecoder(bufio.NewReader(cr), comp),
-		n:    n,
-	}, nil
-}
-
-// Next implements sortx.Run.
-func (r *RemoteRun) Next() (core.Record, bool) {
-	if r.err != nil {
-		return core.Record{}, false
-	}
-	rec, ok := r.sr.Next()
-	if !ok {
-		if err := r.sr.Err(); err != nil {
-			r.err = fmt.Errorf("shuffle: fetched run: %w", err)
-		} else if r.cr.n < r.n {
-			// The decoder saw a clean end but fewer bytes arrived than the
-			// section holds: the serving side died mid-transfer.
-			r.err = fmt.Errorf("shuffle: fetched run: %w: short section (%d of %d bytes)",
-				codec.ErrCorrupt, r.cr.n, r.n)
-		}
-	}
-	return rec, ok
-}
-
-// Err implements sortx.Source.
-func (r *RemoteRun) Err() error { return r.err }
-
-// Close releases the connection.
-func (r *RemoteRun) Close() error { return r.conn.Close() }

@@ -38,6 +38,9 @@ func TestServerRoundTrip(t *testing.T) {
 	}
 	defer srv.Close()
 
+	pool := NewFetchPool()
+	defer pool.Close()
+
 	parts := [][]core.Record{sortedRecs("x", 100), nil, sortedRecs("y", 7)}
 	w, _, ok, err := sealWave(dir, srv, "t", parts, nil)
 	if err != nil || !ok {
@@ -54,21 +57,8 @@ func TestServerRoundTrip(t *testing.T) {
 			}
 			continue
 		}
-		run, err := seg.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []core.Record
-		for {
-			rec, ok := run.Next()
-			if !ok {
-				break
-			}
-			got = append(got, rec)
-		}
-		if err := run.Err(); err != nil {
-			t.Fatal(err)
-		}
+		run := fetchRun(pool, seg)
+		got := drainRun(t, run)
 		_ = run.Close()
 		if len(got) != len(want) {
 			t.Fatalf("partition %d: %d records, want %d", p, len(got), len(want))
@@ -80,7 +70,12 @@ func TestServerRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := FetchSegment(srv.Addr(), 999, 0, 10, codec.None); err == nil || !strings.Contains(err.Error(), "unknown run file") {
+	bad := fetchRun(pool, Segment{Addr: srv.Addr(), FileID: 999, Off: 0, N: 10})
+	defer bad.Close()
+	if _, ok := bad.Next(); ok {
+		t.Fatal("fetched a record from an unknown file")
+	}
+	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "unknown run file") {
 		t.Fatalf("bad fileID: %v", err)
 	}
 }
@@ -105,10 +100,9 @@ func TestFetchShortSection(t *testing.T) {
 	sp := w.Spans[0]
 	// Ask for more bytes than the file holds: the server sends what exists,
 	// the fetcher must notice the shortfall.
-	run, err := FetchSegment(w.Addr, w.FileID, sp.Off, sp.N+100, codec.None)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool := NewFetchPool()
+	defer pool.Close()
+	run := fetchRun(pool, Segment{Addr: w.Addr, FileID: w.FileID, Off: sp.Off, N: sp.N + 100})
 	defer run.Close()
 	for {
 		if _, ok := run.Next(); !ok {
