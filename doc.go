@@ -25,6 +25,15 @@
 // (bounded by mr.Options.CombineKeys distinct keys per buffer) so
 // aggregation-class jobs shuffle a fraction of their intermediate records.
 //
+// The barrier-less reducer does one read-modify-update of a partial result
+// per intermediate record (the paper's Algorithm 2), so the tree-backed
+// stores make a record whose key is already present cheap: store.Merge is
+// one read-only rbtree probe — a direct-mapped hot-key cache, then a
+// descent that writes to no node — and an in-place value swap; the tree
+// rebalances only when a key is inserted. reducers.SumMerger, the
+// word-count merge function, parses plain counts without strconv and
+// returns small sums from a table, so that record allocates nothing.
+//
 // The shuffle is also memory-bounded on demand: mr.Options.SpillBytes caps
 // each task's buffered intermediate data. Barrier mappers spill sorted,
 // codec-encoded runs to disk (dfs.RunDir) whenever they cross the budget

@@ -16,9 +16,11 @@ const arenaChunkBytes = 64 << 10
 // The trade: strings from one chunk share backing memory, so RETAINING one
 // record's key or value keeps its whole chunk (≤64KiB plus neighbouring
 // records) alive. Arena decoding therefore suits streaming consumers that
-// fold or copy what they keep (the external merge's group reduce, stores
-// that clone keys); long-lived indexes over raw decoded strings should
-// strings.Clone what they retain or decode without an arena.
+// fold or copy what they keep (the external merge's group reduce; the tree
+// stores, which copy each key and each first-seen value into their own
+// slabs on insert — a merged value is a new string already); long-lived
+// indexes over raw decoded strings should strings.Clone what they retain
+// or decode without an arena.
 //
 // Not safe for concurrent use.
 type Arena struct {

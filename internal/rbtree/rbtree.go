@@ -12,6 +12,15 @@
 // benchmark's ~2M allocs/op before slabs). ClearReuse recycles the slabs
 // across spill cycles, the free-list discipline the spill store's
 // fill/seal/clear loop wants.
+//
+// Get, Put and Update share one read-only probe: a hot-key cache lookup,
+// then an iterative descent with one three-way compare per level that
+// writes to no node. A key that is present costs that probe and an
+// in-place value swap; linking a node and rebalancing, bottom-up along the
+// path the probe recorded, happen only when a key is actually added.
+// Nothing is ever deleted (Clear and ClearReuse drop the whole tree), so no
+// key ever moves between nodes — which is what keeps a cached *node valid
+// across rotations.
 package rbtree
 
 import (
@@ -30,6 +39,10 @@ const (
 	maxSlabKeyBytes = 4 << 10
 	// nodeChunkLen is the number of nodes per allocation chunk.
 	nodeChunkLen = 256
+	// cacheSlots is the size of the direct-mapped hot-key cache (a power
+	// of two; 32 KiB per tree). See DESIGN.md §4 for what it was sized
+	// against.
+	cacheSlots = 2048
 )
 
 // NodeOverheadBytes approximates the per-node allocation overhead (pointers,
@@ -53,6 +66,7 @@ type Tree[V any] struct {
 	root   *node[V]
 	sizeOf func(V) int64
 	bytes  int64
+	path   []*node[V] // find's root-to-leaf descent, consumed by add
 
 	// Slab state. keySlab/nodeChunk are the partially filled current
 	// slabs; used* hold filled slabs whose contents the live tree may
@@ -65,12 +79,30 @@ type Tree[V any] struct {
 	curChunk    []node[V] // the full current chunk, for recycling
 	usedChunks  [][]node[V]
 	spareChunks [][]node[V]
+
+	// cache maps a hash of a key to the node last found holding a key with
+	// that hash. Aggregation streams are skewed, so most probes end here.
+	// Entries never go stale while the tree lives: rotations relink nodes
+	// but no operation moves a key from one node to another. Clear and
+	// ClearReuse empty it.
+	cache [cacheSlots]cacheEntry[V]
+}
+
+// cacheEntry carries the full hash so a probe whose slot holds some other
+// key (most cache misses of a skewed stream: 20 K words share 2 K slots) is
+// turned away without touching that key's node.
+type cacheEntry[V any] struct {
+	hash uint32
+	node *node[V]
 }
 
 // newNode allocates a node from the chunk arena, cloning the key into the
 // key slab so a long-lived tree never pins the (possibly much larger)
 // string a caller's key was sliced from — mapper output keys are
-// substrings of whole input lines.
+// substrings of whole input lines. A string value is cloned next to its key
+// for the same reason: the first value seen for a key is stored as passed,
+// and on the pooled fetch path that is a view into a shared decode-arena
+// chunk (see codec.Arena), which a key seen once would pin for good.
 func (t *Tree[V]) newNode(key string, val V) *node[V] {
 	if len(t.nodeChunk) == 0 {
 		if t.curChunk != nil {
@@ -87,6 +119,9 @@ func (t *Tree[V]) newNode(key string, val V) *node[V] {
 	h := &t.nodeChunk[0]
 	t.nodeChunk = t.nodeChunk[1:]
 	h.key = t.cloneKey(key)
+	if s, ok := any(val).(string); ok {
+		val = any(t.cloneKey(s)).(V)
+	}
 	h.val = val
 	h.left, h.right = nil, nil
 	h.color = red
@@ -143,84 +178,117 @@ func (t *Tree[V]) Len() int {
 // Bytes returns the accounted byte footprint of the tree.
 func (t *Tree[V]) Bytes() int64 { return t.bytes }
 
-// Get returns the value stored at key.
-func (t *Tree[V]) Get(key string) (V, bool) {
+// find returns the node holding key, or nil. It reads the hot-key cache,
+// then descends from the root, and writes to no node. The nodes it passes
+// are left in t.path, so that after a nil result add can link the new node
+// and rebalance without a second descent.
+func (t *Tree[V]) find(key string) *node[V] {
+	h := hashKey(key)
+	slot := &t.cache[h%cacheSlots]
+	if x := slot.node; x != nil && slot.hash == h && x.key == key {
+		return x
+	}
+	path := t.path[:0]
 	x := t.root
 	for x != nil {
-		switch {
-		case key < x.key:
-			x = x.left
-		case key > x.key:
-			x = x.right
-		default:
-			return x.val, true
+		c := strings.Compare(key, x.key)
+		if c == 0 {
+			*slot = cacheEntry[V]{h, x}
+			break
 		}
+		path = append(path, x)
+		if c < 0 {
+			x = x.left
+		} else {
+			x = x.right
+		}
+	}
+	t.path = path
+	return x
+}
+
+// hashKey is FNV-1a. At word length it costs what a call into hash/maphash
+// does (6 ns for 9 bytes), and it is unseeded: the same keys share the same
+// slots in every run, so a job's timing does not depend on a random seed.
+func hashKey(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return h
+}
+
+// Get returns the value stored at key.
+func (t *Tree[V]) Get(key string) (V, bool) {
+	if x := t.find(key); x != nil {
+		return x.val, true
 	}
 	var zero V
 	return zero, false
 }
 
-// Contains reports whether key is present.
-func (t *Tree[V]) Contains(key string) bool {
-	_, ok := t.Get(key)
-	return ok
-}
-
 // Put inserts or replaces the value at key.
 func (t *Tree[V]) Put(key string, val V) {
-	t.root = t.put(t.root, key, val)
-	t.root.color = black
+	if x := t.find(key); x != nil {
+		t.set(x, val)
+		return
+	}
+	t.add(key, val)
 }
 
-func (t *Tree[V]) put(h *node[V], key string, val V) *node[V] {
-	if h == nil {
-		t.bytes += int64(len(key)) + t.sizeOf(val) + NodeOverheadBytes
-		return t.newNode(key, val)
+// Update is the read-modify-write primitive for running aggregates: an
+// absent key stores val, a present key stores merge(old, val). Either way
+// the tree is walked once for the lookup; a present key costs nothing more
+// than the in-place swap.
+func (t *Tree[V]) Update(key string, val V, merge func(old, val V) V) {
+	if x := t.find(key); x != nil {
+		t.set(x, merge(x.val, val))
+		return
 	}
-	switch {
-	case key < h.key:
-		h.left = t.put(h.left, key, val)
-	case key > h.key:
-		h.right = t.put(h.right, key, val)
-	default:
-		t.bytes += t.sizeOf(val) - t.sizeOf(h.val)
-		h.val = val
-	}
-	return t.fixUp(h)
+	t.add(key, val)
 }
 
-// Update inserts or modifies the value at key in a single descent — the
-// read-modify-write primitive for running aggregates (one tree walk where a
-// Get followed by a Put would take two). fn receives the current value and
-// whether the key was present, and returns the value to store.
-func (t *Tree[V]) Update(key string, fn func(old V, ok bool) V) {
-	t.root = t.update(t.root, key, fn)
-	t.root.color = black
+// set replaces x's value in place, keeping the byte account.
+func (t *Tree[V]) set(x *node[V], val V) {
+	t.bytes += t.sizeOf(val) - t.sizeOf(x.val)
+	x.val = val
 }
 
-func (t *Tree[V]) update(h *node[V], key string, fn func(V, bool) V) *node[V] {
-	if h == nil {
-		var zero V
-		val := fn(zero, false)
-		t.bytes += int64(len(key)) + t.sizeOf(val) + NodeOverheadBytes
-		return t.newNode(key, val)
+// add inserts a key that find has just reported absent: the new node
+// hangs off the last node of find's path, and the left-leaning red-black
+// invariants and subtree sizes are restored bottom-up along that path — the
+// only place the tree is ever restructured.
+func (t *Tree[V]) add(key string, val V) {
+	t.bytes += int64(len(key)) + t.sizeOf(val) + NodeOverheadBytes
+	x := t.newNode(key, val)
+	if n := len(t.path); n > 0 {
+		leaf := t.path[n-1]
+		if key < leaf.key {
+			leaf.left = x
+		} else {
+			leaf.right = x
+		}
+		x = fixUp(leaf)
+		// Above the leaf no compare is needed to know which way the descent
+		// went: h still points at the path's next node, whatever rotations
+		// have since made of the subtree below it.
+		for i := n - 2; i >= 0; i-- {
+			h := t.path[i]
+			if h.left == t.path[i+1] {
+				h.left = x
+			} else {
+				h.right = x
+			}
+			x = fixUp(h)
+		}
 	}
-	switch {
-	case key < h.key:
-		h.left = t.update(h.left, key, fn)
-	case key > h.key:
-		h.right = t.update(h.right, key, fn)
-	default:
-		val := fn(h.val, true)
-		t.bytes += t.sizeOf(val) - t.sizeOf(h.val)
-		h.val = val
-	}
-	return t.fixUp(h)
+	x.color = black
+	t.root = x
 }
 
-// fixUp restores the left-leaning red-black invariants and subtree size on
-// the way back up an insertion path.
-func (t *Tree[V]) fixUp(h *node[V]) *node[V] {
+// fixUp restores the left-leaning red-black invariants and subtree size at
+// h after an insertion below it, and returns the subtree's new root.
+func fixUp[V any](h *node[V]) *node[V] {
 	if isRed(h.right) && !isRed(h.left) {
 		h = rotateLeft(h)
 	}
@@ -232,69 +300,6 @@ func (t *Tree[V]) fixUp(h *node[V]) *node[V] {
 	}
 	h.n = 1 + size(h.left) + size(h.right)
 	return h
-}
-
-// Delete removes key if present.
-func (t *Tree[V]) Delete(key string) {
-	if !t.Contains(key) {
-		return
-	}
-	if !isRed(t.root.left) && !isRed(t.root.right) {
-		t.root.color = red
-	}
-	t.root = t.delete(t.root, key)
-	if t.root != nil {
-		t.root.color = black
-	}
-}
-
-func (t *Tree[V]) delete(h *node[V], key string) *node[V] {
-	if key < h.key {
-		if !isRed(h.left) && !isRed(h.left.left) {
-			h = moveRedLeft(h)
-		}
-		h.left = t.delete(h.left, key)
-	} else {
-		if isRed(h.left) {
-			h = rotateRight(h)
-		}
-		if key == h.key && h.right == nil {
-			t.bytes -= int64(len(h.key)) + t.sizeOf(h.val) + NodeOverheadBytes
-			return nil
-		}
-		if !isRed(h.right) && !isRed(h.right.left) {
-			h = moveRedRight(h)
-		}
-		if key == h.key {
-			t.bytes -= int64(len(h.key)) + t.sizeOf(h.val) + NodeOverheadBytes
-			m := min(h.right)
-			h.key, h.val = m.key, m.val
-			h.right = deleteMin(h.right)
-		} else {
-			h.right = t.delete(h.right, key)
-		}
-	}
-	return balance(h)
-}
-
-// Min returns the smallest key.
-func (t *Tree[V]) Min() (string, bool) {
-	if t.root == nil {
-		return "", false
-	}
-	return min(t.root).key, true
-}
-
-// Max returns the largest key.
-func (t *Tree[V]) Max() (string, bool) {
-	if t.root == nil {
-		return "", false
-	}
-	x := t.root
-	for x.right != nil {
-		x = x.right
-	}
-	return x.key, true
 }
 
 // Ascend visits entries in increasing key order until fn returns false.
@@ -321,6 +326,7 @@ func ascend[V any](x *node[V], fn func(string, V) bool) bool {
 func (t *Tree[V]) Clear() {
 	t.root = nil
 	t.bytes = 0
+	t.path = nil
 	t.keySlab = nil
 	t.usedSlabs = nil
 	t.spareSlabs = nil
@@ -328,6 +334,7 @@ func (t *Tree[V]) Clear() {
 	t.curChunk = nil
 	t.usedChunks = nil
 	t.spareChunks = nil
+	clear(t.cache[:])
 }
 
 // ClearReuse drops all entries but keeps the slab arenas on an internal
@@ -361,16 +368,7 @@ func (t *Tree[V]) ClearReuse() {
 		t.spareChunks = append(t.spareChunks, c)
 	}
 	t.usedChunks = nil
-}
-
-// Keys returns all keys in order (for tests and small trees).
-func (t *Tree[V]) Keys() []string {
-	out := make([]string, 0, t.Len())
-	t.Ascend(func(k string, _ V) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
+	clear(t.cache[:]) // recycled nodes and key slabs are about to be overwritten
 }
 
 // --- LLRB helpers ---------------------------------------------------------
@@ -410,55 +408,4 @@ func flipColors[V any](h *node[V]) {
 	h.color = !h.color
 	h.left.color = !h.left.color
 	h.right.color = !h.right.color
-}
-
-func moveRedLeft[V any](h *node[V]) *node[V] {
-	flipColors(h)
-	if isRed(h.right.left) {
-		h.right = rotateRight(h.right)
-		h = rotateLeft(h)
-		flipColors(h)
-	}
-	return h
-}
-
-func moveRedRight[V any](h *node[V]) *node[V] {
-	flipColors(h)
-	if isRed(h.left.left) {
-		h = rotateRight(h)
-		flipColors(h)
-	}
-	return h
-}
-
-func balance[V any](h *node[V]) *node[V] {
-	if isRed(h.right) && !isRed(h.left) {
-		h = rotateLeft(h)
-	}
-	if isRed(h.left) && isRed(h.left.left) {
-		h = rotateRight(h)
-	}
-	if isRed(h.left) && isRed(h.right) {
-		flipColors(h)
-	}
-	h.n = 1 + size(h.left) + size(h.right)
-	return h
-}
-
-func min[V any](x *node[V]) *node[V] {
-	for x.left != nil {
-		x = x.left
-	}
-	return x
-}
-
-func deleteMin[V any](h *node[V]) *node[V] {
-	if h.left == nil {
-		return nil
-	}
-	if !isRed(h.left) && !isRed(h.left.left) {
-		h = moveRedLeft(h)
-	}
-	h.left = deleteMin(h.left)
-	return balance(h)
 }

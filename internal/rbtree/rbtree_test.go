@@ -9,8 +9,8 @@ import (
 )
 
 // checkInvariants verifies the left-leaning red-black invariants:
-// BST order, no red right links, no two consecutive red left links, and
-// equal black height on every root-to-nil path.
+// BST order, no red right links, no two consecutive red left links, equal
+// black height on every root-to-nil path, and exact subtree sizes.
 func checkInvariants[V any](t *testing.T, tr *Tree[V]) {
 	t.Helper()
 	if tr.root == nil {
@@ -38,6 +38,9 @@ func checkInvariants[V any](t *testing.T, tr *Tree[V]) {
 		}
 		if isRed(x) && isRed(x.left) {
 			t.Fatal("two consecutive red links")
+		}
+		if want := 1 + size(x.left) + size(x.right); x.n != want {
+			t.Fatalf("subtree size at %q = %d, want %d", x.key, x.n, want)
 		}
 		l, r := blackHeight(x.left), blackHeight(x.right)
 		if l != r {
@@ -112,48 +115,6 @@ func TestAscendOrderAndEarlyStop(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tr := New[int](nil)
-	if _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty")
-	}
-	if _, ok := tr.Max(); ok {
-		t.Fatal("Max on empty")
-	}
-	for _, k := range []string{"m", "a", "z", "q"} {
-		tr.Put(k, 0)
-	}
-	if k, _ := tr.Min(); k != "a" {
-		t.Fatalf("Min = %q", k)
-	}
-	if k, _ := tr.Max(); k != "z" {
-		t.Fatalf("Max = %q", k)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := New[int](nil)
-	const n = 200
-	for i := 0; i < n; i++ {
-		tr.Put(fmt.Sprintf("k%04d", i), i)
-	}
-	rng := rand.New(rand.NewSource(42))
-	perm := rng.Perm(n)
-	for i, idx := range perm {
-		tr.Delete(fmt.Sprintf("k%04d", idx))
-		if tr.Len() != n-i-1 {
-			t.Fatalf("Len = %d after %d deletes", tr.Len(), i+1)
-		}
-		if i%17 == 0 {
-			checkInvariants(t, tr)
-		}
-	}
-	if tr.Len() != 0 || tr.Bytes() != 0 {
-		t.Fatalf("Len=%d Bytes=%d after deleting all", tr.Len(), tr.Bytes())
-	}
-	tr.Delete("absent") // no-op on empty tree
-}
-
 func TestBytesAccounting(t *testing.T) {
 	tr := New[string](func(v string) int64 { return int64(len(v)) })
 	tr.Put("key1", "value1")
@@ -163,11 +124,6 @@ func TestBytesAccounting(t *testing.T) {
 	}
 	tr.Put("key2", "v")
 	want += int64(4+1) + NodeOverheadBytes
-	if tr.Bytes() != want {
-		t.Fatalf("Bytes = %d, want %d", tr.Bytes(), want)
-	}
-	tr.Delete("key1")
-	want -= int64(4+6) + NodeOverheadBytes
 	if tr.Bytes() != want {
 		t.Fatalf("Bytes = %d, want %d", tr.Bytes(), want)
 	}
@@ -195,7 +151,11 @@ func TestInvariantsProperty(t *testing.T) {
 			want = append(want, k)
 		}
 		sort.Strings(want)
-		got := tr.Keys()
+		var got []string
+		tr.Ascend(func(k string, _ int) bool {
+			got = append(got, k)
+			return true
+		})
 		if len(got) != len(want) {
 			return false
 		}
@@ -214,56 +174,14 @@ func TestInvariantsProperty(t *testing.T) {
 	}
 }
 
-func TestDeleteProperty(t *testing.T) {
-	// Property: inserting keys then deleting a subset leaves exactly the
-	// complement, in order.
-	f := func(keys []string, delMask uint64) bool {
-		tr := New[int](nil)
-		ref := map[string]bool{}
-		for i, k := range keys {
-			tr.Put(k, i)
-			ref[k] = true
-		}
-		uniq := make([]string, 0, len(ref))
-		for k := range ref {
-			uniq = append(uniq, k)
-		}
-		sort.Strings(uniq)
-		for i, k := range uniq {
-			if delMask&(1<<(uint(i)%64)) != 0 {
-				tr.Delete(k)
-				delete(ref, k)
-			}
-		}
-		if tr.Len() != len(ref) {
-			return false
-		}
-		for _, k := range tr.Keys() {
-			if !ref[k] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestLargeRandomMixedWorkload(t *testing.T) {
 	tr := New[int](nil)
 	ref := map[string]int{}
 	rng := rand.New(rand.NewSource(7))
 	for op := 0; op < 20000; op++ {
 		k := fmt.Sprintf("k%d", rng.Intn(3000))
-		switch rng.Intn(3) {
-		case 0, 1:
-			tr.Put(k, op)
-			ref[k] = op
-		case 2:
-			tr.Delete(k)
-			delete(ref, k)
-		}
+		tr.Put(k, op)
+		ref[k] = op
 	}
 	if tr.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", tr.Len(), len(ref))

@@ -22,11 +22,49 @@ import (
 // --- Shared mergers --------------------------------------------------------
 
 // SumMerger adds two decimal-integer partials (the word-count combiner).
+// It runs once per intermediate record in the barrier-less reducer, so
+// plain non-negative counts — all a word count ever produces — are parsed
+// with a digits-only loop, and small sums come from a table instead of a
+// fresh string. Every other input (signs, spaces, overflow, empty,
+// non-numeric) takes strconv, whose result the fast path reproduces byte
+// for byte.
 func SumMerger(a, b string) string {
-	x, _ := strconv.ParseInt(a, 10, 64)
-	y, _ := strconv.ParseInt(b, 10, 64)
+	x, okx := parseCount(a)
+	y, oky := parseCount(b)
+	if !okx || !oky {
+		x, _ = strconv.ParseInt(a, 10, 64)
+		y, _ = strconv.ParseInt(b, 10, 64)
+	} else if sum := x + y; sum < int64(len(smallSums)) {
+		return smallSums[sum]
+	}
 	return strconv.FormatInt(x+y, 10)
 }
+
+// parseCount parses a string of 1 to 18 ASCII digits: the inputs on which
+// strconv.ParseInt cannot fail or overflow, and two of which cannot
+// overflow when added.
+func parseCount(s string) (int64, bool) {
+	if len(s) == 0 || len(s) > 18 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(s); i++ {
+		d := s[i] - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + int64(d)
+	}
+	return n, true
+}
+
+// smallSums interns the decimal form of every sum below 4096, built once.
+var smallSums = func() (t [4096]string) {
+	for i := range t {
+		t[i] = strconv.Itoa(i)
+	}
+	return t
+}()
 
 // --- Identity (Section 4.1) -------------------------------------------------
 
@@ -71,8 +109,8 @@ type SortingStream struct {
 // the store's spill merger.
 func NewSortingStream(st store.Store) *SortingStream { return &SortingStream{st: st} }
 
-// Consume implements core.StreamReducer: one single-descent increment of
-// the key's duplicate count.
+// Consume implements core.StreamReducer: one store probe incrementing the
+// key's duplicate count.
 func (s *SortingStream) Consume(rec core.Record, out core.Output) {
 	s.st.Merge(rec.Key, "1", SumMerger)
 }
@@ -127,7 +165,7 @@ func NewAggregationStream(st store.Store, combine store.Merger) *AggregationStre
 }
 
 // Consume implements core.StreamReducer: the read-modify-update cycle, one
-// store descent per record via Merge.
+// store probe per record via Merge.
 func (a *AggregationStream) Consume(rec core.Record, out core.Output) {
 	a.st.Merge(rec.Key, rec.Value, a.combine)
 }

@@ -153,16 +153,11 @@ func (s *SpillStore) Put(key, val string) {
 	}
 }
 
-// Merge implements Store in a single tree descent. Spilled partials for the
+// Merge implements Store in a single tree probe. Spilled partials for the
 // key stay untouched; they are reunited with the in-memory partial by the
 // Merger at Emit, so folding into only the live tree is correct.
 func (s *SpillStore) Merge(key, val string, mg Merger) {
-	s.t.Update(key, func(old string, ok bool) string {
-		if !ok {
-			return val
-		}
-		return mg(old, val)
-	})
+	s.t.Update(key, val, mg)
 	if s.t.Bytes() >= s.threshold {
 		s.spill()
 	}

@@ -46,9 +46,11 @@ type Store interface {
 	Put(key, val string)
 	// Merge folds val into the partial result for key with m (the
 	// read-modify-write cycle of a running aggregate): absent keys store
-	// val directly. Tree-backed stores do this in one descent where a
-	// Get+Put pair would take two; the KV store keeps its off-the-shelf
-	// get-then-put cost, which is the point of that strategy.
+	// val. Tree-backed stores do this in one probe and, for a present key,
+	// one in-place swap, where a Get+Put pair would probe twice; they copy
+	// a first-seen val, so they never pin the buffer it was cut from. The
+	// KV store keeps its off-the-shelf get-then-put cost, which is the
+	// point of that strategy.
 	Merge(key, val string, m Merger)
 	// Len returns the number of keys currently reachable without a merge
 	// (in-memory keys for SpillMerge, all keys otherwise).
@@ -108,15 +110,8 @@ func (m *MemStore) Get(key string) (string, bool) { return m.t.Get(key) }
 // Put implements Store.
 func (m *MemStore) Put(key, val string) { m.t.Put(key, val) }
 
-// Merge implements Store in a single tree descent.
-func (m *MemStore) Merge(key, val string, mg Merger) {
-	m.t.Update(key, func(old string, ok bool) string {
-		if !ok {
-			return val
-		}
-		return mg(old, val)
-	})
-}
+// Merge implements Store in a single tree probe.
+func (m *MemStore) Merge(key, val string, mg Merger) { m.t.Update(key, val, mg) }
 
 // Len implements Store.
 func (m *MemStore) Len() int { return m.t.Len() }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"blmr/internal/core"
 	"blmr/internal/kvstore"
@@ -253,36 +255,95 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func BenchmarkMemStoreAggregate(b *testing.B) {
-	s := NewMemStore()
+// benchKeys are built before the timer starts: formatting a key costs more
+// than the store operation it feeds.
+func benchKeys() []string {
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key%04d", i)
+	}
+	return keys
+}
+
+func benchAggregate(b *testing.B, s Store) {
+	keys := benchKeys()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aggregateB(s, fmt.Sprintf("key%04d", i%1000))
+		aggregate(s, keys[i%len(keys)], 1)
 	}
 }
 
+// benchMerge drives the path the stream reducers take: one Merge per record.
+func benchMerge(b *testing.B, s Store) {
+	keys := benchKeys()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Merge(keys[i%len(keys)], "1", sumMerger)
+	}
+}
+
+func benchKV() Store { return NewKVStore(kvstore.New(kvstore.Config{CacheBytes: 1 << 14})) }
+
+func BenchmarkMemStoreAggregate(b *testing.B) { benchAggregate(b, NewMemStore()) }
 func BenchmarkSpillStoreAggregate(b *testing.B) {
-	s := NewSpillStore(1<<16, sumMerger, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aggregateB(s, fmt.Sprintf("key%04d", i%1000))
-	}
+	benchAggregate(b, NewSpillStore(1<<16, sumMerger, nil))
 }
+func BenchmarkKVStoreAggregate(b *testing.B) { benchAggregate(b, benchKV()) }
+func BenchmarkMemStoreMerge(b *testing.B)    { benchMerge(b, NewMemStore()) }
+func BenchmarkSpillStoreMerge(b *testing.B)  { benchMerge(b, NewSpillStore(1<<16, sumMerger, nil)) }
+func BenchmarkKVStoreMerge(b *testing.B)     { benchMerge(b, benchKV()) }
 
-func BenchmarkKVStoreAggregate(b *testing.B) {
-	s := NewKVStore(kvstore.New(kvstore.Config{CacheBytes: 1 << 14}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		aggregateB(s, fmt.Sprintf("key%04d", i%1000))
+// TestFirstSeenValueIsCopied: the first value merged for a key is retained
+// as is (no merge runs), and on the pooled fetch path it is a view into a
+// 64 KiB decode-arena chunk. The tree stores must copy it, or every key
+// seen once pins a chunk until the output is released.
+func TestFirstSeenValueIsCopied(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 500; i++ {
+		fmt.Fprintf(&sb, "%06d", i)
 	}
-}
-
-func aggregateB(s Store, key string) {
-	prev := 0
-	if v, ok := s.Get(key); ok {
-		prev, _ = strconv.Atoi(v)
+	backing := sb.String()
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(backing)))
+	inside := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return len(s) > 0 && p >= lo && p < lo+uintptr(len(backing))
 	}
-	s.Put(key, strconv.Itoa(prev+1))
+	for name, s := range map[string]Store{
+		"in-memory":   NewMemStore(),
+		"spill-merge": NewSpillStore(1<<20, sumMerger, nil),
+	} {
+		for i := 0; i < 500; i++ {
+			// Key and value are both views into backing; every third key is
+			// merged a second time, the rest stay first-seen.
+			k, v := backing[i*6:i*6+6], backing[i*6+3:i*6+6]
+			s.Merge(k, v, sumMerger)
+			if i%3 == 0 {
+				s.Merge(k, v, sumMerger)
+			}
+			if got, ok := s.Get(k); !ok || inside(got) {
+				t.Fatalf("%s: Get(%q) = %q,%v: a view into the caller's backing string", name, k, got, ok)
+			}
+		}
+		out := &sink{}
+		s.Emit(out)
+		if len(out.recs) != 500 {
+			t.Fatalf("%s: emitted %d keys", name, len(out.recs))
+		}
+		for i, r := range out.recs {
+			want := fmt.Sprintf("%03d", i) // first-seen, stored as passed
+			if i%3 == 0 {
+				want = strconv.Itoa(2 * i)
+			}
+			if r.Key != backing[i*6:i*6+6] || r.Value != want {
+				t.Fatalf("%s: emitted %q=%q, want value %q", name, r.Key, r.Value, want)
+			}
+			if inside(r.Key) || inside(r.Value) {
+				t.Fatalf("%s: emitted %q=%q points into the caller's backing string", name, r.Key, r.Value)
+			}
+		}
+	}
 }
 
 func TestStoreAccessors(t *testing.T) {
