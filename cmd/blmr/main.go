@@ -38,9 +38,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"blmr/internal/apps"
@@ -55,125 +57,192 @@ import (
 	"blmr/internal/store"
 )
 
+// options is every flag, parsed once. Each form of the command builds the
+// one mr.Options, mpexec.ServiceConfig, harness.RunSpec or submitRequest it
+// runs from these fields and nothing else, so a worker re-executed with its
+// coordinator's flags cannot disagree with it.
+type options struct {
+	// The workload, and how the job is shaped on every engine.
+	app               string
+	size              float64
+	mappers, reducers int
+	mode              mr.Mode
+	store             store.Kind
+	spillBytes        int64
+	comp              codec.Compression
+	combine           bool
+	speculative       bool
+	staged            bool
+	workers           int
+
+	// Simulator only.
+	heapMB, spillMB int
+	snapshot        float64
+	timeline        bool
+
+	// Real engine only; real records that -transport was given.
+	real                           bool
+	transport                      shuffle.Kind
+	mapTasks, fanIn, decodeWorkers int
+	verify                         bool
+	chaosKill                      time.Duration
+	workerCoord                    string
+
+	// Job service.
+	serve, submit, resume, journalStat bool
+	addr, policy, stateDir             string
+	maxConcurrent, maxQueued           int
+}
+
+// enumFlag registers a flag whose value parse turns into a T; the flag
+// package reports parse's error as a usage error.
+func enumFlag[T any](fs *flag.FlagSet, name, usage string, dst *T, parse func(string) (T, error)) {
+	fs.Func(name, usage, func(s string) (err error) {
+		*dst, err = parse(s)
+		return err
+	})
+}
+
+// parseFlags parses the command line into options.
+func parseFlags(args []string) (*options, error) {
+	o := &options{mode: mr.Pipelined}
+	return o, o.flagSet().Parse(args)
+}
+
+// flagSet binds every flag to its field. Enumerated flags (-mode, -store,
+// -transport, -compress) parse to their typed values, so a bad name is a
+// usage error before anything runs.
+func (o *options) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("blmr", flag.ContinueOnError)
+	fs.StringVar(&o.app, "app", "wordcount", "application: grep|sort|wordcount|knn|lastfm|ga|blackscholes")
+	fs.Float64Var(&o.size, "size", 4, "input size in (virtual) GB for size-driven apps")
+	fs.IntVar(&o.mappers, "mappers", 100, "mapper count for ga/blackscholes")
+	enumFlag(fs, "mode", "barrier|pipelined (default pipelined)", &o.mode, parseMode)
+	enumFlag(fs, "store", "partial-result store: memory|spill|kv (default memory)", &o.store, parseStore)
+	fs.IntVar(&o.reducers, "reducers", 60, "number of reduce tasks")
+	fs.IntVar(&o.heapMB, "heap", 0, "simulator: per-reducer heap cap in MB (0 = unlimited)")
+	fs.IntVar(&o.spillMB, "spill", 240, "simulator: spill threshold in MB for -store spill (the real engine's one memory budget is -spill-bytes)")
+	fs.Int64Var(&o.spillBytes, "spill-bytes", 0, "per-task intermediate buffer budget in bytes: map outputs spill to sorted runs and reducers merge externally (0 = all in RAM)")
+	fs.BoolVar(&o.timeline, "timeline", false, "print the task-count timeline")
+	fs.BoolVar(&o.speculative, "speculative", false, "enable speculative map execution once 75% of the map wave is done (simulator and multi-process cluster)")
+	fs.DurationVar(&o.chaosKill, "chaos-kill", 0, "cluster mode: SIGKILL one worker this long after the job starts (fault-injection; 0 = off)")
+	fs.BoolVar(&o.combine, "combine", false, "enable the map-side combiner (aggregation-class apps only; uses the app's merger)")
+	fs.Float64Var(&o.snapshot, "snapshot", 0, "pipelined progress snapshot period in virtual seconds (0 = off)")
+	enumFlag(fs, "transport", "run on the REAL engine with this shuffle transport: inproc|spill|tcp (unset = simulator)", &o.transport,
+		func(s string) (shuffle.Kind, error) {
+			o.real = true
+			return shuffle.ParseKind(s)
+		})
+	fs.BoolVar(&o.staged, "staged", false, "disable cross-wave overlap: dispatch the reduce wave only after the whole map wave (multi-process engine and TCP-transport simulator; default overlapped)")
+	fs.IntVar(&o.workers, "workers", 0, "with -transport tcp: run N worker subprocesses (multi-process cluster mode); with the simulator: place tasks on an N-node sub-cluster (0 = all nodes)")
+	fs.IntVar(&o.mapTasks, "map-tasks", 0, "real engine: number of map tasks (0 = NumCPU)")
+	fs.IntVar(&o.fanIn, "merge-fan-in", 0, "real engine: external merge fan-in cap (0 = default 64)")
+	fs.IntVar(&o.decodeWorkers, "decode-workers", 0, "real engine, tcp transport: parallel block-decode workers per fetch pool; fetched compressed sections CRC-check and decompress concurrently with the merge (1 = inline, 0 = default min(GOMAXPROCS, 8))")
+	enumFlag(fs, "compress", "sealed-run codec: none|block|delta (default none) — compresses spill runs, run-exchange segments and TCP fetch bytes (delta front-codes sorted keys)", &o.comp, codec.ParseCompression)
+	fs.BoolVar(&o.verify, "verify", false, "real engine: check output against the single-process in-memory path (byte-identical in barrier mode)")
+	fs.BoolVar(&o.serve, "serve", false, "run the multi-tenant job service: spawn -workers worker subprocesses and accept -submit jobs on -addr until SIGTERM (drains admitted jobs); its own -mode/-reducers/-spill-bytes/-compress are what a submission's zero fields inherit")
+	fs.BoolVar(&o.submit, "submit", false, "submit one job (-app/-size/-mode/-reducers/-spill-bytes/-compress/-verify/-chaos-kill) to a running -serve service at -addr")
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7420", "job service submission address for -serve/-submit")
+	fs.StringVar(&o.policy, "policy", "", "job service placement policy: round-robin|least-loaded|locality (empty = work-stealing dispatch)")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 2, "job service: max simultaneously running jobs")
+	fs.IntVar(&o.maxQueued, "max-queued", 16, "job service: admission queue bound (a full queue refuses submissions)")
+	fs.StringVar(&o.workerCoord, "worker-coord", "", "internal: run as a cluster worker, dialing this coordinator address")
+	fs.StringVar(&o.stateDir, "state-dir", "", "job service durable state directory: admissions and task completions are journaled so a crashed coordinator can be restarted with -resume by the same binary (empty = in-memory only)")
+	fs.BoolVar(&o.resume, "resume", false, "with -serve -state-dir: instead of a fresh pool, rebind the journaled coordinator address, wait for the surviving workers to re-register, replay the journal, run the resumed jobs to completion (re-attaching journaled map output from surviving sealed runs), verify each against the in-process reference, and exit")
+	fs.BoolVar(&o.journalStat, "journal-stat", false, "print per-kind record counts from the -state-dir job journal and exit (read-only; safe while a service is appending)")
+	return fs
+}
+
 func main() {
-	appName := flag.String("app", "wordcount", "application: grep|sort|wordcount|knn|lastfm|ga|blackscholes")
-	sizeGB := flag.Float64("size", 4, "input size in (virtual) GB for size-driven apps")
-	mappers := flag.Int("mappers", 100, "mapper count for ga/blackscholes")
-	mode := flag.String("mode", "pipelined", "barrier|pipelined")
-	storeKind := flag.String("store", "memory", "partial-result store: memory|spill|kv")
-	reducers := flag.Int("reducers", 60, "number of reduce tasks")
-	heapMB := flag.Int("heap", 0, "per-reducer heap cap in MB (0 = unlimited)")
-	spillMB := flag.Int("spill", 240, "spill threshold in MB for -store spill")
-	spillBytes := flag.Int64("spill-bytes", 0, "per-task intermediate buffer budget in bytes: map outputs spill to sorted runs and reducers merge externally (0 = all in RAM)")
-	timeline := flag.Bool("timeline", false, "print the task-count timeline")
-	speculative := flag.Bool("speculative", false, "enable speculative map execution (simulator and multi-process cluster)")
-	specThreshold := flag.Float64("spec-threshold", 0, "completed map fraction before speculative clones launch (0 = default 0.75)")
-	heartbeat := flag.Duration("heartbeat", 0, "cluster worker heartbeat interval (0 = default 1s); a worker silent for 4 intervals is declared dead")
-	chaosKill := flag.Duration("chaos-kill", 0, "cluster mode: SIGKILL one worker this long after the job starts (fault-injection; 0 = off)")
-	combine := flag.Bool("combine", false, "enable the map-side combiner (aggregation-class apps only; uses the app's merger)")
-	snapshot := flag.Float64("snapshot", 0, "pipelined progress snapshot period in virtual seconds (0 = off)")
-	transport := flag.String("transport", "", "run on the REAL engine with this shuffle transport: inproc|spill|tcp (empty = simulator)")
-	staged := flag.Bool("staged", false, "disable cross-wave overlap: dispatch the reduce wave only after the whole map wave (multi-process engine and TCP-transport simulator; default overlapped)")
-	workers := flag.Int("workers", 0, "with -transport tcp: run N worker subprocesses (multi-process cluster mode); with the simulator: place tasks on an N-node sub-cluster (0 = all nodes)")
-	mapTasks := flag.Int("map-tasks", 0, "real engine: number of map tasks (0 = NumCPU)")
-	fanIn := flag.Int("merge-fan-in", 0, "real engine: external merge fan-in cap (0 = default 64)")
-	decodeWorkers := flag.Int("decode-workers", 0, "real engine, tcp transport: parallel block-decode workers per fetch pool; fetched compressed sections CRC-check and decompress concurrently with the merge (1 = inline, 0 = default min(GOMAXPROCS, 8))")
-	compress := flag.String("compress", "none", "sealed-run codec: none|block|delta — compresses spill runs, run-exchange segments and TCP fetch bytes (delta front-codes sorted keys)")
-	verify := flag.Bool("verify", false, "real engine: check output against the single-process in-memory path (byte-identical in barrier mode)")
-	serve := flag.Bool("serve", false, "run the multi-tenant job service: spawn -workers worker subprocesses and accept -submit jobs on -addr until SIGTERM (drains admitted jobs)")
-	submit := flag.Bool("submit", false, "submit one job (-app/-size/-mode/-reducers/-spill-bytes/-compress/-verify/-chaos-kill) to a running -serve service at -addr")
-	addr := flag.String("addr", "127.0.0.1:7420", "job service submission address for -serve/-submit")
-	policy := flag.String("policy", "", "job service placement policy: round-robin|least-loaded|locality (empty = work-stealing dispatch)")
-	maxConcurrent := flag.Int("max-concurrent", 2, "job service: max simultaneously running jobs")
-	maxQueued := flag.Int("max-queued", 16, "job service: admission queue bound (a full queue refuses submissions)")
-	workerCoord := flag.String("worker-coord", "", "internal: run as a cluster worker, dialing this coordinator address")
-	stateDir := flag.String("state-dir", "", "job service durable state directory: admissions and task completions are journaled so a crashed coordinator can be restarted with -resume (empty = in-memory only)")
-	resume := flag.Bool("resume", false, "with -serve -state-dir: instead of a fresh pool, rebind the journaled coordinator address, wait for the surviving workers to re-register, replay the journal, run the resumed jobs to completion (re-attaching journaled map output from surviving sealed runs), verify each against the in-process reference, and exit")
-	journalStat := flag.Bool("journal-stat", false, "print per-kind record counts from the -state-dir job journal and exit (read-only; safe while a service is appending)")
-	flag.Parse()
-
-	if *journalStat {
-		runJournalStat(*stateDir)
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
 		return
+	} else if err != nil {
+		os.Exit(2) // the flag package has already printed the error and usage
 	}
+	switch {
+	case o.journalStat:
+		runJournalStat(o.stateDir)
+	case o.workerCoord != "":
+		runWorker(o)
+	case o.serve && o.resume:
+		runResume(o)
+	case o.serve:
+		runServe(o)
+	case o.submit:
+		runSubmit(o.addr, o.submitRequest())
+	case o.real:
+		runReal(o)
+	default:
+		runSim(o)
+	}
+}
 
-	app, ds, costs, ok := buildApp(*appName, *sizeGB, *mappers)
+// fatal prints to stderr and exits with code (2 = usage, 1 = run failure).
+func fatal(code int, a ...any) {
+	fmt.Fprintln(os.Stderr, a...)
+	os.Exit(code)
+}
+
+// loadApp builds the -app workload at -size. BlackScholes reduces into one
+// partition by construction, whatever -reducers says.
+func (o *options) loadApp() (apps.App, harness.Dataset, simmr.CostModel, error) {
+	app, ds, costs, ok := buildApp(o.app, o.size, o.mappers)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown app %q\n", *appName)
-		os.Exit(2)
+		return app, ds, costs, fmt.Errorf("unknown app %q", o.app)
 	}
 	if app.Name == "blackscholes" {
-		*reducers = 1
+		o.reducers = 1
 	}
+	return app, ds, costs, nil
+}
 
-	simMode := simmr.Pipelined
-	realMode := mr.Pipelined
-	if *mode == "barrier" {
-		simMode = simmr.Barrier
-		realMode = mr.Barrier
+// mrOptions is the one mr.Options of a real-engine run: the batch job's, a
+// -worker-coord worker's base, and (on a copy overlaid with the request) a
+// submitted job's.
+func (o *options) mrOptions() mr.Options {
+	return mr.Options{
+		Mappers: o.mapTasks, Reducers: o.reducers, Mode: o.mode,
+		Transport: o.transport, Store: o.store, SpillBytes: o.spillBytes,
+		MergeFanIn: o.fanIn, DecodeWorkers: o.decodeWorkers, Compression: o.comp,
+		Staged: o.staged, Speculative: o.speculative,
 	}
-	kind, ok := parseStore(*storeKind)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown store %q\n", *storeKind)
-		os.Exit(2)
+}
+
+// runSpec is the one harness.RunSpec of a simulator run.
+func (o *options) runSpec(app apps.App, ds harness.Dataset, costs simmr.CostModel) harness.RunSpec {
+	m := simmr.Pipelined
+	if o.mode == mr.Barrier {
+		m = simmr.Barrier
 	}
-	comp, err := codec.ParseCompression(*compress)
+	return harness.RunSpec{
+		App: app, Data: ds, Mode: m, Reducers: o.reducers, Store: o.store,
+		Costs: costs, HeapBudgetMB: o.heapMB, SpillThresholdMB: o.spillMB, KVCacheMB: 512,
+		SpillBytes: o.spillBytes, Workers: o.workers, Compression: o.comp,
+		Speculative: o.speculative, Combine: o.combine, Staged: o.staged, SnapshotPeriod: o.snapshot,
+	}
+}
+
+// runWorker is the -worker-coord form: SpawnLocal re-executed this binary
+// with the coordinator's own flags, so the options below are the
+// coordinator's.
+func runWorker(o *options) {
+	var err error
+	if o.serve {
+		// A service-pool worker carries many jobs with differing apps and
+		// options: resolve each from the registry by the name the job-
+		// start frame ships, with these flags as the base options.
+		err = mpexec.ServeJobs(o.workerCoord, registryResolver(o.combine), o.mrOptions())
+	} else {
+		var app apps.App
+		if app, _, _, err = o.loadApp(); err != nil {
+			fatal(2, err)
+		}
+		err = mpexec.Serve(o.workerCoord, mrJob(app, o.combine), o.mrOptions())
+	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fatal(1, "worker:", err)
 	}
-
-	if *workerCoord != "" {
-		opts := realOptions(realMode, kind, *reducers, *mapTasks, *spillBytes, *spillMB, *fanIn, *decodeWorkers, comp, *staged)
-		opts.HeartbeatInterval = *heartbeat
-		var err error
-		if *serve {
-			// A service-pool worker carries many jobs with differing apps and
-			// options: resolve each from the registry by the name the job-
-			// start frame ships, with these flags as the base options.
-			err = mpexec.ServeJobs(*workerCoord, registryResolver(*combine), opts)
-		} else {
-			err = mpexec.Serve(*workerCoord, mrJob(app, *combine), opts)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serve {
-		cfg := serveConfig{
-			addr: *addr, workers: *workers, policy: *policy,
-			maxConcurrent: *maxConcurrent, maxQueued: *maxQueued,
-			mapTasks: *mapTasks, combine: *combine, stateDir: *stateDir,
-		}
-		if *resume {
-			runResume(cfg)
-		} else {
-			runServe(cfg)
-		}
-		return
-	}
-
-	if *submit {
-		runSubmit(*addr, submitRequest{
-			App: *appName, Size: *sizeGB, Mode: *mode, Reducers: *reducers,
-			SpillBytes: *spillBytes, Compress: *compress, Verify: *verify,
-			ChaosKillMs: int((*chaosKill).Milliseconds()),
-		})
-		return
-	}
-
-	if *transport != "" {
-		runReal(app, ds, realMode, kind, *transport, *reducers, *mapTasks,
-			*spillBytes, *spillMB, *fanIn, *decodeWorkers, *workers, comp, *combine, *staged, *verify,
-			*speculative, *specThreshold, *heartbeat, *chaosKill)
-		return
-	}
-
-	runSim(app, ds, costs, simMode, kind, *reducers, *heapMB, *spillMB, *spillBytes,
-		*workers, comp, *speculative, *combine, *staged, *snapshot, *timeline)
 }
 
 func buildApp(name string, sizeGB float64, mappers int) (apps.App, harness.Dataset, simmr.CostModel, bool) {
@@ -197,16 +266,26 @@ func buildApp(name string, sizeGB float64, mappers int) (apps.App, harness.Datas
 	return apps.App{}, harness.Dataset{}, simmr.CostModel{}, false
 }
 
-func parseStore(s string) (store.Kind, bool) {
+func parseMode(s string) (mr.Mode, error) {
+	switch s {
+	case "barrier":
+		return mr.Barrier, nil
+	case "pipelined":
+		return mr.Pipelined, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want barrier|pipelined)", s)
+}
+
+func parseStore(s string) (store.Kind, error) {
 	switch s {
 	case "memory":
-		return store.InMemory, true
+		return store.InMemory, nil
 	case "spill":
-		return store.SpillMerge, true
+		return store.SpillMerge, nil
 	case "kv":
-		return store.KV, true
+		return store.KV, nil
 	}
-	return 0, false
+	return 0, fmt.Errorf("unknown store %q (want memory|spill|kv)", s)
 }
 
 func mrJob(app apps.App, combine bool) mr.Job {
@@ -218,54 +297,38 @@ func mrJob(app apps.App, combine bool) mr.Job {
 	return job
 }
 
-func realOptions(mode mr.Mode, kind store.Kind, reducers, mapTasks int, spillBytes int64, spillMB, fanIn, decodeWorkers int, comp codec.Compression, staged bool) mr.Options {
-	return mr.Options{
-		Mappers: mapTasks, Reducers: reducers, Mode: mode, Store: kind,
-		SpillBytes: spillBytes, SpillThresholdBytes: int64(spillMB) << 20,
-		MergeFanIn: fanIn, DecodeWorkers: decodeWorkers,
-		Compression: comp, Staged: staged,
-	}
-}
-
 // runReal executes the job on the real-concurrency engine — in-process over
 // the chosen transport, or across worker subprocesses when -workers > 0.
-func runReal(app apps.App, ds harness.Dataset, mode mr.Mode, kind store.Kind, transportName string, reducers, mapTasks int, spillBytes int64, spillMB, fanIn, decodeWorkers, workers int, comp codec.Compression, combine, staged, verify bool, speculative bool, specThreshold float64, heartbeat, chaosKill time.Duration) {
-	tkind, err := shuffle.ParseKind(transportName)
+func runReal(o *options) {
+	app, ds, _, err := o.loadApp()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fatal(2, err)
 	}
-	input := flatten(ds)
-	job := mrJob(app, combine)
-	opts := realOptions(mode, kind, reducers, mapTasks, spillBytes, spillMB, fanIn, decodeWorkers, comp, staged)
-	opts.Transport = tkind
-	opts.Speculative = speculative
-	opts.SpeculativeThreshold = specThreshold
-	opts.HeartbeatInterval = heartbeat
+	input := slices.Concat(ds.Splits...)
+	job := mrJob(app, o.combine)
+	opts := o.mrOptions()
 
 	var res *mr.Result
-	if workers > 0 {
-		if tkind != shuffle.TCP {
-			fmt.Fprintln(os.Stderr, "multi-process mode needs -transport tcp (sealed runs are the only cross-process exchange)")
-			os.Exit(2)
+	if o.workers > 0 {
+		if o.transport != shuffle.TCP {
+			fatal(2, "multi-process mode needs -transport tcp (sealed runs are the only cross-process exchange)")
 		}
-		res, err = runCluster(job, input, opts, workers, chaosKill)
+		res, err = runCluster(o, job, input)
 	} else {
 		res, err = mr.Run(job, input, opts)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "job failed:", err)
-		os.Exit(1)
+		fatal(1, "job failed:", err)
 	}
 
-	engine := "real/" + tkind.String()
-	if workers > 0 {
-		engine = fmt.Sprintf("cluster/%d-workers", workers)
-		if staged {
+	engine := "real/" + o.transport.String()
+	if o.workers > 0 {
+		engine = fmt.Sprintf("cluster/%d-workers", o.workers)
+		if o.staged {
 			engine += "/staged"
 		}
 	}
-	fmt.Printf("app=%s engine=%s mode=%s store=%s reducers=%d\n", app.Name, engine, mode, kind, reducers)
+	fmt.Printf("app=%s engine=%s mode=%s store=%s reducers=%d\n", app.Name, engine, o.mode, o.store, o.reducers)
 	fmt.Printf("records: in=%d out=%d shuffled=%d\n", len(input), len(res.Output), res.ShuffleRecords)
 	fmt.Printf("wall: %.1fms (map %.1fms)  spills: %d (%d KB sealed)  merge passes: %d  peak partials: %d KB\n",
 		res.Wall.Seconds()*1e3, res.MapWall.Seconds()*1e3,
@@ -278,33 +341,44 @@ func runReal(app apps.App, ds harness.Dataset, mode mr.Mode, kind store.Kind, tr
 		fmt.Printf("recovery: %d map re-executions, %d reduce re-executions, %d speculative clones (%d won)\n",
 			res.MapRetries, res.ReduceRetries, res.BackupsLaunched, res.BackupsWon)
 	}
-	if comp != codec.None && res.CompressedSpillBytes > 0 {
+	if o.comp != codec.None && res.CompressedSpillBytes > 0 {
 		fmt.Printf("compression (%s): %d KB raw -> %d KB sealed (%.2fx)  fetched: %d KB\n",
-			comp, res.RawSpillBytes>>10, res.CompressedSpillBytes>>10,
+			o.comp, res.RawSpillBytes>>10, res.CompressedSpillBytes>>10,
 			float64(res.RawSpillBytes)/float64(res.CompressedSpillBytes), res.FetchBytes>>10)
 	}
 
-	if verify {
-		ref, err := mr.Run(job, input, mr.Options{
-			Mappers: mapTasks, Reducers: reducers, Mode: mode, Store: kind,
-		})
+	if o.verify {
+		how, err := verifyOutput(job, app.Class == core.ClassCrossKey, input, opts, res.Output)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify run failed:", err)
-			os.Exit(1)
-		}
-		if err := compareOutputs(ref.Output, res.Output, mode == mr.Barrier,
-			app.Class == core.ClassCrossKey); err != nil {
-			fmt.Fprintln(os.Stderr, "VERIFY FAILED:", err)
-			os.Exit(1)
-		}
-		how := "sorted multisets match"
-		if mode == mr.Barrier {
-			how = "byte-identical"
-		} else if app.Class == core.ClassCrossKey {
-			how = "record counts match; cross-key output is arrival-order-dependent"
+			fatal(1, err)
 		}
 		fmt.Printf("verify: OK — output matches the single-process in-memory path (%s)\n", how)
 	}
+}
+
+// verifyOutput re-runs job on the single-process in-memory path under the
+// same split, partitioning, mode and store as opts and checks out against
+// it: byte-identical in barrier mode, as key-sorted multisets in pipelined
+// mode, by record count for cross-key apps (whose pipelined output depends
+// on arrival order). It returns how the outputs were matched.
+func verifyOutput(job mr.Job, crossKey bool, input []core.Record, opts mr.Options, out []core.Record) (string, error) {
+	ref, err := mr.Run(job, input, mr.Options{
+		Mappers: opts.Mappers, Reducers: opts.Reducers, Mode: opts.Mode, Store: opts.Store,
+	})
+	if err != nil {
+		return "", fmt.Errorf("verify run failed: %w", err)
+	}
+	exact := opts.Mode == mr.Barrier
+	if err := compareOutputs(ref.Output, out, exact, crossKey); err != nil {
+		return "", fmt.Errorf("VERIFY FAILED: %w", err)
+	}
+	switch {
+	case exact:
+		return "byte-identical", nil
+	case crossKey:
+		return "record counts match; cross-key output is arrival-order-dependent", nil
+	}
+	return "sorted multisets match", nil
 }
 
 // runCluster spawns worker subprocesses (this binary re-executed with the
@@ -312,36 +386,24 @@ func runReal(app apps.App, ds harness.Dataset, mode mr.Mode, kind store.Kind, tr
 // those flags) and coordinates the job across them. chaosKill > 0 SIGKILLs
 // the first worker that long after the job starts — the fault-injection
 // path CI's chaos smoke drives to prove a worker death is survivable.
-func runCluster(job mr.Job, input []core.Record, opts mr.Options, workers int, chaosKill time.Duration) (*mr.Result, error) {
-	cluster, err := mpexec.SpawnLocal(os.Args[1:], workers, 60*time.Second)
+func runCluster(o *options, job mr.Job, input []core.Record) (*mr.Result, error) {
+	cluster, err := mpexec.SpawnLocal(os.Args[1:], o.workers, 60*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	defer cluster.Teardown()
-	if chaosKill > 0 {
-		if workers < 2 {
+	if o.chaosKill > 0 {
+		if o.workers < 2 {
 			return nil, fmt.Errorf("-chaos-kill needs at least 2 workers to leave a survivor")
 		}
-		timer := time.AfterFunc(chaosKill, func() {
+		timer := time.AfterFunc(o.chaosKill, func() {
 			if err := cluster.Kill(0); err == nil {
-				fmt.Fprintf(os.Stderr, "chaos: killed worker 0 after %s\n", chaosKill)
+				fmt.Fprintf(os.Stderr, "chaos: killed worker 0 after %s\n", o.chaosKill)
 			}
 		})
 		defer timer.Stop()
 	}
-	return cluster.Coord.Run(job, input, opts)
-}
-
-func flatten(ds harness.Dataset) []core.Record {
-	var n int
-	for _, s := range ds.Splits {
-		n += len(s)
-	}
-	out := make([]core.Record, 0, n)
-	for _, s := range ds.Splits {
-		out = append(out, s...)
-	}
-	return out
+	return cluster.Coord.Run(job, input, o.mrOptions())
 }
 
 // compareOutputs checks b against the reference a: byte-identical when
@@ -369,19 +431,16 @@ func compareOutputs(a, b []core.Record, exact, countOnly bool) error {
 	return nil
 }
 
-func runSim(app apps.App, ds harness.Dataset, costs simmr.CostModel, m simmr.Mode, kind store.Kind, reducers, heapMB, spillMB int, spillBytes int64, workers int, comp codec.Compression, speculative, combine, staged bool, snapshot float64, timeline bool) {
-	res := harness.Run(harness.RunSpec{
-		App: app, Data: ds, Mode: m, Reducers: reducers, Store: kind,
-		Costs: costs, HeapBudgetMB: heapMB, SpillThresholdMB: spillMB, KVCacheMB: 512,
-		SpillBytes:  spillBytes,
-		Workers:     workers,
-		Compression: comp,
-		Speculative: speculative, Combine: combine, Staged: staged, SnapshotPeriod: snapshot,
-	})
+func runSim(o *options) {
+	app, ds, costs, err := o.loadApp()
+	if err != nil {
+		fatal(2, err)
+	}
+	res := harness.Run(o.runSpec(app, ds, costs))
 
-	fmt.Printf("app=%s mode=%s store=%s reducers=%d", app.Name, m, kind, reducers)
-	if workers > 0 {
-		fmt.Printf(" workers=%d", workers)
+	fmt.Printf("app=%s mode=%s store=%s reducers=%d", app.Name, o.mode, o.store, o.reducers)
+	if o.workers > 0 {
+		fmt.Printf(" workers=%d", o.workers)
 	}
 	fmt.Println()
 	fmt.Printf("completion: %.1fs  (map outputs ready: %.1fs)\n", res.Completion, res.MapOutputsReady)
@@ -390,8 +449,8 @@ func runSim(app apps.App, ds harness.Dataset, costs simmr.CostModel, m simmr.Mod
 	}
 	fmt.Printf("map tasks: %d (retries %d, backups %d/%d won)  output records: %d  spills: %d  peak partials: %d MB  shuffle: %d MB\n",
 		res.MapTasks, res.MapRetries, res.BackupsWon, res.BackupsLaunched, len(res.Output), res.Spills, res.PeakMemVirt>>20, res.ShuffleBytes>>20)
-	if spillBytes > 0 {
-		fmt.Printf("external shuffle: budget %d KB, %d map-side spill runs\n", spillBytes>>10, res.SpillRuns)
+	if o.spillBytes > 0 {
+		fmt.Printf("external shuffle: budget %d KB, %d map-side spill runs\n", o.spillBytes>>10, res.SpillRuns)
 	}
 	if len(res.Snapshots) > 0 {
 		fmt.Printf("progress snapshots: %d (first %.1fs, last %.1fs)\n",
@@ -402,7 +461,7 @@ func runSim(app apps.App, ds harness.Dataset, costs simmr.CostModel, m simmr.Mod
 			fmt.Printf("  %-8s %8.1fs .. %8.1fs\n", st, first, last)
 		}
 	}
-	if timeline {
+	if o.timeline {
 		step := res.Completion / 40
 		fmt.Println(metrics.RenderTimeline(res.Metrics,
 			[]metrics.Stage{metrics.StageMap, metrics.StageShuffle, metrics.StageSort, metrics.StageReduce, metrics.StageOutput}, step))

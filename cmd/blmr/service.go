@@ -24,6 +24,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -35,8 +36,11 @@ import (
 	"blmr/internal/mr"
 )
 
-// submitRequest is one job submission. Zero fields take the server's
-// defaults (mode pipelined, reducers from -reducers).
+// submitRequest is one job submission. A zero Mode, Reducers, SpillBytes or
+// Compress takes the serve process's own -mode, -reducers, -spill-bytes or
+// -compress; a zero App is the serve process's -app and a zero Size is 0.01.
+// Everything else about the job (map tasks, store, fan-in, staging, ...) is
+// the serve process's flags.
 type submitRequest struct {
 	App        string  `json:"app"`
 	Size       float64 `json:"size"`
@@ -78,16 +82,63 @@ func registryResolver(combine bool) mpexec.JobResolver {
 	}
 }
 
-// serveConfig carries the service flags from main.
-type serveConfig struct {
-	addr          string
-	workers       int
-	policy        string
-	maxConcurrent int
-	maxQueued     int
-	mapTasks      int
-	combine       bool
-	stateDir      string
+// submitRequest is the -submit form's request: this process's flags.
+func (o *options) submitRequest() submitRequest {
+	return submitRequest{
+		App: o.app, Size: o.size, Mode: o.mode.String(), Reducers: o.reducers,
+		SpillBytes: o.spillBytes, Compress: o.comp.String(), Verify: o.verify,
+		ChaosKillMs: int(o.chaosKill.Milliseconds()),
+	}
+}
+
+// withRequest returns the serve process's options overlaid with one
+// submission's non-zero fields — the options that job runs under.
+func (o options) withRequest(req submitRequest) (_ options, err error) {
+	if req.App != "" {
+		o.app = req.App
+	}
+	if o.size = req.Size; o.size <= 0 {
+		o.size = 0.01
+	}
+	if req.Mode != "" {
+		if o.mode, err = parseMode(req.Mode); err != nil {
+			return o, err
+		}
+	}
+	if req.Reducers > 0 {
+		o.reducers = req.Reducers
+	}
+	if req.SpillBytes > 0 {
+		o.spillBytes = req.SpillBytes
+	}
+	if req.Compress != "" {
+		if o.comp, err = codec.ParseCompression(req.Compress); err != nil {
+			return o, err
+		}
+	}
+	o.verify = req.Verify
+	o.chaosKill = time.Duration(req.ChaosKillMs) * time.Millisecond
+	return o, nil
+}
+
+// serviceConfig is the one mpexec.ServiceConfig of a -serve process, fresh
+// or resumed.
+func (o *options) serviceConfig() mpexec.ServiceConfig {
+	return mpexec.ServiceConfig{
+		MaxQueued:     o.maxQueued,
+		MaxConcurrent: o.maxConcurrent,
+		Policy:        o.policy,
+		StateDir:      o.stateDir,
+		Resolver:      registryResolver(o.combine),
+	}
+}
+
+// server is one -serve process: its flags, its pool and its service.
+type server struct {
+	o         *options
+	lc        *mpexec.LocalCluster
+	svc       *mpexec.Service
+	chaosOnce sync.Once
 }
 
 // runServe bootstraps the pool and serves submissions until SIGTERM. With
@@ -95,46 +146,33 @@ type serveConfig struct {
 // and records the coordinator's control address, so a SIGKILLed serve
 // process can be brought back with -resume over the same directory (the
 // orphaned workers keep their sealed runs and re-dial that address).
-func runServe(cfg serveConfig) {
-	if cfg.workers < 1 {
-		fmt.Fprintln(os.Stderr, "-serve needs -workers N (the local pool size)")
-		os.Exit(2)
+func runServe(o *options) {
+	if o.workers < 1 {
+		fatal(2, "-serve needs -workers N (the local pool size)")
 	}
-	lc, err := mpexec.SpawnLocal(os.Args[1:], cfg.workers, 60*time.Second)
+	lc, err := mpexec.SpawnLocal(os.Args[1:], o.workers, 60*time.Second)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
+		fatal(1, "serve:", err)
 	}
 	defer lc.Teardown()
-	sc := mpexec.ServiceConfig{
-		MaxQueued:     cfg.maxQueued,
-		MaxConcurrent: cfg.maxConcurrent,
-		Policy:        cfg.policy,
-	}
-	if cfg.stateDir != "" {
-		sc.StateDir = cfg.stateDir
-		sc.Resolver = registryResolver(cfg.combine)
-		if err := os.MkdirAll(cfg.stateDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
+	if o.stateDir != "" {
+		if err := os.MkdirAll(o.stateDir, 0o755); err != nil {
+			fatal(1, "serve:", err)
 		}
 		// -resume must rebind this exact address: the orphaned workers
 		// re-dial the coordinator address they were spawned with.
-		if err := os.WriteFile(coordAddrPath(cfg.stateDir),
+		if err := os.WriteFile(coordAddrPath(o.stateDir),
 			[]byte(lc.Coord.Addr()+"\n"), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
+			fatal(1, "serve:", err)
 		}
 	}
-	svc, err := mpexec.NewService(lc.Coord, cfg.workers, sc)
+	svc, err := mpexec.NewService(lc.Coord, o.workers, o.serviceConfig())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
+		fatal(1, "serve:", err)
 	}
-	ln, err := net.Listen("tcp", cfg.addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "serve:", err)
-		os.Exit(1)
+		fatal(1, "serve:", err)
 	}
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
@@ -144,9 +182,9 @@ func runServe(cfg serveConfig) {
 		_ = ln.Close()
 	}()
 	fmt.Printf("serve: %d workers, policy=%q, accepting jobs on %s\n",
-		cfg.workers, cfg.policy, ln.Addr())
+		o.workers, o.policy, ln.Addr())
+	srv := &server{o: o, lc: lc, svc: svc}
 	var conns sync.WaitGroup
-	var chaosOnce sync.Once
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -156,7 +194,7 @@ func runServe(cfg serveConfig) {
 		go func(conn net.Conn) {
 			defer conns.Done()
 			defer conn.Close()
-			handleSubmission(conn, svc, lc, cfg, &chaosOnce)
+			srv.handle(conn)
 		}(conn)
 	}
 	conns.Wait()
@@ -164,9 +202,9 @@ func runServe(cfg serveConfig) {
 	fmt.Println("serve: drained, shutting down workers")
 }
 
-// handleSubmission runs one submission end to end: decode, admit, wait,
-// optionally verify against the in-process engine, reply.
-func handleSubmission(conn net.Conn, svc *mpexec.Service, lc *mpexec.LocalCluster, cfg serveConfig, chaosOnce *sync.Once) {
+// handle runs one submission end to end: decode, admit, wait, optionally
+// verify against the in-process engine, reply.
+func (s *server) handle(conn net.Conn) {
 	fail := func(id int, err error) {
 		_ = json.NewEncoder(conn).Encode(submitReply{ID: id, Error: err.Error()})
 	}
@@ -175,56 +213,33 @@ func handleSubmission(conn net.Conn, svc *mpexec.Service, lc *mpexec.LocalCluste
 		fail(-1, fmt.Errorf("bad request: %w", err))
 		return
 	}
-	if req.App == "" {
-		req.App = "wordcount"
-	}
-	if req.Size <= 0 {
-		req.Size = 0.01
-	}
-	app, ds, _, ok := buildApp(req.App, req.Size, 100)
-	if !ok {
-		fail(-1, fmt.Errorf("unknown app %q", req.App))
-		return
-	}
-	m := mr.Pipelined
-	if req.Mode == "barrier" {
-		m = mr.Barrier
-	}
-	reducers := req.Reducers
-	if reducers <= 0 {
-		reducers = 4
-	}
-	if app.Name == "blackscholes" {
-		reducers = 1
-	}
-	comp := codec.None
-	if req.Compress != "" {
-		var err error
-		if comp, err = codec.ParseCompression(req.Compress); err != nil {
-			fail(-1, err)
-			return
-		}
-	}
-	if req.ChaosKillMs > 0 && cfg.workers < 2 {
-		fail(-1, fmt.Errorf("chaosKillMs needs at least 2 workers to leave a survivor"))
-		return
-	}
-	input := flatten(ds)
-	opts := mr.Options{
-		Mappers: cfg.mapTasks, Reducers: reducers, Mode: m,
-		SpillBytes: req.SpillBytes, Compression: comp,
-	}
-	tk, err := svc.Submit(mrJob(app, cfg.combine), input, opts)
+	o, err := s.o.withRequest(req)
 	if err != nil {
 		fail(-1, err)
 		return
 	}
-	if req.ChaosKillMs > 0 {
-		chaosOnce.Do(func() {
-			time.AfterFunc(time.Duration(req.ChaosKillMs)*time.Millisecond, func() {
-				if err := lc.Kill(0); err == nil {
-					fmt.Fprintf(os.Stderr, "chaos: killed worker 0 %dms after job %d was admitted\n",
-						req.ChaosKillMs, tk.ID)
+	app, ds, _, err := o.loadApp()
+	if err != nil {
+		fail(-1, err)
+		return
+	}
+	if o.chaosKill > 0 && o.workers < 2 {
+		fail(-1, fmt.Errorf("chaosKillMs needs at least 2 workers to leave a survivor"))
+		return
+	}
+	input := slices.Concat(ds.Splits...)
+	job, opts := mrJob(app, o.combine), o.mrOptions()
+	tk, err := s.svc.Submit(job, input, opts)
+	if err != nil {
+		fail(-1, err)
+		return
+	}
+	if o.chaosKill > 0 {
+		s.chaosOnce.Do(func() {
+			time.AfterFunc(o.chaosKill, func() {
+				if err := s.lc.Kill(0); err == nil {
+					fmt.Fprintf(os.Stderr, "chaos: killed worker 0 %s after job %d was admitted\n",
+						o.chaosKill, tk.ID)
 				}
 			})
 		})
@@ -237,16 +252,9 @@ func handleSubmission(conn net.Conn, svc *mpexec.Service, lc *mpexec.LocalCluste
 	}
 	reply := submitReply{ID: tk.ID, OK: true, Records: len(res.Output),
 		WallMS: time.Since(start).Seconds() * 1e3}
-	if req.Verify {
-		ref, err := mr.Run(mrJob(app, cfg.combine), input,
-			mr.Options{Mappers: cfg.mapTasks, Reducers: reducers, Mode: m})
-		if err != nil {
-			fail(tk.ID, fmt.Errorf("verify run: %w", err))
-			return
-		}
-		if err := compareOutputs(ref.Output, res.Output, m == mr.Barrier,
-			app.Class == core.ClassCrossKey); err != nil {
-			fail(tk.ID, fmt.Errorf("VERIFY FAILED: %w", err))
+	if o.verify {
+		if _, err := verifyOutput(job, app.Class == core.ClassCrossKey, input, opts, res.Output); err != nil {
+			fail(tk.ID, err)
 			return
 		}
 		reply.Verified = true
@@ -258,22 +266,18 @@ func handleSubmission(conn net.Conn, svc *mpexec.Service, lc *mpexec.LocalCluste
 func runSubmit(addr string, req submitRequest) {
 	conn, err := net.DialTimeout("tcp", addr, 10*time.Second)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "submit:", err)
-		os.Exit(1)
+		fatal(1, "submit:", err)
 	}
 	defer conn.Close()
 	if err := json.NewEncoder(conn).Encode(req); err != nil {
-		fmt.Fprintln(os.Stderr, "submit:", err)
-		os.Exit(1)
+		fatal(1, "submit:", err)
 	}
 	var reply submitReply
 	if err := json.NewDecoder(bufio.NewReader(conn)).Decode(&reply); err != nil {
-		fmt.Fprintln(os.Stderr, "submit: reading reply:", err)
-		os.Exit(1)
+		fatal(1, "submit: reading reply:", err)
 	}
 	if !reply.OK {
-		fmt.Fprintf(os.Stderr, "submit: job %d failed: %s\n", reply.ID, reply.Error)
-		os.Exit(1)
+		fatal(1, fmt.Sprintf("submit: job %d failed: %s", reply.ID, reply.Error))
 	}
 	verified := ""
 	if reply.Verified {
@@ -295,19 +299,16 @@ func coordAddrPath(stateDir string) string {
 // whose sealed runs survive re-attach instead of re-executing — verify each
 // output against the single-process in-memory reference, and exit. Exit
 // status 0 means every resumed job completed and verified.
-func runResume(cfg serveConfig) {
-	if cfg.stateDir == "" {
-		fmt.Fprintln(os.Stderr, "-resume needs -state-dir (the crashed service's journal)")
-		os.Exit(2)
+func runResume(o *options) {
+	if o.stateDir == "" {
+		fatal(2, "-resume needs -state-dir (the crashed service's journal)")
 	}
-	if cfg.workers < 1 {
-		fmt.Fprintln(os.Stderr, "-resume needs -workers N (how many workers to wait for)")
-		os.Exit(2)
+	if o.workers < 1 {
+		fatal(2, "-resume needs -workers N (how many workers to wait for)")
 	}
-	raw, err := os.ReadFile(coordAddrPath(cfg.stateDir))
+	raw, err := os.ReadFile(coordAddrPath(o.stateDir))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		os.Exit(1)
+		fatal(1, "resume:", err)
 	}
 	addr := strings.TrimSpace(string(raw))
 	var c *mpexec.Coordinator
@@ -317,26 +318,17 @@ func runResume(cfg serveConfig) {
 			break
 		}
 		if time.Now().After(rebind) {
-			fmt.Fprintf(os.Stderr, "resume: rebind %s: %v\n", addr, err)
-			os.Exit(1)
+			fatal(1, fmt.Sprintf("resume: rebind %s: %v", addr, err))
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	fmt.Printf("resume: rebound %s, waiting for %d returning workers\n", addr, cfg.workers)
-	if err := c.WaitWorkers(cfg.workers, 90*time.Second); err != nil {
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		os.Exit(1)
+	fmt.Printf("resume: rebound %s, waiting for %d returning workers\n", addr, o.workers)
+	if err := c.WaitWorkers(o.workers, 90*time.Second); err != nil {
+		fatal(1, "resume:", err)
 	}
-	svc, err := mpexec.NewService(c, cfg.workers, mpexec.ServiceConfig{
-		MaxQueued:     cfg.maxQueued,
-		MaxConcurrent: cfg.maxConcurrent,
-		Policy:        cfg.policy,
-		StateDir:      cfg.stateDir,
-		Resolver:      registryResolver(cfg.combine),
-	})
+	svc, err := mpexec.NewService(c, o.workers, o.serviceConfig())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "resume:", err)
-		os.Exit(1)
+		fatal(1, "resume:", err)
 	}
 	resumed := svc.Resumed()
 	fmt.Printf("resume: %d journaled jobs re-entered\n", len(resumed))
@@ -351,20 +343,12 @@ func runResume(cfg serveConfig) {
 		}
 		reattached += res.ReattachedMaps
 		job, input, opts := tk.Spec()
-		ref, err := mr.Run(job, input, mr.Options{
-			Mappers: opts.Mappers, Reducers: opts.Reducers, Mode: opts.Mode,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "resume: job %d verify run: %v\n", tk.ID, err)
-			failed++
-			continue
-		}
-		countOnly := false
+		crossKey := false
 		if app, _, _, ok := buildApp(job.Name, 1, 100); ok {
-			countOnly = app.Class == core.ClassCrossKey
+			crossKey = app.Class == core.ClassCrossKey
 		}
-		if err := compareOutputs(ref.Output, res.Output, opts.Mode == mr.Barrier, countOnly); err != nil {
-			fmt.Fprintf(os.Stderr, "resume: job %d VERIFY FAILED: %v\n", tk.ID, err)
+		if _, err := verifyOutput(job, crossKey, input, opts, res.Output); err != nil {
+			fmt.Fprintf(os.Stderr, "resume: job %d: %v\n", tk.ID, err)
 			failed++
 			continue
 		}
@@ -385,13 +369,11 @@ func runResume(cfg serveConfig) {
 // replay that tolerates a torn tail). CI polls it to time the kill.
 func runJournalStat(stateDir string) {
 	if stateDir == "" {
-		fmt.Fprintln(os.Stderr, "-journal-stat needs -state-dir")
-		os.Exit(2)
+		fatal(2, "-journal-stat needs -state-dir")
 	}
 	st, err := mpexec.ReadJournalStats(filepath.Join(stateDir, "journal.wal"))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "journal-stat:", err)
-		os.Exit(1)
+		fatal(1, "journal-stat:", err)
 	}
 	fmt.Printf("journal: records=%d admitted=%d started=%d mapdone=%d reducedone=%d done=%d aborted=%d live=%d livemapdone=%d\n",
 		st.Records, st.Admitted, st.Started, st.MapDone, st.ReduceDone, st.Done, st.Aborted, st.Live, st.LiveMapDone)

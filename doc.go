@@ -22,7 +22,7 @@
 // (default 256; 1 reproduces record-at-a-time shuffling), mr.Options.QueueCap
 // the per-reducer buffering in batches, and mr.Job.Combiner — parity with
 // simmr.JobSpec.Combiner — enables map-side folding of same-key records
-// (bounded by mr.Options.CombineKeys distinct keys per buffer) so
+// (each buffer holds max(BatchSize, 4096) distinct keys) so
 // aggregation-class jobs shuffle a fraction of their intermediate records.
 //
 // The barrier-less reducer does one read-modify-update of a partial result
@@ -42,8 +42,12 @@
 // hold partials in a disk-backed spill-merge store with the same budget.
 // Datasets whose intermediate data dwarfs RAM complete with partial-result
 // memory pinned near the budget (see examples/spill), at byte-identical
-// output. simmr.JobSpec.SpillBytes models the same discipline's I/O cost
-// on the simulated cluster (harness.SpillTradeoff sweeps the trade-off).
+// output. SpillBytes (cmd/blmr -spill-bytes) is the real engine's one
+// settable memory bound; the tree budget without it, the KV cache and the
+// combine buffer are constants (DESIGN.md §15), and cmd/blmr -spill feeds
+// the simulator only. simmr.JobSpec.SpillBytes models the same
+// discipline's I/O cost on the simulated cluster (harness.SpillTradeoff
+// sweeps the trade-off).
 //
 // Sealed runs are compressible: mr.Options.Compression (cmd/blmr
 // -compress none|block|delta) selects a block codec for every run the
@@ -112,14 +116,14 @@
 // self-contained). Older run magics are rejected as corrupt.
 //
 // The multi-process engine survives worker churn: workers heartbeat on
-// their control connection (exec.Options.HeartbeatInterval, cmd/blmr
-// -heartbeat; silent for four intervals means dead), a dead worker's
+// their control connection (every second, one pool-wide constant; silent
+// for four beats means dead), a dead worker's
 // in-flight tasks are requeued on survivors, completed maps whose sealed
 // runs died with it are re-executed with supersede pushes re-routing any
 // parked reduce task, and section fetches retry with backed-off redials
-// (internal/retry). exec.Options.Speculative (cmd/blmr -speculative,
-// -spec-threshold) clones straggler maps onto idle slots near the end of
-// the wave; attempt IDs keep duplicate routes idempotent, so barrier
+// (internal/retry). exec.Options.Speculative (cmd/blmr -speculative)
+// clones straggler maps onto idle slots once three quarters of the wave is
+// done; attempt IDs keep duplicate routes idempotent, so barrier
 // output stays byte-identical through the loss of any single worker.
 // cmd/blmr -chaos-kill injects the fault (SIGKILL one worker mid-job) for
 // smoke runs. The simulator mirrors the model with
@@ -132,9 +136,9 @@
 // (cmd/blmr -serve / -submit, newline-delimited JSON submissions on
 // -addr). Admission is a bounded queue (mpexec.ServiceConfig.MaxQueued;
 // full refuses, it never buffers unboundedly) feeding at most
-// MaxConcurrent running jobs; each job gets per-worker slot shares
-// (MapShare/ReduceShare) under a cross-job slot ledger (exec.SlotPool,
-// PoolMapSlots/PoolReduceSlots caps) and a fresh instance of the placement
+// MaxConcurrent running jobs; each job gets one map slot per worker and its
+// whole reduce wave under a cross-job slot ledger (exec.SlotPool, maps
+// capped at ServiceConfig.PoolMapSlots) and a fresh instance of the placement
 // policy named by ServiceConfig.Policy (cmd/blmr -policy): exec.ParsePolicy
 // builds round-robin, least-loaded or locality policies routing every task
 // over per-worker snapshots (exec.WorkerSnapshot, with kind-split

@@ -13,7 +13,6 @@ package exec
 
 import (
 	"runtime"
-	"time"
 
 	"blmr/internal/codec"
 	"blmr/internal/core"
@@ -49,8 +48,8 @@ type Job struct {
 	// map side before they are shuffled (Hadoop's combiner; parity with
 	// simmr.JobSpec.Combiner). In run-discipline map tasks each published
 	// wave is combined before sealing; in stream-discipline (in-process
-	// pipelined) tasks a hash accumulator bounded by Options.CombineKeys
-	// folds records before batching. It must be commutative and
+	// pipelined) tasks a hash accumulator holding max(BatchSize, 4096)
+	// distinct keys folds records before batching. It must be commutative and
 	// associative, and the reduce function must tolerate pre-combined
 	// values (true for aggregation-class jobs whose reduce is the same
 	// fold).
@@ -70,12 +69,10 @@ type Options struct {
 	// The run-exchange transports (shuffle.SpillExchange, shuffle.TCP) seal
 	// every map output wave to disk and exchange runs instead of batches.
 	Transport shuffle.Kind
-	// Store picks the partial-result strategy for pipelined mode.
+	// Store picks the partial-result strategy for pipelined mode. SpillBytes
+	// is the one settable memory bound; without it a SpillMerge tree spills
+	// to in-memory runs past 64 MiB and the KV store caches 16 MiB.
 	Store store.Kind
-	// SpillThresholdBytes bounds in-memory partials for SpillMerge.
-	SpillThresholdBytes int64
-	// KVCacheBytes bounds the KV store cache.
-	KVCacheBytes int64
 	// QueueCap is the per-reducer channel buffer in batches (default 64,
 	// mirroring simmr.Config.QueueCapBatches). Total per-reducer
 	// buffering is QueueCap*BatchSize records.
@@ -84,11 +81,6 @@ type Options struct {
 	// before sending one batch over the channel (default 256). 1
 	// reproduces the original record-at-a-time shuffle.
 	BatchSize int
-	// CombineKeys bounds the distinct keys a mapper's per-reducer combine
-	// buffer holds before it flushes (default max(BatchSize, 4096)). Only
-	// used when Job.Combiner is set; larger buffers fold more duplicates
-	// map-side at the cost of mapper memory (Hadoop's io.sort.mb role).
-	CombineKeys int
 	// SpillBytes, when > 0, bounds each task's buffered intermediate data
 	// (accounted with store.ApproxRecordBytes) and turns the shuffle into
 	// an external one: run-discipline map tasks sort, encode and seal runs
@@ -120,20 +112,13 @@ type Options struct {
 	// Ignored by the in-process engine, which always overlaps.
 	Staged bool
 	// Speculative (multi-process engine) enables backup attempts of
-	// straggler map tasks: once SpeculativeThreshold of the map wave is
-	// done, idle slots may run duplicate attempts of still-running maps on
-	// other workers, and the first completion wins (attempt IDs keep
-	// duplicate routing pushes idempotent). Mirrors
-	// simmr.JobSpec.Speculative. Ignored by the in-process engine.
+	// straggler map tasks: once three quarters of the map wave is done
+	// (the simulator's default threshold), idle slots may run duplicate
+	// attempts of still-running maps on other workers, and the first
+	// completion wins (attempt IDs keep duplicate routing pushes
+	// idempotent). Mirrors simmr.JobSpec.Speculative. Ignored by the
+	// in-process engine.
 	Speculative bool
-	// SpeculativeThreshold is the completed fraction of the map wave
-	// required before clones launch (default 0.75, matching
-	// simmr.JobSpec.SpeculativeThreshold).
-	SpeculativeThreshold float64
-	// HeartbeatInterval (multi-process engine) is the period of worker
-	// liveness heartbeats on the control connection (default 1s); a worker
-	// silent for 4 intervals is declared dead and its tasks re-executed.
-	HeartbeatInterval time.Duration
 	// Compression selects the sealed-run codec (default codec.None).
 	// Every run the execution seals — spill waves, run-exchange segments,
 	// intermediate merge runs, pipelined store spills — is block-compressed
@@ -169,26 +154,8 @@ func (o *Options) Normalize() {
 	if o.BatchSize <= 0 {
 		o.BatchSize = 256
 	}
-	if o.CombineKeys <= 0 {
-		o.CombineKeys = 4096
-		if o.BatchSize > o.CombineKeys {
-			o.CombineKeys = o.BatchSize
-		}
-	}
-	if o.SpillThresholdBytes <= 0 {
-		o.SpillThresholdBytes = 64 << 20
-	}
-	if o.KVCacheBytes <= 0 {
-		o.KVCacheBytes = 16 << 20
-	}
 	if o.MergeFanIn <= 1 {
 		o.MergeFanIn = 64
-	}
-	if o.SpeculativeThreshold <= 0 || o.SpeculativeThreshold > 1 {
-		o.SpeculativeThreshold = 0.75
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = time.Second
 	}
 	if o.DecodeWorkers <= 0 {
 		o.DecodeWorkers = runtime.GOMAXPROCS(0)

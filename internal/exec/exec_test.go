@@ -235,7 +235,7 @@ func TestSchedulerSpeculates(t *testing.T) {
 			{W: w0, MapSlots: 1, ReduceSlots: 1},
 			{W: w1, MapSlots: 1, ReduceSlots: 1},
 		},
-		Speculate: true, SpeculateAfter: 0.75,
+		Speculate: true,
 	}
 	sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
 	if err != nil {

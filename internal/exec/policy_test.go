@@ -164,7 +164,7 @@ func (w *gateWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
 // cannot starve job A and vice versa.
 func TestSlotPoolFairShares(t *testing.T) {
 	const workers = 2
-	pool := NewSlotPool(workers, 2, 0) // cap 2 = the two jobs' shares
+	pool := NewSlotPool(workers, 2) // cap 2 = the two jobs' shares
 	gate := make(chan struct{})
 	mkJob := func(tag string) (*Scheduler, []*gateWorker) {
 		ws := make([]*gateWorker, workers)
@@ -198,7 +198,7 @@ func TestSlotPoolFairShares(t *testing.T) {
 		return true
 	})
 	for i := 0; i < workers; i++ {
-		if got := pool.Running(i); got != 2 {
+		if got := pool.RunningKind(i, true); got != 2 {
 			t.Fatalf("pool sees %d running on worker %d, want 2 (both shares)", got, i)
 		}
 	}
@@ -211,7 +211,7 @@ func TestSlotPoolFairShares(t *testing.T) {
 // never exceeds the cap.
 func TestSlotPoolCapsCrossJobConcurrency(t *testing.T) {
 	const workers = 2
-	pool := NewSlotPool(workers, 1, 0)
+	pool := NewSlotPool(workers, 1)
 	perWorker := make([]atomic.Int64, workers)
 	var overCap atomic.Bool
 	mkJob := func() *Scheduler {

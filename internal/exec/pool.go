@@ -19,29 +19,23 @@ import "sync"
 type SlotPool struct {
 	mu      sync.Mutex
 	mapCap  int // per-worker cap on running map tasks (0 = unlimited)
-	redCap  int // per-worker cap on running reduce tasks (0 = unlimited)
 	mapRun  []int
 	redRun  []int
 	subs    map[int]func()
 	nextSub int
 }
 
-// NewSlotPool builds a pool for `workers` workers with per-worker caps on
-// concurrently running map and reduce tasks across all jobs. A zero cap is
-// unlimited for that kind (the usual choice for reduce slots, where
-// overlapped tasks spend most of their life parked on routes, not working).
-func NewSlotPool(workers, mapCap, redCap int) *SlotPool {
+// NewSlotPool builds a pool for `workers` workers with a per-worker cap on
+// concurrently running map tasks across all jobs (0 = unlimited). Reduce
+// tasks are counted but never capped: overlapped ones spend most of their
+// life parked on routes, not working.
+func NewSlotPool(workers, mapCap int) *SlotPool {
 	return &SlotPool{
-		mapCap: mapCap, redCap: redCap,
+		mapCap: mapCap,
 		mapRun: make([]int, workers),
 		redRun: make([]int, workers),
 		subs:   make(map[int]func()),
 	}
-}
-
-// Running returns worker w's running task count across all jobs.
-func (p *SlotPool) Running(w int) int {
-	return p.RunningKind(w, true) + p.RunningKind(w, false)
 }
 
 // RunningKind returns worker w's running task count of one kind across all
@@ -72,9 +66,6 @@ func (p *SlotPool) TryAcquire(w int, mapKind bool) bool {
 		}
 		p.mapRun[w]++
 		return true
-	}
-	if p.redCap > 0 && p.redRun[w] >= p.redCap {
-		return false
 	}
 	p.redRun[w]++
 	return true

@@ -111,18 +111,11 @@ type Scheduler struct {
 	// (the multi-process engine's staged mode). Resubmitted maps re-raise
 	// the gate until they complete again.
 	Staged bool
-	// MaxAttempts caps how many times one task may be dispatched across
-	// worker-lost requeues, resubmissions and clones before the job fails
-	// (default max(4, 2*len(Workers)+2)).
-	MaxAttempts int
 	// Speculate enables backup attempts of straggler map tasks: once
-	// SpeculateAfter of the map wave is done and no pending maps remain, an
+	// speculateAfter of the map wave is done and no pending maps remain, an
 	// idle slot may run a duplicate attempt of a still-running map on a
 	// different worker; the first completion wins.
 	Speculate bool
-	// SpeculateAfter is the completed fraction of the map wave required
-	// before clones launch (default 0.75).
-	SpeculateAfter float64
 	// Policy, when non-nil, routes every pending task to a specific worker
 	// (see policy.go): a routed task waits for its worker even while other
 	// slots idle, which is what makes placement policies distinguishable.
@@ -161,6 +154,10 @@ type Scheduler struct {
 	mu  sync.Mutex
 	run *schedRun
 }
+
+// speculateAfter is the completed fraction of the map wave required before
+// clones launch (the simulator's default threshold).
+const speculateAfter = 0.75
 
 type taskLife int
 
@@ -204,8 +201,7 @@ type schedRun struct {
 	redsLeft    int
 	nextAttempt int
 	live        int
-	maxAttempts int
-	specAfter   float64
+	maxAttempts int // dispatches one task may take before the job fails
 	firstErr    error
 	aborted     bool
 	sum         *Summary
@@ -231,18 +227,11 @@ func (s *Scheduler) Run(maps []MapTask, reduces []ReduceTask) (*Summary, error) 
 		mapsLeft:    len(maps),
 		redsLeft:    len(reduces),
 		live:        len(s.Workers),
-		maxAttempts: s.MaxAttempts,
-		specAfter:   s.SpeculateAfter,
+		maxAttempts: max(4, 2*len(s.Workers)+2),
 		sum:         &Summary{Reduces: make([]ReduceResult, len(reduces))},
 		start:       time.Now(),
 	}
 	rn.cond = sync.NewCond(&rn.mu)
-	if rn.maxAttempts <= 0 {
-		rn.maxAttempts = max(4, 2*len(s.Workers)+2)
-	}
-	if rn.specAfter <= 0 || rn.specAfter > 1 {
-		rn.specAfter = 0.75
-	}
 	for i := range maps {
 		rn.byIndex[maps[i].Index] = i
 		rn.m[i].runners = make(map[*schedWorker]bool)
@@ -508,7 +497,7 @@ func (rn *schedRun) pickMap(w *schedWorker) (pos int, clone bool) {
 		return -1, false
 	}
 	done := len(rn.maps) - rn.mapsLeft
-	if float64(done) < rn.specAfter*float64(len(rn.maps)) {
+	if float64(done) < speculateAfter*float64(len(rn.maps)) {
 		return -1, false
 	}
 	for i := range rn.m {
@@ -604,10 +593,7 @@ func (rn *schedRun) reduceLoop(w *schedWorker) {
 			rn.cond.Wait()
 			continue
 		}
-		if !rn.acquirePoolLocked(w, false) {
-			rn.cond.Wait()
-			continue
-		}
+		rn.acquirePoolLocked(w, false) // counted for the policies, never capped
 		st := &rn.r[pos]
 		rn.unassignLocked(st, false)
 		st.life = tsRunning

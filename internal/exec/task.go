@@ -171,12 +171,13 @@ type streamSpiller interface {
 
 // runMapStream is the stream-discipline map body (the in-process pipelined
 // fast path): emitted records accumulate in per-partition batches — or, with
-// a combiner, in per-partition hash accumulators bounded by CombineKeys
-// distinct keys — and go to the transport one batch per Send. With
-// SpillBytes set (and no combiner, whose accumulators are already bounded by
-// CombineKeys), full batches that cannot be delivered without blocking stay
-// buffered under a byte budget and seal to disk as a spill wave when it
-// trips; reducers drain sealed waves after the live stream ends.
+// a combiner, in per-partition hash accumulators bounded by
+// max(BatchSize, minCombineKeys) distinct keys — and go to the transport one
+// batch per Send. With SpillBytes set (and no combiner, whose accumulators
+// are already bounded), full batches that cannot be delivered without
+// blocking stay buffered under a byte budget and seal to disk as a spill
+// wave when it trips; reducers drain sealed waves after the live stream
+// ends.
 func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapStats, error) {
 	var stats MapStats
 	var firstErr error
@@ -291,18 +292,15 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 	} else {
 		// Combiner path: per-reducer hash accumulators fold same-key
 		// records map-side; a buffer drains only when it reaches
-		// CombineKeys *distinct* keys (or mapper exit), so skewed streams
+		// combineKeys *distinct* keys (or mapper exit), so skewed streams
 		// combine across far more than one batch's worth of records.
 		// Draining re-batches to BatchSize. Presize modestly and let maps
-		// grow: a CombineKeys-sized map per (mapper, reducer) pair would
+		// grow: a combineKeys-sized map per (mapper, reducer) pair would
 		// cost quadratic memory in core count before any record arrives.
-		hint := opts.BatchSize
-		if opts.CombineKeys < hint {
-			hint = opts.CombineKeys
-		}
+		combineKeys := max(opts.BatchSize, minCombineKeys)
 		combufs := make([]map[string]string, opts.Reducers)
 		for p := range combufs {
-			combufs[p] = make(map[string]string, hint)
+			combufs[p] = make(map[string]string, opts.BatchSize)
 		}
 		flush := func(p int) {
 			m := combufs[p]
@@ -330,7 +328,7 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 				return
 			}
 			m[k] = v
-			if len(m) >= opts.CombineKeys {
+			if len(m) >= combineKeys {
 				flush(p)
 			}
 		})
@@ -525,6 +523,14 @@ func runReducePipelined(job Job, opts Options, t ReduceTask, src shuffle.ReduceS
 	return res, nil
 }
 
+// Fixed bounds of what Options.SpillBytes does not budget: no caller ever
+// needed other values, so they are not options.
+const (
+	treeBudgetBytes = 64 << 20 // SpillMerge tree size before it spills to in-memory runs
+	kvCacheBytes    = 16 << 20 // KV store cache
+	minCombineKeys  = 4096     // a combine buffer holds max(BatchSize, this) distinct keys
+)
+
 // NewTaskStore builds reduce task r's partial-result store. With SpillBytes
 // set, tree-backed stores become disk-backed spill-merge stores budgeted at
 // SpillBytes, so pipelined partial results leave the heap for real; the KV
@@ -536,9 +542,9 @@ func NewTaskStore(job Job, opts Options, spillDir *dfs.RunDir, r int) store.Stor
 	}
 	switch opts.Store {
 	case store.SpillMerge:
-		return store.NewSpillStoreComp(opts.SpillThresholdBytes, job.Merger, nil, nil, opts.Compression)
+		return store.NewSpillStoreComp(treeBudgetBytes, job.Merger, nil, nil, opts.Compression)
 	case store.KV:
-		return store.NewKVStore(kvstore.New(kvstore.Config{CacheBytes: opts.KVCacheBytes}))
+		return store.NewKVStore(kvstore.New(kvstore.Config{CacheBytes: kvCacheBytes}))
 	default:
 		return store.NewMemStore()
 	}

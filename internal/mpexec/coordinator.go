@@ -29,15 +29,16 @@ import (
 // so one worker can carry a map task, a reduce task and segment pushes
 // concurrently.
 //
-// The coordinator is multi-tenant: RunJob calls may overlap, and every
+// The coordinator is multi-tenant: a Service's jobs may overlap, and every
 // admitted job runs on the same worker pool under its own job ID. Per-job
 // state (routes, active reduce tasks, spill accounting) lives in a jobRun;
-// the shared SlotPool in a JobConfig bounds cross-job per-worker
-// concurrency, and a pluggable exec.Policy places each job's tasks over
-// live-worker snapshots. Run is the single-job special case.
+// the Service's shared SlotPool bounds cross-job per-worker concurrency,
+// and a pluggable exec.Policy places each job's tasks over live-worker
+// snapshots. Run is the single-job special case.
 //
 // Worker death is a non-event, not a job failure, as long as one worker
-// survives: a closed control connection or four missed heartbeats marks the
+// survives: a closed control connection or missedBeats silent heartbeat
+// intervals (one fixed pool-wide bound, never a job's option) marks the
 // worker dead, every admitted job's scheduler requeues its in-flight tasks
 // on survivors, and completed maps whose sealed runs died with the worker
 // are re-executed — with invalidation and supersede 'S' pushes re-routing
@@ -60,47 +61,41 @@ type Coordinator struct {
 	monStop chan struct{}
 }
 
-// JobConfig shapes one job's share of a multi-tenant worker pool. The zero
-// value reproduces the single-job defaults: one map slot per worker, the
-// whole reduce wave dispatched up front, no cross-job cap, work-stealing
-// dispatch.
-type JobConfig struct {
-	// MapSlots is the job's per-worker map concurrency share (default 1).
-	MapSlots int
-	// ReduceSlots is the job's per-worker reduce dispatch width. Default:
-	// 1 when Staged, else ceil(Reducers / live workers) — the whole wave in
-	// flight, overlapped reduce tasks being parked goroutines.
-	ReduceSlots int
-	// Pool, when set, bounds total running tasks per worker across every
-	// job sharing it. All jobs sharing a Pool see the same worker indexes
+// jobConfig is what a Service adds to one job on its shared pool. The zero
+// value is the single-job case: no cross-job cap, work-stealing dispatch, a
+// fresh job ID, nothing journaled. Every job gets one map slot per worker
+// and, unless Staged, its whole reduce wave dispatched up front.
+type jobConfig struct {
+	// pool, when set, counts running tasks per worker across every job
+	// sharing it and caps the maps. All jobs sharing a pool see the same worker indexes
 	// (registration order), so the ledger lines up.
-	Pool *exec.SlotPool
-	// Policy, when set, routes this job's tasks over per-worker load
+	pool *exec.SlotPool
+	// policy, when set, routes this job's tasks over per-worker load
 	// snapshots (see exec.ParsePolicy). Nil keeps work-stealing dispatch.
-	Policy exec.Policy
+	policy exec.Policy
 
-	// JobID, when > 0, admits the job under this explicit coordinator job
+	// jobID, when > 0, admits the job under this explicit coordinator job
 	// ID instead of assigning a fresh one — the resume path: keeping the
 	// journaled ID lets a returning worker's surviving per-job state (spill
 	// directory, sealed runs) line up with the re-entered job. Job IDs
 	// start at 1, so 0 always means "assign".
-	JobID int
-	// Ticket tags this job's journal records with its service submission
-	// ID. Only read when Journal is set.
-	Ticket uint64
-	// Journal, when set, receives one encoded record per durable state
+	jobID int
+	// ticket tags this job's journal records with its service submission
+	// ID. Only read when journal is set.
+	ticket uint64
+	// journal, when set, receives one encoded record per durable state
 	// transition — job started, map attempt completed, reduce partition
 	// completed — for the owning Service to append to its write-ahead log.
 	// Called outside the coordinator lock, possibly from several task
 	// goroutines at once; the appender serializes.
-	Journal func(rec []byte)
-	// Reattach carries a resumed job's replayed journal state: completed
+	journal func(rec []byte)
+	// reattach carries a resumed job's replayed journal state: completed
 	// maps are matched against returning workers' 'A' advertisements and
 	// re-attached into the routing table (or re-executed when the worker or
 	// its files are gone), completed reduce outputs are spliced into the
 	// result without re-running, and the scheduler's attempt counter starts
 	// past every journaled attempt.
-	Reattach *ReattachState
+	reattach *reattachState
 }
 
 // jobRun is one admitted job's coordinator-side state.
@@ -126,7 +121,7 @@ type jobRun struct {
 type mapRoute struct {
 	w       *remoteWorker
 	attempt int
-	waves   []waveMeta
+	waves   []shuffle.Wave
 	valid   bool
 }
 
@@ -222,19 +217,6 @@ func (c *Coordinator) SetMinJobID(id int) {
 // Addr returns the address workers dial (pass it to Serve / -worker-coord).
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// Workers returns how many workers have registered and are still live.
-func (c *Coordinator) Workers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, w := range c.workers {
-		if !w.isDead() {
-			n++
-		}
-	}
-	return n
-}
-
 // WaitWorkers blocks until n workers have registered or the timeout lapses.
 // Each registered worker gets a reader goroutine that routes its reply
 // frames until the connection closes.
@@ -327,23 +309,23 @@ func (c *Coordinator) Abandon() {
 	}
 }
 
-// Run executes one job by itself: RunJob with the zero config. Kept as the
-// single-tenant entry point the CLI batch mode and older tests use.
+// Run executes one job by itself — the single-tenant entry point of the CLI
+// batch mode; a Service runs the same path with its pool and journal set.
 func (c *Coordinator) Run(job exec.Job, input []core.Record, opts exec.Options) (*mr.Result, error) {
-	return c.RunJob(job, input, opts, JobConfig{})
+	return c.runJob(job, input, opts, jobConfig{})
 }
 
-// RunJob executes job over input across the registered workers and returns
+// runJob executes job over input across the registered workers and returns
 // the assembled result. opts follow mr.Options semantics; the transport is
 // forcibly the TCP run exchange (the only one that crosses process
-// boundaries). Concurrent RunJob calls share the pool: each admitted job
-// gets its own job ID, per-worker state and scheduler, while cfg's slot
-// shares, SlotPool and Policy arbitrate the shared workers. Workers that
-// die mid-job (killed process, closed control connection, missed
-// heartbeats) have their tasks re-executed on survivors; the job fails only
-// when no live worker remains, a task exhausts its attempt budget, or a
-// task fails for a non-liveness reason.
-func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Options, cfg JobConfig) (*mr.Result, error) {
+// boundaries). Concurrent calls share the pool: each admitted job gets its
+// own job ID, per-worker state and scheduler, while cfg's slot pool and
+// policy arbitrate the shared workers. Workers that die mid-job (killed
+// process, closed control connection, missed heartbeats) have their tasks
+// re-executed on survivors; the job fails only when no live worker remains,
+// a task exhausts its attempt budget, or a task fails for a non-liveness
+// reason.
+func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Options, cfg jobConfig) (*mr.Result, error) {
 	opts.Transport = shuffle.TCP
 	opts.Normalize()
 	if err := mr.Validate(job, opts); err != nil {
@@ -362,10 +344,6 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 		return nil, fmt.Errorf("mpexec: no live workers registered")
 	}
 	start := time.Now()
-	mapSlots := cfg.MapSlots
-	if mapSlots <= 0 {
-		mapSlots = 1
-	}
 	// Staged mode keeps one reduce slot per worker (reduce tasks do all
 	// their work the moment they are dispatched). Overlapped reduce tasks
 	// spend the map runway parked on segment pushes — a blocked goroutine
@@ -373,12 +351,9 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 	// mirroring the in-process engine's all-partitions-concurrent
 	// scheduling; reducers then consume each map's output the moment it is
 	// routed instead of queueing behind a single slot.
-	redSlots := cfg.ReduceSlots
-	if redSlots <= 0 {
-		redSlots = 1
-		if !opts.Staged {
-			redSlots = (opts.Reducers + live - 1) / live
-		}
+	redSlots := 1
+	if !opts.Staged {
+		redSlots = (opts.Reducers + live - 1) / live
 	}
 	maps := exec.SplitMaps(input, opts.Mappers)
 
@@ -389,8 +364,8 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 	// for worker-lost fan-out.
 	c.mu.Lock()
 	id := c.nextJob
-	if cfg.JobID > 0 {
-		id = cfg.JobID
+	if cfg.jobID > 0 {
+		id = cfg.jobID
 		if other := c.jobs[id]; other != nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("mpexec: job ID %d already admitted", id)
@@ -403,7 +378,7 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 		id: id, c: c, name: job.Name, nMaps: len(maps),
 		routes: make(map[int]*mapRoute, len(maps)),
 		active: make(map[int]*jobWorker),
-		ticket: cfg.Ticket, journal: cfg.Journal,
+		ticket: cfg.ticket, journal: cfg.journal,
 	}
 	jr.jws = make([]*jobWorker, len(ws))
 	assignments := make([]exec.Assignment, len(ws))
@@ -411,7 +386,7 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 		jw := &jobWorker{j: jr, w: w, dials: w.fetchDials, dialsBase: w.fetchDials,
 			opens: w.serverOpens, opensBase: w.serverOpens}
 		jr.jws[i] = jw
-		assignments[i] = exec.Assignment{W: jw, MapSlots: mapSlots, ReduceSlots: redSlots}
+		assignments[i] = exec.Assignment{W: jw, MapSlots: 1, ReduceSlots: redSlots}
 	}
 	// Resume: re-attach journaled completed maps whose sealed runs survived
 	// on a returning worker (matched by worker name and the full fileID/CRC
@@ -423,8 +398,8 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 	var preMaps []int
 	var preReds map[int]exec.ReduceResult
 	firstAttempt := 0
-	if ra := cfg.Reattach; ra != nil {
-		firstAttempt = ra.FirstAttempt
+	if ra := cfg.reattach; ra != nil {
+		firstAttempt = ra.firstAttempt
 		preReds = ra.reduces
 		for m, jm := range ra.maps {
 			if m < 0 || m >= len(maps) {
@@ -434,9 +409,9 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 			if w == nil {
 				continue
 			}
-			waves := make([]waveMeta, len(jm.waves))
+			waves := make([]shuffle.Wave, len(jm.waves))
 			for i, wv := range jm.waves {
-				wv.addr = w.addr
+				wv.Addr = w.addr
 				waves[i] = wv
 			}
 			jr.routes[m] = &mapRoute{w: w, attempt: jm.attempt, waves: waves, valid: true}
@@ -452,9 +427,8 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 		OnFail:         jr.abort,
 		Staged:         opts.Staged,
 		Speculate:      opts.Speculative,
-		SpeculateAfter: opts.SpeculativeThreshold,
-		Policy:         cfg.Policy,
-		Pool:           cfg.Pool,
+		Policy:         cfg.policy,
+		Pool:           cfg.pool,
 		Resident:       jr.resident,
 		PreDoneMaps:    preMaps,
 		PreDoneReduces: preReds,
@@ -493,7 +467,7 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 			w.die(fmt.Errorf("worker %s: open job: %w", w, err))
 		}
 	}
-	c.startMonitor(opts.HeartbeatInterval)
+	c.startMonitor()
 	defer c.stopMonitor()
 
 	sum, err := jr.sched.Run(maps, exec.ReduceTasks(opts.Reducers))
@@ -527,15 +501,14 @@ func (c *Coordinator) RunJob(job exec.Job, input []core.Record, opts exec.Option
 }
 
 // startMonitor runs the heartbeat monitor while at least one job is
-// admitted: the first job starts it (with its heartbeat interval), the last
-// job's exit stops it.
-func (c *Coordinator) startMonitor(interval time.Duration) {
+// admitted: the first job starts it, the last job's exit stops it.
+func (c *Coordinator) startMonitor() {
 	c.monMu.Lock()
 	defer c.monMu.Unlock()
 	c.monRefs++
 	if c.monRefs == 1 {
 		c.monStop = make(chan struct{})
-		go c.monitor(interval, c.monStop)
+		go c.monitor(heartbeatInterval, c.monStop)
 	}
 }
 
@@ -549,13 +522,10 @@ func (c *Coordinator) stopMonitor() {
 	}
 }
 
-// monitor closes the connection of any worker silent for four heartbeat
-// intervals, funneling slow deaths (wedged process, dropped network) into
-// the same readLoop-exit path a killed process takes.
+// monitor closes the connection of any worker silent for missedBeats
+// heartbeat intervals, funneling slow deaths (wedged process, dropped
+// network) into the same readLoop-exit path a killed process takes.
 func (c *Coordinator) monitor(interval time.Duration, stop <-chan struct{}) {
-	if interval <= 0 {
-		interval = time.Second
-	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
@@ -571,7 +541,7 @@ func (c *Coordinator) monitor(interval time.Duration, stop <-chan struct{}) {
 				if w.isDead() {
 					continue
 				}
-				if now-w.lastBeat.Load() > int64(4*interval) {
+				if now-w.lastBeat.Load() > int64(missedBeats*interval) {
 					// The readLoop unblocks with an error and declares the
 					// worker dead.
 					_ = w.conn.Close()
@@ -701,7 +671,7 @@ func matchReattach(ws []*remoteWorker, jobID int, jm *journalMap) *remoteWorker 
 		files := w.sealed[jobID]
 		ok := len(files) > 0
 		for _, wv := range jm.waves {
-			if crc, have := files[wv.fileID]; !have || crc != wv.crc {
+			if crc, have := files[wv.FileID]; !have || crc != wv.CRC {
 				ok = false
 				break
 			}
@@ -714,10 +684,13 @@ func matchReattach(ws []*remoteWorker, jobID int, jm *journalMap) *remoteWorker 
 }
 
 // segsForPartition projects one map task's waves onto partition r.
-func segsForPartition(waves []waveMeta, r int) []shuffle.Segment {
+func segsForPartition(waves []shuffle.Wave, r int) []shuffle.Segment {
 	var segs []shuffle.Segment
 	for _, w := range waves {
-		if seg, ok := w.segmentOf(r); ok {
+		if r >= len(w.Spans) {
+			continue // a wave reported with fewer spans than partitions
+		}
+		if seg, ok := w.SegmentOf(r); ok {
 			segs = append(segs, seg)
 		}
 	}

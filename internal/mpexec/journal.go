@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
@@ -20,18 +19,19 @@ import (
 //	'a' admit:   ticket | name | opts | input records
 //	's' start:   ticket | coordinator job ID
 //	'm' mapDone: ticket | mapIndex | attempt | workerName | shuffleRecords |
-//	             spills | waveCount | { fileID | comp | crc | spanCount |
-//	             { off | n } }
+//	             spills | waves (putWaves's layout, proto.go)
 //	'r' redDone: ticket | partition | spills | peakPartialBytes |
 //	             mergePasses | fetchBytes | output records
 //	'd' done:    ticket
 //	'x' aborted: ticket | message
 //
-// opts is putOpts's layout (proto.go), every execution-affecting field of
-// exec.Options — Mappers (resume must re-split the input identically), the
-// scheduler knobs (Staged, Speculative, threshold) and the heartbeat
-// interval included — because a resumed job must run under exactly the
-// options it was admitted with to reproduce its output byte for byte.
+// opts is putOpts's layout (proto.go): a field count, then every
+// execution-affecting field of exec.Options — Mappers (resume must re-split
+// the input identically) and the scheduler knobs (Staged, Speculative)
+// included — because a resumed job must run under exactly the options it
+// was admitted with to reproduce its output byte for byte. The count binds
+// a journal to the binary that wrote it: replay fails on an admit record
+// whose options carry any other number of fields.
 //
 // Replay keeps the latest record per key: the highest attempt per map
 // index, the last result per partition. 'd'/'x' retire the ticket — only
@@ -56,7 +56,7 @@ type journalMap struct {
 	worker         string // registration name of the worker that sealed it
 	shuffleRecords int64
 	spills         int
-	waves          []waveMeta // addr empty until re-attach patches it
+	waves          []shuffle.Wave // Addr empty until re-attach patches it
 }
 
 // journalJob is one admitted job's replayed journal state.
@@ -71,15 +71,15 @@ type journalJob struct {
 	reduces map[int]exec.ReduceResult
 }
 
-// ReattachState carries a resumed job's replayed journal state into
-// RunJob: which maps completed before the crash (keyed by map index, with
+// reattachState carries a resumed job's replayed journal state into
+// runJob: which maps completed before the crash (keyed by map index, with
 // the sealed waves to match against returning workers' advertisements),
 // which reduce partitions already produced output, and the first attempt
 // number that outranks every journaled one.
-type ReattachState struct {
-	// FirstAttempt seeds the scheduler's attempt counter past every
+type reattachState struct {
+	// firstAttempt seeds the scheduler's attempt counter past every
 	// journaled attempt, so re-executions supersede re-attached routes.
-	FirstAttempt int
+	firstAttempt int
 
 	maps    map[int]*journalMap
 	reduces map[int]exec.ReduceResult
@@ -107,18 +107,7 @@ func encodeJournalMapDone(ticket uint64, mapIndex, attempt int, worker string, m
 	b = putStr(b, worker)
 	b = binary.AppendUvarint(b, uint64(md.shuffleRecords))
 	b = binary.AppendUvarint(b, uint64(md.spills))
-	b = binary.AppendUvarint(b, uint64(len(md.waves)))
-	for _, w := range md.waves {
-		b = binary.AppendUvarint(b, w.fileID)
-		b = binary.AppendUvarint(b, uint64(w.comp))
-		b = binary.AppendUvarint(b, uint64(w.crc))
-		b = binary.AppendUvarint(b, uint64(len(w.spans)))
-		for _, sp := range w.spans {
-			b = binary.AppendUvarint(b, uint64(sp.Off))
-			b = binary.AppendUvarint(b, uint64(sp.N))
-		}
-	}
-	return b
+	return putWaves(b, md.waves)
 }
 
 func encodeJournalReduceDone(ticket uint64, partition int, res exec.ReduceResult) []byte {
@@ -204,17 +193,7 @@ func replayJournal(records [][]byte) (live []*journalJob, maxTicket uint64, maxJ
 			jm.worker = d.str()
 			jm.shuffleRecords = int64(d.uvarint())
 			jm.spills = int(d.uvarint())
-			n := d.uvarint()
-			for w := uint64(0); w < n && d.err == nil; w++ {
-				wv := waveMeta{fileID: d.uvarint(), comp: codec.Compression(d.uvarint()), crc: uint32(d.uvarint())}
-				spanN := d.uvarint()
-				for s := uint64(0); s < spanN && d.err == nil; s++ {
-					off := int64(d.uvarint())
-					ln := int64(d.uvarint())
-					wv.spans = append(wv.spans, shuffle.Span{Off: off, N: ln})
-				}
-				jm.waves = append(jm.waves, wv)
-			}
+			jm.waves = d.waves("")
 			if d.err != nil {
 				return nil, 0, 0, fmt.Errorf("mpexec: journal mapdone %d: %w", i, d.err)
 			}
@@ -256,12 +235,12 @@ func replayJournal(records [][]byte) (live []*journalJob, maxTicket uint64, maxJ
 	return live, maxTicket, maxJobID, nil
 }
 
-// reattachState projects a replayed job into the RunJob config form.
-func (jj *journalJob) reattachState() *ReattachState {
+// reattach projects a replayed job into the form runJob's config takes.
+func (jj *journalJob) reattach() *reattachState {
 	if len(jj.maps) == 0 && len(jj.reduces) == 0 {
 		return nil
 	}
-	return &ReattachState{FirstAttempt: jj.maxAtt + 1, maps: jj.maps, reduces: jj.reduces}
+	return &reattachState{firstAttempt: jj.maxAtt + 1, maps: jj.maps, reduces: jj.reduces}
 }
 
 // JournalStats summarises a job journal for operators and CI: per-kind

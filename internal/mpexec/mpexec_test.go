@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"runtime"
 	"strconv"
+	"syscall"
 	"testing"
 	"time"
 
@@ -107,6 +108,13 @@ func TestMain(m *testing.M) {
 		os.Exit(0)
 	}
 	if addr := os.Getenv("MPEXEC_WORKER"); addr != "" {
+		if hb := os.Getenv("MPEXEC_HEARTBEAT"); hb != "" {
+			d, err := time.ParseDuration(hb)
+			if err != nil {
+				panic(err)
+			}
+			mpexec.SetHeartbeatInterval(d)
+		}
 		var err error
 		if os.Getenv("MPEXEC_REGISTRY") != "" {
 			err = mpexec.ServeJobs(addr, testResolver(), testOpts())
@@ -274,11 +282,18 @@ func TestClusterCompressed(t *testing.T) {
 		res.RawSpillBytes>>10, res.CompressedSpillBytes>>10, res.FetchBytes>>10)
 }
 
-// churnRun spawns workers, SIGKILLs worker 0 after killAfter, runs the job,
-// and asserts it completes with output byte-identical to the single-process
-// engine and without leaking driver goroutines — the robustness acceptance
-// criteria: a single worker death is a non-event.
+// churnRun is faultRun with the fault every churn test but one injects: a
+// SIGKILL, which the coordinator sees at once as a closed connection.
 func churnRun(t *testing.T, opts blexec.Options, workers int, killAfter time.Duration, env ...string) *mr.Result {
+	t.Helper()
+	return faultRun(t, opts, workers, killAfter, syscall.SIGKILL, env...)
+}
+
+// faultRun spawns workers, sends sig to worker 0 after faultAfter, runs the
+// job, and asserts it completes with output byte-identical to the
+// single-process engine and without leaking driver goroutines — the
+// robustness acceptance criteria: a single worker death is a non-event.
+func faultRun(t *testing.T, opts blexec.Options, workers int, faultAfter time.Duration, sig syscall.Signal, env ...string) *mr.Result {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	input := workload.Text(23, 3000, 400, 8)
@@ -297,8 +312,8 @@ func churnRun(t *testing.T, opts blexec.Options, workers int, killAfter time.Dur
 		t.Fatal(err)
 	}
 	go func() {
-		time.Sleep(killAfter)
-		_ = cmds[0].Process.Kill()
+		time.Sleep(faultAfter)
+		_ = cmds[0].Process.Signal(sig)
 	}()
 	type outcome struct {
 		res *mr.Result
@@ -359,6 +374,23 @@ func TestClusterSurvivesKillMidMapStaged(t *testing.T) {
 	res := churnRun(t, opts, 3, 300*time.Millisecond, "MPEXEC_SLOW=1")
 	if res.MapRetries < 1 {
 		t.Fatalf("MapRetries = %d, want >= 1 (the dead worker was mid-map)", res.MapRetries)
+	}
+}
+
+// TestClusterStoppedWorkerDeclaredDead: SIGSTOP freezes a worker mid-map
+// but leaves its control connection open, so nothing short of the heartbeat
+// monitor can tell — without it the frozen map never returns and the job
+// hangs. The monitor must sever the worker after missedBeats silent
+// intervals and the survivors finish the job byte-identically. Both ends
+// run a shortened period (the real one needs 4 s of silence).
+func TestClusterStoppedWorkerDeclaredDead(t *testing.T) {
+	const beat = 100 * time.Millisecond
+	defer mpexec.SetHeartbeatInterval(beat)()
+	opts := blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier}
+	res := faultRun(t, opts, 3, 300*time.Millisecond, syscall.SIGSTOP,
+		"MPEXEC_SLOW=1", "MPEXEC_HEARTBEAT="+beat.String())
+	if res.MapRetries < 1 {
+		t.Fatalf("MapRetries = %d, want >= 1 (the stopped worker was mid-map)", res.MapRetries)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestClusterPolicyParity(t *testing.T) {
 	}
 	run := func(policy string) float64 {
 		s, _ := serviceCluster(t, 3, mpexec.ServiceConfig{
-			MaxConcurrent: 3, MapShare: 1, PoolMapSlots: 1, Policy: policy,
+			MaxConcurrent: 3, PoolMapSlots: 1, Policy: policy,
 		}, "MPEXEC_SLOW=1")
 		subs := skewedSubmissions()
 		start := time.Now()

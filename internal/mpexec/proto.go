@@ -53,11 +53,12 @@
 // state (spill directory, reduce sources, buffered pushes, latched abort).
 // 'J' opens a job on the worker: it names the user code (resolved from the
 // worker's job registry — both sides are launched from the same binary) and
-// ships the job's options (opts is putOpts's layout, the same bytes the
-// journal's admit record holds), so the task bodies agree with the
-// coordinator on mode, partition count, spill budget, codec, ... and
-// heterogeneous jobs can share one pool. 'j' closes it: the worker drops the job's state and
-// removes its sealed runs once in-flight tasks drain. 'R' carries the
+// ships the job's options (opts is putOpts's layout — a field count, then
+// the fields — the same bytes the journal's admit record holds), so the
+// task bodies agree with the coordinator on mode, partition count, spill
+// budget, codec, ... and heterogeneous jobs can share one pool. 'j' closes
+// it: the worker drops the job's state and removes its sealed runs once
+// in-flight tasks drain. 'R' carries the
 // routing snapshot of every map already completed at dispatch; one 'S'
 // follows for each map that completes afterwards (empty segment lists
 // included — the reduce task counts distinct maps to know when its routing
@@ -68,9 +69,9 @@
 // consuming merger.
 //
 // Failure semantics ride on two additions. 'h' heartbeats flow every
-// exec.Options.HeartbeatInterval; the coordinator treats a worker silent
-// for four intervals (or a closed control connection — the fast path for a
-// killed process) as dead, re-executes the maps whose sealed runs died
+// heartbeatInterval; the coordinator treats a worker silent for missedBeats
+// intervals (or a closed control connection — the fast path for a killed
+// process) as dead, re-executes the maps whose sealed runs died
 // with it, and re-routes reducers. attempt is the job-unique attempt ID
 // the scheduler stamped on the dispatch ('M' echoes it back on 'm'), so
 // routing pushes from re-executions and speculative clones are ordered: a
@@ -98,7 +99,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"blmr/internal/codec"
@@ -127,6 +127,14 @@ const (
 
 // maxFrame guards against garbage length prefixes (1 GiB).
 const maxFrame = 1 << 30
+
+// Worker liveness: every worker sends an 'h' frame each heartbeatInterval,
+// and the coordinator declares one dead after missedBeats silent intervals.
+// One value for the whole pool on both sides of the connection; a variable
+// only so the package's tests can shorten it (export_test.go).
+var heartbeatInterval = time.Second
+
+const missedBeats = 4
 
 func writeMsg(w io.Writer, typ byte, payload []byte) error {
 	hdr := []byte{typ}
@@ -227,53 +235,49 @@ func putRecords(b []byte, recs []core.Record) []byte {
 	return codec.AppendRecords(b, recs)
 }
 
-// putOpts appends the one wire form of exec.Options: every field that
-// affects execution, shared by the 'J' frame and the journal's admit
-// record. SpillDir is left out — it names a directory on whichever machine
-// reads it, so each side keeps its own — and so is Transport, which across
-// processes is always TCP. A field added to exec.Options must be added
-// here and in opts; TestOptsRoundTrip fails until it is.
+// optsFields is how many values putOpts writes after its leading count.
+const optsFields = 12
+
+// putOpts appends the one wire form of exec.Options: a field count, then
+// every field that affects execution, shared by the 'J' frame and the
+// journal's admit record. SpillDir is left out — it names a directory on
+// whichever machine reads it, so each side keeps its own — and so is
+// Transport, which across processes is always TCP. A field added to
+// exec.Options must be added here and in opts; TestOptsRoundTrip fails
+// until it is.
 func putOpts(b []byte, o exec.Options) []byte {
-	b = binary.AppendUvarint(b, uint64(o.Mappers))
-	b = binary.AppendUvarint(b, uint64(o.Reducers))
-	b = binary.AppendUvarint(b, uint64(o.Mode))
-	b = binary.AppendUvarint(b, uint64(o.SpillBytes))
-	b = binary.AppendUvarint(b, uint64(o.SpillThresholdBytes))
-	b = binary.AppendUvarint(b, uint64(o.KVCacheBytes))
-	b = binary.AppendUvarint(b, uint64(o.MergeFanIn))
-	b = binary.AppendUvarint(b, uint64(o.BatchSize))
-	b = binary.AppendUvarint(b, uint64(o.CombineKeys))
-	b = binary.AppendUvarint(b, uint64(o.QueueCap))
-	b = binary.AppendUvarint(b, uint64(o.Store))
-	b = binary.AppendUvarint(b, uint64(o.Compression))
-	b = binary.AppendUvarint(b, uint64(o.DecodeWorkers))
-	b = binary.AppendUvarint(b, boolBit(o.Staged))
-	b = binary.AppendUvarint(b, boolBit(o.Speculative))
-	b = binary.AppendUvarint(b, math.Float64bits(o.SpeculativeThreshold))
-	b = binary.AppendUvarint(b, uint64(o.HeartbeatInterval))
+	vals := [optsFields]uint64{
+		uint64(o.Mappers), uint64(o.Reducers), uint64(o.Mode), uint64(o.SpillBytes),
+		uint64(o.MergeFanIn), uint64(o.BatchSize), uint64(o.QueueCap), uint64(o.Store),
+		uint64(o.Compression), uint64(o.DecodeWorkers), boolBit(o.Staged), boolBit(o.Speculative),
+	}
+	b = binary.AppendUvarint(b, optsFields)
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
 	return b
 }
 
-// opts decodes what putOpts wrote.
+// opts decodes what putOpts wrote. Any other field count is a layout this
+// binary does not write — a journal or a worker from another build — and is
+// rejected rather than read with every later field shifted.
 func (d *dec) opts() exec.Options {
 	var o exec.Options
+	if n := d.uvarint(); d.err == nil && n != optsFields {
+		d.err = fmt.Errorf("mpexec: options carry %d fields, this binary writes %d (written by another build?)", n, optsFields)
+	}
 	o.Mappers = int(d.uvarint())
 	o.Reducers = int(d.uvarint())
 	o.Mode = exec.Mode(d.uvarint())
 	o.SpillBytes = int64(d.uvarint())
-	o.SpillThresholdBytes = int64(d.uvarint())
-	o.KVCacheBytes = int64(d.uvarint())
 	o.MergeFanIn = int(d.uvarint())
 	o.BatchSize = int(d.uvarint())
-	o.CombineKeys = int(d.uvarint())
 	o.QueueCap = int(d.uvarint())
 	o.Store = store.Kind(d.uvarint())
 	o.Compression = codec.Compression(d.uvarint())
 	o.DecodeWorkers = int(d.uvarint())
 	o.Staged = d.uvarint() != 0
 	o.Speculative = d.uvarint() != 0
-	o.SpeculativeThreshold = math.Float64frombits(d.uvarint())
-	o.HeartbeatInterval = time.Duration(d.uvarint())
 	o.Transport = shuffle.TCP // the only cross-process transport
 	return o
 }
@@ -304,46 +308,11 @@ func decodeJobStart(payload []byte, base exec.Options) (id int, name string, o e
 	return id, name, o, d.err
 }
 
-// waveMeta is one sealed wave's location as the coordinator tracks it.
-type waveMeta struct {
-	addr   string
-	fileID uint64
-	comp   codec.Compression
-	crc    uint32 // seal-time CRC-32C of the file (re-attach identity)
-	spans  []shuffle.Span
-}
-
-// segmentOf returns partition r's segment of the wave, ok=false when empty.
-func (w waveMeta) segmentOf(r int) (shuffle.Segment, bool) {
-	if r >= len(w.spans) || w.spans[r].N == 0 {
-		return shuffle.Segment{}, false
-	}
-	sp := w.spans[r]
-	return shuffle.Segment{Addr: w.addr, FileID: w.fileID, Off: sp.Off, N: sp.N, Comp: w.comp}, true
-}
-
-// mapDone carries one completed map task's stats alongside its waves.
-type mapDone struct {
-	job             int
-	index           int
-	attempt         int
-	shuffleRecords  int64
-	spills          int
-	spilledBytes    int64
-	rawSpilledBytes int64
-	serverOpens     int64
-	waves           []waveMeta
-}
-
-func encodeMapDone(job, index, attempt int, shuffleRecords int64, spills int, spilledBytes, rawSpilledBytes, serverOpens int64, waves []shuffle.Wave) []byte {
-	b := binary.AppendUvarint(nil, uint64(job))
-	b = binary.AppendUvarint(b, uint64(index))
-	b = binary.AppendUvarint(b, uint64(attempt))
-	b = binary.AppendUvarint(b, uint64(shuffleRecords))
-	b = binary.AppendUvarint(b, uint64(spills))
-	b = binary.AppendUvarint(b, uint64(spilledBytes))
-	b = binary.AppendUvarint(b, uint64(rawSpilledBytes))
-	b = binary.AppendUvarint(b, uint64(serverOpens))
+// putWaves appends sealed-wave metadata — the one layout the 'm' frame and
+// the journal's 'm' record share: waveCount | { fileID | comp | crc |
+// spanCount | { off | n } }. Where a wave lives (its run-server address) is
+// not part of it; the reader supplies that.
+func putWaves(b []byte, waves []shuffle.Wave) []byte {
 	b = binary.AppendUvarint(b, uint64(len(waves)))
 	for _, w := range waves {
 		b = binary.AppendUvarint(b, w.FileID)
@@ -358,6 +327,46 @@ func encodeMapDone(job, index, attempt int, shuffleRecords int64, spills int, sp
 	return b
 }
 
+// waves decodes what putWaves wrote, as waves served from addr.
+func (d *dec) waves(addr string) []shuffle.Wave {
+	var waves []shuffle.Wave
+	n := d.uvarint()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		w := shuffle.Wave{Addr: addr, FileID: d.uvarint(), Comp: codec.Compression(d.uvarint()), CRC: uint32(d.uvarint())}
+		spanN := d.uvarint()
+		for j := uint64(0); j < spanN && d.err == nil; j++ {
+			w.Spans = append(w.Spans, shuffle.Span{Off: int64(d.uvarint()), N: int64(d.uvarint())})
+		}
+		waves = append(waves, w)
+	}
+	return waves
+}
+
+// mapDone carries one completed map task's stats alongside its waves.
+type mapDone struct {
+	job             int
+	index           int
+	attempt         int
+	shuffleRecords  int64
+	spills          int
+	spilledBytes    int64
+	rawSpilledBytes int64
+	serverOpens     int64
+	waves           []shuffle.Wave
+}
+
+func encodeMapDone(job, index, attempt int, shuffleRecords int64, spills int, spilledBytes, rawSpilledBytes, serverOpens int64, waves []shuffle.Wave) []byte {
+	b := binary.AppendUvarint(nil, uint64(job))
+	b = binary.AppendUvarint(b, uint64(index))
+	b = binary.AppendUvarint(b, uint64(attempt))
+	b = binary.AppendUvarint(b, uint64(shuffleRecords))
+	b = binary.AppendUvarint(b, uint64(spills))
+	b = binary.AppendUvarint(b, uint64(spilledBytes))
+	b = binary.AppendUvarint(b, uint64(rawSpilledBytes))
+	b = binary.AppendUvarint(b, uint64(serverOpens))
+	return putWaves(b, waves)
+}
+
 func decodeMapDone(payload []byte, addr string) (mapDone, error) {
 	d := &dec{buf: payload}
 	md := mapDone{
@@ -370,17 +379,7 @@ func decodeMapDone(payload []byte, addr string) (mapDone, error) {
 		rawSpilledBytes: int64(d.uvarint()),
 		serverOpens:     int64(d.uvarint()),
 	}
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		w := waveMeta{addr: addr, fileID: d.uvarint(), comp: codec.Compression(d.uvarint()), crc: uint32(d.uvarint())}
-		spanN := d.uvarint()
-		for j := uint64(0); j < spanN && d.err == nil; j++ {
-			off := int64(d.uvarint())
-			ln := int64(d.uvarint())
-			w.spans = append(w.spans, shuffle.Span{Off: off, N: ln})
-		}
-		md.waves = append(md.waves, w)
-	}
+	md.waves = d.waves(addr)
 	return md, d.err
 }
 

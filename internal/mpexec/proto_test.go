@@ -1,8 +1,12 @@
 package mpexec
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"blmr/internal/core"
 	"blmr/internal/exec"
@@ -67,5 +71,36 @@ func TestOptsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(live[0].input, input) {
 		t.Fatalf("journal admit input: %v", live[0].input)
+	}
+}
+
+// TestOptsRejectOtherLayouts: the options layout leads with its field count,
+// and a record with any other count is refused outright. The first case is
+// byte for byte what the binary before the count existed journaled — 17 bare
+// values, Mappers first: replay must fail naming the mismatch, not read the
+// thirteenth value as the input's record count. The others are this layout
+// with a field added or dropped, on the 'J' frame.
+func TestOptsRejectOtherLayouts(t *testing.T) {
+	old := binary.AppendUvarint([]byte{jAdmit}, 3)
+	old = putStr(old, "wordcount")
+	for _, v := range []uint64{6, 3, 0, 65536, 64 << 20, 16 << 20, 64, 256, 4096, 64, 0, 0, 0, 0, 0,
+		math.Float64bits(0.75), uint64(time.Second)} {
+		old = binary.AppendUvarint(old, v)
+	}
+	old = putRecords(old, []core.Record{{Key: "k", Value: "v"}})
+	if _, _, _, err := replayJournal([][]byte{old}); err == nil || !strings.Contains(err.Error(), "another build") {
+		t.Fatalf("replay of the previous binary's admit record: err = %v, want a field-count mismatch", err)
+	}
+
+	for _, n := range []uint64{optsFields - 1, optsFields + 1} {
+		frame := binary.AppendUvarint(nil, 7)
+		frame = putStr(frame, "wordcount")
+		frame = binary.AppendUvarint(frame, n)
+		for i := uint64(0); i < n; i++ {
+			frame = binary.AppendUvarint(frame, 1)
+		}
+		if _, _, _, err := decodeJobStart(frame, exec.Options{}); err == nil || !strings.Contains(err.Error(), "another build") {
+			t.Fatalf("'J' frame with %d option fields: err = %v, want a field-count mismatch", n, err)
+		}
 	}
 }

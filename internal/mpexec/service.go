@@ -18,10 +18,10 @@ import (
 // engine: one Coordinator, one worker pool, and a stream of submitted jobs.
 // Admission control is a bounded queue (a full queue rejects instead of
 // buffering unboundedly) feeding a dispatcher that keeps at most
-// MaxConcurrent jobs running; every admitted job gets its per-worker slot
-// shares, the shared cross-job SlotPool, and a fresh instance of the
-// configured placement policy. Close drains: already-admitted jobs run to
-// completion, new submissions are refused.
+// MaxConcurrent jobs running; every admitted job gets the shared cross-job
+// SlotPool and a fresh instance of the configured placement policy. Close
+// drains: already-admitted jobs run to completion, new submissions are
+// refused.
 //
 // Per-job isolation is inherited from the coordinator's job IDs: each job's
 // control frames, worker-side spill directories, reduce sources and abort
@@ -45,19 +45,12 @@ type ServiceConfig struct {
 	MaxQueued int
 	// MaxConcurrent bounds simultaneously running jobs (default 2).
 	MaxConcurrent int
-	// MapShare is each job's per-worker map slots (default 1).
-	MapShare int
-	// ReduceShare is each job's per-worker reduce dispatch width
-	// (default 0 = auto: the whole wave up front, or 1 when staged).
-	ReduceShare int
-	// PoolMapSlots caps running map tasks per worker across all jobs
-	// (default MaxConcurrent*MapShare — full shares for everyone; a
-	// negative value removes the cap).
+	// PoolMapSlots caps running map tasks per worker across all jobs. Each
+	// job holds one map slot per worker, so the default, MaxConcurrent, is
+	// a full share for everyone (and as good as no cap). Reduce tasks are
+	// never capped: overlapped ones are mostly parked goroutines, not CPU
+	// work.
 	PoolMapSlots int
-	// PoolReduceSlots caps running reduce tasks per worker across all jobs
-	// (default 0 = unlimited: overlapped reduce tasks are mostly parked
-	// goroutines, not CPU work).
-	PoolReduceSlots int
 	// Policy names the placement policy every job runs under (see
 	// exec.PolicyNames; "" = work-stealing dispatch). Each job gets a
 	// fresh instance, so stateful policies (round-robin cursors) don't
@@ -70,8 +63,8 @@ type ServiceConfig struct {
 	// before it takes effect downstream. NewService replays the journal
 	// first, so a service restarted over the same StateDir re-enters every
 	// job that was admitted but unfinished when the previous process died,
-	// re-attaching completed maps that survived on returning workers (see
-	// ReattachState). Empty keeps the service purely in-memory.
+	// re-attaching completed maps that survived on returning workers.
+	// Empty keeps the service purely in-memory.
 	StateDir string
 	// Resolver maps a journaled job name back to its user code on resume —
 	// the journal records inputs and options but never functions. Required
@@ -87,26 +80,13 @@ func (c *ServiceConfig) normalize() {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2
 	}
-	if c.MapShare <= 0 {
-		c.MapShare = 1
-	}
-	if c.ReduceShare < 0 {
-		c.ReduceShare = 0
-	}
-	switch {
-	case c.PoolMapSlots < 0:
-		c.PoolMapSlots = 0 // explicit "no cap"
-	case c.PoolMapSlots == 0:
-		c.PoolMapSlots = c.MaxConcurrent * c.MapShare
-	}
-	if c.PoolReduceSlots < 0 {
-		c.PoolReduceSlots = 0
+	if c.PoolMapSlots <= 0 {
+		c.PoolMapSlots = c.MaxConcurrent
 	}
 }
 
-// Ticket is one submitted job's handle. The submitter blocks on Wait (or
-// selects on Done) for the result; tickets resolve in completion order, not
-// submission order.
+// Ticket is one submitted job's handle. The submitter blocks on Wait for
+// the result; tickets resolve in completion order, not submission order.
 type Ticket struct {
 	// ID is the service-assigned submission number (dense, from 0). A
 	// durable service doubles it as the journal ticket, so resumed tickets
@@ -118,7 +98,7 @@ type Ticket struct {
 	opts  exec.Options
 
 	jobID  int            // journaled coordinator job ID (resume; 0 = fresh)
-	resume *ReattachState // replayed journal state (resume; nil = fresh)
+	resume *reattachState // replayed journal state (resume; nil = fresh)
 
 	done chan struct{}
 	res  *mr.Result
@@ -130,9 +110,6 @@ type Ticket struct {
 func (t *Ticket) Spec() (exec.Job, []core.Record, exec.Options) {
 	return t.job, t.input, t.opts
 }
-
-// Done is closed when the job completes (either way).
-func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 // Wait blocks for the job's result.
 func (t *Ticket) Wait() (*mr.Result, error) {
@@ -197,7 +174,7 @@ func NewService(c *Coordinator, workers int, cfg ServiceConfig) (*Service, error
 	s := &Service{
 		coord:    c,
 		cfg:      cfg,
-		pool:     exec.NewSlotPool(workers, cfg.PoolMapSlots, cfg.PoolReduceSlots),
+		pool:     exec.NewSlotPool(workers, cfg.PoolMapSlots),
 		dispDone: make(chan struct{}),
 	}
 	if cfg.StateDir != "" {
@@ -234,10 +211,13 @@ func (s *Service) openJournal(c *Coordinator, cfg ServiceConfig) error {
 	}
 	s.log, s.japps = log, len(recs)
 	s.jlive = make(map[uint64]*jrecs, len(live))
+	for _, rec := range recs {
+		s.retain(rec) // the index the dead service held when it stopped
+	}
 	for _, jj := range live {
 		t := &Ticket{
 			ID: int(jj.ticket), input: jj.input, opts: jj.opts,
-			jobID: jj.jobID, resume: jj.reattachState(),
+			jobID: jj.jobID, resume: jj.reattach(),
 			done: make(chan struct{}),
 		}
 		ok := false
@@ -249,7 +229,6 @@ func (s *Service) openJournal(c *Coordinator, cfg ServiceConfig) error {
 			return fmt.Errorf("mpexec: resume: cannot resolve journaled job %d (%q) — configure ServiceConfig.Resolver", jj.ticket, jj.name)
 		}
 		t.job.Name = jj.name
-		s.retainJob(jj)
 		s.resumed = append(s.resumed, t)
 	}
 	if len(recs) > 0 {
@@ -304,14 +283,10 @@ func (s *Service) Stats() (queued, running int) {
 // open — callers own its lifecycle.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.dispDone
-		s.wg.Wait()
-		return
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
 	}
-	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
 	<-s.dispDone
 	s.wg.Wait()
@@ -362,19 +337,14 @@ func (s *Service) run(t *Ticket) {
 		close(t.done)
 		return
 	}
-	jc := JobConfig{
-		MapSlots:    s.cfg.MapShare,
-		ReduceSlots: s.cfg.ReduceShare,
-		Pool:        s.pool,
-		Policy:      policy,
-	}
+	jc := jobConfig{pool: s.pool, policy: policy}
 	if s.log != nil {
-		jc.Ticket = uint64(t.ID)
-		jc.Journal = s.journalBestEffort
-		jc.JobID = t.jobID
-		jc.Reattach = t.resume
+		jc.ticket = uint64(t.ID)
+		jc.journal = s.journalBestEffort
+		jc.jobID = t.jobID
+		jc.reattach = t.resume
 	}
-	t.res, t.err = s.coord.RunJob(t.job, t.input, t.opts, jc)
+	t.res, t.err = s.coord.runJob(t.job, t.input, t.opts, jc)
 	// Retire the ticket in the journal (and compact when the dead-record
 	// overhang warrants it) before the submitter observes completion.
 	if t.err == nil {
@@ -441,27 +411,6 @@ func (s *Service) retain(rec []byte) {
 	case jDone, jAborted:
 		delete(s.jlive, ticket)
 	}
-}
-
-// retainJob rebuilds a replayed job's retained records (resume startup).
-func (s *Service) retainJob(jj *journalJob) {
-	e := &jrecs{
-		admit: encodeJournalAdmit(jj.ticket, jj.name, jj.opts, jj.input),
-		maps:  make(map[int][]byte, len(jj.maps)),
-		reds:  make(map[int][]byte, len(jj.reduces)),
-	}
-	if jj.jobID > 0 {
-		e.start = encodeJournalStart(jj.ticket, jj.jobID)
-	}
-	for idx, jm := range jj.maps {
-		e.maps[idx] = encodeJournalMapDone(jj.ticket, idx, jm.attempt, jm.worker,
-			mapDone{shuffleRecords: jm.shuffleRecords, spills: jm.spills, waves: jm.waves})
-	}
-	for part, res := range jj.reduces {
-		e.reds[part] = encodeJournalReduceDone(jj.ticket, part, res)
-	}
-	s.jlive[jj.ticket] = e
-	s.jorder = append(s.jorder, jj.ticket)
 }
 
 // maybeCompact rewrites the journal down to the live tickets' records when

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,7 +47,7 @@ func Serve(coordAddr string, job exec.Job, opts exec.Options) error {
 
 // ServeJobs is a worker process's main loop: dial the coordinator, start a
 // run-server, register, and execute tasks until the coordinator says bye.
-// base carries worker-local knobs (heartbeat interval, spill directory); the
+// base carries worker-local knobs (spill directory, decode pool size); the
 // task-body options that must match the coordinator (mode, partition count,
 // spill budget, codec, ...) arrive per job in the 'J' frame, so one pool
 // serves concurrent heterogeneous jobs.
@@ -120,13 +122,13 @@ func (w *workerState) serveConn(coordAddr string, conn net.Conn) (bye bool, err 
 	epoch := w.install(conn)
 	// Heartbeats prove liveness through long silent stretches (a big map
 	// split, a reduce parked on routes); the coordinator declares a worker
-	// dead after four missed intervals.
+	// dead after missedBeats silent intervals.
 	hbStop := make(chan struct{})
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	go func() {
 		defer hbWG.Done()
-		t := time.NewTicker(w.base.HeartbeatInterval)
+		t := time.NewTicker(heartbeatInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -236,9 +238,7 @@ func (w *workerState) dropConn() {
 	w.mu.Lock()
 	var srcs []*shuffle.PushSource
 	for _, jb := range w.jobs {
-		for _, s := range jb.reds {
-			srcs = append(srcs, s)
-		}
+		srcs = slices.AppendSeq(srcs, maps.Values(jb.reds))
 		jb.reds = make(map[int]*shuffle.PushSource)
 		jb.early = make(map[int][]mapSegs)
 	}
@@ -378,10 +378,7 @@ func (w *workerState) openJob(payload []byte) {
 	}
 	w.mu.Lock()
 	if jb := w.jobs[id]; jb != nil {
-		srcs := make([]*shuffle.PushSource, 0, len(jb.reds))
-		for _, s := range jb.reds {
-			srcs = append(srcs, s)
-		}
+		srcs := slices.Collect(maps.Values(jb.reds))
 		jb.reds = make(map[int]*shuffle.PushSource)
 		jb.early = make(map[int][]mapSegs)
 		jb.aborted = nil
@@ -476,10 +473,7 @@ func (w *workerState) failJob(jb *wjob, err error) {
 	if jb.aborted == nil {
 		jb.aborted = err
 	}
-	srcs := make([]*shuffle.PushSource, 0, len(jb.reds))
-	for _, s := range jb.reds {
-		srcs = append(srcs, s)
-	}
+	srcs := slices.Collect(maps.Values(jb.reds))
 	w.mu.Unlock()
 	for _, s := range srcs {
 		s.Fail(err)

@@ -119,7 +119,7 @@ func TestCombinerEquivalence(t *testing.T) {
 			}
 			requireSame(t, "combined", ref.Output, res.Output)
 			// Barrier runs combine whole mapper partitions; pipelined runs
-			// combine through the CombineKeys hash buffer regardless of
+			// combine through the bounded hash buffer regardless of
 			// batch size. Either way the shuffle must shrink.
 			if res.ShuffleRecords >= ref.ShuffleRecords {
 				t.Fatalf("mode=%d batch=%d: combiner did not cut shuffle volume: %d >= %d",

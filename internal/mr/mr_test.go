@@ -113,14 +113,16 @@ func TestPipelinedStores(t *testing.T) {
 	input := workload.Text(7, 4000, 2000, 8)
 	var ref []core.Record
 	for _, kind := range []store.Kind{store.InMemory, store.SpillMerge, store.KV} {
-		opts := Options{Mappers: 4, Reducers: 2, Mode: Pipelined, Store: kind,
-			SpillThresholdBytes: 16 << 10, KVCacheBytes: 32 << 10}
+		opts := Options{Mappers: 4, Reducers: 2, Mode: Pipelined, Store: kind}
+		if kind == store.SpillMerge {
+			opts.SpillBytes = 16 << 10 // the one settable budget; disk-backed
+		}
 		res, err := Run(jobFor(apps.WordCount()), input, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		if kind == store.SpillMerge && res.Spills == 0 {
-			t.Fatal("expected spills at 16KB threshold")
+			t.Fatal("expected spills at a 16KB budget")
 		}
 		if ref == nil {
 			ref = res.Output

@@ -18,9 +18,7 @@ if [[ -z "$n" ]]; then
   n=1
   while [[ -e "BENCH_${n}.json" ]]; do n=$((n + 1)); done
 fi
-# BENCH_OUT overrides the snapshot path (bench_compare.sh writes to a temp
-# file instead of claiming the next index).
-out="${BENCH_OUT:-BENCH_${n}.json}"
+out="BENCH_${n}.json"
 
 run_bench() { # run_bench <pkg> <pattern> <benchtime>
   local raw
