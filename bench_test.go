@@ -396,16 +396,16 @@ func BenchmarkMemoization(b *testing.B) {
 // --- Worker-churn recovery (simulated prediction for the parity band) -------
 
 // benchFaultPrediction reports the simulator's predicted recovery overhead
-// for losing one of three workers at 40% of the job — the prediction the
-// real-engine parity test and the ClusterRecovery wall-clock benchmarks are
-// compared against (within harness.FaultTolerance).
+// for losing one of three workers at 40% of the job — in barrier mode, the
+// prediction the real-engine parity test is compared against (harness.Parity,
+// row "worker-kill").
 func benchFaultPrediction(b *testing.B, mode simmr.Mode) {
 	b.Helper()
-	var est harness.FaultEstimate
+	var est harness.KillEstimate
 	for i := 0; i < b.N; i++ {
-		est = harness.FaultPrediction(1, 3, 0.4, mode)
+		est = harness.KillPrediction(harness.KillWorker, 1, harness.ParityWorkers, harness.ParityKillFrac, mode)
 	}
-	b.ReportMetric(est.Killed, "vsec/job")
+	b.ReportMetric(est.Disturbed, "vsec/job")
 	b.ReportMetric(est.Overhead*100, "overhead%")
 }
 

@@ -127,9 +127,11 @@
 // output stays byte-identical through the loss of any single worker.
 // cmd/blmr -chaos-kill injects the fault (SIGKILL one worker mid-job) for
 // smoke runs. The simulator mirrors the model with
-// simmr.JobSpec.{KillWorkerAt,KillWorker}; harness.FaultSweep sweeps kill
-// times, and harness.FaultPrediction is pinned to the real engine's
-// measured recovery overhead within harness.FaultTolerance.
+// simmr.JobSpec.{KillWorkerAt,KillWorker}; harness.KillSweep(KillWorker, …)
+// sweeps kill times, and harness.KillPrediction is pinned to the real
+// engine's measured recovery overhead by the "worker-kill" row of
+// harness.Parity — the one table of every sim ↔ real claim (name,
+// tolerance, prediction), checked by harness.CheckParity.
 //
 // The multi-process engine is multi-tenant: mpexec.Service runs a stream
 // of concurrently admitted jobs on one coordinator and worker pool
@@ -146,9 +148,9 @@
 // and abort latch are its own, so per-job barrier output stays
 // byte-identical under concurrency and churn. The simulator mirrors the
 // stream with simmr.RunStream (same Policy interface over a cross-job
-// assignment ledger); harness.PolicySweep sweeps skew levels, and
-// harness.PolicyPrediction is pinned to the real engine's measured
-// makespan ratio within harness.PolicyTolerance.
+// assignment ledger); harness.PolicySweep sweeps skew levels, and the
+// "policy" row of harness.Parity pins the least-loaded / round-robin
+// makespan ratio to the real engine's measured one.
 //
 // The job service survives its own death: with mpexec.ServiceConfig
 // .StateDir (cmd/blmr -serve -state-dir) every durable state transition —
@@ -156,7 +158,9 @@
 // partition's output, retirement — is appended to a length+CRC-framed
 // write-ahead journal (internal/wal: torn tails from a mid-append crash
 // are truncated on reopen, any other damage is wal.ErrCorrupt) and
-// compacted down to live-ticket state as jobs retire. A restarted service
+// compacted down to live-ticket state as jobs retire; one fold decides what
+// is live for resume, compaction and -journal-stat alike (the last record
+// per ticket, map and partition wins). A restarted service
 // (cmd/blmr -resume; mpexec.NewService over the same StateDir, with
 // ServiceConfig.Resolver mapping journaled job names back to code) replays
 // the journal, re-enters unfinished jobs ahead of new submissions, and
@@ -172,9 +176,9 @@
 // for tests. Barrier output is byte-identical across the kill.
 // simmr.JobSpec.KillCoordinatorAt with Costs.{CoordRestartDelay,
 // ReattachPerMap} model the crash on the simulated cluster;
-// harness.RestartSweep sweeps crash times, and harness.RestartPrediction
-// is pinned to the real engine's measured restart overhead within
-// harness.RestartTolerance.
+// harness.KillSweep(KillCoordinator, …) sweeps crash times, and the
+// "coord-restart" row of harness.Parity pins the predicted restart overhead
+// to the real engine's measured one.
 //
 // See DESIGN.md for the system inventory and the design-choice ablations.
 package blmr

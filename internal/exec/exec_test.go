@@ -3,6 +3,8 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,26 +218,32 @@ func TestSchedulerResubmitCompletedMap(t *testing.T) {
 // TestSchedulerSpeculates: with most of the wave done, an idle worker clones
 // the straggler and the first completion wins.
 func TestSchedulerSpeculates(t *testing.T) {
-	cloneDone := make(chan struct{})
-	var attempts3 atomic.Int64
+	cloneSettled := make(chan struct{})
+	var settle sync.Once
 	runMap := func(mt MapTask) (MapStats, error) {
-		if mt.Index == 3 {
-			if attempts3.Add(1) == 1 {
-				<-cloneDone // original attempt: straggle until the clone lands
-			} else {
-				close(cloneDone) // clone: finish instantly and release the original
-			}
+		// Four maps, no failures: attempts 0-3 are the originals, so map 3's
+		// original is the one below 4 — whichever goroutine gets here first.
+		if mt.Index == 3 && mt.Attempt < 4 {
+			<-cloneSettled // straggle until the clone has won
 		}
 		return MapStats{ShuffleRecords: 1}, nil
 	}
-	w0 := &fnWorker{name: "w0", runMap: runMap}
-	w1 := &fnWorker{name: "w1", runMap: runMap}
+	// Staged: a reduce task starts only once every map is done, so the first
+	// one proves the scheduler has settled the clone's completion — releasing
+	// the original on the clone's mere return let it overtake the clone to
+	// the scheduler's lock under load (launched=1 won=0).
+	runReduce := func(ReduceTask) (ReduceResult, error) {
+		settle.Do(func() { close(cloneSettled) })
+		return ReduceResult{}, nil
+	}
+	w0 := &fnWorker{name: "w0", runMap: runMap, runReduce: runReduce}
+	w1 := &fnWorker{name: "w1", runMap: runMap, runReduce: runReduce}
 	s := Scheduler{
 		Workers: []Assignment{
 			{W: w0, MapSlots: 1, ReduceSlots: 1},
 			{W: w1, MapSlots: 1, ReduceSlots: 1},
 		},
-		Speculate: true,
+		Speculate: true, Staged: true,
 	}
 	sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
 	if err != nil {
@@ -246,6 +254,81 @@ func TestSchedulerSpeculates(t *testing.T) {
 	}
 	if sum.ShuffleRecords != 4 {
 		t.Fatalf("shuffle records %d, want 4 (loser attempt must not double-count)", sum.ShuffleRecords)
+	}
+}
+
+// TestSchedulerResubmitLetsOlderAttemptWin: a speculative clone wins a map,
+// then the clone's worker is lost while the straggling original is still in
+// flight. The resubmitted map is not dispatched a third time: the original —
+// the older, lower attempt — completes it. Whoever routes map outputs must
+// therefore accept a lower attempt after a higher one (the journal fold and
+// shuffle.PushSource both do: the last route installed wins).
+func TestSchedulerResubmitLetsOlderAttemptWin(t *testing.T) {
+	release := make(chan struct{})
+	gate := make(chan struct{})
+	var mu sync.Mutex
+	var ran, finished []int // map 3's attempt IDs: every one dispatched, and in completion order
+	var cloneWorker *fnWorker
+	var reduces atomic.Int64
+	mkWorker := func(name string) *fnWorker {
+		w := &fnWorker{name: name}
+		w.runMap = func(mt MapTask) (MapStats, error) {
+			if mt.Index != 3 {
+				return MapStats{}, nil
+			}
+			// Four maps, no failures: attempts 0-3 are the originals.
+			original := mt.Attempt < 4
+			mu.Lock()
+			ran = append(ran, mt.Attempt)
+			if !original {
+				cloneWorker = w
+			}
+			mu.Unlock()
+			if original {
+				<-release // straggle past the clone's win and its worker's death
+			}
+			mu.Lock()
+			finished = append(finished, mt.Attempt)
+			mu.Unlock()
+			return MapStats{}, nil
+		}
+		w.runReduce = func(ReduceTask) (ReduceResult, error) {
+			reduces.Add(1)
+			<-gate
+			return ReduceResult{}, nil
+		}
+		return w
+	}
+	w0, w1 := mkWorker("w0"), mkWorker("w1")
+	// Staged: a reduce task starts only once every map is done, so seeing
+	// one proves the scheduler has settled the clone's completion.
+	s := Scheduler{
+		Workers:   []Assignment{{W: w0, MapSlots: 1, ReduceSlots: 1}, {W: w1, MapSlots: 1, ReduceSlots: 1}},
+		Speculate: true, Staged: true,
+	}
+	done := make(chan *Summary, 1)
+	go func() {
+		sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- sum
+	}()
+	waitFor(t, func() bool { return reduces.Load() > 0 })
+	s.WorkerLost(cloneWorker, []int{3}) // the winning clone's sealed output is gone
+	close(release)
+	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(finished) == 2 })
+	close(gate)
+	sum := <-done
+	if sum == nil {
+		t.Fatal("run failed")
+	}
+	slices.Sort(ran)
+	if len(ran) != 2 || finished[0] != ran[1] || finished[1] != ran[0] {
+		t.Fatalf("map 3 ran as attempts %v and finished as %v: want exactly the original and its clone, the higher-attempt clone finishing first and the lower-attempt original completing the resubmitted map", ran, finished)
+	}
+	if sum.MapRetries != 1 || sum.BackupsLaunched != 1 {
+		t.Fatalf("MapRetries=%d BackupsLaunched=%d, want 1/1", sum.MapRetries, sum.BackupsLaunched)
 	}
 }
 

@@ -26,8 +26,8 @@ type compressionPoint struct {
 // the codec's ratio and charges Costs.CompressDelay per raw byte of
 // (de)compression CPU, so the sweep shows where the CPU price overtakes
 // the I/O win (crank CompressDelay up to see compression lose). The
-// simulated sibling of the wall-clock `-compress` benchmarks in
-// scripts/bench.sh.
+// simulated sibling of the wall-clock `-compress` benchmarks
+// (internal/mr's BenchmarkWordCountSpill1M_Comp*).
 func CompressionTradeoff() Sweep {
 	ds := WordCountData(8)
 	points := []compressionPoint{

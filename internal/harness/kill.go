@@ -1,0 +1,149 @@
+package harness
+
+import (
+	"fmt"
+
+	"blmr/internal/apps"
+	"blmr/internal/simmr"
+)
+
+// KillTarget says which process a simulated kill takes out — the one thing
+// the worker-churn and the coordinator-restart experiments differ in.
+type KillTarget int
+
+const (
+	// KillWorker kills pool worker 0: its published map outputs are
+	// re-executed on survivors and parked fetchers re-route.
+	KillWorker KillTarget = iota
+	// KillCoordinator crashes the control plane: it goes dark for the
+	// restart window, journaled maps re-attach from surviving sealed runs
+	// and unjournaled attempts re-run.
+	KillCoordinator
+)
+
+func (k KillTarget) String() string {
+	if k == KillCoordinator {
+		return "the coordinator"
+	}
+	return "worker 0"
+}
+
+// at arms spec's kill of this target at virtual time t.
+func (k KillTarget) at(spec RunSpec, t float64) RunSpec {
+	if k == KillCoordinator {
+		spec.KillCoordinatorAt = t
+	} else {
+		spec.KillWorkerAt = t
+	}
+	return spec
+}
+
+// KillEstimate is one simulated kill experiment: the undisturbed
+// completion, the disturbed run's, and the relative recovery overhead
+// (Disturbed/Base - 1).
+type KillEstimate struct {
+	Base      float64
+	Disturbed float64
+	Overhead  float64
+	// LostMaps is how many published map outputs a worker kill cost (each
+	// was re-executed on a survivor).
+	LostMaps int
+	// ReattachedMaps is how many journaled map outputs a restarted
+	// coordinator re-attached from surviving sealed runs instead of
+	// re-executing.
+	ReattachedMaps int
+	// Retried is how many map attempts the kill cost.
+	Retried int
+}
+
+// killSpec is the kill experiments' canonical job: WordCount on a small TCP
+// worker pool, the configuration the real chaos and crash-restart tests
+// exercise. The data- and control-plane cost knobs fall back to defaults
+// when the workload calibration leaves them zero.
+func killSpec(sizeGB float64, workers int, mode simmr.Mode, speculative bool) RunSpec {
+	costs, def := CalibWordCount, simmr.DefaultCosts()
+	if costs.RunFetchDelay == 0 {
+		costs.RunFetchDelay = def.RunFetchDelay
+	}
+	if costs.CoordRestartDelay == 0 {
+		costs.CoordRestartDelay = def.CoordRestartDelay
+	}
+	if costs.ReattachPerMap == 0 {
+		costs.ReattachPerMap = def.ReattachPerMap
+	}
+	return RunSpec{
+		App: apps.WordCount(), Data: WordCountData(sizeGB), Mode: mode,
+		Reducers: 8, Costs: costs, Workers: workers,
+		Transport: simmr.TCPRunExchange, Speculative: speculative,
+	}
+}
+
+// KillPrediction simulates killing target at killFrac of the undisturbed
+// completion time and returns the predicted recovery overhead — the number
+// a real-engine parity test compares its measured overhead against (see
+// Parity).
+func KillPrediction(target KillTarget, sizeGB float64, workers int, killFrac float64, mode simmr.Mode) KillEstimate {
+	spec := killSpec(sizeGB, workers, mode, false)
+	base := Run(spec)
+	hit := Run(target.at(spec, base.Completion*killFrac))
+	return KillEstimate{
+		Base:           base.Completion,
+		Disturbed:      hit.Completion,
+		Overhead:       hit.Completion/base.Completion - 1,
+		LostMaps:       hit.LostMapOutputs,
+		ReattachedMaps: hit.ReattachedMaps,
+		Retried:        hit.MapRetries,
+	}
+}
+
+// KillSweep sweeps the kill time over the job (killFracs are fractions of
+// the undisturbed completion) on a `workers`-node pool and reports
+// completion for both modes; recovery overhead is each point against the
+// frac=0 baseline. A worker kill is swept with and without speculative
+// backups — the speculative series must never sit above its plain
+// counterpart (speculation only clones stragglers onto otherwise idle
+// slots) — and notes how many map outputs each point lost. A coordinator
+// kill notes how many journaled maps re-attached: the later the crash, the
+// more of the map wave survives as sealed runs and the closer the resumed
+// completion stays to base + CoordRestartDelay.
+func KillSweep(target KillTarget, sizeGB float64, workers int, killFracs []float64) Sweep {
+	sw := Sweep{
+		ID:     "KillSweep",
+		Title:  fmt.Sprintf("WordCount %.3ggb, %d workers over TCP: completion vs when %s dies", sizeGB, workers, target),
+		XLabel: "kill time (frac of base)",
+	}
+	variants := []bool{false, true}
+	if target == KillCoordinator {
+		variants = variants[:1] // speculation is a worker-churn question
+	}
+	for _, mode := range []simmr.Mode{simmr.Barrier, simmr.Pipelined} {
+		for _, speculative := range variants {
+			spec := killSpec(sizeGB, workers, mode, speculative)
+			base := Run(spec)
+			ser := Series{Label: mode.String()}
+			if speculative {
+				ser.Label += "+spec"
+			}
+			for _, frac := range killFracs {
+				res := base
+				if frac > 0 {
+					res = Run(target.at(spec, base.Completion*frac))
+				}
+				note := ""
+				switch {
+				case res.Failed:
+					note = "FAILED"
+				case res.CoordRestarts > 0:
+					note = fmt.Sprintf("reattach=%d", res.ReattachedMaps)
+				case res.LostMapOutputs > 0:
+					note = fmt.Sprintf("lost=%d", res.LostMapOutputs)
+				}
+				ser.X = append(ser.X, frac)
+				ser.Y = append(ser.Y, res.Completion)
+				ser.Note = append(ser.Note, note)
+			}
+			sw.Series = append(sw.Series, ser)
+		}
+	}
+	return sw
+}

@@ -6,7 +6,7 @@ package harness
 // every job's round-robin cursor starts at worker 0, so the load-blind
 // stripe serializes the pile-up there while other nodes idle, and a
 // load-aware policy spreads it. PolicySweep measures that gap in the
-// simulator across skew levels, and PolicyPrediction produces the
+// simulator across skew levels, and Parity's "policy" row reduces it to the
 // makespan ratio the real engine's parity test pins its wall-clock
 // measurement against.
 
@@ -17,24 +17,6 @@ import (
 	"blmr/internal/simmr"
 	"blmr/internal/workload"
 )
-
-// PolicyTolerance is the stated agreement band between the simulated and
-// real least-loaded/round-robin makespan ratios on the skewed stream. The
-// band is wide on purpose — the simulator's stream is virtual-time clean
-// while the real run carries per-job setup and shuffle wall-clock noise —
-// but it still rejects a real engine whose policies do not separate (ratio
-// near 1) when the model predicts a near-halving.
-const PolicyTolerance = 0.35
-
-// PolicyEstimate is one simulated skewed-stream experiment: the stream
-// makespan under the load-blind round-robin baseline, under least-loaded,
-// and their ratio (LeastLoaded/RoundRobin — below 1 means the load-aware
-// policy wins).
-type PolicyEstimate struct {
-	RoundRobin  float64
-	LeastLoaded float64
-	Ratio       float64
-}
 
 // policyCluster is the sweep's testbed: `workers` identical nodes with a
 // single map slot each, so map placement alone decides the makespan.
@@ -86,22 +68,6 @@ func PolicyStreamMakespan(mapCounts []int, workers int, policy string) (float64,
 		}
 	}
 	return sr.Makespan, nil
-}
-
-// PolicyPrediction simulates the canonical skewed stream (len(mapCounts)
-// jobs arriving together) under round-robin and least-loaded and returns
-// both makespans — the ratio the real-engine parity test compares its
-// measured wall-clock ratio against (within PolicyTolerance).
-func PolicyPrediction(mapCounts []int, workers int) (PolicyEstimate, error) {
-	rr, err := PolicyStreamMakespan(mapCounts, workers, "round-robin")
-	if err != nil {
-		return PolicyEstimate{}, err
-	}
-	ll, err := PolicyStreamMakespan(mapCounts, workers, "least-loaded")
-	if err != nil {
-		return PolicyEstimate{}, err
-	}
-	return PolicyEstimate{RoundRobin: rr, LeastLoaded: ll, Ratio: ll / rr}, nil
 }
 
 // PolicySweep sweeps the stream's skew — two one-map jobs plus one job of

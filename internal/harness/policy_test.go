@@ -39,17 +39,45 @@ func TestPolicySweep(t *testing.T) {
 // against must be internally consistent and predict a real gap on the
 // canonical skewed stream.
 func TestPolicyPrediction(t *testing.T) {
-	est, err := PolicyPrediction([]int{1, 1, 4}, 3)
-	if err != nil {
-		t.Fatal(err)
+	found := false
+	for _, row := range Parity {
+		if row.Name != "policy" {
+			continue
+		}
+		found = true
+		ratio, detail, err := row.Predict()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ratio <= 0 || ratio >= 1 {
+			t.Fatalf("least-loaded predicted no win on the skewed stream: ratio %.3f (%s)", ratio, detail)
+		}
 	}
-	if est.RoundRobin <= 0 || est.LeastLoaded <= 0 {
-		t.Fatalf("incoherent estimate: %+v", est)
-	}
-	if est.Ratio >= 1 {
-		t.Fatalf("least-loaded predicted no win on the skewed stream: %+v", est)
+	if !found {
+		t.Fatal("Parity has no policy row")
 	}
 	if _, err := PolicyStreamMakespan([]int{1}, 3, "bogus"); err == nil {
 		t.Fatal("unknown policy must error")
+	}
+}
+
+// TestParityTable: every row predicts, CheckParity accepts a measurement on
+// the prediction and rejects one beyond the row's band, and an unknown row
+// is an error, not a pass.
+func TestParityTable(t *testing.T) {
+	for _, row := range Parity {
+		pred, _, err := row.Predict()
+		if err != nil {
+			t.Fatalf("%s: %v", row.Name, err)
+		}
+		if _, err := CheckParity(row.Name, pred); err != nil {
+			t.Fatalf("%s: a measurement equal to the prediction was rejected: %v", row.Name, err)
+		}
+		if _, err := CheckParity(row.Name, pred+row.Tolerance+0.01); err == nil {
+			t.Fatalf("%s: a measurement beyond the band was accepted", row.Name)
+		}
+	}
+	if _, err := CheckParity("no-such-row", 0); err == nil {
+		t.Fatal("unknown row must error")
 	}
 }

@@ -1,13 +1,10 @@
 package mpexec
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"blmr/internal/core"
@@ -74,118 +71,39 @@ type jobConfig struct {
 	// snapshots (see exec.ParsePolicy). Nil keeps work-stealing dispatch.
 	policy exec.Policy
 
-	// jobID, when > 0, admits the job under this explicit coordinator job
-	// ID instead of assigning a fresh one — the resume path: keeping the
-	// journaled ID lets a returning worker's surviving per-job state (spill
-	// directory, sealed runs) line up with the re-entered job. Job IDs
-	// start at 1, so 0 always means "assign".
-	jobID int
 	// ticket tags this job's journal records with its service submission
 	// ID. Only read when journal is set.
 	ticket uint64
-	// journal, when set, receives one encoded record per durable state
-	// transition — job started, map attempt completed, reduce partition
-	// completed — for the owning Service to append to its write-ahead log.
-	// Called outside the coordinator lock, possibly from several task
-	// goroutines at once; the appender serializes.
-	journal func(rec []byte)
-	// reattach carries a resumed job's replayed journal state: completed
+	// journal, when set, receives one record per durable state transition —
+	// job started, map attempt completed, reduce partition completed — for
+	// the owning Service to append to its write-ahead log. Called outside
+	// the coordinator lock, possibly from several task goroutines at once;
+	// the appender serializes.
+	journal func(r *journalRecord)
+	// reattach carries a resumed job's replayed journal state. A journaled
+	// job ID (> 0; IDs start at 1) admits the job under that ID instead of a
+	// fresh one, so a returning worker's surviving per-job state (spill
+	// directory, sealed runs) lines up with the re-entered job. Completed
 	// maps are matched against returning workers' 'A' advertisements and
 	// re-attached into the routing table (or re-executed when the worker or
 	// its files are gone), completed reduce outputs are spliced into the
-	// result without re-running, and the scheduler's attempt counter starts
-	// past every journaled attempt.
-	reattach *reattachState
+	// result without re-running (their bytes were journaled), and the
+	// scheduler's attempt counter starts past every re-attachable attempt.
+	reattach *journalJob
 }
 
 // jobRun is one admitted job's coordinator-side state.
 type jobRun struct {
-	id      int
-	c       *Coordinator
-	name    string
-	nMaps   int
-	jws     []*jobWorker // per-worker proxies, by worker registration index
-	ticket  uint64       // journal tag (meaningful only when journal != nil)
-	journal func(rec []byte)
+	id    int
+	c     *Coordinator
+	nMaps int
+	jws   []*jobWorker // per-worker proxies, by worker registration index
+	cfg   jobConfig
 
 	// Under c.mu:
 	routes map[int]*mapRoute // map task index -> its winning route
 	active map[int]*jobWorker
 	sched  *exec.Scheduler
-}
-
-// mapRoute is one map task's current sealed-run location: the attempt that
-// produced the waves and the worker serving them. A route invalidates
-// (valid=false) when its worker dies; the map index re-enters the scheduler
-// and a later attempt's completion replaces the route.
-type mapRoute struct {
-	w       *remoteWorker
-	attempt int
-	waves   []shuffle.Wave
-	valid   bool
-}
-
-// pendKey identifies one awaited reply: the job, the reply kind ('m' or
-// 'r'), and the task id (map index or partition).
-type pendKey struct {
-	job  int
-	kind byte
-	id   int
-}
-
-// asyncReply is one routed reply frame (or the task's failure).
-type asyncReply struct {
-	payload []byte
-	err     error
-}
-
-// remoteWorker proxies one worker process. Writes are serialized by wmu;
-// replies are routed to awaiting callers by the reader goroutine, so
-// multiple tasks — across multiple jobs — can be in flight on one
-// connection. Job-scoped scheduling state lives in jobWorker.
-type remoteWorker struct {
-	c    *Coordinator
-	id   int
-	name string
-	conn net.Conn
-	br   *bufio.Reader
-	addr string // the worker's run-server
-
-	wmu sync.Mutex // serializes frame writes
-
-	lastBeat atomic.Int64 // unix nanos of the last frame received
-
-	pmu     sync.Mutex
-	pending map[pendKey]chan asyncReply
-	dead    chan struct{} // closed when the worker is declared dead
-	deadErr error
-
-	// fetchDials and serverOpens are the worker's lifetime fetch-pool dial
-	// and run-server os.Open totals from its latest reply (written under
-	// c.mu); jobs snapshot them at admission to report per-job deltas.
-	fetchDials  int64
-	serverOpens int64
-
-	// sealed is the worker's 'A' re-attach advertisement, captured at
-	// registration and immutable after: job ID -> surviving sealed-run file
-	// ID -> on-disk CRC-32C. Empty for fresh workers; a restarted
-	// coordinator matches it against its replayed journal.
-	sealed map[int]map[uint64]uint32
-}
-
-// jobWorker binds one remoteWorker into one job as an exec.Worker: it tags
-// every frame with the job ID and keeps the job's share of the worker's
-// spill/dial accounting. All fields beyond the bindings are under c.mu.
-type jobWorker struct {
-	j *jobRun
-	w *remoteWorker
-
-	spilledBytes    int64
-	rawSpilledBytes int64
-	dials           int64 // max lifetime dial count seen in this job's replies
-	dialsBase       int64 // lifetime dial count when the job was admitted
-	opens           int64 // max lifetime server-open count seen in this job's replies
-	opensBase       int64 // lifetime server-open count when the job was admitted
 }
 
 // Listen opens the coordinator's registration listener on an ephemeral
@@ -214,6 +132,14 @@ func (c *Coordinator) SetMinJobID(id int) {
 	c.mu.Unlock()
 }
 
+// registered snapshots the worker pool, dead workers included, in
+// registration order.
+func (c *Coordinator) registered() []*remoteWorker {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Clone(c.workers)
+}
+
 // Addr returns the address workers dial (pass it to Serve / -worker-coord).
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
@@ -236,46 +162,10 @@ func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) error {
 		if err != nil {
 			return fmt.Errorf("mpexec: waiting for worker %d/%d: %w", have+1, n, err)
 		}
-		br := bufio.NewReader(conn)
-		typ, payload, err := readMsg(br)
-		if err != nil || typ != msgHello {
+		if err := c.register(conn); err != nil {
 			_ = conn.Close()
-			return fmt.Errorf("mpexec: bad registration (type %q): %v", typ, err)
+			return err
 		}
-		d := &dec{buf: payload}
-		addr := d.str()
-		name := d.str()
-		if d.err != nil {
-			_ = conn.Close()
-			return fmt.Errorf("mpexec: bad hello: %w", d.err)
-		}
-		// Every hello is followed by an 'A' re-attach advertisement (empty
-		// for fresh workers), read synchronously before the reader goroutine
-		// takes over the connection.
-		typ, payload, err = readMsg(br)
-		if err != nil || typ != msgReattach {
-			_ = conn.Close()
-			return fmt.Errorf("mpexec: bad re-attach advertisement (type %q): %v", typ, err)
-		}
-		sealed, err := decodeReattach(payload)
-		if err != nil {
-			_ = conn.Close()
-			return fmt.Errorf("mpexec: bad re-attach advertisement: %w", err)
-		}
-		c.mu.Lock()
-		w := &remoteWorker{
-			c: c, id: len(c.workers), name: name, conn: conn, br: br, addr: addr,
-			pending: make(map[pendKey]chan asyncReply),
-			dead:    make(chan struct{}),
-			sealed:  sealed,
-		}
-		if w.name == "" {
-			w.name = fmt.Sprintf("worker-%d", w.id)
-		}
-		w.lastBeat.Store(time.Now().UnixNano())
-		c.workers = append(c.workers, w)
-		c.mu.Unlock()
-		go w.readLoop()
 	}
 }
 
@@ -283,10 +173,7 @@ func (c *Coordinator) WaitWorkers(n int, timeout time.Duration) error {
 // and stops the listener and heartbeat monitor. Workers exit when their
 // control connection ends; reader goroutines exit with their connections.
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	ws := append([]*remoteWorker(nil), c.workers...)
-	c.mu.Unlock()
-	for _, w := range ws {
+	for _, w := range c.registered() {
 		_ = w.send(msgBye, nil)
 		_ = w.conn.Close()
 	}
@@ -300,11 +187,8 @@ func (c *Coordinator) Close() error {
 // jobs on this side fail with worker-lost errors. The Coordinator is dead
 // afterwards.
 func (c *Coordinator) Abandon() {
-	c.mu.Lock()
-	ws := append([]*remoteWorker(nil), c.workers...)
-	c.mu.Unlock()
 	_ = c.ln.Close()
-	for _, w := range ws {
+	for _, w := range c.registered() {
 		_ = w.conn.Close()
 	}
 }
@@ -331,9 +215,7 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 	if err := mr.Validate(job, opts); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	ws := append([]*remoteWorker(nil), c.workers...)
-	c.mu.Unlock()
+	ws := c.registered()
 	live := 0
 	for _, w := range ws {
 		if !w.isDead() {
@@ -364,8 +246,8 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 	// for worker-lost fan-out.
 	c.mu.Lock()
 	id := c.nextJob
-	if cfg.jobID > 0 {
-		id = cfg.jobID
+	if ra := cfg.reattach; ra != nil && ra.jobID > 0 {
+		id = ra.jobID
 		if other := c.jobs[id]; other != nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("mpexec: job ID %d already admitted", id)
@@ -375,10 +257,9 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 		c.nextJob = id + 1
 	}
 	jr := &jobRun{
-		id: id, c: c, name: job.Name, nMaps: len(maps),
+		id: id, c: c, nMaps: len(maps),
 		routes: make(map[int]*mapRoute, len(maps)),
-		active: make(map[int]*jobWorker),
-		ticket: cfg.ticket, journal: cfg.journal,
+		active: make(map[int]*jobWorker), cfg: cfg,
 	}
 	jr.jws = make([]*jobWorker, len(ws))
 	assignments := make([]exec.Assignment, len(ws))
@@ -388,36 +269,12 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 		jr.jws[i] = jw
 		assignments[i] = exec.Assignment{W: jw, MapSlots: 1, ReduceSlots: redSlots}
 	}
-	// Resume: re-attach journaled completed maps whose sealed runs survived
-	// on a returning worker (matched by worker name and the full fileID/CRC
-	// set of the map's waves, against the 'A' advertisement captured at
-	// registration). Matches are pre-installed as valid routes — reduce
-	// tasks see them in their 'R' snapshots — and marked done for the
-	// scheduler; misses simply re-execute. Journaled reduce outputs are
-	// spliced in wholesale (their bytes were journaled).
 	var preMaps []int
 	var preReds map[int]exec.ReduceResult
 	firstAttempt := 0
 	if ra := cfg.reattach; ra != nil {
-		firstAttempt = ra.firstAttempt
-		preReds = ra.reduces
-		for m, jm := range ra.maps {
-			if m < 0 || m >= len(maps) {
-				continue
-			}
-			w := matchReattach(ws, id, jm)
-			if w == nil {
-				continue
-			}
-			waves := make([]shuffle.Wave, len(jm.waves))
-			for i, wv := range jm.waves {
-				wv.Addr = w.addr
-				waves[i] = wv
-			}
-			jr.routes[m] = &mapRoute{w: w, attempt: jm.attempt, waves: waves, valid: true}
-			preMaps = append(preMaps, m)
-		}
-		sort.Ints(preMaps)
+		firstAttempt, preReds = ra.firstAttempt(), ra.reduces
+		preMaps = jr.reattach(ws, ra.maps)
 	}
 	// One scheduler drives both waves in both modes (Staged gates reduce
 	// dispatch internally), so worker-lost requeues and map resubmissions
@@ -436,18 +293,16 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 	}
 	c.jobs[id] = jr
 	c.mu.Unlock()
-	if jr.journal != nil {
-		// 's' binds the service ticket to the coordinator job ID. Re-appended
-		// on resume with the same ID — replay is idempotent on it.
-		jr.journal(encodeJournalStart(jr.ticket, id))
-	}
+	// 's' binds the service ticket to the coordinator job ID. Re-appended on
+	// resume with the same ID — replay is idempotent on it.
+	jr.journal(&journalRecord{kind: jStart, id: id})
 	defer func() {
 		c.mu.Lock()
 		delete(c.jobs, id)
 		c.mu.Unlock()
 		// Close the job on every worker (best-effort): its spill directory
 		// and sealed runs are removed once in-flight tasks drain.
-		end := binary.AppendUvarint(nil, uint64(id))
+		end := encode(&jobEnd{id})
 		for _, w := range ws {
 			if !w.isDead() {
 				_ = w.send(msgJobEnd, end)
@@ -458,7 +313,7 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 	// and ships the option subset task bodies must agree on. A worker whose
 	// connection is already broken fails here and is declared dead; its
 	// tasks go to the survivors.
-	open := encodeJobStart(id, job.Name, opts)
+	open := encode(&jobStart{id, job.Name, opts})
 	for _, w := range ws {
 		if w.isDead() {
 			continue
@@ -480,19 +335,14 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 	for _, jw := range jr.jws {
 		res.SpilledBytes += jw.spilledBytes
 		res.RawSpillBytes += jw.rawSpilledBytes
-		if jw.dials > jw.dialsBase {
-			// Approximate under concurrent jobs: the dial counter is the
-			// worker pool's lifetime total, so overlapping jobs may each
-			// claim a dial the other triggered (documented in DESIGN §12).
-			res.FetchDials += jw.dials - jw.dialsBase
-		}
-		if jw.opens > jw.opensBase {
-			// Same lifetime-total discipline for the run-server's handle-cache
-			// misses (mr.Result.ServerOpens): approximate under concurrent
-			// jobs, and an undercount when a worker's server keeps serving
-			// peers after its own last reply.
-			res.ServerOpens += jw.opens - jw.opensBase
-		}
+		// Deltas of the worker's lifetime fetch-pool dial and run-server open
+		// counts (never negative: the job's maxima start at the bases).
+		// Approximate under concurrent jobs — overlapping jobs may each claim
+		// a dial the other triggered (DESIGN §12) — and an undercount of
+		// opens when a worker's server keeps serving peers after its own last
+		// reply.
+		res.FetchDials += jw.dials - jw.dialsBase
+		res.ServerOpens += jw.opens - jw.opensBase
 	}
 	c.mu.Unlock()
 	res.CompressedSpillBytes = res.SpilledBytes
@@ -534,10 +384,7 @@ func (c *Coordinator) monitor(interval time.Duration, stop <-chan struct{}) {
 			return
 		case <-t.C:
 			now := time.Now().UnixNano()
-			c.mu.Lock()
-			ws := append([]*remoteWorker(nil), c.workers...)
-			c.mu.Unlock()
-			for _, w := range ws {
+			for _, w := range c.registered() {
 				if w.isDead() {
 					continue
 				}
@@ -551,70 +398,25 @@ func (c *Coordinator) monitor(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// workerLost reacts to a worker's death, for every admitted job: invalidate
-// the routes it served, tell each job's surviving reduce tasks to drop them
-// (so fetches park instead of erroring against a dead run-server), and hand
-// the affected map indexes back to the job's scheduler for re-execution.
-func (c *Coordinator) workerLost(w *remoteWorker) {
-	type push struct {
-		jw   *jobWorker
-		part int
-	}
-	type lostJob struct {
-		id       int
-		jw       *jobWorker // the dead worker's proxy in this job
-		sched    *exec.Scheduler
-		affected []int
-		pushes   []push
-	}
-	c.mu.Lock()
-	var lost []lostJob
-	for _, jr := range c.jobs {
-		lj := lostJob{id: jr.id, sched: jr.sched}
-		for m, rt := range jr.routes {
-			if rt.valid && rt.w == w {
-				rt.valid = false
-				lj.affected = append(lj.affected, m)
-			}
-		}
-		for part, ajw := range jr.active {
-			if ajw.w == w {
-				continue // its own reduce tasks requeue; nothing to re-route
-			}
-			lj.pushes = append(lj.pushes, push{ajw, part})
-		}
-		for _, jw := range jr.jws {
-			if jw.w == w {
-				lj.jw = jw
-				break
-			}
-		}
-		lost = append(lost, lj)
-	}
-	c.mu.Unlock()
-	for _, lj := range lost {
-		sort.Ints(lj.affected)
-		for _, p := range lj.pushes {
-			for _, m := range lj.affected {
-				_ = p.jw.w.send(msgSegPush, encodeSegPush(lj.id, p.part, m, -1, nil))
-			}
-		}
-		if lj.jw != nil {
-			lj.sched.WorkerLost(lj.jw, lj.affected)
-		}
-	}
-}
-
 // abort tells every worker to fail this job's in-flight reduce sources (the
 // scheduler's OnFail): reduce tasks blocked waiting for segment pushes that
 // will never come wake up and error out, so a genuine task failure drains
 // the job promptly instead of wedging the overlap. Other jobs on the pool
 // are untouched.
 func (jr *jobRun) abort(err error) {
-	msg := binary.AppendUvarint(nil, uint64(jr.id))
-	msg = putStr(msg, err.Error())
+	msg := encode(&abort{jr.id, err.Error()})
 	for _, jw := range jr.jws {
 		_ = jw.w.send(msgAbort, msg) // best-effort; dead workers are already failing
+	}
+}
+
+// journal hands one durable state transition of this job to the owning
+// Service's write-ahead log, under the job's ticket. A job nobody journals
+// drops it.
+func (jr *jobRun) journal(r *journalRecord) {
+	if jr.cfg.journal != nil {
+		r.ticket = jr.cfg.ticket
+		jr.cfg.journal(r)
 	}
 }
 
@@ -636,343 +438,4 @@ func (jr *jobRun) resident(w int, _ exec.TaskView) int {
 		}
 	}
 	return n
-}
-
-// routedSegs snapshots partition r's segments of every completed map with a
-// live route, in (map task, publish order) order — the ordering whose
-// stable merge reproduces the single-process engine byte for byte.
-// Invalidated maps are omitted: their replacement attempt arrives as a
-// supersede push. Callers hold c.mu.
-func (jr *jobRun) routedSegs(r int) []mapSegs {
-	var routed []mapSegs
-	for m := 0; m < jr.nMaps; m++ {
-		rt, ok := jr.routes[m]
-		if !ok || !rt.valid {
-			continue
-		}
-		routed = append(routed, mapSegs{mapIndex: m, attempt: rt.attempt, segs: segsForPartition(rt.waves, r)})
-	}
-	return routed
-}
-
-// matchReattach finds a live worker that can serve a journaled map's sealed
-// waves: same registration name as the worker that sealed them, and every
-// wave's file ID present in the worker's advertisement for this job with
-// the journaled seal-time CRC. Nil when no worker qualifies (the map
-// re-executes).
-func matchReattach(ws []*remoteWorker, jobID int, jm *journalMap) *remoteWorker {
-	if len(jm.waves) == 0 {
-		return nil // nothing to fetch; re-running is cheaper than trusting
-	}
-	for _, w := range ws {
-		if w.isDead() || w.name != jm.worker {
-			continue
-		}
-		files := w.sealed[jobID]
-		ok := len(files) > 0
-		for _, wv := range jm.waves {
-			if crc, have := files[wv.FileID]; !have || crc != wv.CRC {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return w
-		}
-	}
-	return nil
-}
-
-// segsForPartition projects one map task's waves onto partition r.
-func segsForPartition(waves []shuffle.Wave, r int) []shuffle.Segment {
-	var segs []shuffle.Segment
-	for _, w := range waves {
-		if r >= len(w.Spans) {
-			continue // a wave reported with fewer spans than partitions
-		}
-		if seg, ok := w.SegmentOf(r); ok {
-			segs = append(segs, seg)
-		}
-	}
-	return segs
-}
-
-// String implements exec.Worker.
-func (w *remoteWorker) String() string { return fmt.Sprintf("%s@%s", w.name, w.addr) }
-
-// isDead reports whether the worker has been declared dead.
-func (w *remoteWorker) isDead() bool {
-	select {
-	case <-w.dead:
-		return true
-	default:
-		return false
-	}
-}
-
-// readLoop routes every reply frame from the worker to its awaiting task
-// until the connection ends, at which point the worker is declared dead:
-// in-flight and future awaits fail with a WorkerLostError and every
-// admitted job re-executes what the worker was serving.
-func (w *remoteWorker) readLoop() {
-	for {
-		typ, payload, err := readMsg(w.br)
-		if err != nil {
-			// A dead worker (killed mid-task) surfaces here as EOF/reset.
-			w.die(fmt.Errorf("connection lost: %w", err))
-			return
-		}
-		w.lastBeat.Store(time.Now().UnixNano())
-		switch typ {
-		case msgHeartbeat:
-			// Liveness only; lastBeat already updated.
-		case msgMapDone, msgReduceDone:
-			d := &dec{buf: payload}
-			job := int(d.uvarint())
-			id := int(d.uvarint())
-			if d.err != nil {
-				w.die(fmt.Errorf("corrupt reply: %w", d.err))
-				return
-			}
-			w.deliver(pendKey{job, typ, id}, asyncReply{payload: payload})
-		case msgError:
-			job, kind, id, msg, err := decodeTaskError(payload)
-			if err != nil {
-				w.die(fmt.Errorf("corrupt error frame: %w", err))
-				return
-			}
-			w.deliver(pendKey{job, kind, id}, asyncReply{err: fmt.Errorf("%s: %s", w, msg)})
-		default:
-			w.die(fmt.Errorf("unexpected frame %q", typ))
-			return
-		}
-	}
-}
-
-// die latches the worker's death, wakes every awaiting task, and kicks the
-// coordinator's re-execution path. Idempotent.
-func (w *remoteWorker) die(err error) {
-	w.pmu.Lock()
-	select {
-	case <-w.dead:
-		w.pmu.Unlock()
-		return
-	default:
-	}
-	w.deadErr = err
-	close(w.dead)
-	w.pmu.Unlock()
-	_ = w.conn.Close()
-	w.c.workerLost(w)
-}
-
-// deliver routes one reply to its awaiting task (stray replies are
-// dropped — the await may have failed already via die).
-func (w *remoteWorker) deliver(key pendKey, r asyncReply) {
-	w.pmu.Lock()
-	ch, ok := w.pending[key]
-	delete(w.pending, key)
-	w.pmu.Unlock()
-	if ok {
-		ch <- r // buffered: never blocks
-	}
-}
-
-// expect registers interest in one reply before its request is sent (so a
-// fast reply cannot race the registration).
-func (w *remoteWorker) expect(key pendKey) chan asyncReply {
-	ch := make(chan asyncReply, 1)
-	w.pmu.Lock()
-	w.pending[key] = ch
-	w.pmu.Unlock()
-	return ch
-}
-
-// send writes one frame, serialized against concurrent task requests,
-// pushes and aborts.
-func (w *remoteWorker) send(typ byte, payload []byte) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return writeMsg(w.conn, typ, payload)
-}
-
-// lost wraps err so the scheduler classifies it as a dead worker (requeue)
-// rather than a task failure (abort).
-func (w *remoteWorker) lost(err error) error {
-	return &exec.WorkerLostError{Worker: w.String(), Err: err}
-}
-
-// await blocks for the expected reply or the worker's death.
-func (w *remoteWorker) await(ch chan asyncReply) ([]byte, error) {
-	select {
-	case r := <-ch:
-		return r.payload, r.err
-	case <-w.dead:
-		return nil, w.lost(w.deadErr)
-	}
-}
-
-// call runs one request/reply exchange for the task identified by key.
-func (w *remoteWorker) call(typ byte, payload []byte, key pendKey) ([]byte, error) {
-	ch := w.expect(key)
-	if err := w.send(typ, payload); err != nil {
-		w.pmu.Lock()
-		delete(w.pending, key)
-		w.pmu.Unlock()
-		w.die(fmt.Errorf("send failed: %w", err))
-		return nil, w.lost(err)
-	}
-	return w.await(ch)
-}
-
-// String implements exec.Worker.
-func (jw *jobWorker) String() string { return jw.w.String() }
-
-// RunMap implements exec.Worker: ship the split, collect sealed-run
-// metadata, and push the new routes to every in-flight reduce task of this
-// job. A completion that lost a speculation race (a valid route from
-// another attempt already exists) is discarded; a completion racing the
-// worker's own death is returned as worker-lost so the scheduler
-// re-executes it somewhere the sealed runs will stay fetchable.
-func (jw *jobWorker) RunMap(t exec.MapTask) (exec.MapStats, error) {
-	w, jr, c := jw.w, jw.j, jw.w.c
-	if w.isDead() {
-		// A job admitted after this worker died still lists it (stable pool
-		// indexes); fail the dispatch fast so the scheduler routes around it.
-		return exec.MapStats{}, w.lost(w.deadErr)
-	}
-	b := binary.AppendUvarint(nil, uint64(jr.id))
-	b = binary.AppendUvarint(b, uint64(t.Index))
-	b = binary.AppendUvarint(b, uint64(t.Attempt))
-	b = putRecords(b, t.Split)
-	payload, err := w.call(msgMapTask, b, pendKey{jr.id, msgMapDone, t.Index})
-	if err != nil {
-		return exec.MapStats{}, err
-	}
-	md, err := decodeMapDone(payload, w.addr)
-	if err != nil {
-		return exec.MapStats{}, fmt.Errorf("%s: %w", w, err)
-	}
-	if md.job != jr.id || md.index != t.Index || md.attempt != t.Attempt {
-		return exec.MapStats{}, fmt.Errorf("%s: map reply for job %d task %d attempt %d, want %d/%d/%d",
-			w, md.job, md.index, md.attempt, jr.id, t.Index, t.Attempt)
-	}
-	c.mu.Lock()
-	if w.isDead() {
-		// The worker died in the instant after replying: its run-server is
-		// gone, so the output is unusable. Requeue rather than route.
-		c.mu.Unlock()
-		return exec.MapStats{}, w.lost(fmt.Errorf("died before routing map %d", t.Index))
-	}
-	jw.spilledBytes += md.spilledBytes
-	jw.rawSpilledBytes += md.rawSpilledBytes
-	jw.noteOpens(md.serverOpens)
-	if rt, ok := jr.routes[t.Index]; ok && rt.valid {
-		// A concurrent attempt won (speculation, or a requeue racing a
-		// still-running clone): keep the winner's route, drop this one.
-		c.mu.Unlock()
-		return exec.MapStats{ShuffleRecords: md.shuffleRecords, Spills: md.spills}, nil
-	}
-	jr.routes[t.Index] = &mapRoute{w: w, attempt: t.Attempt, waves: md.waves, valid: true}
-	// Route the completed map to every reduce task of this job currently in
-	// flight — the streamed 'm' metadata that lets reducers start fetching
-	// while later maps are still running. Reduce tasks dispatched after
-	// this moment get the map in their 'R' snapshot instead (both under
-	// c.mu, so each reduce task sees every map exactly once per attempt).
-	type push struct {
-		jw   *jobWorker
-		part int
-	}
-	var pushes []push
-	for part, ajw := range jr.active {
-		pushes = append(pushes, push{ajw, part})
-	}
-	c.mu.Unlock()
-	if jr.journal != nil {
-		// Journal the completed attempt (with its wave file IDs and seal-time
-		// CRCs — the re-attach identity) before routing it anywhere.
-		jr.journal(encodeJournalMapDone(jr.ticket, t.Index, t.Attempt, w.name, md))
-	}
-	for _, p := range pushes {
-		_ = p.jw.w.send(msgSegPush, encodeSegPush(jr.id, p.part, t.Index, t.Attempt, segsForPartition(md.waves, p.part)))
-	}
-	return exec.MapStats{ShuffleRecords: md.shuffleRecords, Spills: md.spills}, nil
-}
-
-// RunReduce implements exec.Worker: ship the partition's routing snapshot
-// (later maps arrive as pushes), collect output records.
-func (jw *jobWorker) RunReduce(t exec.ReduceTask) (exec.ReduceResult, error) {
-	w, jr, c := jw.w, jw.j, jw.w.c
-	if w.isDead() {
-		return exec.ReduceResult{}, w.lost(w.deadErr)
-	}
-	c.mu.Lock()
-	routed := jr.routedSegs(t.Partition)
-	jr.active[t.Partition] = jw
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		if jr.active[t.Partition] == jw {
-			delete(jr.active, t.Partition)
-		}
-		c.mu.Unlock()
-	}()
-	payload, err := w.call(msgReduceTask, encodeReduceTask(jr.id, t.Partition, jr.nMaps, routed),
-		pendKey{jr.id, msgReduceDone, t.Partition})
-	if err != nil {
-		return exec.ReduceResult{}, err
-	}
-	d := &dec{buf: payload}
-	job := int(d.uvarint())
-	partition := int(d.uvarint())
-	res := exec.ReduceResult{
-		Spills:           int(d.uvarint()),
-		PeakPartialBytes: int64(d.uvarint()),
-		MergePasses:      int(d.uvarint()),
-	}
-	spilledBytes := int64(d.uvarint())
-	rawSpilledBytes := int64(d.uvarint())
-	res.FetchBytes = int64(d.uvarint())
-	dials := int64(d.uvarint())
-	opens := int64(d.uvarint())
-	res.Output = d.records()
-	if d.err != nil {
-		return exec.ReduceResult{}, fmt.Errorf("%s: %w", w, d.err)
-	}
-	if job != jr.id || partition != t.Partition {
-		return exec.ReduceResult{}, fmt.Errorf("%s: reduce reply for job %d partition %d, want %d/%d",
-			w, job, partition, jr.id, t.Partition)
-	}
-	c.mu.Lock()
-	jw.spilledBytes += spilledBytes
-	jw.rawSpilledBytes += rawSpilledBytes
-	if dials > w.fetchDials {
-		// The worker reports its pool's lifetime dial count; keep the
-		// monotonic maximum for later jobs' baselines.
-		w.fetchDials = dials
-	}
-	if dials > jw.dials {
-		jw.dials = dials
-	}
-	jw.noteOpens(opens)
-	c.mu.Unlock()
-	if jr.journal != nil {
-		// Reduce output is final the moment the reply lands (reduce tasks are
-		// never speculated); journal the records so a resumed job splices
-		// them in instead of re-running the partition.
-		jr.journal(encodeJournalReduceDone(jr.ticket, t.Partition, res))
-	}
-	return res, nil
-}
-
-// noteOpens folds one reply's lifetime server-open count into the worker's
-// and the job's monotonic maxima (caller holds c.mu) — the same baseline
-// discipline FetchDials uses, surfaced as mr.Result.ServerOpens.
-func (jw *jobWorker) noteOpens(opens int64) {
-	if opens > jw.w.serverOpens {
-		jw.w.serverOpens = opens
-	}
-	if opens > jw.opens {
-		jw.opens = opens
-	}
 }

@@ -1,8 +1,9 @@
 package mpexec
 
 import (
-	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"blmr/internal/core"
 	"blmr/internal/exec"
@@ -13,19 +14,25 @@ import (
 // Journal record schema. The Service appends one record per durable state
 // transition to its write-ahead log (internal/wal frames them; this file
 // only defines payloads). Every record leads with a kind byte and the
-// service ticket ID, so replay can fold an interleaved multi-job stream
+// service ticket ID, so a fold can sort an interleaved multi-job stream
 // into per-job state:
 //
 //	'a' admit:   ticket | name | opts | input records
 //	's' start:   ticket | coordinator job ID
 //	'm' mapDone: ticket | mapIndex | attempt | workerName | shuffleRecords |
-//	             spills | waves (putWaves's layout, proto.go)
+//	             spills | waves (wire.waves's layout, proto.go)
 //	'r' redDone: ticket | partition | spills | peakPartialBytes |
 //	             mergePasses | fetchBytes | output records
 //	'd' done:    ticket
 //	'x' aborted: ticket | message
 //
-// opts is putOpts's layout (proto.go): a field count, then every
+// journalRecord.layout states these layouts, once each, for encode and
+// decode alike (see wire, proto.go). The header — kind, ticket, and the id
+// that follows the ticket in 's', 'm' and 'r' — is all a fold reads; the
+// rest is the kind's body, which the live append path never decodes and
+// resume decodes exactly once per record.
+//
+// opts is wire.opts's layout (proto.go): a field count, then every
 // execution-affecting field of exec.Options — Mappers (resume must re-split
 // the input identically) and the scheduler knobs (Staged, Speculative)
 // included — because a resumed job must run under exactly the options it
@@ -33,12 +40,16 @@ import (
 // a journal to the binary that wrote it: replay fails on an admit record
 // whose options carry any other number of fields.
 //
-// Replay keeps the latest record per key: the highest attempt per map
-// index, the last result per partition. 'd'/'x' retire the ticket — only
-// tickets admitted but not retired are live and re-entered on resume.
-// Records for unknown tickets are skipped, not errors: compaction rewrites
-// the journal as live tickets only, so a pre-compaction tail replayed
-// against a compacted head may reference retired tickets.
+// One fold, journalState, decides which records of a stream are still live,
+// for resume, for compaction and for -journal-stat alike: the last 'a' and
+// 's' per ticket, the last 'm' per (ticket, map index) and the last 'r' per
+// (ticket, partition), in journal order — the order the coordinator
+// installed the routes in, so a map whose speculative clone won and then
+// died resumes on the original's route, not on the dead clone's higher
+// attempt. 'd'/'x' retire the ticket; only tickets admitted and not retired
+// are live. Records for unknown tickets are skipped, not errors: compaction
+// rewrites the journal as live tickets only, so a pre-compaction tail
+// replayed against a compacted head may reference retired tickets.
 
 // Journal record kinds.
 const (
@@ -59,188 +70,234 @@ type journalMap struct {
 	waves          []shuffle.Wave // Addr empty until re-attach patches it
 }
 
-// journalJob is one admitted job's replayed journal state.
+// journalJob is one admitted job as the journal holds it: the 'a' record's
+// body, and once a replay has assembled it (journalState.jobs) what the
+// ticket's other live records add — the state a resumed job re-enters with.
 type journalJob struct {
+	name  string
+	opts  exec.Options
+	input []core.Record
+
 	ticket  uint64
-	name    string
-	opts    exec.Options
-	input   []core.Record
-	jobID   int // coordinator job ID from 's'; 0 = never started
-	maxAtt  int // highest attempt seen across every 'm', done or superseded
-	maps    map[int]*journalMap
-	reduces map[int]exec.ReduceResult
+	jobID   int                       // coordinator job ID from 's'; 0 = never started
+	maps    map[int]*journalMap       // completed maps, to match against returning workers' advertisements
+	reduces map[int]exec.ReduceResult // partitions whose output is already final
 }
 
-// reattachState carries a resumed job's replayed journal state into
-// runJob: which maps completed before the crash (keyed by map index, with
-// the sealed waves to match against returning workers' advertisements),
-// which reduce partitions already produced output, and the first attempt
-// number that outranks every journaled one.
-type reattachState struct {
-	// firstAttempt seeds the scheduler's attempt counter past every
-	// journaled attempt, so re-executions supersede re-attached routes.
-	firstAttempt int
-
-	maps    map[int]*journalMap
-	reduces map[int]exec.ReduceResult
-}
-
-func encodeJournalAdmit(ticket uint64, name string, opts exec.Options, input []core.Record) []byte {
-	b := []byte{jAdmit}
-	b = binary.AppendUvarint(b, ticket)
-	b = putStr(b, name)
-	b = putOpts(b, opts)
-	return putRecords(b, input)
-}
-
-func encodeJournalStart(ticket uint64, jobID int) []byte {
-	b := []byte{jStart}
-	b = binary.AppendUvarint(b, ticket)
-	return binary.AppendUvarint(b, uint64(jobID))
-}
-
-func encodeJournalMapDone(ticket uint64, mapIndex, attempt int, worker string, md mapDone) []byte {
-	b := []byte{jMapDone}
-	b = binary.AppendUvarint(b, ticket)
-	b = binary.AppendUvarint(b, uint64(mapIndex))
-	b = binary.AppendUvarint(b, uint64(attempt))
-	b = putStr(b, worker)
-	b = binary.AppendUvarint(b, uint64(md.shuffleRecords))
-	b = binary.AppendUvarint(b, uint64(md.spills))
-	return putWaves(b, md.waves)
-}
-
-func encodeJournalReduceDone(ticket uint64, partition int, res exec.ReduceResult) []byte {
-	b := []byte{jReduceDone}
-	b = binary.AppendUvarint(b, ticket)
-	b = binary.AppendUvarint(b, uint64(partition))
-	b = binary.AppendUvarint(b, uint64(res.Spills))
-	b = binary.AppendUvarint(b, uint64(res.PeakPartialBytes))
-	b = binary.AppendUvarint(b, uint64(res.MergePasses))
-	b = binary.AppendUvarint(b, uint64(res.FetchBytes))
-	return putRecords(b, res.Output)
-}
-
-func encodeJournalDone(ticket uint64) []byte {
-	b := []byte{jDone}
-	return binary.AppendUvarint(b, ticket)
-}
-
-func encodeJournalAborted(ticket uint64, msg string) []byte {
-	b := []byte{jAborted}
-	b = binary.AppendUvarint(b, ticket)
-	return putStr(b, msg)
-}
-
-// journalKey peeks a record's kind and ticket (every kind leads with both).
-func journalKey(rec []byte) (kind byte, ticket uint64, err error) {
-	if len(rec) == 0 {
-		return 0, 0, fmt.Errorf("mpexec: empty journal record")
+// firstAttempt is the first attempt number that outranks every journaled
+// map the job could re-attach: seeding the scheduler's attempt counter with
+// it makes every re-execution supersede a re-attached route.
+func (jj *journalJob) firstAttempt() int {
+	first := 0
+	for _, jm := range jj.maps {
+		first = max(first, jm.attempt+1)
 	}
-	d := &dec{buf: rec, off: 1}
-	ticket = d.uvarint()
-	return rec[0], ticket, d.err
+	return first
 }
 
-// replayJournal folds a journal's records into per-ticket job state.
-// Returned jobs are the live (admitted, never retired) tickets in admission
-// order; maxTicket and maxJobID cover every record seen, retired included,
-// so the resuming service can place its counters past the whole history.
-func replayJournal(records [][]byte) (live []*journalJob, maxTicket uint64, maxJobID int, err error) {
-	jobs := make(map[uint64]*journalJob)
-	var order []uint64
-	seenAny := false
+// journalRecord is one journal record: the header every kind shares, the
+// decoded body of its kind, and the framed bytes.
+type journalRecord struct {
+	kind   byte
+	ticket uint64
+	id     int // coordinator job ID ('s'), map index ('m'), partition ('r')
+
+	admit   *journalJob        // 'a': name, opts, input
+	mapDone *journalMap        // 'm'
+	reduce  *exec.ReduceResult // 'r'
+	msg     string             // 'x'
+
+	raw []byte // as framed; what compaction rewrites
+}
+
+// header is the part of the layout every fold reads, and all
+// peekJournalRecord decodes however large the payload.
+func (r *journalRecord) header(w *wire) {
+	w.byte(&r.kind)
+	w.u64(&r.ticket)
+	switch r.kind {
+	case jStart, jMapDone, jReduceDone:
+		num(w, &r.id)
+	case jAdmit, jDone, jAborted:
+	default:
+		if w.err == nil {
+			w.err = fmt.Errorf("mpexec: unknown journal record kind %q", r.kind)
+		}
+	}
+}
+
+func (r *journalRecord) layout(w *wire) {
+	r.header(w)
+	if w.err != nil {
+		return
+	}
+	switch r.kind {
+	case jAdmit:
+		if w.decoding {
+			r.admit = new(journalJob)
+		}
+		w.str(&r.admit.name)
+		w.opts(&r.admit.opts)
+		w.records(&r.admit.input)
+	case jMapDone:
+		if w.decoding {
+			r.mapDone = new(journalMap)
+		}
+		num(w, &r.mapDone.attempt)
+		w.str(&r.mapDone.worker)
+		num(w, &r.mapDone.shuffleRecords)
+		num(w, &r.mapDone.spills)
+		w.waves(&r.mapDone.waves)
+	case jReduceDone:
+		if w.decoding {
+			r.reduce = new(exec.ReduceResult)
+		}
+		num(w, &r.reduce.Spills)
+		num(w, &r.reduce.PeakPartialBytes)
+		num(w, &r.reduce.MergePasses)
+		num(w, &r.reduce.FetchBytes)
+		w.records(&r.reduce.Output)
+	case jAborted:
+		w.str(&r.msg)
+	}
+}
+
+func peekJournalRecord(rec []byte) (*journalRecord, error) {
+	r := &journalRecord{raw: rec}
+	w := wire{buf: rec, decoding: true}
+	r.header(&w)
+	return r, w.err
+}
+
+func decodeJournalRecord(rec []byte) (*journalRecord, error) {
+	r := &journalRecord{raw: rec}
+	return r, decode(rec, r)
+}
+
+// journalTicket is one live ticket's surviving records.
+type journalTicket struct {
+	admit, start *journalRecord
+	maps, reds   map[int]*journalRecord // by map index, by partition
+}
+
+// journalState is the fold of a journal's record stream down to what is
+// still live (see the schema comment for the rule). Resume reads its jobs,
+// compaction its image, -journal-stat its counts.
+type journalState struct {
+	live map[uint64]*journalTicket
+
+	// maxTicket and maxJobID cover every record applied, retired tickets
+	// included, so a resuming service places its counters past the whole
+	// history the file still shows.
+	maxTicket uint64
+	maxJobID  int
+}
+
+func newJournalState() *journalState {
+	return &journalState{live: make(map[uint64]*journalTicket)}
+}
+
+// apply folds one record in. It reads the header only.
+func (st *journalState) apply(r *journalRecord) {
+	st.maxTicket = max(st.maxTicket, r.ticket)
+	t := st.live[r.ticket]
+	switch {
+	case r.kind == jAdmit:
+		st.live[r.ticket] = &journalTicket{admit: r,
+			maps: make(map[int]*journalRecord), reds: make(map[int]*journalRecord)}
+	case r.kind == jStart:
+		st.maxJobID = max(st.maxJobID, r.id)
+		if t != nil {
+			t.start = r
+		}
+	case t == nil:
+		// A retired ticket's tail after a compaction.
+	case r.kind == jMapDone:
+		t.maps[r.id] = r
+	case r.kind == jReduceDone:
+		t.reds[r.id] = r
+	default: // jDone, jAborted
+		delete(st.live, r.ticket)
+	}
+}
+
+// liveRecords is how many records the image holds.
+func (st *journalState) liveRecords() int {
+	n := 0
+	for _, t := range st.live {
+		n += 1 + len(t.maps) + len(t.reds)
+		if t.start != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// tickets lists the live tickets in ticket order — admission order, since
+// the service numbers tickets as it admits them.
+func (st *journalState) tickets() []*journalTicket {
+	var ts []*journalTicket
+	for _, id := range slices.Sorted(maps.Keys(st.live)) {
+		ts = append(ts, st.live[id])
+	}
+	return ts
+}
+
+// image is the compacted journal: every live record and nothing else.
+// Replaying it yields this state again.
+func (st *journalState) image() [][]byte {
+	recs := make([][]byte, 0, st.liveRecords())
+	for _, t := range st.tickets() {
+		recs = append(recs, t.admit.raw)
+		if t.start != nil {
+			recs = append(recs, t.start.raw)
+		}
+		for _, m := range slices.Sorted(maps.Keys(t.maps)) {
+			recs = append(recs, t.maps[m].raw)
+		}
+		for _, p := range slices.Sorted(maps.Keys(t.reds)) {
+			recs = append(recs, t.reds[p].raw)
+		}
+	}
+	return recs
+}
+
+// foldJournal folds a journal's records for resume: every record is
+// body-decoded once, and a corrupt one — live or long superseded — fails the
+// replay rather than resurrecting a job in an inconsistent state.
+func foldJournal(records [][]byte) (*journalState, error) {
+	st := newJournalState()
 	for i, rec := range records {
-		kind, ticket, err := journalKey(rec)
+		r, err := decodeJournalRecord(rec)
 		if err != nil {
-			return nil, 0, 0, fmt.Errorf("mpexec: journal record %d: %w", i, err)
+			return nil, fmt.Errorf("mpexec: journal record %d: %w", i, err)
 		}
-		if !seenAny || ticket > maxTicket {
-			maxTicket, seenAny = ticket, true
-		}
-		d := &dec{buf: rec, off: 1}
-		d.uvarint() // ticket, already decoded
-		jj := jobs[ticket]
-		switch kind {
-		case jAdmit:
-			jj = &journalJob{
-				ticket: ticket, name: d.str(),
-				maps:    make(map[int]*journalMap),
-				reduces: make(map[int]exec.ReduceResult),
-			}
-			jj.opts = d.opts()
-			jj.input = d.records()
-			if d.err != nil {
-				return nil, 0, 0, fmt.Errorf("mpexec: journal admit %d: %w", i, d.err)
-			}
-			jobs[ticket] = jj
-			order = append(order, ticket)
-		case jStart:
-			id := int(d.uvarint())
-			if d.err != nil {
-				return nil, 0, 0, fmt.Errorf("mpexec: journal start %d: %w", i, d.err)
-			}
-			if id > maxJobID {
-				maxJobID = id
-			}
-			if jj != nil {
-				jj.jobID = id
-			}
-		case jMapDone:
-			jm := &journalMap{}
-			idx := int(d.uvarint())
-			jm.attempt = int(d.uvarint())
-			jm.worker = d.str()
-			jm.shuffleRecords = int64(d.uvarint())
-			jm.spills = int(d.uvarint())
-			jm.waves = d.waves("")
-			if d.err != nil {
-				return nil, 0, 0, fmt.Errorf("mpexec: journal mapdone %d: %w", i, d.err)
-			}
-			if jj == nil {
-				continue // retired ticket's tail after compaction
-			}
-			if jm.attempt > jj.maxAtt {
-				jj.maxAtt = jm.attempt
-			}
-			if prev, ok := jj.maps[idx]; !ok || jm.attempt >= prev.attempt {
-				jj.maps[idx] = jm
-			}
-		case jReduceDone:
-			part := int(d.uvarint())
-			res := exec.ReduceResult{
-				Spills:           int(d.uvarint()),
-				PeakPartialBytes: int64(d.uvarint()),
-				MergePasses:      int(d.uvarint()),
-				FetchBytes:       int64(d.uvarint()),
-			}
-			res.Output = d.records()
-			if d.err != nil {
-				return nil, 0, 0, fmt.Errorf("mpexec: journal reducedone %d: %w", i, d.err)
-			}
-			if jj != nil {
-				jj.reduces[part] = res
-			}
-		case jDone, jAborted:
-			delete(jobs, ticket)
-		default:
-			return nil, 0, 0, fmt.Errorf("mpexec: journal record %d: unknown kind %q", i, kind)
-		}
+		st.apply(r)
 	}
-	for _, t := range order {
-		if jj, ok := jobs[t]; ok {
-			live = append(live, jj)
-		}
-	}
-	return live, maxTicket, maxJobID, nil
+	return st, nil
 }
 
-// reattach projects a replayed job into the form runJob's config takes.
-func (jj *journalJob) reattach() *reattachState {
-	if len(jj.maps) == 0 && len(jj.reduces) == 0 {
-		return nil
+// jobs assembles the live tickets of a replayed state, in admission order,
+// from the decoded bodies of exactly the records the image holds.
+func (st *journalState) jobs() []*journalJob {
+	var jobs []*journalJob
+	for _, t := range st.tickets() {
+		jj := t.admit.admit
+		jj.ticket = t.admit.ticket
+		jj.maps = make(map[int]*journalMap, len(t.maps))
+		jj.reduces = make(map[int]exec.ReduceResult, len(t.reds))
+		if t.start != nil {
+			jj.jobID = t.start.id
+		}
+		for m, r := range t.maps {
+			jj.maps[m] = r.mapDone
+		}
+		for p, r := range t.reds {
+			jj.reduces[p] = *r.reduce
+		}
+		jobs = append(jobs, jj)
 	}
-	return &reattachState{firstAttempt: jj.maxAtt + 1, maps: jj.maps, reduces: jj.reduces}
+	return jobs
 }
 
 // JournalStats summarises a job journal for operators and CI: per-kind
@@ -256,10 +313,11 @@ type JournalStats struct {
 	Done       int
 	Aborted    int
 	Live       int // tickets admitted but neither done nor aborted
-	// LiveMapDone counts map completions belonging to live tickets — the
-	// work a resume would re-attach rather than re-execute. Polling until
-	// this is positive times a coordinator kill so that recovery provably
-	// has something to recover.
+	// LiveMapDone counts the distinct maps of live tickets with a journaled
+	// completion — the work a resume would re-attach rather than
+	// re-execute; a re-executed map counts once. Polling until this is
+	// positive times a coordinator kill so that recovery provably has
+	// something to recover.
 	LiveMapDone int
 }
 
@@ -270,37 +328,21 @@ func ReadJournalStats(path string) (JournalStats, error) {
 	if err != nil {
 		return JournalStats{}, err
 	}
-	var st JournalStats
-	st.Records = len(recs)
-	live := make(map[uint64]bool)
-	maps := make(map[uint64]int)
+	st := JournalStats{Records: len(recs)}
+	byKind := map[byte]*int{jAdmit: &st.Admitted, jStart: &st.Started, jMapDone: &st.MapDone,
+		jReduceDone: &st.ReduceDone, jDone: &st.Done, jAborted: &st.Aborted}
+	fold := newJournalState()
 	for i, rec := range recs {
-		kind, ticket, err := journalKey(rec)
+		r, err := peekJournalRecord(rec)
 		if err != nil {
 			return st, fmt.Errorf("mpexec: journal record %d: %w", i, err)
 		}
-		switch kind {
-		case jAdmit:
-			st.Admitted++
-			live[ticket] = true
-		case jStart:
-			st.Started++
-		case jMapDone:
-			st.MapDone++
-			maps[ticket]++
-		case jReduceDone:
-			st.ReduceDone++
-		case jDone:
-			st.Done++
-			delete(live, ticket)
-		case jAborted:
-			st.Aborted++
-			delete(live, ticket)
-		}
+		*byKind[r.kind]++
+		fold.apply(r)
 	}
-	st.Live = len(live)
-	for t := range live {
-		st.LiveMapDone += maps[t]
+	st.Live = len(fold.live)
+	for _, t := range fold.live {
+		st.LiveMapDone += len(t.maps)
 	}
 	return st, nil
 }

@@ -20,7 +20,10 @@
 // (map index / partition), not by request/response order.
 //
 // Control wire format (one frame per message, over the worker's dialed
-// connection; all integers unsigned varints, strings length-prefixed):
+// connection; all integers unsigned varints, strings length-prefixed). This
+// comment is the wire reference; below it every frame is a struct whose
+// layout method states the same fields once, in the same order, and encode
+// and decode both walk that one statement:
 //
 //	frame:       type byte | payloadLen | payload
 //	'H' hello:   runServerAddr | workerName           (worker -> coord)
@@ -75,8 +78,11 @@
 // with it, and re-routes reducers. attempt is the job-unique attempt ID
 // the scheduler stamped on the dispatch ('M' echoes it back on 'm'), so
 // routing pushes from re-executions and speculative clones are ordered: a
-// reduce task keeps the highest-attempt route per map and treats a
-// replayed push of the attempt it already holds as an idempotent no-op.
+// reduce task keeps the highest-attempt route per map while that route is
+// live, and treats a replayed push of the attempt it already holds as an
+// idempotent no-op. Once a route is invalidated the next one pushed
+// replaces it whatever its attempt — the coordinator pushes a route only
+// when it installs it, and the last route installed wins.
 // 'S' encodes the attempt as attempt+1; a zero in that position is a route
 // invalidation (the map's previous owner died — the push carries no
 // segments, and the reducer parks any fetch of that map until a
@@ -105,7 +111,6 @@ import (
 	"blmr/internal/core"
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
-	"blmr/internal/store"
 )
 
 // Message types.
@@ -165,184 +170,288 @@ func readMsg(br *bufio.Reader) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// dec is a cursor over one frame's payload with sticky errors.
-type dec struct {
-	buf []byte
-	off int
-	err error
+// wire walks one payload field by field. Encoding, each field it is shown is
+// appended to buf; decoding, each is filled in from buf at the cursor, with
+// a sticky error (later fields are then left as they were). A message's
+// layout method shows it its fields in wire order, so a layout is written
+// once and its encoder and decoder cannot drift apart.
+type wire struct {
+	buf      []byte
+	off      int // decode cursor
+	decoding bool
+	err      error
 }
 
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+// message is a frame payload or a journal record.
+type message interface{ layout(w *wire) }
+
+func encode(m message) []byte {
+	var w wire
+	m.layout(&w)
+	return w.buf
+}
+
+// decode fills m from payload. Every malformed or truncated input is an
+// error, never a panic: these bytes come from TCP peers and from disk.
+func decode(payload []byte, m message) error {
+	w := wire{buf: payload, decoding: true}
+	m.layout(&w)
+	return w.err
+}
+
+func (w *wire) u64(p *uint64) {
+	if !w.decoding {
+		w.buf = binary.AppendUvarint(w.buf, *p)
+		return
 	}
-	v, n := binary.Uvarint(d.buf[d.off:])
+	if w.err != nil {
+		return
+	}
+	v, n := binary.Uvarint(w.buf[w.off:])
 	if n <= 0 {
-		d.err = fmt.Errorf("mpexec: corrupt uvarint at offset %d", d.off)
+		w.err = fmt.Errorf("mpexec: corrupt uvarint at offset %d", w.off)
+		return
+	}
+	w.off += n
+	*p = v
+}
+
+// num is u64 for a field of any integer type.
+func num[T ~int | ~int64 | ~uint32 | ~uint8](w *wire, p *T) {
+	v := uint64(*p)
+	w.u64(&v)
+	*p = T(v)
+}
+
+func (w *wire) flag(p *bool) {
+	var v uint64
+	if *p {
+		v = 1
+	}
+	w.u64(&v)
+	*p = v != 0
+}
+
+// byte is one raw byte (a kind tag, not a varint).
+func (w *wire) byte(p *byte) {
+	if !w.decoding {
+		w.buf = append(w.buf, *p)
+		return
+	}
+	if w.err == nil && w.off >= len(w.buf) {
+		w.err = fmt.Errorf("mpexec: truncated payload at offset %d", w.off)
+	}
+	if w.err != nil {
+		return
+	}
+	*p = w.buf[w.off]
+	w.off++
+}
+
+// length is the prefix of a string or list of have elements, each at least
+// elemBytes bytes on the wire. Decoding, a length the remaining payload
+// cannot hold is corrupt and is rejected here, before anything is sized or
+// sliced by it — compared as uint64, so one of 2^63 or more cannot wrap
+// negative first.
+func (w *wire) length(have, elemBytes int) int {
+	n := uint64(have)
+	w.u64(&n)
+	if left := len(w.buf) - w.off; w.decoding && w.err == nil && n > uint64(left/elemBytes) {
+		w.err = fmt.Errorf("mpexec: implausible length %d at offset %d, %d payload bytes left", n, w.off, left)
+	}
+	if w.err != nil {
 		return 0
 	}
-	d.off += n
-	return v
+	return int(n)
 }
 
-func (d *dec) str() string {
-	n := d.uvarint()
-	if d.err != nil {
-		return ""
+func (w *wire) str(p *string) {
+	n := w.length(len(*p), 1)
+	if !w.decoding {
+		w.buf = append(w.buf, *p...)
+	} else if w.err == nil {
+		*p = string(w.buf[w.off : w.off+n])
+		w.off += n
 	}
-	if d.off+int(n) > len(d.buf) {
-		d.err = fmt.Errorf("mpexec: truncated string at offset %d", d.off)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
 }
 
-func (d *dec) records() []core.Record {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+// records is a count-prefixed record list, always a payload's final field.
+// A record encodes to >= 2 bytes (two zero-length strings).
+func (w *wire) records(p *[]core.Record) {
+	n := w.length(len(*p), 2)
+	if !w.decoding {
+		w.buf = codec.AppendRecords(w.buf, *p)
+		return
 	}
-	// A record encodes to >= 2 bytes (two zero-length strings), so any
-	// count beyond remaining/2 is corrupt — reject it before allocating,
-	// instead of letting a garbage varint panic makeslice.
-	if n > uint64(len(d.buf)-d.off)/2 {
-		d.err = fmt.Errorf("mpexec: implausible record count %d for %d payload bytes", n, len(d.buf)-d.off)
-		return nil
+	if w.err != nil {
+		return
 	}
 	out := make([]core.Record, 0, n)
-	rd := codec.NewStreamReaderBytes(d.buf[d.off:])
-	for i := uint64(0); i < n; i++ {
+	rd := codec.NewStreamReaderBytes(w.buf[w.off:])
+	for i := 0; i < n; i++ {
 		rec, ok := rd.Next()
 		if !ok {
-			d.err = fmt.Errorf("mpexec: truncated record stream: %v", rd.Err())
-			return nil
+			w.err = fmt.Errorf("mpexec: truncated record stream: %v", rd.Err())
+			return
 		}
 		out = append(out, rec)
 	}
-	d.off = len(d.buf) // records are always the final field
-	return out
+	w.off = len(w.buf)
+	*p = out
 }
 
-func putStr(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// list is a count-prefixed list whose elements each show their own fields
+// (each) and take at least elemBytes bytes. Decoding grows *p one element at
+// a time and stops at the first error, so a corrupt count costs no more
+// memory than the bytes behind it.
+func list[T any](w *wire, p *[]T, elemBytes int, each func(*T)) {
+	n := w.length(len(*p), elemBytes)
+	for i := 0; i < n && w.err == nil; i++ {
+		if w.decoding {
+			*p = append(*p, *new(T))
+		}
+		each(&(*p)[i])
+	}
 }
 
-func putRecords(b []byte, recs []core.Record) []byte {
-	b = binary.AppendUvarint(b, uint64(len(recs)))
-	return codec.AppendRecords(b, recs)
-}
-
-// optsFields is how many values putOpts writes after its leading count.
+// optsFields is how many values opts carries after its leading count.
 const optsFields = 12
 
-// putOpts appends the one wire form of exec.Options: a field count, then
-// every field that affects execution, shared by the 'J' frame and the
-// journal's admit record. SpillDir is left out — it names a directory on
-// whichever machine reads it, so each side keeps its own — and so is
-// Transport, which across processes is always TCP. A field added to
-// exec.Options must be added here and in opts; TestOptsRoundTrip fails
-// until it is.
-func putOpts(b []byte, o exec.Options) []byte {
-	vals := [optsFields]uint64{
-		uint64(o.Mappers), uint64(o.Reducers), uint64(o.Mode), uint64(o.SpillBytes),
-		uint64(o.MergeFanIn), uint64(o.BatchSize), uint64(o.QueueCap), uint64(o.Store),
-		uint64(o.Compression), uint64(o.DecodeWorkers), boolBit(o.Staged), boolBit(o.Speculative),
-	}
-	b = binary.AppendUvarint(b, optsFields)
-	for _, v := range vals {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
-}
-
-// opts decodes what putOpts wrote. Any other field count is a layout this
+// opts is the one wire form of exec.Options: a field count, then every
+// field that affects execution, shared by the 'J' frame and the journal's
+// admit record. SpillDir is left out — it names a directory on whichever
+// machine reads it, so each side keeps its own — and so is Transport, which
+// across processes is always TCP. Any other field count is a layout this
 // binary does not write — a journal or a worker from another build — and is
-// rejected rather than read with every later field shifted.
-func (d *dec) opts() exec.Options {
-	var o exec.Options
-	if n := d.uvarint(); d.err == nil && n != optsFields {
-		d.err = fmt.Errorf("mpexec: options carry %d fields, this binary writes %d (written by another build?)", n, optsFields)
+// rejected rather than read with every later field shifted. A field added
+// to exec.Options must be added here; TestOptsRoundTrip fails until it is.
+func (w *wire) opts(o *exec.Options) {
+	n := uint64(optsFields)
+	w.u64(&n)
+	if w.err == nil && n != optsFields {
+		w.err = fmt.Errorf("mpexec: options carry %d fields, this binary writes %d (written by another build?)", n, optsFields)
 	}
-	o.Mappers = int(d.uvarint())
-	o.Reducers = int(d.uvarint())
-	o.Mode = exec.Mode(d.uvarint())
-	o.SpillBytes = int64(d.uvarint())
-	o.MergeFanIn = int(d.uvarint())
-	o.BatchSize = int(d.uvarint())
-	o.QueueCap = int(d.uvarint())
-	o.Store = store.Kind(d.uvarint())
-	o.Compression = codec.Compression(d.uvarint())
-	o.DecodeWorkers = int(d.uvarint())
-	o.Staged = d.uvarint() != 0
-	o.Speculative = d.uvarint() != 0
-	o.Transport = shuffle.TCP // the only cross-process transport
-	return o
-}
-
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
+	num(w, &o.Mappers)
+	num(w, &o.Reducers)
+	num(w, &o.Mode)
+	num(w, &o.SpillBytes)
+	num(w, &o.MergeFanIn)
+	num(w, &o.BatchSize)
+	num(w, &o.QueueCap)
+	num(w, &o.Store)
+	num(w, &o.Compression)
+	num(w, &o.DecodeWorkers)
+	w.flag(&o.Staged)
+	w.flag(&o.Speculative)
+	if w.decoding {
+		o.Transport = shuffle.TCP // the only cross-process transport
 	}
-	return 0
 }
 
-// encodeJobStart frames the 'J' that opens job id on a worker: the job's
-// registry name plus its options.
-func encodeJobStart(id int, name string, o exec.Options) []byte {
-	b := binary.AppendUvarint(nil, uint64(id))
-	b = putStr(b, name)
-	return putOpts(b, o)
+// waves is sealed-wave metadata — the one layout the 'm' frame and the
+// journal's 'm' record share: waveCount | { fileID | comp | crc | spanCount |
+// { off | n } }. Where a wave lives (its run-server address) is not part of
+// it; the reader supplies that.
+func (w *wire) waves(p *[]shuffle.Wave) {
+	list(w, p, 4, func(wv *shuffle.Wave) {
+		w.u64(&wv.FileID)
+		num(w, &wv.Comp)
+		num(w, &wv.CRC)
+		list(w, &wv.Spans, 2, func(sp *shuffle.Span) {
+			num(w, &sp.Off)
+			num(w, &sp.N)
+		})
+	})
 }
 
-// decodeJobStart unpacks a 'J' frame into the job id, registry name and
-// options; the worker-local spill directory is carried over from base.
-func decodeJobStart(payload []byte, base exec.Options) (id int, name string, o exec.Options, err error) {
-	d := &dec{buf: payload}
-	id = int(d.uvarint())
-	name = d.str()
-	o = d.opts()
-	o.SpillDir = base.SpillDir
-	return id, name, o, d.err
+func (w *wire) segs(p *[]shuffle.Segment) {
+	list(w, p, 5, func(s *shuffle.Segment) {
+		w.str(&s.Addr)
+		w.u64(&s.FileID)
+		num(w, &s.Off)
+		num(w, &s.N)
+		num(w, &s.Comp)
+	})
 }
 
-// putWaves appends sealed-wave metadata — the one layout the 'm' frame and
-// the journal's 'm' record share: waveCount | { fileID | comp | crc |
-// spanCount | { off | n } }. Where a wave lives (its run-server address) is
-// not part of it; the reader supplies that.
-func putWaves(b []byte, waves []shuffle.Wave) []byte {
-	b = binary.AppendUvarint(b, uint64(len(waves)))
-	for _, w := range waves {
-		b = binary.AppendUvarint(b, w.FileID)
-		b = binary.AppendUvarint(b, uint64(w.Comp))
-		b = binary.AppendUvarint(b, uint64(w.CRC))
-		b = binary.AppendUvarint(b, uint64(len(w.Spans)))
-		for _, sp := range w.Spans {
-			b = binary.AppendUvarint(b, uint64(sp.Off))
-			b = binary.AppendUvarint(b, uint64(sp.N))
-		}
-	}
-	return b
+// hello is 'H': the address the worker's run-server serves peers on, and the
+// name the worker keeps across re-registrations.
+type hello struct{ addr, name string }
+
+func (m *hello) layout(w *wire) {
+	w.str(&m.addr)
+	w.str(&m.name)
 }
 
-// waves decodes what putWaves wrote, as waves served from addr.
-func (d *dec) waves(addr string) []shuffle.Wave {
-	var waves []shuffle.Wave
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		w := shuffle.Wave{Addr: addr, FileID: d.uvarint(), Comp: codec.Compression(d.uvarint()), CRC: uint32(d.uvarint())}
-		spanN := d.uvarint()
-		for j := uint64(0); j < spanN && d.err == nil; j++ {
-			w.Spans = append(w.Spans, shuffle.Span{Off: int64(d.uvarint()), N: int64(d.uvarint())})
-		}
-		waves = append(waves, w)
-	}
-	return waves
+// reattach is 'A': for each open job, the sealed run files the worker
+// verified on disk at advertise time — each one's run-server file ID and the
+// CRC-32C of its on-disk bytes. A worker with nothing to re-attach sends an
+// empty list.
+type reattach struct{ jobs []sealedJob }
+
+type sealedJob struct {
+	job   int
+	files []sealedFile
 }
 
-// mapDone carries one completed map task's stats alongside its waves.
+type sealedFile struct {
+	fileID uint64
+	crc    uint32
+}
+
+func (m *reattach) layout(w *wire) {
+	list(w, &m.jobs, 2, func(j *sealedJob) {
+		num(w, &j.job)
+		list(w, &j.files, 2, func(f *sealedFile) {
+			w.u64(&f.fileID)
+			num(w, &f.crc)
+		})
+	})
+}
+
+// jobStart is 'J': it opens job id on a worker under the job's registry name
+// and options.
+type jobStart struct {
+	id   int
+	name string
+	opts exec.Options
+}
+
+func (m *jobStart) layout(w *wire) {
+	num(w, &m.id)
+	w.str(&m.name)
+	w.opts(&m.opts)
+}
+
+// jobEnd is 'j': it closes job id on a worker.
+type jobEnd struct{ id int }
+
+func (m *jobEnd) layout(w *wire) { num(w, &m.id) }
+
+// mapTask is 'M': one map attempt and its split.
+type mapTask struct {
+	job int
+	t   exec.MapTask
+}
+
+func (m *mapTask) layout(w *wire) {
+	num(w, &m.job)
+	num(w, &m.t.Index)
+	num(w, &m.t.Attempt)
+	w.records(&m.t.Split)
+}
+
+// replyHead is what every 'm' and 'r' reply leads with — the job and the
+// task id (map index or partition) — and all the coordinator's reader needs
+// to route one to its awaiting task.
+type replyHead struct{ job, id int }
+
+func (m *replyHead) layout(w *wire) {
+	num(w, &m.job)
+	num(w, &m.id)
+}
+
+// mapDone is 'm': one completed map attempt's stats alongside its waves.
 type mapDone struct {
 	job             int
 	index           int
@@ -351,184 +460,119 @@ type mapDone struct {
 	spills          int
 	spilledBytes    int64
 	rawSpilledBytes int64
-	serverOpens     int64
+	serverOpens     int64 // the worker's run-server's lifetime os.Open count
 	waves           []shuffle.Wave
 }
 
-func encodeMapDone(job, index, attempt int, shuffleRecords int64, spills int, spilledBytes, rawSpilledBytes, serverOpens int64, waves []shuffle.Wave) []byte {
-	b := binary.AppendUvarint(nil, uint64(job))
-	b = binary.AppendUvarint(b, uint64(index))
-	b = binary.AppendUvarint(b, uint64(attempt))
-	b = binary.AppendUvarint(b, uint64(shuffleRecords))
-	b = binary.AppendUvarint(b, uint64(spills))
-	b = binary.AppendUvarint(b, uint64(spilledBytes))
-	b = binary.AppendUvarint(b, uint64(rawSpilledBytes))
-	b = binary.AppendUvarint(b, uint64(serverOpens))
-	return putWaves(b, waves)
-}
-
-func decodeMapDone(payload []byte, addr string) (mapDone, error) {
-	d := &dec{buf: payload}
-	md := mapDone{
-		job:             int(d.uvarint()),
-		index:           int(d.uvarint()),
-		attempt:         int(d.uvarint()),
-		shuffleRecords:  int64(d.uvarint()),
-		spills:          int(d.uvarint()),
-		spilledBytes:    int64(d.uvarint()),
-		rawSpilledBytes: int64(d.uvarint()),
-		serverOpens:     int64(d.uvarint()),
-	}
-	md.waves = d.waves(addr)
-	return md, d.err
-}
-
-func putSegs(b []byte, segs []shuffle.Segment) []byte {
-	b = binary.AppendUvarint(b, uint64(len(segs)))
-	for _, s := range segs {
-		b = putStr(b, s.Addr)
-		b = binary.AppendUvarint(b, s.FileID)
-		b = binary.AppendUvarint(b, uint64(s.Off))
-		b = binary.AppendUvarint(b, uint64(s.N))
-		b = binary.AppendUvarint(b, uint64(s.Comp))
-	}
-	return b
-}
-
-func (d *dec) segs() []shuffle.Segment {
-	n := d.uvarint()
-	var segs []shuffle.Segment
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		s := shuffle.Segment{Addr: d.str()}
-		s.FileID = d.uvarint()
-		s.Off = int64(d.uvarint())
-		s.N = int64(d.uvarint())
-		s.Comp = codec.Compression(d.uvarint())
-		segs = append(segs, s)
-	}
-	return segs
+func (m *mapDone) layout(w *wire) {
+	num(w, &m.job)
+	num(w, &m.index)
+	num(w, &m.attempt)
+	num(w, &m.shuffleRecords)
+	num(w, &m.spills)
+	num(w, &m.spilledBytes)
+	num(w, &m.rawSpilledBytes)
+	num(w, &m.serverOpens)
+	w.waves(&m.waves)
 }
 
 // mapSegs is one completed map task's segments for one partition, tagged
 // with the attempt that produced them. attempt == -1 is a route
 // invalidation (the owning worker died; replacement segments follow under
-// a higher attempt).
+// another attempt).
 type mapSegs struct {
 	mapIndex int
 	attempt  int
 	segs     []shuffle.Segment
 }
 
-func encodeReduceTask(job, partition, nMaps int, routed []mapSegs) []byte {
-	b := binary.AppendUvarint(nil, uint64(job))
-	b = binary.AppendUvarint(b, uint64(partition))
-	b = binary.AppendUvarint(b, uint64(nMaps))
-	b = binary.AppendUvarint(b, uint64(len(routed)))
-	for _, ms := range routed {
-		b = binary.AppendUvarint(b, uint64(ms.mapIndex))
-		b = binary.AppendUvarint(b, uint64(ms.attempt))
-		b = putSegs(b, ms.segs)
-	}
-	return b
+// reduceTask is 'R': one partition's reduce task with the routing snapshot
+// of every map already completed at dispatch.
+type reduceTask struct {
+	job       int
+	partition int
+	nMaps     int
+	routed    []mapSegs
 }
 
-func decodeReduceTask(payload []byte) (job, partition, nMaps int, routed []mapSegs, err error) {
-	d := &dec{buf: payload}
-	job = int(d.uvarint())
-	partition = int(d.uvarint())
-	nMaps = int(d.uvarint())
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		ms := mapSegs{mapIndex: int(d.uvarint()), attempt: int(d.uvarint())}
-		ms.segs = d.segs()
-		routed = append(routed, ms)
-	}
-	return job, partition, nMaps, routed, d.err
+func (m *reduceTask) layout(w *wire) {
+	num(w, &m.job)
+	num(w, &m.partition)
+	num(w, &m.nMaps)
+	list(w, &m.routed, 3, func(ms *mapSegs) {
+		num(w, &ms.mapIndex)
+		num(w, &ms.attempt)
+		w.segs(&ms.segs)
+	})
 }
 
-// encodeSegPush frames one routing push. attempt == -1 encodes an
-// invalidation (wire value 0; segs must be nil).
-func encodeSegPush(job, partition, mapIndex, attempt int, segs []shuffle.Segment) []byte {
-	b := binary.AppendUvarint(nil, uint64(job))
-	b = binary.AppendUvarint(b, uint64(partition))
-	b = binary.AppendUvarint(b, uint64(mapIndex))
-	b = binary.AppendUvarint(b, uint64(attempt+1))
-	return putSegs(b, segs)
+// segPush is 'S': one routing push. The attempt travels as attempt+1, so an
+// invalidation (-1, no segments) is wire value 0.
+type segPush struct {
+	job       int
+	partition int
+	mapSegs
 }
 
-func decodeSegPush(payload []byte) (job, partition, mapIndex, attempt int, segs []shuffle.Segment, err error) {
-	d := &dec{buf: payload}
-	job = int(d.uvarint())
-	partition = int(d.uvarint())
-	mapIndex = int(d.uvarint())
-	attempt = int(d.uvarint()) - 1
-	segs = d.segs()
-	return job, partition, mapIndex, attempt, segs, d.err
+func (m *segPush) layout(w *wire) {
+	num(w, &m.job)
+	num(w, &m.partition)
+	num(w, &m.mapIndex)
+	shifted := m.attempt + 1
+	num(w, &shifted)
+	m.attempt = shifted - 1
+	w.segs(&m.segs)
 }
 
-// encodeTaskError frames a worker-side task failure: the job, the reply
-// kind the coordinator is awaiting ('m' or 'r'), the task id, and the
-// message.
-func encodeTaskError(job int, replyKind byte, id int, msg string) []byte {
-	b := binary.AppendUvarint(nil, uint64(job))
-	b = append(b, replyKind)
-	b = binary.AppendUvarint(b, uint64(id))
-	return putStr(b, msg)
+// reduceDone is 'r': one completed reduce task's result alongside the
+// worker's spill and fetch-plane accounting.
+type reduceDone struct {
+	job             int
+	partition       int
+	res             exec.ReduceResult
+	spilledBytes    int64
+	rawSpilledBytes int64
+	fetchDials      int64 // the worker's fetch pool's lifetime dial count
+	serverOpens     int64
 }
 
-// sealedFile is one surviving sealed run a returning worker advertises:
-// its run-server file ID and the CRC-32C of its on-disk bytes.
-type sealedFile struct {
-	fileID uint64
-	crc    uint32
+func (m *reduceDone) layout(w *wire) {
+	num(w, &m.job)
+	num(w, &m.partition)
+	num(w, &m.res.Spills)
+	num(w, &m.res.PeakPartialBytes)
+	num(w, &m.res.MergePasses)
+	num(w, &m.spilledBytes)
+	num(w, &m.rawSpilledBytes)
+	num(w, &m.res.FetchBytes)
+	num(w, &m.fetchDials)
+	num(w, &m.serverOpens)
+	w.records(&m.res.Output)
 }
 
-// encodeReattach frames the 'A' advertisement: for each open job, the
-// sealed files the worker verified on disk at advertise time. A worker with
-// nothing to re-attach sends an empty map.
-func encodeReattach(sealed map[int][]sealedFile) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(sealed)))
-	for job, files := range sealed {
-		b = binary.AppendUvarint(b, uint64(job))
-		b = binary.AppendUvarint(b, uint64(len(files)))
-		for _, f := range files {
-			b = binary.AppendUvarint(b, f.fileID)
-			b = binary.AppendUvarint(b, uint64(f.crc))
-		}
-	}
-	return b
+// taskError is 'E', a worker-side task failure: the job, the reply kind the
+// coordinator is awaiting ('m' or 'r'), the task id, and the message.
+type taskError struct {
+	job       int
+	replyKind byte
+	id        int
+	msg       string
 }
 
-// decodeReattach unpacks an 'A' frame into job -> fileID -> crc.
-func decodeReattach(payload []byte) (map[int]map[uint64]uint32, error) {
-	d := &dec{buf: payload}
-	n := d.uvarint()
-	out := make(map[int]map[uint64]uint32, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		job := int(d.uvarint())
-		fn := d.uvarint()
-		files := make(map[uint64]uint32, fn)
-		for j := uint64(0); j < fn && d.err == nil; j++ {
-			id := d.uvarint()
-			files[id] = uint32(d.uvarint())
-		}
-		out[job] = files
-	}
-	return out, d.err
+func (m *taskError) layout(w *wire) {
+	num(w, &m.job)
+	w.byte(&m.replyKind)
+	num(w, &m.id)
+	w.str(&m.msg)
 }
 
-func decodeTaskError(payload []byte) (job int, replyKind byte, id int, msg string, err error) {
-	d := &dec{buf: payload}
-	job = int(d.uvarint())
-	if d.err == nil && d.off >= len(d.buf) {
-		d.err = fmt.Errorf("mpexec: truncated error frame")
-	}
-	if d.err != nil {
-		return 0, 0, 0, "", d.err
-	}
-	replyKind = d.buf[d.off]
-	d.off++
-	id = int(d.uvarint())
-	msg = d.str()
-	return job, replyKind, id, msg, d.err
+// abort is 'F': it fails job's parked reduce sources with msg.
+type abort struct {
+	job int
+	msg string
+}
+
+func (m *abort) layout(w *wire) {
+	num(w, &m.job)
+	w.str(&m.msg)
 }

@@ -297,8 +297,7 @@ func TestClusterRestartMidQueue(t *testing.T) {
 // the whole map wave re-attaches from surviving sealed runs, so only the
 // reduce tail re-runs; Cold resumes against the same journal with its
 // map/reduce completions stripped, re-executing everything. Re-attach must
-// beat cold by roughly the map wave. Snapshotted by scripts/bench.sh
-// (coordinator crash-restart section).
+// beat cold by roughly the map wave (DESIGN.md §14 quotes the pair).
 func benchCoordRestart(b *testing.B, cold bool) {
 	sub := submission{apps.WordCount(), workload.Text(47, 1500, 300, 8),
 		blexec.Options{Mappers: 6, Reducers: 3, Mode: blexec.Barrier}}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"blmr/internal/core"
@@ -97,8 +96,7 @@ type Ticket struct {
 	input []core.Record
 	opts  exec.Options
 
-	jobID  int            // journaled coordinator job ID (resume; 0 = fresh)
-	resume *reattachState // replayed journal state (resume; nil = fresh)
+	resume *journalJob // replayed journal state (resume; nil = fresh)
 
 	done chan struct{}
 	res  *mr.Result
@@ -134,23 +132,13 @@ type Service struct {
 
 	// Journal state (StateDir services only; log == nil otherwise). jmu
 	// serializes appends from Submit, completion and coordinator task
-	// goroutines, and guards the retained-record index compaction reads.
+	// goroutines, and guards the fold compaction reads.
 	jmu       sync.Mutex
 	log       *wal.Log
-	abandoned bool              // crash simulation: suppress all appends
-	jlive     map[uint64]*jrecs // live ticket -> its latest records
-	jorder    []uint64          // live tickets in admission order
-	japps     int               // records framed since the last rewrite
+	abandoned bool          // crash simulation: suppress all appends
+	jstate    *journalState // the fold of every record the file holds
+	jfile     int           // records the file holds (appends since the last rewrite)
 	resumed   []*Ticket
-}
-
-// jrecs retains a live ticket's latest journal records (one admit, one
-// start, the winning record per map index and per partition) so compaction
-// can rewrite the journal down to exactly the state replay would keep.
-type jrecs struct {
-	admit, start []byte
-	maps         map[int][]byte
-	reds         map[int][]byte
 }
 
 // NewService starts a job service over the coordinator's worker pool.
@@ -204,22 +192,15 @@ func (s *Service) openJournal(c *Coordinator, cfg ServiceConfig) error {
 	if err != nil {
 		return fmt.Errorf("mpexec: open journal: %w", err)
 	}
-	live, maxTicket, maxJobID, err := replayJournal(recs)
+	st, err := foldJournal(recs)
 	if err != nil {
 		_ = log.Close()
 		return err
 	}
-	s.log, s.japps = log, len(recs)
-	s.jlive = make(map[uint64]*jrecs, len(live))
-	for _, rec := range recs {
-		s.retain(rec) // the index the dead service held when it stopped
-	}
-	for _, jj := range live {
-		t := &Ticket{
-			ID: int(jj.ticket), input: jj.input, opts: jj.opts,
-			jobID: jj.jobID, resume: jj.reattach(),
-			done: make(chan struct{}),
-		}
+	// The fold resume reads is the one the live service keeps compacting from.
+	s.log, s.jstate, s.jfile = log, st, len(recs)
+	for _, jj := range st.jobs() {
+		t := &Ticket{ID: int(jj.ticket), input: jj.input, opts: jj.opts, resume: jj, done: make(chan struct{})}
 		ok := false
 		if cfg.Resolver != nil {
 			t.job, ok = cfg.Resolver(jj.name)
@@ -232,9 +213,9 @@ func (s *Service) openJournal(c *Coordinator, cfg ServiceConfig) error {
 		s.resumed = append(s.resumed, t)
 	}
 	if len(recs) > 0 {
-		s.nextID = int(maxTicket) + 1
+		s.nextID = int(st.maxTicket) + 1
 	}
-	c.SetMinJobID(maxJobID + 1)
+	c.SetMinJobID(st.maxJobID + 1)
 	return nil
 }
 
@@ -260,7 +241,8 @@ func (s *Service) Submit(job exec.Job, input []core.Record, opts exec.Options) (
 		return nil, ErrQueueFull
 	}
 	t := &Ticket{ID: s.nextID, job: job, input: input, opts: opts, done: make(chan struct{})}
-	if err := s.journal(encodeJournalAdmit(uint64(t.ID), job.Name, opts, input)); err != nil {
+	admit := &journalJob{name: job.Name, opts: opts, input: input}
+	if err := s.journal(&journalRecord{kind: jAdmit, ticket: uint64(t.ID), admit: admit}); err != nil {
 		return nil, fmt.Errorf("mpexec: journal admit: %w", err)
 	}
 	// Cannot block: capacity was checked under s.mu and only the dispatcher
@@ -341,126 +323,54 @@ func (s *Service) run(t *Ticket) {
 	if s.log != nil {
 		jc.ticket = uint64(t.ID)
 		jc.journal = s.journalBestEffort
-		jc.jobID = t.jobID
 		jc.reattach = t.resume
 	}
 	t.res, t.err = s.coord.runJob(t.job, t.input, t.opts, jc)
 	// Retire the ticket in the journal (and compact when the dead-record
 	// overhang warrants it) before the submitter observes completion.
-	if t.err == nil {
-		_ = s.journal(encodeJournalDone(uint64(t.ID)))
-	} else {
-		_ = s.journal(encodeJournalAborted(uint64(t.ID), t.err.Error()))
+	retire := &journalRecord{kind: jDone, ticket: uint64(t.ID)}
+	if t.err != nil {
+		retire.kind, retire.msg = jAborted, t.err.Error()
 	}
+	_ = s.journal(retire)
 	close(t.done)
 }
 
-// journal appends one record to the write-ahead log and retains it for
-// compaction. No-op for in-memory services and after Abandon.
-func (s *Service) journal(rec []byte) error {
+// journal frames one record, appends it to the write-ahead log and folds its
+// header into the live state; no payload is ever decoded here, and none is
+// kept beyond its framed bytes. When the file then holds more than twice the
+// records a replay would keep (plus a floor so small journals never churn)
+// it is rewritten down to exactly those. No-op for in-memory services and
+// after Abandon.
+func (s *Service) journal(r *journalRecord) error {
+	if s.cfg.StateDir == "" {
+		return nil
+	}
+	// Framed outside the lock: admit and reduce records are O(data).
+	head := &journalRecord{kind: r.kind, ticket: r.ticket, id: r.id, raw: encode(r)}
 	s.jmu.Lock()
 	defer s.jmu.Unlock()
 	if s.log == nil || s.abandoned {
 		return nil
 	}
-	if err := s.log.Append(rec); err != nil {
+	if err := s.log.Append(head.raw); err != nil {
 		return err
 	}
-	s.japps++
-	s.retain(rec)
-	s.maybeCompact()
+	s.jfile++
+	s.jstate.apply(head)
+	if s.jfile > 2*s.jstate.liveRecords()+64 {
+		image := s.jstate.image()
+		if err := s.log.Compact(image); err == nil { // else keep appending to the uncompacted file
+			s.jfile = len(image)
+		}
+	}
 	return nil
 }
 
 // journalBestEffort is the coordinator's append hook: a journal write
 // failure degrades durability (the transition re-runs after a crash) but
 // must not fail the task that completed.
-func (s *Service) journalBestEffort(rec []byte) { _ = s.journal(rec) }
-
-// retain indexes one appended record under its ticket, keeping only the
-// records replay would keep. Caller holds jmu.
-func (s *Service) retain(rec []byte) {
-	kind, ticket, err := journalKey(rec)
-	if err != nil {
-		return
-	}
-	e := s.jlive[ticket]
-	switch kind {
-	case jAdmit:
-		s.jlive[ticket] = &jrecs{admit: rec, maps: make(map[int][]byte), reds: make(map[int][]byte)}
-		s.jorder = append(s.jorder, ticket)
-	case jStart:
-		if e != nil {
-			e.start = rec
-		}
-	case jMapDone, jReduceDone:
-		if e == nil {
-			return
-		}
-		d := &dec{buf: rec, off: 1}
-		d.uvarint() // ticket
-		id := int(d.uvarint())
-		if d.err != nil {
-			return
-		}
-		if kind == jMapDone {
-			e.maps[id] = rec
-		} else {
-			e.reds[id] = rec
-		}
-	case jDone, jAborted:
-		delete(s.jlive, ticket)
-	}
-}
-
-// maybeCompact rewrites the journal down to the live tickets' records when
-// the file holds more than twice as many records as replay would keep
-// (plus a floor so small journals never churn). Caller holds jmu.
-func (s *Service) maybeCompact() {
-	liveRecs := 0
-	for _, e := range s.jlive {
-		liveRecs += 1 + len(e.maps) + len(e.reds)
-		if e.start != nil {
-			liveRecs++
-		}
-	}
-	if s.japps <= 2*liveRecs+64 {
-		return
-	}
-	var recs [][]byte
-	order := s.jorder[:0]
-	for _, ticket := range s.jorder {
-		e, ok := s.jlive[ticket]
-		if !ok {
-			continue // retired
-		}
-		order = append(order, ticket)
-		recs = append(recs, e.admit)
-		if e.start != nil {
-			recs = append(recs, e.start)
-		}
-		for _, id := range sortedKeys(e.maps) {
-			recs = append(recs, e.maps[id])
-		}
-		for _, id := range sortedKeys(e.reds) {
-			recs = append(recs, e.reds[id])
-		}
-	}
-	s.jorder = order
-	if err := s.log.Compact(recs); err != nil {
-		return // keep appending to the uncompacted journal
-	}
-	s.japps = len(recs)
-}
-
-func sortedKeys(m map[int][]byte) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
+func (s *Service) journalBestEffort(r *journalRecord) { _ = s.journal(r) }
 
 // Abandon simulates this service process dying without cleanup, for
 // restart tests and benchmarks: journal appends stop (a SIGKILLed process

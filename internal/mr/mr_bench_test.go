@@ -3,8 +3,7 @@ package mr
 // Wall-clock microbenchmarks of the real-concurrency data plane. The
 // headline comparison is pipelined WordCount over 1M input lines with
 // BatchSize=1 (the original record-at-a-time shuffle) against the batched
-// default: the batched path must be >=2x the unbatched throughput (see
-// scripts/bench.sh, which snapshots these numbers).
+// default: the batched path must be >=2x the unbatched throughput.
 
 import (
 	"runtime"

@@ -3,8 +3,7 @@ package mr
 // Transport microbenchmarks: the same barrier WordCount over the three
 // shuffle transports, quantifying what the run-exchange disciplines cost
 // next to the shared-memory data plane (sealing + decode for the local
-// exchange, plus loopback fetch connections for TCP). Snapshotted by
-// scripts/bench.sh into BENCH_<n>.json.
+// exchange, plus loopback fetch connections for TCP).
 
 import (
 	"sync"

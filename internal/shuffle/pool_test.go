@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -379,13 +380,69 @@ func TestPushSourceReRouteParked(t *testing.T) {
 	}
 }
 
+// TestPushSourceReRouteToOlderAttempt: a speculative clone (attempt 3) won
+// the map and its worker died; the still-running original (attempt 2) then
+// completed and the coordinator installed and pushed it. The reducer holds
+// the dead attempt 3 and must take the lower attempt — dropping it as stale
+// would park the fetch forever. A lower attempt against a live route stays
+// ignored.
+func TestPushSourceReRouteToOlderAttempt(t *testing.T) {
+	want := sortedRecs("m0", 80)
+	srv1, _, seg1, seg2 := rerouteFixture(t, want)
+
+	pool := NewFetchPool()
+	defer pool.Close()
+	src := NewPushSource(1, 16, pool, 4)
+	fastReroute(src)
+	if err := src.Offer(0, 3, []Segment{seg1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Offer(0, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if seg, ok, err := src.resolveSeg(0, 0, false); err != nil || !ok || seg != seg1 {
+		t.Fatalf("a lower attempt displaced a live route: seg=%+v ok=%v err=%v", seg, ok, err)
+	}
+	if err := srv1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src.Invalidate(0)
+	if err := src.Offer(0, 2, []Segment{seg2}); err != nil {
+		t.Fatal(err)
+	}
+	if seg, ok, err := src.resolveSeg(0, 0, false); err != nil || !ok || seg != seg2 {
+		t.Fatalf("after Offer 3, Invalidate, Offer 2 the route is seg=%+v ok=%v err=%v, want the attempt-2 segment", seg, ok, err)
+	}
+
+	var got []core.Record
+	for {
+		batch, ok, err := src.NextBatch()
+		if err != nil {
+			t.Fatalf("re-routed drain failed: %v", err)
+		}
+		if !ok {
+			break
+		}
+		got = append(got, batch...)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("drained %d records, want the %d of the attempt-2 replica", len(got), len(want))
+	}
+	if err := src.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPushSourceReRouteMidStream: killing the serving run-server while a
 // section is streaming re-routes to the superseding replica with the
 // already-delivered prefix skipped — every record exactly once, in order.
 func TestPushSourceReRouteMidStream(t *testing.T) {
 	// Big enough that the section cannot hide in socket buffers: severing
-	// the server must be observable as a mid-stream read error.
-	want := make([]core.Record, 20_000)
+	// the server must be observable as a mid-stream read error. ~13 MB: at
+	// 20k records (4.3 MB) the whole section fitted a 4 MiB loopback send
+	// buffer plus the receive buffer, and under load the server had written
+	// all of it before the Close below — no re-route, one dial, a failure.
+	want := make([]core.Record, 60_000)
 	pad := strings.Repeat("x", 200)
 	for i := range want {
 		want[i] = core.Record{Key: fmt.Sprintf("k%06d", i), Value: pad}

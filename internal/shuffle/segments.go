@@ -533,9 +533,12 @@ func NewPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int) *PushSource
 // Offer records map task m's segments for this partition (empty for a map
 // that published nothing here) under the given attempt ID. The first offer
 // of a map counts it toward the source's barrier and releases it to the
-// consumer; a repeat of the same attempt is ignored; a newer attempt
-// replaces the routing (and revives an invalidated one). Older attempts
-// never displace newer ones.
+// consumer. While the routing held is live, a repeat of its attempt or an
+// older one is ignored and a newer attempt replaces it. Once it has been
+// invalidated, whatever attempt is offered next replaces and revives it: the
+// coordinator offers a route only when it installs one, and an original
+// that outlives its dead speculative clone carries the lower attempt — the
+// last route installed wins.
 func (p *PushSource) Offer(m, attempt int, segs []Segment) error {
 	p.mu.Lock()
 	if m < 0 || m >= len(p.byMap) {
@@ -555,7 +558,7 @@ func (p *PushSource) Offer(m, attempt int, segs []Segment) error {
 		}
 		return nil
 	}
-	if attempt < p.attempt[m] || (attempt == p.attempt[m] && !p.dead[m]) {
+	if !p.dead[m] && attempt <= p.attempt[m] {
 		p.mu.Unlock()
 		return nil // duplicate or stale push: idempotent
 	}
