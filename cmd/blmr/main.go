@@ -72,7 +72,6 @@ type options struct {
 	comp              codec.Compression
 	combine           bool
 	speculative       bool
-	staged            bool
 	workers           int
 
 	// Simulator only.
@@ -84,7 +83,7 @@ type options struct {
 	real                           bool
 	transport                      shuffle.Kind
 	mapTasks, fanIn, decodeWorkers int
-	verify                         bool
+	staged, verify                 bool
 	chaosKill                      time.Duration
 	workerCoord                    string
 
@@ -133,7 +132,7 @@ func (o *options) flagSet() *flag.FlagSet {
 			o.real = true
 			return shuffle.ParseKind(s)
 		})
-	fs.BoolVar(&o.staged, "staged", false, "disable cross-wave overlap: dispatch the reduce wave only after the whole map wave (multi-process engine and TCP-transport simulator; default overlapped)")
+	fs.BoolVar(&o.staged, "staged", false, "multi-process engine: disable cross-wave overlap, dispatching the reduce wave only after the whole map wave (default overlapped). The simulator form ignores it: it models the in-process shuffle, which has no stage barrier to restore (harness.OverlapSweep simulates the comparison)")
 	fs.IntVar(&o.workers, "workers", 0, "with -transport tcp: run N worker subprocesses (multi-process cluster mode); with the simulator: place tasks on an N-node sub-cluster (0 = all nodes)")
 	fs.IntVar(&o.mapTasks, "map-tasks", 0, "real engine: number of map tasks (0 = NumCPU)")
 	fs.IntVar(&o.fanIn, "merge-fan-in", 0, "real engine: external merge fan-in cap (0 = default 64)")
@@ -184,8 +183,9 @@ func fatal(code int, a ...any) {
 	os.Exit(code)
 }
 
-// loadApp builds the -app workload at -size. BlackScholes reduces into one
-// partition by construction, whatever -reducers says.
+// loadApp builds the -app workload at -size, with its combiner when
+// -combine allows one: the job every engine runs as is. BlackScholes reduces
+// into one partition by construction, whatever -reducers says.
 func (o *options) loadApp() (apps.App, harness.Dataset, simmr.CostModel, error) {
 	app, ds, costs, ok := buildApp(o.app, o.size, o.mappers)
 	if !ok {
@@ -194,7 +194,7 @@ func (o *options) loadApp() (apps.App, harness.Dataset, simmr.CostModel, error) 
 	if app.Name == "blackscholes" {
 		o.reducers = 1
 	}
-	return app, ds, costs, nil
+	return app.WithCombiner(o.combine), ds, costs, nil
 }
 
 // mrOptions is the one mr.Options of a real-engine run: the batch job's, a
@@ -215,12 +215,12 @@ func (o *options) runSpec(app apps.App, ds harness.Dataset, costs simmr.CostMode
 	if o.mode == mr.Barrier {
 		m = simmr.Barrier
 	}
-	return harness.RunSpec{
-		App: app, Data: ds, Mode: m, Reducers: o.reducers, Store: o.store,
-		Costs: costs, HeapBudgetMB: o.heapMB, SpillThresholdMB: o.spillMB, KVCacheMB: 512,
+	return harness.RunSpec{Data: ds, JobSpec: simmr.JobSpec{
+		Job: app, Mode: m, Reducers: o.reducers, Store: o.store, Costs: costs,
+		HeapBudget: int64(o.heapMB) << 20, SpillThreshold: int64(o.spillMB) << 20, KVCacheBytes: 512 << 20,
 		SpillBytes: o.spillBytes, Workers: o.workers, Compression: o.comp,
-		Speculative: o.speculative, Combine: o.combine, Staged: o.staged, SnapshotPeriod: o.snapshot,
-	}
+		Speculative: o.speculative, SnapshotPeriod: o.snapshot,
+	}}
 }
 
 // runWorker is the -worker-coord form: SpawnLocal re-executed this binary
@@ -238,7 +238,7 @@ func runWorker(o *options) {
 		if app, _, _, err = o.loadApp(); err != nil {
 			fatal(2, err)
 		}
-		err = mpexec.Serve(o.workerCoord, mrJob(app, o.combine), o.mrOptions())
+		err = mpexec.Serve(o.workerCoord, app, o.mrOptions())
 	}
 	if err != nil {
 		fatal(1, "worker:", err)
@@ -288,24 +288,14 @@ func parseStore(s string) (store.Kind, error) {
 	return 0, fmt.Errorf("unknown store %q (want memory|spill|kv)", s)
 }
 
-func mrJob(app apps.App, combine bool) mr.Job {
-	job := mr.Job{Name: app.Name, Mapper: app.Mapper, NewGroup: app.NewGroup,
-		NewStream: app.NewStream, Merger: app.Merger}
-	if combine && app.Class == core.ClassAggregation {
-		job.Combiner = app.Merger
-	}
-	return job
-}
-
 // runReal executes the job on the real-concurrency engine — in-process over
 // the chosen transport, or across worker subprocesses when -workers > 0.
 func runReal(o *options) {
-	app, ds, _, err := o.loadApp()
+	job, ds, _, err := o.loadApp()
 	if err != nil {
 		fatal(2, err)
 	}
 	input := slices.Concat(ds.Splits...)
-	job := mrJob(app, o.combine)
 	opts := o.mrOptions()
 
 	var res *mr.Result
@@ -328,7 +318,7 @@ func runReal(o *options) {
 			engine += "/staged"
 		}
 	}
-	fmt.Printf("app=%s engine=%s mode=%s store=%s reducers=%d\n", app.Name, engine, o.mode, o.store, o.reducers)
+	fmt.Printf("app=%s engine=%s mode=%s store=%s reducers=%d\n", job.Name, engine, o.mode, o.store, o.reducers)
 	fmt.Printf("records: in=%d out=%d shuffled=%d\n", len(input), len(res.Output), res.ShuffleRecords)
 	fmt.Printf("wall: %.1fms (map %.1fms)  spills: %d (%d KB sealed)  merge passes: %d  peak partials: %d KB\n",
 		res.Wall.Seconds()*1e3, res.MapWall.Seconds()*1e3,
@@ -348,7 +338,7 @@ func runReal(o *options) {
 	}
 
 	if o.verify {
-		how, err := verifyOutput(job, app.Class == core.ClassCrossKey, input, opts, res.Output)
+		how, err := verifyOutput(job, input, opts, res.Output)
 		if err != nil {
 			fatal(1, err)
 		}
@@ -361,7 +351,8 @@ func runReal(o *options) {
 // it: byte-identical in barrier mode, as key-sorted multisets in pipelined
 // mode, by record count for cross-key apps (whose pipelined output depends
 // on arrival order). It returns how the outputs were matched.
-func verifyOutput(job mr.Job, crossKey bool, input []core.Record, opts mr.Options, out []core.Record) (string, error) {
+func verifyOutput(job mr.Job, input []core.Record, opts mr.Options, out []core.Record) (string, error) {
+	crossKey := job.Class == core.ClassCrossKey
 	ref, err := mr.Run(job, input, mr.Options{
 		Mappers: opts.Mappers, Reducers: opts.Reducers, Mode: opts.Mode, Store: opts.Store,
 	})

@@ -35,8 +35,10 @@ const (
 // ServiceConfig (and its workers' base mr.Options), the -submit form's
 // request and the simulator form's RunSpec. A -worker-coord worker is its
 // coordinator's command line plus that one flag, and must come out with the
-// coordinator's mr.Options.
+// coordinator's mr.Options. On every engine -combine installs the combiner
+// only for an aggregation-class app.
 func TestFlagForms(t *testing.T) {
+	yes, no := true, false
 	batchOpts := mr.Options{
 		Mappers: 6, Reducers: 4, Mode: mr.Barrier, Transport: shuffle.TCP, Store: store.KV,
 		SpillBytes: 65536, MergeFanIn: 8, DecodeWorkers: 2, Compression: codec.DeltaBlock,
@@ -49,6 +51,7 @@ func TestFlagForms(t *testing.T) {
 		svc        *mpexec.ServiceConfig
 		req        *submitRequest
 		spec       *harness.RunSpec
+		combiner   *bool
 	}{
 		{name: "batch, defaults", args: "-transport inproc",
 			mr: &mr.Options{Reducers: 60, Mode: mr.Pipelined}},
@@ -65,11 +68,15 @@ func TestFlagForms(t *testing.T) {
 		{name: "submit, defaults", args: "-submit",
 			req: &submitRequest{App: "wordcount", Size: 4, Mode: "pipelined", Reducers: 60, Compress: "none"}},
 		{name: "simulator, every simulator flag", args: simArgs,
-			spec: &harness.RunSpec{Mode: simmr.Barrier, Reducers: 10, Store: store.SpillMerge,
-				HeapBudgetMB: 64, SpillThresholdMB: 100, KVCacheMB: 512, SpillBytes: 2097152, Workers: 4,
-				Compression: codec.DeltaBlock, Speculative: true, Combine: true, Staged: true, SnapshotPeriod: 5}},
+			spec: &harness.RunSpec{JobSpec: simmr.JobSpec{Mode: simmr.Barrier, Reducers: 10, Store: store.SpillMerge,
+				HeapBudget: 64 << 20, SpillThreshold: 100 << 20, KVCacheBytes: 512 << 20, SpillBytes: 2097152, Workers: 4,
+				Compression: codec.DeltaBlock, Speculative: true, SnapshotPeriod: 5}}},
 		{name: "simulator, defaults", args: "",
-			spec: &harness.RunSpec{Mode: simmr.Pipelined, Reducers: 60, SpillThresholdMB: 240, KVCacheMB: 512}},
+			spec: &harness.RunSpec{JobSpec: simmr.JobSpec{Mode: simmr.Pipelined, Reducers: 60,
+				SpillThreshold: 240 << 20, KVCacheBytes: 512 << 20}}},
+		{name: "combine, aggregation class", args: "-app wordcount -size 0.01 -combine", combiner: &yes},
+		{name: "combine, another class", args: "-app sort -size 0.01 -combine", combiner: &no},
+		{name: "no combine", args: "-app wordcount -size 0.01", combiner: &no},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o, err := parseFlags(strings.Fields(tc.args))
@@ -96,6 +103,15 @@ func TestFlagForms(t *testing.T) {
 				got := o.runSpec(apps.App{}, harness.Dataset{}, simmr.CostModel{})
 				if !reflect.DeepEqual(got, *tc.spec) {
 					t.Errorf("RunSpec:\n got %+v\nwant %+v", got, *tc.spec)
+				}
+			}
+			if tc.combiner != nil {
+				app, _, _, err := o.loadApp()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := app.Combiner != nil; got != *tc.combiner {
+					t.Errorf("%s job has a combiner: %v, want %v", app.Name, got, *tc.combiner)
 				}
 			}
 		})

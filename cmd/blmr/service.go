@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"blmr/internal/codec"
-	"blmr/internal/core"
 	"blmr/internal/mpexec"
 	"blmr/internal/mr"
 )
@@ -78,7 +77,7 @@ func registryResolver(combine bool) mpexec.JobResolver {
 		if !ok {
 			return mr.Job{}, false
 		}
-		return mrJob(app, combine), true
+		return app.WithCombiner(combine), true
 	}
 }
 
@@ -218,7 +217,7 @@ func (s *server) handle(conn net.Conn) {
 		fail(-1, err)
 		return
 	}
-	app, ds, _, err := o.loadApp()
+	job, ds, _, err := o.loadApp()
 	if err != nil {
 		fail(-1, err)
 		return
@@ -228,7 +227,7 @@ func (s *server) handle(conn net.Conn) {
 		return
 	}
 	input := slices.Concat(ds.Splits...)
-	job, opts := mrJob(app, o.combine), o.mrOptions()
+	opts := o.mrOptions()
 	tk, err := s.svc.Submit(job, input, opts)
 	if err != nil {
 		fail(-1, err)
@@ -253,7 +252,7 @@ func (s *server) handle(conn net.Conn) {
 	reply := submitReply{ID: tk.ID, OK: true, Records: len(res.Output),
 		WallMS: time.Since(start).Seconds() * 1e3}
 	if o.verify {
-		if _, err := verifyOutput(job, app.Class == core.ClassCrossKey, input, opts, res.Output); err != nil {
+		if _, err := verifyOutput(job, input, opts, res.Output); err != nil {
 			fail(tk.ID, err)
 			return
 		}
@@ -343,11 +342,7 @@ func runResume(o *options) {
 		}
 		reattached += res.ReattachedMaps
 		job, input, opts := tk.Spec()
-		crossKey := false
-		if app, _, _, ok := buildApp(job.Name, 1, 100); ok {
-			crossKey = app.Class == core.ClassCrossKey
-		}
-		if _, err := verifyOutput(job, crossKey, input, opts, res.Output); err != nil {
+		if _, err := verifyOutput(job, input, opts, res.Output); err != nil {
 			fmt.Fprintf(os.Stderr, "resume: job %d: %v\n", tk.ID, err)
 			failed++
 			continue

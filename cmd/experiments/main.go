@@ -1,10 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation on the simulated cluster and prints the textual equivalents.
+// evaluation on the simulated cluster and prints the textual equivalents,
+// followed by the sweeps of this reproduction's own extensions (overlap,
+// spill, workers, transport, compress, kill, policy) and the DESIGN §9
+// ablations.
 //
 // Usage:
 //
 //	experiments            # run everything
 //	experiments -only fig6b,fig9,table2
+//	experiments -only ablations
 //	experiments -quick     # smaller sweeps for a fast smoke run
 package main
 
@@ -14,11 +18,12 @@ import (
 	"os"
 	"strings"
 
+	"blmr/internal/apps"
 	"blmr/internal/harness"
 )
 
 func main() {
-	only := flag.String("only", "", "comma-separated experiment ids (fig4, fig5, fig6a..fig6f, fig7, fig8, fig9, fig10, hetero, table1, table2)")
+	only := flag.String("only", "", "comma-separated experiment ids (fig4, fig5, fig6a..fig6f, fig7, fig8, fig9, fig10, hetero, table1, table2, overlap, spill, workers, transport, compress, kill, policy, ablations)")
 	quick := flag.Bool("quick", false, "use reduced sweeps")
 	flag.Parse()
 
@@ -36,7 +41,15 @@ func main() {
 	fig8R := harness.PaperFig8Reducers()
 	fig9R := harness.PaperFig9Reducers()
 	fig10S := harness.PaperFig10Sizes()
+	pools := []int{2, 4, 8, 15}
+	budgetsMB := []float64{0, 256, 64, 8}
+	killFracs := []float64{0, 0.2, 0.4, 0.6, 0.8}
+	skews := []int{1, 2, 4, 8}
 	if *quick {
+		pools = []int{4, 10}
+		budgetsMB = []float64{0, 64, 8}
+		killFracs = []float64{0, 0.3, 0.6}
+		skews = []int{1, 2, 4}
 		sizes = []float64{2, 8}
 		gaMappers = []float64{50, 150}
 		bsMappers = []float64{25, 100}
@@ -74,6 +87,26 @@ func main() {
 			os.Exit(1)
 		}
 		return harness.RenderTable2(rows)
+	})
+	section("overlap", func() string {
+		return harness.OverlapSweep(apps.WordCount(), 4, pools).Render() +
+			harness.OverlapSweep(apps.Sort(), 2, pools).Render()
+	})
+	section("spill", func() string { return harness.SpillTradeoff(budgetsMB).Render() })
+	section("workers", func() string { return harness.WorkerScaling(pools).Render() })
+	section("transport", func() string { return harness.TransportOverhead(8).Render() })
+	section("compress", func() string { return harness.CompressionTradeoff().Render() })
+	section("kill", func() string {
+		return harness.KillSweep(harness.KillWorker, 1, harness.ParityWorkers, killFracs).Render() +
+			harness.KillSweep(harness.KillCoordinator, 1, harness.ParityWorkers, killFracs).Render()
+	})
+	section("policy", func() string { return harness.PolicySweep(harness.ParityWorkers, skews).Render() })
+	section("ablations", func() string {
+		var out string
+		for _, sw := range harness.Ablations() {
+			out += sw.Render()
+		}
+		return out
 	})
 }
 

@@ -17,11 +17,22 @@
 // applications (apps), and an experiment harness reproducing every table
 // and figure of the evaluation (harness).
 //
+// The user code of a job is declared once: exec.Job (mapper, both reducer
+// forms, merger, optional combiner, the paper's Reduce class). apps.App is
+// that type, mr.Job aliases it and simmr.JobSpec embeds it, so what
+// apps.WordCount() returns runs on all three engines without conversion;
+// Job.WithCombiner is the one statement of the rule that only
+// aggregation-class jobs may combine map-side. A simulated run is a
+// harness.RunSpec: a simmr.JobSpec plus the dataset and the testbed, with
+// the testbed's cost rates defaulted in harness.Run; a sweep is one call
+// of the harness's grid (KillSweep and PolicySweep excepted), and
+// cmd/experiments prints them all.
+//
 // The real-concurrency engine's shuffle is batched and allocation-lean:
 // mr.Options.BatchSize sets the records-per-channel-send granularity
 // (default 256; 1 reproduces record-at-a-time shuffling), mr.Options.QueueCap
-// the per-reducer buffering in batches, and mr.Job.Combiner — parity with
-// simmr.JobSpec.Combiner — enables map-side folding of same-key records
+// the per-reducer buffering in batches, and Job.Combiner enables map-side
+// folding of same-key records
 // (each buffer holds max(BatchSize, 4096) distinct keys) so
 // aggregation-class jobs shuffle a fraction of their intermediate records.
 //
@@ -127,7 +138,7 @@
 // output stays byte-identical through the loss of any single worker.
 // cmd/blmr -chaos-kill injects the fault (SIGKILL one worker mid-job) for
 // smoke runs. The simulator mirrors the model with
-// simmr.JobSpec.{KillWorkerAt,KillWorker}; harness.KillSweep(KillWorker, …)
+// simmr.JobSpec.KillWorkerAt (worker 0 dies); harness.KillSweep(KillWorker, …)
 // sweeps kill times, and harness.KillPrediction is pinned to the real
 // engine's measured recovery overhead by the "worker-kill" row of
 // harness.Parity — the one table of every sim ↔ real claim (name,
@@ -180,5 +191,6 @@
 // "coord-restart" row of harness.Parity pins the predicted restart overhead
 // to the real engine's measured one.
 //
-// See DESIGN.md for the system inventory and the design-choice ablations.
+// See DESIGN.md for the system inventory, and `experiments -only ablations`
+// for the design-choice ablations (§9).
 package blmr

@@ -14,7 +14,6 @@ import (
 	"blmr/internal/apps"
 	"blmr/internal/harness"
 	"blmr/internal/simmr"
-	"blmr/internal/store"
 )
 
 func main() {
@@ -25,10 +24,9 @@ func main() {
 	var prices [2]float64
 	var times [2]float64
 	for i, mode := range []simmr.Mode{simmr.Barrier, simmr.Pipelined} {
-		res := harness.Run(harness.RunSpec{
-			App: apps.BlackScholes(params), Data: ds, Mode: mode,
-			Reducers: 1, Store: store.InMemory, Costs: harness.CalibBS,
-		})
+		res := harness.Run(harness.RunSpec{Data: ds, JobSpec: simmr.JobSpec{
+			Job: apps.BlackScholes(params), Mode: mode, Reducers: 1, Costs: harness.CalibBS,
+		}})
 		times[i] = res.Completion
 		for _, r := range res.Output {
 			if r.Key == "mean" {

@@ -31,11 +31,6 @@ var (
 	workerApp   = flag.String("worker-app", "", "internal: app the worker executes")
 )
 
-func jobFor(app apps.App) mr.Job {
-	return mr.Job{Name: app.Name, Mapper: app.Mapper, NewGroup: app.NewGroup,
-		NewStream: app.NewStream, Merger: app.Merger}
-}
-
 func appByName(name string) apps.App {
 	if name == "sort" {
 		return apps.Sort()
@@ -58,7 +53,7 @@ func main() {
 	flag.Parse()
 	if *workerCoord != "" {
 		// Worker role: same binary, same job code, serve until released.
-		if err := mpexec.Serve(*workerCoord, jobFor(appByName(*workerApp)), opts()); err != nil {
+		if err := mpexec.Serve(*workerCoord, appByName(*workerApp), opts()); err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
 		}
@@ -70,7 +65,7 @@ func main() {
 		app := appByName(name)
 		input := inputFor(name)
 
-		ref, err := mr.Run(jobFor(app), input, opts())
+		ref, err := mr.Run(app, input, opts())
 		fatal(err)
 
 		res, err := runCluster(name, input)
@@ -100,7 +95,7 @@ func runCluster(appName string, input []core.Record) (*mr.Result, error) {
 		return nil, err
 	}
 	defer cluster.Teardown()
-	return cluster.Coord.Run(jobFor(appByName(appName)), input, opts())
+	return cluster.Coord.Run(appByName(appName), input, opts())
 }
 
 func fatal(err error) {

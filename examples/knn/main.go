@@ -20,10 +20,7 @@ func main() {
 	data := workload.KNN(7, 200_000, 10, 1_000_000)
 	app := apps.KNN(k, data.Experimental)
 
-	res, err := mr.Run(mr.Job{
-		Name: app.Name, Mapper: app.Mapper,
-		NewGroup: app.NewGroup, NewStream: app.NewStream, Merger: app.Merger,
-	}, workload.KNNRecords(data, 0), mr.Options{Mode: mr.Pipelined, Reducers: 4})
+	res, err := mr.Run(app, workload.KNNRecords(data, 0), mr.Options{Mode: mr.Pipelined, Reducers: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

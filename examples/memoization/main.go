@@ -26,9 +26,7 @@ func main() {
 		})
 		f := e.Ingest("in", ds.Splits)
 		return e.Run(simmr.JobSpec{
-			Name: app.Name, Mapper: app.Mapper, NewGroup: app.NewGroup,
-			NewStream: app.NewStream, Merger: app.Merger,
-			Reducers: 60, Mode: simmr.Pipelined, Costs: harness.CalibWordCount,
+			Job: app, Reducers: 60, Mode: simmr.Pipelined, Costs: harness.CalibWordCount,
 		}, f)
 	}
 

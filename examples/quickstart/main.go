@@ -17,14 +17,8 @@ func main() {
 	// 50k lines of Zipf-distributed text.
 	input := workload.Text(1, 50_000, 5_000, 12)
 
-	app := apps.WordCount()
-	job := mr.Job{
-		Name:      app.Name,
-		Mapper:    app.Mapper,
-		NewGroup:  app.NewGroup,
-		NewStream: app.NewStream,
-		Merger:    app.Merger,
-	}
+	// An app is the engines' own job type: it runs as it is.
+	job := apps.WordCount()
 
 	barrier, err := mr.Run(job, input, mr.Options{Mode: mr.Barrier})
 	if err != nil {
@@ -38,9 +32,7 @@ func main() {
 	}
 	// A map-side combiner (the app's merger) folds duplicate words before
 	// they are shuffled at all.
-	combined := job
-	combined.Combiner = app.Merger
-	withCombiner, err := mr.Run(combined, input, mr.Options{Mode: mr.Pipelined, BatchSize: 256})
+	withCombiner, err := mr.Run(job.WithCombiner(true), input, mr.Options{Mode: mr.Pipelined, BatchSize: 256})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,13 +25,7 @@ const budget = 1 << 20 // 1MiB of buffered intermediate data per task
 func main() {
 	// ~1M records, ~35MB of reducer partial results when unbounded.
 	input := workload.UniformKeys(42, 1_000_000, 1<<40)
-	job := mr.Job{
-		Name:      "sort",
-		Mapper:    apps.Sort().Mapper,
-		NewGroup:  apps.Sort().NewGroup,
-		NewStream: apps.Sort().NewStream,
-		Merger:    apps.Sort().Merger,
-	}
+	job := apps.Sort()
 
 	unbounded, err := mr.Run(job, input, mr.Options{Mode: mr.Pipelined, Mappers: 4, Reducers: 4})
 	if err != nil {

@@ -17,25 +17,14 @@ import (
 	"strings"
 
 	"blmr/internal/core"
+	"blmr/internal/exec"
 	"blmr/internal/reducers"
 	"blmr/internal/store"
 )
 
-// App is a runnable MapReduce application in both execution modes.
-type App struct {
-	// Name identifies the app in reports.
-	Name string
-	// Class is the paper's Reduce classification.
-	Class core.Class
-	// Mapper is shared by all map tasks (stateless).
-	Mapper core.Mapper
-	// NewGroup builds a barrier-mode reducer per reduce task.
-	NewGroup func() core.GroupReducer
-	// NewStream builds a barrier-less reducer per reduce task.
-	NewStream func(st store.Store) core.StreamReducer
-	// Merger combines same-key partials for the spill-merge store.
-	Merger store.Merger
-}
+// App is a runnable MapReduce application in both execution modes: the
+// engines' own job type, so an App runs on any of them as it is.
+type App = exec.Job
 
 // Grep returns the distributed-grep app: lines containing pattern pass
 // through unchanged (Identity class — byte-identical in both modes).

@@ -181,15 +181,3 @@ func (c *Cluster) Transfer(p *sim.Proc, src, dst *Node, bytes int64) {
 		bytes -= b
 	}
 }
-
-// PickLeastLoaded returns the node with the fewest held reduce slots,
-// breaking ties by lowest ID (used for reduce-task placement).
-func (c *Cluster) PickLeastLoaded() *Node {
-	best := c.Nodes[0]
-	for _, n := range c.Nodes[1:] {
-		if n.ReduceSlots.InUse() < best.ReduceSlots.InUse() {
-			best = n
-		}
-	}
-	return best
-}

@@ -209,24 +209,6 @@ func TestSlotsLimitConcurrency(t *testing.T) {
 	}
 }
 
-func TestPickLeastLoaded(t *testing.T) {
-	k := sim.NewKernel()
-	c := New(k, smallCfg())
-	if !c.Nodes[1].ReduceSlots.TryAcquire(1) {
-		t.Fatal("acquire failed")
-	}
-	if got := c.PickLeastLoaded(); got.ID != 0 {
-		t.Fatalf("least loaded = node %d, want 0", got.ID)
-	}
-	if !c.Nodes[0].ReduceSlots.TryAcquire(2) {
-		t.Fatal("acquire failed")
-	}
-	// Now loads are [2,1,0,0]: the first emptiest node (2) wins.
-	if got := c.PickLeastLoaded(); got.ID != 2 {
-		t.Fatalf("least loaded = node %d, want 2", got.ID)
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

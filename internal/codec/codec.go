@@ -46,41 +46,6 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// Reader decodes a record stream from a buffer. It satisfies sortx.Run when
-// the underlying stream is key-sorted.
-type Reader struct {
-	buf []byte
-	off int
-}
-
-// NewReader wraps an encoded buffer.
-func NewReader(buf []byte) *Reader { return &Reader{buf: buf} }
-
-// Next decodes the next record; ok is false at end of buffer. Corrupt input
-// panics: the framework only reads buffers it wrote.
-func (rd *Reader) Next() (core.Record, bool) {
-	if rd.off >= len(rd.buf) {
-		return core.Record{}, false
-	}
-	key := rd.str()
-	val := rd.str()
-	return core.Record{Key: key, Value: val}, true
-}
-
-func (rd *Reader) str() string {
-	n, sz := binary.Uvarint(rd.buf[rd.off:])
-	if sz <= 0 {
-		panic(fmt.Sprintf("codec: corrupt length at offset %d", rd.off))
-	}
-	rd.off += sz
-	if rd.off+int(n) > len(rd.buf) {
-		panic(fmt.Sprintf("codec: truncated record at offset %d", rd.off))
-	}
-	s := string(rd.buf[rd.off : rd.off+int(n)])
-	rd.off += int(n)
-	return s
-}
-
 // ErrCorrupt reports a structurally invalid record stream: a malformed
 // length prefix, or a stream that ends mid-record (a partial write that was
 // never completed).
@@ -94,9 +59,9 @@ type ByteScanner interface {
 }
 
 // StreamReader decodes records incrementally from an io stream (a spill
-// file) without loading the stream into memory. Unlike Reader it returns
-// errors instead of panicking: disk-backed runs can be truncated by crashes
-// or partial writes, and the merge path must surface that, not die.
+// file) without loading the stream into memory. It returns errors instead
+// of panicking: disk-backed runs can be truncated by crashes or partial
+// writes, and the merge path must surface that, not die.
 type StreamReader struct {
 	r     ByteScanner
 	buf   []byte // scratch for key/value bytes, reused across records
@@ -114,14 +79,9 @@ func (sr *StreamReader) Reset(r ByteScanner) {
 	sr.err = nil
 }
 
-// SetArena makes the reader allocate record strings from a (nil restores
-// per-record allocation). See Arena for the retention trade-off.
-func (sr *StreamReader) SetArena(a *Arena) { sr.arena = a }
-
-// NewStreamReaderBytes wraps an in-memory encoded buffer. Unlike Reader it
-// returns errors instead of panicking — the right decoder for buffers of
-// untrusted provenance (network frames), where truncation is an input
-// condition, not a framework bug.
+// NewStreamReaderBytes wraps an in-memory encoded buffer, of any provenance:
+// in a network frame truncation is an input condition, not a framework bug,
+// and comes back as ErrCorrupt like a truncated file's.
 func NewStreamReaderBytes(b []byte) *StreamReader { return NewStreamReader(bytes.NewReader(b)) }
 
 // Next decodes the next record. ok is false at end of stream or on error;
@@ -197,16 +157,3 @@ func (sr *StreamReader) str(atRecordStart bool) (string, error) {
 
 // Err returns the first decode error encountered, if any.
 func (sr *StreamReader) Err() error { return sr.err }
-
-// DecodeAll decodes every record in buf.
-func DecodeAll(buf []byte) []core.Record {
-	var out []core.Record
-	rd := NewReader(buf)
-	for {
-		r, ok := rd.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, r)
-	}
-}

@@ -14,6 +14,19 @@ import (
 	"blmr/internal/core"
 )
 
+// decodeRecords decodes every record of an in-memory buffer; ok is false when
+// the stream is corrupt.
+func decodeRecords(buf []byte) (recs []core.Record, ok bool) {
+	sr := NewStreamReaderBytes(buf)
+	for {
+		r, more := sr.Next()
+		if !more {
+			return recs, sr.Err() == nil
+		}
+		recs = append(recs, r)
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	recs := []core.Record{
 		{Key: "a", Value: "1"},
@@ -21,10 +34,9 @@ func TestRoundTrip(t *testing.T) {
 		{Key: "long-key-" + strings.Repeat("x", 200), Value: strings.Repeat("v", 1000)},
 		{Key: "\x00binary\xff", Value: "\x1f"},
 	}
-	buf := AppendRecords(nil, recs)
-	got := DecodeAll(buf)
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	got, ok := decodeRecords(AppendRecords(nil, recs))
+	if !ok || len(got) != len(recs) {
+		t.Fatalf("decoded %d records (clean stream: %v), want %d", len(got), ok, len(recs))
 	}
 	for i := range recs {
 		if got[i] != recs[i] {
@@ -50,8 +62,8 @@ func TestRoundTripProperty(t *testing.T) {
 		for i, p := range pairs {
 			recs[i] = core.Record{Key: p[0], Value: p[1]}
 		}
-		got := DecodeAll(AppendRecords(nil, recs))
-		if len(got) != len(recs) {
+		got, ok := decodeRecords(AppendRecords(nil, recs))
+		if !ok || len(got) != len(recs) {
 			return false
 		}
 		for i := range recs {
@@ -211,23 +223,9 @@ func TestStreamReaderScratchNotAliased(t *testing.T) {
 }
 
 func TestEmptyBuffer(t *testing.T) {
-	rd := NewReader(nil)
-	if _, ok := rd.Next(); ok {
-		t.Fatal("empty buffer should yield no records")
+	if recs, ok := decodeRecords(nil); !ok || recs != nil {
+		t.Fatalf("empty buffer decoded to %v (clean stream: %v), want no records and no error", recs, ok)
 	}
-	if DecodeAll(nil) != nil {
-		t.Fatal("DecodeAll(nil) should be nil")
-	}
-}
-
-func TestCorruptPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on truncated buffer")
-		}
-	}()
-	buf := AppendRecord(nil, core.Record{Key: "hello", Value: "world"})
-	NewReader(buf[:3]).Next()
 }
 
 func BenchmarkAppendRecord(b *testing.B) {
@@ -249,7 +247,7 @@ func BenchmarkDecode(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rd := NewReader(buf)
+		rd := NewStreamReaderBytes(buf)
 		for {
 			if _, ok := rd.Next(); !ok {
 				break

@@ -57,9 +57,6 @@ func NewDecodePool(workers int) *DecodePool {
 	return p
 }
 
-// Workers reports the pool's concurrency.
-func (p *DecodePool) Workers() int { return p.workers }
-
 func (p *DecodePool) worker() {
 	defer p.wg.Done()
 	for j := range p.jobs {

@@ -10,8 +10,6 @@
 package dfs
 
 import (
-	"fmt"
-
 	"blmr/internal/cluster"
 	"blmr/internal/core"
 	"blmr/internal/sim"
@@ -33,24 +31,6 @@ func (c *Chunk) Primary() *cluster.Node { return c.Replicas[0] }
 type File struct {
 	Name   string
 	Chunks []*Chunk
-}
-
-// Records flattens all chunk payloads (for verification in tests).
-func (f *File) Records() []core.Record {
-	var out []core.Record
-	for _, c := range f.Chunks {
-		out = append(out, c.Records...)
-	}
-	return out
-}
-
-// TotalBytes sums virtual chunk sizes.
-func (f *File) TotalBytes() int64 {
-	var n int64
-	for _, c := range f.Chunks {
-		n += c.Bytes
-	}
-	return n
 }
 
 // DFS is the namespace plus placement policy.
@@ -76,12 +56,6 @@ func New(c *cluster.Cluster, replication int) *DFS {
 		files:       make(map[string]*File),
 		rng:         workload.NewRNG(0xD15C),
 	}
-}
-
-// Lookup returns a file by name.
-func (d *DFS) Lookup(name string) (*File, bool) {
-	f, ok := d.files[name]
-	return f, ok
 }
 
 // Ingest registers input data as a file without charging simulation time
@@ -159,9 +133,4 @@ func (d *DFS) Write(p *sim.Proc, from *cluster.Node, name string, recs []core.Re
 	ch := &Chunk{Index: len(f.Chunks), Bytes: virtBytes, Replicas: replicas, Records: recs}
 	f.Chunks = append(f.Chunks, ch)
 	return ch
-}
-
-// String summarizes placement for debugging.
-func (d *DFS) String() string {
-	return fmt.Sprintf("dfs{files: %d, replication: %d}", len(d.files), d.replication)
 }

@@ -255,7 +255,6 @@ type RunSet struct {
 	tag   string
 	paths []string
 	open  []*RunReader
-	bytes int64
 }
 
 // NewRunSet creates an empty run set writing into d.
@@ -289,15 +288,8 @@ func (s *RunSet) Append(buf []byte, rawBytes int64) error {
 	}
 	s.d.AddRawBytes(rawBytes)
 	s.paths = append(s.paths, w.Path())
-	s.bytes += int64(len(buf))
 	return nil
 }
-
-// Len returns the number of sealed runs.
-func (s *RunSet) Len() int { return len(s.paths) }
-
-// Bytes returns the total sealed bytes across runs.
-func (s *RunSet) Bytes() int64 { return s.bytes }
 
 // Runs reopens every sealed run as a streaming reader, in append order,
 // typed for direct use in a sortx merge (each returned Run is a

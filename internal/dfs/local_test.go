@@ -165,12 +165,12 @@ func TestRunSetLifecycle(t *testing.T) {
 		}
 		want += len(recs)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
 	runs, err := s.Runs()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(runs) != 3 {
+		t.Fatalf("%d runs, want 3", len(runs))
 	}
 	m := sortx.NewMerger(runs)
 	merged := m.Drain()

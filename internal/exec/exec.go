@@ -36,24 +36,48 @@ func (m Mode) String() string {
 	return "pipelined"
 }
 
-// Job bundles the user code for one MapReduce job (the same shape as
-// apps.App, decoupled so the engines stay reusable as standalone libraries).
+// Job is the user code of one MapReduce job, in both execution forms: the
+// one definition all three engines run. apps.App is this type, mr.Job
+// aliases it, and simmr.JobSpec embeds it, so an application built once
+// runs anywhere without conversion.
 type Job struct {
-	Name      string
-	Mapper    core.Mapper
-	NewGroup  func() core.GroupReducer
+	// Name identifies the job in reports, journals and worker registries.
+	Name string
+	// Class is the paper's Reduce classification (Table 1).
+	Class core.Class
+	// Mapper runs once per input record; it is shared by all map tasks and
+	// must be stateless.
+	Mapper core.Mapper
+	// NewGroup builds a barrier-mode reducer per reduce task.
+	NewGroup func() core.GroupReducer
+	// NewStream builds a barrier-less reducer per reduce task over the
+	// task's partial-result store.
 	NewStream func(st store.Store) core.StreamReducer
-	Merger    store.Merger
+	// Merger combines same-key partials when a spill-merge store reunites
+	// spilled runs. Required for store.SpillMerge and for SpillBytes in
+	// pipelined mode.
+	Merger store.Merger
 	// Combiner, when non-nil, folds same-key intermediate records on the
-	// map side before they are shuffled (Hadoop's combiner; parity with
-	// simmr.JobSpec.Combiner). In run-discipline map tasks each published
-	// wave is combined before sealing; in stream-discipline (in-process
-	// pipelined) tasks a hash accumulator holding max(BatchSize, 4096)
-	// distinct keys folds records before batching. It must be commutative and
-	// associative, and the reduce function must tolerate pre-combined
-	// values (true for aggregation-class jobs whose reduce is the same
-	// fold).
+	// map side before they are shuffled (Hadoop's combiner; the paper notes
+	// the spill merge function "is often functionally the same"). In
+	// run-discipline map tasks each published wave is combined before
+	// sealing; in stream-discipline (in-process pipelined) tasks a hash
+	// accumulator holding max(BatchSize, 4096) distinct keys folds records
+	// before batching. It must be commutative and associative, and the
+	// reduce function must tolerate pre-combined values: see WithCombiner.
 	Combiner store.Merger
+}
+
+// WithCombiner returns j with its Merger installed as the map-side combiner
+// when on is set and j is aggregation-class. Only those jobs combine safely
+// (their reduce is the same fold), so every other class comes back
+// unchanged: sort, for one, counts record arrivals, and folding duplicates
+// map-side would silently drop them.
+func (j Job) WithCombiner(on bool) Job {
+	if on && j.Class == core.ClassAggregation {
+		j.Combiner = j.Merger
+	}
+	return j
 }
 
 // Options tunes an execution.

@@ -533,8 +533,10 @@ const (
 
 // NewTaskStore builds reduce task r's partial-result store. With SpillBytes
 // set, tree-backed stores become disk-backed spill-merge stores budgeted at
-// SpillBytes, so pipelined partial results leave the heap for real; the KV
-// store already bounds its own memory through its cache.
+// SpillBytes, so pipelined partial results leave the heap for real. The KV
+// store is outside that budget: its cache is bounded, but what the cache
+// evicts goes to a log on a heap-resident kvstore.MemDisk, so on this engine
+// it models the store's access pattern, not its memory bound.
 func NewTaskStore(job Job, opts Options, spillDir *dfs.RunDir, r int) store.Store {
 	if opts.SpillBytes > 0 && opts.Store != store.KV {
 		return store.NewSpillStoreComp(opts.SpillBytes, job.Merger, nil,

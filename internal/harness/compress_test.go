@@ -9,7 +9,7 @@ import "testing"
 // below the I/O savings). Small slack for discrete-event reordering.
 func TestCompressionTradeoffSweep(t *testing.T) {
 	const slack = 1.005
-	sw := CompressionTradeoff()
+	sw := goldenSweep(t, "compress")
 	if len(sw.Series) != 2 {
 		t.Fatalf("want 2 series, got %d", len(sw.Series))
 	}

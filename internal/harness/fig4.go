@@ -7,7 +7,6 @@ import (
 	"blmr/internal/apps"
 	"blmr/internal/metrics"
 	"blmr/internal/simmr"
-	"blmr/internal/store"
 )
 
 // Fig4Result reproduces Figure 4: system-wide progress of WordCount on a
@@ -26,10 +25,9 @@ type Fig4Result struct {
 func Fig4() Fig4Result {
 	ds := WordCountData(3)
 	run := func(mode simmr.Mode) *simmr.Result {
-		return Run(RunSpec{
-			App: apps.WordCount(), Data: ds, Mode: mode,
-			Reducers: fig6Reducers, Store: store.InMemory, Costs: CalibWordCount,
-		})
+		spec := baseSpec(apps.WordCount(), ds, CalibWordCount, fig6Reducers)
+		spec.Mode = mode
+		return Run(spec)
 	}
 	b := run(simmr.Barrier)
 	p := run(simmr.Pipelined)

@@ -31,15 +31,10 @@ type Fig5Result struct {
 // Fig5 runs both memory-management configurations.
 func Fig5() Fig5Result {
 	ds := WordCountData(fig5SizeGB)
-	base := RunSpec{
-		App: apps.WordCount(), Data: ds, Mode: simmr.Pipelined,
-		Reducers: fig5Reducers, Costs: CalibWordCount, HeapBudgetMB: fig5HeapMB,
-	}
-	mem := base
-	mem.Store = store.InMemory
-	spill := base
-	spill.Store = store.SpillMerge
-	spill.SpillThresholdMB = fig5SpillMB
+	mem := baseSpec(apps.WordCount(), ds, CalibWordCount, fig5Reducers)
+	mem.Mode, mem.HeapBudget = simmr.Pipelined, fig5HeapMB<<20
+	spill := mem
+	spill.Store, spill.SpillThreshold = store.SpillMerge, fig5SpillMB<<20
 
 	r1 := Run(mem)
 	r2 := Run(spill)

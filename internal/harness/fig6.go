@@ -2,8 +2,6 @@ package harness
 
 import (
 	"blmr/internal/apps"
-	"blmr/internal/simmr"
-	"blmr/internal/store"
 )
 
 // Figure 6: job completion times, with and without barrier, for the six
@@ -13,80 +11,56 @@ import (
 // fig6Reducers is the reduce-task count used across Figure 6.
 const fig6Reducers = 60
 
-// sweepModes runs app at each x in both modes and assembles the sweep.
-func sweepModes(id, title, xlabel string, xs []float64, mk func(x float64) (apps.App, Dataset), costs simmr.CostModel, reducers int) Sweep {
-	barrier := Series{Label: "with barrier"}
-	pipelined := Series{Label: "without barrier"}
-	for _, x := range xs {
-		app, ds := mk(x)
-		for _, mode := range []simmr.Mode{simmr.Barrier, simmr.Pipelined} {
-			res := Run(RunSpec{
-				App: app, Data: ds, Mode: mode, Reducers: reducers,
-				Store: store.InMemory, Costs: costs,
-			})
-			ser := &barrier
-			if mode == simmr.Pipelined {
-				ser = &pipelined
-			}
-			ser.X = append(ser.X, x)
-			ser.Y = append(ser.Y, res.Completion)
-			note := ""
-			if res.Failed {
-				note = "OOM"
-			}
-			ser.Note = append(ser.Note, note)
-		}
-	}
-	return Sweep{ID: id, Title: title, XLabel: xlabel, Series: []Series{barrier, pipelined}}
+// sweepModes runs base(x) at each x in both modes: the shape of Figures 6
+// and 8 and of the heterogeneity experiment.
+func sweepModes(id, title, xlabel string, xs []float64, base func(x float64) RunSpec) Sweep {
+	return grid(Sweep{ID: id, Title: title, XLabel: xlabel}, xs, base, failedAs("OOM"),
+		modeCurves("with barrier", "without barrier"))
 }
 
 // Fig6Sort reproduces Figure 6(a): sort completion vs input size.
 func Fig6Sort(sizesGB []float64) Sweep {
-	return sweepModes("fig6a", "Sort", "input size (GB)", sizesGB,
-		func(gb float64) (apps.App, Dataset) { return apps.Sort(), SortData(gb) },
-		CalibSort, fig6Reducers)
+	return sweepModes("fig6a", "Sort", "input size (GB)", sizesGB, func(gb float64) RunSpec {
+		return baseSpec(apps.Sort(), SortData(gb), CalibSort, fig6Reducers)
+	})
 }
 
 // Fig6WordCount reproduces Figure 6(b): word count vs input size.
 func Fig6WordCount(sizesGB []float64) Sweep {
-	return sweepModes("fig6b", "WordCount", "input size (GB)", sizesGB,
-		func(gb float64) (apps.App, Dataset) { return apps.WordCount(), WordCountData(gb) },
-		CalibWordCount, fig6Reducers)
+	return sweepModes("fig6b", "WordCount", "input size (GB)", sizesGB, func(gb float64) RunSpec {
+		return baseSpec(apps.WordCount(), WordCountData(gb), CalibWordCount, fig6Reducers)
+	})
 }
 
 // Fig6KNN reproduces Figure 6(c): k-nearest neighbors vs input size.
 func Fig6KNN(sizesGB []float64) Sweep {
-	return sweepModes("fig6c", "k-Nearest Neighbors", "input size (GB)", sizesGB,
-		func(gb float64) (apps.App, Dataset) {
-			ds, exp := KNNData(gb)
-			return apps.KNN(knnK, exp), ds
-		},
-		CalibKNN, fig6Reducers)
+	return sweepModes("fig6c", "k-Nearest Neighbors", "input size (GB)", sizesGB, func(gb float64) RunSpec {
+		ds, exp := KNNData(gb)
+		return baseSpec(apps.KNN(knnK, exp), ds, CalibKNN, fig6Reducers)
+	})
 }
 
 // Fig6LastFM reproduces Figure 6(d): Last.fm unique listens vs input size.
 func Fig6LastFM(sizesGB []float64) Sweep {
-	return sweepModes("fig6d", "Last.fm Post Processing", "input size (GB)", sizesGB,
-		func(gb float64) (apps.App, Dataset) { return apps.LastFM(), LastFMData(gb) },
-		CalibLastFM, fig6Reducers)
+	return sweepModes("fig6d", "Last.fm Post Processing", "input size (GB)", sizesGB, func(gb float64) RunSpec {
+		return baseSpec(apps.LastFM(), LastFMData(gb), CalibLastFM, fig6Reducers)
+	})
 }
 
 // Fig6GA reproduces Figure 6(e): genetic algorithm vs number of mappers
 // (40 reducers, as in the paper).
 func Fig6GA(mappers []float64) Sweep {
-	return sweepModes("fig6e", "Genetic Algorithms", "number of mappers", mappers,
-		func(m float64) (apps.App, Dataset) { return apps.GA(gaWindow), GAData(int(m)) },
-		CalibGA, 40)
+	return sweepModes("fig6e", "Genetic Algorithms", "number of mappers", mappers, func(m float64) RunSpec {
+		return baseSpec(apps.GA(gaWindow), GAData(int(m)), CalibGA, 40)
+	})
 }
 
 // Fig6BlackScholes reproduces Figure 6(f): Black-Scholes vs number of
 // mappers (single reducer).
 func Fig6BlackScholes(mappers []float64) Sweep {
-	return sweepModes("fig6f", "Black-Scholes", "number of mappers", mappers,
-		func(m float64) (apps.App, Dataset) {
-			return apps.BlackScholes(BSPaperParams()), BSData(int(m))
-		},
-		CalibBS, 1)
+	return sweepModes("fig6f", "Black-Scholes", "number of mappers", mappers, func(m float64) RunSpec {
+		return baseSpec(apps.BlackScholes(BSPaperParams()), BSData(int(m)), CalibBS, 1)
+	})
 }
 
 // PaperSizesGB are the input sizes of Figures 6(a)-(d).

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"blmr/internal/apps"
-	"blmr/internal/simmr"
-	"blmr/internal/store"
 )
 
 // fig8Mappers fixes the GA workload size while the reducer count varies.
@@ -15,29 +13,10 @@ const fig8Mappers = 150
 // barrier-less advantage).
 func Fig8(reducers []float64) Sweep {
 	ds := GAData(fig8Mappers)
-	barrier := Series{Label: "with barrier"}
-	pipelined := Series{Label: "without barrier"}
-	for _, r := range reducers {
-		for _, mode := range []simmr.Mode{simmr.Barrier, simmr.Pipelined} {
-			res := Run(RunSpec{
-				App: apps.GA(gaWindow), Data: ds, Mode: mode,
-				Reducers: int(r), Store: store.InMemory, Costs: CalibGA,
-			})
-			ser := &barrier
-			if mode == simmr.Pipelined {
-				ser = &pipelined
-			}
-			ser.X = append(ser.X, r)
-			ser.Y = append(ser.Y, res.Completion)
-			ser.Note = append(ser.Note, "")
-		}
-	}
-	return Sweep{
-		ID:     "fig8",
-		Title:  "Genetic Algorithm with varying reducers (150 mappers)",
-		XLabel: "number of reducers",
-		Series: []Series{barrier, pipelined},
-	}
+	return sweepModes("fig8", "Genetic Algorithm with varying reducers (150 mappers)",
+		"number of reducers", reducers, func(r float64) RunSpec {
+			return baseSpec(apps.GA(gaWindow), ds, CalibGA, int(r))
+		})
 }
 
 // PaperFig8Reducers are the x values of Figure 8.

@@ -11,36 +11,24 @@ import (
 // store (OOMs when partial results exceed the heap), the disk
 // spill-and-merge store, and the off-the-shelf-style key/value store.
 
-// memTechniqueSweep runs the four configurations at each x.
-func memTechniqueSweep(id, title, xlabel string, xs []float64, mk func(x float64) Dataset, reducers func(x float64) int) Sweep {
-	series := []Series{
-		{Label: "with barrier"},
-		{Label: "in-memory"},
-		{Label: "spill merge"},
-		{Label: "berkeleydb-style kv"},
+// memTechniqueSweep runs the four configurations of base(x) at each x.
+func memTechniqueSweep(id, title, xlabel string, xs []float64, base func(x float64) RunSpec) Sweep {
+	pipelined := func(s *RunSpec) {
+		s.Mode = simmr.Pipelined
+		s.HeapBudget = fig5HeapMB << 20
 	}
-	for _, x := range xs {
-		ds := mk(x)
-		runs := []RunSpec{
-			{App: apps.WordCount(), Data: ds, Mode: simmr.Barrier, Store: store.InMemory},
-			{App: apps.WordCount(), Data: ds, Mode: simmr.Pipelined, Store: store.InMemory, HeapBudgetMB: fig5HeapMB},
-			{App: apps.WordCount(), Data: ds, Mode: simmr.Pipelined, Store: store.SpillMerge, SpillThresholdMB: fig5SpillMB, HeapBudgetMB: fig5HeapMB},
-			{App: apps.WordCount(), Data: ds, Mode: simmr.Pipelined, Store: store.KV, KVCacheMB: 512, HeapBudgetMB: fig5HeapMB},
-		}
-		for i, spec := range runs {
-			spec.Reducers = reducers(x)
-			spec.Costs = CalibWordCount
-			res := Run(spec)
-			series[i].X = append(series[i].X, x)
-			series[i].Y = append(series[i].Y, res.Completion)
-			note := ""
-			if res.Failed {
-				note = "OOM"
-			}
-			series[i].Note = append(series[i].Note, note)
-		}
-	}
-	return Sweep{ID: id, Title: title, XLabel: xlabel, Series: series}
+	return grid(Sweep{ID: id, Title: title, XLabel: xlabel}, xs, base, failedAs("OOM"), []curve{
+		{"with barrier", func(s *RunSpec) { s.Mode = simmr.Barrier }},
+		{"in-memory", pipelined},
+		{"spill merge", func(s *RunSpec) {
+			pipelined(s)
+			s.Store, s.SpillThreshold = store.SpillMerge, fig5SpillMB<<20
+		}},
+		{"berkeleydb-style kv", func(s *RunSpec) {
+			pipelined(s)
+			s.Store, s.KVCacheBytes = store.KV, 512<<20
+		}},
+	})
 }
 
 // Fig9 reproduces Figure 9: WordCount (16GB) memory-management techniques
@@ -50,9 +38,9 @@ func Fig9(reducers []float64) Sweep {
 	ds := WordCountData(fig5SizeGB)
 	return memTechniqueSweep("fig9",
 		"WordCount 16GB: memory management vs number of reducers",
-		"number of reducers", reducers,
-		func(float64) Dataset { return ds },
-		func(x float64) int { return int(x) })
+		"number of reducers", reducers, func(r float64) RunSpec {
+			return baseSpec(apps.WordCount(), ds, CalibWordCount, int(r))
+		})
 }
 
 // PaperFig9Reducers are the x values of Figure 9.
@@ -63,9 +51,9 @@ func PaperFig9Reducers() []float64 { return []float64{10, 20, 30, 40, 50, 60, 70
 func Fig10(sizesGB []float64) Sweep {
 	return memTechniqueSweep("fig10",
 		"WordCount: memory management vs dataset size (30 reducers)",
-		"input size (GB)", sizesGB,
-		func(gb float64) Dataset { return WordCountData(gb) },
-		func(float64) int { return 30 })
+		"input size (GB)", sizesGB, func(gb float64) RunSpec {
+			return baseSpec(apps.WordCount(), WordCountData(gb), CalibWordCount, 30)
+		})
 }
 
 // PaperFig10Sizes are the x values of Figure 10.

@@ -4,10 +4,13 @@
 // both structured data and a rendered text report.
 //
 // Calibration: the simulator is not the authors' testbed, so absolute
-// seconds differ; cost rates below are tuned so the *shape* of each result
-// (who wins, by what factor, where crossovers fall) matches the paper. The
-// per-application calibrations are package-level so ablation benchmarks can
-// perturb them.
+// seconds differ; cost rates are tuned so the *shape* of each result (who
+// wins, by what factor, where crossovers fall) matches the paper. The
+// Calib* cost models are per application: they say what the application's
+// map, reduce and sort work costs and leave the testbed's own rates (spill
+// seeks, fetch RPCs, codec speed, coordinator restart) at zero, which Run
+// fills from simmr.DefaultCosts. A sweep is one call of grid, except
+// KillSweep and PolicySweep, which say why they are not.
 package harness
 
 import (
@@ -16,10 +19,8 @@ import (
 
 	"blmr/internal/apps"
 	"blmr/internal/cluster"
-	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/simmr"
-	"blmr/internal/store"
 	"blmr/internal/workload"
 )
 
@@ -67,111 +68,67 @@ func makeDataset(recs []core.Record, sizeGB float64, virtRecords float64) Datase
 	}
 }
 
-// RunSpec is one job execution request.
+// RunSpec is one simulated run: the job, plus the two things a
+// simmr.JobSpec cannot say, the data it reads and the testbed it runs on.
 type RunSpec struct {
-	App      apps.App
-	Data     Dataset
-	Mode     simmr.Mode
-	Reducers int
-	Store    store.Kind
-	Costs    simmr.CostModel
-	// HeapBudgetMB / SpillThresholdMB / KVCacheMB are virtual megabytes.
-	HeapBudgetMB     int
-	SpillThresholdMB int
-	KVCacheMB        int
-	// SpillBytes bounds each task's buffered intermediate data (virtual
-	// bytes): map outputs spill to sorted runs and barrier reducers merge
-	// externally (simmr.JobSpec.SpillBytes). 0 = all in RAM.
-	SpillBytes int64
-	// Workers confines tasks to an N-node sub-cluster (simmr.JobSpec
-	// .Workers; 0 = whole cluster, locality-driven placement).
-	Workers int
-	// Transport selects the simulated shuffle data plane
-	// (simmr.JobSpec.Transport; default in-process).
-	Transport simmr.Transport
-	// Staged restores the multi-process stage barrier on the TCP transport:
-	// no fetch starts until the whole map wave is done
-	// (simmr.JobSpec.Staged; default false = cross-wave overlap).
-	Staged bool
-	// Compression enables the sealed-run codec model
-	// (simmr.JobSpec.Compression; default none).
-	Compression codec.Compression
-	Cluster     cluster.Config
+	// JobSpec is the job and how it executes. Byte quantities (HeapBudget,
+	// SpillThreshold, SpillBytes, KVCacheBytes) are virtual bytes; the
+	// testbed rates Costs leaves zero are filled by Run.
+	simmr.JobSpec
+	Data Dataset
+	// Cluster is the simulated datacenter (zero = PaperCluster).
+	Cluster cluster.Config
 	// Replication overrides the DFS replication factor (default 3).
 	Replication int
 	// FetchParallelism overrides the barrier-mode parallel copies (default 5).
 	FetchParallelism int
-	// Speculative enables backup execution of straggling map tasks.
-	Speculative bool
-	// KillWorkerAt, when > 0, kills pool worker KillWorker at that virtual
-	// time (simmr.JobSpec.KillWorkerAt): its published map outputs are
-	// re-executed on survivors and parked fetchers re-route.
-	KillWorkerAt float64
-	KillWorker   int
-	// KillCoordinatorAt, when > 0, crashes the coordinator at that virtual
-	// time (simmr.JobSpec.KillCoordinatorAt): the control plane goes dark
-	// for the restart window, journaled map outputs re-attach from
-	// surviving sealed runs, unjournaled attempts re-run.
-	KillCoordinatorAt float64
-	// Combine enables the map-side combiner, using the app's spill Merger
-	// as the combine function (the paper notes they are often the same).
-	// Only aggregation-class apps combine safely — their reduce is the
-	// same fold — so Run ignores the flag for every other class (e.g.
-	// sort counts record arrivals; folding duplicates map-side would
-	// silently drop them).
-	Combine bool
-	// SnapshotPeriod enables pipelined progress snapshots (virtual seconds).
-	SnapshotPeriod float64
 }
 
 // Run executes a RunSpec on a fresh engine.
 func Run(spec RunSpec) *simmr.Result {
-	ccfg := spec.Cluster
-	if ccfg.Nodes == 0 {
-		ccfg = PaperCluster()
-	}
-	repl := spec.Replication
-	if repl <= 0 {
-		repl = 3
+	if spec.Cluster.Nodes == 0 {
+		spec.Cluster = PaperCluster()
 	}
 	eng := simmr.NewEngine(simmr.Config{
-		Cluster:          ccfg,
-		Replication:      repl,
+		Cluster:          spec.Cluster,
+		Replication:      spec.Replication,
 		ByteScale:        spec.Data.ByteScale,
 		RecordScale:      spec.Data.RecordScale,
 		FailMapTask:      -1,
 		FetchParallelism: spec.FetchParallelism,
 	})
-	f := eng.Ingest(spec.App.Name+".in", spec.Data.Splits)
-	job := simmr.JobSpec{
-		Name:           spec.App.Name,
-		Mapper:         spec.App.Mapper,
-		NewGroup:       spec.App.NewGroup,
-		NewStream:      spec.App.NewStream,
-		Merger:         spec.App.Merger,
-		Reducers:       spec.Reducers,
-		Mode:           spec.Mode,
-		Workers:        spec.Workers,
-		Transport:      spec.Transport,
-		Staged:         spec.Staged,
-		Compression:    spec.Compression,
-		Store:          spec.Store,
-		HeapBudget:     int64(spec.HeapBudgetMB) << 20,
-		SpillThreshold: int64(spec.SpillThresholdMB) << 20,
-		SpillBytes:     spec.SpillBytes,
-		KVCacheBytes:   int64(spec.KVCacheMB) << 20,
-		Costs:          spec.Costs,
-		Speculative:    spec.Speculative,
-		SnapshotPeriod: spec.SnapshotPeriod,
-		KillWorkerAt:   spec.KillWorkerAt,
-		KillWorker:     spec.KillWorker,
+	spec.Costs = withTestbedRates(spec.Costs)
+	return eng.Run(spec.JobSpec, eng.Ingest(spec.Name+".in", spec.Data.Splits))
+}
 
-		KillCoordinatorAt: spec.KillCoordinatorAt,
+// withTestbedRates fills the cost rates that describe the testbed rather
+// than the application — the per-run seek, the fetch RPC, the codec speed,
+// the coordinator's restart outage and per-map re-attach — from
+// simmr.DefaultCosts wherever c leaves them zero. A run pays each only when
+// it turns the feature on (a spill budget, a run-exchange transport, a
+// codec, a coordinator kill), so filling them changes no other run. The
+// all-zero model stays all-zero: simmr reads it as "use DefaultCosts".
+func withTestbedRates(c simmr.CostModel) simmr.CostModel {
+	if c == (simmr.CostModel{}) {
+		return c
 	}
-	if spec.Combine && spec.App.Class == core.ClassAggregation {
-		job.Combiner = spec.App.Merger
+	def := simmr.DefaultCosts()
+	if c.SpillRunDelay == 0 {
+		c.SpillRunDelay = def.SpillRunDelay
 	}
-	return eng.Run(job, f)
+	if c.RunFetchDelay == 0 {
+		c.RunFetchDelay = def.RunFetchDelay
+	}
+	if c.CompressDelay == 0 {
+		c.CompressDelay = def.CompressDelay
+	}
+	if c.CoordRestartDelay == 0 {
+		c.CoordRestartDelay = def.CoordRestartDelay
+	}
+	if c.ReattachPerMap == 0 {
+		c.ReattachPerMap = def.ReattachPerMap
+	}
+	return c
 }
 
 // Series is one curve of a sweep: Y seconds at each X.
@@ -190,6 +147,72 @@ type Sweep struct {
 	Title  string
 	XLabel string
 	Series []Series
+}
+
+// curve is one series of a grid: its label, and what it changes in the
+// x's base spec.
+type curve struct {
+	label string
+	set   func(*RunSpec)
+}
+
+// modeCurves is the pair most sweeps compare, both execution modes, under
+// the labels the sweep prints.
+func modeCurves(barrier, pipelined string) []curve {
+	return []curve{
+		{barrier, func(s *RunSpec) { s.Mode = simmr.Barrier }},
+		{pipelined, func(s *RunSpec) { s.Mode = simmr.Pipelined }},
+	}
+}
+
+// baseSpec is the spec nearly every experiment starts from: app over ds
+// with its calibration, on the paper cluster with the in-memory store.
+func baseSpec(app apps.App, ds Dataset, costs simmr.CostModel, reducers int) RunSpec {
+	return RunSpec{JobSpec: simmr.JobSpec{Job: app, Reducers: reducers, Costs: costs}, Data: ds}
+}
+
+// grid is the one loop behind every Run-based sweep: at each x it builds
+// base(x) once, runs a copy of it under every curve, and records the
+// completion time, with note's annotation of the run ("" = none), in that
+// curve's series of sw.
+func grid(sw Sweep, xs []float64, base func(x float64) RunSpec, note func(RunSpec, *simmr.Result) string, curves []curve) Sweep {
+	sw.Series = make([]Series, len(curves))
+	for i, c := range curves {
+		sw.Series[i].Label = c.label
+	}
+	for _, x := range xs {
+		b := base(x)
+		for i, c := range curves {
+			spec := b
+			c.set(&spec)
+			res := Run(spec)
+			ser := &sw.Series[i]
+			ser.X = append(ser.X, x)
+			ser.Y = append(ser.Y, res.Completion)
+			ser.Note = append(ser.Note, note(spec, res))
+		}
+	}
+	return sw
+}
+
+// floats widens a sweep's integer x values (worker counts) for grid.
+func floats(ns []int) []float64 {
+	xs := make([]float64, len(ns))
+	for i, n := range ns {
+		xs[i] = float64(n)
+	}
+	return xs
+}
+
+// failedAs annotates a failed run with word (an out-of-memory kill is the
+// only way a Figure 6-10 run fails; "FAILED" covers the rest).
+func failedAs(word string) func(RunSpec, *simmr.Result) string {
+	return func(_ RunSpec, res *simmr.Result) string {
+		if res.Failed {
+			return word
+		}
+		return ""
+	}
 }
 
 // Render formats the sweep as the textual equivalent of the paper's plot.

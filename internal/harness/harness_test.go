@@ -6,12 +6,12 @@ import (
 )
 
 // The harness tests assert the paper's qualitative claims — who wins, by
-// roughly what factor, and where the crossovers fall — on reduced sweeps to
-// keep test time reasonable. Full paper-sized sweeps run via
-// cmd/experiments and the root benchmarks.
+// roughly what factor, and where the crossovers fall — on the reduced sweeps
+// of goldenSweeps (golden_test.go), which TestSweepsGolden also pins to the
+// digit. Full paper-sized sweeps run via cmd/experiments.
 
 func TestFig6WordCountPipelinedWins(t *testing.T) {
-	sw := Fig6WordCount([]float64{2, 8})
+	sw := goldenSweep(t, "fig6b")
 	for i := range sw.Series[0].Y {
 		if sw.Series[1].Y[i] >= sw.Series[0].Y[i] {
 			t.Fatalf("pipelined (%.1f) should beat barrier (%.1f) at x=%v",
@@ -25,7 +25,7 @@ func TestFig6WordCountPipelinedWins(t *testing.T) {
 }
 
 func TestFig6SortBarrierWins(t *testing.T) {
-	sw := Fig6Sort([]float64{2, 16})
+	sw := goldenSweep(t, "fig6a")
 	for i := range sw.Series[0].Y {
 		if sw.Series[0].Y[i] >= sw.Series[1].Y[i] {
 			t.Fatalf("barrier should win sort at x=%v: %.1f vs %.1f",
@@ -42,7 +42,7 @@ func TestFig6SortBarrierWins(t *testing.T) {
 }
 
 func TestFig6KNNImprovementGrows(t *testing.T) {
-	sw := Fig6KNN([]float64{2, 16})
+	sw := goldenSweep(t, "fig6c")
 	imps := Improvements(sw.Series[0], sw.Series[1])
 	if imps[0] <= 0 || imps[1] <= 0 {
 		t.Fatalf("knn should improve at all sizes: %v", imps)
@@ -53,7 +53,7 @@ func TestFig6KNNImprovementGrows(t *testing.T) {
 }
 
 func TestFig6LastFMConsistentWin(t *testing.T) {
-	sw := Fig6LastFM([]float64{4, 16})
+	sw := goldenSweep(t, "fig6d")
 	imp := MeanImprovement(sw.Series[0], sw.Series[1])
 	if imp < 8 || imp > 35 {
 		t.Fatalf("lastfm improvement %.1f%% outside band (~20%%)", imp)
@@ -61,7 +61,7 @@ func TestFig6LastFMConsistentWin(t *testing.T) {
 }
 
 func TestFig6GAModestConstantWin(t *testing.T) {
-	sw := Fig6GA([]float64{50, 200})
+	sw := goldenSweep(t, "fig6e")
 	imps := Improvements(sw.Series[0], sw.Series[1])
 	for _, i := range imps {
 		if i < 3 || i > 30 {
@@ -71,7 +71,7 @@ func TestFig6GAModestConstantWin(t *testing.T) {
 }
 
 func TestFig6BlackScholesBestCase(t *testing.T) {
-	sw := Fig6BlackScholes([]float64{25, 200})
+	sw := goldenSweep(t, "fig6f")
 	imps := Improvements(sw.Series[0], sw.Series[1])
 	if imps[1] <= imps[0] {
 		t.Fatalf("BS improvement should grow with mappers: %v", imps)
@@ -122,7 +122,7 @@ func TestFig5OOMAndSpill(t *testing.T) {
 }
 
 func TestFig8WaveEffect(t *testing.T) {
-	sw := Fig8([]float64{60, 70})
+	sw := goldenSweep(t, "fig8")
 	barrier := sw.Series[0]
 	if barrier.Y[1] <= barrier.Y[0] {
 		t.Fatalf("70 reducers on 60 slots must cost a second wave: %.1f vs %.1f",
@@ -137,7 +137,7 @@ func TestFig8WaveEffect(t *testing.T) {
 }
 
 func TestFig9MemoryTechniques(t *testing.T) {
-	sw := Fig9([]float64{10, 60})
+	sw := goldenSweep(t, "fig9")
 	byLabel := map[string]Series{}
 	for _, s := range sw.Series {
 		byLabel[s.Label] = s
@@ -161,7 +161,7 @@ func TestFig9MemoryTechniques(t *testing.T) {
 }
 
 func TestFig10SizeSweep(t *testing.T) {
-	sw := Fig10([]float64{4, 24})
+	sw := goldenSweep(t, "fig10")
 	byLabel := map[string]Series{}
 	for _, s := range sw.Series {
 		byLabel[s.Label] = s
@@ -258,7 +258,7 @@ func TestMeanImprovementSkipsFailures(t *testing.T) {
 }
 
 func TestHeterogeneityExperiment(t *testing.T) {
-	sw := ExpHeterogeneity([]float64{0, 0.45})
+	sw := goldenSweep(t, "hetero")
 	// The barrier-less framework keeps winning at every spread, and its
 	// absolute savings hold up (the relative improvement dilutes because
 	// the stretched map phase affects both modes — see EXPERIMENTS.md).
@@ -276,7 +276,7 @@ func TestHeterogeneityExperiment(t *testing.T) {
 }
 
 func TestSpillTradeoffSweep(t *testing.T) {
-	sw := SpillTradeoff([]float64{0, 64, 8})
+	sw := goldenSweep(t, "spill")
 	if len(sw.Series) != 2 {
 		t.Fatalf("series = %d, want barrier + pipelined", len(sw.Series))
 	}

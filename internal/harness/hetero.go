@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"blmr/internal/apps"
-	"blmr/internal/simmr"
-	"blmr/internal/store"
 )
 
 // ExpHeterogeneity explores the paper's closing conjecture ("exploring
@@ -17,31 +15,13 @@ import (
 // with heterogeneity.
 func ExpHeterogeneity(spreads []float64) Sweep {
 	ds := WordCountData(8)
-	barrier := Series{Label: "with barrier"}
-	pipelined := Series{Label: "without barrier"}
-	for _, s := range spreads {
-		cl := PaperCluster()
-		cl.SpeedSpread = s
-		for _, mode := range []simmr.Mode{simmr.Barrier, simmr.Pipelined} {
-			res := Run(RunSpec{
-				App: apps.WordCount(), Data: ds, Mode: mode, Reducers: fig6Reducers,
-				Store: store.InMemory, Costs: CalibWordCount, Cluster: cl,
-			})
-			ser := &barrier
-			if mode == simmr.Pipelined {
-				ser = &pipelined
-			}
-			ser.X = append(ser.X, s)
-			ser.Y = append(ser.Y, res.Completion)
-			ser.Note = append(ser.Note, "")
-		}
-	}
-	return Sweep{
-		ID:     "hetero",
-		Title:  "WordCount 8GB under CPU heterogeneity (future-work experiment)",
-		XLabel: "speed spread (+/-)",
-		Series: []Series{barrier, pipelined},
-	}
+	return sweepModes("hetero", "WordCount 8GB under CPU heterogeneity (future-work experiment)",
+		"speed spread (+/-)", spreads, func(spread float64) RunSpec {
+			spec := baseSpec(apps.WordCount(), ds, CalibWordCount, fig6Reducers)
+			spec.Cluster = PaperCluster()
+			spec.Cluster.SpeedSpread = spread
+			return spec
+		})
 }
 
 // HeteroSpreads are the default sweep points.

@@ -58,24 +58,12 @@ type KillEstimate struct {
 
 // killSpec is the kill experiments' canonical job: WordCount on a small TCP
 // worker pool, the configuration the real chaos and crash-restart tests
-// exercise. The data- and control-plane cost knobs fall back to defaults
-// when the workload calibration leaves them zero.
+// exercise.
 func killSpec(sizeGB float64, workers int, mode simmr.Mode, speculative bool) RunSpec {
-	costs, def := CalibWordCount, simmr.DefaultCosts()
-	if costs.RunFetchDelay == 0 {
-		costs.RunFetchDelay = def.RunFetchDelay
-	}
-	if costs.CoordRestartDelay == 0 {
-		costs.CoordRestartDelay = def.CoordRestartDelay
-	}
-	if costs.ReattachPerMap == 0 {
-		costs.ReattachPerMap = def.ReattachPerMap
-	}
-	return RunSpec{
-		App: apps.WordCount(), Data: WordCountData(sizeGB), Mode: mode,
-		Reducers: 8, Costs: costs, Workers: workers,
-		Transport: simmr.TCPRunExchange, Speculative: speculative,
-	}
+	spec := baseSpec(apps.WordCount(), WordCountData(sizeGB), CalibWordCount, 8)
+	spec.Mode, spec.Speculative = mode, speculative
+	spec.Workers, spec.Transport = workers, simmr.TCPRunExchange
+	return spec
 }
 
 // KillPrediction simulates killing target at killFrac of the undisturbed
@@ -106,6 +94,10 @@ func KillPrediction(target KillTarget, sizeGB float64, workers int, killFrac flo
 // kill notes how many journaled maps re-attached: the later the crash, the
 // more of the map wave survives as sealed runs and the closer the resumed
 // completion stays to base + CoordRestartDelay.
+//
+// The sweep keeps its own loop: every point's kill time is a fraction of its
+// own series' undisturbed completion, which grid's curves (a function of the
+// spec alone) cannot express.
 func KillSweep(target KillTarget, sizeGB float64, workers int, killFracs []float64) Sweep {
 	sw := Sweep{
 		ID:     "KillSweep",

@@ -12,8 +12,7 @@ import (
 // speculation must never make the sweep slower — its clones only occupy
 // otherwise idle slots.
 func TestFaultSweep(t *testing.T) {
-	fracs := []float64{0, 0.3, 0.6}
-	sw := KillSweep(KillWorker, 1, 3, fracs)
+	sw := goldenSweep(t, "kill-worker")
 	if len(sw.Series) != 4 {
 		t.Fatalf("got %d series, want 4", len(sw.Series))
 	}
@@ -78,8 +77,7 @@ func TestFaultPrediction(t *testing.T) {
 // and the later the crash, the more of the map wave must re-attach from
 // surviving sealed runs.
 func TestRestartSweep(t *testing.T) {
-	fracs := []float64{0, 0.3, 0.6, 0.9}
-	sw := KillSweep(KillCoordinator, 1, 3, fracs)
+	sw := goldenSweep(t, "kill-coordinator")
 	if len(sw.Series) != 2 {
 		t.Fatalf("got %d series, want 2", len(sw.Series))
 	}

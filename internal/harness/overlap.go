@@ -17,47 +17,25 @@ import (
 // publishes, so shuffle (and, pipelined, reduce work) hides under the map
 // runway instead of queueing behind it.
 func OverlapSweep(app apps.App, sizeGB float64, workerCounts []int) Sweep {
-	ds := WordCountData(sizeGB)
-	costs := CalibWordCount
+	ds, costs := WordCountData(sizeGB), CalibWordCount
 	if app.Name == "sort" {
-		ds = SortData(sizeGB)
-		costs = CalibSort
+		ds, costs = SortData(sizeGB), CalibSort
 	}
-	if costs.RunFetchDelay == 0 {
-		costs.RunFetchDelay = simmr.DefaultCosts().RunFetchDelay
+	variant := func(label string, mode simmr.Mode, staged bool) curve {
+		return curve{label, func(s *RunSpec) { s.Mode, s.Staged = mode, staged }}
 	}
-	sw := Sweep{
+	return grid(Sweep{
 		ID:     "OverlapSweep",
 		Title:  fmt.Sprintf("%s %.0fGB over the TCP run exchange: staged vs overlapped dispatch", app.Name, sizeGB),
 		XLabel: "workers",
-	}
-	for _, variant := range []struct {
-		label  string
-		mode   simmr.Mode
-		staged bool
-	}{
-		{"barrier/staged", simmr.Barrier, true},
-		{"barrier/overlap", simmr.Barrier, false},
-		{"pipelined/staged", simmr.Pipelined, true},
-		{"pipelined/overlap", simmr.Pipelined, false},
-	} {
-		ser := Series{Label: variant.label}
-		for _, w := range workerCounts {
-			res := Run(RunSpec{
-				App: app, Data: ds, Mode: variant.mode,
-				Reducers: 60, Costs: costs,
-				Workers: w, Transport: simmr.TCPRunExchange,
-				Staged: variant.staged,
-			})
-			ser.X = append(ser.X, float64(w))
-			ser.Y = append(ser.Y, res.Completion)
-			note := ""
-			if res.Failed {
-				note = "FAILED"
-			}
-			ser.Note = append(ser.Note, note)
-		}
-		sw.Series = append(sw.Series, ser)
-	}
-	return sw
+	}, floats(workerCounts), func(w float64) RunSpec {
+		spec := baseSpec(app, ds, costs, 60)
+		spec.Workers, spec.Transport = int(w), simmr.TCPRunExchange
+		return spec
+	}, failedAs("FAILED"), []curve{
+		variant("barrier/staged", simmr.Barrier, true),
+		variant("barrier/overlap", simmr.Barrier, false),
+		variant("pipelined/staged", simmr.Pipelined, true),
+		variant("pipelined/overlap", simmr.Pipelined, false),
+	})
 }

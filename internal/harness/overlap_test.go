@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"testing"
-
-	"blmr/internal/apps"
-)
+import "testing"
 
 // TestOverlapSweepMonotone: breaking the stage barrier is never slower in
 // the simulator — for every (app, mode, worker count), the overlapped
@@ -13,14 +9,8 @@ import (
 // beating barrier-TCP once reduce dispatch overlaps the map wave).
 func TestOverlapSweepMonotone(t *testing.T) {
 	const slack = 1.0 + 1e-9
-	for _, app := range []struct {
-		a      func() apps.App
-		sizeGB float64
-	}{
-		{apps.WordCount, 4},
-		{apps.Sort, 2},
-	} {
-		sw := OverlapSweep(app.a(), app.sizeGB, []int{4, 10})
+	for _, app := range []string{"wordcount", "sort"} {
+		sw := goldenSweep(t, "overlap-"+app)
 		if len(sw.Series) != 4 {
 			t.Fatalf("want 4 series, got %d", len(sw.Series))
 		}
@@ -34,7 +24,7 @@ func TestOverlapSweepMonotone(t *testing.T) {
 				}
 				if overlap.Y[i] > staged.Y[i]*slack {
 					t.Fatalf("%s: overlap slower than staged at %d workers: %.2fs vs %.2fs",
-						app.a().Name, int(staged.X[i]), overlap.Y[i], staged.Y[i])
+						app, int(staged.X[i]), overlap.Y[i], staged.Y[i])
 				}
 			}
 		}

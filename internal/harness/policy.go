@@ -37,16 +37,12 @@ func policyCluster(workers int) simmr.Config {
 func policyStream(e *simmr.Engine, mapCounts []int, workers int) []simmr.StreamJob {
 	jobs := make([]simmr.StreamJob, 0, len(mapCounts))
 	for i, chunks := range mapCounts {
-		app := apps.WordCount()
+		job := apps.WordCount()
+		job.Name = fmt.Sprintf("policy-job-%d", i)
 		costs := simmr.DefaultCosts()
 		costs.MapCPUPerRecord = 1e-3
-		name := fmt.Sprintf("policy-job-%d", i)
-		spec := simmr.JobSpec{
-			Name: name, Mapper: app.Mapper, NewGroup: app.NewGroup,
-			NewStream: app.NewStream, Merger: app.Merger,
-			Reducers: 2, Mode: simmr.Barrier, Workers: workers, Costs: costs,
-		}
-		input := e.Ingest(name,
+		spec := simmr.JobSpec{Job: job, Reducers: 2, Mode: simmr.Barrier, Workers: workers, Costs: costs}
+		input := e.Ingest(job.Name,
 			workload.SplitEvenly(workload.Text(uint64(60+i), 600*chunks, 120, 8), chunks))
 		jobs = append(jobs, simmr.StreamJob{Spec: spec, Input: input})
 	}
@@ -76,6 +72,9 @@ func PolicyStreamMakespan(mapCounts []int, workers int, policy string) (float64,
 // round-robin series should pull away from the load-aware ones (locality
 // degrades to least-loaded here: initial placements see no resident
 // outputs).
+//
+// The sweep keeps its own loop: a point is a RunStream of several jobs, not
+// the one Run grid makes.
 func PolicySweep(workers int, skews []int) Sweep {
 	sw := Sweep{
 		ID:     "PolicySweep",

@@ -6,8 +6,7 @@ import "testing"
 // round-robin stripe, and must strictly win once the stream is skewed
 // enough that worker 0 serializes a pile of maps.
 func TestPolicySweep(t *testing.T) {
-	skews := []int{1, 2, 4}
-	sw := PolicySweep(3, skews)
+	sw := goldenSweep(t, "policy")
 	if len(sw.Series) != 3 {
 		t.Fatalf("got %d series, want 3", len(sw.Series))
 	}

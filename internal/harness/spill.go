@@ -17,39 +17,18 @@ import (
 // spill benchmarks in internal/mr.
 func SpillTradeoff(budgetsMB []float64) Sweep {
 	ds := WordCountData(8)
-	modes := []struct {
-		label string
-		mode  simmr.Mode
-	}{
-		{"barrier", simmr.Barrier},
-		{"pipelined", simmr.Pipelined},
-	}
-	sw := Sweep{
+	return grid(Sweep{
 		ID:     "SpillTradeoff",
 		Title:  "WordCount 8GB: completion vs spill buffer budget",
 		XLabel: "budget (MB)",
-	}
-	costs := CalibWordCount
-	if costs.SpillRunDelay == 0 {
-		costs.SpillRunDelay = simmr.DefaultCosts().SpillRunDelay
-	}
-	for _, m := range modes {
-		ser := Series{Label: m.label}
-		for _, mb := range budgetsMB {
-			res := Run(RunSpec{
-				App: apps.WordCount(), Data: ds, Mode: m.mode,
-				Reducers: 60, Costs: costs,
-				SpillBytes: int64(mb * (1 << 20)),
-			})
-			ser.X = append(ser.X, mb)
-			ser.Y = append(ser.Y, res.Completion)
-			note := ""
-			if res.SpillRuns > 0 {
-				note = fmt.Sprintf("%d runs", res.SpillRuns)
-			}
-			ser.Note = append(ser.Note, note)
+	}, budgetsMB, func(mb float64) RunSpec {
+		spec := baseSpec(apps.WordCount(), ds, CalibWordCount, 60)
+		spec.SpillBytes = int64(mb * (1 << 20))
+		return spec
+	}, func(_ RunSpec, res *simmr.Result) string {
+		if res.SpillRuns > 0 {
+			return fmt.Sprintf("%d runs", res.SpillRuns)
 		}
-		sw.Series = append(sw.Series, ser)
-	}
-	return sw
+		return ""
+	}, modeCurves("barrier", "pipelined"))
 }

@@ -15,41 +15,15 @@ import (
 // where run-fetch RPC latency starts to matter.
 func WorkerScaling(workerCounts []int) Sweep {
 	ds := WordCountData(4)
-	modes := []struct {
-		label string
-		mode  simmr.Mode
-	}{
-		{"barrier", simmr.Barrier},
-		{"pipelined", simmr.Pipelined},
-	}
-	sw := Sweep{
+	return grid(Sweep{
 		ID:     "WorkerScaling",
 		Title:  "WordCount 4GB over the TCP run exchange: completion vs worker count",
 		XLabel: "workers",
-	}
-	costs := CalibWordCount
-	if costs.RunFetchDelay == 0 {
-		costs.RunFetchDelay = simmr.DefaultCosts().RunFetchDelay
-	}
-	for _, m := range modes {
-		ser := Series{Label: m.label}
-		for _, w := range workerCounts {
-			res := Run(RunSpec{
-				App: apps.WordCount(), Data: ds, Mode: m.mode,
-				Reducers: 60, Costs: costs,
-				Workers: w, Transport: simmr.TCPRunExchange,
-			})
-			ser.X = append(ser.X, float64(w))
-			ser.Y = append(ser.Y, res.Completion)
-			note := ""
-			if res.Failed {
-				note = "FAILED"
-			}
-			ser.Note = append(ser.Note, note)
-		}
-		sw.Series = append(sw.Series, ser)
-	}
-	return sw
+	}, floats(workerCounts), func(w float64) RunSpec {
+		spec := baseSpec(apps.WordCount(), ds, CalibWordCount, 60)
+		spec.Workers, spec.Transport = int(w), simmr.TCPRunExchange
+		return spec
+	}, failedAs("FAILED"), modeCurves("barrier", "pipelined"))
 }
 
 // TransportOverhead compares the three simulated transports at a fixed
@@ -57,31 +31,14 @@ func WorkerScaling(workerCounts []int) Sweep {
 // costs next to the in-process shuffle.
 func TransportOverhead(workers int) Sweep {
 	ds := WordCountData(4)
-	costs := CalibWordCount
-	if costs.RunFetchDelay == 0 {
-		costs.RunFetchDelay = simmr.DefaultCosts().RunFetchDelay
-	}
-	sw := Sweep{
+	return grid(Sweep{
 		ID:     "TransportOverhead",
 		Title:  fmt.Sprintf("WordCount 4GB, %d workers: completion by transport", workers),
 		XLabel: "transport(0=inproc,1=runx,2=tcp)",
-	}
-	for _, m := range []struct {
-		label string
-		mode  simmr.Mode
-	}{{"barrier", simmr.Barrier}, {"pipelined", simmr.Pipelined}} {
-		ser := Series{Label: m.label}
-		for _, tr := range []simmr.Transport{simmr.InProcShuffle, simmr.RunExchange, simmr.TCPRunExchange} {
-			res := Run(RunSpec{
-				App: apps.WordCount(), Data: ds, Mode: m.mode,
-				Reducers: 60, Costs: costs,
-				Workers: workers, Transport: tr,
-			})
-			ser.X = append(ser.X, float64(tr))
-			ser.Y = append(ser.Y, res.Completion)
-			ser.Note = append(ser.Note, "")
-		}
-		sw.Series = append(sw.Series, ser)
-	}
-	return sw
+	}, []float64{float64(simmr.InProcShuffle), float64(simmr.RunExchange), float64(simmr.TCPRunExchange)},
+		func(tr float64) RunSpec {
+			spec := baseSpec(apps.WordCount(), ds, CalibWordCount, 60)
+			spec.Workers, spec.Transport = workers, simmr.Transport(tr)
+			return spec
+		}, failedAs("FAILED"), modeCurves("barrier", "pipelined"))
 }

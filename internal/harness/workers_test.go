@@ -5,7 +5,7 @@ import "testing"
 // TestWorkerScalingSweep: the worker-count sweep runs clean and scaling the
 // pool up never slows the job down.
 func TestWorkerScalingSweep(t *testing.T) {
-	sw := WorkerScaling([]int{2, 8, 15})
+	sw := goldenSweep(t, "workers")
 	if len(sw.Series) != 2 {
 		t.Fatalf("want 2 series, got %d", len(sw.Series))
 	}
@@ -29,7 +29,7 @@ func TestWorkerScalingSweep(t *testing.T) {
 // completion by a fraction of a percent either way.
 func TestTransportOverheadSweep(t *testing.T) {
 	const slack = 1.005
-	sw := TransportOverhead(8)
+	sw := goldenSweep(t, "transport")
 	for _, ser := range sw.Series {
 		if len(ser.Y) != 3 {
 			t.Fatalf("%s: want 3 transports, got %d", ser.Label, len(ser.Y))

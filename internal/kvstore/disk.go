@@ -1,13 +1,10 @@
 package kvstore
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "fmt"
 
-// MemDisk is an in-memory Disk used by the simulator: contents are real
-// bytes, but I/O time is charged through Hooks instead of a physical device.
+// MemDisk is the in-memory Disk, the only one: contents are real bytes on
+// the heap, and I/O time is charged through Hooks (the simulator's) instead
+// of a physical device.
 type MemDisk struct {
 	segSize  int64
 	segments map[int][]byte
@@ -56,104 +53,4 @@ func (d *MemDisk) DropSegmentsBefore(seg int) {
 			delete(d.segments, i)
 		}
 	}
-}
-
-// Segments returns the number of live segments (for tests).
-func (d *MemDisk) Segments() int { return len(d.segments) }
-
-// FileDisk is a Disk backed by real segment files in a directory, used by
-// the wall-clock engine and examples.
-type FileDisk struct {
-	dir     string
-	segSize int64
-	active  int
-	files   map[int]*os.File
-	sizes   map[int]int64
-}
-
-// NewFileDisk creates a FileDisk writing seg-N.log files under dir.
-func NewFileDisk(dir string, segSize int64) (*FileDisk, error) {
-	if segSize <= 0 {
-		segSize = 16 << 20
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("kvstore: create dir: %w", err)
-	}
-	d := &FileDisk{dir: dir, segSize: segSize, files: make(map[int]*os.File), sizes: make(map[int]int64)}
-	if err := d.open(0); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-func (d *FileDisk) open(seg int) error {
-	f, err := os.OpenFile(filepath.Join(d.dir, fmt.Sprintf("seg-%06d.log", seg)), os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("kvstore: open segment: %w", err)
-	}
-	d.files[seg] = f
-	d.sizes[seg] = 0
-	return nil
-}
-
-// Append implements Disk.
-func (d *FileDisk) Append(data []byte) (int, int64) {
-	if d.sizes[d.active] >= d.segSize {
-		d.active++
-		if err := d.open(d.active); err != nil {
-			panic(err)
-		}
-	}
-	off := d.sizes[d.active]
-	if _, err := d.files[d.active].WriteAt(data, off); err != nil {
-		panic(fmt.Errorf("kvstore: append: %w", err))
-	}
-	d.sizes[d.active] += int64(len(data))
-	return d.active, off
-}
-
-// ReadAt implements Disk.
-func (d *FileDisk) ReadAt(seg int, off int64, n int) []byte {
-	f, ok := d.files[seg]
-	if !ok {
-		panic(fmt.Sprintf("kvstore: read from dropped segment %d", seg))
-	}
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		panic(fmt.Errorf("kvstore: read: %w", err))
-	}
-	return buf
-}
-
-// Seal implements Disk.
-func (d *FileDisk) Seal() int {
-	d.active++
-	if err := d.open(d.active); err != nil {
-		panic(err)
-	}
-	return d.active
-}
-
-// DropSegmentsBefore implements Disk.
-func (d *FileDisk) DropSegmentsBefore(seg int) {
-	for i, f := range d.files {
-		if i < seg {
-			name := f.Name()
-			f.Close()
-			os.Remove(name)
-			delete(d.files, i)
-			delete(d.sizes, i)
-		}
-	}
-}
-
-// Close closes all open segment files.
-func (d *FileDisk) Close() error {
-	var first error
-	for _, f := range d.files {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
 }

@@ -183,15 +183,6 @@ func (s *Store) Get(key string) (string, bool) {
 	return val, true
 }
 
-// Contains reports whether key exists (without promoting it in the LRU).
-func (s *Store) Contains(key string) bool {
-	if _, ok := s.cache[key]; ok {
-		return true
-	}
-	_, ok := s.index[key]
-	return ok
-}
-
 // Len returns the number of distinct keys.
 func (s *Store) Len() int {
 	n := 0
@@ -232,16 +223,6 @@ func (s *Store) Keys() []string {
 		}
 	}
 	return out
-}
-
-// Flush writes all dirty cached entries to the log (without evicting).
-func (s *Store) Flush() {
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*cacheEntry)
-		if e.dirty {
-			s.writeEntry(e)
-		}
-	}
 }
 
 func (s *Store) evictToFit() {

@@ -25,6 +25,9 @@ func TestPutGetBasic(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
 	}
+	if s.Stats().BytesWritten != 0 {
+		t.Fatal("nothing should be written while the cache fits")
+	}
 }
 
 func TestEvictionSpillsToDisk(t *testing.T) {
@@ -123,23 +126,6 @@ func TestKeysComplete(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	s := New(Config{CacheBytes: 1 << 20})
-	for i := 0; i < 10; i++ {
-		s.Put(fmt.Sprintf("k%d", i), "v")
-	}
-	if s.Stats().BytesWritten != 0 {
-		t.Fatal("nothing should be written while cache fits")
-	}
-	s.Flush()
-	if s.Stats().BytesWritten == 0 {
-		t.Fatal("Flush should write dirty entries")
-	}
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-}
-
 func TestHooksObserved(t *testing.T) {
 	h := &countingHooks{}
 	s := New(Config{CacheBytes: 100, Hooks: h})
@@ -195,27 +181,6 @@ func TestStoreMatchesMapProperty(t *testing.T) {
 	}
 }
 
-func TestFileDisk(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewFileDisk(dir, 1<<12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	s := New(Config{CacheBytes: 256, Disk: d, CompactMinBytes: 4096, CompactGarbageRatio: 0.5})
-	const n = 500
-	for i := 0; i < n; i++ {
-		s.Put(fmt.Sprintf("key-%04d", i%40), fmt.Sprintf("value-%06d", i))
-	}
-	for i := n - 40; i < n; i++ {
-		k := fmt.Sprintf("key-%04d", i%40)
-		v, ok := s.Get(k)
-		if !ok || v != fmt.Sprintf("value-%06d", i) {
-			t.Fatalf("%s = %q,%v", k, v, ok)
-		}
-	}
-}
-
 func TestMemDiskSegmentRoll(t *testing.T) {
 	d := NewMemDisk(64)
 	var locs [][2]int64
@@ -223,8 +188,8 @@ func TestMemDiskSegmentRoll(t *testing.T) {
 		seg, off := d.Append(make([]byte, 32))
 		locs = append(locs, [2]int64{int64(seg), off})
 	}
-	if d.Segments() < 5 {
-		t.Fatalf("expected segment rolls, have %d segments", d.Segments())
+	if last := locs[len(locs)-1][0]; last < 4 {
+		t.Fatalf("expected segment rolls, last append landed in segment %d", last)
 	}
 	if got := d.ReadAt(int(locs[3][0]), locs[3][1], 32); len(got) != 32 {
 		t.Fatal("read back failed")
@@ -277,24 +242,6 @@ func TestLenWithMixedCacheDiskKeys(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Keys = %v", got)
 		}
-	}
-}
-
-func TestContains(t *testing.T) {
-	s := New(Config{CacheBytes: 128})
-	s.Put("present", "v")
-	if !s.Contains("present") {
-		t.Fatal("Contains missed a cached key")
-	}
-	if s.Contains("absent") {
-		t.Fatal("Contains found a missing key")
-	}
-	// Force eviction to disk; Contains must still find it via the index.
-	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("filler-%02d", i), "some-value-to-evict-things")
-	}
-	if !s.Contains("present") {
-		t.Fatal("Contains missed an evicted key")
 	}
 }
 

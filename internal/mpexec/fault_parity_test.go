@@ -55,7 +55,7 @@ func TestClusterRecoveryParity(t *testing.T) {
 			}()
 		}
 		start := time.Now()
-		res, err := c.Run(jobFor(apps.WordCount()), input, opts)
+		res, err := c.Run(apps.WordCount(), input, opts)
 		if err != nil {
 			t.Fatalf("job failed (killAfter=%v): %v", killAfter, err)
 		}

@@ -21,6 +21,7 @@ import (
 	blexec "blmr/internal/exec"
 	"blmr/internal/mpexec"
 	"blmr/internal/mr"
+	"blmr/internal/shuffle"
 	"blmr/internal/workload"
 )
 
@@ -31,7 +32,7 @@ func testJob() blexec.Job {
 	if os.Getenv("MPEXEC_APP") == "sort" {
 		app = apps.Sort()
 	}
-	return slowed(jobFor(app))
+	return slowed(app)
 }
 
 // slowed applies the env-driven slowdowns the fault and restart tests use
@@ -89,7 +90,7 @@ func testOpts() blexec.Options {
 func testResolver() mpexec.JobResolver {
 	reg := map[string]blexec.Job{}
 	for _, app := range []apps.App{apps.WordCount(), apps.Sort(), apps.Grep("the")} {
-		reg[app.Name] = slowed(jobFor(app))
+		reg[app.Name] = slowed(app)
 	}
 	return func(name string) (blexec.Job, bool) {
 		j, ok := reg[name]
@@ -167,11 +168,6 @@ func runCluster(t testing.TB, job blexec.Job, input []core.Record, opts blexec.O
 	return c.Run(job, input, opts)
 }
 
-func jobFor(app apps.App) blexec.Job {
-	return blexec.Job{Name: app.Name, Mapper: app.Mapper, NewGroup: app.NewGroup,
-		NewStream: app.NewStream, Merger: app.Merger}
-}
-
 // TestClusterEquivalence: a 2-worker TCP-exchange job matches the
 // single-process in-memory engine — byte-identically in barrier mode.
 func TestClusterEquivalence(t *testing.T) {
@@ -184,13 +180,13 @@ func TestClusterEquivalence(t *testing.T) {
 		{mode: blexec.Barrier, env: nil, exact: true},
 		{mode: blexec.Pipelined, env: []string{"MPEXEC_MODE=pipelined"}, exact: false},
 	} {
-		ref, err := mr.Run(jobFor(apps.WordCount()), input,
+		ref, err := mr.Run(apps.WordCount(), input,
 			blexec.Options{Mappers: 4, Reducers: 3, Mode: tc.mode})
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts := blexec.Options{Mappers: 4, Reducers: 3, Mode: tc.mode}
-		res, err := runCluster(t, jobFor(apps.WordCount()), input, opts, 2, tc.env...)
+		res, err := runCluster(t, apps.WordCount(), input, opts, 2, tc.env...)
 		if err != nil {
 			t.Fatalf("mode %v: %v", tc.mode, err)
 		}
@@ -217,16 +213,19 @@ func TestClusterEquivalence(t *testing.T) {
 
 // TestClusterSpill: the external-shuffle budget composes with the
 // multi-process exchange (multiple waves per map task, fetched and merged
-// remotely, byte-identical output).
+// remotely in fan-in-2 passes, byte-identical output), and the cluster
+// reports exactly the spill accounting of the same job run in one process
+// over the TCP exchange: tasks of one job overlap on a worker (its reduce
+// tasks start with the map wave), and each worker's seals count once.
 func TestClusterSpill(t *testing.T) {
 	input := workload.Text(22, 1500, 300, 8)
-	ref, err := mr.Run(jobFor(apps.WordCount()), input,
+	ref, err := mr.Run(apps.WordCount(), input,
 		blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier, SpillBytes: 8 << 10}
-	res, err := runCluster(t, jobFor(apps.WordCount()), input, opts, 2, "MPEXEC_SPILL=1")
+	opts := blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier, SpillBytes: 8 << 10, MergeFanIn: 2}
+	res, err := runCluster(t, apps.WordCount(), input, opts, 2, "MPEXEC_SPILL=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +237,19 @@ func TestClusterSpill(t *testing.T) {
 	if res.Spills == 0 {
 		t.Fatal("expected sealed spill waves at an 8KiB budget")
 	}
+	opts.Transport = shuffle.TCP
+	one, err := mr.Run(apps.WordCount(), input, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spills != one.Spills || res.MergePasses != one.MergePasses || one.MergePasses == 0 {
+		t.Fatalf("cluster sealed %d waves in %d merge passes, one process %d in %d (want equal, passes > 0)",
+			res.Spills, res.MergePasses, one.Spills, one.MergePasses)
+	}
+	if res.SpilledBytes != one.SpilledBytes || res.RawSpillBytes != one.RawSpillBytes {
+		t.Fatalf("cluster reports %d spilled bytes (%d raw), one process %d (%d raw)",
+			res.SpilledBytes, res.RawSpillBytes, one.SpilledBytes, one.RawSpillBytes)
+	}
 }
 
 // TestClusterCompressed: sealed-run compression composes with the
@@ -248,7 +260,7 @@ func TestClusterSpill(t *testing.T) {
 // accounting shipped back over the control protocol.
 func TestClusterCompressed(t *testing.T) {
 	input := workload.Text(24, 1500, 300, 8)
-	ref, err := mr.Run(jobFor(apps.WordCount()), input,
+	ref, err := mr.Run(apps.WordCount(), input,
 		blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +269,7 @@ func TestClusterCompressed(t *testing.T) {
 		Mappers: 4, Reducers: 3, Mode: blexec.Barrier,
 		SpillBytes: 8 << 10, Compression: codec.DeltaBlock,
 	}
-	res, err := runCluster(t, jobFor(apps.WordCount()), input, opts, 2,
+	res, err := runCluster(t, apps.WordCount(), input, opts, 2,
 		"MPEXEC_SPILL=1", "MPEXEC_COMPRESS=delta")
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +309,7 @@ func faultRun(t *testing.T, opts blexec.Options, workers int, faultAfter time.Du
 	t.Helper()
 	before := runtime.NumGoroutine()
 	input := workload.Text(23, 3000, 400, 8)
-	ref, err := mr.Run(jobFor(apps.WordCount()), input,
+	ref, err := mr.Run(apps.WordCount(), input,
 		blexec.Options{Mappers: opts.Mappers, Reducers: opts.Reducers, Mode: opts.Mode})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +333,7 @@ func faultRun(t *testing.T, opts blexec.Options, workers int, faultAfter time.Du
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, err := c.Run(jobFor(apps.WordCount()), input, opts)
+		res, err := c.Run(apps.WordCount(), input, opts)
 		done <- outcome{res, err}
 	}()
 	var res *mr.Result
@@ -414,7 +426,7 @@ func TestClusterSurvivesKillMidReduce(t *testing.T) {
 // the duplicate completion's routing idempotent — byte-identical output.
 func TestClusterSpeculation(t *testing.T) {
 	input := workload.Text(26, 3000, 400, 8)
-	ref, err := mr.Run(jobFor(apps.WordCount()), input,
+	ref, err := mr.Run(apps.WordCount(), input,
 		blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier})
 	if err != nil {
 		t.Fatal(err)
@@ -429,7 +441,7 @@ func TestClusterSpeculation(t *testing.T) {
 	if err := c.WaitWorkers(2, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(jobFor(apps.WordCount()), input, blexec.Options{
+	res, err := c.Run(apps.WordCount(), input, blexec.Options{
 		Mappers: 4, Reducers: 3, Mode: blexec.Barrier, Speculative: true,
 	})
 	if err != nil {

@@ -19,13 +19,13 @@ import (
 // the single-process engine in barrier mode.
 func TestClusterStagedEquivalence(t *testing.T) {
 	input := workload.Text(25, 2000, 400, 8)
-	ref, err := mr.Run(jobFor(apps.WordCount()), input,
+	ref, err := mr.Run(apps.WordCount(), input,
 		blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := blexec.Options{Mappers: 4, Reducers: 3, Mode: blexec.Barrier, Staged: true}
-	res, err := runCluster(t, jobFor(apps.WordCount()), input, opts, 2)
+	res, err := runCluster(t, apps.WordCount(), input, opts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestClusterConnPoolReuse(t *testing.T) {
 		Mappers: 4, Reducers: 2, Mode: blexec.Barrier,
 		SpillBytes: 8 << 10, MergeFanIn: fanIn,
 	}
-	res, err := runCluster(t, jobFor(apps.WordCount()), input, opts, workers,
+	res, err := runCluster(t, apps.WordCount(), input, opts, workers,
 		"MPEXEC_SPILL=1", "MPEXEC_FANIN=2")
 	if err != nil {
 		t.Fatal(err)

@@ -56,7 +56,7 @@ func TestClusterPolicyParity(t *testing.T) {
 				// load-blind round-robin stripe is unaffected).
 				time.Sleep(50 * time.Millisecond)
 			}
-			tk, err := s.Submit(jobFor(sub.app), sub.input, sub.opts)
+			tk, err := s.Submit(sub.app, sub.input, sub.opts)
 			if err != nil {
 				t.Fatalf("%s: submit %d: %v", policy, i, err)
 			}

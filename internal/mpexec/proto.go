@@ -458,7 +458,7 @@ type mapDone struct {
 	attempt         int
 	shuffleRecords  int64
 	spills          int
-	spilledBytes    int64
+	spilledBytes    int64 // running totals of the job's spill directory on this worker
 	rawSpilledBytes int64
 	serverOpens     int64 // the worker's run-server's lifetime os.Open count
 	waves           []shuffle.Wave
@@ -530,7 +530,7 @@ type reduceDone struct {
 	job             int
 	partition       int
 	res             exec.ReduceResult
-	spilledBytes    int64
+	spilledBytes    int64 // running totals, as in mapDone
 	rawSpilledBytes int64
 	fetchDials      int64 // the worker's fetch pool's lifetime dial count
 	serverOpens     int64

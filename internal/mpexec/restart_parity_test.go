@@ -52,7 +52,7 @@ func TestCoordRestartParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		tk, err := svc.Submit(jobFor(apps.WordCount()), input, opts)
+		tk, err := svc.Submit(apps.WordCount(), input, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

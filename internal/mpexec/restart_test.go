@@ -70,7 +70,7 @@ func runCoordProcess(bind string) error {
 	}
 	var tks []*mpexec.Ticket
 	for _, sub := range restartSubs(os.Getenv("MPEXEC_COORD_JOBS")) {
-		tk, err := svc.Submit(jobFor(sub.app), sub.input, sub.opts)
+		tk, err := svc.Submit(sub.app, sub.input, sub.opts)
 		if err != nil {
 			return err
 		}
@@ -322,7 +322,7 @@ func benchCoordRestart(b *testing.B, cold bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := svc.Submit(jobFor(sub.app), sub.input, sub.opts); err != nil {
+		if _, err := svc.Submit(sub.app, sub.input, sub.opts); err != nil {
 			b.Fatal(err)
 		}
 		deadline := time.Now().Add(60 * time.Second)

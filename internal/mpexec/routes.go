@@ -31,6 +31,9 @@ type jobWorker struct {
 	j *jobRun
 	w *remoteWorker
 
+	// The job's spill directory on this worker only grows, and every reply
+	// carries its running totals (two tasks of one job overlap there, so a
+	// per-task delta would count a neighbour's seals twice): keep the max.
 	spilledBytes    int64
 	rawSpilledBytes int64
 	dials           int64 // max lifetime dial count seen in this job's replies
@@ -227,8 +230,8 @@ func (jw *jobWorker) RunMap(t exec.MapTask) (exec.MapStats, error) {
 		c.mu.Unlock()
 		return exec.MapStats{}, w.lost(fmt.Errorf("died before routing map %d", t.Index))
 	}
-	jw.spilledBytes += md.spilledBytes
-	jw.rawSpilledBytes += md.rawSpilledBytes
+	jw.spilledBytes = max(jw.spilledBytes, md.spilledBytes)
+	jw.rawSpilledBytes = max(jw.rawSpilledBytes, md.rawSpilledBytes)
 	noteLifetime(&w.serverOpens, &jw.opens, md.serverOpens)
 	if rt, ok := jr.routes[t.Index]; ok && rt.valid {
 		// A concurrent attempt won (speculation, or a requeue racing a
@@ -287,8 +290,8 @@ func (jw *jobWorker) RunReduce(t exec.ReduceTask) (exec.ReduceResult, error) {
 			w, rd.job, rd.partition, jr.id, t.Partition)
 	}
 	c.mu.Lock()
-	jw.spilledBytes += rd.spilledBytes
-	jw.rawSpilledBytes += rd.rawSpilledBytes
+	jw.spilledBytes = max(jw.spilledBytes, rd.spilledBytes)
+	jw.rawSpilledBytes = max(jw.rawSpilledBytes, rd.rawSpilledBytes)
 	noteLifetime(&w.fetchDials, &jw.dials, rd.fetchDials)
 	noteLifetime(&w.serverOpens, &jw.opens, rd.serverOpens)
 	c.mu.Unlock()

@@ -65,7 +65,7 @@ func threeJobs() []submission {
 // sorted copies upstream; here all barrier submissions are exact).
 func checkAgainstReference(t *testing.T, tag string, sub submission, res *mr.Result) {
 	t.Helper()
-	ref, err := mr.Run(jobFor(sub.app), sub.input, sub.opts)
+	ref, err := mr.Run(sub.app, sub.input, sub.opts)
 	if err != nil {
 		t.Fatalf("%s: reference run: %v", tag, err)
 	}
@@ -94,7 +94,7 @@ func TestServiceConcurrentJobsByteIdentical(t *testing.T) {
 	subs := threeJobs()
 	tickets := make([]*mpexec.Ticket, len(subs))
 	for i, sub := range subs {
-		tk, err := s.Submit(jobFor(sub.app), sub.input, sub.opts)
+		tk, err := s.Submit(sub.app, sub.input, sub.opts)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -119,7 +119,7 @@ func TestServiceSurvivesKillMidStream(t *testing.T) {
 	subs := threeJobs()
 	tickets := make([]*mpexec.Ticket, len(subs))
 	for i, sub := range subs {
-		tk, err := s.Submit(jobFor(sub.app), sub.input, sub.opts)
+		tk, err := s.Submit(sub.app, sub.input, sub.opts)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -141,7 +141,7 @@ func TestServiceSurvivesKillMidStream(t *testing.T) {
 // byte-identically. One tenant's failure cannot leak into another.
 func TestServiceJobFailureIsolated(t *testing.T) {
 	s, _ := serviceCluster(t, 2, mpexec.ServiceConfig{MaxConcurrent: 2})
-	bad := jobFor(apps.WordCount())
+	bad := apps.WordCount()
 	bad.Name = "no-such-app"
 	badTk, err := s.Submit(bad, workload.Text(41, 300, 100, 8),
 		blexec.Options{Mappers: 2, Reducers: 2})
@@ -149,7 +149,7 @@ func TestServiceJobFailureIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := threeJobs()[0]
-	goodTk, err := s.Submit(jobFor(good.app), good.input, good.opts)
+	goodTk, err := s.Submit(good.app, good.input, good.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestServiceAdmissionControl(t *testing.T) {
 		MaxQueued: 1, MaxConcurrent: 1,
 	}, "MPEXEC_SLOW=1")
 	subs := threeJobs()
-	first, err := s.Submit(jobFor(subs[0].app), subs[0].input, subs[0].opts)
+	first, err := s.Submit(subs[0].app, subs[0].input, subs[0].opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestServiceAdmissionControl(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	second, err := s.Submit(jobFor(subs[1].app), subs[1].input, subs[1].opts)
+	second, err := s.Submit(subs[1].app, subs[1].input, subs[1].opts)
 	if err != nil {
 		t.Fatalf("second submission should queue: %v", err)
 	}
-	if _, err := s.Submit(jobFor(subs[2].app), subs[2].input, subs[2].opts); !errors.Is(err, mpexec.ErrQueueFull) {
+	if _, err := s.Submit(subs[2].app, subs[2].input, subs[2].opts); !errors.Is(err, mpexec.ErrQueueFull) {
 		t.Fatalf("third submission = %v, want ErrQueueFull", err)
 	}
 	if _, err := first.Wait(); err != nil {
@@ -202,7 +202,7 @@ func TestServiceAdmissionControl(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close() // idempotent with the cleanup; drains admitted jobs
-	if _, err := s.Submit(jobFor(subs[2].app), subs[2].input, subs[2].opts); !errors.Is(err, mpexec.ErrServiceClosed) {
+	if _, err := s.Submit(subs[2].app, subs[2].input, subs[2].opts); !errors.Is(err, mpexec.ErrServiceClosed) {
 		t.Fatalf("submission after close = %v, want ErrServiceClosed", err)
 	}
 }

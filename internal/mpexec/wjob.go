@@ -224,8 +224,6 @@ func (w *workerState) runMap(epoch int, payload []byte) {
 		w.replyError(epoch, jobID, msgMapDone, t.Index, aborted)
 		return
 	}
-	before := jb.dir.SpilledBytes()
-	beforeRaw := jb.dir.RawSpilledBytes()
 	sink := shuffle.NewRunSink(jb.dir, w.srv, fmt.Sprintf("j%d-m%d-a%d", jobID, t.Index, t.Attempt))
 	stats, err := exec.RunMapTask(jb.job, jb.opts, t, sink)
 	if err != nil {
@@ -240,9 +238,8 @@ func (w *workerState) runMap(epoch int, payload []byte) {
 	w.reply(epoch, msgMapDone, encode(&mapDone{
 		job: jobID, index: t.Index, attempt: t.Attempt,
 		shuffleRecords: stats.ShuffleRecords, spills: stats.Spills,
-		spilledBytes:    jb.dir.SpilledBytes() - before,
-		rawSpilledBytes: jb.dir.RawSpilledBytes() - beforeRaw,
-		serverOpens:     w.srv.Opens(), waves: sink.Waves(),
+		spilledBytes: jb.dir.SpilledBytes(), rawSpilledBytes: jb.dir.RawSpilledBytes(),
+		serverOpens: w.srv.Opens(), waves: sink.Waves(),
 	}))
 }
 
@@ -305,8 +302,6 @@ func (w *workerState) runReduce(epoch int, jb *wjob, partition int, src *shuffle
 	defer w.wg.Done()
 	defer jb.tasks.Done()
 	defer w.unregister(jb, partition, src)
-	before := jb.dir.SpilledBytes()
-	beforeRaw := jb.dir.RawSpilledBytes()
 	res, err := exec.RunReduceTask(jb.job, jb.opts, exec.ReduceTask{Partition: partition}, src, jb.dir)
 	_ = src.Close()
 	if err != nil {
@@ -317,8 +312,7 @@ func (w *workerState) runReduce(epoch int, jb *wjob, partition int, src *shuffle
 	}
 	w.reply(epoch, msgReduceDone, encode(&reduceDone{
 		job: jb.id, partition: partition, res: res,
-		spilledBytes:    jb.dir.SpilledBytes() - before,
-		rawSpilledBytes: jb.dir.RawSpilledBytes() - beforeRaw,
-		fetchDials:      w.pool.Dials(), serverOpens: w.srv.Opens(),
+		spilledBytes: jb.dir.SpilledBytes(), rawSpilledBytes: jb.dir.RawSpilledBytes(),
+		fetchDials: w.pool.Dials(), serverOpens: w.srv.Opens(),
 	}))
 }

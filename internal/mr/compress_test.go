@@ -29,7 +29,7 @@ func TestCompressionEquivalence(t *testing.T) {
 			if tc.orderSensitive {
 				mappers = 1
 			}
-			ref, err := Run(jobFor(tc.app), tc.input,
+			ref, err := Run(tc.app, tc.input,
 				Options{Mappers: mappers, Reducers: tc.reducers, Mode: Barrier})
 			if err != nil {
 				t.Fatalf("in-proc barrier reference: %v", err)
@@ -37,7 +37,7 @@ func TestCompressionEquivalence(t *testing.T) {
 			for _, kind := range allTransports {
 				for _, comp := range compressionAxis {
 					name := fmt.Sprintf("%v-%v", kind, comp)
-					res, err := Run(jobFor(tc.app), tc.input, Options{
+					res, err := Run(tc.app, tc.input, Options{
 						Mappers: mappers, Reducers: tc.reducers, Mode: Barrier,
 						Transport: kind, SpillBytes: 16 << 10, SpillDir: t.TempDir(),
 						Compression: comp,
@@ -48,7 +48,7 @@ func TestCompressionEquivalence(t *testing.T) {
 					requireExact(t, tc.name+"-barrier-"+name, ref.Output, res.Output)
 					checkCompressionAccounting(t, name, res, comp, kind)
 
-					res, err = Run(jobFor(tc.app), tc.input, Options{
+					res, err = Run(tc.app, tc.input, Options{
 						Mappers: mappers, Reducers: tc.reducers, Mode: Pipelined,
 						Transport: kind, SpillBytes: 16 << 10, SpillDir: t.TempDir(),
 						Compression: comp, BatchSize: 64,
@@ -113,7 +113,7 @@ func checkCompressionAccounting(t *testing.T, name string, res *Result, comp cod
 func TestCompressionRatioWordCount(t *testing.T) {
 	input := workload.Text(17, 6000, 800, 8)
 	for _, kind := range []shuffle.Kind{shuffle.SpillExchange, shuffle.TCP} {
-		res, err := Run(jobFor(apps.WordCount()), input, Options{
+		res, err := Run(apps.WordCount(), input, Options{
 			Mappers: 4, Reducers: 4, Mode: Barrier, Transport: kind,
 			SpillBytes: 16 << 10, SpillDir: t.TempDir(),
 			Compression: codec.DeltaBlock,
@@ -137,7 +137,7 @@ func TestCompressionRatioWordCount(t *testing.T) {
 func TestCompressionCutsFetchBytes(t *testing.T) {
 	input := workload.Text(19, 6000, 800, 8)
 	run := func(comp codec.Compression) *Result {
-		res, err := Run(jobFor(apps.WordCount()), input, Options{
+		res, err := Run(apps.WordCount(), input, Options{
 			Mappers: 4, Reducers: 4, Mode: Barrier, Transport: shuffle.TCP,
 			SpillBytes: 16 << 10, SpillDir: t.TempDir(), Compression: comp,
 		})
@@ -162,12 +162,12 @@ func TestCompressionCutsFetchBytes(t *testing.T) {
 func TestCompressionWithCombinerAndFanIn(t *testing.T) {
 	input := workload.Text(23, 4000, 500, 10)
 	app := apps.WordCount()
-	ref, err := Run(jobFor(app), input, Options{Mappers: 4, Reducers: 3, Mode: Barrier})
+	ref, err := Run(app, input, Options{Mappers: 4, Reducers: 3, Mode: Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range allTransports {
-		combined := jobFor(app)
+		combined := app
 		combined.Combiner = app.Merger
 		res, err := Run(combined, input, Options{
 			Mappers: 4, Reducers: 3, Mode: Barrier, Transport: kind,

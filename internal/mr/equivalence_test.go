@@ -63,7 +63,7 @@ func TestBatchedPipelinedEquivalence(t *testing.T) {
 			if tc.orderSensitive {
 				mappers = 1
 			}
-			barrier, err := Run(jobFor(tc.app), tc.input,
+			barrier, err := Run(tc.app, tc.input,
 				Options{Mappers: mappers, Reducers: tc.reducers, Mode: Barrier})
 			if err != nil {
 				t.Fatalf("barrier: %v", err)
@@ -73,7 +73,7 @@ func TestBatchedPipelinedEquivalence(t *testing.T) {
 			var ref *Result
 			for _, bs := range batchSizes {
 				qc := queueCaps[rng.Intn(len(queueCaps))]
-				res, err := Run(jobFor(tc.app), tc.input, Options{
+				res, err := Run(tc.app, tc.input, Options{
 					Mappers: mappers, Reducers: tc.reducers, Mode: Pipelined,
 					BatchSize: bs, QueueCap: qc,
 				})
@@ -101,8 +101,8 @@ func TestBatchedPipelinedEquivalence(t *testing.T) {
 func TestCombinerEquivalence(t *testing.T) {
 	input := workload.Text(9, 4000, 500, 10)
 	app := apps.WordCount()
-	plain := jobFor(app)
-	combined := jobFor(app)
+	plain := app
+	combined := app
 	combined.Combiner = app.Merger
 
 	ref, err := Run(plain, input, Options{Mappers: 4, Reducers: 4, Mode: Barrier})
@@ -132,7 +132,7 @@ func TestCombinerEquivalence(t *testing.T) {
 func TestShuffleRecordsCounted(t *testing.T) {
 	input := workload.Text(3, 1000, 300, 6)
 	for _, mode := range []Mode{Barrier, Pipelined} {
-		res, err := Run(jobFor(apps.WordCount()), input, Options{Mappers: 3, Reducers: 3, Mode: mode})
+		res, err := Run(apps.WordCount(), input, Options{Mappers: 3, Reducers: 3, Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func benchWordCountInput() []core.Record {
 
 func benchPipelinedWordCount(b *testing.B, batchSize int, combine bool) {
 	input := benchWordCountInput()
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	if combine {
 		job.Combiner = apps.WordCount().Merger
 	}
@@ -63,7 +63,7 @@ func BenchmarkPipelinedWordCount1M_Batch256Combiner(b *testing.B) {
 
 func BenchmarkBarrierWordCount1M(b *testing.B) {
 	input := benchWordCountInput()
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(job, input, Options{Mode: Barrier, Mappers: 4, Reducers: 4}); err != nil {
@@ -74,7 +74,7 @@ func BenchmarkBarrierWordCount1M(b *testing.B) {
 
 func BenchmarkBarrierWordCount1MCombiner(b *testing.B) {
 	input := benchWordCountInput()
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	job.Combiner = apps.WordCount().Merger
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -86,7 +86,7 @@ func BenchmarkBarrierWordCount1MCombiner(b *testing.B) {
 
 func benchPipelinedSort(b *testing.B, batchSize int) {
 	input := workload.UniformKeys(2, 1_000_000, 1<<40)
-	job := jobFor(apps.Sort())
+	job := apps.Sort()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(job, input, Options{
@@ -147,7 +147,7 @@ func sampleHeap(stop <-chan struct{}) <-chan uint64 {
 
 func benchSpill(b *testing.B, mode Mode, spillBytes int64) {
 	input := workload.UniformKeys(2, 1_000_000, 1<<40)
-	job := jobFor(apps.Sort())
+	job := apps.Sort()
 	dir := b.TempDir()
 	runtime.GC()
 	var base runtime.MemStats
@@ -200,7 +200,7 @@ func BenchmarkBarrierSort1M_Spill1MiB(b *testing.B)        { benchSpill(b, Barri
 // fewer allocations, ~21% faster).
 
 func benchSpillComp(b *testing.B, app apps.App, input []core.Record, comp codec.Compression) {
-	job := jobFor(app)
+	job := app
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,27 +10,17 @@ import (
 	"blmr/internal/workload"
 )
 
-func jobFor(app apps.App) Job {
-	return Job{
-		Name:      app.Name,
-		Mapper:    app.Mapper,
-		NewGroup:  app.NewGroup,
-		NewStream: app.NewStream,
-		Merger:    app.Merger,
-	}
-}
-
 func runModes(t *testing.T, app apps.App, input []core.Record, opts Options) (b, p *Result) {
 	t.Helper()
 	ob := opts
 	ob.Mode = Barrier
-	b, err := Run(jobFor(app), input, ob)
+	b, err := Run(app, input, ob)
 	if err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
 	op := opts
 	op.Mode = Pipelined
-	p, err = Run(jobFor(app), input, op)
+	p, err = Run(app, input, op)
 	if err != nil {
 		t.Fatalf("pipelined: %v", err)
 	}
@@ -117,7 +107,7 @@ func TestPipelinedStores(t *testing.T) {
 		if kind == store.SpillMerge {
 			opts.SpillBytes = 16 << 10 // the one settable budget; disk-backed
 		}
-		res, err := Run(jobFor(apps.WordCount()), input, opts)
+		res, err := Run(apps.WordCount(), input, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -137,17 +127,17 @@ func TestValidation(t *testing.T) {
 		t.Fatal("expected error for missing mapper")
 	}
 	app := apps.WordCount()
-	j := jobFor(app)
+	j := app
 	j.NewGroup = nil
 	if _, err := Run(j, nil, Options{Mode: Barrier}); err == nil {
 		t.Fatal("expected error for missing group reducer")
 	}
-	j = jobFor(app)
+	j = app
 	j.NewStream = nil
 	if _, err := Run(j, nil, Options{Mode: Pipelined}); err == nil {
 		t.Fatal("expected error for missing stream reducer")
 	}
-	j = jobFor(app)
+	j = app
 	j.Merger = nil
 	if _, err := Run(j, nil, Options{Mode: Pipelined, Store: store.SpillMerge}); err == nil {
 		t.Fatal("expected error for missing merger")
@@ -180,7 +170,7 @@ func TestManyReducersFewKeys(t *testing.T) {
 
 func TestWallClockRecorded(t *testing.T) {
 	input := workload.Text(8, 2000, 500, 8)
-	res, err := Run(jobFor(apps.WordCount()), input, Options{Mappers: 2, Reducers: 2, Mode: Pipelined})
+	res, err := Run(apps.WordCount(), input, Options{Mappers: 2, Reducers: 2, Mode: Pipelined})
 	if err != nil {
 		t.Fatal(err)
 	}

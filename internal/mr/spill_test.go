@@ -54,7 +54,7 @@ func TestSpillEquivalence(t *testing.T) {
 			}
 			var refBarrier, refPipelined *Result
 			for _, sb := range spillBudgets {
-				res, err := Run(jobFor(tc.app), tc.input, Options{
+				res, err := Run(tc.app, tc.input, Options{
 					Mappers: mappers, Reducers: tc.reducers, Mode: Barrier,
 					SpillBytes: sb, SpillDir: t.TempDir(),
 				})
@@ -80,7 +80,7 @@ func TestSpillEquivalence(t *testing.T) {
 				}
 			}
 			for _, sb := range spillBudgets {
-				res, err := Run(jobFor(tc.app), tc.input, Options{
+				res, err := Run(tc.app, tc.input, Options{
 					Mappers: mappers, Reducers: tc.reducers, Mode: Pipelined,
 					SpillBytes: sb, SpillDir: t.TempDir(), BatchSize: 64,
 				})
@@ -112,8 +112,8 @@ func TestSpillEquivalence(t *testing.T) {
 func TestSpillCombinerEquivalence(t *testing.T) {
 	input := workload.Text(9, 4000, 500, 10)
 	app := apps.WordCount()
-	plain := jobFor(app)
-	combined := jobFor(app)
+	plain := app
+	combined := app
 	combined.Combiner = app.Merger
 
 	ref, err := Run(plain, input, Options{Mappers: 4, Reducers: 4, Mode: Barrier})
@@ -146,13 +146,13 @@ func TestSpillCombinerEquivalence(t *testing.T) {
 func TestSpillBoundedMemory(t *testing.T) {
 	const budget = 256 << 10
 	input := workload.UniformKeys(2, 200_000, 1<<40)
-	unbounded, err := Run(jobFor(apps.Sort()), input, Options{
+	unbounded, err := Run(apps.Sort(), input, Options{
 		Mappers: 4, Reducers: 2, Mode: Pipelined,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounded, err := Run(jobFor(apps.Sort()), input, Options{
+	bounded, err := Run(apps.Sort(), input, Options{
 		Mappers: 4, Reducers: 2, Mode: Pipelined,
 		SpillBytes: budget, SpillDir: t.TempDir(),
 	})
@@ -179,7 +179,7 @@ func TestSpillBoundedMemory(t *testing.T) {
 // TestSpillRequiresMergerPipelined: bounded-memory pipelined runs need a
 // merger to reunite spilled partials.
 func TestSpillRequiresMergerPipelined(t *testing.T) {
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	job.Merger = nil
 	_, err := Run(job, workload.Text(1, 10, 5, 3), Options{
 		Mode: Pipelined, SpillBytes: 1024,
@@ -194,11 +194,11 @@ func TestSpillRequiresMergerPipelined(t *testing.T) {
 // governs the mapper side in barrier mode).
 func TestSpillStoreKindInteraction(t *testing.T) {
 	input := workload.Text(5, 2000, 400, 6)
-	ref, err := Run(jobFor(apps.WordCount()), input, Options{Mappers: 2, Reducers: 2, Mode: Barrier})
+	ref, err := Run(apps.WordCount(), input, Options{Mappers: 2, Reducers: 2, Mode: Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(jobFor(apps.WordCount()), input, Options{
+	res, err := Run(apps.WordCount(), input, Options{
 		Mappers: 2, Reducers: 2, Mode: Pipelined, Store: store.KV,
 		SpillBytes: 8 << 10, SpillDir: t.TempDir(),
 	})
@@ -233,12 +233,12 @@ func (s *slowStream) Finish(out core.Output) { s.inner.Finish(out) }
 // spills out of the count, so Spills > 0 proves the mapper-side path fired.
 func TestSpillMapperSideStream(t *testing.T) {
 	input := workload.Text(11, 6000, 500, 8)
-	ref, err := Run(jobFor(apps.WordCount()), input,
+	ref, err := Run(apps.WordCount(), input,
 		Options{Mappers: 4, Reducers: 2, Mode: Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	inner := job.NewStream
 	job.NewStream = func(st store.Store) core.StreamReducer {
 		return &slowStream{inner: inner(st)}

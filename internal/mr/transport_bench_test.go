@@ -30,7 +30,7 @@ func benchTransportInput() []core.Record {
 
 func benchBarrierTransport(b *testing.B, kind shuffle.Kind) {
 	input := benchTransportInput()
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -53,7 +53,7 @@ func BenchmarkBarrierWordCount250K_TCP(b *testing.B) { benchBarrierTransport(b, 
 
 func benchPipelinedTransport(b *testing.B, kind shuffle.Kind) {
 	input := benchTransportInput()
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +79,7 @@ func BenchmarkPipelinedWordCount250K_TCP(b *testing.B) { benchPipelinedTransport
 // single-core host the pool wins by overlapping the connection's I/O waits).
 func benchBarrierTCPDecode(b *testing.B, workers int) {
 	input := benchTransportInput()
-	job := jobFor(apps.WordCount())
+	job := apps.WordCount()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -30,7 +30,7 @@ func TestTransportEquivalence(t *testing.T) {
 			if tc.orderSensitive {
 				mappers = 1
 			}
-			ref, err := Run(jobFor(tc.app), tc.input,
+			ref, err := Run(tc.app, tc.input,
 				Options{Mappers: mappers, Reducers: tc.reducers, Mode: Barrier})
 			if err != nil {
 				t.Fatalf("in-proc barrier reference: %v", err)
@@ -38,7 +38,7 @@ func TestTransportEquivalence(t *testing.T) {
 			for _, kind := range allTransports {
 				for _, spill := range []int64{0, 16 << 10} {
 					name := fmt.Sprintf("%v-spill%d", kind, spill)
-					res, err := Run(jobFor(tc.app), tc.input, Options{
+					res, err := Run(tc.app, tc.input, Options{
 						Mappers: mappers, Reducers: tc.reducers, Mode: Barrier,
 						Transport: kind, SpillBytes: spill, SpillDir: t.TempDir(),
 					})
@@ -54,7 +54,7 @@ func TestTransportEquivalence(t *testing.T) {
 						t.Fatalf("barrier %s: run exchange sealed nothing", name)
 					}
 				}
-				res, err := Run(jobFor(tc.app), tc.input, Options{
+				res, err := Run(tc.app, tc.input, Options{
 					Mappers: mappers, Reducers: tc.reducers, Mode: Pipelined,
 					Transport: kind, SpillDir: t.TempDir(), BatchSize: 64,
 				})
@@ -80,7 +80,7 @@ func TestTransportEquivalence(t *testing.T) {
 // at the file count, far under the fetched-section count.
 func TestServerOpensCounter(t *testing.T) {
 	input := workload.Text(21, 6000, 700, 8)
-	res, err := Run(jobFor(apps.WordCount()), input, Options{
+	res, err := Run(apps.WordCount(), input, Options{
 		Mappers: 4, Reducers: 4, Mode: Barrier, Transport: shuffle.TCP,
 		SpillBytes: 8 << 10, SpillDir: t.TempDir(),
 	})
@@ -106,13 +106,13 @@ func TestServerOpensCounter(t *testing.T) {
 // single-pass (and in-memory) barrier output, on every transport.
 func TestMergeFanIn(t *testing.T) {
 	input := workload.Text(13, 3000, 600, 8)
-	ref, err := Run(jobFor(apps.WordCount()), input,
+	ref, err := Run(apps.WordCount(), input,
 		Options{Mappers: 4, Reducers: 3, Mode: Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range allTransports {
-		res, err := Run(jobFor(apps.WordCount()), input, Options{
+		res, err := Run(apps.WordCount(), input, Options{
 			Mappers: 4, Reducers: 3, Mode: Barrier, Transport: kind,
 			SpillBytes: 4 << 10, SpillDir: t.TempDir(), MergeFanIn: 2,
 		})
@@ -131,12 +131,12 @@ func TestMergeFanIn(t *testing.T) {
 // unaffected; this guards output correctness of the combination).
 func TestMergeFanInPipelinedStore(t *testing.T) {
 	input := workload.UniformKeys(5, 30_000, 1<<40)
-	ref, err := Run(jobFor(apps.Sort()), input,
+	ref, err := Run(apps.Sort(), input,
 		Options{Mappers: 4, Reducers: 2, Mode: Barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(jobFor(apps.Sort()), input, Options{
+	res, err := Run(apps.Sort(), input, Options{
 		Mappers: 4, Reducers: 2, Mode: Pipelined, Transport: shuffle.TCP,
 		SpillBytes: 16 << 10, SpillDir: t.TempDir(), MergeFanIn: 2,
 	})
@@ -154,8 +154,8 @@ func TestMergeFanInPipelinedStore(t *testing.T) {
 func TestTransportCombiner(t *testing.T) {
 	input := workload.Text(9, 4000, 500, 10)
 	app := apps.WordCount()
-	plain := jobFor(app)
-	combined := jobFor(app)
+	plain := app
+	combined := app
 	combined.Combiner = app.Merger
 	ref, err := Run(plain, input, Options{Mappers: 4, Reducers: 4, Mode: Barrier})
 	if err != nil {

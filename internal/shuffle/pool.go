@@ -7,7 +7,7 @@ package shuffle
 // requests on it, and reuses the connection's read buffer, decoder state
 // and string arena across every section it carries — the fetch path
 // neither dials nor allocates per section. Dials are retried under
-// DialRetry and counted (Result.FetchDials), so churn recovery re-opens
+// dialRetry and counted (Result.FetchDials), so churn recovery re-opens
 // sections through the same measured path fault-free runs use.
 
 import (
@@ -31,12 +31,6 @@ import (
 // Fetch or a SegmentSource wired to the pool. Safe for concurrent use;
 // each checked-out connection is single-owner.
 type FetchPool struct {
-	// DialRetry is the capped-exponential-backoff policy for run-server
-	// dials (zero value: 3 attempts, 25ms base, 250ms cap), absorbing
-	// transient connect failures; genuinely dead peers still fail within
-	// the attempt budget and are handled by the callers' re-route recovery.
-	DialRetry retry.Policy
-
 	// DecodeWorkers sizes the shared block-decode pool: compressed
 	// sections fetched through this pool CRC-verify and decompress their
 	// blocks on that many workers while the merger consumes decoded blocks
@@ -52,6 +46,12 @@ type FetchPool struct {
 	decMu sync.Mutex
 	dec   *codec.DecodePool
 }
+
+// dialRetry is the capped-exponential-backoff policy for run-server dials,
+// absorbing transient connect failures; genuinely dead peers still fail
+// within the attempt budget and are handled by the callers' re-route
+// recovery.
+var dialRetry = retry.Policy{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond, Attempts: 3}
 
 // NewFetchPool builds an empty pool.
 func NewFetchPool() *FetchPool {
@@ -124,11 +124,7 @@ func (p *FetchPool) get(addr string) (*poolConn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	pol := p.DialRetry
-	if pol.Attempts == 0 && pol.Base == 0 && pol.Max == 0 {
-		pol = retry.Policy{Base: 25 * time.Millisecond, Max: 250 * time.Millisecond, Attempts: 3}
-	}
-	conn, err := pol.Dial("tcp", addr)
+	conn, err := dialRetry.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("shuffle: dial run-server %s: %w", addr, err)
 	}

@@ -49,9 +49,6 @@ func NewEngine(cfg Config) *Engine {
 	if cfg.FetchParallelism <= 0 {
 		cfg.FetchParallelism = 5
 	}
-	if cfg.QueueCapBatches <= 0 {
-		cfg.QueueCapBatches = 64
-	}
 	k := sim.NewKernel()
 	c := cluster.New(k, cfg.Cluster)
 	return &Engine{
@@ -137,11 +134,11 @@ func (e *Engine) Run(job JobSpec, input *dfs.File) *Result {
 		pool := e.poolNodes(&job)
 		if len(pool) < 2 {
 			res.Failed = true
-			res.FailReason = fmt.Sprintf("job %q: killing worker %d leaves no survivors in a %d-node pool",
-				job.Name, job.KillWorker, len(pool))
+			res.FailReason = fmt.Sprintf("job %q: killing worker 0 leaves no survivors in a %d-node pool",
+				job.Name, len(pool))
 			return res
 		}
-		e.killNode = pool[job.KillWorker%len(pool)]
+		e.killNode = pool[0]
 		e.killAt = job.KillWorkerAt
 	}
 	if job.KillCoordinatorAt > 0 {
@@ -167,9 +164,6 @@ func (e *Engine) prepare(job *JobSpec, input *dfs.File) *Result {
 	}
 	if (job.Costs == CostModel{}) {
 		job.Costs = DefaultCosts()
-	}
-	if job.OutputReplication <= 0 {
-		job.OutputReplication = e.Cfg.Replication
 	}
 	res := &Result{Metrics: e.Col, MapTasks: len(input.Chunks)}
 	if job.Mode == Pipelined && job.SpillBytes > 0 && job.Store != store.KV && job.Merger == nil {
@@ -228,11 +222,7 @@ func (e *Engine) spawnJob(job *JobSpec, input *dfs.File, res *Result, place plac
 		})
 	}
 	if job.Speculative && len(input.Chunks) > 1 {
-		threshold := job.SpeculativeThreshold
-		if threshold <= 0 || threshold >= 1 {
-			threshold = 0.75
-		}
-		shuffle.armAt = int(threshold * float64(len(input.Chunks)))
+		shuffle.armAt = int(speculativeThreshold * float64(len(input.Chunks)))
 		if shuffle.armAt < 1 {
 			shuffle.armAt = 1
 		}
@@ -430,6 +420,10 @@ func (e *Engine) runMapAttempt(p *sim.Proc, job *JobSpec, ch *dfs.Chunk, node *c
 	}
 	return &memoEntry{parts: parts, partBytes: partBytes, outDisk: outDisk, spillRuns: spillRuns}
 }
+
+// speculativeThreshold is the completed-map fraction that arms backup tasks
+// (exec.speculateAfter on the real engine).
+const speculativeThreshold = 0.75
 
 // speculativeOverdue is the straggler threshold: an attempt is cloned only
 // once it has held its slot longer than this multiple of the mean completed-

@@ -24,17 +24,9 @@ func testConfig() Config {
 	return cfg
 }
 
-// jobFor adapts an App to a JobSpec.
+// jobFor is app's JobSpec in mode over reducers reduce tasks.
 func jobFor(app apps.App, mode Mode, reducers int) JobSpec {
-	return JobSpec{
-		Name:      app.Name,
-		Mapper:    app.Mapper,
-		NewGroup:  app.NewGroup,
-		NewStream: app.NewStream,
-		Merger:    app.Merger,
-		Reducers:  reducers,
-		Mode:      mode,
-	}
+	return JobSpec{Job: app, Reducers: reducers, Mode: mode}
 }
 
 // runBoth executes the same app/input in barrier and pipelined modes on

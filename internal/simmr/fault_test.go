@@ -14,10 +14,8 @@ func faultRun(t *testing.T, mode Mode, workers int, killAt float64, mut func(*Jo
 	eng := NewEngine(DefaultConfig())
 	recs := workload.Text(37, 2500, 400, 6)
 	f := eng.Ingest("in", workload.SplitEvenly(recs, 12))
-	app := apps.WordCount()
 	job := JobSpec{
-		Name: "wc", Mapper: app.Mapper, NewGroup: app.NewGroup,
-		NewStream: app.NewStream, Merger: app.Merger,
+		Job:      apps.WordCount(),
 		Reducers: 6, Mode: mode, Workers: workers, Transport: TCPRunExchange,
 		KillWorkerAt: killAt,
 	}

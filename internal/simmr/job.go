@@ -14,6 +14,7 @@ import (
 	"blmr/internal/cluster"
 	"blmr/internal/codec"
 	"blmr/internal/core"
+	"blmr/internal/exec"
 	"blmr/internal/metrics"
 	"blmr/internal/store"
 )
@@ -155,26 +156,12 @@ func (t Transport) String() string {
 	return "inproc"
 }
 
-// JobSpec describes one MapReduce job.
+// JobSpec describes one simulated MapReduce job: the user code every engine
+// shares, plus how the simulated cluster runs it.
 type JobSpec struct {
-	// Name labels the job and its output file.
-	Name string
-	// Mapper runs once per input record. It must be stateless or safe to
-	// share across simulated map tasks.
-	Mapper core.Mapper
-	// NewGroup builds a barrier-mode reducer per reduce task.
-	NewGroup func() core.GroupReducer
-	// NewStream builds a barrier-less reducer per reduce task over the
-	// task's partial-result store.
-	NewStream func(st store.Store) core.StreamReducer
-	// Merger combines same-key partials when the spill-merge store is
-	// used. Required for store.SpillMerge.
-	Merger store.Merger
-	// Combiner, when non-nil, merges same-key intermediate records on the
-	// map side before they are written and shuffled (Hadoop's combiner;
-	// the paper notes the spill merge function "is often functionally the
-	// same as the combiner"). It must be commutative and associative.
-	Combiner store.Merger
+	// Job is the user code (see exec.Job). Name also labels the job's
+	// output file; Merger is required for store.SpillMerge.
+	exec.Job
 	// Reducers is the number of reduce tasks.
 	Reducers int
 	// Mode selects barrier or pipelined execution.
@@ -226,31 +213,23 @@ type JobSpec struct {
 	KVCacheBytes int64
 	// Costs are the CPU rates; zero value uses DefaultCosts.
 	Costs CostModel
-	// OutputReplication overrides the DFS replication for job output
-	// (0 = same as input replication).
-	OutputReplication int
 	// Speculative enables backup execution of straggling map tasks once
-	// SpeculativeThreshold of maps have finished (Hadoop's speculative
+	// three quarters of the maps have finished (Hadoop's speculative
 	// execution; relevant under heterogeneity, the paper's future work).
 	Speculative bool
-	// SpeculativeThreshold is the completed-map fraction that arms backup
-	// tasks (default 0.75).
-	SpeculativeThreshold float64
 	// SnapshotPeriod, when > 0, makes pipelined reducers record a progress
 	// Snapshot every period virtual seconds — the online-processing
 	// monitoring the barrier-less model enables.
 	SnapshotPeriod float64
-	// KillWorkerAt, when > 0, injects worker churn: at this virtual time the
-	// worker-pool node indexed by KillWorker dies. Published map outputs on
-	// that node are re-executed on survivors (fetchers park until the
-	// replacement publishes — the sim counterpart of the multi-process
-	// engine's re-execution + supersede re-route), and in-flight attempts
-	// there restart on survivors. The model covers map-side churn only:
+	// KillWorkerAt, when > 0, injects worker churn: at this virtual time
+	// worker-pool node 0 dies. Published map outputs on that node are
+	// re-executed on survivors (fetchers park until the replacement
+	// publishes — the sim counterpart of the multi-process engine's
+	// re-execution + supersede re-route), and in-flight attempts there
+	// restart on survivors. The model covers map-side churn only:
 	// reduce tasks are placed on survivors up front (DESIGN §11). The pool
 	// must have at least two nodes or the job fails.
 	KillWorkerAt float64
-	// KillWorker is the pool index of the node KillWorkerAt kills.
-	KillWorker int
 	// KillCoordinatorAt, when > 0, injects a coordinator crash at this
 	// virtual time: the control plane goes dark for Costs.CoordRestartDelay
 	// (restart, journal replay, worker re-registration) and no task starts
@@ -343,9 +322,6 @@ type Config struct {
 	// FetchParallelism bounds concurrent fetches per reducer in barrier
 	// mode (Hadoop's parallel copies, default 5).
 	FetchParallelism int
-	// QueueCapBatches bounds the pipelined reducer's in-flight record
-	// batches (backpressure), default 64.
-	QueueCapBatches int
 	// Memo, when non-nil, caches map outputs across runs (DryadInc-style
 	// memoization — the paper's future-work extension).
 	Memo *MemoCache
@@ -360,6 +336,5 @@ func DefaultConfig() Config {
 		RecordScale:      1,
 		FailMapTask:      -1,
 		FetchParallelism: 5,
-		QueueCapBatches:  64,
 	}
 }

@@ -112,6 +112,10 @@ type fetchBatch struct {
 	recs []core.Record
 }
 
+// queueCapBatches bounds the pipelined reducer's in-flight record batches
+// (backpressure), as exec.Options.QueueCap defaults on the real engine.
+const queueCapBatches = 64
+
 // pipelinedReduce is the barrier-less path: one fetch process per mapper
 // pulls records as they become available and enqueues them; the reducer
 // consumes the FIFO queue record-by-record through a StreamReducer whose
@@ -124,7 +128,7 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 	k := p.Kernel()
 	ratio := compressRatio(job)
 	shTok := e.Col.TaskStart(metrics.StageShuffle, p.Now())
-	queue := sim.NewQueue[fetchBatch](k, fmt.Sprintf("rq-%d", r), e.Cfg.QueueCapBatches)
+	queue := sim.NewQueue[fetchBatch](k, fmt.Sprintf("rq-%d", r), queueCapBatches)
 	wg := sim.NewWaitGroup(k, fmt.Sprintf("pfetchers-%d", r), len(shuffle.maps))
 	chunk := e.C.Cfg.TransferChunkBytes
 	peers := make(map[*cluster.Node]bool) // pooled fetch plane: one dial per peer

@@ -12,10 +12,8 @@ func workersTestRun(t *testing.T, workers int, tr Transport, mode Mode) *Result 
 	eng := NewEngine(DefaultConfig())
 	recs := workload.Text(31, 2000, 400, 6)
 	f := eng.Ingest("in", workload.SplitEvenly(recs, 12))
-	app := apps.WordCount()
 	res := eng.Run(JobSpec{
-		Name: "wc", Mapper: app.Mapper, NewGroup: app.NewGroup,
-		NewStream: app.NewStream, Merger: app.Merger,
+		Job:      apps.WordCount(),
 		Reducers: 8, Mode: mode, Workers: workers, Transport: tr,
 	}, f)
 	if res.Failed {

@@ -55,27 +55,6 @@ func Quantile(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Improvement returns the percent reduction of with relative to base:
-// 100*(base-with)/base. Positive = faster.
-func Improvement(base, with float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	return 100 * (base - with) / base
-}
-
 // RenderBoxes draws a textual box plot: one labeled row per box, with the
 // min/Q1/median/Q3/max marked on a shared horizontal axis — the textual
 // equivalent of Figure 7.

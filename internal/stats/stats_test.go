@@ -83,27 +83,6 @@ func TestQuantileWithinRangeProperty(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("mean of empty")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Fatal("mean of 1,2,3")
-	}
-}
-
-func TestImprovement(t *testing.T) {
-	if got := Improvement(200, 150); got != 25 {
-		t.Fatalf("improvement = %v, want 25", got)
-	}
-	if got := Improvement(100, 187); got != -87 {
-		t.Fatalf("slowdown = %v, want -87", got)
-	}
-	if Improvement(0, 5) != 0 {
-		t.Fatal("zero base")
-	}
-}
-
 func TestRenderBoxes(t *testing.T) {
 	out := RenderBoxes([]string{"WC", "BS"}, []Box{
 		{Min: 10, Q1: 12, Median: 15, Q3: 20, Max: 30, N: 4},

@@ -19,9 +19,6 @@ type KVStore struct {
 // the underlying store.
 func NewKVStore(kv *kvstore.Store) *KVStore { return &KVStore{kv: kv} }
 
-// Underlying exposes the wrapped store for stats inspection.
-func (s *KVStore) Underlying() *kvstore.Store { return s.kv }
-
 // Get implements Store.
 func (s *KVStore) Get(key string) (string, bool) { return s.kv.Get(key) }
 

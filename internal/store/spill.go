@@ -90,7 +90,6 @@ type SpillStore struct {
 	enc       *codec.RunEncoder // reusable run encoder (~threshold bytes once warm)
 	runLens   []int64           // sealed size of each run, for read accounting
 	spilled   int64
-	rawBytes  int64
 	err       error
 	// Spills counts how many spill runs were written (for tests/metrics).
 	Spills int
@@ -176,10 +175,6 @@ func (s *SpillStore) ApproxBytes() int64 { return s.t.Bytes() + s.enc.ScratchByt
 // SpilledBytes implements Store (sealed, post-compression bytes).
 func (s *SpillStore) SpilledBytes() int64 { return s.spilled }
 
-// RawSpilledBytes returns the standard (pre-compression) encoded size of
-// everything spilled — equal to SpilledBytes under the None codec.
-func (s *SpillStore) RawSpilledBytes() int64 { return s.rawBytes }
-
 // Err returns the first spill-storage failure (disk-backed stores only).
 // A store with a non-nil Err keeps partials in memory instead of spilling,
 // so output stays correct but memory is no longer bounded; engines should
@@ -208,7 +203,6 @@ func (s *SpillStore) spill() {
 	}
 	s.runLens = append(s.runLens, int64(len(buf)))
 	s.spilled += int64(len(buf))
-	s.rawBytes += s.enc.RawBytes()
 	s.Spills++
 	s.hooks.SpillWrite(int64(len(buf)))
 	// Everything the tree held is now encoded in the sealed run, so its

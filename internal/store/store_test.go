@@ -364,9 +364,6 @@ func TestStoreAccessors(t *testing.T) {
 	if kv.Len() != 1 {
 		t.Fatalf("kv Len = %d", kv.Len())
 	}
-	if kv.Underlying() != kvu {
-		t.Fatal("Underlying mismatch")
-	}
 	if kv.SpilledBytes() != kvu.Stats().LogBytes {
 		t.Fatal("SpilledBytes should mirror log size")
 	}
