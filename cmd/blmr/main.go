@@ -211,13 +211,9 @@ func (o *options) mrOptions() mr.Options {
 
 // runSpec is the one harness.RunSpec of a simulator run.
 func (o *options) runSpec(app apps.App, ds harness.Dataset, costs simmr.CostModel) harness.RunSpec {
-	m := simmr.Pipelined
-	if o.mode == mr.Barrier {
-		m = simmr.Barrier
-	}
 	return harness.RunSpec{Data: ds, JobSpec: simmr.JobSpec{
-		Job: app, Mode: m, Reducers: o.reducers, Store: o.store, Costs: costs,
-		HeapBudget: int64(o.heapMB) << 20, SpillThreshold: int64(o.spillMB) << 20, KVCacheBytes: 512 << 20,
+		Job: app, Mode: o.mode, Reducers: o.reducers, Store: o.store, Costs: costs,
+		HeapBudget: int64(o.heapMB) << 20, SpillThreshold: int64(o.spillMB) << 20,
 		SpillBytes: o.spillBytes, Workers: o.workers, Compression: o.comp,
 		Speculative: o.speculative, SnapshotPeriod: o.snapshot,
 	}}

@@ -69,11 +69,11 @@ func TestFlagForms(t *testing.T) {
 			req: &submitRequest{App: "wordcount", Size: 4, Mode: "pipelined", Reducers: 60, Compress: "none"}},
 		{name: "simulator, every simulator flag", args: simArgs,
 			spec: &harness.RunSpec{JobSpec: simmr.JobSpec{Mode: simmr.Barrier, Reducers: 10, Store: store.SpillMerge,
-				HeapBudget: 64 << 20, SpillThreshold: 100 << 20, KVCacheBytes: 512 << 20, SpillBytes: 2097152, Workers: 4,
+				HeapBudget: 64 << 20, SpillThreshold: 100 << 20, SpillBytes: 2097152, Workers: 4,
 				Compression: codec.DeltaBlock, Speculative: true, SnapshotPeriod: 5}}},
 		{name: "simulator, defaults", args: "",
 			spec: &harness.RunSpec{JobSpec: simmr.JobSpec{Mode: simmr.Pipelined, Reducers: 60,
-				SpillThreshold: 240 << 20, KVCacheBytes: 512 << 20}}},
+				SpillThreshold: 240 << 20}}},
 		{name: "combine, aggregation class", args: "-app wordcount -size 0.01 -combine", combiner: &yes},
 		{name: "combine, another class", args: "-app sort -size 0.01 -combine", combiner: &no},
 		{name: "no combine", args: "-app wordcount -size 0.01", combiner: &no},

@@ -144,6 +144,18 @@
 // harness.Parity — the one table of every sim ↔ real claim (name,
 // tolerance, prediction), checked by harness.CheckParity.
 //
+// Every such decision — requeue, resubmit, clone, which free worker gets
+// which task — is made in one place, the scheduler's decision core
+// (internal/exec/schedcore.go): plain state plus admit / dispatch / settle /
+// workerLost, with no lock, clock or goroutine in it. exec.Scheduler's
+// driver applies one event at a time under the run lock and starts exactly
+// the attempts the core returned, so a goroutine exists only while it is
+// inside a worker call, and exec.TestScheduleExplorer drives the same core
+// through 100 000 seeded event orders per test run, checking its
+// invariants after every event and printing a replayable seed when one
+// breaks (DESIGN.md §7). A re-executed map is counted once in
+// Result.ShuffleRecords / Spills.
+//
 // The multi-process engine is multi-tenant: mpexec.Service runs a stream
 // of concurrently admitted jobs on one coordinator and worker pool
 // (cmd/blmr -serve / -submit, newline-delimited JSON submissions on

@@ -3,54 +3,144 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"blmr/internal/core"
 )
 
-// stubWorker scripts per-task outcomes for scheduler tests.
-type stubWorker struct {
+// fakeWorker is the one scripted Worker. With nil hooks a map reports one
+// shuffle record per split record and one spill, and a reduce returns one
+// record naming its partition.
+type fakeWorker struct {
 	name      string
-	failMap   int // index of the map task to fail, -1 = none
-	block     chan struct{}
-	mapsRun   atomic.Int64
-	reduceRun atomic.Int64
+	runMap    func(MapTask) (MapStats, error)
+	runReduce func(ReduceTask) (ReduceResult, error)
 }
 
-func (w *stubWorker) String() string { return w.name }
+func (w *fakeWorker) String() string { return w.name }
 
-func (w *stubWorker) RunMap(t MapTask) (MapStats, error) {
-	w.mapsRun.Add(1)
-	if t.Index == w.failMap {
-		return MapStats{}, errors.New("injected map failure")
+func (w *fakeWorker) RunMap(t MapTask) (MapStats, error) {
+	if w.runMap != nil {
+		return w.runMap(t)
 	}
-	return MapStats{ShuffleRecords: int64(len(t.Split))}, nil
+	return MapStats{ShuffleRecords: int64(len(t.Split)), Spills: 1}, nil
 }
 
-func (w *stubWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
-	w.reduceRun.Add(1)
-	if w.block != nil {
-		// Simulates a reduce task blocked in the transport until OnFail.
-		<-w.block
-		return ReduceResult{}, errors.New("transport aborted")
+func (w *fakeWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
+	if w.runReduce != nil {
+		return w.runReduce(t)
 	}
 	return ReduceResult{Output: []core.Record{{Key: fmt.Sprintf("r%d", t.Partition)}}}, nil
 }
 
+// fakeWorkers builds n fake workers w0..wn-1 with the same slot budget.
+func fakeWorkers(n, mapSlots, reduceSlots int) []Assignment {
+	as := make([]Assignment, n)
+	for i := range as {
+		as[i] = Assignment{W: &fakeWorker{name: fmt.Sprintf("w%d", i)}, MapSlots: mapSlots, ReduceSlots: reduceSlots}
+	}
+	return as
+}
+
+// tasks builds nMaps map tasks of ten records each and nReduces partitions.
+func tasks(nMaps, nReduces int) ([]MapTask, []ReduceTask) {
+	return SplitMaps(make([]core.Record, 10*nMaps), max(1, nMaps)), ReduceTasks(nReduces)
+}
+
+var errLost = &WorkerLostError{Worker: "w", Err: errors.New("conn reset")}
+
+// script drives the decision core by hand — no goroutine, no clock — for
+// the tests that assert a scheduling decision. out holds the attempts the
+// core started that have not ended yet, oldest first.
+type script struct {
+	t *testing.T
+	*schedCore
+	out []launch
+}
+
+func newScript(t *testing.T, s *Scheduler, nMaps, nReduces int) *script {
+	maps, reduces := tasks(nMaps, nReduces)
+	sc := &script{t: t, schedCore: newCore(s, maps, reduces)}
+	sc.admit()
+	sc.step()
+	return sc
+}
+
+func (sc *script) step() { sc.out = append(sc.out, sc.dispatch()...) }
+
+// wantOn checks which tasks of kind k are out on worker w, in dispatch order.
+func (sc *script) wantOn(w int, k kind, want ...int) {
+	sc.t.Helper()
+	var got []int
+	for _, l := range sc.out {
+		if l.w.idx == w && l.k == k {
+			got = append(got, sc.index(k, l.pos))
+		}
+	}
+	if !slices.Equal(got, want) {
+		sc.t.Fatalf("w%d runs %s tasks %v, want %v", w, k, got, want)
+	}
+}
+
+// end returns the attempt of task (k, index) running on worker w the way
+// the driver would — pool slot released, outcome settled, dispatch — and
+// reports the launch it ended.
+func (sc *script) end(w int, k kind, index int, err error) launch {
+	sc.t.Helper()
+	for i, l := range sc.out {
+		if l.w.idx != w || l.k != k || sc.index(k, l.pos) != index {
+			continue
+		}
+		sc.out = slices.Delete(sc.out, i, i+1)
+		if sc.s.Pool != nil {
+			sc.s.Pool.Release(w, k == kMap)
+		}
+		sc.settle(l, MapStats{ShuffleRecords: 10, Spills: 1}, ReduceResult{Spills: index + 1}, err)
+		sc.step()
+		return l
+	}
+	sc.t.Fatalf("no %s task %d out on w%d (out: %+v)", k, index, w, sc.out)
+	return launch{}
+}
+
+// drain ends every attempt successfully, oldest first, until the job settles.
+func (sc *script) drain() *Summary {
+	sc.t.Helper()
+	for len(sc.out) > 0 {
+		l := sc.out[0]
+		sc.end(l.w.idx, l.k, sc.index(l.k, l.pos), nil)
+	}
+	if sc.firstErr != nil || !sc.settled() {
+		sc.t.Fatalf("job did not complete: err=%v left=%v", sc.firstErr, sc.left)
+	}
+	return sc.sum
+}
+
+// runLeakFree is s.Run plus the package comment's promise: no goroutine the
+// call started outlives it.
+func runLeakFree(t *testing.T, s *Scheduler, nMaps, nReduces int) (*Summary, error) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	sum, err := s.Run(tasks(nMaps, nReduces))
+	// The last attempt closes the run before its own goroutine returns.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Run, %d after", before, runtime.NumGoroutine())
+		}
+	}
+	return sum, err
+}
+
 func TestSchedulerRunsEverything(t *testing.T) {
-	w := &stubWorker{name: "w0", failMap: -1}
-	s := Scheduler{Workers: []Assignment{{W: w, MapSlots: 2, ReduceSlots: 2}}}
-	maps := SplitMaps(make([]core.Record, 100), 7)
-	sum, err := s.Run(maps, ReduceTasks(3))
+	sum, err := runLeakFree(t, &Scheduler{Workers: fakeWorkers(1, 2, 2)}, 7, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.ShuffleRecords != 100 {
-		t.Fatalf("shuffle records %d, want 100", sum.ShuffleRecords)
+	if sum.ShuffleRecords != 70 || sum.MapSpills != 7 {
+		t.Fatalf("shuffle records %d, spills %d, want 70 and 7", sum.ShuffleRecords, sum.MapSpills)
 	}
 	if len(sum.Reduces) != 3 || len(sum.Reduces[2].Output) != 1 {
 		t.Fatalf("reduce results incomplete: %+v", sum.Reduces)
@@ -61,199 +151,136 @@ func TestSchedulerRunsEverything(t *testing.T) {
 }
 
 // TestSchedulerMapFailureAborts: a failing map task must propagate its
-// error, unblock reduce tasks through OnFail, and leave no goroutine
+// error, unblock reduce tasks through OnFail (once), and leave no goroutine
 // waiting — the in-process half of the worker-fault contract.
 func TestSchedulerMapFailureAborts(t *testing.T) {
 	block := make(chan struct{})
-	w := &stubWorker{name: "w0", failMap: 3, block: block}
-	var failed atomic.Int64
-	s := Scheduler{
-		Workers: []Assignment{{W: w, MapSlots: 2, ReduceSlots: 2}},
-		OnFail: func(err error) {
-			failed.Add(1)
-			close(block) // the transport's Fail: wake blocked consumers
-		},
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Run(SplitMaps(make([]core.Record, 80), 8), ReduceTasks(2))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected the injected map failure")
-		}
-		if failed.Load() != 1 {
-			t.Fatalf("OnFail ran %d times, want 1", failed.Load())
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("scheduler hung after worker failure")
-	}
-}
-
-// TestSchedulerSpreadsAcrossWorkers: every worker with slots participates.
-func TestSchedulerSpreadsAcrossWorkers(t *testing.T) {
-	w0 := &stubWorker{name: "w0", failMap: -1}
-	w1 := &stubWorker{name: "w1", failMap: -1}
-	s := Scheduler{Workers: []Assignment{
-		{W: w0, MapSlots: 1, ReduceSlots: 1},
-		{W: w1, MapSlots: 1, ReduceSlots: 1},
+	failed := 0
+	s := &Scheduler{Workers: fakeWorkers(1, 2, 2), OnFail: func(error) {
+		failed++
+		close(block) // the transport's Fail: wake blocked consumers
 	}}
-	// Enough tasks that a single slot cannot plausibly win every race.
-	maps := SplitMaps(make([]core.Record, 512), 64)
-	if _, err := s.Run(maps, ReduceTasks(16)); err != nil {
-		t.Fatal(err)
-	}
-	if w0.mapsRun.Load()+w1.mapsRun.Load() != 64 {
-		t.Fatalf("ran %d+%d map tasks, want 64", w0.mapsRun.Load(), w1.mapsRun.Load())
-	}
-	if w0.reduceRun.Load()+w1.reduceRun.Load() != 16 {
-		t.Fatalf("ran %d+%d reduce tasks, want 16", w0.reduceRun.Load(), w1.reduceRun.Load())
-	}
-}
-
-// fnWorker scripts arbitrary per-task behavior for churn tests.
-type fnWorker struct {
-	name      string
-	runMap    func(MapTask) (MapStats, error)
-	runReduce func(ReduceTask) (ReduceResult, error)
-}
-
-func (w *fnWorker) String() string { return w.name }
-func (w *fnWorker) RunMap(t MapTask) (MapStats, error) {
-	if w.runMap != nil {
-		return w.runMap(t)
-	}
-	return MapStats{}, nil
-}
-func (w *fnWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
-	if w.runReduce != nil {
-		return w.runReduce(t)
-	}
-	return ReduceResult{}, nil
-}
-
-// TestSchedulerWorkerLostRequeues: a WorkerLostError must retire the worker
-// and requeue the task on a survivor instead of failing the job.
-func TestSchedulerWorkerLostRequeues(t *testing.T) {
-	var lost atomic.Bool
-	w0 := &fnWorker{name: "w0"}
-	w0.runMap = func(mt MapTask) (MapStats, error) {
-		if lost.CompareAndSwap(false, true) {
-			return MapStats{}, &WorkerLostError{Worker: "w0", Err: errors.New("conn reset")}
+	w := s.Workers[0].W.(*fakeWorker)
+	w.runMap = func(mt MapTask) (MapStats, error) {
+		if mt.Index == 3 {
+			return MapStats{}, errors.New("injected map failure")
 		}
-		return MapStats{ShuffleRecords: 1}, nil
+		return MapStats{}, nil
 	}
-	w1 := &fnWorker{name: "w1", runMap: func(MapTask) (MapStats, error) {
-		for !lost.Load() {
-			time.Sleep(time.Millisecond) // hold w1's slot until w0's loss lands
-		}
-		return MapStats{ShuffleRecords: 1}, nil
-	}}
-	s := Scheduler{Workers: []Assignment{
-		{W: w0, MapSlots: 1, ReduceSlots: 1},
-		{W: w1, MapSlots: 1, ReduceSlots: 1},
-	}}
-	sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
-	if err != nil {
-		t.Fatalf("worker loss failed the job: %v", err)
+	w.runReduce = func(ReduceTask) (ReduceResult, error) {
+		<-block // a reduce task blocked in the transport until OnFail
+		return ReduceResult{}, errors.New("transport aborted")
 	}
-	if sum.MapRetries != 1 {
-		t.Fatalf("MapRetries = %d, want 1", sum.MapRetries)
+	if _, err := runLeakFree(t, s, 8, 2); err == nil {
+		t.Fatal("expected the injected map failure")
 	}
-	if sum.ShuffleRecords != 4 {
-		t.Fatalf("shuffle records %d, want 4 (winner-only stats)", sum.ShuffleRecords)
+	if failed != 1 {
+		t.Fatalf("OnFail ran %d times, want 1", failed)
 	}
 }
 
-// TestSchedulerResubmitCompletedMap: WorkerLost with resubmit indices must
-// re-run already-completed maps on survivors while reduces are in flight.
+// TestSchedulerAllWorkersLost: when every worker dies the job must fail
+// rather than hang.
+func TestSchedulerAllWorkersLost(t *testing.T) {
+	s := &Scheduler{Workers: fakeWorkers(1, 1, 1)}
+	s.Workers[0].W.(*fakeWorker).runMap = func(MapTask) (MapStats, error) { return MapStats{}, errLost }
+	if _, err := runLeakFree(t, s, 2, 1); !IsWorkerLost(err) {
+		t.Fatalf("want a failure classified as WorkerLostError, got %v", err)
+	}
+}
+
+// TestSchedulerResubmitCompletedMap: Scheduler.WorkerLost with resubmit
+// indexes re-runs already-completed maps on the survivor while reduces are
+// in flight, and a re-executed map is counted once — at 174b3f9 this read
+// 60 records and 6 spills, each re-run map's stats added a second time.
 func TestSchedulerResubmitCompletedMap(t *testing.T) {
-	gate := make(chan struct{})
-	var mapRuns, w1Runs atomic.Int64
-	mkMap := func(counter *atomic.Int64) func(MapTask) (MapStats, error) {
-		return func(MapTask) (MapStats, error) {
-			mapRuns.Add(1)
-			if counter != nil {
-				counter.Add(1)
-			}
-			return MapStats{}, nil
+	gate, reducing := make(chan struct{}), make(chan struct{}, 2)
+	// Staged: a reduce task starts only once every map has settled.
+	s := &Scheduler{Workers: fakeWorkers(2, 1, 1), Staged: true}
+	for _, a := range s.Workers {
+		a.W.(*fakeWorker).runReduce = func(ReduceTask) (ReduceResult, error) {
+			reducing <- struct{}{}
+			<-gate
+			return ReduceResult{}, nil
 		}
 	}
-	w0 := &fnWorker{name: "w0", runMap: mkMap(nil)}
-	w1 := &fnWorker{name: "w1", runMap: mkMap(&w1Runs)}
-	blockReduce := func(ReduceTask) (ReduceResult, error) {
-		<-gate
-		return ReduceResult{}, nil
-	}
-	w0.runReduce = blockReduce
-	w1.runReduce = blockReduce
-	s := Scheduler{Workers: []Assignment{
-		{W: w0, MapSlots: 1, ReduceSlots: 1},
-		{W: w1, MapSlots: 1, ReduceSlots: 1},
-	}}
-	done := make(chan *Summary, 1)
 	go func() {
-		sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
-		if err != nil {
-			t.Error(err)
-		}
-		done <- sum
+		<-reducing
+		s.WorkerLost(s.Workers[0].W, []int{0, 1}) // w0's sealed outputs are gone
+		close(gate)
 	}()
-	waitFor(t, func() bool { return mapRuns.Load() == 4 })
-	base := w1Runs.Load()
-	s.WorkerLost(w0, []int{0, 1}) // w0's sealed outputs are gone
-	waitFor(t, func() bool { return w1Runs.Load() == base+2 })
-	close(gate)
-	sum := <-done
-	if sum == nil {
-		t.Fatal("run failed")
-	}
-	if sum.MapRetries != 2 {
-		t.Fatalf("MapRetries = %d, want 2", sum.MapRetries)
-	}
-}
-
-// TestSchedulerSpeculates: with most of the wave done, an idle worker clones
-// the straggler and the first completion wins.
-func TestSchedulerSpeculates(t *testing.T) {
-	cloneSettled := make(chan struct{})
-	var settle sync.Once
-	runMap := func(mt MapTask) (MapStats, error) {
-		// Four maps, no failures: attempts 0-3 are the originals, so map 3's
-		// original is the one below 4 — whichever goroutine gets here first.
-		if mt.Index == 3 && mt.Attempt < 4 {
-			<-cloneSettled // straggle until the clone has won
-		}
-		return MapStats{ShuffleRecords: 1}, nil
-	}
-	// Staged: a reduce task starts only once every map is done, so the first
-	// one proves the scheduler has settled the clone's completion — releasing
-	// the original on the clone's mere return let it overtake the clone to
-	// the scheduler's lock under load (launched=1 won=0).
-	runReduce := func(ReduceTask) (ReduceResult, error) {
-		settle.Do(func() { close(cloneSettled) })
-		return ReduceResult{}, nil
-	}
-	w0 := &fnWorker{name: "w0", runMap: runMap, runReduce: runReduce}
-	w1 := &fnWorker{name: "w1", runMap: runMap, runReduce: runReduce}
-	s := Scheduler{
-		Workers: []Assignment{
-			{W: w0, MapSlots: 1, ReduceSlots: 1},
-			{W: w1, MapSlots: 1, ReduceSlots: 1},
-		},
-		Speculate: true, Staged: true,
-	}
-	sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
+	sum, err := s.Run(tasks(4, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sum.ShuffleRecords != 40 || sum.MapSpills != 4 || sum.MapRetries != 2 {
+		t.Fatalf("records %d, spills %d, retries %d: want 40, 4, 2", sum.ShuffleRecords, sum.MapSpills, sum.MapRetries)
+	}
+}
+
+// TestSchedulerSpreadsAcrossWorkers: an unrouted task goes to the free
+// worker running the fewest tasks of its kind, so one job spreads evenly
+// and a second job sharing the pool fills the side the first left lighter.
+func TestSchedulerSpreadsAcrossWorkers(t *testing.T) {
+	pool := NewSlotPool(2, 0)
+	a := newScript(t, &Scheduler{Workers: fakeWorkers(2, 2, 2), Pool: pool}, 4, 3)
+	a.wantOn(0, kMap, 0, 2)
+	a.wantOn(1, kMap, 1, 3)
+	a.wantOn(0, kReduce, 0, 2)
+	a.wantOn(1, kReduce, 1)
+	b := newScript(t, &Scheduler{Workers: fakeWorkers(2, 2, 2), Pool: pool}, 0, 3)
+	b.wantOn(0, kReduce, 1)
+	b.wantOn(1, kReduce, 0, 2)
+}
+
+// TestSchedulerWorkerLostRequeues: a WorkerLostError retires the worker and
+// requeues the task on a survivor instead of failing the job.
+func TestSchedulerWorkerLostRequeues(t *testing.T) {
+	sc := newScript(t, &Scheduler{Workers: fakeWorkers(2, 1, 1)}, 4, 2)
+	sc.end(0, kMap, 0, errLost)
+	sc.wantOn(0, kMap) // nothing new on the dead worker
+	sc.wantOn(1, kMap, 1)
+	sc.end(1, kMap, 1, nil)
+	sc.wantOn(1, kMap, 0) // the requeued map, on the survivor
+	sc.end(0, kReduce, 0, errLost)
+	sum := sc.drain()
+	if sum.MapRetries != 1 || sum.ReduceRetries != 1 {
+		t.Fatalf("retries %d map / %d reduce, want 1/1", sum.MapRetries, sum.ReduceRetries)
+	}
+	if sum.ShuffleRecords != 40 {
+		t.Fatalf("shuffle records %d, want 40 (winner-only stats)", sum.ShuffleRecords)
+	}
+}
+
+// TestSchedulerSpeculates: below speculateAfter an idle slot stays idle;
+// at it, the straggler is cloned once, on a worker not already running it,
+// and the first completion wins. Staged: no reduce starts before the clone
+// has settled the map wave.
+func TestSchedulerSpeculates(t *testing.T) {
+	sc := newScript(t, &Scheduler{Workers: fakeWorkers(3, 1, 1), Speculate: true, Staged: true}, 4, 2)
+	sc.end(0, kMap, 0, nil)
+	sc.wantOn(0, kMap, 3)
+	sc.end(1, kMap, 1, nil)
+	if len(sc.out) != 2 || sc.sum.BackupsLaunched != 0 {
+		t.Fatalf("cloned at 2 of 4 maps done: out %+v", sc.out)
+	}
+	sc.end(2, kMap, 2, nil)
+	sc.wantOn(1, kMap, 3) // the clone, on the idle worker with the lowest index
+	sc.wantOn(2, kMap)    // one clone per map
+	for w := range sc.workers {
+		sc.wantOn(w, kReduce) // staged: no reduce while a map is still out
+	}
+	if clone := sc.end(1, kMap, 3, nil); !clone.clone {
+		t.Fatalf("w1's attempt of map 3 is not a clone: %+v", clone)
+	}
+	sc.wantOn(0, kReduce, 0)
+	sc.wantOn(1, kReduce, 1)
+	sum := sc.drain() // the original returns last and is dropped
 	if sum.BackupsLaunched != 1 || sum.BackupsWon != 1 {
 		t.Fatalf("backups launched=%d won=%d, want 1/1", sum.BackupsLaunched, sum.BackupsWon)
 	}
-	if sum.ShuffleRecords != 4 {
-		t.Fatalf("shuffle records %d, want 4 (loser attempt must not double-count)", sum.ShuffleRecords)
+	if sum.ShuffleRecords != 40 {
+		t.Fatalf("shuffle records %d, want 40 (loser attempt must not double-count)", sum.ShuffleRecords)
 	}
 }
 
@@ -264,107 +291,25 @@ func TestSchedulerSpeculates(t *testing.T) {
 // therefore accept a lower attempt after a higher one (the journal fold and
 // shuffle.PushSource both do: the last route installed wins).
 func TestSchedulerResubmitLetsOlderAttemptWin(t *testing.T) {
-	release := make(chan struct{})
-	gate := make(chan struct{})
-	var mu sync.Mutex
-	var ran, finished []int // map 3's attempt IDs: every one dispatched, and in completion order
-	var cloneWorker *fnWorker
-	var reduces atomic.Int64
-	mkWorker := func(name string) *fnWorker {
-		w := &fnWorker{name: name}
-		w.runMap = func(mt MapTask) (MapStats, error) {
-			if mt.Index != 3 {
-				return MapStats{}, nil
-			}
-			// Four maps, no failures: attempts 0-3 are the originals.
-			original := mt.Attempt < 4
-			mu.Lock()
-			ran = append(ran, mt.Attempt)
-			if !original {
-				cloneWorker = w
-			}
-			mu.Unlock()
-			if original {
-				<-release // straggle past the clone's win and its worker's death
-			}
-			mu.Lock()
-			finished = append(finished, mt.Attempt)
-			mu.Unlock()
-			return MapStats{}, nil
-		}
-		w.runReduce = func(ReduceTask) (ReduceResult, error) {
-			reduces.Add(1)
-			<-gate
-			return ReduceResult{}, nil
-		}
-		return w
+	sc := newScript(t, &Scheduler{Workers: fakeWorkers(2, 1, 1), Speculate: true, Staged: true}, 4, 2)
+	sc.end(0, kMap, 0, nil)
+	sc.end(1, kMap, 1, nil)
+	sc.end(0, kMap, 2, nil) // 3 of 4 done: w0 clones map 3, which w1 runs
+	clone := sc.end(0, kMap, 3, nil)
+	sc.workerLost(sc.workers[0].a.W, []int{3}) // the winning clone's sealed output is gone
+	sc.step()
+	sc.wantOn(1, kMap, 3) // still only the original
+	if st := sc.tasks[kMap][3]; st.life != tsRunning || sc.left[kMap] != 1 {
+		t.Fatalf("resubmitted map with its original still out: life %v, %d maps left; want running, 1", st.life, sc.left[kMap])
 	}
-	w0, w1 := mkWorker("w0"), mkWorker("w1")
-	// Staged: a reduce task starts only once every map is done, so seeing
-	// one proves the scheduler has settled the clone's completion.
-	s := Scheduler{
-		Workers:   []Assignment{{W: w0, MapSlots: 1, ReduceSlots: 1}, {W: w1, MapSlots: 1, ReduceSlots: 1}},
-		Speculate: true, Staged: true,
+	original := sc.end(1, kMap, 3, nil)
+	if !clone.clone || original.clone || original.attempt >= clone.attempt {
+		t.Fatalf("map 3 finished as %+v then %+v: want the higher-attempt clone first, the lower-attempt original completing the resubmitted map", clone, original)
 	}
-	done := make(chan *Summary, 1)
-	go func() {
-		sum, err := s.Run(SplitMaps(make([]core.Record, 40), 4), ReduceTasks(2))
-		if err != nil {
-			t.Error(err)
-		}
-		done <- sum
-	}()
-	waitFor(t, func() bool { return reduces.Load() > 0 })
-	s.WorkerLost(cloneWorker, []int{3}) // the winning clone's sealed output is gone
-	close(release)
-	waitFor(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(finished) == 2 })
-	close(gate)
-	sum := <-done
-	if sum == nil {
-		t.Fatal("run failed")
-	}
-	slices.Sort(ran)
-	if len(ran) != 2 || finished[0] != ran[1] || finished[1] != ran[0] {
-		t.Fatalf("map 3 ran as attempts %v and finished as %v: want exactly the original and its clone, the higher-attempt clone finishing first and the lower-attempt original completing the resubmitted map", ran, finished)
-	}
-	if sum.MapRetries != 1 || sum.BackupsLaunched != 1 {
-		t.Fatalf("MapRetries=%d BackupsLaunched=%d, want 1/1", sum.MapRetries, sum.BackupsLaunched)
-	}
-}
-
-// TestSchedulerAllWorkersLost: when every worker dies the job must fail
-// rather than hang.
-func TestSchedulerAllWorkersLost(t *testing.T) {
-	w := &fnWorker{name: "w0", runMap: func(MapTask) (MapStats, error) {
-		return MapStats{}, &WorkerLostError{Worker: "w0", Err: errors.New("gone")}
-	}}
-	s := Scheduler{Workers: []Assignment{{W: w, MapSlots: 1, ReduceSlots: 1}}}
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Run(SplitMaps(make([]core.Record, 10), 2), ReduceTasks(1))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("expected failure with no live workers")
-		}
-		if !IsWorkerLost(err) {
-			t.Fatalf("error lost its WorkerLostError classification: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("scheduler hung with every worker dead")
-	}
-}
-
-func waitFor(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("condition not reached in 10s")
-		}
-		time.Sleep(time.Millisecond)
+	sum := sc.drain()
+	if sc.tasks[kMap][3].attempts != 2 || sum.MapRetries != 1 || sum.BackupsLaunched != 1 {
+		t.Fatalf("map 3 took %d attempts, MapRetries=%d BackupsLaunched=%d, want 2, 1, 1",
+			sc.tasks[kMap][3].attempts, sum.MapRetries, sum.BackupsLaunched)
 	}
 }
 

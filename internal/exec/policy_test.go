@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"blmr/internal/core"
 )
 
 func snaps(loads ...int) []WorkerSnapshot {
@@ -83,78 +80,64 @@ func TestLocalityPrefersResidentRuns(t *testing.T) {
 }
 
 // TestSchedulerPolicyRoutes: a routed task waits for its worker — the
-// round-robin stripe lands exactly half the maps on each of two workers,
-// deterministically (no work-conserving races).
+// round-robin stripe lands exactly half the maps on each of two workers even
+// though w0 frees its slot first every time.
 func TestSchedulerPolicyRoutes(t *testing.T) {
-	w0 := &stubWorker{name: "w0", failMap: -1}
-	w1 := &stubWorker{name: "w1", failMap: -1}
 	p, _ := ParsePolicy("round-robin")
-	s := Scheduler{
-		Workers: []Assignment{
-			{W: w0, MapSlots: 1, ReduceSlots: 1},
-			{W: w1, MapSlots: 1, ReduceSlots: 1},
-		},
-		Policy: p,
+	sc := newScript(t, &Scheduler{Workers: fakeWorkers(2, 1, 1), Policy: p}, 8, 2)
+	for _, m := range []int{0, 2, 4} {
+		sc.end(0, kMap, m, nil)
+		sc.wantOn(0, kMap, m+2)
+		sc.wantOn(1, kMap, 1)
 	}
-	if _, err := s.Run(SplitMaps(make([]core.Record, 80), 8), ReduceTasks(2)); err != nil {
-		t.Fatal(err)
+	sc.end(0, kMap, 6, nil)
+	sc.wantOn(0, kMap) // idle: maps 3, 5 and 7 wait for w1
+	if q := sc.workers[1].queued[kMap]; q != 3 {
+		t.Fatalf("%d maps queued on w1, want 3", q)
 	}
-	if w0.mapsRun.Load() != 4 || w1.mapsRun.Load() != 4 {
-		t.Fatalf("round-robin split %d/%d maps, want 4/4", w0.mapsRun.Load(), w1.mapsRun.Load())
-	}
+	sc.drain()
 }
 
 // TestSchedulerPolicyReroutesOnDeath: tasks routed to a worker that dies
-// must re-route to survivors instead of waiting forever.
+// re-route to the survivors instead of waiting forever.
 func TestSchedulerPolicyReroutesOnDeath(t *testing.T) {
-	var w0Lost atomic.Bool
-	w0 := &fnWorker{name: "w0"}
-	w0.runMap = func(MapTask) (MapStats, error) {
-		w0Lost.Store(true)
-		return MapStats{}, &WorkerLostError{Worker: "w0", Err: errors.New("conn reset")}
-	}
-	var w1Maps atomic.Int64
-	w1 := &fnWorker{name: "w1", runMap: func(MapTask) (MapStats, error) {
-		w1Maps.Add(1)
-		return MapStats{ShuffleRecords: 1}, nil
-	}}
 	p, _ := ParsePolicy("round-robin")
-	s := Scheduler{
-		Workers: []Assignment{
-			{W: w0, MapSlots: 1, ReduceSlots: 1},
-			{W: w1, MapSlots: 1, ReduceSlots: 1},
-		},
-		Policy: p,
+	sc := newScript(t, &Scheduler{Workers: fakeWorkers(2, 1, 1), Policy: p}, 6, 2)
+	sc.end(0, kMap, 0, errLost)
+	if q0, q1 := sc.workers[0].queued, sc.workers[1].queued; q0 != [2]int{} || q1[kMap] != 5 {
+		t.Fatalf("after w0 died: queued %v on w0, %v on w1; want nothing and the 5 maps not running", q0, q1)
 	}
-	sum, err := s.Run(SplitMaps(make([]core.Record, 60), 6), ReduceTasks(2))
-	if err != nil {
-		t.Fatalf("worker death failed the routed job: %v", err)
+	sc.end(0, kReduce, 0, errLost)
+	for len(sc.out) > 0 {
+		l := sc.out[0]
+		sc.end(1, l.k, sc.index(l.k, l.pos), nil) // fails unless it ran on the survivor
 	}
-	if !w0Lost.Load() || w1Maps.Load() != 6 {
-		t.Fatalf("survivor ran %d maps, want all 6 after re-routing", w1Maps.Load())
-	}
-	if sum.ShuffleRecords != 6 {
-		t.Fatalf("shuffle records %d, want 6", sum.ShuffleRecords)
+	if sum := sc.drain(); sum.ShuffleRecords != 60 {
+		t.Fatalf("shuffle records %d, want 60", sum.ShuffleRecords)
 	}
 }
 
-// gateWorker blocks every map task on a gate while counting per-worker
-// concurrency, for the fair-share tests below.
-type gateWorker struct {
-	name    string
-	gate    chan struct{}
-	running atomic.Int64 // this job's in-flight maps on this worker
-}
-
-func (w *gateWorker) String() string { return w.name }
-func (w *gateWorker) RunMap(t MapTask) (MapStats, error) {
-	w.running.Add(1)
-	defer w.running.Add(-1)
-	<-w.gate
-	return MapStats{ShuffleRecords: 1}, nil
-}
-func (w *gateWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
-	return ReduceResult{}, nil
+// runTwoJobs starts two concurrent jobs of nMaps maps over one shared pool,
+// one map slot per worker each; runMap is the body of every map on worker w.
+func runTwoJobs(t *testing.T, pool *SlotPool, workers, nMaps int, runMap func(w int)) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	for j := 0; j < 2; j++ {
+		s := &Scheduler{Workers: fakeWorkers(workers, 1, 1), Pool: pool}
+		for w, a := range s.Workers {
+			a.W.(*fakeWorker).runMap = func(MapTask) (MapStats, error) {
+				runMap(w)
+				return MapStats{}, nil
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Run(tasks(nMaps, 1)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	return &wg
 }
 
 // TestSlotPoolFairShares: two concurrent jobs on one shared two-worker pool,
@@ -165,38 +148,19 @@ func (w *gateWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
 func TestSlotPoolFairShares(t *testing.T) {
 	const workers = 2
 	pool := NewSlotPool(workers, 2) // cap 2 = the two jobs' shares
-	gate := make(chan struct{})
-	mkJob := func(tag string) (*Scheduler, []*gateWorker) {
-		ws := make([]*gateWorker, workers)
-		as := make([]Assignment, workers)
-		for i := range ws {
-			ws[i] = &gateWorker{name: tag, gate: gate}
-			as[i] = Assignment{W: ws[i], MapSlots: 1, ReduceSlots: 1}
+	gate, started := make(chan struct{}), make(chan struct{})
+	wg := runTwoJobs(t, pool, workers, 8, func(int) {
+		select {
+		case started <- struct{}{}:
+			<-gate
+		case <-gate:
 		}
-		return &Scheduler{Workers: as, Pool: pool}, ws
-	}
-	sa, wa := mkJob("a")
-	sb, wb := mkJob("b")
-	var wg sync.WaitGroup
-	run := func(s *Scheduler) {
-		defer wg.Done()
-		if _, err := s.Run(SplitMaps(make([]core.Record, 80), 8), ReduceTasks(1)); err != nil {
-			t.Error(err)
-		}
-	}
-	wg.Add(2)
-	go run(sa)
-	go run(sb)
-	// Both jobs must reach their full share (1 map per worker) while every
-	// task is parked on the gate — neither can be squeezed below it.
-	waitFor(t, func() bool {
-		for i := 0; i < workers; i++ {
-			if wa[i].running.Load() != 1 || wb[i].running.Load() != 1 {
-				return false
-			}
-		}
-		return true
 	})
+	// Every map parks on the gate and a job has one map slot per worker, so
+	// four starts are each job's full share: neither is squeezed below it.
+	for i := 0; i < 2*workers; i++ {
+		<-started
+	}
 	for i := 0; i < workers; i++ {
 		if got := pool.RunningKind(i, true); got != 2 {
 			t.Fatalf("pool sees %d running on worker %d, want 2 (both shares)", got, i)
@@ -207,40 +171,27 @@ func TestSlotPoolFairShares(t *testing.T) {
 }
 
 // TestSlotPoolCapsCrossJobConcurrency: with a one-slot-per-worker pool cap,
-// two jobs' tasks on the same worker serialize — total running per worker
-// never exceeds the cap.
+// two jobs' maps on the same worker serialize. In the core, the second job's
+// map dispatch parks at the cap while its reduce, which is counted but never
+// capped, goes; through two real Runs, the parked job is woken by the other
+// job's releases and the cap is never exceeded.
 func TestSlotPoolCapsCrossJobConcurrency(t *testing.T) {
 	const workers = 2
 	pool := NewSlotPool(workers, 1)
-	perWorker := make([]atomic.Int64, workers)
-	var overCap atomic.Bool
-	mkJob := func() *Scheduler {
-		as := make([]Assignment, workers)
-		for i := range as {
-			i := i
-			as[i] = Assignment{W: &fnWorker{name: "w", runMap: func(MapTask) (MapStats, error) {
-				if perWorker[i].Add(1) > 1 {
-					overCap.Store(true)
-				}
-				defer perWorker[i].Add(-1)
-				return MapStats{}, nil
-			}}, MapSlots: 1, ReduceSlots: 1}
+	a := newScript(t, &Scheduler{Workers: fakeWorkers(workers, 1, 1), Pool: pool}, 2, 1)
+	b := newScript(t, &Scheduler{Workers: fakeWorkers(workers, 1, 1), Pool: pool}, 2, 1)
+	b.wantOn(0, kMap) // parked: job a holds both workers' one pool slot
+	b.wantOn(1, kMap)
+	b.wantOn(1, kReduce, 0) // counted, never capped — and beside job a's, not on top of it
+	a.end(0, kMap, 0, nil)
+	b.step() // what the pool's release callback drives
+	b.wantOn(0, kMap, 0)
+
+	var running [workers]atomic.Int64
+	runTwoJobs(t, NewSlotPool(workers, 1), workers, 16, func(w int) {
+		if running[w].Add(1) > 1 {
+			t.Error("cross-job running maps exceeded the pool's per-worker cap")
 		}
-		return &Scheduler{Workers: as, Pool: pool}
-	}
-	var wg sync.WaitGroup
-	for j := 0; j < 2; j++ {
-		s := mkJob()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Run(SplitMaps(make([]core.Record, 160), 16), ReduceTasks(1)); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if overCap.Load() {
-		t.Fatal("cross-job running maps exceeded the pool's per-worker cap")
-	}
+		running[w].Add(-1)
+	}).Wait()
 }

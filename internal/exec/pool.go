@@ -71,9 +71,10 @@ func (p *SlotPool) TryAcquire(w int, mapKind bool) bool {
 	return true
 }
 
-// Release returns a slot claimed by TryAcquire and wakes every subscribed
-// scheduler so parked dispatches re-check the worker. Subscribers are
-// invoked after the pool lock is dropped (they take their own run locks).
+// Release returns a slot claimed by TryAcquire and has every subscribed
+// scheduler dispatch again, so a task held back at the cap starts.
+// Subscribers are invoked after the pool lock is dropped (they take their
+// own run locks).
 func (p *SlotPool) Release(w int, mapKind bool) {
 	p.mu.Lock()
 	if w >= 0 && w < len(p.mapRun) {
@@ -93,9 +94,9 @@ func (p *SlotPool) Release(w int, mapKind bool) {
 	}
 }
 
-// subscribe registers a wakeup callback for slot releases and returns its
-// cancel. Scheduler.Run wires its cond broadcast here for the duration of
-// the run.
+// subscribe registers a callback for slot releases and returns its cancel.
+// Scheduler.Run subscribes a dispatch (drive with no event) for the duration
+// of the run: that is what starts a task held back at the cross-job cap.
 func (p *SlotPool) subscribe(f func()) (cancel func()) {
 	p.mu.Lock()
 	id := p.nextSub

@@ -26,7 +26,7 @@ func memTechniqueSweep(id, title, xlabel string, xs []float64, base func(x float
 		}},
 		{"berkeleydb-style kv", func(s *RunSpec) {
 			pipelined(s)
-			s.Store, s.KVCacheBytes = store.KV, 512<<20
+			s.Store = store.KV
 		}},
 	})
 }

@@ -72,8 +72,8 @@ func makeDataset(recs []core.Record, sizeGB float64, virtRecords float64) Datase
 // simmr.JobSpec cannot say, the data it reads and the testbed it runs on.
 type RunSpec struct {
 	// JobSpec is the job and how it executes. Byte quantities (HeapBudget,
-	// SpillThreshold, SpillBytes, KVCacheBytes) are virtual bytes; the
-	// testbed rates Costs leaves zero are filled by Run.
+	// SpillThreshold, SpillBytes) are virtual bytes; the testbed rates
+	// Costs leaves zero are filled by Run.
 	simmr.JobSpec
 	Data Dataset
 	// Cluster is the simulated datacenter (zero = PaperCluster).

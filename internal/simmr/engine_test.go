@@ -246,9 +246,6 @@ func TestKVStoreModeWorksAndIsSlower(t *testing.T) {
 		f := e.Ingest("in", workload.SplitEvenly(input, 8))
 		job := jobFor(apps.WordCount(), Pipelined, 2)
 		job.Store = kind
-		if kind == store.KV {
-			job.KVCacheBytes = 32 << 10
-		}
 		return e.Run(job, f)
 	}
 	mem := mkJob(store.InMemory)

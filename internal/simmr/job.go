@@ -16,28 +16,23 @@ import (
 	"blmr/internal/core"
 	"blmr/internal/exec"
 	"blmr/internal/metrics"
+	"blmr/internal/shuffle"
 	"blmr/internal/store"
 )
 
-// Mode selects barrier or barrier-less execution.
-type Mode int
+// Mode selects barrier or barrier-less execution — the engines' one
+// exec.Mode, so a spec built for one engine names its mode to all three.
+type Mode = exec.Mode
 
 // Execution modes.
 const (
 	// Barrier: Reduce starts only after every map output is fetched and
 	// merge-sorted (Figure 2).
-	Barrier Mode = iota
+	Barrier = exec.Barrier
 	// Pipelined: Reduce consumes records as the shuffle delivers them
 	// (Figure 3).
-	Pipelined
+	Pipelined = exec.Pipelined
 )
-
-func (m Mode) String() string {
-	if m == Barrier {
-		return "barrier"
-	}
-	return "pipelined"
-}
 
 // CostModel holds CPU cost rates in seconds per *virtual* unit. Virtual
 // record and byte counts are the real counts scaled by Config.RecordScale /
@@ -128,33 +123,23 @@ func DefaultCosts() CostModel {
 	}
 }
 
-// Transport names the shuffle data plane the simulated job models — the
-// counterpart of the wall-clock engine's shuffle.Kind.
-type Transport int
+// Transport names the shuffle data plane the simulated job models: the
+// wall-clock engine's shuffle.Kind, under the simulator's names.
+type Transport = shuffle.Kind
 
 // Available simulated transports.
 const (
 	// InProcShuffle moves intermediate data through memory (the default;
 	// the behaviour of every pre-split simulation).
-	InProcShuffle Transport = iota
+	InProcShuffle = shuffle.InProc
 	// RunExchange seals map output as spill runs exchanged through local
 	// disk; reducers stream an external merge (sort-phase memory is bounded
 	// by read buffers) and pay RunFetchDelay for remote sections.
-	RunExchange
+	RunExchange = shuffle.SpillExchange
 	// TCPRunExchange is RunExchange with every section fetched through a
 	// run-server: RunFetchDelay applies to local sections too.
-	TCPRunExchange
+	TCPRunExchange = shuffle.TCP
 )
-
-func (t Transport) String() string {
-	switch t {
-	case RunExchange:
-		return "runx"
-	case TCPRunExchange:
-		return "tcp"
-	}
-	return "inproc"
-}
 
 // JobSpec describes one simulated MapReduce job: the user code every engine
 // shares, plus how the simulated cluster runs it.
@@ -209,8 +194,6 @@ type JobSpec struct {
 	// with an InMemory store and a Merger are upgraded to a spill-merge
 	// store budgeted at SpillBytes. 0 models the all-in-RAM engine.
 	SpillBytes int64
-	// KVCacheBytes is the KV store's cache budget (virtual bytes).
-	KVCacheBytes int64
 	// Costs are the CPU rates; zero value uses DefaultCosts.
 	Costs CostModel
 	// Speculative enables backup execution of straggling map tasks once

@@ -112,6 +112,10 @@ type fetchBatch struct {
 	recs []core.Record
 }
 
+// kvCacheBytes is the KV store's cache budget in virtual bytes (the 512 MB
+// every Figure 9/10 run and cmd/blmr used).
+const kvCacheBytes = 512 << 20
+
 // queueCapBatches bounds the pipelined reducer's in-flight record batches
 // (backpressure), as exec.Options.QueueCap defaults on the real engine.
 const queueCapBatches = 64
@@ -306,12 +310,8 @@ func (e *Engine) newStore(p *sim.Proc, job *JobSpec, node *cluster.Node) store.S
 		}
 		return store.NewSpillStore(thresholdReal, job.Merger, &simSpillHooks{e: e, p: p, node: node})
 	case store.KV:
-		cacheReal := int64(float64(job.KVCacheBytes) / e.Cfg.ByteScale)
-		if job.KVCacheBytes == 0 {
-			cacheReal = 1 << 20
-		}
 		kv := kvstore.New(kvstore.Config{
-			CacheBytes: cacheReal,
+			CacheBytes: int64(kvCacheBytes / e.Cfg.ByteScale),
 			Hooks:      &simKVHooks{e: e, p: p, node: node, opDelay: job.Costs.KVOpDelay},
 		})
 		return store.NewKVStore(kv)
