@@ -3,7 +3,7 @@
 //
 //   - the simulated cluster (default): virtual time/memory, the paper's
 //     testbed shape;
-//   - the real-concurrency in-process engine (-transport inproc|spill|tcp):
+//   - the real-concurrency in-process engine (-transport inproc|tcp):
 //     wall-clock execution with the chosen shuffle transport;
 //   - the multi-process cluster engine (-workers N -transport tcp): N
 //     worker subprocesses register with a coordinator, exchange sealed
@@ -127,7 +127,7 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.DurationVar(&o.chaosKill, "chaos-kill", 0, "cluster mode: SIGKILL one worker this long after the job starts (fault-injection; 0 = off)")
 	fs.BoolVar(&o.combine, "combine", false, "enable the map-side combiner (aggregation-class apps only; uses the app's merger)")
 	fs.Float64Var(&o.snapshot, "snapshot", 0, "pipelined progress snapshot period in virtual seconds (0 = off)")
-	enumFlag(fs, "transport", "run on the REAL engine with this shuffle transport: inproc|spill|tcp (unset = simulator)", &o.transport,
+	enumFlag(fs, "transport", "run on the REAL engine with this shuffle transport: inproc|tcp (unset = simulator)", &o.transport,
 		func(s string) (shuffle.Kind, error) {
 			o.real = true
 			return shuffle.ParseKind(s)

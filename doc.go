@@ -77,10 +77,9 @@
 // (harness.CompressionTradeoff sweeps the codecs).
 //
 // The shuffle data plane is pluggable: mr.Options.Transport selects
-// shuffle.InProc (shared memory), shuffle.SpillExchange (every map output
-// wave sealed as a spill-run segment file and re-read from disk) or
-// shuffle.TCP (sections fetched from a loopback run-server) — all three
-// byte-identical in barrier mode. mr.Options.MergeFanIn (default 64) caps
+// shuffle.InProc (shared memory) or shuffle.TCP (every map output wave
+// sealed as a spill-run segment file, sections fetched from a loopback
+// run-server) — byte-identical in barrier mode. mr.Options.MergeFanIn (default 64) caps
 // how many runs the external merge opens at once, folding the excess
 // through intermediate passes (mr.Result.MergePasses). Multi-process
 // execution composes the same task bodies across worker subprocesses:

@@ -90,8 +90,8 @@ type Options struct {
 	// Mode selects barrier or pipelined shuffle (default Barrier).
 	Mode Mode
 	// Transport selects the shuffle data plane (default shuffle.InProc).
-	// The run-exchange transports (shuffle.SpillExchange, shuffle.TCP) seal
-	// every map output wave to disk and exchange runs instead of batches.
+	// The run exchange (shuffle.TCP) seals every map output wave to disk and
+	// exchanges runs instead of batches.
 	Transport shuffle.Kind
 	// Store picks the partial-result strategy for pipelined mode. SpillBytes
 	// is the one settable memory bound; without it a SpillMerge tree spills

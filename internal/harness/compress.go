@@ -20,8 +20,8 @@ var compressionRatios = map[codec.Compression]float64{
 }
 
 // CompressionTradeoff sweeps the sealed-run codec {none, block, delta}
-// over an 8GB WordCount on the run-exchange transport with a spill budget
-// — the configuration whose completion time is dominated by materializing,
+// over an 8GB WordCount on the TCP run exchange with a spill budget — the
+// configuration whose completion time is dominated by materializing,
 // re-reading and fetching sealed runs, exactly where compression pays.
 // Each point divides disk writes, merge re-reads and shuffle transfers by
 // the codec's ratio and charges Costs.CompressDelay per raw byte of
@@ -33,12 +33,12 @@ func CompressionTradeoff() Sweep {
 	ds := WordCountData(8)
 	return grid(Sweep{
 		ID:     "CompressionTradeoff",
-		Title:  "WordCount 8GB, run exchange + 64MB spill budget: completion by sealed-run codec",
+		Title:  "WordCount 8GB, TCP run exchange + 64MB spill budget: completion by sealed-run codec",
 		XLabel: "codec(0=none,1=block,2=delta)",
 	}, []float64{float64(codec.None), float64(codec.Block), float64(codec.DeltaBlock)},
 		func(comp float64) RunSpec {
 			spec := baseSpec(apps.WordCount(), ds, CalibWordCount, 60)
-			spec.Transport, spec.SpillBytes = simmr.RunExchange, 64<<20
+			spec.Transport, spec.SpillBytes = simmr.TCPRunExchange, 64<<20
 			spec.Compression = codec.Compression(comp)
 			spec.Costs.CompressRatio = compressionRatios[spec.Compression]
 			return spec

@@ -26,16 +26,16 @@ func WorkerScaling(workerCounts []int) Sweep {
 	}, failedAs("FAILED"), modeCurves("barrier", "pipelined"))
 }
 
-// TransportOverhead compares the three simulated transports at a fixed
-// worker pool, quantifying what materializing and fetching sealed runs
-// costs next to the in-process shuffle.
+// TransportOverhead compares the two simulated transports at a fixed worker
+// pool, quantifying what materializing and fetching sealed runs costs next
+// to the in-process shuffle.
 func TransportOverhead(workers int) Sweep {
 	ds := WordCountData(4)
 	return grid(Sweep{
 		ID:     "TransportOverhead",
 		Title:  fmt.Sprintf("WordCount 4GB, %d workers: completion by transport", workers),
-		XLabel: "transport(0=inproc,1=runx,2=tcp)",
-	}, []float64{float64(simmr.InProcShuffle), float64(simmr.RunExchange), float64(simmr.TCPRunExchange)},
+		XLabel: "transport(0=inproc,1=tcp)",
+	}, []float64{float64(simmr.InProcShuffle), float64(simmr.TCPRunExchange)},
 		func(tr float64) RunSpec {
 			spec := baseSpec(apps.WordCount(), ds, CalibWordCount, 60)
 			spec.Workers, spec.Transport = workers, simmr.Transport(tr)

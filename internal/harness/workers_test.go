@@ -23,7 +23,7 @@ func TestWorkerScalingSweep(t *testing.T) {
 	t.Log("\n" + sw.Render())
 }
 
-// TestTransportOverheadSweep: run exchanges never meaningfully beat the
+// TestTransportOverheadSweep: the run exchange never meaningfully beats the
 // in-process shuffle in the simulator's cost model. Tiny inversions are
 // allowed: per-fetch delays reorder discrete events enough to move
 // completion by a fraction of a percent either way.
@@ -31,12 +31,11 @@ func TestTransportOverheadSweep(t *testing.T) {
 	const slack = 1.005
 	sw := goldenSweep(t, "transport")
 	for _, ser := range sw.Series {
-		if len(ser.Y) != 3 {
-			t.Fatalf("%s: want 3 transports, got %d", ser.Label, len(ser.Y))
+		if len(ser.Y) != 2 {
+			t.Fatalf("%s: want 2 transports, got %d", ser.Label, len(ser.Y))
 		}
-		if ser.Y[1]*slack < ser.Y[0] || ser.Y[2]*slack < ser.Y[1] {
-			t.Fatalf("%s: transport costs not monotone: %.1f / %.1f / %.1f",
-				ser.Label, ser.Y[0], ser.Y[1], ser.Y[2])
+		if ser.Y[1]*slack < ser.Y[0] {
+			t.Fatalf("%s: run exchange cheaper than in-process: %.1f / %.1f", ser.Label, ser.Y[0], ser.Y[1])
 		}
 	}
 }

@@ -112,7 +112,7 @@ func checkCompressionAccounting(t *testing.T, name string, res *Result, comp cod
 // the codec's home turf; the real corpus benchmarks land near 3x).
 func TestCompressionRatioWordCount(t *testing.T) {
 	input := workload.Text(17, 6000, 800, 8)
-	for _, kind := range []shuffle.Kind{shuffle.SpillExchange, shuffle.TCP} {
+	for _, kind := range allTransports {
 		res, err := Run(apps.WordCount(), input, Options{
 			Mappers: 4, Reducers: 4, Mode: Barrier, Transport: kind,
 			SpillBytes: 16 << 10, SpillDir: t.TempDir(),

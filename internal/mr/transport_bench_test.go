@@ -46,10 +46,7 @@ func benchBarrierTransport(b *testing.B, kind shuffle.Kind) {
 }
 
 func BenchmarkBarrierWordCount250K_InProc(b *testing.B) { benchBarrierTransport(b, shuffle.InProc) }
-func BenchmarkBarrierWordCount250K_Runx(b *testing.B) {
-	benchBarrierTransport(b, shuffle.SpillExchange)
-}
-func BenchmarkBarrierWordCount250K_TCP(b *testing.B) { benchBarrierTransport(b, shuffle.TCP) }
+func BenchmarkBarrierWordCount250K_TCP(b *testing.B)    { benchBarrierTransport(b, shuffle.TCP) }
 
 func benchPipelinedTransport(b *testing.B, kind shuffle.Kind) {
 	input := benchTransportInput()

@@ -19,7 +19,7 @@ import (
 	"blmr/internal/workload"
 )
 
-var allTransports = []shuffle.Kind{shuffle.InProc, shuffle.SpillExchange, shuffle.TCP}
+var allTransports = []shuffle.Kind{shuffle.InProc, shuffle.TCP}
 
 func TestTransportEquivalence(t *testing.T) {
 	for _, tc := range equivalenceCases() {
@@ -162,7 +162,7 @@ func TestTransportCombiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []shuffle.Kind{shuffle.SpillExchange, shuffle.TCP} {
+	for _, kind := range allTransports {
 		for _, mode := range []Mode{Barrier, Pipelined} {
 			res, err := Run(combined, input, Options{
 				Mappers: 4, Reducers: 4, Mode: mode, Transport: kind,

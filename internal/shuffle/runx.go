@@ -1,13 +1,12 @@
 package shuffle
 
-// runExchange is the sealed-run transport behind the SpillExchange and TCP
-// kinds: every wave a map task publishes — spill crossings and the final
-// wave alike — is sealed as a multi-partition segment file in Config.Dir,
-// and reduce tasks read partition sections back, either straight from the
-// filesystem (SpillExchange) or fetched from the loopback run-server (TCP).
-// Intermediate data therefore always leaves the mappers' heaps, the
-// Hadoop-style materialization discipline that makes the exchange work
-// across process boundaries.
+// runExchange is the sealed-run transport behind the TCP kind: every wave a
+// map task publishes — spill crossings and the final wave alike — is sealed
+// as a multi-partition segment file in Config.Dir, and reduce tasks fetch
+// partition sections back from the loopback run-server. Intermediate data
+// therefore always leaves the mappers' heaps, the Hadoop-style
+// materialization discipline that makes the exchange work across process
+// boundaries.
 
 import (
 	"fmt"
@@ -20,8 +19,8 @@ import (
 
 type runExchange struct {
 	cfg  Config
-	srv  *Server    // non-nil for the TCP kind
-	pool *FetchPool // non-nil for the TCP kind: the only way to a remote section
+	srv  *Server
+	pool *FetchPool // the only way to a remote section
 	fail *failState
 
 	mu       sync.Mutex
@@ -37,15 +36,13 @@ func newRunExchange(cfg Config, srv *Server) *runExchange {
 	t := &runExchange{
 		cfg:             cfg,
 		srv:             srv,
+		pool:            NewFetchPool(),
 		fail:            newFailState(),
 		waves:           make([][]Wave, cfg.Maps),
 		mapsDone:        make(chan struct{}),
 		completedByPart: make([]chan int, cfg.Parts),
 	}
-	if srv != nil {
-		t.pool = NewFetchPool()
-		t.pool.DecodeWorkers = cfg.DecodeWorkers
-	}
+	t.pool.DecodeWorkers = cfg.DecodeWorkers
 	for r := range t.completedByPart {
 		t.completedByPart[r] = make(chan int, cfg.Maps)
 	}
@@ -105,38 +102,23 @@ func (t *runExchange) ReduceSource(r int) ReduceSource {
 func (t *runExchange) Fail(err error) { t.fail.fail(err) }
 
 // FetchDials reports how many run-server connections the transport's fetch
-// pool dialed (0 off the TCP kind) — surfaced as mr.Result.FetchDials.
-func (t *runExchange) FetchDials() int64 {
-	if t.pool == nil {
-		return 0
-	}
-	return t.pool.Dials()
-}
+// pool dialed — surfaced as mr.Result.FetchDials.
+func (t *runExchange) FetchDials() int64 { return t.pool.Dials() }
 
 // ServerOpens reports how many os.Open calls the transport's run-server
-// actually paid serving sections (0 off the TCP kind) — with the handle
-// cache this stays near the distinct sealed-file count, far below the
-// served-section count. Surfaced as mr.Result.ServerOpens.
-func (t *runExchange) ServerOpens() int64 {
-	if t.srv == nil {
-		return 0
-	}
-	return t.srv.Opens()
-}
+// actually paid serving sections — with the handle cache this stays near
+// the distinct sealed-file count, far below the served-section count.
+// Surfaced as mr.Result.ServerOpens.
+func (t *runExchange) ServerOpens() int64 { return t.srv.Opens() }
 
 // Close implements Transport.
 func (t *runExchange) Close() error {
-	if t.pool != nil {
-		_ = t.pool.Close()
-	}
-	if t.srv != nil {
-		return t.srv.Close()
-	}
-	return nil
+	_ = t.pool.Close()
+	return t.srv.Close()
 }
 
 // RunSink is the run-discipline MapSink shared by the run-exchange
-// transports and the multi-process workers: every wave — sealed or final —
+// transport and the multi-process workers: every wave — sealed or final —
 // is persisted as a segment file in dir, registered with the run-server
 // when one is attached. Standalone users (internal/mpexec) read the sealed
 // metadata back with Waves after Close.

@@ -3,7 +3,8 @@ package shuffle
 // Segments: the unit of the run-exchange read path. A map task's sealed
 // wave is one multi-partition segment file; a Segment addresses one
 // partition's byte section of one wave, either on the local filesystem
-// (SpillExchange) or behind a run-server (TCP, multi-process workers).
+// (an in-process task's sealed spill waves) or behind a run-server (TCP,
+// multi-process workers).
 // Every section is read through a LazyRun: local ones open the file,
 // remote ones go through the source's FetchPool — one multiplexed
 // connection per peer with pipelined prefetch. There is no other way to

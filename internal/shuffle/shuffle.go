@@ -1,23 +1,20 @@
 // Package shuffle is the pluggable shuffle data plane of the real-concurrency
 // engine: it moves partitioned intermediate records from map tasks to reduce
-// tasks. Three transports implement the same Transport contract:
+// tasks. Two transports implement the same Transport contract:
 //
 //   - InProc: shared-memory runs plus batched per-reducer channels — the
 //     original single-process engine's data plane (zero-copy, free-list
 //     batch recycling).
-//   - SpillExchange: map tasks seal every wave of output as codec-encoded,
-//     key-sorted multi-partition segment files (the spill-run format of
-//     dfs.RunDir), and reduce tasks re-open partition sections from the
-//     local filesystem — the run-exchange discipline Hadoop's io.sort
-//     layout enables.
-//   - TCP: the same sealed-run exchange, but reduce tasks fetch partition
-//     sections from a loopback TCP run-server (Server) — the wire path the
+//   - TCP: map tasks seal every wave of output as codec-encoded, key-sorted
+//     multi-partition segment files (the spill-run format of dfs.RunDir,
+//     Hadoop's io.sort layout), and reduce tasks fetch partition sections
+//     from a loopback TCP run-server (Server) — the wire path the
 //     multi-process mode (internal/mpexec) uses between worker processes.
 //
 // Two consumption disciplines are offered, mirroring the engine's two
 // execution modes. Stream discipline (pipelined): map tasks Send record
 // batches and reduce tasks drain them with NextBatch as they arrive. Run
-// discipline (barrier, and pipelined over the run-exchange transports): map
+// discipline (barrier, and pipelined over the run exchange): map
 // tasks publish key-sorted runs per partition with PublishWave, and reduce
 // tasks either merge every run after the map barrier (Runs) or stream each
 // map task's runs as it completes (NextBatch).
@@ -41,15 +38,13 @@ const (
 	// channels (stream discipline) and shared record slices (run
 	// discipline). Sealed spill waves still go to disk through Config.Dir.
 	InProc Kind = iota
-	// SpillExchange seals every map output wave as a spill-run segment file
-	// and re-opens partition sections from the local filesystem.
-	SpillExchange
-	// TCP is SpillExchange with the read path served by a loopback TCP
-	// run-server: reduce tasks fetch partition sections over the wire.
+	// TCP seals every map output wave as a spill-run segment file served by
+	// a loopback TCP run-server: reduce tasks fetch partition sections over
+	// the wire.
 	TCP
 )
 
-var kindNames = [...]string{"inproc", "spill", "tcp"}
+var kindNames = [...]string{"inproc", "tcp"}
 
 func (k Kind) String() string {
 	if k < 0 || int(k) >= len(kindNames) {
@@ -58,14 +53,14 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// ParseKind converts a flag string (inproc|spill|tcp) to a Kind.
+// ParseKind converts a flag string (inproc|tcp) to a Kind.
 func ParseKind(s string) (Kind, error) {
 	for i, n := range kindNames {
 		if s == n {
 			return Kind(i), nil
 		}
 	}
-	return 0, fmt.Errorf("shuffle: unknown transport %q (want inproc|spill|tcp)", s)
+	return 0, fmt.Errorf("shuffle: unknown transport %q (want inproc|tcp)", s)
 }
 
 // Config parameterizes a transport for one job execution.
@@ -78,8 +73,8 @@ type Config struct {
 	// BatchSize is the records-per-batch granularity: channel sends for the
 	// stream discipline, decode batching for run-discipline NextBatch.
 	BatchSize int
-	// Dir stores sealed run files. Required for SpillExchange and TCP, and
-	// for InProc when map tasks seal spill waves (Options.SpillBytes).
+	// Dir stores sealed run files. Required for TCP, and for InProc when map
+	// tasks seal spill waves (Options.SpillBytes).
 	Dir *dfs.RunDir
 	// MergeFanIn is the external merge's fan-in cap (Options.MergeFanIn):
 	// the TCP transport uses it to bound pipelined section prefetch per
@@ -160,11 +155,6 @@ func New(kind Kind, cfg Config) (Transport, error) {
 	switch kind {
 	case InProc:
 		return newInProc(cfg), nil
-	case SpillExchange:
-		if cfg.Dir == nil {
-			return nil, fmt.Errorf("shuffle: %v transport needs a run directory", kind)
-		}
-		return newRunExchange(cfg, nil), nil
 	case TCP:
 		if cfg.Dir == nil {
 			return nil, fmt.Errorf("shuffle: %v transport needs a run directory", kind)

@@ -115,14 +115,18 @@ func TestFetchShortSection(t *testing.T) {
 }
 
 // TestSegmentSourceStreaming: NextBatch over completed maps yields every
-// record, re-batched, across local and static sources.
+// record, re-batched.
 func TestSegmentSourceStreaming(t *testing.T) {
 	dir, err := dfs.NewRunDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dir.Close()
-	tr := newRunExchange(Config{Maps: 3, Parts: 2, BatchSize: 16, Dir: dir}, nil)
+	tr, err := New(TCP, Config{Maps: 3, Parts: 2, BatchSize: 16, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
 	want := 0
 	for m := 0; m < 3; m++ {
 		sink := tr.MapSink(m)
@@ -164,7 +168,7 @@ func TestSegmentSourceStreaming(t *testing.T) {
 // TestTransportFailUnblocks: Fail must wake consumers blocked on the
 // barrier and on batch delivery.
 func TestTransportFailUnblocks(t *testing.T) {
-	for _, kind := range []Kind{InProc, SpillExchange} {
+	for _, kind := range []Kind{InProc, TCP} {
 		dir, err := dfs.NewRunDir(t.TempDir())
 		if err != nil {
 			t.Fatal(err)

@@ -60,13 +60,11 @@ type CostModel struct {
 	// smaller budgets mean more runs, more seeks, slower jobs.
 	SpillRunDelay float64
 	// RunFetchDelay is the fixed fetch latency (RPC + connection + seek) a
-	// reducer pays over the run-exchange shuffle (JobSpec.Transport !=
-	// InProcShuffle). The TCP exchange models the wall-clock engine's
-	// pooled fetch plane: one multiplexed connection per peer run-server,
-	// so the delay is charged once per (reduce task, peer) — later
-	// sections from that peer ride the pipelined connection for free. The
-	// local run exchange charges it per off-node section (each is a file
-	// open + seek with no connection to pool).
+	// reducer pays over the run-exchange shuffle (JobSpec.Transport ==
+	// TCPRunExchange). It models the wall-clock engine's pooled fetch
+	// plane: one multiplexed connection per peer run-server, so the delay
+	// is charged once per (reduce task, peer) — later sections from that
+	// peer ride the pipelined connection for free.
 	RunFetchDelay float64
 	// CompressDelay is the CPU cost in seconds per virtual byte of
 	// sealed-run (de)compression work, charged on the sealing mapper for
@@ -132,12 +130,9 @@ const (
 	// InProcShuffle moves intermediate data through memory (the default;
 	// the behaviour of every pre-split simulation).
 	InProcShuffle = shuffle.InProc
-	// RunExchange seals map output as spill runs exchanged through local
-	// disk; reducers stream an external merge (sort-phase memory is bounded
-	// by read buffers) and pay RunFetchDelay for remote sections.
-	RunExchange = shuffle.SpillExchange
-	// TCPRunExchange is RunExchange with every section fetched through a
-	// run-server: RunFetchDelay applies to local sections too.
+	// TCPRunExchange seals map output as spill runs fetched through
+	// per-node run-servers; reducers stream an external merge (sort-phase
+	// memory is bounded by read buffers) and pay RunFetchDelay per peer.
 	TCPRunExchange = shuffle.TCP
 )
 
@@ -158,10 +153,9 @@ type JobSpec struct {
 	// whole cluster with locality-driven placement.
 	Workers int
 	// Transport selects the simulated shuffle data plane (default
-	// InProcShuffle). The run-exchange transports charge the map output's
-	// materialization and RunFetchDelay (per pooled peer over TCP, per
-	// off-node section locally), and bound the barrier sort phase's memory
-	// at the external merge's read buffers.
+	// InProcShuffle). The run exchange charges the map output's
+	// materialization and RunFetchDelay per pooled peer, and bounds the
+	// barrier sort phase's memory at the external merge's read buffers.
 	Transport Transport
 	// Staged (TCP transport only) restores the multi-process engine's
 	// pre-overlap control plane: reducers get no sealed-run routes until

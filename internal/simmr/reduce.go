@@ -40,7 +40,7 @@ func (e *Engine) barrierReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.N
 			defer fetchSlots.Release(1)
 			e.guardLost(fp, mo)
 			if mo.partBytes[r] > 0 {
-				e.chargeRunFetch(fp, job, mo.node, node, peers)
+				e.chargeRunFetch(fp, job, mo.node, peers)
 			}
 			wire := int64(float64(mo.partBytes[r]) / ratio)
 			e.C.Transfer(fp, mo.node, node, wire)
@@ -145,7 +145,7 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 			e.guardLost(fp, mo)
 			recs := mo.parts[r]
 			if len(recs) > 0 {
-				e.chargeRunFetch(fp, job, mo.node, node, peers)
+				e.chargeRunFetch(fp, job, mo.node, peers)
 			}
 			// Stream the partition chunk by chunk, releasing records to
 			// the reducer as each chunk lands. Compressed sections travel
@@ -252,39 +252,17 @@ func (e *Engine) guardLost(fp *sim.Proc, mo *mapOutput) {
 	}
 }
 
-// runFetchDelay returns the per-section fetch latency the transport
-// charges: sections over the TCP run exchange, only off-node sections
-// over the local run exchange, nothing for the in-process shuffle.
-func (e *Engine) runFetchDelay(job *JobSpec, from, to *cluster.Node) float64 {
-	switch job.Transport {
-	case TCPRunExchange:
-		return job.Costs.RunFetchDelay
-	case RunExchange:
-		if from != to {
-			return job.Costs.RunFetchDelay
-		}
-	}
-	return 0
-}
-
-// chargeRunFetch charges the transport's fetch latency for one section
-// moving from -> to. The TCP exchange's pooled fetch plane dials each peer
-// run-server once per reduce task and pipelines every later section request
-// on that connection, so RunFetchDelay is charged once per (reduce task,
-// peer); the local run exchange still pays per off-node section (a file
-// open + seek has no connection to reuse).
-func (e *Engine) chargeRunFetch(fp *sim.Proc, job *JobSpec, from, to *cluster.Node, peers map[*cluster.Node]bool) {
-	d := e.runFetchDelay(job, from, to)
-	if d <= 0 {
+// chargeRunFetch charges the run exchange's fetch latency for one section
+// served by from (nothing for the in-process shuffle). The pooled fetch
+// plane dials each peer run-server once per reduce task and pipelines every
+// later section request on that connection, so RunFetchDelay is charged
+// once per (reduce task, peer).
+func (e *Engine) chargeRunFetch(fp *sim.Proc, job *JobSpec, from *cluster.Node, peers map[*cluster.Node]bool) {
+	if job.Transport != TCPRunExchange || job.Costs.RunFetchDelay <= 0 || peers[from] {
 		return
 	}
-	if job.Transport == TCPRunExchange {
-		if peers[from] {
-			return
-		}
-		peers[from] = true
-	}
-	fp.Sleep(d)
+	peers[from] = true
+	fp.Sleep(job.Costs.RunFetchDelay)
 }
 
 // newStore builds the per-task partial-result store with hooks that charge
