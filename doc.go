@@ -136,8 +136,9 @@
 // done; attempt IDs keep duplicate routes idempotent, so barrier
 // output stays byte-identical through the loss of any single worker.
 // cmd/blmr -chaos-kill injects the fault (SIGKILL one worker mid-job) for
-// smoke runs. The simulator mirrors the model with
-// simmr.JobSpec.KillWorkerAt (worker 0 dies); harness.KillSweep(KillWorker, …)
+// smoke runs. The simulator injects the same fault with
+// simmr.JobSpec.KillWorkerAt (worker 0 dies) and leaves the recovery to the
+// scheduler core the real engine runs; harness.KillSweep(KillWorker, …)
 // sweeps kill times, and harness.KillPrediction is pinned to the real
 // engine's measured recovery overhead by the "worker-kill" row of
 // harness.Parity — the one table of every sim ↔ real claim (name,
@@ -145,14 +146,16 @@
 //
 // Every such decision — requeue, resubmit, clone, which free worker gets
 // which task — is made in one place, the scheduler's decision core
-// (internal/exec/schedcore.go): plain state plus admit / dispatch / settle /
-// workerLost, with no lock, clock or goroutine in it. exec.Scheduler's
-// driver applies one event at a time under the run lock and starts exactly
-// the attempts the core returned, so a goroutine exists only while it is
-// inside a worker call, and exec.TestScheduleExplorer drives the same core
-// through 100 000 seeded event orders per test run, checking its
-// invariants after every event and printing a replayable seed when one
-// breaks (DESIGN.md §7). A re-executed map is counted once in
+// (internal/exec/schedcore.go, exec.Core): plain state plus Admit / Dispatch
+// / Settle / WorkerLost, with no lock, clock or goroutine in it. It has two
+// drivers. exec.Scheduler's applies one event at a time under the run lock
+// and starts exactly the attempts the core returned, so a goroutine exists
+// only while it is inside a worker call; internal/simmr's applies the same
+// events from simulated processes in virtual time, so a simulated run's
+// placement, re-execution and speculation are the real engines' by
+// construction. exec.TestScheduleExplorer drives the core through 100 000
+// seeded event orders per test run, checking its invariants after every
+// event and printing a replayable seed when one breaks (DESIGN.md §7). A re-executed map is counted once in
 // Result.ShuffleRecords / Spills.
 //
 // The multi-process engine is multi-tenant: mpexec.Service runs a stream
@@ -169,8 +172,8 @@
 // cross-job load). Every job's frames, spill directories, reduce sources
 // and abort latch are its own, so per-job barrier output stays
 // byte-identical under concurrency and churn. The simulator mirrors the
-// stream with simmr.RunStream (same Policy interface over a cross-job
-// assignment ledger); harness.PolicySweep sweeps skew levels, and the
+// stream with simmr.RunStream (one decision core per job over one shared
+// exec.SlotPool, as in the service); harness.PolicySweep sweeps skew levels, and the
 // "policy" row of harness.Parity pins the least-loaded / round-robin
 // makespan ratio to the real engine's measured one.
 //

@@ -22,7 +22,7 @@ func main() {
 		e := simmr.NewEngine(simmr.Config{
 			Cluster: harness.PaperCluster(), Replication: 3,
 			ByteScale: ds.ByteScale, RecordScale: ds.RecordScale,
-			FailMapTask: -1, Memo: memo,
+			Memo: memo,
 		})
 		f := e.Ingest("in", ds.Splits)
 		return e.Run(simmr.JobSpec{

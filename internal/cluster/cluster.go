@@ -1,9 +1,11 @@
 // Package cluster models a MapReduce datacenter on the sim kernel: nodes
-// with map/reduce task slots, CPUs of (optionally) heterogeneous speed,
-// exclusive-access disks, and full-duplex NICs connected through a core
-// switch whose aggregate capacity can be oversubscribed — the commodity-
-// cluster properties (skewed machines, oversubscribed links) that create
-// the mapper slack the paper exploits.
+// with CPUs of (optionally) heterogeneous speed, exclusive-access disks,
+// and full-duplex NICs connected through a core switch whose aggregate
+// capacity can be oversubscribed — the commodity-cluster properties (skewed
+// machines, oversubscribed links) that create the mapper slack the paper
+// exploits. A node's map/reduce task slots are a count in Config: who holds
+// one is the scheduler's state (exec's decision core, driven by simmr), not
+// a resource of the node.
 package cluster
 
 import (
@@ -65,15 +67,12 @@ type Cluster struct {
 
 // Node is one worker machine.
 type Node struct {
-	ID    int
-	Speed float64
-	// MapSlots and ReduceSlots gate concurrent tasks.
-	MapSlots    *sim.Resource
-	ReduceSlots *sim.Resource
-	disk        *sim.Resource
-	up, down    *sim.Resource
-	cfg         *Config
-	cluster     *Cluster
+	ID       int
+	Speed    float64
+	disk     *sim.Resource
+	up, down *sim.Resource
+	cfg      *Config
+	cluster  *Cluster
 }
 
 // New builds a cluster on kernel k.
@@ -104,15 +103,13 @@ func New(k *sim.Kernel, cfg Config) *Cluster {
 			speed = 1 + cfg.SpeedSpread*(2*rng.Float64()-1)
 		}
 		n := &Node{
-			ID:          i,
-			Speed:       speed,
-			MapSlots:    sim.NewResource(k, fmt.Sprintf("map-slots-%d", i), int64(cfg.MapSlots)),
-			ReduceSlots: sim.NewResource(k, fmt.Sprintf("reduce-slots-%d", i), int64(cfg.ReduceSlots)),
-			disk:        sim.NewResource(k, fmt.Sprintf("disk-%d", i), 1),
-			up:          sim.NewResource(k, fmt.Sprintf("uplink-%d", i), 1),
-			down:        sim.NewResource(k, fmt.Sprintf("downlink-%d", i), 1),
-			cfg:         &c.Cfg,
-			cluster:     c,
+			ID:      i,
+			Speed:   speed,
+			disk:    sim.NewResource(k, fmt.Sprintf("disk-%d", i), 1),
+			up:      sim.NewResource(k, fmt.Sprintf("uplink-%d", i), 1),
+			down:    sim.NewResource(k, fmt.Sprintf("downlink-%d", i), 1),
+			cfg:     &c.Cfg,
+			cluster: c,
 		}
 		c.Nodes = append(c.Nodes, n)
 	}

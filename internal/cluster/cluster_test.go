@@ -181,34 +181,6 @@ func TestHeterogeneityWithinBounds(t *testing.T) {
 	}
 }
 
-func TestSlotsLimitConcurrency(t *testing.T) {
-	k := sim.NewKernel()
-	cfg := smallCfg()
-	cfg.MapSlots = 2
-	c := New(k, cfg)
-	n := c.Nodes[0]
-	running, maxRunning := 0, 0
-	for i := 0; i < 6; i++ {
-		k.Spawn("task", func(p *sim.Proc) {
-			n.MapSlots.Acquire(p, 1)
-			running++
-			if running > maxRunning {
-				maxRunning = running
-			}
-			p.Sleep(1)
-			running--
-			n.MapSlots.Release(1)
-		})
-	}
-	end := k.Run()
-	if maxRunning != 2 {
-		t.Fatalf("max concurrent = %d, want 2", maxRunning)
-	}
-	if math.Abs(end-3.0) > 0.01 {
-		t.Fatalf("6 tasks x 1s on 2 slots finished at %v, want 3", end)
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

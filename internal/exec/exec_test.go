@@ -57,19 +57,19 @@ var errLost = &WorkerLostError{Worker: "w", Err: errors.New("conn reset")}
 // core started that have not ended yet, oldest first.
 type script struct {
 	t *testing.T
-	*schedCore
-	out []launch
+	*Core
+	out []Launch
 }
 
 func newScript(t *testing.T, s *Scheduler, nMaps, nReduces int) *script {
 	maps, reduces := tasks(nMaps, nReduces)
-	sc := &script{t: t, schedCore: newCore(s, maps, reduces)}
-	sc.admit()
+	sc := &script{t: t, Core: NewCore(s, maps, reduces)}
+	sc.Admit()
 	sc.step()
 	return sc
 }
 
-func (sc *script) step() { sc.out = append(sc.out, sc.dispatch()...) }
+func (sc *script) step() { sc.out = append(sc.out, sc.Dispatch()...) }
 
 // wantOn checks which tasks of kind k are out on worker w, in dispatch order.
 func (sc *script) wantOn(w int, k kind, want ...int) {
@@ -77,7 +77,7 @@ func (sc *script) wantOn(w int, k kind, want ...int) {
 	var got []int
 	for _, l := range sc.out {
 		if l.w.idx == w && l.k == k {
-			got = append(got, sc.index(k, l.pos))
+			got = append(got, sc.index(k, l.Pos))
 		}
 	}
 	if !slices.Equal(got, want) {
@@ -88,22 +88,22 @@ func (sc *script) wantOn(w int, k kind, want ...int) {
 // end returns the attempt of task (k, index) running on worker w the way
 // the driver would — pool slot released, outcome settled, dispatch — and
 // reports the launch it ended.
-func (sc *script) end(w int, k kind, index int, err error) launch {
+func (sc *script) end(w int, k kind, index int, err error) Launch {
 	sc.t.Helper()
 	for i, l := range sc.out {
-		if l.w.idx != w || l.k != k || sc.index(k, l.pos) != index {
+		if l.w.idx != w || l.k != k || sc.index(k, l.Pos) != index {
 			continue
 		}
 		sc.out = slices.Delete(sc.out, i, i+1)
 		if sc.s.Pool != nil {
 			sc.s.Pool.Release(w, k == kMap)
 		}
-		sc.settle(l, MapStats{ShuffleRecords: 10, Spills: 1}, ReduceResult{Spills: index + 1}, err)
+		sc.Settle(l, MapStats{ShuffleRecords: 10, Spills: 1}, ReduceResult{Spills: index + 1}, err)
 		sc.step()
 		return l
 	}
 	sc.t.Fatalf("no %s task %d out on w%d (out: %+v)", k, index, w, sc.out)
-	return launch{}
+	return Launch{}
 }
 
 // drain ends every attempt successfully, oldest first, until the job settles.
@@ -111,9 +111,9 @@ func (sc *script) drain() *Summary {
 	sc.t.Helper()
 	for len(sc.out) > 0 {
 		l := sc.out[0]
-		sc.end(l.w.idx, l.k, sc.index(l.k, l.pos), nil)
+		sc.end(l.w.idx, l.k, sc.index(l.k, l.Pos), nil)
 	}
-	if sc.firstErr != nil || !sc.settled() {
+	if sc.firstErr != nil || !sc.Settled() {
 		sc.t.Fatalf("job did not complete: err=%v left=%v", sc.firstErr, sc.left)
 	}
 	return sc.sum
@@ -270,7 +270,7 @@ func TestSchedulerSpeculates(t *testing.T) {
 	for w := range sc.workers {
 		sc.wantOn(w, kReduce) // staged: no reduce while a map is still out
 	}
-	if clone := sc.end(1, kMap, 3, nil); !clone.clone {
+	if clone := sc.end(1, kMap, 3, nil); !clone.Clone {
 		t.Fatalf("w1's attempt of map 3 is not a clone: %+v", clone)
 	}
 	sc.wantOn(0, kReduce, 0)
@@ -296,14 +296,14 @@ func TestSchedulerResubmitLetsOlderAttemptWin(t *testing.T) {
 	sc.end(1, kMap, 1, nil)
 	sc.end(0, kMap, 2, nil) // 3 of 4 done: w0 clones map 3, which w1 runs
 	clone := sc.end(0, kMap, 3, nil)
-	sc.workerLost(sc.workers[0].a.W, []int{3}) // the winning clone's sealed output is gone
+	sc.WorkerLost(0, []int{3}) // the winning clone's sealed output is gone
 	sc.step()
 	sc.wantOn(1, kMap, 3) // still only the original
 	if st := sc.tasks[kMap][3]; st.life != tsRunning || sc.left[kMap] != 1 {
 		t.Fatalf("resubmitted map with its original still out: life %v, %d maps left; want running, 1", st.life, sc.left[kMap])
 	}
 	original := sc.end(1, kMap, 3, nil)
-	if !clone.clone || original.clone || original.attempt >= clone.attempt {
+	if !clone.Clone || original.Clone || original.Attempt >= clone.Attempt {
 		t.Fatalf("map 3 finished as %+v then %+v: want the higher-attempt clone first, the lower-attempt original completing the resubmitted map", clone, original)
 	}
 	sum := sc.drain()

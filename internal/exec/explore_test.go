@@ -15,7 +15,7 @@ var (
 )
 
 // TestScheduleExplorer applies seeded random event orders — complete, fail,
-// lose a worker — straight to the decision core, checking its invariants
+// lose a worker, lose an output — straight to the decision core, checking its invariants
 // after every event. No goroutine, no sleep: a failure prints a seed that
 // replays the exact schedule.
 func TestScheduleExplorer(t *testing.T) {
@@ -45,9 +45,9 @@ func explore(seed int64) error {
 		s.FirstAttempt, s.PreDoneReduces = 100, map[int]ReduceResult{0: {Spills: 1}}
 		s.PreDoneMaps = rng.Perm(len(maps))[:rng.Intn(len(maps)+1)]
 	}
-	c := newCore(s, maps, reduces)
-	c.admit()
-	var out []launch                          // attempts started and not yet ended
+	c := NewCore(s, maps, reduces)
+	c.Admit()
+	var out []Launch                          // attempts started and not yet ended
 	ran := make(map[int]bool)                 // maps an attempt of this incarnation completed
 	served := make([]*schedWorker, len(maps)) // who holds each completed map's output
 	for _, m := range s.PreDoneMaps {
@@ -59,13 +59,13 @@ func explore(seed int64) error {
 		if s.Pool != nil {
 			s.Pool.Release(l.w.idx, l.k == kMap)
 		}
-		if err == nil && l.k == kMap && c.tasks[kMap][l.pos].life != tsDone {
-			served[l.pos], ran[l.pos] = l.w, true
+		if err == nil && l.k == kMap && c.tasks[kMap][l.Pos].life != tsDone {
+			served[l.Pos], ran[l.Pos] = l.w, true
 		}
-		c.settle(l, MapStats{ShuffleRecords: 1, Spills: 1}, ReduceResult{Spills: c.index(l.k, l.pos) + 1}, err)
+		c.Settle(l, MapStats{ShuffleRecords: 1, Spills: 1}, ReduceResult{Spills: c.index(l.k, l.Pos) + 1}, err)
 	}
 	for {
-		started := c.dispatch()
+		started := c.Dispatch()
 		out = append(out, started...)
 		if err := checkCore(c, out, started); err != nil {
 			return err
@@ -79,6 +79,11 @@ func explore(seed int64) error {
 			end(i, nil)
 		case p < 86:
 			end(i, errors.New("injected task failure"))
+		case p < 88: // a completed map's output is lost, its worker is not (the simulator's unjournaled attempt)
+			if pos := rng.Intn(len(maps) + 1); pos < len(maps) && served[pos] != nil {
+				served[pos] = nil
+				c.WorkerLost(-1, []int{maps[pos].Index})
+			}
 		default: // out[i]'s worker dies, with or without the coordinator noticing
 			w := out[i].w
 			coordinator := rng.Intn(2) == 0
@@ -89,7 +94,7 @@ func explore(seed int64) error {
 						resubmit, served[pos] = append(resubmit, maps[pos].Index), nil
 					}
 				}
-				c.workerLost(w.a.W, resubmit)
+				c.WorkerLost(w.idx, resubmit)
 			}
 			for j := len(out) - 1; j >= 0; j-- {
 				if out[j].w != w {
@@ -103,7 +108,7 @@ func explore(seed int64) error {
 			}
 		}
 	}
-	if !c.settled() {
+	if !c.Settled() {
 		return fmt.Errorf("wedged: nothing running, %v tasks left, err %v", c.left, c.firstErr)
 	}
 	if c.firstErr != nil {
@@ -132,18 +137,18 @@ func explore(seed int64) error {
 }
 
 // checkCore holds what must be true after every dispatch.
-func checkCore(c *schedCore, out, started []launch) error {
+func checkCore(c *Core, out, started []Launch) error {
 	for _, l := range started {
-		name := fmt.Sprintf("%s task %d (attempt %d) on %s", l.k, c.index(l.k, l.pos), l.attempt, l.w.a.W)
-		beside := func(o launch) bool { return o.k == l.k && o.pos == l.pos && o.w != l.w }
+		name := fmt.Sprintf("%s task %d (attempt %d) on %s", l.k, c.index(l.k, l.Pos), l.Attempt, c.name(l.w))
+		beside := func(o Launch) bool { return o.k == l.k && o.Pos == l.Pos && o.w != l.w }
 		switch {
 		case l.w.dead:
 			return fmt.Errorf("%s dispatched on a dead worker", name)
 		case l.k == kReduce && c.s.Staged && c.left[kMap] > 0:
 			return fmt.Errorf("%s dispatched with %d staged maps left", name, c.left[kMap])
-		case l.clone && !slices.ContainsFunc(out, beside):
+		case l.Clone && !slices.ContainsFunc(out, beside):
 			return fmt.Errorf("clone %s has no original beside it", name)
-		case l.k == kMap && (l.attempt < c.s.FirstAttempt || l.attempt >= c.nextAttempt):
+		case l.k == kMap && (l.Attempt < c.s.FirstAttempt || l.Attempt >= c.nextAttempt):
 			return fmt.Errorf("%s stamped outside [%d, %d)", name, c.s.FirstAttempt, c.nextAttempt)
 		}
 	}
@@ -159,9 +164,9 @@ func checkCore(c *schedCore, out, started []launch) error {
 				}
 			}
 			capped := k == kMap && c.s.Pool != nil && c.s.Pool.mapCap > 0 && n > c.s.Pool.mapCap
-			routed := w.queued[k] < 0 || (w.queued[k] > 0 && c.settled() && c.firstErr == nil)
+			routed := w.queued[k] < 0 || (w.queued[k] > 0 && c.Settled() && c.firstErr == nil)
 			if w.running[k] != n || n > w.slots[k] || capped || routed {
-				return fmt.Errorf("%s: %d %s attempts out, core says %d of %d slots, %d queued", w.a.W, n, k, w.running[k], w.slots[k], w.queued[k])
+				return fmt.Errorf("%s: %d %s attempts out, core says %d of %d slots, %d queued", c.name(w), n, k, w.running[k], w.slots[k], w.queued[k])
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,7 +111,7 @@ func TestSchedulerPolicyReroutesOnDeath(t *testing.T) {
 	sc.end(0, kReduce, 0, errLost)
 	for len(sc.out) > 0 {
 		l := sc.out[0]
-		sc.end(1, l.k, sc.index(l.k, l.pos), nil) // fails unless it ran on the survivor
+		sc.end(1, l.k, sc.index(l.k, l.Pos), nil) // fails unless it ran on the survivor
 	}
 	if sum := sc.drain(); sum.ShuffleRecords != 60 {
 		t.Fatalf("shuffle records %d, want 60", sum.ShuffleRecords)
@@ -194,4 +195,59 @@ func TestSlotPoolCapsCrossJobConcurrency(t *testing.T) {
 		}
 		running[w].Add(-1)
 	}).Wait()
+}
+
+// TestSlotPoolWakesParkedJobsInOrder: two jobs parked behind a cap-1 pool
+// get the freed slot in the order they subscribed — FIFO at the cap. At
+// 10d0cc9 Release walked a map of subscribers, so the later job won the
+// slot in about half the rounds.
+func TestSlotPoolWakesParkedJobsInOrder(t *testing.T) {
+	for round := 0; round < 200; round++ {
+		pool := NewSlotPool(1, 1)
+		mapGate, reduceGate := make(chan struct{}), make(chan struct{})
+		ran := make(chan string, 3)
+		var wg sync.WaitGroup
+		// start runs a one-map job and returns once it has subscribed and
+		// dispatched: the holder when its map is in, a parked job when its
+		// reduce (counted, never capped) is. Reduces stay in until every map
+		// has run, so the only releases in play are the maps'.
+		start := func(name string, holder bool) {
+			in := make(chan struct{})
+			s := &Scheduler{Workers: fakeWorkers(1, 1, 1), Pool: pool}
+			w := s.Workers[0].W.(*fakeWorker)
+			w.runMap = func(MapTask) (MapStats, error) {
+				ran <- name
+				if holder {
+					close(in)
+					<-mapGate
+				}
+				return MapStats{}, nil
+			}
+			w.runReduce = func(ReduceTask) (ReduceResult, error) {
+				if !holder {
+					close(in)
+				}
+				<-reduceGate
+				return ReduceResult{}, nil
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := s.Run(tasks(1, 1)); err != nil {
+					t.Error(err)
+				}
+			}()
+			<-in
+		}
+		start("a", true)
+		start("b", false)
+		start("c", false)
+		close(mapGate)
+		order := []string{<-ran, <-ran, <-ran}
+		close(reduceGate)
+		wg.Wait()
+		if !slices.Equal(order, []string{"a", "b", "c"}) {
+			t.Fatalf("round %d: maps ran in order %v, want a b c", round, order)
+		}
+	}
 }

@@ -10,7 +10,10 @@ package exec
 // WorkerSnapshot.PoolMapRunning/PoolReduceRunning, so a least-loaded
 // policy in one job sees the load every other job put on a worker.
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // SlotPool tracks cross-job running tasks per worker. The zero value is
 // unusable; build one with NewSlotPool. Workers are identified by the same
@@ -21,8 +24,13 @@ type SlotPool struct {
 	mapCap  int // per-worker cap on running map tasks (0 = unlimited)
 	mapRun  []int
 	redRun  []int
-	subs    map[int]func()
+	subs    []poolSub // in subscription order
 	nextSub int
+}
+
+type poolSub struct {
+	id int
+	f  func()
 }
 
 // NewSlotPool builds a pool for `workers` workers with a per-worker cap on
@@ -34,7 +42,6 @@ func NewSlotPool(workers, mapCap int) *SlotPool {
 		mapCap: mapCap,
 		mapRun: make([]int, workers),
 		redRun: make([]int, workers),
-		subs:   make(map[int]func()),
 	}
 }
 
@@ -73,8 +80,9 @@ func (p *SlotPool) TryAcquire(w int, mapKind bool) bool {
 
 // Release returns a slot claimed by TryAcquire and has every subscribed
 // scheduler dispatch again, so a task held back at the cap starts.
-// Subscribers are invoked after the pool lock is dropped (they take their
-// own run locks).
+// Subscribers are invoked in subscription order — the job parked longest
+// gets the freed slot, FIFO at the cap — after the pool lock is dropped
+// (they take their own run locks).
 func (p *SlotPool) Release(w int, mapKind bool) {
 	p.mu.Lock()
 	if w >= 0 && w < len(p.mapRun) {
@@ -84,28 +92,26 @@ func (p *SlotPool) Release(w int, mapKind bool) {
 			p.redRun[w]--
 		}
 	}
-	subs := make([]func(), 0, len(p.subs))
-	for _, f := range p.subs {
-		subs = append(subs, f)
-	}
+	subs := slices.Clone(p.subs)
 	p.mu.Unlock()
-	for _, f := range subs {
-		f()
+	for _, sub := range subs {
+		sub.f()
 	}
 }
 
-// subscribe registers a callback for slot releases and returns its cancel.
-// Scheduler.Run subscribes a dispatch (drive with no event) for the duration
-// of the run: that is what starts a task held back at the cross-job cap.
-func (p *SlotPool) subscribe(f func()) (cancel func()) {
+// Subscribe registers a callback for slot releases and returns its cancel.
+// A core's driver subscribes a dispatch with no event for the duration of
+// the run (Scheduler.Run, the simulator's job driver): that is what starts
+// a task held back at the cross-job cap.
+func (p *SlotPool) Subscribe(f func()) (cancel func()) {
 	p.mu.Lock()
 	id := p.nextSub
 	p.nextSub++
-	p.subs[id] = f
+	p.subs = append(p.subs, poolSub{id, f})
 	p.mu.Unlock()
 	return func() {
 		p.mu.Lock()
-		delete(p.subs, id)
+		p.subs = slices.DeleteFunc(p.subs, func(s poolSub) bool { return s.id == id })
 		p.mu.Unlock()
 	}
 }

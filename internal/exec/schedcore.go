@@ -1,13 +1,17 @@
 package exec
 
-// The scheduler's decision core: plain state plus admit / dispatch / settle /
-// workerLost. Nothing here takes a lock, reads a clock, blocks or starts a
-// goroutine (this file imports neither sync nor time), so every decision the
-// scheduler makes — which worker gets which task, what a failed attempt or a
-// lost worker requeues, when a clone launches — is a function of the events
-// applied so far. The driver in scheduler.go applies one event at a time
-// under the run lock and starts exactly the attempts dispatch returned;
-// explore_test.go applies seeded event orders with no goroutine at all.
+// The scheduler's decision core: plain state plus NewCore / Admit / Dispatch /
+// Settle / WorkerLost. Nothing here takes a lock, reads a clock, blocks or
+// starts a goroutine (this file imports neither sync nor time), so every
+// decision the scheduler makes — which worker gets which task, what a failed
+// attempt or a lost worker requeues, when a clone launches — is a function of
+// the events applied so far. A driver applies one event at a time and starts
+// exactly the attempts Dispatch returned. There are two: scheduler.go runs
+// the core on wall-clock goroutines under the run lock, and internal/simmr
+// runs the same core from sim.Procs in virtual time. explore_test.go applies
+// seeded event orders with no goroutine at all. The core never calls a
+// worker: it knows one by its index in Scheduler.Workers and by a display
+// name.
 
 import (
 	"fmt"
@@ -30,7 +34,7 @@ func (k kind) String() string {
 }
 
 // speculateAfter is the completed fraction of the map wave required before
-// clones launch (the simulator's default threshold).
+// clones launch.
 const speculateAfter = 0.75
 
 type taskLife int
@@ -55,7 +59,6 @@ type taskState struct {
 }
 
 type schedWorker struct {
-	a    Assignment
 	idx  int // position in Scheduler.Workers (and the SlotPool)
 	dead bool
 	// Per kind: this job's slot budget, its running attempts, and its
@@ -63,16 +66,28 @@ type schedWorker struct {
 	slots, running, queued [2]int
 }
 
-// launch is one attempt the core has decided to start.
-type launch struct {
-	w       *schedWorker
-	k       kind
-	pos     int // position in tasks[k]
-	attempt int // job-unique attempt ID (map tasks)
-	clone   bool
+// Launch is one attempt the core has decided to start. Only Dispatch makes
+// one; the driver hands it back to Settle with the attempt's outcome.
+type Launch struct {
+	w *schedWorker
+	k kind
+	// Pos is the task's position in the maps (or reduces) the core was built
+	// with.
+	Pos int
+	// Attempt is the job-unique attempt ID (map tasks).
+	Attempt int
+	// Clone marks a speculative backup of a map still running elsewhere.
+	Clone bool
 }
 
-type schedCore struct {
+// Worker is the index in Scheduler.Workers of the worker the attempt runs on.
+func (l Launch) Worker() int { return l.w.idx }
+
+// Map reports whether the attempt is of a map task (false: a reduce task).
+func (l Launch) Map() bool { return l.k == kMap }
+
+// Core is the decision state of one job execution.
+type Core struct {
 	s           *Scheduler
 	maps        []MapTask
 	reduces     []ReduceTask
@@ -88,11 +103,11 @@ type schedCore struct {
 	workers     []*schedWorker
 }
 
-// newCore builds the state of one run, imported pre-done state (coordinator
+// NewCore builds the state of one run, imported pre-done state (coordinator
 // restart) included: re-attached maps and journaled reduce results are done
 // before anything dispatches.
-func newCore(s *Scheduler, maps []MapTask, reduces []ReduceTask) *schedCore {
-	c := &schedCore{
+func NewCore(s *Scheduler, maps []MapTask, reduces []ReduceTask) *Core {
+	c := &Core{
 		s:           s,
 		maps:        maps,
 		reduces:     reduces,
@@ -108,7 +123,7 @@ func newCore(s *Scheduler, maps []MapTask, reduces []ReduceTask) *schedCore {
 		c.byIndex[maps[i].Index] = i
 	}
 	for i, a := range s.Workers {
-		c.workers = append(c.workers, &schedWorker{a: a, idx: i,
+		c.workers = append(c.workers, &schedWorker{idx: i,
 			slots: [2]int{max(1, a.MapSlots), max(1, a.ReduceSlots)}})
 	}
 	for _, idx := range s.PreDoneMaps {
@@ -128,8 +143,8 @@ func newCore(s *Scheduler, maps []MapTask, reduces []ReduceTask) *schedCore {
 	return c
 }
 
-// admit routes every pending task through the placement policy.
-func (c *schedCore) admit() {
+// Admit routes every pending task through the placement policy.
+func (c *Core) Admit() {
 	for k := range c.tasks {
 		for i := range c.tasks[k] {
 			if c.tasks[k][i].life == tsPending {
@@ -139,14 +154,23 @@ func (c *schedCore) admit() {
 	}
 }
 
-// settled reports whether nothing is left to dispatch: the job failed or
+// Settled reports whether nothing is left to dispatch: the job failed or
 // every task is done.
-func (c *schedCore) settled() bool {
+func (c *Core) Settled() bool {
 	return c.firstErr != nil || c.left[kMap]+c.left[kReduce] == 0
 }
 
+// Err is the error that failed the job, nil while it has not failed.
+func (c *Core) Err() error { return c.firstErr }
+
+// Summary is the run's aggregate so far (complete once Settled with no error).
+func (c *Core) Summary() *Summary { return c.sum }
+
+// name is a worker's display name, asked of its Assignment when needed.
+func (c *Core) name(w *schedWorker) string { return c.s.Workers[w.idx].name(w.idx) }
+
 // index is the task's public name: map index or reduce partition.
-func (c *schedCore) index(k kind, pos int) int {
+func (c *Core) index(k kind, pos int) int {
 	if k == kMap {
 		return c.maps[pos].Index
 	}
@@ -156,7 +180,7 @@ func (c *schedCore) index(k kind, pos int) int {
 // assign routes one pending task through the placement policy, replacing
 // any previous routing. With no policy, no live worker, or a pick outside
 // the snapshot list, the task stays unrouted (any free slot takes it).
-func (c *schedCore) assign(k kind, pos int) {
+func (c *Core) assign(k kind, pos int) {
 	st := &c.tasks[k][pos]
 	c.unassign(st, k)
 	if c.s.Policy == nil {
@@ -173,7 +197,7 @@ func (c *schedCore) assign(k kind, pos int) {
 	}
 }
 
-func (c *schedCore) unassign(st *taskState, k kind) {
+func (c *Core) unassign(st *taskState, k kind) {
 	if st.assigned != nil {
 		st.assigned.queued[k]--
 		st.assigned = nil
@@ -182,7 +206,7 @@ func (c *schedCore) unassign(st *taskState, k kind) {
 
 // snapshots builds the policy's view of every live worker, in stable ID
 // order, alongside the matching schedWorkers.
-func (c *schedCore) snapshots(t TaskView) ([]WorkerSnapshot, []*schedWorker) {
+func (c *Core) snapshots(t TaskView) ([]WorkerSnapshot, []*schedWorker) {
 	var snaps []WorkerSnapshot
 	var cand []*schedWorker
 	for i, w := range c.workers {
@@ -190,7 +214,7 @@ func (c *schedCore) snapshots(t TaskView) ([]WorkerSnapshot, []*schedWorker) {
 			continue
 		}
 		s := WorkerSnapshot{
-			ID: i, Name: w.a.W.String(),
+			ID: i, Name: c.name(w),
 			MapSlots: w.slots[kMap], ReduceSlots: w.slots[kReduce],
 			MapRunning: w.running[kMap], ReduceRunning: w.running[kReduce],
 			MapQueued: w.queued[kMap], ReduceQueued: w.queued[kReduce],
@@ -207,14 +231,14 @@ func (c *schedCore) snapshots(t TaskView) ([]WorkerSnapshot, []*schedWorker) {
 
 // load is how many tasks of one kind w runs: across every job sharing the
 // pool when there is one, this job's own otherwise.
-func (c *schedCore) load(w *schedWorker, k kind) int {
+func (c *Core) load(w *schedWorker, k kind) int {
 	if c.s.Pool != nil {
 		return c.s.Pool.RunningKind(w.idx, k == kMap)
 	}
 	return w.running[k]
 }
 
-func (c *schedCore) fail(err error) {
+func (c *Core) fail(err error) {
 	if c.firstErr != nil {
 		return
 	}
@@ -226,7 +250,7 @@ func (c *schedCore) fail(err error) {
 	}
 }
 
-func (c *schedCore) workerDead(w *schedWorker) {
+func (c *Core) workerDead(w *schedWorker) {
 	if w.dead {
 		return
 	}
@@ -243,14 +267,13 @@ func (c *schedCore) workerDead(w *schedWorker) {
 	}
 }
 
-// workerLost retires w and resubmits the completed maps whose outputs died
-// with it (the body of Scheduler.WorkerLost).
-func (c *schedCore) workerLost(w Worker, resubmitMaps []int) {
-	for _, sw := range c.workers {
-		if sw.a.W == w {
-			c.workerDead(sw)
-			break
-		}
+// WorkerLost retires the worker at that index of Scheduler.Workers and
+// resubmits the completed maps whose outputs died with it (the body of
+// Scheduler.WorkerLost). An index outside the list retires nobody: the
+// outputs are lost, their worker is not.
+func (c *Core) WorkerLost(worker int, resubmitMaps []int) {
+	if worker >= 0 && worker < len(c.workers) {
+		c.workerDead(c.workers[worker])
 	}
 	if c.firstErr != nil || c.left[kReduce] == 0 {
 		return // settling: survivors already fetched everything they need
@@ -280,7 +303,7 @@ func (c *schedCore) workerLost(w Worker, resubmitMaps []int) {
 // runnable: reduce tasks wait out a staged run's map wave, a routed task
 // waits for its own worker, and a map is cloned once, on a worker not
 // already running it, after speculateAfter of the wave is done.
-func (c *schedCore) pick(w *schedWorker, k kind) (pos int, clone bool) {
+func (c *Core) pick(w *schedWorker, k kind) (pos int, clone bool) {
 	if c.left[k] == 0 || (k == kReduce && c.s.Staged && c.left[kMap] > 0) {
 		return -1, false
 	}
@@ -304,16 +327,16 @@ func (c *schedCore) pick(w *schedWorker, k kind) (pos int, clone bool) {
 	return -1, false
 }
 
-// dispatch hands runnable tasks to free slots until neither is left and
+// Dispatch hands runnable tasks to free slots until neither is left and
 // returns the attempts to start. Among the live workers with a free slot
 // and something runnable, the one running the fewest tasks of that kind
 // goes first (ties to the lower index): a scan in index order would fill
 // worker 0 before touching worker 1 in every job (DESIGN.md §7).
-func (c *schedCore) dispatch() []launch {
-	if !c.settled() && c.live == 0 && c.running == 0 {
+func (c *Core) Dispatch() []Launch {
+	if !c.Settled() && c.live == 0 && c.running == 0 {
 		c.fail(fmt.Errorf("no live workers left: %d map and %d reduce tasks unfinished", c.left[kMap], c.left[kReduce]))
 	}
-	var out []launch
+	var out []Launch
 	for k := kMap; k <= kReduce && c.firstErr == nil; k++ {
 		capped := make([]bool, len(c.workers)) // at the cross-job cap
 		for {
@@ -345,7 +368,7 @@ func (c *schedCore) dispatch() []launch {
 	return out
 }
 
-func (c *schedCore) start(w *schedWorker, k kind, pos int, clone bool) launch {
+func (c *Core) start(w *schedWorker, k kind, pos int, clone bool) Launch {
 	st := &c.tasks[k][pos]
 	c.unassign(st, k)
 	st.life = tsRunning
@@ -353,9 +376,9 @@ func (c *schedCore) start(w *schedWorker, k kind, pos int, clone bool) launch {
 	st.runners = append(st.runners, w)
 	w.running[k]++
 	c.running++
-	l := launch{w: w, k: k, pos: pos, clone: clone}
+	l := Launch{w: w, k: k, Pos: pos, Clone: clone}
 	if k == kMap {
-		l.attempt = c.nextAttempt
+		l.Attempt = c.nextAttempt
 		c.nextAttempt++
 	}
 	if clone {
@@ -365,36 +388,36 @@ func (c *schedCore) start(w *schedWorker, k kind, pos int, clone bool) launch {
 	return l
 }
 
-// settle takes one attempt's outcome. The first completion of a task wins
+// Settle takes one attempt's outcome. The first completion of a task wins
 // and fills the summary; a losing duplicate (speculation, or a requeue that
 // raced a still-running clone) is dropped, so stats count the winner only.
 // A genuine task error fails the job; a lost worker is retired and the task
 // requeued on the survivors.
-func (c *schedCore) settle(l launch, ms MapStats, res ReduceResult, err error) {
-	st := &c.tasks[l.k][l.pos]
+func (c *Core) Settle(l Launch, ms MapStats, res ReduceResult, err error) {
+	st := &c.tasks[l.k][l.Pos]
 	st.runners = slices.DeleteFunc(st.runners, func(w *schedWorker) bool { return w == l.w })
 	l.w.running[l.k]--
 	c.running--
 	switch {
 	case err != nil:
-		c.taskError(l, st, fmt.Errorf("%s task %d on %s: %w", l.k, c.index(l.k, l.pos), l.w.a.W, err))
+		c.taskError(l, st, fmt.Errorf("%s task %d on %s: %w", l.k, c.index(l.k, l.Pos), c.name(l.w), err))
 	case st.life == tsDone: // a losing duplicate: dropped
 	case l.k == kMap:
 		st.life, st.counted = tsDone, ms
 		c.left[kMap]--
 		c.sum.ShuffleRecords += ms.ShuffleRecords
 		c.sum.MapSpills += ms.Spills
-		if l.clone {
+		if l.Clone {
 			c.sum.BackupsWon++
 		}
 	default:
 		st.life = tsDone
 		c.left[kReduce]--
-		c.sum.Reduces[c.reduces[l.pos].Partition] = res
+		c.sum.Reduces[c.reduces[l.Pos].Partition] = res
 	}
 }
 
-func (c *schedCore) taskError(l launch, st *taskState, err error) {
+func (c *Core) taskError(l Launch, st *taskState, err error) {
 	if !IsWorkerLost(err) {
 		c.fail(err)
 		return
@@ -408,7 +431,7 @@ func (c *schedCore) taskError(l launch, st *taskState, err error) {
 		c.fail(fmt.Errorf("no live workers left: %w", err))
 	case len(st.runners) == 0:
 		st.life = tsPending
-		c.assign(l.k, l.pos)
+		c.assign(l.k, l.Pos)
 		if l.k == kMap {
 			c.sum.MapRetries++
 		} else {

@@ -4,11 +4,11 @@ package exec
 // slot limits, tracks per-task lifecycle, and propagates the first task
 // error — the control plane the monolithic engine's hand-rolled WaitGroups
 // grew into. It is two parts. The decision core (schedcore.go) is plain
-// state plus admit / dispatch / settle / workerLost and knows no lock, clock
-// or goroutine. The driver below is the only thing that runs it: drive
-// applies one event to the core under the run lock, asks it what to start,
-// and starts exactly that — one goroutine per attempt, alive only while it
-// is inside a worker call.
+// state plus Admit / Dispatch / Settle / WorkerLost and knows no lock, clock
+// or goroutine. The driver below runs it on real workers: drive applies one
+// event to the core under the run lock, asks it what to start, and starts
+// exactly that — one goroutine per attempt, alive only while it is inside a
+// worker call. (internal/simmr drives the same core in virtual time.)
 //
 // Map and reduce tasks are dispatched concurrently: pipelined reduce tasks
 // overlap the map wave (blocking inside the transport until records
@@ -32,6 +32,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -71,13 +72,24 @@ func IsWorkerLost(err error) bool {
 }
 
 // Assignment is one worker plus its task-slot budget (Hadoop's map/reduce
-// slots; the simulator's cluster.Node has the same shape).
+// slots). Scheduler.Run calls W; the decision core only names it, so a
+// driver that runs attempts itself (the simulator, whose workers are
+// cluster nodes) leaves W nil.
 type Assignment struct {
 	W Worker
 	// MapSlots / ReduceSlots bound the worker's concurrent tasks per kind
 	// (minimum 1 each).
 	MapSlots    int
 	ReduceSlots int
+}
+
+// name is the worker's display name: its own, or its index when the driver
+// supplied no Worker.
+func (a Assignment) name(i int) string {
+	if a.W == nil {
+		return fmt.Sprintf("worker-%d", i)
+	}
+	return a.W.String()
 }
 
 // Summary aggregates one scheduled execution.
@@ -165,7 +177,7 @@ type Scheduler struct {
 // schedRun is one Run's driver state around the decision core.
 type schedRun struct {
 	mu sync.Mutex // the run lock: every core call happens under it
-	*schedCore
+	*Core
 	start  time.Time
 	done   chan struct{} // closed once the job is settled and nothing is running
 	closed bool
@@ -179,11 +191,11 @@ func (s *Scheduler) Run(maps []MapTask, reduces []ReduceTask) (*Summary, error) 
 	if len(s.Workers) == 0 {
 		return nil, fmt.Errorf("exec: no workers")
 	}
-	rn := &schedRun{schedCore: newCore(s, maps, reduces), start: time.Now(), done: make(chan struct{})}
+	rn := &schedRun{Core: NewCore(s, maps, reduces), start: time.Now(), done: make(chan struct{})}
 	if s.Pool != nil {
 		// A dispatch parked at the cross-job cap goes when any sharing job
 		// frees a pool slot.
-		defer s.Pool.subscribe(func() { rn.drive(func() {}) })()
+		defer s.Pool.Subscribe(func() { rn.drive(func() {}) })()
 	}
 	s.mu.Lock()
 	s.run = rn
@@ -194,7 +206,7 @@ func (s *Scheduler) Run(maps []MapTask, reduces []ReduceTask) (*Summary, error) 
 		s.mu.Unlock()
 	}()
 
-	rn.drive(rn.admit)
+	rn.drive(rn.Admit)
 	<-rn.done
 	rn.mu.Lock()
 	defer rn.mu.Unlock()
@@ -213,7 +225,8 @@ func (s *Scheduler) WorkerLost(w Worker, resubmitMaps []int) {
 	rn := s.run
 	s.mu.Unlock()
 	if rn != nil {
-		rn.drive(func() { rn.workerLost(w, resubmitMaps) })
+		idx := slices.IndexFunc(s.Workers, func(a Assignment) bool { return a.W == w })
+		rn.drive(func() { rn.Core.WorkerLost(idx, resubmitMaps) })
 	}
 }
 
@@ -224,11 +237,11 @@ func (rn *schedRun) drive(event func()) {
 	rn.mu.Lock()
 	mapsLeft := rn.left[kMap]
 	event()
-	launches := rn.dispatch()
+	launches := rn.Dispatch()
 	if mapsLeft > 0 && rn.left[kMap] == 0 {
 		rn.sum.MapWall = time.Since(rn.start) // re-stamped after a resubmission
 	}
-	if rn.running == 0 && rn.settled() && !rn.closed {
+	if rn.running == 0 && rn.Settled() && !rn.closed {
 		rn.closed = true
 		close(rn.done)
 	}
@@ -239,19 +252,20 @@ func (rn *schedRun) drive(event func()) {
 }
 
 // attempt runs one launch on its worker and drives the outcome back in.
-func (rn *schedRun) attempt(l launch) {
+func (rn *schedRun) attempt(l Launch) {
 	var ms MapStats
 	var res ReduceResult
 	var err error
-	if l.k == kMap {
-		t := rn.maps[l.pos]
-		t.Attempt = l.attempt
-		ms, err = l.w.a.W.RunMap(t)
+	w := rn.s.Workers[l.Worker()].W
+	if l.Map() {
+		t := rn.maps[l.Pos]
+		t.Attempt = l.Attempt
+		ms, err = w.RunMap(t)
 	} else {
-		res, err = l.w.a.W.RunReduce(rn.reduces[l.pos])
+		res, err = w.RunReduce(rn.reduces[l.Pos])
 	}
 	if rn.s.Pool != nil {
-		rn.s.Pool.Release(l.w.idx, l.k == kMap)
+		rn.s.Pool.Release(l.Worker(), l.Map())
 	}
-	rn.drive(func() { rn.settle(l, ms, res, err) })
+	rn.drive(func() { rn.Settle(l, ms, res, err) })
 }

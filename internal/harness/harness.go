@@ -94,7 +94,6 @@ func Run(spec RunSpec) *simmr.Result {
 		Replication:      spec.Replication,
 		ByteScale:        spec.Data.ByteScale,
 		RecordScale:      spec.Data.RecordScale,
-		FailMapTask:      -1,
 		FetchParallelism: spec.FetchParallelism,
 	})
 	spec.Costs = withTestbedRates(spec.Costs)

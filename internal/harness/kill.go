@@ -12,8 +12,9 @@ import (
 type KillTarget int
 
 const (
-	// KillWorker kills pool worker 0: its published map outputs are
-	// re-executed on survivors and parked fetchers re-route.
+	// KillWorker kills pool worker 0: its published map outputs are lost,
+	// the scheduler core re-executes them on survivors and parked fetchers
+	// re-route.
 	KillWorker KillTarget = iota
 	// KillCoordinator crashes the control plane: it goes dark for the
 	// restart window, journaled maps re-attach from surviving sealed runs
@@ -88,9 +89,11 @@ func KillPrediction(target KillTarget, sizeGB float64, workers int, killFrac flo
 // the undisturbed completion) on a `workers`-node pool and reports
 // completion for both modes; recovery overhead is each point against the
 // frac=0 baseline. A worker kill is swept with and without speculative
-// backups — the speculative series must never sit above its plain
-// counterpart (speculation only clones stragglers onto otherwise idle
-// slots) — and notes how many map outputs each point lost. A coordinator
+// backups — on the paper cluster's skewed nodes the speculative series
+// must never sit above its plain counterpart (clones only take slots with
+// nothing pending; what they cost on identical nodes is
+// TestSpeculationCostOnIdenticalNodes) — and notes how many map outputs
+// each point lost. A coordinator
 // kill notes how many journaled maps re-attached: the later the crash, the
 // more of the map wave survives as sealed runs and the closer the resumed
 // completion stays to base + CoordRestartDelay.

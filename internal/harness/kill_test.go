@@ -8,9 +8,10 @@ import (
 	"blmr/internal/simmr"
 )
 
-// TestFaultSweep: worker churn must cost time, never correctness, and
-// speculation must never make the sweep slower — its clones only occupy
-// otherwise idle slots.
+// TestFaultSweep: worker churn must never cost correctness, must not pay
+// (beyond what losing the pool's slowest node is worth), and speculation
+// must never make the sweep slower — its clones only occupy otherwise idle
+// slots.
 func TestFaultSweep(t *testing.T) {
 	sw := goldenSweep(t, "kill-worker")
 	if len(sw.Series) != 4 {
@@ -18,13 +19,16 @@ func TestFaultSweep(t *testing.T) {
 	}
 	for _, ser := range sw.Series {
 		base := ser.Y[0]
-		// Speculative runs get 1% slack: a kill can flip which attempt wins
-		// the publish race, relocating that map's output and shifting
-		// transfer contention slightly in either direction.
-		slack := 1e-9
-		if ser.Label == "barrier+spec" || ser.Label == "pipelined+spec" {
-			slack = base * 0.01
-		}
+		// 1% slack. Worker 0 is the slowest of the paper cluster's first
+		// three nodes (speed 1.020 against 1.074 and 1.141), so a kill that
+		// lands before it has published anything sends its maps to faster
+		// nodes while the wasted attempts overlap the first wave: barrier
+		// 118.21 against 118.45 undisturbed (-0.2%). On identical nodes the
+		// same kill costs +7%, and simmr.TestEveryFaultPoint holds "never
+		// sooner than undisturbed" strictly at every fault point there.
+		// Under speculation a kill can also flip which attempt wins the
+		// publish race, relocating that map's output.
+		slack := base * 0.01
 		for i, y := range ser.Y {
 			if ser.Note[i] == "FAILED" {
 				t.Fatalf("%s: point %g failed", ser.Label, ser.X[i])
@@ -132,5 +136,34 @@ func TestRestartPrediction(t *testing.T) {
 	}
 	if est.ReattachedMaps < 1 {
 		t.Fatalf("mid-map crash re-attached nothing: %+v", est)
+	}
+}
+
+// TestSpeculationCostOnIdenticalNodes states what the one speculation rule
+// (exec's: three quarters of the wave done, a slot with nothing pending)
+// costs where there is no straggler to rescue. The rule has no clock, so it
+// cannot tell a healthy tail-wave map from an overdue one: on three
+// identical workers it clones four maps of the last wave, the clones share
+// disks with their originals, and the 1 GB WordCount finishes 1.35% later in
+// barrier mode and 1.39% later pipelined. "Speculation never slows a
+// homogeneous run" is withdrawn (DESIGN §11); the cost is pinned under 2%.
+func TestSpeculationCostOnIdenticalNodes(t *testing.T) {
+	for _, mode := range []simmr.Mode{simmr.Barrier, simmr.Pipelined} {
+		run := func(speculative bool) *simmr.Result {
+			spec := killSpec(1, ParityWorkers, mode, speculative)
+			spec.Cluster = PaperCluster()
+			spec.Cluster.SpeedSpread = 0
+			return Run(spec)
+		}
+		plain, spec := run(false), run(true)
+		cost := spec.Completion/plain.Completion - 1
+		t.Logf("%v: plain %.2fs, speculative %.2fs (%+.2f%%), %d clones launched, %d won",
+			mode, plain.Completion, spec.Completion, 100*cost, spec.BackupsLaunched, spec.BackupsWon)
+		if spec.BackupsLaunched == 0 {
+			t.Fatalf("%v: no clone launched: the rule changed, restate this test", mode)
+		}
+		if cost > 0.02 {
+			t.Fatalf("%v: speculation cost %.2f%% on identical nodes, stated bound 2%%", mode, 100*cost)
+		}
 	}
 }

@@ -138,7 +138,12 @@ func (p *Proc) park(why string) {
 }
 
 // resume wakes p. Must be called from kernel context (inside an event fn).
+// Waking a process that is gone is a no-op: during Run's teardown an aborted
+// process's deferred releases may name a waiter that was aborted before it.
 func (k *Kernel) resume(p *Proc) {
+	if !k.live[p] {
+		return
+	}
 	delete(k.parked, p)
 	p.wake <- true
 	<-k.yield

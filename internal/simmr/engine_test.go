@@ -259,28 +259,6 @@ func TestKVStoreModeWorksAndIsSlower(t *testing.T) {
 	}
 }
 
-func TestMapRetryPreservesOutput(t *testing.T) {
-	input := workload.Text(15, 2000, 400, 8)
-	cfg := testConfig()
-	cfg.FailMapTask = 2
-	e := NewEngine(cfg)
-	f := e.Ingest("in", workload.SplitEvenly(input, 6))
-	res := e.Run(jobFor(apps.WordCount(), Pipelined, 3), f)
-	if res.MapRetries != 1 {
-		t.Fatalf("retries = %d, want 1", res.MapRetries)
-	}
-	// Reference without failure.
-	e2 := NewEngine(testConfig())
-	f2 := e2.Ingest("in", workload.SplitEvenly(input, 6))
-	ref := e2.Run(jobFor(apps.WordCount(), Pipelined, 3), f2)
-	requireSameOutput(t, "retry", ref.Output, res.Output)
-	// The retried attempt may reorder slot scheduling slightly, but a
-	// dramatically faster failed run would indicate lost work.
-	if res.Completion < 0.5*ref.Completion {
-		t.Fatalf("failed run (%.2f) impossibly beat clean run (%.2f)", res.Completion, ref.Completion)
-	}
-}
-
 func TestMemSamplesCollected(t *testing.T) {
 	input := workload.Text(16, 3000, 2000, 8)
 	e := NewEngine(testConfig())

@@ -8,6 +8,11 @@
 // result stores — while time and memory are accounted in scaled "virtual"
 // units so laptop-sized datasets reproduce the timing shape of the paper's
 // multi-GB cluster runs (see Config.ByteScale / RecordScale).
+//
+// Scheduling is not modelled here: every job runs through the decision core
+// the real engines run (exec.Core — placement, slots, re-execution,
+// speculation), driven in virtual time by driver.go. The package owns the
+// cost model, the data-plane model and the fault injections.
 package simmr
 
 import (
@@ -190,32 +195,35 @@ type JobSpec struct {
 	SpillBytes int64
 	// Costs are the CPU rates; zero value uses DefaultCosts.
 	Costs CostModel
-	// Speculative enables backup execution of straggling map tasks once
-	// three quarters of the maps have finished (Hadoop's speculative
-	// execution; relevant under heterogeneity, the paper's future work).
+	// Speculative is exec.Scheduler.Speculate: once three quarters of the
+	// map wave is done, a slot with nothing pending runs one backup attempt
+	// of a map still running on another node, and the first to publish wins
+	// (Hadoop's speculative execution; relevant under heterogeneity, the
+	// paper's future work).
 	Speculative bool
 	// SnapshotPeriod, when > 0, makes pipelined reducers record a progress
 	// Snapshot every period virtual seconds — the online-processing
 	// monitoring the barrier-less model enables.
 	SnapshotPeriod float64
 	// KillWorkerAt, when > 0, injects worker churn: at this virtual time
-	// worker-pool node 0 dies. Published map outputs on that node are
-	// re-executed on survivors (fetchers park until the replacement
-	// publishes — the sim counterpart of the multi-process engine's
-	// re-execution + supersede re-route), and in-flight attempts there
-	// restart on survivors. The model covers map-side churn only:
-	// reduce tasks are placed on survivors up front (DESIGN §11). The pool
-	// must have at least two nodes or the job fails.
+	// worker-pool node 0 dies. Its published map outputs are lost (fetchers
+	// park until a replacement publishes — the sim counterpart of the
+	// multi-process engine's supersede re-route), map attempts in flight
+	// there report the loss when they end, and the scheduler core is told
+	// the worker is gone; what re-runs where is the core's decision, as on
+	// the real engine. The model covers map-side churn only: the node's
+	// running reduce attempts are modelled as surviving (DESIGN §11). The
+	// pool must have at least two nodes or the job fails.
 	KillWorkerAt float64
 	// KillCoordinatorAt, when > 0, injects a coordinator crash at this
 	// virtual time: the control plane goes dark for Costs.CoordRestartDelay
-	// (restart, journal replay, worker re-registration) and no task starts
-	// meanwhile. Map outputs published before the crash were journaled and
-	// survive on their workers' sealed runs — the restarted coordinator
-	// re-attaches each at Costs.ReattachPerMap instead of re-executing it.
-	// An attempt finishing during the outage has no coordinator to report
-	// to: it was never journaled and re-runs once the control plane
-	// returns. Like KillWorkerAt this models map-side recovery only
+	// (restart, journal replay, worker re-registration) and nothing is
+	// dispatched meanwhile. Map outputs published before the crash were
+	// journaled and survive on their workers' sealed runs — the restarted
+	// coordinator re-attaches each at Costs.ReattachPerMap instead of
+	// re-executing it. An attempt that spans the crash has no coordinator
+	// to report to: it was never journaled and is resubmitted once the
+	// control plane returns. Like KillWorkerAt this models map-side recovery only
 	// (DESIGN §14): reduce progress is not checkpointed mid-task.
 	KillCoordinatorAt float64
 }
@@ -242,10 +250,13 @@ type Result struct {
 	// Spills counts spill-merge runs written across reducers.
 	Spills int
 	// SpillRuns counts map-side spill runs sealed under JobSpec.SpillBytes
-	// (losing speculative attempts included: they did the disk work).
+	// (every attempt's, lost and losing ones included: they did the disk
+	// work).
 	SpillRuns int
-	// MapTasks and ReduceWaves aid analysis.
-	MapTasks    int
+	// MapTasks aids analysis.
+	MapTasks int
+	// MapRetries is the scheduler core's exec.Summary.MapRetries: map
+	// re-executions after a lost attempt or a lost output.
 	MapRetries  int
 	PeakMemVirt int64
 	// LostMapOutputs counts published map outputs lost to a worker kill
@@ -264,7 +275,7 @@ type Result struct {
 	// MemoHits counts map tasks served from the memoization cache.
 	MemoHits int
 	// BackupsLaunched / BackupsWon count speculative map attempts and how
-	// many beat the original.
+	// many beat the original (the core's exec.Summary counts).
 	BackupsLaunched int
 	BackupsWon      int
 	// Snapshots holds periodic progress observations of pipelined
@@ -293,9 +304,6 @@ type Config struct {
 	// RecordScale converts real record counts to virtual record counts
 	// for CPU accounting. Usually set equal to ByteScale.
 	RecordScale float64
-	// FailMapTask, if >= 0, makes that map task fail once and be retried
-	// (fault-tolerance exercise).
-	FailMapTask int
 	// FetchParallelism bounds concurrent fetches per reducer in barrier
 	// mode (Hadoop's parallel copies, default 5).
 	FetchParallelism int
@@ -311,7 +319,6 @@ func DefaultConfig() Config {
 		Replication:      3,
 		ByteScale:        1,
 		RecordScale:      1,
-		FailMapTask:      -1,
 		FetchParallelism: 5,
 	}
 }

@@ -15,10 +15,7 @@ import (
 // barrierReduce is stock Hadoop: fetch every map's partition (bounded
 // parallel fetchers), hit the barrier, merge-sort, run the grouped reducer,
 // write output.
-func (e *Engine) barrierReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.Node, shuffle *shuffleState, res *Result, jobDone *sim.Event) {
-	node.ReduceSlots.Acquire(p, 1)
-	defer node.ReduceSlots.Release(1)
-
+func (e *Engine) barrierReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.Node, shuffle *shuffleState, res *Result) {
 	// --- Shuffle: fetch all partitions, buffering to local disk. ---
 	// Sealed-run compression: sections travel — and are buffered — at
 	// their compressed size; the decompress CPU is charged where the
@@ -124,11 +121,9 @@ const queueCapBatches = 64
 // pulls records as they become available and enqueues them; the reducer
 // consumes the FIFO queue record-by-record through a StreamReducer whose
 // partial results live in the configured store. Memory is tracked against
-// the heap budget; crossing it kills the job (Figure 5(a)).
-func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.Node, shuffle *shuffleState, res *Result, jobDone *sim.Event) {
-	node.ReduceSlots.Acquire(p, 1)
-	defer node.ReduceSlots.Release(1)
-
+// the heap budget; crossing it fails the task, and with it the job (Figure
+// 5(a)).
+func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.Node, shuffle *shuffleState, res *Result) error {
 	k := p.Kernel()
 	ratio := compressRatio(job)
 	shTok := e.Col.TaskStart(metrics.StageShuffle, p.Now())
@@ -207,10 +202,9 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 		if job.HeapBudget > 0 && memVirt > job.HeapBudget {
 			e.Col.TaskEnd(redTok, p.Now())
 			e.Col.TaskEnd(shTok, p.Now())
-			failJob(p, res, jobDone, fmt.Sprintf(
+			return fmt.Errorf(
 				"reducer %d out of memory: partial results %d MB exceed heap budget %d MB (%s store)",
-				r, memVirt>>20, job.HeapBudget>>20, job.Store))
-			return
+				r, memVirt>>20, job.HeapBudget>>20, job.Store)
 		}
 	}
 	e.Col.TaskEnd(shTok, p.Now())
@@ -226,6 +220,7 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 	e.Col.TaskEnd(redTok, p.Now())
 
 	e.writeOutput(p, job, node, out.Recs, res)
+	return nil
 }
 
 // waitMapOutput blocks a fetcher until its map's output is available. The

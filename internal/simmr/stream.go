@@ -2,16 +2,16 @@ package simmr
 
 // Multi-job streams on one simulated cluster: the simulated mirror of the
 // multi-process engine's job service. RunStream admits a stream of jobs at
-// their arrival times onto ONE shared kernel and cluster, places every
-// job's tasks through the same exec.Policy interface the real scheduler
-// routes with, and reports per-job completions plus the stream makespan —
-// so harness.PolicySweep can tune placement policies entirely in
-// simulation and a real-engine parity test can pin the predictions.
+// their arrival times onto ONE shared kernel and cluster, runs each through
+// its own exec decision core over one shared exec.SlotPool — the structure
+// mpexec.Service gives its jobs — and reports per-job completions plus the
+// stream makespan, so harness.PolicySweep can tune placement policies
+// entirely in simulation and a real-engine parity test can pin the
+// predictions.
 
 import (
 	"fmt"
 
-	"blmr/internal/cluster"
 	"blmr/internal/dfs"
 	"blmr/internal/exec"
 	"blmr/internal/sim"
@@ -39,16 +39,17 @@ type StreamResult struct {
 
 // RunStream executes a stream of jobs on the shared cluster, placing every
 // task through the named policy (see exec.PolicyNames; "" uses the
-// historical modulo placement). Each job gets a fresh policy instance —
-// mirroring the real service, where a round-robin cursor never leaks
-// placement across jobs — over snapshots of a cross-job assignment ledger:
-// a job's assignments count against a node until the job completes, so a
-// least-loaded policy sees the load earlier arrivals put on each node,
-// exactly like the kind-split pool-running counts in the real scheduler's
-// worker snapshots. Resident-
-// run counts are zero at placement time (assignment precedes the job's own
-// map outputs), so the locality policy degrades to least-loaded here, as
-// it does for the real engine's initial assignments.
+// simulator's default placement). Each job gets its own decision core and a
+// fresh policy instance — mirroring the real service, where a round-robin
+// cursor never leaks placement across jobs — and all of them share one
+// exec.SlotPool capped at the cluster's map slots per node, exactly as the
+// jobs of an mpexec.Service do: a task holds its pool slot while it runs and
+// no longer, a least-loaded policy sees the kind-split load every job put on
+// a node in the snapshots the core builds, and a map held back at a node's
+// cross-job cap starts when any job's map there finishes (parked jobs are
+// woken in arrival order). Resident-run counts are zero (the simulator wires
+// no Scheduler.Resident), so the locality policy degrades to least-loaded
+// here, as it does for the real engine's initial assignments.
 //
 // The engine must be fresh (its kernel is drained here, as in Run).
 func (e *Engine) RunStream(jobs []StreamJob, policyName string) (*StreamResult, error) {
@@ -61,14 +62,8 @@ func (e *Engine) RunStream(jobs []StreamJob, policyName string) (*StreamResult, 
 		}
 	}
 	sr := &StreamResult{Jobs: make([]*Result, len(jobs))}
-	// node -> live assigned tasks of each kind, all jobs. Kind-split so a
-	// map placement weighs map load only (WorkerSnapshot.KindLoad), exactly
-	// as the real SlotPool reports RunningKind.
-	mapLed := make([]int, len(e.C.Nodes))
-	redLed := make([]int, len(e.C.Nodes))
-	for ji := range jobs {
-		ji := ji
-		sj := jobs[ji]
+	pool := exec.NewSlotPool(len(e.C.Nodes), e.Cfg.Cluster.MapSlots)
+	for ji, sj := range jobs {
 		pol, _ := exec.ParsePolicy(policyName) // validated above; fresh per job
 		e.K.Spawn(fmt.Sprintf("stream-job-%d", ji), func(p *sim.Proc) {
 			if sj.Arrival > 0 {
@@ -80,46 +75,11 @@ func (e *Engine) RunStream(jobs []StreamJob, policyName string) (*StreamResult, 
 			if res.Failed {
 				return
 			}
-			var place placer
-			var ownedMap, ownedRed []int
-			if pol != nil {
-				pool := e.poolNodes(&spec)
-				place = func(isMap bool, idx int) *cluster.Node {
-					snaps := make([]exec.WorkerSnapshot, len(pool))
-					for i := range pool {
-						snaps[i] = exec.WorkerSnapshot{
-							ID:                i,
-							MapSlots:          e.Cfg.Cluster.MapSlots,
-							ReduceSlots:       e.Cfg.Cluster.ReduceSlots,
-							PoolMapRunning:    mapLed[i],
-							PoolReduceRunning: redLed[i],
-						}
-					}
-					k := pol.Pick(exec.TaskView{Map: isMap, Index: idx}, snaps)
-					if k < 0 || k >= len(pool) {
-						k = idx % len(pool) // bogus pick: historical fallback
-					}
-					if isMap {
-						mapLed[k]++
-						ownedMap = append(ownedMap, k)
-					} else {
-						redLed[k]++
-						ownedRed = append(ownedRed, k)
-					}
-					return pool[k]
-				}
-			}
-			jobDone := e.spawnJob(&spec, sj.Input, res, place)
-			jobDone.Wait(p)
-			// The job's assignments leave the ledger together at completion
-			// (the sim has no per-task completion hook; for simultaneous
-			// arrivals — the sweep's workloads — the two schemes agree).
-			for _, n := range ownedMap {
-				mapLed[n]--
-			}
-			for _, n := range ownedRed {
-				redLed[n]--
-			}
+			jr := e.newJobRun(&spec, sj.Input, res, pool, pol)
+			defer pool.Subscribe(func() { jr.drive(nil) })()
+			defer jr.mustBeDone() // also when the drained kernel aborts the wait
+			jr.drive(jr.core.Admit)
+			jr.done.Wait(p)
 		})
 	}
 	e.K.Run()

@@ -98,3 +98,54 @@ func TestStreamUnknownPolicy(t *testing.T) {
 		t.Fatal("unknown policy must error")
 	}
 }
+
+// TestStreamFinishedMapsFreeTheirNodes: job B arrives after job A's maps
+// have finished but while A's reduces still run. A's maps hold no pool slot
+// any more, so least-loaded places B's two maps on the two fast nodes A's
+// maps used and B finishes as fast as A did. At 10d0cc9 the stream's ledger
+// kept A's finished maps against their nodes until A completed, which
+// steered B's first map onto the idle — and here four times slower — node 2.
+func TestStreamFinishedMapsFreeTheirNodes(t *testing.T) {
+	stream := func(e *Engine, arrival float64) []StreamJob {
+		e.C.Nodes[2].Speed = 0.25
+		mk := func(name string, seed uint64, at float64) StreamJob {
+			spec := jobFor(apps.WordCount(), Barrier, 2)
+			spec.Name, spec.Workers = name, 3
+			spec.Costs = DefaultCosts()
+			spec.Costs.MapCPUPerRecord = 1e-3    // maps decide the makespan,
+			spec.Costs.ReduceCPUPerRecord = 2e-3 // and A's reduces outlast them
+			input := e.Ingest(name, workload.SplitEvenly(workload.Text(seed, 1200, 120, 8), 2))
+			return StreamJob{Spec: spec, Input: input, Arrival: at}
+		}
+		jobs := []StreamJob{mk("a", 71, 0)}
+		if arrival > 0 {
+			jobs = append(jobs, mk("b", 72, arrival))
+		}
+		return jobs
+	}
+	run := func(arrival float64) []*Result {
+		e := NewEngine(streamConfig())
+		sr, err := e.RunStream(stream(e, arrival), "least-loaded")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range sr.Jobs {
+			if r == nil || r.Failed {
+				t.Fatalf("stream job %d failed: %+v", i, r)
+			}
+		}
+		return sr.Jobs
+	}
+	alone := run(0)[0]
+	arrival := (alone.MapOutputsReady + alone.Completion) / 2
+	if arrival <= alone.MapOutputsReady || arrival >= alone.Completion {
+		t.Fatalf("no reduce tail to arrive in: maps ready %.3f, done %.3f", alone.MapOutputsReady, alone.Completion)
+	}
+	jobs := run(arrival)
+	a, b := jobs[0], jobs[1]
+	bMaps, aMaps := b.MapOutputsReady-arrival, a.MapOutputsReady
+	t.Logf("A: maps ready %.3f, done %.3f; B arrives %.3f: maps took %.3f, done %.3f", aMaps, a.Completion, arrival, bMaps, b.Completion)
+	if bMaps > 1.5*aMaps {
+		t.Fatalf("B's map wave took %.3fs against A's %.3fs: a map was steered off A's idle nodes onto the slow one", bMaps, aMaps)
+	}
+}

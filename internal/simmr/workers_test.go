@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"blmr/internal/apps"
+	"blmr/internal/metrics"
 	"blmr/internal/workload"
 )
 
@@ -69,5 +70,40 @@ func TestTransportCosts(t *testing.T) {
 	if tcp.PeakMemVirt > inproc.PeakMemVirt {
 		t.Fatalf("external merge should not use more memory: tcp %d vs inproc %d",
 			tcp.PeakMemVirt, inproc.PeakMemVirt)
+	}
+}
+
+// TestSlotsLimitConcurrency: a node runs at most Cluster.MapSlots map
+// attempts at once, and fills them — six maps on one two-slot node run two
+// at a time, in three waves. (The slots are the decision core's count, not a
+// resource of the node: this is the old cluster.TestSlotsLimitConcurrency.)
+func TestSlotsLimitConcurrency(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cluster.Nodes, cfg.Cluster.MapSlots, cfg.Replication = 1, 2, 1
+	eng := NewEngine(cfg)
+	f := eng.Ingest("in", workload.SplitEvenly(workload.Text(31, 1200, 400, 6), 6))
+	res := eng.Run(JobSpec{Job: apps.WordCount(), Reducers: 2, Mode: Barrier}, f)
+	if res.Failed {
+		t.Fatal(res.FailReason)
+	}
+	var maps []metrics.Span
+	for _, sp := range eng.Col.Spans() {
+		if sp.Stage == metrics.StageMap {
+			maps = append(maps, sp)
+		}
+	}
+	if len(maps) != 6 {
+		t.Fatalf("%d map attempts for 6 maps", len(maps))
+	}
+	for _, a := range maps {
+		running := 0
+		for _, b := range maps {
+			if b.Start <= a.Start && a.Start < b.End {
+				running++
+			}
+		}
+		if running != 2 {
+			t.Fatalf("%d maps running at t=%.4f on a two-slot node, want 2", running, a.Start)
+		}
 	}
 }
