@@ -481,9 +481,10 @@ func readRunHeader(r ByteScanner) (delta bool, err error) {
 type blockFrame struct {
 	rawLen  int
 	lz      bool
-	dict    bool   // payload copies reach into the previous block's tail
-	crc     uint32 // CRC-32C of payload, always checked before decode
-	payload []byte // on-wire payload bytes (reused across frames)
+	dict    bool    // payload copies reach into the previous block's tail
+	crc     uint32  // CRC-32C of payload, always checked before decode
+	payload []byte  // on-wire payload bytes (reused across frames)
+	crcBuf  [4]byte // read scratch: a local would escape through io.ReadFull, once per block
 }
 
 // readBlockFrame reads the next block frame from r into f, reusing
@@ -511,11 +512,10 @@ func readBlockFrame(r ByteScanner, f *blockFrame) (bool, error) {
 		return false, fmt.Errorf("%w: stored block flagged dictionary-dependent", ErrCorrupt)
 	}
 	f.rawLen = int(rawLen)
-	var cb [4]byte
-	if _, err := io.ReadFull(r, cb[:]); err != nil {
+	if _, err := io.ReadFull(r, f.crcBuf[:]); err != nil {
 		return false, fmt.Errorf("%w: truncated block checksum: %v", ErrCorrupt, err)
 	}
-	f.crc = binary.LittleEndian.Uint32(cb[:])
+	f.crc = binary.LittleEndian.Uint32(f.crcBuf[:])
 	// Fill the payload chunked, so a corrupt (huge) length fails at the
 	// first missing byte rather than allocating the claimed size up front.
 	const chunk = 64 << 10
@@ -663,11 +663,12 @@ func (p *blockParser) nextDelta() (core.Record, bool) {
 	if !ok {
 		return core.Record{}, false
 	}
-	key := string(p.prevKey)
+	// One copy of the key: out of the arena when there is one, else its own
+	// heap string — never both.
 	if p.arena != nil {
-		key = p.arena.String(p.prevKey)
+		return core.Record{Key: p.arena.String(p.prevKey), Value: val}, true
 	}
-	return core.Record{Key: key, Value: val}, true
+	return core.Record{Key: string(p.prevKey), Value: val}, true
 }
 
 // blockReader streams records out of a compressed run serially,

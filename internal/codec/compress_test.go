@@ -351,3 +351,40 @@ func TestParseCompression(t *testing.T) {
 		t.Fatal("expected an error for an unknown codec")
 	}
 }
+
+// TestArenaDecodeAllocatesPerChunk guards the decode path's allocation
+// budget: with an arena, draining a run of any codec allocates once per
+// 64KiB arena chunk, not once per record (front-coded keys used to cost a
+// discarded heap string each on top of the arena copy).
+func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
+	const n = 20000
+	recs := make([]core.Record, n)
+	var strBytes int
+	for i := range recs {
+		recs[i] = core.Record{Key: core.EncodeUint64(uint64(i) * 7919), Value: "payload!"}
+		strBytes += len(recs[i].Key) + len(recs[i].Value)
+	}
+	chunks := float64(strBytes/arenaChunkBytes + 1)
+	for _, comp := range allCompressions {
+		buf, _ := encodeRun(t, recs, comp, 0)
+		var dec SectionDecoder
+		var arena Arena
+		rd := bytes.NewReader(buf)
+		drain := func() {
+			rd.Reset(buf)
+			r := dec.Reset(rd, comp, &arena)
+			got := 0
+			for _, ok := r.Next(); ok; _, ok = r.Next() {
+				got++
+			}
+			if got != n || r.Err() != nil {
+				t.Fatalf("%v: decoded %d of %d records, err %v", comp, got, n, r.Err())
+			}
+		}
+		drain() // size the decoder's block and payload buffers
+		if allocs := testing.AllocsPerRun(5, drain); allocs > chunks+2 {
+			t.Errorf("%v: %.0f allocations decoding %d records into an arena, want at most %.0f (one per chunk)",
+				comp, allocs, n, chunks+2)
+		}
+	}
+}
