@@ -334,3 +334,79 @@ func TestCrossoverDeterministicAndValid(t *testing.T) {
 		t.Fatal("complementary crossovers should cover all bits")
 	}
 }
+
+// TestGroupReducersKeepNoValuesSlice is the contract test for
+// core.GroupReducer's lifetime rule. The barrier merge refills one values
+// buffer for every group, so every in-tree group reducer — the seven of
+// internal/reducers, reached through the seven apps — is run twice over the
+// same merged runs: once handed a fresh copy of each group (what the merge
+// allocated before), once handed the merger's own buffer, which is
+// scribbled over the moment Reduce returns. A reducer that kept the slice
+// would emit the scribble; the outputs must be identical record for record.
+func TestGroupReducersKeepNoValuesSlice(t *testing.T) {
+	knn := workload.KNN(4, 600, 40, 1_000_000)
+	bs := BSParams{Spot: 100, Strike: 100, Rate: 0.05, Volatility: 0.2, Maturity: 1, Iterations: 500, Samples: 50}
+	cases := []struct {
+		app   App
+		input []core.Record
+	}{
+		{Grep("word0000"), workload.Text(1, 400, 100, 6)},
+		{Sort(), workload.UniformKeys(2, 3000, 400)}, // ~7 duplicates per key
+		{WordCount(), workload.Text(3, 400, 100, 8)},
+		{KNN(5, knn.Experimental), workload.KNNRecords(knn, 0)},
+		{LastFM(), workload.Listens(6, 3000, 40, 100)},
+		{GA(20), workload.Individuals(7, 100, 64)},
+		{BlackScholes(bs), workload.OptionSeeds(9, 4)},
+	}
+	const scribble = "scribbled after Reduce returned"
+	for _, c := range cases {
+		var mapped []core.Record
+		em := core.EmitterFunc(func(k, v string) { mapped = append(mapped, core.Record{Key: k, Value: v}) })
+		for _, r := range c.input {
+			c.app.Mapper.Map(r.Key, r.Value, em)
+		}
+		// Three sorted runs, as three map tasks would publish them.
+		var sorted [][]core.Record
+		for _, chunk := range workload.SplitEvenly(mapped, 3) {
+			chunk = append([]core.Record(nil), chunk...)
+			sortx.ByKey(chunk)
+			sorted = append(sorted, chunk)
+		}
+		reduce := func(reuse bool) []core.Record {
+			runs := make([]sortx.Run, len(sorted))
+			for i, run := range sorted {
+				runs[i] = sortx.NewSliceRun(run)
+			}
+			m := sortx.NewMerger(runs)
+			out := &sink{}
+			gr := c.app.NewGroup()
+			for key, values, ok := m.NextGroup(); ok; key, values, ok = m.NextGroup() {
+				if reuse {
+					gr.Reduce(key, values, out)
+				} else {
+					gr.Reduce(key, append([]string(nil), values...), out)
+				}
+				for i := range values {
+					values[i] = scribble
+				}
+			}
+			if cl, ok := gr.(core.Cleanup); ok {
+				cl.Cleanup(out)
+			}
+			return out.recs
+		}
+		fresh, reused := reduce(false), reduce(true)
+		if len(fresh) == 0 {
+			t.Fatalf("%s: no output, the case tests nothing", c.app.Name)
+		}
+		if len(fresh) != len(reused) {
+			t.Fatalf("%s: %d records with the reused buffer, %d with fresh slices", c.app.Name, len(reused), len(fresh))
+		}
+		for i := range fresh {
+			if fresh[i] != reused[i] {
+				t.Fatalf("%s: record %d = %q with the reused buffer, %q with fresh slices",
+					c.app.Name, i, reused[i], fresh[i])
+			}
+		}
+	}
+}

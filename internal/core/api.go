@@ -19,6 +19,11 @@ type Mapper interface {
 
 // GroupReducer is the classic barrier-mode contract: called once per key
 // with every value for that key, in key-sorted order.
+//
+// The values slice belongs to the caller and is valid only until Reduce
+// returns: the merge refills one buffer for every group. A reducer may keep
+// the strings in it (they are immutable) but must copy the slice itself if
+// it needs the group afterwards, as SelectionGroup does before sorting it.
 type GroupReducer interface {
 	Reduce(key string, values []string, out Output)
 }

@@ -14,8 +14,17 @@ func NewRecordSink(capHint int) *RecordSink {
 	return &RecordSink{Recs: make([]Record, 0, capHint)}
 }
 
-// Write implements Output.
-func (s *RecordSink) Write(k, v string) { s.Recs = append(s.Recs, Record{Key: k, Value: v}) }
+// Write implements Output. A full sink doubles: a reduce task's output has
+// no size hint, and append's 1.25x growth of a large slice copies (and
+// write-barriers) about five times the final size on the way there.
+func (s *RecordSink) Write(k, v string) {
+	if len(s.Recs) == cap(s.Recs) {
+		grown := make([]Record, len(s.Recs), max(2*len(s.Recs), 64))
+		copy(grown, s.Recs)
+		s.Recs = grown
+	}
+	s.Recs = append(s.Recs, Record{Key: k, Value: v})
+}
 
 // PartitionedEmitter is an Emitter that routes each emitted record into one
 // of n per-reducer buffers using Partition. It is the map-side partitioning

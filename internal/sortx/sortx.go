@@ -13,12 +13,94 @@ import (
 
 // ByKey stable-sorts records by key in place and returns the number of key
 // comparisons a merge sort would have performed (n log2 n), which the
-// simulator charges as CPU work.
+// simulator charges as CPU work. A caller sorting many slices keeps one
+// Sorter instead, so they share its scratch memory.
 func ByKey(recs []core.Record) int64 {
-	slices.SortStableFunc(recs, func(a, b core.Record) int {
-		return strings.Compare(a.Key, b.Key)
+	var s Sorter
+	return s.ByKey(recs)
+}
+
+// keyPrefix returns the first eight bytes of key as a big-endian integer,
+// zero-padded on the right: integer order on prefixes agrees with byte order
+// on keys wherever the prefixes differ.
+func keyPrefix(key string) uint64 {
+	if len(key) >= 8 {
+		return uint64(key[7]) | uint64(key[6])<<8 | uint64(key[5])<<16 | uint64(key[4])<<24 |
+			uint64(key[3])<<32 | uint64(key[2])<<40 | uint64(key[1])<<48 | uint64(key[0])<<56
+	}
+	var p uint64
+	for i := 0; i < len(key); i++ {
+		p |= uint64(key[i]) << (56 - 8*i)
+	}
+	return p
+}
+
+// sortEntry stands in for one record while sorting. It holds no pointer, so
+// moving entries costs no write barrier and the collector never scans them.
+type sortEntry struct {
+	prefix uint64 // keyPrefix of the record's key
+	idx    int    // the record's position in the input
+}
+
+// insertionSortMax is the largest input ByKey sorts by insertion, directly
+// on the records: below it the entry array costs more than it saves.
+const insertionSortMax = 12
+
+// Sorter is ByKey with reusable scratch: the entry array and the gather
+// buffer grow to the largest slice sorted and are reused by every later
+// call, so a warmed-up Sorter allocates nothing. The gather buffer keeps the
+// last sorted slice's strings reachable until the next call or the Sorter's
+// death; give a Sorter the lifetime of the data it sorts (one map task).
+// Not safe for concurrent use.
+type Sorter struct {
+	entries []sortEntry
+	gather  []core.Record
+}
+
+// ByKey stable-sorts recs by key in place and returns CompareCost(len(recs)).
+//
+// It sorts (prefix, index) entries, not records: most comparisons are one
+// integer compare on data that sits in the entry itself, and a swap moves 16
+// pointer-free bytes instead of a 32-byte record behind write barriers. Equal
+// prefixes fall back to the full keys, equal keys to the input index. That
+// order is total — no two entries compare equal — so the unstable sort has
+// exactly one result, the one a stable sort by key produces. The records
+// are then moved once each, through the gather buffer.
+func (s *Sorter) ByKey(recs []core.Record) int64 {
+	n := len(recs)
+	if n <= insertionSortMax {
+		for i := 1; i < n; i++ {
+			for j := i; j > 0 && recs[j].Key < recs[j-1].Key; j-- {
+				recs[j], recs[j-1] = recs[j-1], recs[j]
+			}
+		}
+		return CompareCost(n)
+	}
+	if cap(s.entries) < n {
+		s.entries = make([]sortEntry, n)
+		s.gather = make([]core.Record, n)
+	}
+	entries, gather := s.entries[:n], s.gather[:n]
+	for i := range recs {
+		entries[i] = sortEntry{prefix: keyPrefix(recs[i].Key), idx: i}
+	}
+	slices.SortFunc(entries, func(a, b sortEntry) int {
+		if a.prefix != b.prefix {
+			if a.prefix < b.prefix {
+				return -1
+			}
+			return 1
+		}
+		if c := strings.Compare(recs[a.idx].Key, recs[b.idx].Key); c != 0 {
+			return c
+		}
+		return a.idx - b.idx
 	})
-	return CompareCost(len(recs))
+	for i, e := range entries {
+		gather[i] = recs[e.idx]
+	}
+	copy(recs, gather)
+	return CompareCost(n)
 }
 
 // CompareCost returns the nominal comparison count for sorting n records.
@@ -34,9 +116,11 @@ func CompareCost(n int) int64 {
 }
 
 // Group invokes fn once per distinct key of a key-sorted slice, passing all
-// values for that key in encounter order. It panics if the input is not
+// values for that key in encounter order; the values slice is reused for the
+// next group (core.GroupReducer's rule). It panics if the input is not
 // sorted (a framework invariant violation, not a user error).
 func Group(recs []core.Record, fn func(key string, values []string)) {
+	var values []string
 	for i := 0; i < len(recs); {
 		j := i + 1
 		for j < len(recs) && recs[j].Key == recs[i].Key {
@@ -45,7 +129,7 @@ func Group(recs []core.Record, fn func(key string, values []string)) {
 		if j < len(recs) && recs[j].Key < recs[i].Key {
 			panic("sortx: Group input not sorted")
 		}
-		values := make([]string, 0, j-i)
+		values = values[:0]
 		for _, r := range recs[i:j] {
 			values = append(values, r.Value)
 		}
@@ -55,14 +139,21 @@ func Group(recs []core.Record, fn func(key string, values []string)) {
 }
 
 // Combine key-sorts recs in place and folds same-key neighbours left to
-// right with merge, returning the combined prefix of the input slice (no
-// new allocation). It is the map-side combiner primitive: merge must be
+// right with merge, returning the combined prefix of the input slice (the
+// result is never a new slice; the sort's scratch is, unless a Sorter
+// supplies it). It is the map-side combiner primitive: merge must be
 // commutative and associative, like a store.Merger.
 func Combine(recs []core.Record, merge func(a, b string) string) []core.Record {
+	var s Sorter
+	return s.Combine(recs, merge)
+}
+
+// Combine is the package-level Combine sorting with s's scratch.
+func (s *Sorter) Combine(recs []core.Record, merge func(a, b string) string) []core.Record {
 	if len(recs) < 2 {
 		return recs
 	}
-	ByKey(recs)
+	s.ByKey(recs)
 	out := recs[:1]
 	for _, r := range recs[1:] {
 		if last := &out[len(out)-1]; r.Key == last.Key {
@@ -114,9 +205,12 @@ func (s *SliceRun) Next() (core.Record, bool) {
 // the same backing slices without reallocating).
 func (s *SliceRun) Rewind() { s.pos = 0 }
 
+// mergeEntry is one run's head record in the merge heap. prefix caches
+// keyPrefix(rec.Key), so most heap comparisons never follow a key pointer.
 type mergeEntry struct {
-	rec core.Record
-	src int
+	rec    core.Record
+	prefix uint64
+	src    int
 }
 
 // Merger merges any number of sorted runs into one globally key-sorted
@@ -125,10 +219,12 @@ type mergeEntry struct {
 //
 // The heap is a plain slice of mergeEntry with hand-rolled sift-down:
 // unlike container/heap there is no interface boxing, so Next performs zero
-// allocations per record merged.
+// allocations per record merged, and NextGroup none per group once its
+// values buffer has grown to the largest group.
 type Merger struct {
 	runs    []Run
 	entries []mergeEntry
+	values  []string // NextGroup's reused result buffer
 	// Comparisons counts heap comparisons performed, for CPU cost models.
 	Comparisons int64
 }
@@ -148,7 +244,7 @@ func (m *Merger) Reset(runs []Run) {
 	m.Comparisons = 0
 	for i, r := range runs {
 		if rec, ok := r.Next(); ok {
-			m.entries = append(m.entries, mergeEntry{rec: rec, src: i})
+			m.entries = append(m.entries, mergeEntry{rec: rec, prefix: keyPrefix(rec.Key), src: i})
 		}
 	}
 	for i := len(m.entries)/2 - 1; i >= 0; i-- {
@@ -158,6 +254,9 @@ func (m *Merger) Reset(runs []Run) {
 
 func (m *Merger) less(i, j int) bool {
 	a, b := &m.entries[i], &m.entries[j]
+	if a.prefix != b.prefix {
+		return a.prefix < b.prefix
+	}
 	if a.rec.Key != b.rec.Key {
 		return a.rec.Key < b.rec.Key
 	}
@@ -189,7 +288,7 @@ func (m *Merger) Next() (core.Record, bool) {
 	}
 	e := m.entries[0]
 	if rec, ok := m.runs[e.src].Next(); ok {
-		m.entries[0].rec = rec
+		m.entries[0].rec, m.entries[0].prefix = rec, keyPrefix(rec.Key)
 		m.siftDown(0)
 	} else {
 		n := len(m.entries) - 1
@@ -202,18 +301,21 @@ func (m *Merger) Next() (core.Record, bool) {
 	return e.rec, true
 }
 
-// NextGroup returns the next key and all its values across all runs.
+// NextGroup returns the next key and all its values across all runs. The
+// values slice is the merger's own buffer, overwritten by the next call:
+// a caller may keep the strings, not the slice (core.GroupReducer's rule).
 func (m *Merger) NextGroup() (key string, values []string, ok bool) {
 	rec, ok := m.Next()
 	if !ok {
 		return "", nil, false
 	}
 	key = rec.Key
-	values = append(values, rec.Value)
+	values = append(m.values[:0], rec.Value)
 	for len(m.entries) > 0 && m.entries[0].rec.Key == key {
 		rec, _ = m.Next()
 		values = append(values, rec.Value)
 	}
+	m.values = values
 	return key, values, true
 }
 
