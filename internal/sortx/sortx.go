@@ -5,6 +5,7 @@
 package sortx
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 
@@ -76,25 +77,24 @@ func (s *Sorter) ByKey(recs []core.Record) int64 {
 		}
 		return CompareCost(n)
 	}
-	if cap(s.entries) < n {
-		s.entries = make([]sortEntry, n)
-		s.gather = make([]core.Record, n)
+	if cap(s.entries) < n || cap(s.gather) < n {
+		// Grow, not make: a task's partition buffers creep up wave by
+		// wave, and amortised growth keeps that from reallocating each time.
+		s.entries = slices.Grow(s.entries[:0], n)
+		s.gather = slices.Grow(s.gather[:0], n)
 	}
 	entries, gather := s.entries[:n], s.gather[:n]
 	for i := range recs {
 		entries[i] = sortEntry{prefix: keyPrefix(recs[i].Key), idx: i}
 	}
 	slices.SortFunc(entries, func(a, b sortEntry) int {
-		if a.prefix != b.prefix {
-			if a.prefix < b.prefix {
-				return -1
-			}
-			return 1
+		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
+			return c
 		}
 		if c := strings.Compare(recs[a.idx].Key, recs[b.idx].Key); c != 0 {
 			return c
 		}
-		return a.idx - b.idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	for i, e := range entries {
 		gather[i] = recs[e.idx]
