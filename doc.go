@@ -37,13 +37,14 @@
 // aggregation-class jobs shuffle a fraction of their intermediate records.
 //
 // The barrier-less reducer does one read-modify-update of a partial result
-// per intermediate record (the paper's Algorithm 2), so the tree-backed
-// stores make a record whose key is already present cheap: store.Merge is
-// one read-only rbtree probe — a direct-mapped hot-key cache, then a
-// descent that writes to no node — and an in-place value swap; the tree
-// rebalances only when a key is inserted. reducers.SumMerger, the
-// word-count merge function, parses plain counts without strconv and
-// returns small sums from a table, so that record allocates nothing.
+// per intermediate record (the paper's Algorithm 2), so the in-memory and
+// spill stores make a record whose key is already present cheap:
+// store.Merge is one hash probe and an in-place value swap. The paper holds
+// partials in a Java TreeMap; these stores keep no order while they fill,
+// because nothing reads it before they are drained, and sort once when they
+// are (Emit, each spill). reducers.SumMerger, the word-count merge
+// function, parses plain counts without strconv and returns small sums from
+// a table, so that record allocates nothing.
 //
 // The shuffle is also memory-bounded on demand: mr.Options.SpillBytes caps
 // each task's buffered intermediate data. Barrier mappers spill sorted,
@@ -54,9 +55,9 @@
 // Datasets whose intermediate data dwarfs RAM complete with partial-result
 // memory pinned near the budget (see examples/spill), at byte-identical
 // output. SpillBytes (cmd/blmr -spill-bytes) is the real engine's one
-// settable memory bound; the tree budget without it, the KV cache and the
-// combine buffer are constants (DESIGN.md §15), and cmd/blmr -spill feeds
-// the simulator only. simmr.JobSpec.SpillBytes models the same
+// settable memory bound; the spill store's budget without it, the KV cache
+// and the combine buffer are constants (DESIGN.md §15), and cmd/blmr -spill
+// feeds the simulator only. simmr.JobSpec.SpillBytes models the same
 // discipline's I/O cost on the simulated cluster (harness.SpillTradeoff
 // sweeps the trade-off).
 //

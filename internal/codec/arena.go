@@ -16,11 +16,11 @@ const arenaChunkBytes = 64 << 10
 // The trade: strings from one chunk share backing memory, so RETAINING one
 // record's key or value keeps its whole chunk (≤64KiB plus neighbouring
 // records) alive. Arena decoding therefore suits streaming consumers that
-// fold or copy what they keep (the external merge's group reduce; the tree
-// stores, which copy each key and each first-seen value into their own
-// slabs on insert — a merged value is a new string already); long-lived
-// indexes over raw decoded strings should strings.Clone what they retain
-// or decode without an arena.
+// fold or copy what they keep (the external merge's group reduce; the
+// in-memory and spill stores, which copy each key and each first-seen value
+// into their own slabs on insert — a merged value is a new string already);
+// long-lived indexes over raw decoded strings should strings.Clone what they
+// retain or decode without an arena.
 //
 // Not safe for concurrent use.
 type Arena struct {
@@ -45,6 +45,6 @@ func (a *Arena) String(b []byte) string {
 	a.buf = append(a.buf, b...)
 	// The bytes at [off, off+len(b)) are written exactly once, before the
 	// unsafe.String view exists, and never mutated after — the same
-	// discipline rbtree's key slabs use.
+	// discipline the stores' slabs use.
 	return unsafe.String(&a.buf[off], len(b))
 }

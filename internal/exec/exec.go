@@ -94,7 +94,7 @@ type Options struct {
 	// exchanges runs instead of batches.
 	Transport shuffle.Kind
 	// Store picks the partial-result strategy for pipelined mode. SpillBytes
-	// is the one settable memory bound; without it a SpillMerge tree spills
+	// is the one settable memory bound; without it a SpillMerge store spills
 	// to in-memory runs past 64 MiB and the KV store caches 16 MiB.
 	Store store.Kind
 	// QueueCap is the per-reducer channel buffer in batches (default 64,

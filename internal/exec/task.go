@@ -535,17 +535,17 @@ func runReducePipelined(job Job, opts Options, t ReduceTask, src shuffle.ReduceS
 // Fixed bounds of what Options.SpillBytes does not budget: no caller ever
 // needed other values, so they are not options.
 const (
-	treeBudgetBytes = 64 << 20 // SpillMerge tree size before it spills to in-memory runs
+	treeBudgetBytes = 64 << 20 // SpillMerge store size before it spills to in-memory runs
 	kvCacheBytes    = 16 << 20 // KV store cache
 	minCombineKeys  = 4096     // a combine buffer holds max(BatchSize, this) distinct keys
 )
 
 // NewTaskStore builds reduce task r's partial-result store. With SpillBytes
-// set, tree-backed stores become disk-backed spill-merge stores budgeted at
-// SpillBytes, so pipelined partial results leave the heap for real. The KV
-// store is outside that budget: its cache is bounded, but what the cache
-// evicts goes to a log on a heap-resident kvstore.MemDisk, so on this engine
-// it models the store's access pattern, not its memory bound.
+// set, in-memory and spill stores become disk-backed spill-merge stores
+// budgeted at SpillBytes, so pipelined partial results leave the heap for
+// real. The KV store is outside that budget: its cache is bounded, but what
+// the cache evicts goes to a log on a heap-resident kvstore.MemDisk, so on
+// this engine it models the store's access pattern, not its memory bound.
 func NewTaskStore(job Job, opts Options, spillDir *dfs.RunDir, r int) store.Store {
 	if opts.SpillBytes > 0 && opts.Store != store.KV {
 		return store.NewSpillStoreComp(opts.SpillBytes, job.Merger, nil,

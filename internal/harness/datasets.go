@@ -83,12 +83,14 @@ func SortData(sizeGB float64) Dataset {
 }
 
 // CalibSort is tuned for Figure 6(a): identity maps leave little mapper
-// slack, and red-black-tree insertion is costlier than the framework merge
-// sort, so the barrier version wins slightly (paper: 2–9%).
+// slack, and the paper's TreeMap insertion is costlier than the framework
+// merge sort, so the barrier version wins slightly (paper: 2–9%). These are
+// the paper's testbed costs, not this engine's stores, which sort once at
+// Emit (DESIGN.md §4).
 var CalibSort = simmr.CostModel{
 	MapCPUPerByte:        0.1e-6,
 	ReduceCPUPerRecord:   2e-6,
-	StoreCPUPerOp:        250e-6, // RB-tree insert per record beats merge-sort's amortized cost
+	StoreCPUPerOp:        250e-6, // TreeMap insert per record beats merge-sort's amortized cost
 	SortCPUPerCompare:    5e-6,
 	FinalizeCPUPerRecord: 2e-6,
 	KVOpDelay:            1.0 / 30000,

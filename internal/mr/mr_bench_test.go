@@ -5,7 +5,7 @@ package mr
 // these six stay because CI's bench-smoke step compiles and runs two of
 // them (PipelinedWordCount1M_Batch256, PipelinedSort1M_Spill1MiB) and
 // CHANGES.md claims quote the others by name: PipelinedSort1M_Batch256
-// (PR 4's rbtree slab arenas; PR 14's all-miss guard),
+// (PR 4's slab arenas; PR 14's all-miss guard; PR 25's hash-indexed table),
 // BarrierWordCount250K_TCP (PR 5's pooled fetch path) and
 // BarrierWordCount250K_TCPDeltaDecode{1,N} (PR 8's decode pool).
 
@@ -45,7 +45,8 @@ func BenchmarkPipelinedWordCount1M_Batch256(b *testing.B) {
 
 func benchSortInput() []core.Record { return workload.UniformKeys(2, 1_000_000, 1<<40) }
 
-// Every key misses the reducers' tree: the store's all-miss path.
+// Every key misses the reducers' stores: the all-miss path, every key
+// inserted and sorted once at Emit.
 func BenchmarkPipelinedSort1M_Batch256(b *testing.B) {
 	benchRun(b, apps.Sort(), benchSortInput(),
 		Options{Mode: Pipelined, Mappers: 4, Reducers: 4, BatchSize: 256}, nil)

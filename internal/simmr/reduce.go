@@ -265,7 +265,7 @@ func (e *Engine) chargeRunFetch(fp *sim.Proc, job *JobSpec, from *cluster.Node, 
 func (e *Engine) newStore(p *sim.Proc, job *JobSpec, node *cluster.Node) store.Store {
 	if job.SpillBytes > 0 && job.Store != store.KV {
 		// Bounded-memory parity with mr.Options.SpillBytes: every
-		// tree-backed store becomes spill-merge budgeted at the buffer
+		// in-memory store becomes spill-merge budgeted at the buffer
 		// budget (overriding SpillThreshold, exactly as the wall-clock
 		// engine does); the KV store keeps its own cache management.
 		// Merger presence was validated by Engine.Run.

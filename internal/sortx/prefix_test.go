@@ -32,11 +32,12 @@ func requireSame(t *testing.T, what string, got, want []core.Record) {
 	}
 }
 
-// checkSortAndMerge holds one input against the reference three ways: the
+// checkSortAndMerge holds one input against the reference four ways: the
 // package-level ByKey, a Sorter other inputs have been through (stale
-// scratch must not leak), and a merge of the input's `runs` contiguous
-// chunks, each sorted on its own — chunk order is run order, so the
-// merger's run-index tie-break must reproduce the stable order exactly.
+// scratch must not leak), that Sorter's Sorted run, which must leave the
+// input where it was, and a merge of the input's `runs` contiguous chunks,
+// each sorted on its own — chunk order is run order, so the merger's
+// run-index tie-break must reproduce the stable order exactly.
 func checkSortAndMerge(t *testing.T, s *Sorter, in []core.Record, runs int) {
 	t.Helper()
 	want := stableSorted(in)
@@ -50,6 +51,15 @@ func checkSortAndMerge(t *testing.T, s *Sorter, in []core.Record, runs int) {
 	got = slices.Clone(in)
 	s.ByKey(got)
 	requireSame(t, "reused Sorter", got, want)
+
+	got = slices.Clone(in)
+	run := s.Sorted(got)
+	var sorted []core.Record
+	for r, ok := run.Next(); ok; r, ok = run.Next() {
+		sorted = append(sorted, r)
+	}
+	requireSame(t, "Sorted", sorted, want)
+	requireSame(t, "input to Sorted", got, in)
 
 	srcs := make([]Run, 0, runs)
 	for _, chunk := range chunks(slices.Clone(in), runs) {

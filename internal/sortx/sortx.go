@@ -47,12 +47,12 @@ type sortEntry struct {
 // on the records: below it the entry array costs more than it saves.
 const insertionSortMax = 12
 
-// Sorter is ByKey with reusable scratch: the entry array and the gather
-// buffer grow to the largest slice sorted and are reused by every later
-// call, so a warmed-up Sorter allocates nothing. The gather buffer keeps the
-// last sorted slice's strings reachable until the next call or the Sorter's
-// death; give a Sorter the lifetime of the data it sorts (one map task).
-// Not safe for concurrent use.
+// Sorter is ByKey and Sorted with reusable scratch: the entry array and the
+// gather buffer grow to the largest slice sorted and are reused by every
+// later call, so a warmed-up Sorter allocates nothing. The gather buffer
+// keeps the last sorted slice's strings reachable until the next call or
+// the Sorter's death; give a Sorter the lifetime of the data it sorts (one
+// map task). Not safe for concurrent use.
 type Sorter struct {
 	entries []sortEntry
 	gather  []core.Record
@@ -77,13 +77,29 @@ func (s *Sorter) ByKey(recs []core.Record) int64 {
 		}
 		return CompareCost(n)
 	}
-	if cap(s.entries) < n || cap(s.gather) < n {
-		// Grow, not make: a task's partition buffers creep up wave by
-		// wave, and amortised growth keeps that from reallocating each time.
-		s.entries = slices.Grow(s.entries[:0], n)
-		s.gather = slices.Grow(s.gather[:0], n)
+	s.gather = slices.Grow(s.gather[:0], n)[:n]
+	for i, e := range s.sortEntries(recs) {
+		s.gather[i] = recs[e.idx]
 	}
-	entries, gather := s.entries[:n], s.gather[:n]
+	copy(recs, s.gather)
+	return CompareCost(n)
+}
+
+// Sorted returns a run over recs in the order ByKey would leave them in,
+// without moving them: only the entry array is sorted, so the scratch is 16
+// bytes a record where ByKey's gather adds 32 more. recs must not change
+// while the run is read, and the run is valid until s sorts again.
+func (s *Sorter) Sorted(recs []core.Record) SliceRun {
+	return SliceRun{recs: recs, order: s.sortEntries(recs)}
+}
+
+// sortEntries fills the entry array with one entry per record and sorts it
+// into key order, input index breaking ties. Its scratch and the gather
+// buffer grow, not make: a task's partition buffers creep up wave by wave,
+// and amortised growth keeps that from reallocating each time.
+func (s *Sorter) sortEntries(recs []core.Record) []sortEntry {
+	entries := slices.Grow(s.entries[:0], len(recs))[:len(recs)]
+	s.entries = entries
 	for i := range recs {
 		entries[i] = sortEntry{prefix: keyPrefix(recs[i].Key), idx: i}
 	}
@@ -96,11 +112,7 @@ func (s *Sorter) ByKey(recs []core.Record) int64 {
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-	for i, e := range entries {
-		gather[i] = recs[e.idx]
-	}
-	copy(recs, gather)
-	return CompareCost(n)
+	return entries
 }
 
 // CompareCost returns the nominal comparison count for sorting n records.
@@ -182,10 +194,12 @@ type Source interface {
 	Err() error
 }
 
-// SliceRun adapts a pre-sorted slice to the Run interface.
+// SliceRun adapts a pre-sorted slice to the Run interface, or an unsorted
+// one read through the order Sorter.Sorted made for it.
 type SliceRun struct {
-	recs []core.Record
-	pos  int
+	recs  []core.Record
+	order []sortEntry // nil: recs is sorted already
+	pos   int
 }
 
 // NewSliceRun wraps a key-sorted slice.
@@ -196,9 +210,12 @@ func (s *SliceRun) Next() (core.Record, bool) {
 	if s.pos >= len(s.recs) {
 		return core.Record{}, false
 	}
-	r := s.recs[s.pos]
+	i := s.pos
+	if s.order != nil {
+		i = s.order[i].idx
+	}
 	s.pos++
-	return r, true
+	return s.recs[i], true
 }
 
 // Rewind resets the run to its first record (so a merger can be Reset over

@@ -3,7 +3,6 @@ package store
 import (
 	"blmr/internal/codec"
 	"blmr/internal/core"
-	"blmr/internal/rbtree"
 	"blmr/internal/sortx"
 )
 
@@ -77,12 +76,12 @@ func (m *memRuns) Release() error {
 }
 
 // SpillStore implements the paper's disk spill and merge scheme. Partial
-// results accumulate in a red-black tree; when the tree's footprint crosses
-// the threshold, its contents are serialized in key order into a sealed run
-// in the RunStore and the tree is cleared. Emit k-way merges the runs and
-// the live tree, combining same-key partials with the Merger.
+// results accumulate in an in-memory table; when its footprint crosses the
+// threshold, its contents are serialized in key order into a sealed run in
+// the RunStore and the table is cleared. Emit k-way merges the runs and the
+// live table, combining same-key partials with the Merger.
 type SpillStore struct {
-	t         *rbtree.Tree[string]
+	t         table
 	merger    Merger
 	threshold int64
 	hooks     SpillHooks
@@ -131,7 +130,6 @@ func NewSpillStoreComp(threshold int64, merger Merger, hooks SpillHooks, runs Ru
 		runs = &memRuns{comp: comp}
 	}
 	return &SpillStore{
-		t:         rbtree.New[string](strSize),
 		merger:    merger,
 		threshold: threshold,
 		hooks:     hooks,
@@ -142,35 +140,35 @@ func NewSpillStoreComp(threshold int64, merger Merger, hooks SpillHooks, runs Ru
 
 // Get implements Store. Only the in-memory partial is visible; spilled
 // partials for the key are merged at Emit.
-func (s *SpillStore) Get(key string) (string, bool) { return s.t.Get(key) }
+func (s *SpillStore) Get(key string) (string, bool) { return s.t.get(key) }
 
 // Put implements Store, spilling if the memory threshold is exceeded.
 func (s *SpillStore) Put(key, val string) {
-	s.t.Put(key, val)
-	if s.t.Bytes() >= s.threshold {
+	s.t.put(key, val)
+	if s.t.bytes >= s.threshold {
 		s.spill()
 	}
 }
 
-// Merge implements Store in a single tree probe. Spilled partials for the
-// key stay untouched; they are reunited with the in-memory partial by the
-// Merger at Emit, so folding into only the live tree is correct.
+// Merge implements Store in a single probe. Spilled partials for the key
+// stay untouched; they are reunited with the in-memory partial by the
+// Merger at Emit, so folding into only the live table is correct.
 func (s *SpillStore) Merge(key, val string, mg Merger) {
-	s.t.Update(key, val, mg)
-	if s.t.Bytes() >= s.threshold {
+	s.t.merge(key, val, mg)
+	if s.t.bytes >= s.threshold {
 		s.spill()
 	}
 }
 
 // Len implements Store (in-memory keys only).
-func (s *SpillStore) Len() int { return s.t.Len() }
+func (s *SpillStore) Len() int { return len(s.t.slots) }
 
 // MemBytes implements Store.
-func (s *SpillStore) MemBytes() int64 { return s.t.Bytes() }
+func (s *SpillStore) MemBytes() int64 { return s.t.bytes }
 
-// ApproxBytes implements Store: the live tree plus the retained encode
+// ApproxBytes implements Store: the live table plus the retained encode
 // scratch (which grows to roughly one threshold's worth of encoded bytes).
-func (s *SpillStore) ApproxBytes() int64 { return s.t.Bytes() + s.enc.ScratchBytes() }
+func (s *SpillStore) ApproxBytes() int64 { return s.t.bytes + s.enc.ScratchBytes() }
 
 // SpilledBytes implements Store (sealed, post-compression bytes).
 func (s *SpillStore) SpilledBytes() int64 { return s.spilled }
@@ -181,17 +179,20 @@ func (s *SpillStore) SpilledBytes() int64 { return s.spilled }
 // surface the error after Emit.
 func (s *SpillStore) Err() error { return s.err }
 
-// spill serializes the tree in key order into a new sealed run (through
-// the store's codec) and clears it. On storage failure the tree is kept
+// spill serializes the table in key order into a new sealed run (through
+// the store's codec) and clears it. On storage failure the table is kept
 // (correctness over memory bounds) and the error is recorded.
 func (s *SpillStore) spill() {
-	if s.t.Len() == 0 || s.err != nil {
+	if len(s.t.slots) == 0 || s.err != nil {
 		return
 	}
 	s.enc.Reset(nil)
-	s.t.Ascend(func(k, v string) bool {
-		return s.enc.Append(core.Record{Key: k, Value: v}) == nil
-	})
+	run := s.t.sorted()
+	for r, ok := run.Next(); ok; r, ok = run.Next() {
+		if s.enc.Append(r) != nil {
+			break
+		}
+	}
 	if err := s.enc.Flush(); err != nil {
 		s.err = err
 		return
@@ -205,23 +206,18 @@ func (s *SpillStore) spill() {
 	s.spilled += int64(len(buf))
 	s.Spills++
 	s.hooks.SpillWrite(int64(len(buf)))
-	// Everything the tree held is now encoded in the sealed run, so its
-	// key slabs can be recycled for the next fill cycle (ClearReuse's
+	// Everything the table held is now encoded in the sealed run, so its
+	// slabs can be recycled for the next fill cycle (clearReuse's
 	// no-escaped-strings contract holds).
-	s.t.ClearReuse()
+	s.t.clearReuse()
 }
 
-// Emit implements Store: merge every sealed run plus the live tree, combine
-// same-key partials, and write final results in key order. Check Err
-// afterwards when the run storage can fail.
+// Emit implements Store: merge every sealed run plus the live table,
+// combine same-key partials, and write final results in key order. Check
+// Err afterwards when the run storage can fail.
 func (s *SpillStore) Emit(out core.Output) {
 	if s.Spills == 0 {
-		// Fast path: nothing ever spilled.
-		s.t.Ascend(func(k, v string) bool {
-			out.Write(k, v)
-			return true
-		})
-		s.t.Clear()
+		s.t.emit(out) // fast path: nothing ever spilled
 		return
 	}
 	runs, err := s.runs.Runs()
@@ -233,13 +229,9 @@ func (s *SpillStore) Emit(out core.Output) {
 	for _, n := range s.runLens {
 		s.hooks.SpillRead(n)
 	}
-	// The live tree is itself a key-sorted run.
-	live := make([]core.Record, 0, s.t.Len())
-	s.t.Ascend(func(k, v string) bool {
-		live = append(live, core.Record{Key: k, Value: v})
-		return true
-	})
-	runs = append(runs, sortx.NewSliceRun(live))
+	// The live table, read in key order, is one more run.
+	live := s.t.drain()
+	runs = append(runs, &live)
 	m := sortx.NewMerger(runs)
 	for {
 		key, values, ok := m.NextGroup()
@@ -259,5 +251,5 @@ func (s *SpillStore) Emit(out core.Output) {
 		s.err = err
 	}
 	s.runLens = nil
-	s.t.Clear()
+	s.t.clear()
 }

@@ -1,12 +1,14 @@
 // Package store provides partial-result storage for barrier-less reducers
 // (Section 5 of the paper). Three strategies are offered:
 //
-//   - InMemory: a red-black tree holding every partial result (fast, but
-//     O(keys..records) heap — can OOM, Figure 5(a)).
+//   - InMemory: a hash-indexed table holding every partial result, sorted
+//     by key once when emitted (fast, but O(keys..records) heap — can OOM,
+//     Figure 5(a)).
 //   - SpillMerge: the paper's customized "disk spill and merge" scheme —
-//     when memory crosses a threshold the tree is serialized key-sorted to a
-//     spill file; at finalize all spill files plus the live tree are k-way
-//     merged, combining same-key partials with a user Merger (Figure 5(b)).
+//     when memory crosses a threshold the table is serialized key-sorted to
+//     a spill file; at finalize all spill files plus the live table are
+//     k-way merged, combining same-key partials with a user Merger (Figure
+//     5(b)).
 //   - KV: an off-the-shelf-style disk-spilling key/value store with an LRU
 //     cache (the BerkeleyDB stand-in).
 //
@@ -14,20 +16,23 @@
 // memory-management policy.
 package store
 
-import (
-	"blmr/internal/core"
-	"blmr/internal/rbtree"
-)
+import "blmr/internal/core"
+
+// entryOverheadBytes is what ApproxRecordBytes charges per record on top of
+// its payload. It is the per-node figure of the red-black tree the stores
+// used to hold, frozen so that spill trigger points and every reported and
+// simulated byte count stay what they were (DESIGN.md §4, §6).
+const entryOverheadBytes = 64
 
 // ApproxRecordBytes is the framework's single per-buffered-record memory
-// accounting rule: payload bytes plus the red-black tree's per-node
-// overhead. The engines' mapper-side spill triggers use it for their flat
-// record buffers too, so "SpillBytes of buffered data" means the same
-// number of records whether the buffer is a tree or a slice — spill
-// triggering and memory reports stay consistent (the numbers examples
-// print are directly comparable to the thresholds they were run with).
+// accounting rule: payload bytes plus a fixed per-entry overhead. The
+// engines' mapper-side spill triggers use it for their flat record buffers
+// too, so "SpillBytes of buffered data" means the same number of records
+// whether the buffer is a store or a slice — spill triggering and memory
+// reports stay consistent (the numbers examples print are directly
+// comparable to the thresholds they were run with).
 func ApproxRecordBytes(key, val string) int64 {
-	return int64(len(key)) + int64(len(val)) + rbtree.NodeOverheadBytes
+	return int64(len(key)) + int64(len(val)) + entryOverheadBytes
 }
 
 // Merger combines two partial results for the same key into one. It must be
@@ -46,11 +51,11 @@ type Store interface {
 	Put(key, val string)
 	// Merge folds val into the partial result for key with m (the
 	// read-modify-write cycle of a running aggregate): absent keys store
-	// val. Tree-backed stores do this in one probe and, for a present key,
-	// one in-place swap, where a Get+Put pair would probe twice; they copy
-	// a first-seen val, so they never pin the buffer it was cut from. The
-	// KV store keeps its off-the-shelf get-then-put cost, which is the
-	// point of that strategy.
+	// val. The in-memory and spill stores do this in one probe and, for a
+	// present key, one in-place swap, where a Get+Put pair would probe
+	// twice; they copy a first-seen val, so they never pin the buffer it was
+	// cut from. The KV store keeps its off-the-shelf get-then-put cost,
+	// which is the point of that strategy.
 	Merge(key, val string, m Merger)
 	// Len returns the number of keys currently reachable without a merge
 	// (in-memory keys for SpillMerge, all keys otherwise).
@@ -90,46 +95,35 @@ func (k Kind) String() string {
 	return kindNames[k]
 }
 
-// strSize accounts the bytes of a value string.
-func strSize(v string) int64 { return int64(len(v)) }
-
-// MemStore keeps every partial result in a red-black tree (the unmanaged
-// baseline that fails on Figure 5(a)).
+// MemStore keeps every partial result in memory (the unmanaged baseline
+// that fails on Figure 5(a)).
 type MemStore struct {
-	t *rbtree.Tree[string]
+	t table
 }
 
 // NewMemStore creates an empty in-memory store.
-func NewMemStore() *MemStore {
-	return &MemStore{t: rbtree.New[string](strSize)}
-}
+func NewMemStore() *MemStore { return &MemStore{} }
 
 // Get implements Store.
-func (m *MemStore) Get(key string) (string, bool) { return m.t.Get(key) }
+func (m *MemStore) Get(key string) (string, bool) { return m.t.get(key) }
 
 // Put implements Store.
-func (m *MemStore) Put(key, val string) { m.t.Put(key, val) }
+func (m *MemStore) Put(key, val string) { m.t.put(key, val) }
 
-// Merge implements Store in a single tree probe.
-func (m *MemStore) Merge(key, val string, mg Merger) { m.t.Update(key, val, mg) }
+// Merge implements Store in a single probe.
+func (m *MemStore) Merge(key, val string, mg Merger) { m.t.merge(key, val, mg) }
 
 // Len implements Store.
-func (m *MemStore) Len() int { return m.t.Len() }
+func (m *MemStore) Len() int { return len(m.t.slots) }
 
 // MemBytes implements Store.
-func (m *MemStore) MemBytes() int64 { return m.t.Bytes() }
+func (m *MemStore) MemBytes() int64 { return m.t.bytes }
 
-// ApproxBytes implements Store: the tree is the whole footprint.
-func (m *MemStore) ApproxBytes() int64 { return m.t.Bytes() }
+// ApproxBytes implements Store: the partial results are the whole footprint.
+func (m *MemStore) ApproxBytes() int64 { return m.t.bytes }
 
 // SpilledBytes implements Store.
 func (m *MemStore) SpilledBytes() int64 { return 0 }
 
 // Emit implements Store.
-func (m *MemStore) Emit(out core.Output) {
-	m.t.Ascend(func(k, v string) bool {
-		out.Write(k, v)
-		return true
-	})
-	m.t.Clear()
-}
+func (m *MemStore) Emit(out core.Output) { m.t.emit(out) }

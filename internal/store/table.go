@@ -1,0 +1,170 @@
+package store
+
+import (
+	"strings"
+	"unsafe"
+
+	"blmr/internal/core"
+	"blmr/internal/sortx"
+)
+
+const (
+	// slabBytes is the size of one slab of key and value copies.
+	slabBytes = 64 << 10
+	// maxSlabString is the largest string copied into a slab; a bigger one
+	// gets its own allocation so one giant key cannot waste a slab.
+	maxSlabString = 4 << 10
+)
+
+// table holds the in-memory partial results of a MemStore or SpillStore: a
+// hash index from key to slot, the slots in insertion order, and the slabs
+// their strings are copied into. It keeps no order. Nothing reads partial
+// results in key order except a drain — MemStore.Emit, SpillStore.spill,
+// the live run of SpillStore.Emit — and every drain but a failed spill's is
+// followed by clear or clearReuse, so the order is made once per drain, by
+// sorted, instead of being kept up on every insert. A drain moves nothing,
+// so the failed spill's table goes on as it was.
+//
+// Not safe for concurrent use.
+type table struct {
+	index  map[string]int32 // key → position in slots
+	slots  []core.Record
+	bytes  int64
+	sorter sortx.Sorter // sorted's scratch, kept across clearReuse cycles
+
+	// slab is the partially filled current slab; usedSlabs hold filled slabs
+	// whose contents live slots may reference; spareSlabs hold slabs
+	// clearReuse recycled, which nothing references any more.
+	slab       []byte
+	usedSlabs  [][]byte
+	spareSlabs [][]byte
+}
+
+// get returns the value stored at key.
+func (t *table) get(key string) (string, bool) {
+	if i, ok := t.index[key]; ok {
+		return t.slots[i].Value, true
+	}
+	return "", false
+}
+
+// put inserts or replaces the value at key.
+func (t *table) put(key, val string) {
+	if i, ok := t.index[key]; ok {
+		t.set(i, val)
+		return
+	}
+	t.add(key, val)
+}
+
+// merge stores val at an absent key and m(old, val) at a present one: one
+// probe, then an in-place swap or an insert.
+func (t *table) merge(key, val string, m Merger) {
+	if i, ok := t.index[key]; ok {
+		t.set(i, m(t.slots[i].Value, val))
+		return
+	}
+	t.add(key, val)
+}
+
+func (t *table) set(i int32, val string) {
+	s := &t.slots[i]
+	t.bytes += int64(len(val)) - int64(len(s.Value))
+	s.Value = val
+}
+
+// add inserts a key the index does not hold. The key is copied, so a
+// long-lived store never pins the (possibly much larger) string it was cut
+// from — mapper output keys are substrings of whole input lines. The value
+// is copied too: the first value seen for a key is kept as passed, and on
+// the pooled fetch path that is a view into a shared decode-arena chunk
+// (see codec.Arena), which a key seen once would pin for good. A merged or
+// replaced value is the caller's own string.
+func (t *table) add(key, val string) {
+	if t.index == nil {
+		t.index = make(map[string]int32)
+	}
+	t.bytes += ApproxRecordBytes(key, val)
+	key = t.copy(key)
+	t.index[key] = int32(len(t.slots))
+	t.slots = append(t.slots, core.Record{Key: key, Value: t.copy(val)})
+}
+
+// copy copies s into the current slab and returns a view of the copy. A
+// slab is append-only while anything may reference it — bytes are written
+// once, before the unsafe.String view exists, and a slab is overwritten
+// only after clearReuse, whose contract is that no string from the table
+// is still referenced — so unsafe.String's no-mutation rule holds.
+func (t *table) copy(s string) string {
+	if len(s) == 0 {
+		return ""
+	}
+	if len(s) > maxSlabString {
+		return strings.Clone(s)
+	}
+	if cap(t.slab)-len(t.slab) < len(s) {
+		if t.slab != nil {
+			t.usedSlabs = append(t.usedSlabs, t.slab)
+		}
+		if n := len(t.spareSlabs); n > 0 {
+			t.slab = t.spareSlabs[n-1]
+			t.spareSlabs = t.spareSlabs[:n-1]
+		} else {
+			t.slab = make([]byte, 0, slabBytes)
+		}
+	}
+	off := len(t.slab)
+	t.slab = append(t.slab, s...)
+	return unsafe.String(&t.slab[off], len(s))
+}
+
+// sorted returns a run over the slots in key order. The slots do not move,
+// so the index stays valid; what the run reads is the sorter's scratch,
+// valid until the next drain.
+func (t *table) sorted() sortx.SliceRun { return t.sorter.Sorted(t.slots) }
+
+// drain is sorted for a store's last drain, Emit, after which the table is
+// only cleared: it drops the index first, so the collector can take back
+// the index's memory while the output is written.
+func (t *table) drain() sortx.SliceRun {
+	t.index = nil
+	return t.sorted()
+}
+
+// emit writes every entry to out in key order and clears the table.
+func (t *table) emit(out core.Output) {
+	run := t.drain()
+	for r, ok := run.Next(); ok; r, ok = run.Next() {
+		out.Write(r.Key, r.Value)
+	}
+	t.clear()
+}
+
+// clear drops every entry and hands all memory to the collector. Strings
+// obtained from the table may still be referenced: slabs are dropped,
+// never overwritten.
+func (t *table) clear() { *t = table{} }
+
+// clearReuse drops every entry but keeps the slabs, the slot array, the
+// index's buckets and the sort scratch for the next fill — the clear for a
+// spill store's fill/seal/clear cycle, which refills to the same footprint
+// over and over.
+//
+// Contract: no string obtained from the table (a drained key or value, a
+// stored value) may be referenced after the call — recycled slabs are
+// overwritten by later inserts. The spill store qualifies: everything is
+// encoded into the sealed run before the clear.
+func (t *table) clearReuse() {
+	clear(t.index)
+	clear(t.slots) // drop merged values, which live outside the slabs
+	t.slots = t.slots[:0]
+	t.bytes = 0
+	if t.slab != nil {
+		t.spareSlabs = append(t.spareSlabs, t.slab[:0])
+		t.slab = nil
+	}
+	for _, s := range t.usedSlabs {
+		t.spareSlabs = append(t.spareSlabs, s[:0])
+	}
+	t.usedSlabs = t.usedSlabs[:0]
+}
