@@ -42,9 +42,11 @@
 // store.Merge is one hash probe and an in-place value swap. The paper holds
 // partials in a Java TreeMap; these stores keep no order while they fill,
 // because nothing reads it before they are drained, and sort once when they
-// are (Emit, each spill). reducers.SumMerger, the word-count merge
-// function, parses plain counts without strconv and returns small sums from
-// a table, so that record allocates nothing.
+// are (Emit, each spill). Word count and the barrier-less sort fold through
+// store.MergeSum, which is Merge with store.SumMerger: the in-memory and
+// spill stores keep a key's running sum as an int64 from its second value
+// on, charge it the length of its decimal form, and format it once, when
+// it is drained, so that record parses one count and allocates nothing.
 //
 // The shuffle is also memory-bounded on demand: mr.Options.SpillBytes caps
 // each task's buffered intermediate data. Barrier mappers spill sorted,

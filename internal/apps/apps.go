@@ -45,8 +45,8 @@ func Grep(pattern string) App {
 
 // Sort returns the sort benchmark: the mapper is the identity (keys are
 // already order-preserving encodings); the barrier version lets the
-// framework sort, the barrier-less version counts duplicates in a tree and
-// replays them in order at the end (Section 6.1.1).
+// framework sort, the barrier-less version counts duplicates in the store
+// and replays them in key order at the end (Section 6.1.1).
 func Sort() App {
 	return App{
 		Name:  "sort",
@@ -58,7 +58,7 @@ func Sort() App {
 		NewStream: func(st store.Store) core.StreamReducer {
 			return reducers.NewSortingStream(st)
 		},
-		Merger: reducers.SumMerger,
+		Merger: store.SumMerger,
 	}
 }
 
@@ -86,12 +86,12 @@ func WordCount() App {
 			}
 		}),
 		NewGroup: func() core.GroupReducer {
-			return reducers.AggregationGroup{Combine: reducers.SumMerger}
+			return reducers.AggregationGroup{Combine: store.SumMerger}
 		},
 		NewStream: func(st store.Store) core.StreamReducer {
-			return reducers.NewAggregationStream(st, reducers.SumMerger)
+			return reducers.NewAggregationStream(st)
 		},
-		Merger: reducers.SumMerger,
+		Merger: store.SumMerger,
 	}
 }
 

@@ -19,53 +19,6 @@ import (
 	"blmr/internal/store"
 )
 
-// --- Shared mergers --------------------------------------------------------
-
-// SumMerger adds two decimal-integer partials (the word-count combiner).
-// It runs once per intermediate record in the barrier-less reducer, so
-// plain non-negative counts — all a word count ever produces — are parsed
-// with a digits-only loop, and small sums come from a table instead of a
-// fresh string. Every other input (signs, spaces, overflow, empty,
-// non-numeric) takes strconv, whose result the fast path reproduces byte
-// for byte.
-func SumMerger(a, b string) string {
-	x, okx := parseCount(a)
-	y, oky := parseCount(b)
-	if !okx || !oky {
-		x, _ = strconv.ParseInt(a, 10, 64)
-		y, _ = strconv.ParseInt(b, 10, 64)
-	} else if sum := x + y; sum < int64(len(smallSums)) {
-		return smallSums[sum]
-	}
-	return strconv.FormatInt(x+y, 10)
-}
-
-// parseCount parses a string of 1 to 18 ASCII digits: the inputs on which
-// strconv.ParseInt cannot fail or overflow, and two of which cannot
-// overflow when added.
-func parseCount(s string) (int64, bool) {
-	if len(s) == 0 || len(s) > 18 {
-		return 0, false
-	}
-	var n int64
-	for i := 0; i < len(s); i++ {
-		d := s[i] - '0'
-		if d > 9 {
-			return 0, false
-		}
-		n = n*10 + int64(d)
-	}
-	return n, true
-}
-
-// smallSums interns the decimal form of every sum below 4096, built once.
-var smallSums = func() (t [4096]string) {
-	for i := range t {
-		t[i] = strconv.Itoa(i)
-	}
-	return t
-}()
-
 // --- Identity (Section 4.1) -------------------------------------------------
 
 // Identity passes records straight through: no sorting requirement, no
@@ -105,14 +58,14 @@ type SortingStream struct {
 	st store.Store
 }
 
-// NewSortingStream creates a barrier-less sorter over st. Use SumMerger as
-// the store's spill merger.
+// NewSortingStream creates a barrier-less sorter over st. Use
+// store.SumMerger as the store's spill merger.
 func NewSortingStream(st store.Store) *SortingStream { return &SortingStream{st: st} }
 
 // Consume implements core.StreamReducer: one store probe incrementing the
 // key's duplicate count.
 func (s *SortingStream) Consume(rec core.Record, out core.Output) {
-	s.st.Merge(rec.Key, "1", SumMerger)
+	s.st.MergeSum(rec.Key, "1")
 }
 
 // Finish implements core.StreamReducer: emit each key count times.
@@ -151,23 +104,22 @@ func (a AggregationGroup) Reduce(key string, values []string, out core.Output) {
 	out.Write(key, acc)
 }
 
-// AggregationStream keeps a running aggregate per key in the store
-// (barrier-less word count). The combine function doubles as the spill
-// merger.
+// AggregationStream keeps a running sum per key in the store (barrier-less
+// word count).
 type AggregationStream struct {
-	st      store.Store
-	combine store.Merger
+	st store.Store
 }
 
-// NewAggregationStream creates a running aggregator over st.
-func NewAggregationStream(st store.Store, combine store.Merger) *AggregationStream {
-	return &AggregationStream{st: st, combine: combine}
+// NewAggregationStream creates a running-sum aggregator over st. Use
+// store.SumMerger as the store's spill merger.
+func NewAggregationStream(st store.Store) *AggregationStream {
+	return &AggregationStream{st: st}
 }
 
 // Consume implements core.StreamReducer: the read-modify-update cycle, one
-// store probe per record via Merge.
+// store probe per record via MergeSum.
 func (a *AggregationStream) Consume(rec core.Record, out core.Output) {
-	a.st.Merge(rec.Key, rec.Value, a.combine)
+	a.st.MergeSum(rec.Key, rec.Value)
 }
 
 // Finish implements core.StreamReducer.

@@ -104,7 +104,7 @@ func TestSortingEquivalence(t *testing.T) {
 	if !sort.SliceIsSorted(b, func(i, j int) bool { return b[i].Key < b[j].Key }) {
 		t.Fatal("barrier sort output not sorted")
 	}
-	eachStore(t, SumMerger, func(name string, st store.Store) {
+	eachStore(t, store.SumMerger, func(name string, st store.Store) {
 		s := runStream(NewSortingStream(st), shuffled(recs, 3))
 		if !sort.SliceIsSorted(s, func(i, j int) bool { return s[i].Key < s[j].Key }) {
 			t.Fatalf("%s: stream sort output not sorted", name)
@@ -118,12 +118,12 @@ func TestAggregationEquivalence(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		recs = append(recs, core.Record{Key: fmt.Sprintf("w%02d", i%40), Value: "1"})
 	}
-	b := runBarrier(AggregationGroup{Combine: SumMerger}, recs)
+	b := runBarrier(AggregationGroup{Combine: store.SumMerger}, recs)
 	if len(b) != 40 {
 		t.Fatalf("barrier produced %d keys", len(b))
 	}
-	eachStore(t, SumMerger, func(name string, st store.Store) {
-		s := runStream(NewAggregationStream(st, SumMerger), shuffled(recs, 4))
+	eachStore(t, store.SumMerger, func(name string, st store.Store) {
+		s := runStream(NewAggregationStream(st), shuffled(recs, 4))
 		sameMultiset(t, "aggregation/"+name, b, s)
 	})
 }
@@ -133,7 +133,7 @@ func TestAggregationCountsExactly(t *testing.T) {
 		{Key: "a", Value: "1"}, {Key: "b", Value: "1"}, {Key: "a", Value: "1"},
 		{Key: "a", Value: "1"}, {Key: "b", Value: "1"},
 	}
-	got := runStream(NewAggregationStream(store.NewMemStore(), SumMerger), recs)
+	got := runStream(NewAggregationStream(store.NewMemStore()), recs)
 	want := map[string]string{"a": "3", "b": "2"}
 	if len(got) != 2 {
 		t.Fatalf("got %v", got)
@@ -352,10 +352,10 @@ func TestMomentsEmptyInput(t *testing.T) {
 }
 
 func TestSumMerger(t *testing.T) {
-	if SumMerger("3", "4") != "7" {
+	if store.SumMerger("3", "4") != "7" {
 		t.Fatal("3+4")
 	}
-	if SumMerger("-2", "2") != "0" {
+	if store.SumMerger("-2", "2") != "0" {
 		t.Fatal("-2+2")
 	}
 }

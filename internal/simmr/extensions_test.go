@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"blmr/internal/apps"
-	"blmr/internal/reducers"
+	"blmr/internal/store"
 	"blmr/internal/workload"
 )
 
@@ -15,7 +15,7 @@ func TestCombinerPreservesOutput(t *testing.T) {
 		f := e.Ingest("in", workload.SplitEvenly(input, 8))
 		job := jobFor(apps.WordCount(), Pipelined, 3)
 		if withCombiner {
-			job.Combiner = reducers.SumMerger
+			job.Combiner = store.SumMerger
 		}
 		return e.Run(job, f)
 	}
@@ -38,7 +38,7 @@ func TestCombinerWorksInBarrierMode(t *testing.T) {
 	e := NewEngine(testConfig())
 	f := e.Ingest("in", workload.SplitEvenly(input, 6))
 	job := jobFor(apps.WordCount(), Barrier, 3)
-	job.Combiner = reducers.SumMerger
+	job.Combiner = store.SumMerger
 	res := e.Run(job, f)
 
 	e2 := NewEngine(testConfig())
@@ -121,7 +121,7 @@ func TestMemoizationWithCombiner(t *testing.T) {
 		e := NewEngine(cfg)
 		f := e.Ingest("in", workload.SplitEvenly(input, 6))
 		job := jobFor(apps.WordCount(), Pipelined, 3)
-		job.Combiner = reducers.SumMerger
+		job.Combiner = store.SumMerger
 		return e.Run(job, f)
 	}
 	cold := run()

@@ -35,6 +35,9 @@ func (s *KVStore) Merge(key, val string, m Merger) {
 	s.kv.Put(key, val)
 }
 
+// MergeSum implements Store as Merge with SumMerger: the same get-then-put.
+func (s *KVStore) MergeSum(key, val string) { s.Merge(key, val, SumMerger) }
+
 // Len implements Store.
 func (s *KVStore) Len() int { return s.kv.Len() }
 

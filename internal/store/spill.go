@@ -160,6 +160,16 @@ func (s *SpillStore) Merge(key, val string, mg Merger) {
 	}
 }
 
+// MergeSum implements Store like Merge: the live table's byte account is
+// Merge's after every call, so the store spills at the same calls, and a
+// spill drains the sums formatted, so it seals the same runs.
+func (s *SpillStore) MergeSum(key, val string) {
+	s.t.mergeSum(key, val)
+	if s.t.bytes >= s.threshold {
+		s.spill()
+	}
+}
+
 // Len implements Store (in-memory keys only).
 func (s *SpillStore) Len() int { return len(s.t.slots) }
 

@@ -1,13 +1,16 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
 
+	"blmr/internal/codec"
 	"blmr/internal/dfs"
 	"blmr/internal/sortx"
+	"blmr/internal/workload"
 )
 
 // diskSpillStore builds a SpillStore whose runs live in real files under a
@@ -58,6 +61,81 @@ func TestDiskSpillStoreMatchesMemory(t *testing.T) {
 	left, _ := filepath.Glob(filepath.Join(rd.Dir(), "*.run"))
 	if len(left) != 0 {
 		t.Fatalf("%d run files left after Emit", len(left))
+	}
+}
+
+// recordingRuns is a RunStore that keeps a copy of every run sealed into it.
+type recordingRuns struct {
+	RunStore
+	sealed [][]byte
+}
+
+func (r *recordingRuns) Append(buf []byte, rawBytes int64) error {
+	r.sealed = append(r.sealed, bytes.Clone(buf))
+	return r.RunStore.Append(buf, rawBytes)
+}
+
+// TestSpillMergeSumMatchesMerge feeds one stream to a spill store through
+// MergeSum and to another through Merge with SumMerger, with runs in memory
+// and on disk: they must spill at the same calls, seal byte-identical runs
+// and emit the same records. Keys are Zipf-skewed, so hot keys are folded
+// across many spill cycles, and some values are not plain counts.
+func TestSpillMergeSumMatchesMerge(t *testing.T) {
+	rng := workload.NewRNG(3)
+	z := workload.NewZipf(rng, 400, 1.0)
+	type op struct{ key, val string }
+	stream := make([]op, 20_000)
+	for i := range stream {
+		v := "1"
+		if i%97 == 0 {
+			v = sumValues[i/97%len(sumValues)]
+		}
+		stream[i] = op{fmt.Sprintf("word%03d", z.Next()), v}
+	}
+	for _, backing := range []string{"memory", "disk"} {
+		t.Run(backing, func(t *testing.T) {
+			build := func() (*SpillStore, *recordingRuns) {
+				comp := codec.DeltaBlock
+				var runs RunStore = &memRuns{comp: comp}
+				if backing == "disk" {
+					rd, err := dfs.NewRunDirComp(t.TempDir(), comp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { rd.Close() })
+					runs = rd.NewRunSet("test")
+				}
+				rec := &recordingRuns{RunStore: runs}
+				return NewSpillStoreComp(4096, SumMerger, nil, rec, comp), rec
+			}
+			sum, sumRuns := build()
+			merge, mergeRuns := build()
+			for i, o := range stream {
+				sum.MergeSum(o.key, o.val)
+				merge.Merge(o.key, o.val, SumMerger)
+				if sum.Spills != merge.Spills || sum.MemBytes() != merge.MemBytes() {
+					t.Fatalf("call %d: Spills,MemBytes = %d,%d, Merge's %d,%d",
+						i, sum.Spills, sum.MemBytes(), merge.Spills, merge.MemBytes())
+				}
+			}
+			if sum.Spills < 10 || sum.SpilledBytes() != merge.SpilledBytes() {
+				t.Fatalf("Spills %d, SpilledBytes %d, Merge's %d", sum.Spills, sum.SpilledBytes(), merge.SpilledBytes())
+			}
+			for i := range mergeRuns.sealed {
+				if !bytes.Equal(sumRuns.sealed[i], mergeRuns.sealed[i]) {
+					t.Fatalf("run %d differs", i)
+				}
+			}
+			a, b := &sink{}, &sink{}
+			sum.Emit(a)
+			merge.Emit(b)
+			if sum.Err() != nil || merge.Err() != nil {
+				t.Fatal(sum.Err(), merge.Err())
+			}
+			if len(a.recs) == 0 || fmt.Sprint(a.recs) != fmt.Sprint(b.recs) {
+				t.Fatalf("Emit differs: %d records, Merge's %d", len(a.recs), len(b.recs))
+			}
+		})
 	}
 }
 

@@ -57,6 +57,12 @@ type Store interface {
 	// cut from. The KV store keeps its off-the-shelf get-then-put cost,
 	// which is the point of that strategy.
 	Merge(key, val string, m Merger)
+	// MergeSum is Merge(key, val, SumMerger): every Get, accounted byte
+	// count and Emit record is the same. The in-memory and spill stores
+	// keep a key's running sum as a number from its second value on and
+	// format it only when it is read — by Get, Put, Merge or a drain — so
+	// a fold allocates nothing, however large the count.
+	MergeSum(key, val string)
 	// Len returns the number of keys currently reachable without a merge
 	// (in-memory keys for SpillMerge, all keys otherwise).
 	Len() int
@@ -112,6 +118,9 @@ func (m *MemStore) Put(key, val string) { m.t.put(key, val) }
 
 // Merge implements Store in a single probe.
 func (m *MemStore) Merge(key, val string, mg Merger) { m.t.merge(key, val, mg) }
+
+// MergeSum implements Store in a single probe.
+func (m *MemStore) MergeSum(key, val string) { m.t.mergeSum(key, val) }
 
 // Len implements Store.
 func (m *MemStore) Len() int { return len(m.t.slots) }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -25,10 +26,14 @@ const (
 // sorted, instead of being kept up on every insert. A drain moves nothing,
 // so the failed spill's table goes on as it was.
 //
+// A slot mergeSum has folded into holds its value as a number in sums until
+// something reads it as a string: get, put, merge or a drain.
+//
 // Not safe for concurrent use.
 type table struct {
 	index  map[string]int32 // key → position in slots
 	slots  []core.Record
+	sums   []runningSum // by slot, as far as the last slot mergeSum folded into
 	bytes  int64
 	sorter sortx.Sorter // sorted's scratch, kept across clearReuse cycles
 
@@ -40,12 +45,30 @@ type table struct {
 	spareSlabs [][]byte
 }
 
+// runningSum is a slot's value kept as a number: n is the value SumMerger
+// would have left, width the length of its decimal form — the bytes the slot
+// is charged for. A zero width means the slot's value is its string.
+type runningSum struct {
+	n     int64
+	width int
+}
+
 // get returns the value stored at key.
 func (t *table) get(key string) (string, bool) {
 	if i, ok := t.index[key]; ok {
-		return t.slots[i].Value, true
+		return t.value(i), true
 	}
 	return "", false
+}
+
+// value returns slot i's value, formatting a running sum into the slot
+// first.
+func (t *table) value(i int32) string {
+	if int(i) < len(t.sums) && t.sums[i].width > 0 {
+		t.slots[i].Value = formatSum(t.sums[i].n)
+		t.sums[i] = runningSum{}
+	}
+	return t.slots[i].Value
 }
 
 // put inserts or replaces the value at key.
@@ -61,16 +84,48 @@ func (t *table) put(key, val string) {
 // probe, then an in-place swap or an insert.
 func (t *table) merge(key, val string, m Merger) {
 	if i, ok := t.index[key]; ok {
-		t.set(i, m(t.slots[i].Value, val))
+		t.set(i, m(t.value(i), val))
 		return
 	}
 	t.add(key, val)
 }
 
+// mergeSum is merge(key, val, SumMerger) without the strings. An absent key
+// stores val as passed, as merge does; the first fold into a present key
+// parses its string into a running sum, and every fold after that is an
+// add. The slot is charged the length of the sum's decimal form, which is
+// what SumMerger's string would have been charged, so the byte account
+// after every call is merge's.
+func (t *table) mergeSum(key, val string) {
+	i, ok := t.index[key]
+	if !ok {
+		t.add(key, val)
+		return
+	}
+	if int(i) >= len(t.sums) {
+		// Cover every slot. The entries this adds are zero: sorted and
+		// clearReuse zero sums before they cut it back.
+		t.sums = slices.Grow(t.sums, len(t.slots)-len(t.sums))[:len(t.slots)]
+	}
+	s := &t.sums[i]
+	width := s.width
+	if width == 0 {
+		v := &t.slots[i].Value
+		width, s.n = len(*v), parseSum(*v)
+		*v = ""
+	}
+	d, ok := parseCount(val) // parseSum(val), with the digit loop inlined
+	if !ok {
+		d = parseSum(val)
+	}
+	s.n += d
+	s.width = decimalWidth(s.n)
+	t.bytes += int64(s.width - width)
+}
+
 func (t *table) set(i int32, val string) {
-	s := &t.slots[i]
-	t.bytes += int64(len(val)) - int64(len(s.Value))
-	s.Value = val
+	t.bytes += int64(len(val)) - int64(len(t.value(i)))
+	t.slots[i].Value = val
 }
 
 // add inserts a key the index does not hold. The key is copied, so a
@@ -118,10 +173,17 @@ func (t *table) copy(s string) string {
 	return unsafe.String(&t.slab[off], len(s))
 }
 
-// sorted returns a run over the slots in key order. The slots do not move,
-// so the index stays valid; what the run reads is the sorter's scratch,
-// valid until the next drain.
-func (t *table) sorted() sortx.SliceRun { return t.sorter.Sorted(t.slots) }
+// sorted returns a run over the slots in key order, each running sum
+// formatted into its slot first, so a drain reads what merge would have
+// left. The slots do not move, so the index stays valid; what the run reads
+// is the sorter's scratch, valid until the next drain.
+func (t *table) sorted() sortx.SliceRun {
+	for i := range t.sums {
+		t.value(int32(i))
+	}
+	t.sums = t.sums[:0]
+	return t.sorter.Sorted(t.slots)
+}
 
 // drain is sorted for a store's last drain, Emit, after which the table is
 // only cleared: it drops the index first, so the collector can take back
@@ -145,10 +207,10 @@ func (t *table) emit(out core.Output) {
 // never overwritten.
 func (t *table) clear() { *t = table{} }
 
-// clearReuse drops every entry but keeps the slabs, the slot array, the
-// index's buckets and the sort scratch for the next fill — the clear for a
-// spill store's fill/seal/clear cycle, which refills to the same footprint
-// over and over.
+// clearReuse drops every entry but keeps the slabs, the slot and sum
+// arrays, the index's buckets and the sort scratch for the next fill — the
+// clear for a spill store's fill/seal/clear cycle, which refills to the
+// same footprint over and over.
 //
 // Contract: no string obtained from the table (a drained key or value, a
 // stored value) may be referenced after the call — recycled slabs are
@@ -158,6 +220,8 @@ func (t *table) clearReuse() {
 	clear(t.index)
 	clear(t.slots) // drop merged values, which live outside the slabs
 	t.slots = t.slots[:0]
+	clear(t.sums)
+	t.sums = t.sums[:0]
 	t.bytes = 0
 	if t.slab != nil {
 		t.spareSlabs = append(t.spareSlabs, t.slab[:0])

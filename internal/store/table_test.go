@@ -23,6 +23,35 @@ func drained(t *table) (keys, vals []string) {
 	return keys, vals
 }
 
+// peek returns what get would for slot i without formatting a running sum
+// into the slot, so a check leaves the table as it found it.
+func peek(tab *table, i int32) string {
+	if int(i) < len(tab.sums) && tab.sums[i].width > 0 {
+		return formatSum(tab.sums[i].n)
+	}
+	return tab.slots[i].Value
+}
+
+// checkPeek asserts tab holds exactly ref, as checkTable does, but reads
+// every value through peek and leaves the drain order to checkTable.
+func checkPeek(t *testing.T, tab *table, ref map[string]string) {
+	t.Helper()
+	var bytes int64
+	for k, v := range ref {
+		bytes += ApproxRecordBytes(k, v)
+		i, ok := tab.index[k]
+		if !ok {
+			t.Fatalf("%q not in the index", k)
+		}
+		if got := peek(tab, i); tab.slots[i].Key != k || got != v {
+			t.Fatalf("slot of %q holds %q=%q, want %q", k, tab.slots[i].Key, got, v)
+		}
+	}
+	if len(tab.slots) != len(ref) || len(tab.index) != len(ref) || tab.bytes != bytes {
+		t.Fatalf("Len,index,Bytes = %d,%d,%d want %d,%d", len(tab.slots), len(tab.index), tab.bytes, len(ref), bytes)
+	}
+}
+
 // checkTable asserts tab holds exactly ref: Len, Bytes = Σ ApproxRecordBytes,
 // every key found by get, and the drain in key order.
 func checkTable(t *testing.T, tab *table, ref map[string]string) {
@@ -166,12 +195,23 @@ func keySet(prefix string, n int) []string {
 	return keys
 }
 
-// TestTableProperty drives random merge/put/get/drain/clear/clearReuse
-// against a map reference. Every clear switches to a different key set of
-// the same lengths, so an index entry or slot surviving the clear, or a
-// recycled slab still referenced, reads wrong. A drain that is not followed
-// by a clear (a spill that failed) must leave the table usable. Contents,
-// order, Len and Bytes are checked after every step.
+// sumValues are mergeSum's operands in TestTableProperty besides plain
+// counts: values SumMerger reads the way strconv does (signs, spaces,
+// garbage, a 19-digit overflow), and the ends of int64, so sums wrap.
+var sumValues = []string{
+	"007", " 1", "-3", "+4", "abc", "", "9999999999999999999", "4095", "4096",
+	"9223372036854775807", "-9223372036854775808",
+}
+
+// TestTableProperty drives random merge/mergeSum/put/get/drain/clear/
+// clearReuse against a map reference, whose mergeSum folds strings with
+// SumMerger. Every clear switches to a different key set of the same
+// lengths, so an index entry or slot surviving the clear, or a recycled
+// slab still referenced, reads wrong. A drain that is not followed by a
+// clear (a spill that failed) must leave the table usable. Contents, Len
+// and Bytes are checked after every step, through peek so that a running
+// sum stays one across steps; get and each drain check them through the
+// table's own reads, drain order included.
 func TestTableProperty(t *testing.T) {
 	sets := [][]string{keySet("a", 48), keySet("b", 48)}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -187,19 +227,28 @@ func TestTableProperty(t *testing.T) {
 			}
 			v := fmt.Sprint(rng.Intn(1000))
 			switch op := rng.Intn(100); {
-			case op < 45:
+			case op < 30:
+				if rng.Intn(4) == 0 {
+					v = sumValues[rng.Intn(len(sumValues))]
+				}
+				tab.mergeSum(k, v)
+				if old, ok := ref[k]; ok {
+					v = SumMerger(old, v)
+				}
+				ref[k] = v
+			case op < 50:
 				tab.merge(k, v, concat)
 				ref[k] += v
 			case op < 65:
 				tab.put(k, v)
 				ref[k] = v
-			case op < 97:
+			case op < 95:
 				got, ok := tab.get(k)
 				if want, wantOK := ref[k]; ok != wantOK || got != want {
 					t.Fatalf("seed %d step %d: get(%q) = %q,%v want %q,%v", seed, step, k, got, ok, want, wantOK)
 				}
 			case op < 98:
-				drained(&tab)
+				checkTable(t, &tab, ref) // drains
 			case op < 99:
 				tab.clear()
 				ref = map[string]string{}
@@ -209,7 +258,7 @@ func TestTableProperty(t *testing.T) {
 				ref = map[string]string{}
 				set = 1 - set
 			}
-			checkTable(t, &tab, ref)
+			checkPeek(t, &tab, ref)
 		}
 	}
 }
@@ -275,7 +324,7 @@ func TestTableClearReuseRecycles(t *testing.T) {
 }
 
 // TestTableProbeAllocatesNothing pins the hit path: get and merge on a
-// present key, and get on an absent one.
+// present key, get on an absent one, and mergeSum on a present key.
 func TestTableProbeAllocatesNothing(t *testing.T) {
 	var tab table
 	keys := keySet("g", 12)
@@ -283,14 +332,21 @@ func TestTableProbeAllocatesNothing(t *testing.T) {
 		tab.put(k, "v")
 	}
 	keep := func(old, _ string) string { return old }
+	sums := keySet("s", 12)[1:] // not the empty key, which get reads
+	for _, k := range sums {
+		tab.mergeSum(k, "100000")
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		for _, k := range keys {
 			tab.get(k)
 			tab.merge(k, "w", keep)
 		}
 		tab.get("absent")
+		for _, k := range sums {
+			tab.mergeSum(k, "1")
+		}
 	}); n != 0 {
-		t.Fatalf("get/merge allocated %.1f times per run, want 0", n)
+		t.Fatalf("get/merge/mergeSum allocated %.1f times per run, want 0", n)
 	}
 }
 
@@ -315,14 +371,15 @@ func TestTableAllocsPerInsert(t *testing.T) {
 }
 
 // TestTableCycleAllocatesNothing: once one cycle has sized the slabs, slot
-// array, index and sort scratch, a fill → drain → clearReuse cycle of the
-// same size — the spill store's loop — allocates nothing.
+// and sum arrays, index and sort scratch, a fill → drain → clearReuse cycle
+// of the same size — the spill store's loop — allocates nothing.
 func TestTableCycleAllocatesNothing(t *testing.T) {
 	keys := keySet("cycle", 5000)
 	var tab table
 	cycle := func() {
 		for _, k := range keys {
 			tab.merge(k, "1", concat)
+			tab.mergeSum(k, "1")
 		}
 		run := tab.sorted()
 		for _, ok := run.Next(); ok; _, ok = run.Next() {
@@ -341,7 +398,8 @@ func keepOld(old, _ string) string { return old }
 
 // BenchmarkUpdateHitZipf is the word-count reducer's store traffic: 20 K
 // keys, Zipf s = 1 (workload.Text's distribution), so after the first few
-// thousand operations nearly every merge finds its key.
+// thousand operations nearly every merge finds its key. merge is the probe
+// and swap with string values; mergeSum is word count's own fold.
 func BenchmarkUpdateHitZipf(b *testing.B) {
 	words := make([]string, 20_000)
 	for i := range words {
@@ -352,13 +410,22 @@ func BenchmarkUpdateHitZipf(b *testing.B) {
 	for i := range stream {
 		stream[i] = words[z.Next()]
 	}
-	var tab table
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.merge(stream[i&(len(stream)-1)], "1", keepOld)
+	for _, c := range []struct {
+		name string
+		fold func(t *table, key string)
+	}{
+		{"merge", func(t *table, key string) { t.merge(key, "1", keepOld) }},
+		{"mergeSum", func(t *table, key string) { t.mergeSum(key, "1") }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var tab table
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.fold(&tab, stream[i&(len(stream)-1)])
+			}
+			sinkLen = len(tab.slots)
+		})
 	}
-	sinkLen = len(tab.slots)
 }
 
 // BenchmarkUpdateMissUnique is the pipelined sort's: every key is new, so
