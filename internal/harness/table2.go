@@ -24,10 +24,11 @@ type Table2Row struct {
 }
 
 // table2Spec maps each application to the declarations implementing its two
-// forms in internal/reducers (and internal/apps for shared window ops). The
-// running sum that Sort and WordCount fold with, store.SumMerger behind
-// Store.MergeSum, is store machinery like the stores themselves, counted in
-// neither row.
+// forms in a file of internal/reducers. A name of the form "path:Decl" is
+// read from that file instead, the path relative to internal/reducers:
+// barrier-less Sort needs the sum merger behind Store.MergeSum, which the
+// barrier form does not, so its row counts store.SumMerger. WordCount's
+// barrier form folds with it too, so neither of its forms counts it.
 var table2Spec = []struct {
 	app      string
 	file     string
@@ -38,7 +39,7 @@ var table2Spec = []struct {
 		app:      "Sort",
 		file:     "reducers.go",
 		orig:     []string{"SortingGroup", "SortingGroup.Reduce"},
-		noBarier: []string{"SortingStream", "NewSortingStream", "SortingStream.Consume", "SortingStream.Finish"},
+		noBarier: []string{"SortingStream", "NewSortingStream", "SortingStream.Consume", "SortingStream.Finish", "../store/sum.go:SumMerger"},
 	},
 	{
 		app:      "WordCount",
@@ -81,12 +82,14 @@ func Table2() ([]Table2Row, error) {
 	}
 	var rows []Table2Row
 	for _, spec := range table2Spec {
-		sizes, err := declLines(filepath.Join(dir, spec.file))
+		o, err := sumDecls(dir, spec.file, spec.orig)
 		if err != nil {
 			return nil, err
 		}
-		o := sumDecls(sizes, spec.orig)
-		n := sumDecls(sizes, spec.noBarier)
+		n, err := sumDecls(dir, spec.file, spec.noBarier)
+		if err != nil {
+			return nil, err
+		}
 		inc := 0
 		if o > 0 {
 			inc = (n - o) * 100 / o
@@ -146,6 +149,28 @@ func declLines(path string) (map[string]int, error) {
 	return out, nil
 }
 
+// sumDecls totals the source lines of the named declarations in file, or
+// in the file a "path:Decl" name gives, both relative to dir.
+func sumDecls(dir, file string, names []string) (int, error) {
+	total := 0
+	for _, name := range names {
+		f := file
+		if path, decl, ok := strings.Cut(name, ":"); ok {
+			f, name = path, decl
+		}
+		sizes, err := declLines(filepath.Join(dir, f))
+		if err != nil {
+			return 0, err
+		}
+		n, ok := sizes[name]
+		if !ok {
+			return 0, fmt.Errorf("harness: no declaration %s in %s", name, f)
+		}
+		total += n
+	}
+	return total, nil
+}
+
 func recvName(t ast.Expr) string {
 	switch t := t.(type) {
 	case *ast.StarExpr:
@@ -154,14 +179,6 @@ func recvName(t ast.Expr) string {
 		return t.Name
 	}
 	return "?"
-}
-
-func sumDecls(sizes map[string]int, names []string) int {
-	total := 0
-	for _, n := range names {
-		total += sizes[n]
-	}
-	return total
 }
 
 // RenderTable2 formats the effort table like the paper's Table 2.

@@ -38,15 +38,30 @@ func FuzzSumMerger(f *testing.F) {
 }
 
 // TestSumMergeHitAllocatesNothing pins the word-count reducer's per-record
-// cost on a key already present: one store probe and an add, at any count.
-// Counts below 4096 would take SumMerger's interned strings anyway; past
-// them, a fold that formatted its result would allocate once a record.
+// cost on a key already present. Merge with SumMerger — the combiner's and
+// the KV store's fold, and SpillStore.Emit's fold of runs — is one probe,
+// a digits-only parse of each side and an interned result while counts stay
+// below 4096. MergeSum is one probe and an add at any count; past 4096, a
+// fold that formatted its result would allocate once a record.
 func TestSumMergeHitAllocatesNothing(t *testing.T) {
 	for name, st := range map[string]store.Store{
 		"in-memory":   store.NewMemStore(),
 		"spill-merge": store.NewSpillStore(1<<20, store.SumMerger, nil),
 	} {
 		keys := []string{"alpha", "bravo", "charlie", "delta"}
+		for _, k := range keys {
+			// Start at 1000: strconv.FormatInt allocates nothing below 100
+			// either, so lower counts would not tell the interned table
+			// from it.
+			st.Merge(k, "1000", store.SumMerger)
+		}
+		if n := testing.AllocsPerRun(100, func() {
+			for _, k := range keys {
+				st.Merge(k, "1", store.SumMerger)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: Merge on a present key allocated %.1f times per 4 records, want 0", name, n)
+		}
 		for _, start := range []string{"1", "5000", "9999999999"} {
 			for _, k := range keys {
 				st.MergeSum(k, start)

@@ -27,13 +27,18 @@ const (
 // so the failed spill's table goes on as it was.
 //
 // A slot mergeSum has folded into holds its value as a number in sums until
-// something reads it as a string: get, put, merge or a drain.
+// something reads it as a string: get, put, merge or a drain. sums[i] is
+// the value SumMerger would have left, widths[i] the length of its decimal
+// form — the bytes the slot is charged for; a zero width means the slot's
+// value is its string. Both arrays reach as far as the last slot mergeSum
+// folded into.
 //
 // Not safe for concurrent use.
 type table struct {
 	index  map[string]int32 // key → position in slots
 	slots  []core.Record
-	sums   []runningSum // by slot, as far as the last slot mergeSum folded into
+	sums   []int64
+	widths []uint8 // at most 20, the length of MinInt64's form
 	bytes  int64
 	sorter sortx.Sorter // sorted's scratch, kept across clearReuse cycles
 
@@ -43,14 +48,6 @@ type table struct {
 	slab       []byte
 	usedSlabs  [][]byte
 	spareSlabs [][]byte
-}
-
-// runningSum is a slot's value kept as a number: n is the value SumMerger
-// would have left, width the length of its decimal form — the bytes the slot
-// is charged for. A zero width means the slot's value is its string.
-type runningSum struct {
-	n     int64
-	width int
 }
 
 // get returns the value stored at key.
@@ -64,9 +61,9 @@ func (t *table) get(key string) (string, bool) {
 // value returns slot i's value, formatting a running sum into the slot
 // first.
 func (t *table) value(i int32) string {
-	if int(i) < len(t.sums) && t.sums[i].width > 0 {
-		t.slots[i].Value = formatSum(t.sums[i].n)
-		t.sums[i] = runningSum{}
+	if int(i) < len(t.widths) && t.widths[i] > 0 {
+		t.slots[i].Value = formatSum(t.sums[i])
+		t.widths[i] = 0
 	}
 	return t.slots[i].Value
 }
@@ -102,25 +99,26 @@ func (t *table) mergeSum(key, val string) {
 		t.add(key, val)
 		return
 	}
-	if int(i) >= len(t.sums) {
-		// Cover every slot. The entries this adds are zero: sorted and
-		// clearReuse zero sums before they cut it back.
+	if int(i) >= len(t.widths) {
+		// Cover every slot. The widths this adds are zero: sorted and
+		// clearReuse zero the widths before they cut them back.
 		t.sums = slices.Grow(t.sums, len(t.slots)-len(t.sums))[:len(t.slots)]
+		t.widths = slices.Grow(t.widths, len(t.slots)-len(t.widths))[:len(t.slots)]
 	}
-	s := &t.sums[i]
-	width := s.width
+	n, width := t.sums[i], int(t.widths[i])
 	if width == 0 {
 		v := &t.slots[i].Value
-		width, s.n = len(*v), parseSum(*v)
+		width, n = len(*v), parseSum(*v)
 		*v = ""
 	}
 	d, ok := parseCount(val) // parseSum(val), with the digit loop inlined
 	if !ok {
 		d = parseSum(val)
 	}
-	s.n += d
-	s.width = decimalWidth(s.n)
-	t.bytes += int64(s.width - width)
+	n += d
+	w := decimalWidth(n)
+	t.sums[i], t.widths[i] = n, uint8(w)
+	t.bytes += int64(w - width)
 }
 
 func (t *table) set(i int32, val string) {
@@ -178,10 +176,10 @@ func (t *table) copy(s string) string {
 // left. The slots do not move, so the index stays valid; what the run reads
 // is the sorter's scratch, valid until the next drain.
 func (t *table) sorted() sortx.SliceRun {
-	for i := range t.sums {
+	for i := range t.widths {
 		t.value(int32(i))
 	}
-	t.sums = t.sums[:0]
+	t.sums, t.widths = t.sums[:0], t.widths[:0]
 	return t.sorter.Sorted(t.slots)
 }
 
@@ -220,8 +218,8 @@ func (t *table) clearReuse() {
 	clear(t.index)
 	clear(t.slots) // drop merged values, which live outside the slabs
 	t.slots = t.slots[:0]
-	clear(t.sums)
-	t.sums = t.sums[:0]
+	clear(t.widths)
+	t.sums, t.widths = t.sums[:0], t.widths[:0]
 	t.bytes = 0
 	if t.slab != nil {
 		t.spareSlabs = append(t.spareSlabs, t.slab[:0])
