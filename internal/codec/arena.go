@@ -48,3 +48,13 @@ func (a *Arena) String(b []byte) string {
 	// discipline the stores' slabs use.
 	return unsafe.String(&a.buf[off], len(b))
 }
+
+// view is b as a string, without a copy. The caller guarantees b is never
+// written again while the string is live: an arena chunk's written bytes, or
+// a frame payload nothing reuses.
+func view(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
+}

@@ -456,6 +456,9 @@ func NewRunDecoder(r ByteScanner, comp Compression) RecordReader {
 // NewStreamReaderBytes it returns errors instead of panicking — the only
 // sanctioned decoder for buffers of on-disk or wire provenance.
 func NewRunDecoderBytes(b []byte, comp Compression) RecordReader {
+	if comp == None {
+		return NewStreamReaderBytes(b)
+	}
 	return NewRunDecoder(bytes.NewReader(b), comp)
 }
 
@@ -764,8 +767,8 @@ type SectionDecoder struct {
 // Arena for the retention trade-off.
 func (d *SectionDecoder) Reset(r ByteScanner, comp Compression, arena *Arena) RecordReader {
 	if comp == None {
-		d.sr.Reset(r)
 		d.sr.arena = arena
+		d.sr.Reset(r)
 		return &d.sr
 	}
 	d.br.Reset(r)

@@ -389,4 +389,59 @@ func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
 				comp, allocs, n, budget)
 		}
 	}
+
+	// service_stream's shape: many small uncompressed sections through one
+	// decoder and one arena. Each section keeps filling the arena's current
+	// chunk, so allocations track the bytes decoded, not the section count.
+	const sections = 1000
+	sec, secStrBytes := smallSection()
+	var dec SectionDecoder
+	var arena Arena
+	rd := bytes.NewReader(sec)
+	drainSections := func() {
+		for range sections {
+			rd.Reset(sec)
+			r := dec.Reset(rd, None, &arena)
+			for _, ok := r.Next(); ok; _, ok = r.Next() {
+			}
+			if r.Err() != nil {
+				t.Fatal(r.Err())
+			}
+		}
+	}
+	drainSections()
+	budget = float64(sections*secStrBytes/arenaChunkBytes) + 4
+	if allocs := testing.AllocsPerRun(5, drainSections); allocs > budget {
+		t.Errorf("%.0f allocations decoding %d sections of %d bytes into one arena, want at most %.0f (one per chunk)",
+			allocs, sections, len(sec), budget)
+	}
+}
+
+// smallSection is one fetched section of service_stream's shape: about 20
+// short records, uncompressed. It returns the section and its string bytes.
+func smallSection() (sec []byte, strBytes int) {
+	for i := range 20 {
+		r := core.Record{Key: fmt.Sprintf("word-%04d", i*37), Value: fmt.Sprint(i + 1)}
+		sec = AppendRecord(sec, r)
+		strBytes += len(r.Key) + len(r.Value)
+	}
+	return sec, strBytes
+}
+
+// BenchmarkSectionDecodeSmall decodes many small sections through the
+// pooled fetch path's shape: one SectionDecoder and one Arena, Reset per
+// section.
+func BenchmarkSectionDecodeSmall(b *testing.B) {
+	sec, _ := smallSection()
+	var dec SectionDecoder
+	var arena Arena
+	rd := bytes.NewReader(sec)
+	b.SetBytes(int64(len(sec)))
+	b.ReportAllocs()
+	for range b.N {
+		rd.Reset(sec)
+		r := dec.Reset(rd, None, &arena)
+		for _, ok := r.Next(); ok; _, ok = r.Next() {
+		}
+	}
 }

@@ -14,16 +14,21 @@ func NewRecordSink(capHint int) *RecordSink {
 	return &RecordSink{Recs: make([]Record, 0, capHint)}
 }
 
-// Write implements Output. A full sink doubles: a reduce task's output has
-// no size hint, and append's 1.25x growth of a large slice copies (and
-// write-barriers) about five times the final size on the way there.
-func (s *RecordSink) Write(k, v string) {
-	if len(s.Recs) == cap(s.Recs) {
-		grown := make([]Record, len(s.Recs), max(2*len(s.Recs), 64))
-		copy(grown, s.Recs)
-		s.Recs = grown
+// Write implements Output.
+func (s *RecordSink) Write(k, v string) { s.Recs = appendDoubling(s.Recs, Record{Key: k, Value: v}) }
+
+// appendDoubling appends r to buf, doubling a full buffer (to at least 64
+// records). It is the one growth rule of the record buffers here: their
+// sizes are unknown up front, and append's 1.25x growth of a large slice
+// copies (and write-barriers) about five times the final size on the way
+// there.
+func appendDoubling(buf []Record, r Record) []Record {
+	if len(buf) == cap(buf) {
+		grown := make([]Record, len(buf), max(2*len(buf), 64))
+		copy(grown, buf)
+		buf = grown
 	}
-	s.Recs = append(s.Recs, Record{Key: k, Value: v})
+	return append(buf, r)
 }
 
 // PartitionedEmitter is an Emitter that routes each emitted record into one
@@ -33,7 +38,8 @@ func (s *RecordSink) Write(k, v string) {
 // fresh Record boxing path) per record.
 //
 // capHint presizes each partition buffer; pass the expected records per
-// partition (e.g. len(split)/n for identity-shaped mappers) or 0.
+// partition (e.g. len(split)/n for identity-shaped mappers) or 0. Past it,
+// a full partition doubles.
 type PartitionedEmitter struct {
 	Parts [][]Record
 }
@@ -55,7 +61,27 @@ func NewPartitionedEmitter(n, capHint int) *PartitionedEmitter {
 // Emit implements Emitter.
 func (e *PartitionedEmitter) Emit(k, v string) {
 	p := Partition(k, len(e.Parts))
-	e.Parts[p] = append(e.Parts[p], Record{Key: k, Value: v})
+	e.Parts[p] = appendDoubling(e.Parts[p], Record{Key: k, Value: v})
+}
+
+// Extrapolate grows each partition once, to its share of a split of total
+// input records as extrapolated from the first done of them, plus an
+// eighth: a mapper that expands its input (WordCount) then fills its
+// buffers without a growth step, where the capHint of an identity-shaped
+// mapper would have them double two or three times.
+func (e *PartitionedEmitter) Extrapolate(done, total int) {
+	if done <= 0 {
+		return
+	}
+	for p, buf := range e.Parts {
+		want := len(buf) * total / done
+		want += want / 8
+		if want > cap(buf) {
+			grown := make([]Record, len(buf), want)
+			copy(grown, buf)
+			e.Parts[p] = grown
+		}
+	}
 }
 
 // Len returns the total number of buffered records across partitions.

@@ -156,3 +156,23 @@ func TestFuncAdapters(t *testing.T) {
 		t.Fatalf("reduced %v written %v", reduced, written)
 	}
 }
+
+// TestEmitterDoubles: a partition with no size hint grows by doubling from
+// 64 records, the growth rule RecordSink shares, so N records into one
+// partition cost at most ceil(log2(N/64)) + 1 allocations.
+func TestEmitterDoubles(t *testing.T) {
+	const n = 10000
+	e := NewPartitionedEmitter(1, 0)
+	allocs := testing.AllocsPerRun(50, func() {
+		e.Parts[0] = nil
+		for range n {
+			e.Emit("k", "v")
+		}
+	})
+	if want := math.Ceil(math.Log2(n/64.0)) + 1; allocs > want {
+		t.Fatalf("emitting %d records into one partition made %.0f allocations, want at most %.0f", n, allocs, want)
+	}
+	if len(e.Parts[0]) != n {
+		t.Fatalf("partition holds %d records, want %d", len(e.Parts[0]), n)
+	}
+}

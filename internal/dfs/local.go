@@ -31,8 +31,9 @@ import (
 	"blmr/internal/sortx"
 )
 
-// readBufBytes is the per-open-run read buffer. The external merge holds
-// one per run, so this bounds merge memory at runs*readBufBytes.
+// readBufBytes is the per-open-run read buffer (a raw run's StreamReader
+// chunk is the same size). The external merge holds one per run, so this
+// bounds merge memory at runs*readBufBytes.
 const readBufBytes = 64 << 10
 
 // dirSeq distinguishes RunDir instances within this process, so two
@@ -208,7 +209,7 @@ func OpenRunComp(path string, comp codec.Compression) (*RunReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open spill run: %w", err)
 	}
-	return &RunReader{f: f, sr: codec.NewRunDecoder(bufio.NewReaderSize(f, readBufBytes), comp)}, nil
+	return newRunReader(f, f, comp), nil
 }
 
 // OpenRunAtComp reopens the byte range [off, off+n) of a sealed spill file
@@ -223,8 +224,16 @@ func OpenRunAtComp(path string, off, n int64, comp codec.Compression) (*RunReade
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open spill segment: %w", err)
 	}
-	sec := io.NewSectionReader(f, off, n)
-	return &RunReader{f: f, sr: codec.NewRunDecoder(bufio.NewReaderSize(sec, readBufBytes), comp)}, nil
+	return newRunReader(f, io.NewSectionReader(f, off, n), comp), nil
+}
+
+// newRunReader decodes r, which reads f. The raw StreamReader reads r in
+// 64 KiB chunks itself, so only the block reader gets a bufio layer.
+func newRunReader(f *os.File, r io.Reader, comp codec.Compression) *RunReader {
+	if comp == codec.None {
+		return &RunReader{f: f, sr: codec.NewStreamReader(r)}
+	}
+	return &RunReader{f: f, sr: codec.NewRunDecoder(bufio.NewReaderSize(r, readBufBytes), comp)}
 }
 
 // Next implements sortx.Run.

@@ -193,6 +193,11 @@ func encode(m message) []byte {
 
 // decode fills m from payload. Every malformed or truncated input is an
 // error, never a panic: these bytes come from TCP peers and from disk.
+//
+// Decoded records are views into payload, not copies, so payload must never
+// be written again while m is live. Every payload decode sees is allocated
+// fresh for it and reused by nothing: readMsg makes each frame's, and
+// wal.Replay and wal.Open copy each journal record out of the file image.
 func decode(payload []byte, m message) error {
 	w := wire{buf: payload, decoding: true}
 	m.layout(&w)
@@ -276,7 +281,8 @@ func (w *wire) str(p *string) {
 }
 
 // records is a count-prefixed record list, always a payload's final field.
-// A record encodes to >= 2 bytes (two zero-length strings).
+// A record encodes to >= 2 bytes (two zero-length strings). Decoded records
+// are views into the payload (codec.DecodeViews), not copies.
 func (w *wire) records(p *[]core.Record) {
 	n := w.length(len(*p), 2)
 	if !w.decoding {
@@ -286,15 +292,10 @@ func (w *wire) records(p *[]core.Record) {
 	if w.err != nil {
 		return
 	}
-	out := make([]core.Record, 0, n)
-	rd := codec.NewStreamReaderBytes(w.buf[w.off:])
-	for i := 0; i < n; i++ {
-		rec, ok := rd.Next()
-		if !ok {
-			w.err = fmt.Errorf("mpexec: truncated record stream: %v", rd.Err())
-			return
-		}
-		out = append(out, rec)
+	out, err := codec.DecodeViews(make([]core.Record, 0, n), w.buf[w.off:], n)
+	if err != nil {
+		w.err = fmt.Errorf("mpexec: truncated record stream: %v", err)
+		return
 	}
 	w.off = len(w.buf)
 	*p = out

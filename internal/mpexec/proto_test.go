@@ -1,9 +1,12 @@
 package mpexec
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -102,5 +105,40 @@ func TestOptsRejectOtherLayouts(t *testing.T) {
 		if _, _, _, err := decodeJobStart(frame, exec.Options{}); err == nil || !strings.Contains(err.Error(), "another build") {
 			t.Fatalf("'J' frame with %d option fields: err = %v, want a field-count mismatch", n, err)
 		}
+	}
+}
+
+// TestDecodedRecordsOutliveNextFrame pins the invariant decode documents:
+// decoded records are views into the frame payload, so readMsg must hand
+// out a fresh payload per frame. Two same-sized 'M' frames are read off one
+// bufio.Reader; decoding the second must leave the first's records intact.
+func TestDecodedRecordsOutliveNextFrame(t *testing.T) {
+	split := func(c string) []core.Record {
+		recs := make([]core.Record, 50)
+		for i := range recs {
+			recs[i] = core.Record{Key: strings.Repeat(c, 10+i), Value: strings.Repeat(c, 20)}
+		}
+		return recs
+	}
+	var conn bytes.Buffer
+	for i, c := range []string{"a", "b"} {
+		m := mapTask{job: 1, t: exec.MapTask{Index: i, Split: split(c)}}
+		if err := writeMsg(&conn, msgMapTask, encode(&m)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(&conn)
+	var first, second mapTask
+	for _, m := range []*mapTask{&first, &second} {
+		typ, payload, err := readMsg(br)
+		if err != nil || typ != msgMapTask {
+			t.Fatalf("readMsg: type %q, err %v", typ, err)
+		}
+		if err := decode(payload, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !slices.Equal(first.t.Split, split("a")) || !slices.Equal(second.t.Split, split("b")) {
+		t.Fatal("decoding the next frame changed an earlier frame's records")
 	}
 }
