@@ -554,9 +554,9 @@ func runReducePipelined(job Job, opts Options, t ReduceTask, src shuffle.ReduceS
 // Fixed bounds of what Options.SpillBytes does not budget: no caller ever
 // needed other values, so they are not options.
 const (
-	treeBudgetBytes = 64 << 20 // SpillMerge store size before it spills to in-memory runs
-	kvCacheBytes    = 16 << 20 // KV store cache
-	minCombineKeys  = 4096     // a combine buffer holds max(BatchSize, this) distinct keys
+	spillMergeBudgetBytes = 64 << 20 // SpillMerge store size before it spills to in-memory runs
+	kvCacheBytes          = 16 << 20 // KV store cache
+	minCombineKeys        = 4096     // a combine buffer holds max(BatchSize, this) distinct keys
 )
 
 // NewTaskStore builds reduce task r's partial-result store. With SpillBytes
@@ -572,7 +572,7 @@ func NewTaskStore(job Job, opts Options, spillDir *dfs.RunDir, r int) store.Stor
 	}
 	switch opts.Store {
 	case store.SpillMerge:
-		return store.NewSpillStoreComp(treeBudgetBytes, job.Merger, nil, nil, opts.Compression)
+		return store.NewSpillStoreComp(spillMergeBudgetBytes, job.Merger, nil, nil, opts.Compression)
 	case store.KV:
 		return store.NewKVStore(kvstore.New(kvstore.Config{CacheBytes: kvCacheBytes}))
 	default:

@@ -5,8 +5,10 @@ package sortx
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -80,42 +82,75 @@ func chunks(recs []core.Record, n int) [][]core.Record {
 	return out
 }
 
-// keyShapes are the key populations the 8-byte prefix can get wrong. Every
+// keyShapes are the key populations the 8-byte prefix or the radix sort's
+// window can get wrong; key draws the key of the i-th record. Every
 // generator draws from a small set, so equal keys — where only the index
-// tie-break keeps emission order — are common at any n.
+// order keeps emission order — are common at any n.
 var keyShapes = []struct {
 	name string
-	key  func(rng *rand.Rand) string
+	key  func(rng *rand.Rand, i int) string
 }{
-	{"uniform 8-byte", func(rng *rand.Rand) string { return core.EncodeUint64(rng.Uint64() % 4096) }},
-	{"empty and short", func(rng *rand.Rand) string { return "abcdefg"[:rng.Intn(8)] }},
+	{"uniform 8-byte", func(rng *rand.Rand, _ int) string { return core.EncodeUint64(rng.Uint64() % 4096) }},
+	{"empty and short", func(rng *rand.Rand, _ int) string { return "abcdefg"[:rng.Intn(8)] }},
 	// Zero-padding makes all of these one prefix: only the full compare
 	// orders "a" < "a\x00" < "a\x00\x00".
-	{"padding ambiguity", func(rng *rand.Rand) string { return "a" + strings.Repeat("\x00", rng.Intn(9)) }},
-	{"empty vs zeros", func(rng *rand.Rand) string { return strings.Repeat("\x00", rng.Intn(11)) }},
-	{"equal prefix, differ later", func(rng *rand.Rand) string {
+	{"padding ambiguity", func(rng *rand.Rand, _ int) string { return "a" + strings.Repeat("\x00", rng.Intn(9)) }},
+	{"empty vs zeros", func(rng *rand.Rand, _ int) string { return strings.Repeat("\x00", rng.Intn(11)) }},
+	{"equal prefix, differ later", func(rng *rand.Rand, _ int) string {
 		return "customer" + string(rune('a'+rng.Intn(3))) + strings.Repeat("x", rng.Intn(3))
 	}},
-	{"prefix is whole key vs longer", func(rng *rand.Rand) string { return "12345678abc"[:8+rng.Intn(4)] }},
-	{"all equal", func(rng *rand.Rand) string { return "same-key-everywhere" }},
-	{"high bytes", func(rng *rand.Rand) string {
+	{"prefix is whole key vs longer", func(rng *rand.Rand, _ int) string { return "12345678abc"[:8+rng.Intn(4)] }},
+	{"all equal", func(rng *rand.Rand, _ int) string { return "same-key-everywhere" }},
+	{"high bytes", func(rng *rand.Rand, _ int) string {
 		b := make([]byte, rng.Intn(10))
 		for i := range b {
 			b[i] = byte(0xfd + rng.Intn(3))
 		}
 		return string(b)
 	}},
-	{"words", func(rng *rand.Rand) string {
+	{"words", func(rng *rand.Rand, _ int) string {
 		b := make([]byte, 1+rng.Intn(11))
 		for i := range b {
 			b[i] = byte('a' + rng.Intn(2))
 		}
 		return string(b)
 	}},
+	// The workloads' vocabulary: every key 9 bytes, the window past "word"
+	// decides every pair. Log-uniform ranks are Zipf with s = 1.
+	{"word%05d zipf", func(rng *rand.Rand, _ int) string {
+		return fmt.Sprintf("word%05d", int(math.Pow(20000, rng.Float64()))-1)
+	}},
+	// The batch's common prefix is longer than a window; keys differ past it.
+	{"long shared prefix", func(rng *rand.Rand, _ int) string {
+		return "customer-000" + strconv.Itoa(rng.Intn(300))
+	}},
+	// One outlier of the same length collapses the common prefix to 0, so
+	// every other key ties on its first window ("customer") and is sorted
+	// on the next.
+	{"outlier collapses prefix", func(rng *rand.Rand, i int) string {
+		if i == 5 {
+			return "!ustomer-000000"
+		}
+		return fmt.Sprintf("customer-000%03d", rng.Intn(300))
+	}},
+	// Past the common prefix the window is all padding or NULs: only the
+	// lengths order these, some of which end past the window.
+	{"trailing NULs", func(rng *rand.Rand, _ int) string {
+		return "common-prefix/" + "x"[:rng.Intn(2)] + strings.Repeat("\x00", rng.Intn(12))
+	}},
+	// Past "mix:" some keys end inside the window, some extend past it.
+	{"inside and past the window", func(rng *rand.Rand, _ int) string {
+		b := make([]byte, rng.Intn(14))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(2))
+		}
+		return "mix:" + string(b)
+	}},
 }
 
 func TestByKeyMatchesStableSort(t *testing.T) {
-	sizes := []int{0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 1000}
+	sizes := []int{0, 1, 2, insertionSortMax - 1, insertionSortMax, insertionSortMax + 1, 1000,
+		radixSortMin - 1, radixSortMin, radixSortMin + 1, 4 * radixSortMin}
 	var s Sorter
 	for _, shape := range keyShapes {
 		for _, n := range sizes {
@@ -124,7 +159,7 @@ func TestByKeyMatchesStableSort(t *testing.T) {
 			for i := range in {
 				// The value is the emission index: equal keys must keep it
 				// ascending.
-				in[i] = core.Record{Key: shape.key(rng), Value: fmt.Sprint(i)}
+				in[i] = core.Record{Key: shape.key(rng, i), Value: fmt.Sprint(i)}
 			}
 			t.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(t *testing.T) {
 				checkSortAndMerge(t, &s, in, 1+n%5)
@@ -133,15 +168,17 @@ func TestByKeyMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestByKeyLarge is the 100 K case: deep enough for pdqsort's partitioning,
-// pattern detection and heapsort fallback to see prefix ties.
+// TestByKeyLarge is the 100 K case: every shape in one batch, so the common
+// prefix is empty and runs of equal windows are large enough to be
+// radix-sorted again, or deep enough for pdqsort's partitioning, pattern
+// detection and heapsort fallback to see prefix ties.
 func TestByKeyLarge(t *testing.T) {
 	const n = 100_000
 	rng := rand.New(rand.NewSource(24))
 	in := make([]core.Record, n)
 	for i := range in {
 		shape := keyShapes[rng.Intn(len(keyShapes))]
-		in[i] = core.Record{Key: shape.key(rng), Value: fmt.Sprint(i)}
+		in[i] = core.Record{Key: shape.key(rng, i), Value: fmt.Sprint(i)}
 	}
 	var s Sorter
 	checkSortAndMerge(t, &s, in, 7)
@@ -205,10 +242,32 @@ func FuzzByKey(f *testing.F) {
 	f.Add([]byte{1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 'a'}, false) // "a", "a\0", "a\0\0", "a"
 	f.Add([]byte("\x0bcustomer-10\x0acustomer-2\x08customer\x0bcustomer-10"), false)
 	f.Add([]byte(strings.Repeat("\x09abcdefghi\x03abc\x00", 8)), true)
+	// Past an outlier's collapsed prefix the rest tie on their first window.
+	f.Add([]byte("\x0bprefix-01ab\x0aprefix-01b\x01!\x0bprefix-01aa\x0aprefix-01a"), false)
+	f.Add([]byte("\x05ab\x00\x00\x00\x0bab\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02ab\x03abc\x0aab\x00\x00\x00\x00\x00\x00\x00\x00"), false)
 	f.Fuzz(func(t *testing.T, data []byte, narrow bool) {
 		var s Sorter
-		checkSortAndMerge(t, &s, fuzzRecords(data, narrow), 1+len(data)%4)
+		recs := fuzzRecords(data, narrow)
+		checkSortAndMerge(t, &s, recs, 1+len(data)%4)
+		// A few dozen records stay below radixSortMin; tiled, the same keys
+		// take the radix path.
+		checkSortAndMerge(t, &s, tile(recs, 2*radixSortMin), 1+len(data)%4)
 	})
+}
+
+// tile repeats recs' keys until there are at least n records, each valued
+// with its own emission index.
+func tile(recs []core.Record, n int) []core.Record {
+	if len(recs) == 0 {
+		return nil
+	}
+	out := make([]core.Record, 0, n+len(recs))
+	for len(out) < n {
+		for _, r := range recs {
+			out = append(out, core.Record{Key: r.Key, Value: strconv.Itoa(len(out))})
+		}
+	}
+	return out
 }
 
 // TestSorterSteadyStateAllocatesNothing: after one call has sized the
@@ -237,6 +296,24 @@ func TestSorterSteadyStateAllocatesNothing(t *testing.T) {
 		s.Combine(work, sum)
 	}); allocs != 0 {
 		t.Errorf("warmed-up Sorter.Combine: %.0f allocs/call, want 0", allocs)
+	}
+
+	// Word keys past radixSortMin take the radix sort and its second buffer.
+	words := wordKeys(4 * radixSortMin)
+	work = make([]core.Record, len(words))
+	var w Sorter
+	w.ByKey(slices.Clone(words))
+	for name, f := range map[string]func(){
+		"ByKey":   func() { w.ByKey(work) },
+		"Sorted":  func() { w.Sorted(work) },
+		"Combine": func() { w.Combine(work, sum) },
+	} {
+		if allocs := testing.AllocsPerRun(10, func() {
+			copy(work, words)
+			f()
+		}); allocs != 0 {
+			t.Errorf("warmed-up Sorter.%s(%d word keys): %.0f allocs/call, want 0", name, len(words), allocs)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package sortx
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -26,14 +27,32 @@ func ByKey(recs []core.Record) int64 {
 // on keys wherever the prefixes differ.
 func keyPrefix(key string) uint64 {
 	if len(key) >= 8 {
-		return uint64(key[7]) | uint64(key[6])<<8 | uint64(key[5])<<16 | uint64(key[4])<<24 |
-			uint64(key[3])<<32 | uint64(key[2])<<40 | uint64(key[1])<<48 | uint64(key[0])<<56
+		return load8(key)
 	}
 	var p uint64
 	for i := 0; i < len(key); i++ {
 		p |= uint64(key[i]) << (56 - 8*i)
 	}
 	return p
+}
+
+// load8 returns the first eight bytes of s as a big-endian integer.
+func load8(s string) uint64 {
+	return uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
+		uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
+}
+
+// windowPrefix is keyPrefix(key[from:]). A window shorter than eight bytes
+// of a key that has eight is the key's last eight bytes shifted up, one load
+// where keyPrefix loops over the bytes.
+func windowPrefix(key string, from int) uint64 {
+	switch {
+	case len(key)-from >= 8:
+		return load8(key[from:])
+	case len(key) >= 8:
+		return load8(key[len(key)-8:]) << (8 * (8 - (len(key) - from)))
+	}
+	return keyPrefix(key[from:])
 }
 
 // sortEntry stands in for one record while sorting. It holds no pointer, so
@@ -47,26 +66,30 @@ type sortEntry struct {
 // on the records: below it the entry array costs more than it saves.
 const insertionSortMax = 12
 
-// Sorter is ByKey and Sorted with reusable scratch: the entry array and the
-// gather buffer grow to the largest slice sorted and are reused by every
+// radixSortMin is the smallest input whose entries are radix-sorted: below
+// it the histogram and scatter passes cost more than the comparator sort's
+// compares (BenchmarkByKeySizes).
+const radixSortMin = 256
+
+// Sorter is ByKey and Sorted with reusable scratch: the two entry arrays and
+// the gather buffer grow to the largest slice sorted and are reused by every
 // later call, so a warmed-up Sorter allocates nothing. The gather buffer
 // keeps the last sorted slice's strings reachable until the next call or
 // the Sorter's death; give a Sorter the lifetime of the data it sorts (one
 // map task). Not safe for concurrent use.
 type Sorter struct {
 	entries []sortEntry
+	spare   []sortEntry // the radix sort's second buffer
 	gather  []core.Record
 }
 
 // ByKey stable-sorts recs by key in place and returns CompareCost(len(recs)).
 //
-// It sorts (prefix, index) entries, not records: most comparisons are one
-// integer compare on data that sits in the entry itself, and a swap moves 16
-// pointer-free bytes instead of a 32-byte record behind write barriers. Equal
-// prefixes fall back to the full keys, equal keys to the input index. That
-// order is total — no two entries compare equal — so the unstable sort has
-// exactly one result, the one a stable sort by key produces. The records
-// are then moved once each, through the gather buffer.
+// It sorts (prefix, index) entries, not records: a pass moves 16
+// pointer-free bytes instead of a 32-byte record behind write barriers, and
+// the order is key, then input index — the one a stable sort by key
+// produces (compareSort and radixSort say why). The records are then moved
+// once each, through the gather buffer.
 func (s *Sorter) ByKey(recs []core.Record) int64 {
 	n := len(recs)
 	if n <= insertionSortMax {
@@ -86,9 +109,10 @@ func (s *Sorter) ByKey(recs []core.Record) int64 {
 }
 
 // Sorted returns a run over recs in the order ByKey would leave them in,
-// without moving them: only the entry array is sorted, so the scratch is 16
-// bytes a record where ByKey's gather adds 32 more. recs must not change
-// while the run is read, and the run is valid until s sorts again.
+// without moving them: only the entries are sorted, so the scratch is 32
+// bytes a record (16 below radixSortMin) where ByKey's gather adds 32 more.
+// recs must not change while the run is read, and the run is valid until s
+// sorts again.
 func (s *Sorter) Sorted(recs []core.Record) SliceRun {
 	return SliceRun{recs: recs, order: s.sortEntries(recs)}
 }
@@ -98,12 +122,32 @@ func (s *Sorter) Sorted(recs []core.Record) SliceRun {
 // buffer grow, not make: a task's partition buffers creep up wave by wave,
 // and amortised growth keeps that from reallocating each time.
 func (s *Sorter) sortEntries(recs []core.Record) []sortEntry {
-	entries := slices.Grow(s.entries[:0], len(recs))[:len(recs)]
+	n := len(recs)
+	entries := slices.Grow(s.entries[:0], n)[:n]
 	s.entries = entries
-	for i := range recs {
-		entries[i] = sortEntry{prefix: keyPrefix(recs[i].Key), idx: i}
+	if n < radixSortMin {
+		for i := range recs {
+			entries[i] = sortEntry{prefix: keyPrefix(recs[i].Key), idx: i}
+		}
+		compareSort(recs, entries)
+		return entries
 	}
-	slices.SortFunc(entries, func(a, b sortEntry) int {
+	for i := range entries {
+		entries[i].idx = i
+	}
+	s.spare = slices.Grow(s.spare[:0], n)[:n]
+	if sorted := radixSort(recs, entries, s.spare, 0); &sorted[0] != &entries[0] {
+		s.entries, s.spare = s.spare, s.entries
+	}
+	return s.entries
+}
+
+// compareSort sorts es by prefix, then full key, then input index. That
+// order is total — no two entries compare equal — so the unstable sort has
+// exactly one result, the stable one. Where two prefixes differ, integer
+// order is byte order, so the first step never contradicts the second.
+func compareSort(recs []core.Record, es []sortEntry) {
+	slices.SortFunc(es, func(a, b sortEntry) int {
 		if c := cmp.Compare(a.prefix, b.prefix); c != 0 {
 			return c
 		}
@@ -112,7 +156,124 @@ func (s *Sorter) sortEntries(recs []core.Record) []sortEntry {
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-	return entries
+}
+
+// radixSort sorts es, which must be in input-index order and whose keys all
+// share their first from bytes, into (key, index) order, using tmp (as long
+// as es) as the second buffer. It returns whichever of the two holds the
+// result.
+//
+// The sort key is an 8-byte window: keyPrefix of each key past the batch's
+// longest common prefix, so no pass is spent on bytes every key shares.
+// One pass counts all eight byte digits; a stable LSD scatter then runs once
+// per digit that is not the same in every entry. Stability is what makes
+// the order (window, index) with no comparator. Only where two windows are
+// equal and the keys are not can that order be wrong; sortTies mends those.
+func radixSort(recs []core.Record, es, tmp []sortEntry, from int) []sortEntry {
+	lcp := commonPrefix(recs, es, from)
+	minLen, maxLen := len(recs[es[0].idx].Key), 0
+	var counts [8][256]int
+	for i := range es {
+		key := recs[es[i].idx].Key
+		minLen, maxLen = min(minLen, len(key)), max(maxLen, len(key))
+		p := windowPrefix(key, lcp)
+		es[i].prefix = p
+		counts[0][byte(p)]++
+		counts[1][byte(p>>8)]++
+		counts[2][byte(p>>16)]++
+		counts[3][byte(p>>24)]++
+		counts[4][byte(p>>32)]++
+		counts[5][byte(p>>40)]++
+		counts[6][byte(p>>48)]++
+		counts[7][byte(p>>56)]++
+	}
+	for d := range counts {
+		shift := 8 * d
+		c := &counts[d]
+		if c[byte(es[0].prefix>>shift)] == len(es) {
+			continue // one value: the pass would not move anything
+		}
+		sum := 0
+		for b, k := range c {
+			c[b], sum = sum, sum+k
+		}
+		for _, e := range es {
+			b := byte(e.prefix >> shift)
+			tmp[c[b]] = e
+			c[b]++
+		}
+		es, tmp = tmp, es
+	}
+	// Keys of one length that end inside the window are equal exactly
+	// when their windows are.
+	if minLen != maxLen || maxLen > lcp+8 {
+		sortTies(recs, es, tmp, lcp+8)
+	}
+	return es
+}
+
+// commonPrefix returns the length of the longest prefix all keys of es
+// share, given that they share their first from bytes.
+func commonPrefix(recs []core.Record, es []sortEntry, from int) int {
+	first := recs[es[0].idx].Key
+	lcp, window := len(first), windowPrefix(first, from)
+	for _, e := range es[1:] {
+		key := recs[e.idx].Key
+		lcp = min(lcp, len(key))
+		if lcp-from <= 8 {
+			// Both keys are real bytes up to lcp, so where their windows
+			// first differ bounds the prefix they share.
+			lcp = min(lcp, from+bits.LeadingZeros64(windowPrefix(key, from)^window)/8)
+		} else if key[from:lcp] != first[from:lcp] {
+			i := from
+			for key[i] == first[i] {
+				i++
+			}
+			lcp = i
+		}
+		if lcp == from {
+			break
+		}
+	}
+	return lcp
+}
+
+// sortTies puts every run of equal windows in es — each in index order, as
+// the stable scatter left it — into (key, index) order. end is where the
+// window stops. A run whose keys have one length and end inside the window
+// holds one key and is left alone. A run whose keys all extend past the
+// window shares its first end bytes, so it is radix-sorted again on its own
+// next window, or compared if it is small. Any other run is compared.
+func sortTies(recs []core.Record, es, tmp []sortEntry, end int) {
+	for lo := 0; lo < len(es); {
+		hi := lo + 1
+		for hi < len(es) && es[hi].prefix == es[lo].prefix {
+			hi++
+		}
+		if hi-lo > 1 {
+			sortRun(recs, es[lo:hi], tmp[lo:hi], end)
+		}
+		lo = hi
+	}
+}
+
+// sortRun is sortTies for one run of equal windows.
+func sortRun(recs []core.Record, run, tmp []sortEntry, end int) {
+	length, sameLen, past := len(recs[run[0].idx].Key), true, true
+	for _, e := range run {
+		l := len(recs[e.idx].Key)
+		sameLen = sameLen && l == length
+		past = past && l > end
+	}
+	switch {
+	case sameLen && length <= end:
+	case past && len(run) >= radixSortMin:
+		if sorted := radixSort(recs, run, tmp, end); &sorted[0] != &run[0] {
+			copy(run, sorted)
+		}
+	default:
+		compareSort(recs, run)
+	}
 }
 
 // CompareCost returns the nominal comparison count for sorting n records.
@@ -314,7 +475,7 @@ func (m *Merger) Next() (core.Record, bool) {
 		m.entries = m.entries[:n]
 		m.siftDown(0)
 	}
-	m.Comparisons += int64(bits(len(m.entries)))
+	m.Comparisons += int64(bits.Len(uint(len(m.entries))))
 	return e.rec, true
 }
 
@@ -360,13 +521,4 @@ func (m *Merger) Drain() []core.Record {
 		}
 		out = append(out, r)
 	}
-}
-
-func bits(n int) int {
-	b := 0
-	for n > 0 {
-		b++
-		n >>= 1
-	}
-	return b
 }

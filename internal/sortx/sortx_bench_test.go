@@ -5,11 +5,58 @@ package sortx
 // predecessor boxed every entry through `any` in Push/Pop).
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"blmr/internal/core"
+	"blmr/internal/workload"
 )
+
+// uniformKeys returns n records with uniform 64-bit keys.
+func uniformKeys(n int) []core.Record {
+	rng := rand.New(rand.NewSource(1))
+	out := make([]core.Record, n)
+	for i := range out {
+		out[i] = core.Record{Key: core.EncodeUint64(rng.Uint64()), Value: "v"}
+	}
+	return out
+}
+
+// wordKeys returns WordCount's first n map outputs over workload.Text: 9-byte
+// "word%05d" keys drawn Zipf from a 20 000-word vocabulary, valued "1".
+func wordKeys(n int) []core.Record {
+	out := make([]core.Record, 0, n+3)
+	for _, line := range workload.Text(1, (n+3)/4, 20000, 4) {
+		for _, w := range strings.Fields(line.Value) {
+			out = append(out, core.Record{Key: w, Value: "1"})
+		}
+	}
+	return out[:n]
+}
+
+// BenchmarkByKeySizes sweeps a warmed-up Sorter over sizes either side of
+// radixSortMin, for both key shapes: the sweep that picks the cut-over.
+func BenchmarkByKeySizes(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		keys func(int) []core.Record
+	}{{"uniform", uniformKeys}, {"words", wordKeys}} {
+		for _, n := range []int{64, 256, 1024, 16384} {
+			base := shape.keys(n)
+			work := make([]core.Record, n)
+			b.Run(fmt.Sprintf("%s/n=%d", shape.name, n), func(b *testing.B) {
+				var s Sorter
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					copy(work, base)
+					s.ByKey(work)
+				}
+			})
+		}
+	}
+}
 
 func buildRuns(nRuns, perRun int, seed int64) []*SliceRun {
 	rng := rand.New(rand.NewSource(seed))

@@ -217,13 +217,14 @@ func TestMergerCountsComparisons(t *testing.T) {
 	}
 }
 
-func BenchmarkByKey(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	base := make([]core.Record, 1<<14)
-	for i := range base {
-		base[i] = core.Record{Key: core.EncodeUint64(rng.Uint64()), Value: "v"}
-	}
-	b.ResetTimer()
+func BenchmarkByKey(b *testing.B) { benchByKey(b, uniformKeys(1<<14)) }
+
+// BenchmarkByKeyWords is BenchmarkByKey on WordCount's map output.
+func BenchmarkByKeyWords(b *testing.B) { benchByKey(b, wordKeys(1<<14)) }
+
+// benchByKey times the package-level ByKey, scratch allocation included,
+// on a fresh copy of base.
+func benchByKey(b *testing.B, base []core.Record) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		work := make([]core.Record, len(base))
