@@ -125,8 +125,8 @@ var keyShapes = []struct {
 		return "customer-000" + strconv.Itoa(rng.Intn(300))
 	}},
 	// One outlier of the same length collapses the common prefix to 0, so
-	// every other key ties on its first window ("customer") and is sorted
-	// on the next.
+	// every other key ties on its first window ("customer") and goes through
+	// the comparator.
 	{"outlier collapses prefix", func(rng *rand.Rand, i int) string {
 		if i == 5 {
 			return "!ustomer-000000"
@@ -169,9 +169,8 @@ func TestByKeyMatchesStableSort(t *testing.T) {
 }
 
 // TestByKeyLarge is the 100 K case: every shape in one batch, so the common
-// prefix is empty and runs of equal windows are large enough to be
-// radix-sorted again, or deep enough for pdqsort's partitioning, pattern
-// detection and heapsort fallback to see prefix ties.
+// prefix is empty and runs of equal windows are deep enough for pdqsort's
+// partitioning, pattern detection and heapsort fallback to see prefix ties.
 func TestByKeyLarge(t *testing.T) {
 	const n = 100_000
 	rng := rand.New(rand.NewSource(24))

@@ -58,7 +58,7 @@ func windowPrefix(key string, from int) uint64 {
 // sortEntry stands in for one record while sorting. It holds no pointer, so
 // moving entries costs no write barrier and the collector never scans them.
 type sortEntry struct {
-	prefix uint64 // keyPrefix of the record's key
+	prefix uint64 // keyPrefix of the key, or of its window past the common prefix on the radix path
 	idx    int    // the record's position in the input
 }
 
@@ -136,7 +136,7 @@ func (s *Sorter) sortEntries(recs []core.Record) []sortEntry {
 		entries[i].idx = i
 	}
 	s.spare = slices.Grow(s.spare[:0], n)[:n]
-	if sorted := radixSort(recs, entries, s.spare, 0); &sorted[0] != &entries[0] {
+	if sorted := radixSort(recs, entries, s.spare); &sorted[0] != &entries[0] {
 		s.entries, s.spare = s.spare, s.entries
 	}
 	return s.entries
@@ -158,10 +158,9 @@ func compareSort(recs []core.Record, es []sortEntry) {
 	})
 }
 
-// radixSort sorts es, which must be in input-index order and whose keys all
-// share their first from bytes, into (key, index) order, using tmp (as long
-// as es) as the second buffer. It returns whichever of the two holds the
-// result.
+// radixSort sorts es, which must be in input-index order, into (key, index)
+// order, using tmp (as long as es) as the second buffer. It returns
+// whichever of the two holds the result.
 //
 // The sort key is an 8-byte window: keyPrefix of each key past the batch's
 // longest common prefix, so no pass is spent on bytes every key shares.
@@ -169,8 +168,8 @@ func compareSort(recs []core.Record, es []sortEntry) {
 // per digit that is not the same in every entry. Stability is what makes
 // the order (window, index) with no comparator. Only where two windows are
 // equal and the keys are not can that order be wrong; sortTies mends those.
-func radixSort(recs []core.Record, es, tmp []sortEntry, from int) []sortEntry {
-	lcp := commonPrefix(recs, es, from)
+func radixSort(recs []core.Record, es, tmp []sortEntry) []sortEntry {
+	lcp := commonPrefix(recs, es)
 	minLen, maxLen := len(recs[es[0].idx].Key), 0
 	var counts [8][256]int
 	for i := range es {
@@ -207,31 +206,31 @@ func radixSort(recs []core.Record, es, tmp []sortEntry, from int) []sortEntry {
 	// Keys of one length that end inside the window are equal exactly
 	// when their windows are.
 	if minLen != maxLen || maxLen > lcp+8 {
-		sortTies(recs, es, tmp, lcp+8)
+		sortTies(recs, es, lcp+8)
 	}
 	return es
 }
 
 // commonPrefix returns the length of the longest prefix all keys of es
-// share, given that they share their first from bytes.
-func commonPrefix(recs []core.Record, es []sortEntry, from int) int {
+// share.
+func commonPrefix(recs []core.Record, es []sortEntry) int {
 	first := recs[es[0].idx].Key
-	lcp, window := len(first), windowPrefix(first, from)
+	lcp, prefix := len(first), keyPrefix(first)
 	for _, e := range es[1:] {
 		key := recs[e.idx].Key
 		lcp = min(lcp, len(key))
-		if lcp-from <= 8 {
-			// Both keys are real bytes up to lcp, so where their windows
+		if lcp <= 8 {
+			// Both keys are real bytes up to lcp, so where their prefixes
 			// first differ bounds the prefix they share.
-			lcp = min(lcp, from+bits.LeadingZeros64(windowPrefix(key, from)^window)/8)
-		} else if key[from:lcp] != first[from:lcp] {
-			i := from
+			lcp = min(lcp, bits.LeadingZeros64(keyPrefix(key)^prefix)/8)
+		} else if key[:lcp] != first[:lcp] {
+			i := 0
 			for key[i] == first[i] {
 				i++
 			}
 			lcp = i
 		}
-		if lcp == from {
+		if lcp == 0 {
 			break
 		}
 	}
@@ -241,39 +240,33 @@ func commonPrefix(recs []core.Record, es []sortEntry, from int) int {
 // sortTies puts every run of equal windows in es — each in index order, as
 // the stable scatter left it — into (key, index) order. end is where the
 // window stops. A run whose keys have one length and end inside the window
-// holds one key and is left alone. A run whose keys all extend past the
-// window shares its first end bytes, so it is radix-sorted again on its own
-// next window, or compared if it is small. Any other run is compared.
-func sortTies(recs []core.Record, es, tmp []sortEntry, end int) {
+// holds one key and is left alone; any other run is compared.
+func sortTies(recs []core.Record, es []sortEntry, end int) {
 	for lo := 0; lo < len(es); {
 		hi := lo + 1
 		for hi < len(es) && es[hi].prefix == es[lo].prefix {
 			hi++
 		}
-		if hi-lo > 1 {
-			sortRun(recs, es[lo:hi], tmp[lo:hi], end)
+		if run := es[lo:hi]; len(run) > 1 && !oneKey(recs, run, end) {
+			compareSort(recs, run)
 		}
 		lo = hi
 	}
 }
 
-// sortRun is sortTies for one run of equal windows.
-func sortRun(recs []core.Record, run, tmp []sortEntry, end int) {
-	length, sameLen, past := len(recs[run[0].idx].Key), true, true
-	for _, e := range run {
-		l := len(recs[e.idx].Key)
-		sameLen = sameLen && l == length
-		past = past && l > end
+// oneKey reports whether a run of equal windows ending at end holds one key:
+// it does when its keys have one length and end inside the window.
+func oneKey(recs []core.Record, run []sortEntry, end int) bool {
+	length := len(recs[run[0].idx].Key)
+	if length > end {
+		return false
 	}
-	switch {
-	case sameLen && length <= end:
-	case past && len(run) >= radixSortMin:
-		if sorted := radixSort(recs, run, tmp, end); &sorted[0] != &run[0] {
-			copy(run, sorted)
+	for _, e := range run[1:] {
+		if len(recs[e.idx].Key) != length {
+			return false
 		}
-	default:
-		compareSort(recs, run)
 	}
+	return true
 }
 
 // CompareCost returns the nominal comparison count for sorting n records.

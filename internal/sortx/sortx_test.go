@@ -225,6 +225,7 @@ func BenchmarkByKeyWords(b *testing.B) { benchByKey(b, wordKeys(1<<14)) }
 // benchByKey times the package-level ByKey, scratch allocation included,
 // on a fresh copy of base.
 func benchByKey(b *testing.B, base []core.Record) {
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		work := make([]core.Record, len(base))
