@@ -13,7 +13,7 @@
 // (mr), a multi-process engine running worker subprocesses over that wire
 // format (mpexec), the seven Reduce-operation classes (reducers),
 // partial-result stores including disk spill-and-merge and a
-// BerkeleyDB-style KV store (store, kvstore), the paper's six benchmark
+// BerkeleyDB-style KV store (store), the paper's six benchmark
 // applications (apps), and an experiment harness reproducing every table
 // and figure of the evaluation (harness).
 //

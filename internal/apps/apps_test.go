@@ -37,7 +37,7 @@ func runApp(app App, input []core.Record) (barrier, stream []core.Record) {
 	}
 
 	sOut := &sink{}
-	st := store.NewSpillStore(2048, app.Merger, nil) // tiny threshold: exercise spills
+	st := store.NewSpillStore(2048, app.Merger, nil, nil) // tiny threshold: exercise spills
 	sr := app.NewStream(st)
 	for _, r := range mapped {
 		sr.Consume(r, sOut)

@@ -269,6 +269,10 @@ type RunSet struct {
 // NewRunSet creates an empty run set writing into d.
 func (d *RunDir) NewRunSet(tag string) *RunSet { return &RunSet{d: d, tag: tag} }
 
+// Compression is the directory's codec, which every run in the set is
+// encoded with.
+func (s *RunSet) Compression() codec.Compression { return s.d.comp }
+
 // Append seals buf (one complete, key-sorted run, already encoded with the
 // directory's codec) as a new run file. rawBytes is the run's standard
 // (pre-compression) encoded size, for ratio accounting; pass len(buf) for
@@ -303,8 +307,8 @@ func (s *RunSet) Append(buf []byte, rawBytes int64) error {
 // Runs reopens every sealed run as a streaming reader, in append order,
 // typed for direct use in a sortx merge (each returned Run is a
 // sortx.Source whose Err reports read failures). The readers stay owned by
-// the set; Release closes them. The signature deliberately matches
-// store.RunStore so a RunSet can back a spill store without an adapter.
+// the set; Release closes them. A RunSet is a store.RunStore, so it backs a
+// spill store without an adapter.
 func (s *RunSet) Runs() ([]sortx.Run, error) {
 	runs := make([]sortx.Run, 0, len(s.paths))
 	for _, p := range s.paths {

@@ -15,7 +15,6 @@ import (
 	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/dfs"
-	"blmr/internal/kvstore"
 	"blmr/internal/shuffle"
 	"blmr/internal/sortx"
 	"blmr/internal/store"
@@ -563,18 +562,17 @@ const (
 // set, in-memory and spill stores become disk-backed spill-merge stores
 // budgeted at SpillBytes, so pipelined partial results leave the heap for
 // real. The KV store is outside that budget: its cache is bounded, but what
-// the cache evicts goes to a log on a heap-resident kvstore.MemDisk, so on
-// this engine it models the store's access pattern, not its memory bound.
+// the cache evicts goes to a heap-resident log, so on this engine it models
+// the store's access pattern, not its memory bound.
 func NewTaskStore(job Job, opts Options, spillDir *dfs.RunDir, r int) store.Store {
-	if opts.SpillBytes > 0 && opts.Store != store.KV {
-		return store.NewSpillStoreComp(opts.SpillBytes, job.Merger, nil,
-			spillDir.NewRunSet(fmt.Sprintf("red%d", r)), spillDir.Compression())
-	}
-	switch opts.Store {
+	switch opts.Store.Bounded(opts.SpillBytes) {
 	case store.SpillMerge:
-		return store.NewSpillStoreComp(spillMergeBudgetBytes, job.Merger, nil, nil, opts.Compression)
+		if opts.SpillBytes > 0 {
+			return store.NewSpillStore(opts.SpillBytes, job.Merger, nil, spillDir.NewRunSet(fmt.Sprintf("red%d", r)))
+		}
+		return store.NewSpillStore(spillMergeBudgetBytes, job.Merger, nil, store.MemRuns(opts.Compression))
 	case store.KV:
-		return store.NewKVStore(kvstore.New(kvstore.Config{CacheBytes: kvCacheBytes}))
+		return store.NewKVStore(kvCacheBytes, nil)
 	default:
 		return store.NewMemStore()
 	}

@@ -181,11 +181,8 @@ func Validate(job Job, opts Options) error {
 	if opts.Mode == Pipelined && job.NewStream == nil {
 		return fmt.Errorf("mr: job %q has no stream reducer", job.Name)
 	}
-	if opts.Mode == Pipelined && opts.Store == store.SpillMerge && job.Merger == nil {
-		return fmt.Errorf("mr: job %q needs a merger for spill-merge", job.Name)
-	}
-	if opts.Mode == Pipelined && opts.SpillBytes > 0 && opts.Store != store.KV && job.Merger == nil {
-		return fmt.Errorf("mr: job %q needs a merger for a bounded-memory pipelined run", job.Name)
+	if opts.Mode == Pipelined && opts.Store.Bounded(opts.SpillBytes) == store.SpillMerge && job.Merger == nil {
+		return fmt.Errorf("mr: job %q needs a merger for its spill-merge store", job.Name)
 	}
 	return nil
 }

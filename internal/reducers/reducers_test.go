@@ -10,7 +10,6 @@ import (
 	"testing/quick"
 
 	"blmr/internal/core"
-	"blmr/internal/kvstore"
 	"blmr/internal/sortx"
 	"blmr/internal/store"
 )
@@ -77,8 +76,8 @@ func shuffled(recs []core.Record, seed int64) []core.Record {
 func eachStore(t *testing.T, merger store.Merger, fn func(name string, st store.Store)) {
 	t.Helper()
 	fn("in-memory", store.NewMemStore())
-	fn("spill", store.NewSpillStore(1024, merger, nil))
-	fn("kv", store.NewKVStore(kvstore.New(kvstore.Config{CacheBytes: 512})))
+	fn("spill", store.NewSpillStore(1024, merger, nil, nil))
+	fn("kv", store.NewKVStore(512, nil))
 }
 
 func TestIdentityEquivalence(t *testing.T) {

@@ -46,7 +46,7 @@ func FuzzSumMerger(f *testing.F) {
 func TestSumMergeHitAllocatesNothing(t *testing.T) {
 	for name, st := range map[string]store.Store{
 		"in-memory":   store.NewMemStore(),
-		"spill-merge": store.NewSpillStore(1<<20, store.SumMerger, nil),
+		"spill-merge": store.NewSpillStore(1<<20, store.SumMerger, nil, nil),
 	} {
 		keys := []string{"alpha", "bravo", "charlie", "delta"}
 		for _, k := range keys {

@@ -147,13 +147,13 @@ func (e *Engine) prepare(job *JobSpec, input *dfs.File) *Result {
 		job.Costs = DefaultCosts()
 	}
 	res := &Result{Metrics: e.Col, MapTasks: len(input.Chunks)}
-	if job.Mode == Pipelined && job.SpillBytes > 0 && job.Store != store.KV && job.Merger == nil {
-		// Same contract as mr.Run: a bounded-memory pipelined run needs a
-		// merger to reunite spilled partials. The simulator reports it as
-		// a failed job (its error channel) rather than silently running
-		// unbounded.
+	if job.Mode == Pipelined && job.Store.Bounded(job.SpillBytes) == store.SpillMerge && job.Merger == nil {
+		// Same contract as mr.Run: a spill-merge store, chosen or imposed by
+		// SpillBytes, needs a merger to reunite spilled partials. The
+		// simulator reports it as a failed job (its error channel) rather
+		// than silently running unbounded.
 		res.Failed = true
-		res.FailReason = fmt.Sprintf("job %q needs a merger for a bounded-memory pipelined run", job.Name)
+		res.FailReason = fmt.Sprintf("job %q needs a merger for its spill-merge store", job.Name)
 		return res
 	}
 	if job.Workers > len(e.C.Nodes) {

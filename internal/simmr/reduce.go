@@ -5,7 +5,6 @@ import (
 
 	"blmr/internal/cluster"
 	"blmr/internal/core"
-	"blmr/internal/kvstore"
 	"blmr/internal/metrics"
 	"blmr/internal/sim"
 	"blmr/internal/sortx"
@@ -263,31 +262,21 @@ func (e *Engine) chargeRunFetch(fp *sim.Proc, job *JobSpec, from *cluster.Node, 
 // newStore builds the per-task partial-result store with hooks that charge
 // simulated disk and per-op time on the reducer's node.
 func (e *Engine) newStore(p *sim.Proc, job *JobSpec, node *cluster.Node) store.Store {
-	if job.SpillBytes > 0 && job.Store != store.KV {
-		// Bounded-memory parity with mr.Options.SpillBytes: every
-		// in-memory store becomes spill-merge budgeted at the buffer
-		// budget (overriding SpillThreshold, exactly as the wall-clock
-		// engine does); the KV store keeps its own cache management.
-		// Merger presence was validated by Engine.Run.
-		thresholdReal := int64(float64(job.SpillBytes) / e.Cfg.ByteScale)
-		if thresholdReal <= 0 {
-			thresholdReal = 1
-		}
-		return store.NewSpillStore(thresholdReal, job.Merger, &simSpillHooks{e: e, p: p, node: node})
-	}
-	switch job.Store {
+	hooks := &storeHooks{e: e, p: p, node: node, opDelay: job.Costs.KVOpDelay}
+	switch job.Store.Bounded(job.SpillBytes) {
 	case store.SpillMerge:
-		thresholdReal := int64(float64(job.SpillThreshold) / e.Cfg.ByteScale)
-		if job.SpillThreshold == 0 {
-			thresholdReal = 1 << 20
+		// SpillBytes overrides SpillThreshold, exactly as the wall-clock
+		// engine does (bounded-memory parity with mr.Options.SpillBytes).
+		// Merger presence was validated by Engine.Run.
+		threshold := int64(1 << 20) // SpillThreshold unset
+		if job.SpillBytes > 0 {
+			threshold = max(int64(float64(job.SpillBytes)/e.Cfg.ByteScale), 1)
+		} else if job.SpillThreshold != 0 {
+			threshold = int64(float64(job.SpillThreshold) / e.Cfg.ByteScale)
 		}
-		return store.NewSpillStore(thresholdReal, job.Merger, &simSpillHooks{e: e, p: p, node: node})
+		return store.NewSpillStore(threshold, job.Merger, hooks, nil)
 	case store.KV:
-		kv := kvstore.New(kvstore.Config{
-			CacheBytes: int64(kvCacheBytes / e.Cfg.ByteScale),
-			Hooks:      &simKVHooks{e: e, p: p, node: node, opDelay: job.Costs.KVOpDelay},
-		})
-		return store.NewKVStore(kv)
+		return store.NewKVStore(int64(kvCacheBytes/e.Cfg.ByteScale), hooks)
 	default:
 		return store.NewMemStore()
 	}
@@ -302,32 +291,18 @@ func (e *Engine) writeOutput(p *sim.Proc, job *JobSpec, node *cluster.Node, recs
 	res.Output = append(res.Output, recs...)
 }
 
-// simSpillHooks charges spill I/O as local disk traffic (spill bytes are
-// already virtual once scaled).
-type simSpillHooks struct {
-	e    *Engine
-	p    *sim.Proc
-	node *cluster.Node
-}
-
-func (h *simSpillHooks) SpillWrite(n int64) { h.node.DiskWrite(h.p, h.e.virtBytes(n)) }
-func (h *simSpillHooks) SpillRead(n int64)  { h.node.DiskRead(h.p, h.e.virtBytes(n)) }
-
-// simKVHooks charges KV-store ops and log I/O. Each user op costs opDelay
-// scaled by RecordScale (a real op stands in for RecordScale virtual ops).
-type simKVHooks struct {
+// storeHooks charges a store's I/O as local disk traffic (its bytes are
+// real, so they are scaled to virtual bytes) and each KV-store operation as
+// opDelay scaled by RecordScale: the store's observed per-operation
+// throughput (the paper measured ~30,000 inserts/s), with each real
+// operation standing for RecordScale virtual ones.
+type storeHooks struct {
 	e       *Engine
 	p       *sim.Proc
 	node    *cluster.Node
 	opDelay float64
 }
 
-// Op throttles the store to its observed per-operation throughput (the
-// paper measured ~30,000 inserts/s); every reduce invocation performs a
-// get+put cycle, and each real operation stands for RecordScale virtual
-// operations.
-func (h *simKVHooks) Op(name string) {
-	h.p.Sleep(h.opDelay * h.e.Cfg.RecordScale)
-}
-func (h *simKVHooks) DiskWrite(n int64) { h.node.DiskWrite(h.p, h.e.virtBytes(n)) }
-func (h *simKVHooks) DiskRead(n int64)  { h.node.DiskRead(h.p, h.e.virtBytes(n)) }
+func (h *storeHooks) Op()               { h.p.Sleep(h.opDelay * h.e.Cfg.RecordScale) }
+func (h *storeHooks) DiskWrite(n int64) { h.node.DiskWrite(h.p, h.e.virtBytes(n)) }
+func (h *storeHooks) DiskRead(n int64)  { h.node.DiskRead(h.p, h.e.virtBytes(n)) }

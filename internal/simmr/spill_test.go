@@ -114,6 +114,20 @@ func TestSpillBytesWithoutMergerFails(t *testing.T) {
 	}
 }
 
+// TestSpillMergeWithoutMergerFails: an explicit spill-merge store needs a
+// merger with no SpillBytes set too; the job is refused like mr.Run refuses
+// it, instead of panicking in the store's constructor mid-simulation.
+func TestSpillMergeWithoutMergerFails(t *testing.T) {
+	e := NewEngine(testConfig())
+	f := e.Ingest("in", workload.SplitEvenly(workload.Text(7, 100, 60, 4), 2))
+	job := jobFor(apps.WordCount(), Pipelined, 2)
+	job.Merger = nil
+	job.Store = store.SpillMerge
+	if res := e.Run(job, f); !res.Failed {
+		t.Fatal("merger-less pipelined job on a spill-merge store must fail")
+	}
+}
+
 // TestSpillBytesUpgradesPipelinedStore: an InMemory pipelined job with a
 // merger and a budget runs on a spill-merge store, so reducer partials spill
 // and peak memory stays near the budget while output is unchanged.

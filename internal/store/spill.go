@@ -6,33 +6,17 @@ import (
 	"blmr/internal/sortx"
 )
 
-// SpillHooks observes spill-file I/O so the simulator can charge disk time.
-type SpillHooks interface {
-	// SpillWrite is called when a spill run of the given size is written.
-	SpillWrite(bytes int64)
-	// SpillRead is called as spill data is read back during the merge.
-	SpillRead(bytes int64)
-}
-
-// NopSpillHooks ignores all notifications.
-type NopSpillHooks struct{}
-
-// SpillWrite implements SpillHooks.
-func (NopSpillHooks) SpillWrite(int64) {}
-
-// SpillRead implements SpillHooks.
-func (NopSpillHooks) SpillRead(int64) {}
-
 // RunStore persists sealed spill runs — immutable key-sorted encoded record
-// streams — and streams them back for the final merge. The default is
-// in-memory (the simulator charges virtual disk time through SpillHooks
-// instead of doing real I/O); the wall-clock engine plugs in a disk-backed
+// streams — and streams them back for the final merge. MemRuns keeps them on
+// the heap (the simulator charges virtual disk time through Hooks instead of
+// doing real I/O); the wall-clock engine plugs in a disk-backed
 // implementation (dfs.RunSet) so spilled data actually leaves the heap.
 // Append and Runs are phase-separated: all appends happen before the single
-// Runs call, matching the spill lifecycle. Runs arrive already encoded with
-// the store's codec; implementations decode with the same codec on the way
-// back out.
+// Runs call, matching the spill lifecycle. A RunStore names its codec, and
+// the spill store encodes every run it appends with it.
 type RunStore interface {
+	// Compression is the codec runs are encoded with and decoded by.
+	Compression() codec.Compression
 	// Append seals buf as one immutable run. rawBytes is the run's standard
 	// (pre-compression) encoded size, for compression-ratio accounting. The
 	// buffer is owned by the caller and may be reused after Append returns.
@@ -46,13 +30,17 @@ type RunStore interface {
 	Release() error
 }
 
-// memRuns is the in-memory RunStore: runs live on the heap as flat encoded
-// (possibly compressed) buffers. Used by the simulator, where spill I/O is
-// virtual time, and as the default when no disk backing is configured.
+// MemRuns returns an in-memory RunStore: runs live on the heap as flat
+// buffers encoded with comp, so a compressing codec shrinks the spilled
+// heap footprint by its ratio.
+func MemRuns(comp codec.Compression) RunStore { return &memRuns{comp: comp} }
+
 type memRuns struct {
 	comp codec.Compression
 	runs [][]byte
 }
+
+func (m *memRuns) Compression() codec.Compression { return m.comp }
 
 func (m *memRuns) Append(buf []byte, rawBytes int64) error {
 	m.runs = append(m.runs, append([]byte(nil), buf...))
@@ -84,7 +72,7 @@ type SpillStore struct {
 	t         table
 	merger    Merger
 	threshold int64
-	hooks     SpillHooks
+	hooks     Hooks
 	runs      RunStore
 	enc       *codec.RunEncoder // reusable run encoder (~threshold bytes once warm)
 	runLens   []int64           // sealed size of each run, for read accounting
@@ -94,47 +82,29 @@ type SpillStore struct {
 	Spills int
 }
 
-// NewSpillStore creates a spill-and-merge store with in-memory run storage
-// (the simulator's configuration: spill I/O cost is charged through hooks).
-// threshold is the in-memory partial-results budget in bytes (the paper
-// used 240 MB); merger combines same-key partials at merge time; hooks may
-// be nil.
-func NewSpillStore(threshold int64, merger Merger, hooks SpillHooks) *SpillStore {
-	return NewSpillStoreOn(threshold, merger, hooks, nil)
-}
-
-// NewSpillStoreOn is NewSpillStore with explicit uncompressed run storage.
-// A nil runs falls back to in-memory storage; the wall-clock engine passes
-// a disk-backed RunStore so spilled partials leave the heap for real.
-func NewSpillStoreOn(threshold int64, merger Merger, hooks SpillHooks, runs RunStore) *SpillStore {
-	return NewSpillStoreComp(threshold, merger, hooks, runs, codec.None)
-}
-
-// NewSpillStoreComp is NewSpillStoreOn with a sealed-run codec: spill runs
-// are compressed as they are encoded and decompressed block by block during
-// the final merge, so both spill I/O and (for in-memory run storage) the
-// spilled heap footprint shrink by the ratio. comp must match the codec the
-// RunStore's readers decode with (a dfs.RunSet inherits it from its
-// RunDir).
-func NewSpillStoreComp(threshold int64, merger Merger, hooks SpillHooks, runs RunStore, comp codec.Compression) *SpillStore {
+// NewSpillStore creates a spill-and-merge store. threshold is the in-memory
+// partial-results budget in bytes (the paper used 240 MB; <= 0 means 1 MiB);
+// merger combines same-key partials at merge time; hooks may be nil. runs
+// holds the sealed runs, encoded with its codec; nil means MemRuns(codec.None).
+func NewSpillStore(threshold int64, merger Merger, hooks Hooks, runs RunStore) *SpillStore {
 	if merger == nil {
 		panic("store: SpillStore requires a Merger")
 	}
 	if hooks == nil {
-		hooks = NopSpillHooks{}
+		hooks = nopHooks{}
 	}
 	if threshold <= 0 {
 		threshold = 1 << 20
 	}
 	if runs == nil {
-		runs = &memRuns{comp: comp}
+		runs = MemRuns(codec.None)
 	}
 	return &SpillStore{
 		merger:    merger,
 		threshold: threshold,
 		hooks:     hooks,
 		runs:      runs,
-		enc:       codec.NewRunEncoder(nil, comp),
+		enc:       codec.NewRunEncoder(nil, runs.Compression()),
 	}
 }
 
@@ -215,7 +185,7 @@ func (s *SpillStore) spill() {
 	s.runLens = append(s.runLens, int64(len(buf)))
 	s.spilled += int64(len(buf))
 	s.Spills++
-	s.hooks.SpillWrite(int64(len(buf)))
+	s.hooks.DiskWrite(int64(len(buf)))
 	// Everything the table held is now encoded in the sealed run, so its
 	// slabs can be recycled for the next fill cycle (clearReuse's
 	// no-escaped-strings contract holds).
@@ -237,7 +207,7 @@ func (s *SpillStore) Emit(out core.Output) {
 		return
 	}
 	for _, n := range s.runLens {
-		s.hooks.SpillRead(n)
+		s.hooks.DiskRead(n)
 	}
 	// The live table, read in key order, is one more run.
 	live := s.t.drain()

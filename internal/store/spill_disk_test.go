@@ -22,14 +22,14 @@ func diskSpillStore(t *testing.T, threshold int64) (*SpillStore, *dfs.RunDir) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { rd.Close() })
-	return NewSpillStoreOn(threshold, sumMerger, nil, rd.NewRunSet("test")), rd
+	return NewSpillStore(threshold, sumMerger, nil, rd.NewRunSet("test")), rd
 }
 
 // TestDiskSpillStoreMatchesMemory drives identical aggregation streams
 // through a memory-backed and a disk-backed spill store; outputs must be
 // identical, and the disk-backed one must have really written files.
 func TestDiskSpillStoreMatchesMemory(t *testing.T) {
-	mem := NewSpillStore(2048, sumMerger, nil)
+	mem := NewSpillStore(2048, sumMerger, nil, nil)
 	disk, rd := diskSpillStore(t, 2048)
 
 	for i := 0; i < 5000; i++ {
@@ -96,7 +96,7 @@ func TestSpillMergeSumMatchesMerge(t *testing.T) {
 		t.Run(backing, func(t *testing.T) {
 			build := func() (*SpillStore, *recordingRuns) {
 				comp := codec.DeltaBlock
-				var runs RunStore = &memRuns{comp: comp}
+				runs := MemRuns(comp)
 				if backing == "disk" {
 					rd, err := dfs.NewRunDirComp(t.TempDir(), comp)
 					if err != nil {
@@ -106,7 +106,7 @@ func TestSpillMergeSumMatchesMerge(t *testing.T) {
 					runs = rd.NewRunSet("test")
 				}
 				rec := &recordingRuns{RunStore: runs}
-				return NewSpillStoreComp(4096, SumMerger, nil, rec, comp), rec
+				return NewSpillStore(4096, SumMerger, nil, rec), rec
 			}
 			sum, sumRuns := build()
 			merge, mergeRuns := build()
@@ -152,15 +152,16 @@ func (f *failingRuns) Append([]byte, int64) error {
 	f.n--
 	return nil
 }
-func (f *failingRuns) Runs() ([]sortx.Run, error) { return nil, nil }
-func (f *failingRuns) Release() error             { return nil }
+func (f *failingRuns) Compression() codec.Compression { return codec.None }
+func (f *failingRuns) Runs() ([]sortx.Run, error)     { return nil, nil }
+func (f *failingRuns) Release() error                 { return nil }
 
 // TestSpillStoreSurvivesStorageFailure: when run storage starts failing,
 // the store must keep partials in memory (no data loss) and report the
 // error through Err.
 func TestSpillStoreSurvivesStorageFailure(t *testing.T) {
 	boom := errors.New("disk full")
-	s := NewSpillStoreOn(512, sumMerger, nil, &failingRuns{n: 0, err: boom})
+	s := NewSpillStore(512, sumMerger, nil, &failingRuns{n: 0, err: boom})
 	for i := 0; i < 500; i++ {
 		s.Merge(fmt.Sprintf("k%04d", i), "1", sumMerger)
 	}
@@ -188,7 +189,7 @@ func TestApproxBytesConsistent(t *testing.T) {
 		t.Fatalf("MemStore.ApproxBytes = %d, ApproxRecordBytes sum = %d", m.ApproxBytes(), want)
 	}
 	// SpillStore: ApproxBytes covers tree + retained scratch.
-	s := NewSpillStore(1<<20, sumMerger, nil)
+	s := NewSpillStore(1<<20, sumMerger, nil, nil)
 	s.Put("a", "1")
 	if s.ApproxBytes() < s.MemBytes() {
 		t.Fatal("ApproxBytes must include MemBytes")

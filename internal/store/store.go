@@ -13,7 +13,7 @@
 //     cache (the BerkeleyDB stand-in).
 //
 // All three expose the same Store interface so reducers are agnostic to the
-// memory-management policy.
+// memory-management policy, and report their I/O through the same Hooks.
 package store
 
 import "blmr/internal/core"
@@ -82,6 +82,28 @@ type Store interface {
 	Emit(out core.Output)
 }
 
+// Hooks observes a store's I/O so the simulator can charge virtual time for
+// it. The stores call it with the real bytes they move; a nil Hooks
+// observes nothing.
+type Hooks interface {
+	// Op is called once per KVStore Get or Put: the off-the-shelf store's
+	// per-operation cost. The other stores never call it.
+	Op()
+	// DiskWrite is called when bytes go to spill storage: a sealed spill
+	// run, or a KV log append.
+	DiskWrite(bytes int64)
+	// DiskRead is called when spilled bytes are read back: a spill run at
+	// the final merge, or a KV log entry.
+	DiskRead(bytes int64)
+}
+
+// nopHooks is what a store built with nil Hooks calls.
+type nopHooks struct{}
+
+func (nopHooks) Op()             {}
+func (nopHooks) DiskWrite(int64) {}
+func (nopHooks) DiskRead(int64)  {}
+
 // Kind names a memory-management strategy, used in configs and reports.
 type Kind int
 
@@ -93,6 +115,18 @@ const (
 )
 
 var kindNames = [...]string{"in-memory", "spill-merge", "kvstore"}
+
+// Bounded is the strategy a reduce task's store of kind k runs with when
+// spillBytes (if > 0) bounds task memory: every in-memory store becomes a
+// spill-merge store budgeted at spillBytes, and the KV store keeps its own
+// cache management. Both engines build their stores, and validate that a
+// spill-merge store has its Merger, by this one rule.
+func (k Kind) Bounded(spillBytes int64) Kind {
+	if spillBytes > 0 && k != KV {
+		return SpillMerge
+	}
+	return k
+}
 
 func (k Kind) String() string {
 	if k < 0 || int(k) >= len(kindNames) {

@@ -10,7 +10,6 @@ import (
 	"unsafe"
 
 	"blmr/internal/core"
-	"blmr/internal/kvstore"
 )
 
 func sumMerger(a, b string) string {
@@ -39,8 +38,8 @@ func allStores(t *testing.T, spillThreshold int64) map[string]Store {
 	t.Helper()
 	return map[string]Store{
 		"in-memory":   NewMemStore(),
-		"spill-merge": NewSpillStore(spillThreshold, sumMerger, nil),
-		"kvstore":     NewKVStore(kvstore.New(kvstore.Config{CacheBytes: 512})),
+		"spill-merge": NewSpillStore(spillThreshold, sumMerger, nil, nil),
+		"kvstore":     NewKVStore(512, nil),
 	}
 }
 
@@ -109,7 +108,7 @@ func TestMemStoreBytesGrowWithKeys(t *testing.T) {
 }
 
 func TestSpillStoreRespectsThreshold(t *testing.T) {
-	s := NewSpillStore(4096, sumMerger, nil)
+	s := NewSpillStore(4096, sumMerger, nil, nil)
 	for i := 0; i < 10000; i++ {
 		aggregate(s, fmt.Sprintf("key%05d", i), 1)
 	}
@@ -132,7 +131,7 @@ func TestSpillStoreRespectsThreshold(t *testing.T) {
 func TestSpillStoreMergesAcrossRuns(t *testing.T) {
 	// The same key spilled into multiple runs must be merged with the
 	// Merger at Emit (partial sums add up).
-	s := NewSpillStore(600, sumMerger, nil)
+	s := NewSpillStore(600, sumMerger, nil, nil)
 	const rounds = 50
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < 20; i++ {
@@ -155,7 +154,7 @@ func TestSpillStoreMergesAcrossRuns(t *testing.T) {
 }
 
 func TestSpillStoreNoSpillFastPath(t *testing.T) {
-	s := NewSpillStore(1<<20, sumMerger, nil)
+	s := NewSpillStore(1<<20, sumMerger, nil, nil)
 	aggregate(s, "b", 2)
 	aggregate(s, "a", 1)
 	out := &sink{}
@@ -169,8 +168,8 @@ func TestSpillStoreNoSpillFastPath(t *testing.T) {
 }
 
 func TestSpillHooksCharged(t *testing.T) {
-	h := &spillCounter{}
-	s := NewSpillStore(512, sumMerger, h)
+	h := &ioCounter{}
+	s := NewSpillStore(512, sumMerger, h, nil)
 	for i := 0; i < 2000; i++ {
 		aggregate(s, fmt.Sprintf("k%04d", i), 1)
 	}
@@ -178,19 +177,13 @@ func TestSpillHooksCharged(t *testing.T) {
 	if h.wrote == 0 || h.read == 0 {
 		t.Fatalf("hooks not charged: wrote=%d read=%d", h.wrote, h.read)
 	}
-	if h.read != h.wrote {
-		t.Fatalf("merge should read back exactly what was spilled: wrote=%d read=%d", h.wrote, h.read)
+	if h.read != h.wrote || h.ops != 0 {
+		t.Fatalf("merge should read back exactly what was spilled, and a spill store has no per-op cost: wrote=%d read=%d ops=%d", h.wrote, h.read, h.ops)
 	}
 }
 
-type spillCounter struct{ wrote, read int64 }
-
-func (c *spillCounter) SpillWrite(n int64) { c.wrote += n }
-func (c *spillCounter) SpillRead(n int64)  { c.read += n }
-
 func TestKVStoreBoundedMemory(t *testing.T) {
-	kv := kvstore.New(kvstore.Config{CacheBytes: 1024})
-	s := NewKVStore(kv)
+	s := NewKVStore(1024, nil)
 	for i := 0; i < 5000; i++ {
 		aggregate(s, fmt.Sprintf("key%05d", i%500), 1)
 	}
@@ -214,8 +207,8 @@ func TestStoresEquivalenceProperty(t *testing.T) {
 	// strategies emit identical aggregates.
 	f := func(ops []uint16) bool {
 		mem := NewMemStore()
-		spill := NewSpillStore(512, sumMerger, nil)
-		kv := NewKVStore(kvstore.New(kvstore.Config{CacheBytes: 256}))
+		spill := NewSpillStore(512, sumMerger, nil, nil)
+		kv := NewKVStore(256, nil)
 		for _, op := range ops {
 			key := fmt.Sprintf("k%02d", op%23)
 			delta := int(op%5) + 1
@@ -255,6 +248,21 @@ func TestKindString(t *testing.T) {
 	}
 }
 
+func TestKindBounded(t *testing.T) {
+	for _, c := range []struct {
+		k          Kind
+		spillBytes int64
+		want       Kind
+	}{
+		{InMemory, 0, InMemory}, {SpillMerge, 0, SpillMerge}, {KV, 0, KV},
+		{InMemory, 1, SpillMerge}, {SpillMerge, 1, SpillMerge}, {KV, 1, KV},
+	} {
+		if got := c.k.Bounded(c.spillBytes); got != c.want {
+			t.Errorf("%v.Bounded(%d) = %v, want %v", c.k, c.spillBytes, got, c.want)
+		}
+	}
+}
+
 // benchKeys are built before the timer starts: formatting a key costs more
 // than the store operation it feeds.
 func benchKeys() []string {
@@ -284,15 +292,15 @@ func benchMerge(b *testing.B, s Store) {
 	}
 }
 
-func benchKV() Store { return NewKVStore(kvstore.New(kvstore.Config{CacheBytes: 1 << 14})) }
+func benchKV() Store { return NewKVStore(1<<14, nil) }
 
 func BenchmarkMemStoreAggregate(b *testing.B) { benchAggregate(b, NewMemStore()) }
 func BenchmarkSpillStoreAggregate(b *testing.B) {
-	benchAggregate(b, NewSpillStore(1<<16, sumMerger, nil))
+	benchAggregate(b, NewSpillStore(1<<16, sumMerger, nil, nil))
 }
 func BenchmarkKVStoreAggregate(b *testing.B) { benchAggregate(b, benchKV()) }
 func BenchmarkMemStoreMerge(b *testing.B)    { benchMerge(b, NewMemStore()) }
-func BenchmarkSpillStoreMerge(b *testing.B)  { benchMerge(b, NewSpillStore(1<<16, sumMerger, nil)) }
+func BenchmarkSpillStoreMerge(b *testing.B)  { benchMerge(b, NewSpillStore(1<<16, sumMerger, nil, nil)) }
 func BenchmarkKVStoreMerge(b *testing.B)     { benchMerge(b, benchKV()) }
 
 // TestFirstSeenValueIsCopied: the first value merged for a key is retained
@@ -312,7 +320,7 @@ func TestFirstSeenValueIsCopied(t *testing.T) {
 	}
 	for name, s := range map[string]Store{
 		"in-memory":   NewMemStore(),
-		"spill-merge": NewSpillStore(1<<20, sumMerger, nil),
+		"spill-merge": NewSpillStore(1<<20, sumMerger, nil, nil),
 	} {
 		for i := 0; i < 500; i++ {
 			// Key and value are both views into backing; every third key is
@@ -353,18 +361,17 @@ func TestStoreAccessors(t *testing.T) {
 	if mem.Len() != 2 {
 		t.Fatalf("mem Len = %d", mem.Len())
 	}
-	sp := NewSpillStore(1<<20, sumMerger, nil)
+	sp := NewSpillStore(1<<20, sumMerger, nil, nil)
 	aggregate(sp, "a", 1)
 	if sp.Len() != 1 {
 		t.Fatalf("spill Len = %d", sp.Len())
 	}
-	kvu := kvstore.New(kvstore.Config{CacheBytes: 1024})
-	kv := NewKVStore(kvu)
+	kv := NewKVStore(1024, nil)
 	aggregate(kv, "x", 1)
 	if kv.Len() != 1 {
 		t.Fatalf("kv Len = %d", kv.Len())
 	}
-	if kv.SpilledBytes() != kvu.Stats().LogBytes {
+	if kv.SpilledBytes() != int64(len(kv.log)) {
 		t.Fatal("SpilledBytes should mirror log size")
 	}
 }
@@ -375,24 +382,15 @@ func TestSpillStoreRequiresMerger(t *testing.T) {
 			t.Fatal("expected panic without merger")
 		}
 	}()
-	NewSpillStore(1024, nil, nil)
+	NewSpillStore(1024, nil, nil, nil)
 }
 
 func TestSpillStoreDefaultThreshold(t *testing.T) {
-	s := NewSpillStore(0, sumMerger, nil)
+	s := NewSpillStore(0, sumMerger, nil, nil)
 	aggregate(s, "k", 1)
 	out := &sink{}
 	s.Emit(out)
 	if len(out.recs) != 1 {
 		t.Fatal("default-threshold store broken")
 	}
-}
-
-func TestNopSpillHooks(t *testing.T) {
-	// The nil-hooks path must route through NopSpillHooks without panics.
-	s := NewSpillStore(64, sumMerger, NopSpillHooks{})
-	for i := 0; i < 100; i++ {
-		aggregate(s, fmt.Sprintf("key%02d", i), 1)
-	}
-	s.Emit(&sink{})
 }
