@@ -112,9 +112,9 @@ func TestKVCompaction(t *testing.T) {
 	}
 }
 
-// TestKVLenAndEmitSpanCacheAndLog: a key counts once and is emitted once,
+// TestKVLenWithMixedCacheLogKeys: a key counts once and is emitted once,
 // whether it sits in the cache, the log, or both.
-func TestKVLenAndEmitSpanCacheAndLog(t *testing.T) {
+func TestKVLenWithMixedCacheLogKeys(t *testing.T) {
 	s := NewKVStore(150, nil)
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 	for _, k := range keys {
@@ -134,6 +134,55 @@ func TestKVLenAndEmitSpanCacheAndLog(t *testing.T) {
 		if r.Key != want[i] || r.Value != "some-longish-value-here" {
 			t.Fatalf("Emit record %d = %v, want key %q", i, r, want[i])
 		}
+	}
+}
+
+// TestKVKeysComplete: Emit writes every key exactly once, most of them
+// read back from the log.
+func TestKVKeysComplete(t *testing.T) {
+	s := NewKVStore(200, nil)
+	want := map[string]bool{}
+	for i := 0; i < 60; i++ {
+		k := fmt.Sprintf("key-%02d", i)
+		s.Put(k, "v")
+		want[k] = true
+	}
+	if s.SpilledBytes() == 0 {
+		t.Fatal("expected most keys in the log")
+	}
+	out := &sink{}
+	s.Emit(out)
+	if len(out.recs) != len(want) {
+		t.Fatalf("Emit wrote %d records, want %d", len(out.recs), len(want))
+	}
+	for _, r := range out.recs {
+		if !want[r.Key] {
+			t.Fatalf("unexpected or repeated key %q", r.Key)
+		}
+		delete(want, r.Key)
+	}
+}
+
+// TestKVOpCounts: every Get, hit or miss, and every Put is one Op; a store
+// within its cache budget touches no log.
+func TestKVOpCounts(t *testing.T) {
+	h := &ioCounter{}
+	s := NewKVStore(128, h)
+	s.Put("a", "1")
+	if v, ok := s.Get("a"); !ok || v != "1" {
+		t.Fatalf("Get(a) = %q,%v", v, ok)
+	}
+	if _, ok := s.Get("missing"); ok {
+		t.Fatal("found missing key")
+	}
+	if h.ops != 3 {
+		t.Fatalf("ops = %d, want 3", h.ops)
+	}
+	if h.wrote != 0 || h.read != 0 {
+		t.Fatalf("writes=%d reads=%d, want no log traffic", h.wrote, h.read)
+	}
+	if s.MemBytes() > 128 {
+		t.Fatalf("cache holds %d bytes, budget 128", s.MemBytes())
 	}
 }
 
