@@ -5,12 +5,12 @@
 // pluggable memory-managed stores.
 //
 // The implementation lives under internal/: a discrete-event cluster
-// simulator (sim, cluster, dfs) carrying the full MapReduce engine (simmr),
-// a real-concurrency engine split into an execution plane (exec: task
-// bodies plus a slot-aware scheduler), pluggable shuffle transports
-// (shuffle: in-process batched channels, a sealed spill-run exchange, and
-// the same exchange over a loopback TCP run-server) and a thin composition
-// (mr), a multi-process engine running worker subprocesses over that wire
+// simulator (sim, cluster) carrying the full MapReduce engine over a
+// simulated HDFS (simmr), a real-concurrency engine split into an execution
+// plane (exec: task bodies plus a slot-aware scheduler), pluggable shuffle
+// transports (shuffle: in-process batched channels, a sealed spill-run
+// exchange, and the same exchange over a loopback TCP run-server) and a thin
+// composition (mr), a multi-process engine running worker subprocesses over that wire
 // format (mpexec), the seven Reduce-operation classes (reducers),
 // partial-result stores including disk spill-and-merge and a
 // BerkeleyDB-style KV store (store), the paper's six benchmark
@@ -68,8 +68,9 @@
 // engine seals — spill waves, run-exchange segments, intermediate merge
 // runs, pipelined store spills. codec.Block is a dependency-free
 // snappy-shaped LZ over 32KiB blocks; codec.DeltaBlock additionally
-// front-codes the sorted keys inside each block, the big win for
-// text-heavy keys (a 1M-line WordCount spill seals ~30x smaller).
+// front-codes the keys inside each block, lossless in any order and the big
+// win for sorted text-heavy keys (a 1M-line WordCount spill seals ~30x
+// smaller).
 // Compressed sections travel compressed through the TCP run-server and
 // decompress at the consuming merger, so fetch bytes shrink by the same
 // ratio; decompressed merge order is unchanged, so barrier output stays

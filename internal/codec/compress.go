@@ -40,11 +40,12 @@ package codec
 // to the dictionary window length (dict blocks only).
 //
 // Block payloads use the standard record framing. DeltaBlock additionally
-// front-codes keys before compression, exploiting that spill runs are
-// always key-sorted: each record stores the length of the prefix it shares
-// with the previous key in the block plus the suffix, which collapses the
-// long shared prefixes sorted text keys have. Front-coding state resets at
-// every block boundary so blocks stay independently parseable:
+// front-codes keys before compression: each record stores the length of the
+// prefix it shares with the previous key in the block plus the suffix.
+// That is lossless in any key order (pipelined waves are sealed unsorted);
+// sorted runs just compress better, because sorted text keys share long
+// prefixes with their neighbours. Front-coding state resets at every block
+// boundary so blocks stay independently parseable:
 //
 //	deltaRec := uvarint(shared) | uvarint(len(suffix)) | suffix |
 //	            uvarint(len(value)) | value
@@ -74,7 +75,7 @@ const (
 	None Compression = iota
 	// Block seals runs as LZ-compressed fixed-size blocks.
 	Block
-	// DeltaBlock is Block with sorted-key front-coding inside each block.
+	// DeltaBlock is Block with key front-coding inside each block.
 	DeltaBlock
 )
 
@@ -274,8 +275,7 @@ func commonPrefixLen(a []byte, b string) int {
 	return n
 }
 
-// RunEncoder seals one key-sorted record stream as a (possibly compressed)
-// run. With a writer, completed blocks stream out incrementally so large
+// RunEncoder seals one record stream as a (possibly compressed) run. With a writer, completed blocks stream out incrementally so large
 // runs never need run-sized memory; with a nil writer the encoded run
 // accumulates internally and Bytes returns it after Flush. Reset reuses
 // every internal buffer for the next run. Not safe for concurrent use.
@@ -331,8 +331,8 @@ func (e *RunEncoder) ScratchBytes() int64 {
 	return int64(cap(e.raw) + cap(e.out) + cap(e.scratch) + cap(e.hist) + cap(e.comb))
 }
 
-// Append adds one record to the run. Records must arrive in key order for
-// DeltaBlock (the spill invariant); None and Block accept any order.
+// Append adds one record to the run. Every codec accepts records in any
+// order; DeltaBlock compresses key-sorted runs best.
 func (e *RunEncoder) Append(r core.Record) error {
 	if e.err != nil {
 		return e.err

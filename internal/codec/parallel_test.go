@@ -2,8 +2,11 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,16 +18,7 @@ func drainParallel(t *testing.T, buf []byte, workers int, arena *Arena) ([]core.
 	t.Helper()
 	pool := NewDecodePool(workers)
 	defer pool.Close()
-	pr := NewParallelReader(pool, bytes.NewReader(buf), arena)
-	var got []core.Record
-	for {
-		r, ok := pr.Next()
-		if !ok {
-			break
-		}
-		got = append(got, r)
-	}
-	return got, pr.Err()
+	return drainRecords(NewParallelReader(pool, bytes.NewReader(buf), arena))
 }
 
 // TestParallelDecodeMatchesSerial: the pipeline must yield the exact
@@ -135,4 +129,81 @@ func TestParallelDecodeAfterPoolClose(t *testing.T) {
 	if n != len(recs) {
 		t.Fatalf("decoded %d records, want %d", n, len(recs))
 	}
+}
+
+// FuzzRunDecoder feeds arbitrary bytes to the three compressed-run decoders
+// — the serial NewRunDecoderBytes, a ParallelReader on a 2-worker
+// DecodePool, and a SectionDecoder reset with an Arena — and holds them to
+// one outcome: the same records, and either a clean end from all three or
+// ErrCorrupt from all three. Each input is decoded a second time with its
+// block checksums recomputed (withBlockCRCs), so mutations reach the LZ and
+// front-coding parsers behind the CRC check. The committed corpus in
+// testdata/fuzz/FuzzRunDecoder holds a valid Block run, a DeltaBlock run
+// whose second block copies from the first one's tail (the dict bit), and
+// that run cut inside its second block.
+func FuzzRunDecoder(f *testing.F) {
+	pool := NewDecodePool(2)
+	f.Cleanup(pool.Close)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, run := range [][]byte{b, withBlockCRCs(b)} {
+			want, wantErr := drainRecords(NewRunDecoderBytes(run, DeltaBlock))
+			if wantErr != nil && !errors.Is(wantErr, ErrCorrupt) {
+				t.Fatalf("serial: err %v, want ErrCorrupt", wantErr)
+			}
+			var dec SectionDecoder
+			for name, rd := range map[string]RecordReader{
+				"parallel": NewParallelReader(pool, bytes.NewReader(run), nil),
+				"section":  dec.Reset(bytes.NewReader(run), DeltaBlock, &Arena{}),
+			} {
+				got, err := drainRecords(rd)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: decoded %d records, serial %d", name, len(got), len(want))
+				}
+				if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+					t.Fatalf("%s: err %v, serial err %v", name, err, wantErr)
+				}
+			}
+		}
+	})
+}
+
+// drainRecords reads rd to its end.
+func drainRecords(rd RecordReader) ([]core.Record, error) {
+	var got []core.Record
+	for r, ok := rd.Next(); ok; r, ok = rd.Next() {
+		got = append(got, r)
+	}
+	return got, rd.Err()
+}
+
+// fuzzFixedRawBytes caps the raw bytes withBlockCRCs makes decodable, so a
+// fuzzed block header cannot have the decoders build gigabytes of records.
+const fuzzFixedRawBytes = 256 << 10
+
+// withBlockCRCs returns a copy of a compressed run with each whole block's
+// checksum recomputed over its payload, up to fuzzFixedRawBytes of declared
+// raw bytes. It stops at the first frame it cannot parse.
+func withBlockCRCs(b []byte) []byte {
+	b = slices.Clone(b)
+	off, raw := 5, uint64(0)
+	for off < len(b) {
+		rawLen, n := binary.Uvarint(b[off:])
+		if n <= 0 {
+			break
+		}
+		tag, m := binary.Uvarint(b[off+n:])
+		if m <= 0 {
+			break
+		}
+		crcAt := off + n + m
+		encLen := tag >> 2
+		if crcAt+4 > len(b) || encLen > uint64(len(b)-crcAt-4) || rawLen > fuzzFixedRawBytes-raw {
+			break
+		}
+		raw += rawLen
+		payload := b[crcAt+4 : crcAt+4+int(encLen)]
+		binary.LittleEndian.PutUint32(b[crcAt:], crc32.Checksum(payload, crcTable))
+		off = crcAt + 4 + int(encLen)
+	}
+	return b
 }

@@ -1,12 +1,10 @@
-package dfs
-
-// Local spill storage for the wall-clock engine. The simulated DFS above
-// models replicated chunk placement with virtual timing; RunDir is its
-// real-disk sibling for the one kind of file the real-concurrency engine
-// needs: spill runs — immutable, key-sorted, codec-encoded record streams
-// written once by a mapper or reducer under memory pressure and streamed
-// back during the external merge (the role Hadoop's task-local spill files
-// play; no replication, because spill runs are recomputable).
+// Package dfs is the real engines' run directory: local storage for the one
+// kind of file the wall-clock engines need, sealed runs — immutable,
+// codec-encoded record streams written once by a mapper or reducer (spill
+// waves, run-exchange segments, store spills) and streamed back during the
+// merge or fetched by a run-server (the role Hadoop's task-local spill files
+// play; no replication, because runs are recomputable). The simulated HDFS
+// the paper's jobs read from lives in simmr.
 //
 // Write path: a RunWriter accumulates arbitrary partial writes through a
 // buffered writer and seals the file on Close. Read path: OpenRunComp reopens
@@ -15,6 +13,7 @@ package dfs
 // no matter how large the runs are. A truncated or corrupt file surfaces
 // codec.ErrCorrupt from Err instead of panicking: partially written runs
 // are expected debris after crashes.
+package dfs
 
 import (
 	"bufio"

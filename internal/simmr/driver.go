@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"blmr/internal/cluster"
-	"blmr/internal/dfs"
 	"blmr/internal/exec"
 	"blmr/internal/metrics"
 	"blmr/internal/sim"
@@ -27,7 +26,7 @@ import (
 type jobRun struct {
 	e       *Engine
 	job     *JobSpec
-	input   *dfs.File
+	input   *File
 	res     *Result
 	shuffle *shuffleState
 	done    *sim.Event
@@ -42,23 +41,23 @@ type jobRun struct {
 // newJobRun builds one prepared job's core over its pool nodes. A nil policy
 // is the simulator's default placement; pool is the cross-job slot ledger of
 // a stream (nil for a single job).
-func (e *Engine) newJobRun(job *JobSpec, input *dfs.File, res *Result, pool *exec.SlotPool, pol exec.Policy) *jobRun {
+func (e *Engine) newJobRun(job *JobSpec, input *File, res *Result, pool *exec.SlotPool, pol exec.Policy) *jobRun {
 	nodes := e.poolNodes(job)
 	if pol == nil {
-		pol = homePolicy{chunks: input.Chunks, workers: job.Workers, pool: len(nodes)}
+		pol = homePolicy{chunks: input.chunks, workers: job.Workers, pool: len(nodes)}
 	}
 	sched := &exec.Scheduler{Speculate: job.Speculative, Policy: pol, Pool: pool}
 	for range nodes {
 		sched.Workers = append(sched.Workers, exec.Assignment{
 			MapSlots: e.Cfg.Cluster.MapSlots, ReduceSlots: e.Cfg.Cluster.ReduceSlots})
 	}
-	maps := make([]exec.MapTask, len(input.Chunks))
+	maps := make([]exec.MapTask, len(input.chunks))
 	for i := range maps {
 		maps[i].Index = i
 	}
 	return &jobRun{
 		e: e, job: job, input: input, res: res, nodes: nodes, sched: sched,
-		shuffle: newShuffleState(e.K, len(input.Chunks), job.Reducers),
+		shuffle: newShuffleState(e.K, len(input.chunks), job.Reducers),
 		done:    sim.NewEvent(e.K, "job-done"),
 		core:    exec.NewCore(sched, maps, exec.ReduceTasks(job.Reducers)),
 	}
@@ -70,7 +69,7 @@ func (e *Engine) newJobRun(job *JobSpec, input *dfs.File, res *Result, pool *exe
 // reduce on partition mod pool — and once that node is dead, on index mod
 // the live nodes.
 type homePolicy struct {
-	chunks  []*dfs.Chunk
+	chunks  []*chunk
 	workers int // JobSpec.Workers: 0 places maps by chunk locality
 	pool    int
 }
@@ -80,7 +79,7 @@ func (homePolicy) Name() string { return "home" }
 func (h homePolicy) Pick(t exec.TaskView, snaps []exec.WorkerSnapshot) int {
 	home := t.Index % h.pool
 	if t.Map && h.workers == 0 {
-		home = h.chunks[t.Index].Primary().ID
+		home = h.chunks[t.Index].primary().ID
 	}
 	for i, s := range snaps {
 		if s.ID == home {
@@ -163,7 +162,7 @@ var errNodeKilled = errors.New("node killed (JobSpec.KillWorkerAt)")
 // completion was never journaled, and only journaled maps re-attach).
 func (jr *jobRun) runMap(p *sim.Proc, l exec.Launch) (unjournaled bool, err error) {
 	e, job := jr.e, jr.job
-	node, ch := jr.nodes[l.Worker()], jr.input.Chunks[l.Pos]
+	node, ch := jr.nodes[l.Worker()], jr.input.chunks[l.Pos]
 	started := p.Now()
 	tok := e.Col.TaskStart(metrics.StageMap, started)
 
@@ -172,7 +171,7 @@ func (jr *jobRun) runMap(p *sim.Proc, l exec.Launch) (unjournaled bool, err erro
 	var memoKeyStr string
 	var entry *memoEntry
 	if e.Cfg.Memo != nil {
-		memoKeyStr = memoKey(job.Name, job.Reducers, compressRatio(job), ch.Records)
+		memoKeyStr = memoKey(job.Name, job.Reducers, compressRatio(job), ch.records)
 		if hit, ok := e.Cfg.Memo.lookup(memoKeyStr); ok {
 			node.DiskRead(p, hit.outDisk)
 			jr.res.MemoHits++

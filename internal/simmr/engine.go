@@ -7,7 +7,6 @@ import (
 	"blmr/internal/cluster"
 	"blmr/internal/codec"
 	"blmr/internal/core"
-	"blmr/internal/dfs"
 	"blmr/internal/metrics"
 	"blmr/internal/sim"
 	"blmr/internal/sortx"
@@ -19,12 +18,12 @@ import (
 type Engine struct {
 	K   *sim.Kernel
 	C   *cluster.Cluster
-	D   *dfs.DFS
+	fs  *hdfs
 	Cfg Config
 	Col *metrics.Collector
 }
 
-// NewEngine builds the kernel, cluster and DFS for one run.
+// NewEngine builds the kernel, cluster and HDFS for one run.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 3
@@ -43,15 +42,15 @@ func NewEngine(cfg Config) *Engine {
 	return &Engine{
 		K:   k,
 		C:   c,
-		D:   dfs.New(c, cfg.Replication),
+		fs:  newHDFS(c, cfg.Replication),
 		Cfg: cfg,
 		Col: metrics.NewCollector(),
 	}
 }
 
-// Ingest loads input splits into the DFS (no simulated time passes).
-func (e *Engine) Ingest(name string, splits [][]core.Record) *dfs.File {
-	return e.D.Ingest(name, splits, e.Cfg.ByteScale)
+// Ingest loads input splits into the HDFS (no simulated time passes).
+func (e *Engine) Ingest(name string, splits [][]core.Record) *File {
+	return e.fs.ingest(name, splits, e.Cfg.ByteScale)
 }
 
 // virtBytes converts real record bytes to virtual bytes.
@@ -105,7 +104,7 @@ func newShuffleState(k *sim.Kernel, nMaps, nReduce int) *shuffleState {
 // Run executes job over input. It normalizes spec defaults, starts the job's
 // driver (and the injections the spec arms), drives the kernel to
 // completion, and returns the result.
-func (e *Engine) Run(job JobSpec, input *dfs.File) *Result {
+func (e *Engine) Run(job JobSpec, input *File) *Result {
 	res := e.prepare(&job, input)
 	if res.Failed {
 		return res
@@ -139,14 +138,14 @@ func (e *Engine) Run(job JobSpec, input *dfs.File) *Result {
 
 // prepare normalizes one job spec against the engine and validates it,
 // returning the job's (possibly already-failed) result shell.
-func (e *Engine) prepare(job *JobSpec, input *dfs.File) *Result {
+func (e *Engine) prepare(job *JobSpec, input *File) *Result {
 	if job.Reducers <= 0 {
 		job.Reducers = 1
 	}
 	if (job.Costs == CostModel{}) {
 		job.Costs = DefaultCosts()
 	}
-	res := &Result{Metrics: e.Col, MapTasks: len(input.Chunks)}
+	res := &Result{Metrics: e.Col, MapTasks: len(input.chunks)}
 	if job.Mode == Pipelined && job.Store.Bounded(job.SpillBytes) == store.SpillMerge && job.Merger == nil {
 		// Same contract as mr.Run: a spill-merge store, chosen or imposed by
 		// SpillBytes, needs a merger to reunite spilled partials. The
@@ -165,8 +164,8 @@ func (e *Engine) prepare(job *JobSpec, input *dfs.File) *Result {
 // runMapAttempt performs the data work of one map attempt on node: chunk
 // read, the real mapper, optional combining, and the local write of the
 // partitioned output.
-func (e *Engine) runMapAttempt(p *sim.Proc, job *JobSpec, ch *dfs.Chunk, node *cluster.Node) *memoEntry {
-	recs := e.D.ReadChunk(p, node, ch)
+func (e *Engine) runMapAttempt(p *sim.Proc, job *JobSpec, ch *chunk, node *cluster.Node) *memoEntry {
+	recs := e.fs.readChunk(p, node, ch)
 	em := core.NewPartitionedEmitter(job.Reducers, len(recs)/job.Reducers+1)
 	var inBytes int64
 	for _, r := range recs {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"blmr/internal/apps"
-	"blmr/internal/dfs"
 	"blmr/internal/exec"
 	"blmr/internal/metrics"
 	"blmr/internal/workload"
@@ -125,7 +124,7 @@ func faultConfig() Config {
 
 // faultSetup is the fault tests' job: a 12-map WordCount on a fresh
 // faultConfig engine, over the TCP exchange.
-func faultSetup(mode Mode, mut func(*JobSpec)) (*Engine, JobSpec, *dfs.File) {
+func faultSetup(mode Mode, mut func(*JobSpec)) (*Engine, JobSpec, *File) {
 	eng := NewEngine(faultConfig())
 	f := eng.Ingest("in", workload.SplitEvenly(workload.Text(37, 2500, 400, 6), 12))
 	job := JobSpec{Job: apps.WordCount(), Reducers: 6, Mode: mode, Workers: 3, Transport: TCPRunExchange}

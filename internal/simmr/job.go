@@ -296,7 +296,7 @@ type Snapshot struct {
 type Config struct {
 	// Cluster is the simulated datacenter.
 	Cluster cluster.Config
-	// Replication is the DFS replication factor (paper: 3).
+	// Replication is the HDFS replication factor (paper: 3).
 	Replication int
 	// ByteScale converts real record bytes to virtual bytes for all I/O
 	// timing and memory accounting (virtual = real * ByteScale).

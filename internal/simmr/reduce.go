@@ -99,7 +99,7 @@ func (e *Engine) barrierReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.N
 	node.Compute(p, e.virtRecs(len(all))*job.Costs.ReduceCPUPerRecord)
 	e.Col.TaskEnd(redTok, p.Now())
 
-	e.writeOutput(p, job, node, out.Recs, res)
+	e.writeOutput(p, node, out.Recs, res)
 }
 
 // fetchBatch is one network chunk's worth of records heading for the
@@ -218,7 +218,7 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 	e.Col.MemSample(r, p.Now(), e.virtBytes(st.ApproxBytes()))
 	e.Col.TaskEnd(redTok, p.Now())
 
-	e.writeOutput(p, job, node, out.Recs, res)
+	e.writeOutput(p, node, out.Recs, res)
 	return nil
 }
 
@@ -282,11 +282,11 @@ func (e *Engine) newStore(p *sim.Proc, job *JobSpec, node *cluster.Node) store.S
 	}
 }
 
-// writeOutput writes a reducer's final records to the DFS and appends them
+// writeOutput writes a reducer's final records to the HDFS and appends them
 // to the job result.
-func (e *Engine) writeOutput(p *sim.Proc, job *JobSpec, node *cluster.Node, recs []core.Record, res *Result) {
+func (e *Engine) writeOutput(p *sim.Proc, node *cluster.Node, recs []core.Record, res *Result) {
 	outTok := e.Col.TaskStart(metrics.StageOutput, p.Now())
-	e.D.Write(p, node, job.Name+".out", recs, e.virtBytes(core.RecordsSize(recs)))
+	e.fs.write(p, node, e.virtBytes(core.RecordsSize(recs)))
 	e.Col.TaskEnd(outTok, p.Now())
 	res.Output = append(res.Output, recs...)
 }

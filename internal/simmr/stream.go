@@ -12,7 +12,6 @@ package simmr
 import (
 	"fmt"
 
-	"blmr/internal/dfs"
 	"blmr/internal/exec"
 	"blmr/internal/sim"
 )
@@ -23,8 +22,8 @@ type StreamJob struct {
 	// single-job runs; KillWorkerAt is not supported in streams (churn
 	// prediction stays a single-job experiment, DESIGN §11).
 	Spec JobSpec
-	// Input is the job's ingested DFS file.
-	Input *dfs.File
+	// Input is the job's ingested HDFS file.
+	Input *File
 	// Arrival is the submission's virtual arrival time (seconds).
 	Arrival float64
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -244,4 +245,58 @@ func TestReplayMissingFile(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("missing journal: got %d records, err %v", len(got), err)
 	}
+}
+
+// FuzzScan feeds arbitrary bytes to scan, the frame walk Open and Replay
+// share. A clean scan accounts for buf[:clean] exactly — re-framing its
+// records reproduces those bytes — and Open on the same bytes replays the
+// same records and truncates the file to clean. An error wraps ErrCorrupt,
+// and Open refuses the file with it.
+func FuzzScan(f *testing.F) {
+	var valid []byte
+	for _, rec := range testRecords(4) {
+		valid = append(valid, frame(rec)...)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3]) // torn tail
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)-1] ^= 1 // checksum mismatch in the last record
+	f.Add(flipped)
+	f.Add(binary.LittleEndian.AppendUint64(nil, maxRecord+1)) // absurd length
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		recs, clean, err := scan(buf)
+		path := filepath.Join(t.TempDir(), "journal.wal")
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, opened, openErr := Open(path)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) || !errors.Is(openErr, ErrCorrupt) {
+				t.Fatalf("scan err %v, Open err %v, want ErrCorrupt from both", err, openErr)
+			}
+			return
+		}
+		if clean < 0 || clean > int64(len(buf)) {
+			t.Fatalf("clean offset %d outside a %d-byte journal", clean, len(buf))
+		}
+		var reframed []byte
+		for _, rec := range recs {
+			reframed = append(reframed, frame(rec)...)
+		}
+		if !bytes.Equal(reframed, buf[:clean]) {
+			t.Fatalf("re-framing %d records gives %d bytes, not the clean prefix of %d", len(recs), len(reframed), clean)
+		}
+		if openErr != nil {
+			t.Fatalf("Open: %v", openErr)
+		}
+		l.Close()
+		requireEqual(t, opened, recs)
+		st, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != clean {
+			t.Fatalf("Open left the journal at %d bytes, want %d", st.Size(), clean)
+		}
+	})
 }
