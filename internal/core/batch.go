@@ -39,7 +39,9 @@ func appendDoubling(buf []Record, r Record) []Record {
 //
 // capHint presizes each partition buffer; pass the expected records per
 // partition (e.g. len(split)/n for identity-shaped mappers) or 0. Past it,
-// a full partition doubles.
+// a full partition doubles. Presized buffers come from the record-buffer
+// free list (TakeRecords), so a task whose predecessor's buffers were
+// recycled allocates none.
 type PartitionedEmitter struct {
 	Parts [][]Record
 }
@@ -52,7 +54,7 @@ func NewPartitionedEmitter(n, capHint int) *PartitionedEmitter {
 	parts := make([][]Record, n)
 	if capHint > 0 {
 		for i := range parts {
-			parts[i] = make([]Record, 0, capHint)
+			parts[i] = TakeRecords(capHint)
 		}
 	}
 	return &PartitionedEmitter{Parts: parts}
@@ -68,7 +70,8 @@ func (e *PartitionedEmitter) Emit(k, v string) {
 // input records as extrapolated from the first done of them, plus an
 // eighth: a mapper that expands its input (WordCount) then fills its
 // buffers without a growth step, where the capHint of an identity-shaped
-// mapper would have them double two or three times.
+// mapper would have them double two or three times. The grown buffer comes
+// from the free list, and the outgrown one goes back to it.
 func (e *PartitionedEmitter) Extrapolate(done, total int) {
 	if done <= 0 {
 		return
@@ -77,9 +80,8 @@ func (e *PartitionedEmitter) Extrapolate(done, total int) {
 		want := len(buf) * total / done
 		want += want / 8
 		if want > cap(buf) {
-			grown := make([]Record, len(buf), want)
-			copy(grown, buf)
-			e.Parts[p] = grown
+			e.Parts[p] = append(TakeRecords(want), buf...)
+			RecycleRecords(buf)
 		}
 	}
 }

@@ -138,7 +138,7 @@ func (r *journalRecord) layout(w *wire) {
 		}
 		w.str(&r.admit.name)
 		w.opts(&r.admit.opts)
-		w.records(&r.admit.input)
+		w.records(&r.admit.input, newRecords)
 	case jMapDone:
 		if w.decoding {
 			r.mapDone = new(journalMap)
@@ -156,7 +156,7 @@ func (r *journalRecord) layout(w *wire) {
 		num(w, &r.reduce.PeakPartialBytes)
 		num(w, &r.reduce.MergePasses)
 		num(w, &r.reduce.FetchBytes)
-		w.records(&r.reduce.Output)
+		w.records(&r.reduce.Output, newRecords)
 	case jAborted:
 		w.str(&r.msg)
 	}

@@ -84,12 +84,20 @@ func testOpts() blexec.Options {
 	return opts
 }
 
+// combinedWordCount is WordCount with its map-side combiner, registered
+// under a name of its own so a worker resolves the combining variant.
+func combinedWordCount() apps.App {
+	app := apps.WordCount().WithCombiner(true)
+	app.Name += "+combine"
+	return app
+}
+
 // testResolver is the multi-tenant worker's job registry: every app the
 // service tests submit, resolved by name, with the same env-driven
 // slowdowns testJob applies.
 func testResolver() mpexec.JobResolver {
 	reg := map[string]blexec.Job{}
-	for _, app := range []apps.App{apps.WordCount(), apps.Sort(), apps.Grep("the")} {
+	for _, app := range []apps.App{apps.WordCount(), apps.Sort(), apps.Grep("the"), combinedWordCount()} {
 		reg[app.Name] = slowed(app)
 	}
 	return func(name string) (blexec.Job, bool) {
@@ -107,6 +115,17 @@ func TestMain(m *testing.M) {
 			os.Exit(1)
 		}
 		os.Exit(0)
+	}
+	for i, arg := range os.Args {
+		if arg == "-worker-coord" && i+1 < len(os.Args) {
+			// A LocalCluster worker: SpawnLocal re-executes this binary
+			// with -worker-coord. It serves the whole registry.
+			if err := mpexec.ServeJobs(os.Args[i+1], testResolver(), blexec.Options{}); err != nil {
+				fmt.Fprintln(os.Stderr, "worker:", err)
+				os.Exit(1)
+			}
+			os.Exit(0)
+		}
 	}
 	if addr := os.Getenv("MPEXEC_WORKER"); addr != "" {
 		if hb := os.Getenv("MPEXEC_HEARTBEAT"); hb != "" {

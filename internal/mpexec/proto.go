@@ -198,6 +198,9 @@ func encode(m message) []byte {
 // be written again while m is live. Every payload decode sees is allocated
 // fresh for it and reused by nothing: readMsg makes each frame's, and
 // wal.Replay and wal.Open copy each journal record out of the file image.
+// That holds for the bytes only: a map task's split decodes its record
+// headers into a buffer from core's free list, which the worker recycles
+// once the task has run (runMap); the strings stay views of the payload.
 func decode(payload []byte, m message) error {
 	w := wire{buf: payload, decoding: true}
 	m.layout(&w)
@@ -282,8 +285,9 @@ func (w *wire) str(p *string) {
 
 // records is a count-prefixed record list, always a payload's final field.
 // A record encodes to >= 2 bytes (two zero-length strings). Decoded records
-// are views into the payload (codec.DecodeViews), not copies.
-func (w *wire) records(p *[]core.Record) {
+// are views into the payload (codec.DecodeViews), not copies; their headers
+// go into take(n), a buffer of capacity n or more.
+func (w *wire) records(p *[]core.Record, take func(n int) []core.Record) {
 	n := w.length(len(*p), 2)
 	if !w.decoding {
 		w.buf = codec.AppendRecords(w.buf, *p)
@@ -292,7 +296,7 @@ func (w *wire) records(p *[]core.Record) {
 	if w.err != nil {
 		return
 	}
-	out, err := codec.DecodeViews(make([]core.Record, 0, n), w.buf[w.off:], n)
+	out, err := codec.DecodeViews(take(n), w.buf[w.off:], n)
 	if err != nil {
 		w.err = fmt.Errorf("mpexec: truncated record stream: %v", err)
 		return
@@ -300,6 +304,9 @@ func (w *wire) records(p *[]core.Record) {
 	w.off = len(w.buf)
 	*p = out
 }
+
+// newRecords is records' take for a list that outlives its decode.
+func newRecords(n int) []core.Record { return make([]core.Record, 0, n) }
 
 // list is a count-prefixed list whose elements each show their own fields
 // (each) and take at least elemBytes bytes. Decoding grows *p one element at
@@ -439,7 +446,7 @@ func (m *mapTask) layout(w *wire) {
 	num(w, &m.job)
 	num(w, &m.t.Index)
 	num(w, &m.t.Attempt)
-	w.records(&m.t.Split)
+	w.records(&m.t.Split, core.TakeRecords)
 }
 
 // replyHead is what every 'm' and 'r' reply leads with — the job and the
@@ -548,7 +555,7 @@ func (m *reduceDone) layout(w *wire) {
 	num(w, &m.res.FetchBytes)
 	num(w, &m.fetchDials)
 	num(w, &m.serverOpens)
-	w.records(&m.res.Output)
+	w.records(&m.res.Output, newRecords)
 }
 
 // taskError is 'E', a worker-side task failure: the job, the reply kind the

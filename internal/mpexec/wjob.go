@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"blmr/internal/core"
 	"blmr/internal/dfs"
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
@@ -226,6 +227,9 @@ func (w *workerState) runMap(epoch int, payload []byte) {
 	}
 	sink := shuffle.NewRunSink(jb.dir, w.srv, fmt.Sprintf("j%d-m%d-a%d", jobID, t.Index, t.Attempt))
 	stats, err := exec.RunMapTask(jb.job, jb.opts, t, sink)
+	// The split's headers were decoded into a free-list buffer
+	// (mapTask.layout); the finished task holds none of them.
+	core.RecycleRecords(t.Split)
 	if err != nil {
 		w.replyError(epoch, jobID, msgMapDone, t.Index, err)
 		return

@@ -93,15 +93,18 @@ type inprocSink struct {
 	enc   *codec.RunEncoder
 }
 
-// Batch implements MapSink: hand back a recycled buffer when one is free.
-func (s *inprocSink) Batch() []core.Record {
+// batch returns an empty batch buffer: a recycled one when one is free.
+func (t *inproc) batch() []core.Record {
 	select {
-	case b := <-s.t.free:
+	case b := <-t.free:
 		return b
 	default:
-		return make([]core.Record, 0, s.t.cfg.BatchSize)
+		return make([]core.Record, 0, t.cfg.BatchSize)
 	}
 }
+
+// Batch implements MapSink: hand back a recycled buffer when one is free.
+func (s *inprocSink) Batch() []core.Record { return s.t.batch() }
 
 // Send implements MapSink: one channel operation per batch, blocking on
 // backpressure until the transport is failed.
@@ -223,7 +226,7 @@ func (s *inprocSource) nextSpilled() ([]core.Record, bool, error) {
 			s.cur = s.spill[0]
 			s.spill = s.spill[1:]
 		}
-		batch := make([]core.Record, 0, s.t.cfg.BatchSize)
+		batch := s.t.batch()
 		for len(batch) < s.t.cfg.BatchSize {
 			rec, ok := s.cur.Next()
 			if !ok {
@@ -245,6 +248,7 @@ func (s *inprocSource) nextSpilled() ([]core.Record, bool, error) {
 		if len(batch) > 0 {
 			return batch, true, nil
 		}
+		s.Recycle(batch)
 	}
 }
 

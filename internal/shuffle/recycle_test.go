@@ -1,0 +1,109 @@
+package shuffle
+
+// Allocation guards for the reduce sources' batch recycling: once a source
+// has handed out its first batch, draining a sealed section through
+// NextBatch and Recycle reuses that batch's header array instead of making
+// a new one per batch.
+
+import (
+	"testing"
+
+	"blmr/internal/core"
+	"blmr/internal/dfs"
+)
+
+// The guarded sections hold recycleRecs records, full batches for the first
+// NextBatch, AllocsPerRun's warm-up call and recycleRuns measured calls, and
+// one to spare so the section does not end inside the measurement.
+const (
+	recycleBatch = 256
+	recycleRuns  = 6
+	recycleRecs  = (recycleRuns + 3) * recycleBatch
+)
+
+// byteRecs returns n records with one-byte keys and empty values. A local
+// section's reader copies each string out of its read buffer, but a string
+// that short needs no allocation, so what the guards count is headers.
+func byteRecs(n int) []core.Record {
+	recs := make([]core.Record, n)
+	for i := range recs {
+		recs[i] = core.Record{Key: string(rune('a' + i%26))}
+	}
+	return recs
+}
+
+// requireRecycledDrain takes one batch from src, then checks that further
+// NextBatch + Recycle cycles allocate nothing.
+func requireRecycledDrain(t *testing.T, src ReduceSource) {
+	t.Helper()
+	batch, ok, err := src.NextBatch()
+	if err != nil || !ok || len(batch) != recycleBatch {
+		t.Fatalf("first batch: %d records, ok=%v err=%v", len(batch), ok, err)
+	}
+	src.Recycle(batch)
+	allocs := testing.AllocsPerRun(recycleRuns, func() {
+		batch, ok, err := src.NextBatch()
+		if err != nil || !ok || len(batch) != recycleBatch {
+			t.Fatalf("batch: %d records, ok=%v err=%v", len(batch), ok, err)
+		}
+		src.Recycle(batch)
+	})
+	if allocs != 0 {
+		t.Errorf("NextBatch + Recycle made %.1f allocations per batch, want 0", allocs)
+	}
+}
+
+// TestSegmentSourceRecyclesBatches: a SegmentSource streaming a local
+// sealed section refills the batch it was handed back.
+func TestSegmentSourceRecyclesBatches(t *testing.T) {
+	dir, err := dfs.NewRunDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	w, _, ok, err := sealWave(dir, nil, "t", [][]core.Record{byteRecs(recycleRecs)}, nil)
+	if err != nil || !ok {
+		t.Fatalf("sealWave: ok=%v err=%v", ok, err)
+	}
+	seg, _ := w.SegmentOf(0)
+	completed := make(chan int, 1)
+	completed <- 0
+	mapsDone := make(chan struct{})
+	close(mapsDone)
+	src := &SegmentSource{
+		nMaps:     1,
+		segsOf:    func(int) []Segment { return []Segment{seg} },
+		mapsDone:  mapsDone,
+		completed: completed,
+		fail:      newFailState(),
+		batchSize: recycleBatch,
+	}
+	defer src.Close()
+	requireRecycledDrain(t, src)
+}
+
+// TestInProcSpilledDrainRecyclesBatches: the in-proc source's drain of
+// mapper-side spill waves takes its batches from the transport's free list,
+// which its Recycle feeds.
+func TestInProcSpilledDrainRecyclesBatches(t *testing.T) {
+	dir, err := dfs.NewRunDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	tr, err := New(InProc, Config{Maps: 1, Parts: 1, BatchSize: recycleBatch, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sink := tr.MapSink(0).(*inprocSink)
+	if err := sink.SpillBatches([][]core.Record{byteRecs(recycleRecs)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	src := tr.ReduceSource(0)
+	defer src.Close()
+	requireRecycledDrain(t, src)
+}

@@ -148,7 +148,10 @@ func (s *RunSink) Send(int, []core.Record) error {
 }
 
 // PublishWave implements MapSink. Both sealed and final waves persist: the
-// exchange's whole point is that reducers read runs, not task memory.
+// exchange's whole point is that reducers read runs, not task memory. So a
+// final wave's slices, which the sink owns, are dead once it is sealed: they
+// go back to the record-buffer free list for the process's next map task,
+// and parts' entries are cleared.
 func (s *RunSink) PublishWave(parts [][]core.Record, sealed bool) error {
 	if s.failed != nil {
 		if err := s.failed(); err != nil {
@@ -157,6 +160,12 @@ func (s *RunSink) PublishWave(parts [][]core.Record, sealed bool) error {
 	}
 	w, enc, ok, err := sealWave(s.dir, s.srv, s.tag, parts, s.enc)
 	s.enc = enc
+	if !sealed {
+		for p, part := range parts {
+			core.RecycleRecords(part)
+			parts[p] = nil
+		}
+	}
 	if err != nil {
 		return err
 	}

@@ -278,6 +278,7 @@ type SegmentSource struct {
 	inflight int                  // queued runs whose section is already requested
 	conns    map[string]*poolConn // conns held for pipelined streaming
 	cur      *LazyRun
+	spare    []core.Record // the last recycled batch, refilled by NextBatch
 }
 
 // FetchBytes reports how many bytes this partition fetched from remote
@@ -388,13 +389,17 @@ func (s *SegmentSource) pump() error {
 	return nil
 }
 
-// NextBatch implements ReduceSource: stream records of completed map tasks.
+// NextBatch implements ReduceSource: stream records of completed map tasks,
+// into the batch last handed back through Recycle when there is one.
 func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
 	var batch []core.Record
 	for {
 		if s.cur != nil {
 			if batch == nil {
-				batch = make([]core.Record, 0, s.batchSize)
+				batch, s.spare = s.spare, nil
+				if batch == nil {
+					batch = make([]core.Record, 0, s.batchSize)
+				}
 			}
 			for len(batch) < s.batchSize {
 				rec, ok := s.cur.Next()
@@ -445,8 +450,13 @@ func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
 	}
 }
 
-// Recycle implements ReduceSource (run-exchange batches are not pooled).
-func (s *SegmentSource) Recycle([]core.Record) {}
+// Recycle implements ReduceSource: keep the drained batch for the next
+// NextBatch, zeroed across its capacity so it pins none of the strings the
+// reducer was handed (those may be kept; only the header array is reused).
+func (s *SegmentSource) Recycle(batch []core.Record) {
+	clear(batch[:cap(batch)])
+	s.spare = batch[:0]
+}
 
 // Close implements ReduceSource: release the current run and hand every
 // held streaming connection back to the pool (connections abandoned

@@ -118,7 +118,10 @@ type MapSink interface {
 	// partitions are skipped). sealed=true marks a spill crossing — the
 	// wave must leave the task's memory before PublishWave returns, and the
 	// caller may then reuse the part slices. sealed=false publishes the
-	// task's final wave; ownership of the slices transfers.
+	// task's final wave; ownership of the slices transfers, and the caller
+	// must not touch them again. The in-proc transport keeps them as the
+	// wave's in-memory runs; a RunSink seals them to disk and hands them
+	// to core's record-buffer free list (core.RecycleRecords).
 	PublishWave(parts [][]core.Record, sealed bool) error
 	// Close marks this map task's output complete.
 	Close() error
