@@ -94,11 +94,12 @@ type jobConfig struct {
 
 // jobRun is one admitted job's coordinator-side state.
 type jobRun struct {
-	id    int
-	c     *Coordinator
-	nMaps int
-	jws   []*jobWorker // per-worker proxies, by worker registration index
-	cfg   jobConfig
+	id     int
+	c      *Coordinator
+	nMaps  int
+	nParts int          // reduce partitions: every wave carries one span per partition
+	jws    []*jobWorker // per-worker proxies, by worker registration index
+	cfg    jobConfig
 
 	// Under c.mu:
 	routes map[int]*mapRoute // map task index -> its winning route
@@ -257,7 +258,7 @@ func (c *Coordinator) runJob(job exec.Job, input []core.Record, opts exec.Option
 		c.nextJob = id + 1
 	}
 	jr := &jobRun{
-		id: id, c: c, nMaps: len(maps),
+		id: id, c: c, nMaps: len(maps), nParts: opts.Reducers,
 		routes: make(map[int]*mapRoute, len(maps)),
 		active: make(map[int]*jobWorker), cfg: cfg,
 	}

@@ -507,6 +507,9 @@ func (m *reduceTask) layout(w *wire) {
 	num(w, &m.job)
 	num(w, &m.partition)
 	num(w, &m.nMaps)
+	if w.decoding && w.err == nil && m.nMaps < 0 {
+		w.err = fmt.Errorf("mpexec: reduce task for %d maps", m.nMaps) // sizes the reduce source
+	}
 	list(w, &m.routed, 3, func(ms *mapSegs) {
 		num(w, &ms.mapIndex)
 		num(w, &ms.attempt)

@@ -142,3 +142,17 @@ func TestDecodedRecordsOutliveNextFrame(t *testing.T) {
 		t.Fatal("decoding the next frame changed an earlier frame's records")
 	}
 }
+
+// TestReduceTaskRejectsNegativeMapCount: an 'R' frame whose map count is the
+// 10-byte uvarint 2^64-1 reads as -1 once it is an int. It must not decode:
+// the worker sizes the partition's reduce source by it, and a negative size
+// panicked the worker's read loop.
+func TestReduceTaskRejectsNegativeMapCount(t *testing.T) {
+	payload := []byte{7, 2}
+	payload = binary.AppendUvarint(payload, math.MaxUint64)
+	payload = append(payload, 0) // no routed maps
+	var rt reduceTask
+	if err := decode(payload, &rt); err == nil {
+		t.Fatalf("'R' frame with map count 2^64-1 decoded to %+v", rt)
+	}
+}

@@ -110,10 +110,12 @@ func (jr *jobRun) pushTargets(skip *remoteWorker) []push {
 // fileID/CRC set of the map's waves, against the 'A' advertisement captured
 // at registration — as valid routes, which reduce tasks then see in their
 // 'R' snapshots, and returns their indexes for the scheduler to mark done.
-// Misses simply re-execute. Called before the job is visible to anyone else.
+// Misses simply re-execute, and so does a journaled map whose waves do not
+// each carry a span per partition. Called before the job is visible to
+// anyone else.
 func (jr *jobRun) reattach(ws []*remoteWorker, journaled map[int]*journalMap) (preMaps []int) {
 	for m, jm := range journaled {
-		if m < 0 || m >= jr.nMaps {
+		if m < 0 || m >= jr.nMaps || jr.checkWaves(jm.waves) != nil {
 			continue
 		}
 		w := matchReattach(ws, jr.id, jm)
@@ -144,7 +146,7 @@ func (jr *jobRun) routedSegs(r int) []mapSegs {
 		if !ok || !rt.valid {
 			continue
 		}
-		routed = append(routed, mapSegs{mapIndex: m, attempt: rt.attempt, segs: segsForPartition(rt.waves, r)})
+		routed = append(routed, mapSegs{mapIndex: m, attempt: rt.attempt, segs: shuffle.SegmentsOf(rt.waves, r)})
 	}
 	return routed
 }
@@ -178,18 +180,16 @@ func matchReattach(ws []*remoteWorker, jobID int, jm *journalMap) *remoteWorker 
 	return nil
 }
 
-// segsForPartition projects one map task's waves onto partition r.
-func segsForPartition(waves []shuffle.Wave, r int) []shuffle.Segment {
-	var segs []shuffle.Segment
-	for _, w := range waves {
-		if r >= len(w.Spans) {
-			continue // a wave reported with fewer spans than partitions
-		}
-		if seg, ok := w.SegmentOf(r); ok {
-			segs = append(segs, seg)
+// checkWaves requires one span per partition in every wave, which routing
+// a map's waves onto each partition (shuffle.SegmentsOf) relies on: a
+// shorter wave would drop that partition's records without an error.
+func (jr *jobRun) checkWaves(waves []shuffle.Wave) error {
+	for i, w := range waves {
+		if len(w.Spans) != jr.nParts {
+			return fmt.Errorf("wave %d carries %d spans, want one per partition (%d)", i, len(w.Spans), jr.nParts)
 		}
 	}
-	return segs
+	return nil
 }
 
 // String implements exec.Worker.
@@ -223,6 +223,9 @@ func (jw *jobWorker) RunMap(t exec.MapTask) (exec.MapStats, error) {
 		return exec.MapStats{}, fmt.Errorf("%s: map reply for job %d task %d attempt %d, want %d/%d/%d",
 			w, md.job, md.index, md.attempt, jr.id, t.Index, t.Attempt)
 	}
+	if err := jr.checkWaves(md.waves); err != nil {
+		return exec.MapStats{}, fmt.Errorf("%s: map reply for task %d: %w", w, t.Index, err)
+	}
 	c.mu.Lock()
 	if w.isDead() {
 		// The worker died in the instant after replying: its run-server is
@@ -252,7 +255,7 @@ func (jw *jobWorker) RunMap(t exec.MapTask) (exec.MapStats, error) {
 	jr.journal(&journalRecord{kind: jMapDone, id: t.Index, mapDone: &journalMap{attempt: t.Attempt,
 		worker: w.name, shuffleRecords: md.shuffleRecords, spills: md.spills, waves: md.waves}})
 	for _, p := range pushes {
-		route := mapSegs{t.Index, t.Attempt, segsForPartition(md.waves, p.part)}
+		route := mapSegs{t.Index, t.Attempt, shuffle.SegmentsOf(md.waves, p.part)}
 		_ = p.jw.w.send(msgSegPush, encode(&segPush{jr.id, p.part, route}))
 	}
 	return exec.MapStats{ShuffleRecords: md.shuffleRecords, Spills: md.spills}, nil

@@ -178,83 +178,56 @@ func (s *inprocSink) Close() error {
 type inprocSource struct {
 	t *inproc
 	r int
-
-	// Sealed-wave drain state (mapper-side stream spilling): initialized
-	// lazily when the partition channel closes.
-	spillInit bool
-	spill     []sortx.Run
-	cur       sortx.Run
+	// spilled drains the partition's sealed spill waves once the live
+	// stream has ended (nil until then).
+	spilled *PushSource
 }
 
 // NextBatch implements ReduceSource over the partition's channel; once the
 // live stream ends it drains the mapper-side spill waves sealed to disk.
 func (s *inprocSource) NextBatch() ([]core.Record, bool, error) {
+	if s.spilled != nil {
+		return s.spilled.NextBatch()
+	}
 	select {
 	case b, ok := <-s.t.chans[s.r]:
 		if ok {
 			return b, true, nil
 		}
-		return s.nextSpilled()
+		s.spilled = s.t.spilledSource(s.r)
+		return s.spilled.NextBatch()
 	case <-s.t.fail.done:
 		return nil, false, s.t.fail.failed()
 	}
 }
 
-// nextSpilled streams the partition's sealed mapper waves. The channels
-// close only after every map sink Closed, so the wave lists are final.
-func (s *inprocSource) nextSpilled() ([]core.Record, bool, error) {
-	if !s.spillInit {
-		s.spillInit = true
-		s.t.mu.Lock()
-		for m := range s.t.waves {
-			for _, w := range s.t.waves[m] {
-				if w.mem != nil {
-					continue // run-discipline memory waves: barrier-only
-				}
-				if seg, ok := w.disk.SegmentOf(s.r); ok {
-					s.spill = append(s.spill, NewLazyRun(seg))
-				}
+// spilledSource is a pool-less PushSource offered every map's sealed waves
+// for partition r. The channels close only after every map sink Closed, so
+// the wave lists are final.
+func (t *inproc) spilledSource(r int) *PushSource {
+	src := newPushSource(t.cfg.Maps, t.cfg.BatchSize, nil, t.cfg.MergeFanIn, t.fail, false)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for m, waves := range t.waves {
+		var disk []Wave
+		for _, w := range waves {
+			if w.mem == nil { // run-discipline memory waves are barrier-only
+				disk = append(disk, w.disk)
 			}
 		}
-		s.t.mu.Unlock()
+		_ = src.Offer(m, 0, SegmentsOf(disk, r)) // m is in range
 	}
-	for {
-		if s.cur == nil {
-			if len(s.spill) == 0 {
-				return nil, false, nil
-			}
-			s.cur = s.spill[0]
-			s.spill = s.spill[1:]
-		}
-		batch := s.t.batch()
-		for len(batch) < s.t.cfg.BatchSize {
-			rec, ok := s.cur.Next()
-			if !ok {
-				break
-			}
-			batch = append(batch, rec)
-		}
-		if len(batch) < s.t.cfg.BatchSize {
-			if src, ok := s.cur.(sortx.Source); ok {
-				if err := src.Err(); err != nil {
-					return nil, false, err
-				}
-			}
-			if c, ok := s.cur.(interface{ Close() error }); ok {
-				_ = c.Close()
-			}
-			s.cur = nil
-		}
-		if len(batch) > 0 {
-			return batch, true, nil
-		}
-		s.Recycle(batch)
-	}
+	return src
 }
 
 // Recycle implements ReduceSource: drop the string references, then return
 // the buffer to the free list (or let the GC take it when the list is full).
+// Once the stream has ended, batches go back to the spill drain instead.
 func (s *inprocSource) Recycle(batch []core.Record) {
+	if s.spilled != nil {
+		s.spilled.Recycle(batch)
+		return
+	}
 	clear(batch)
 	select {
 	case s.t.free <- batch[:0]:
@@ -291,4 +264,9 @@ func (s *inprocSource) Runs() ([]sortx.Run, error) {
 }
 
 // Close implements ReduceSource.
-func (s *inprocSource) Close() error { return nil }
+func (s *inprocSource) Close() error {
+	if s.spilled != nil {
+		return s.spilled.Close()
+	}
+	return nil
+}

@@ -27,9 +27,9 @@ import (
 
 // FetchPool is a per-peer pool of multiplexed run-server connections,
 // shared by every reduce task of one worker process (or of one in-process
-// TCP-transport execution). Get/put are internal; fetch sections through
-// Fetch or a SegmentSource wired to the pool. Safe for concurrent use;
-// each checked-out connection is single-owner.
+// TCP-transport execution). Get/put are internal; sections are fetched
+// through a PushSource wired to the pool. Safe for concurrent use; each
+// checked-out connection is single-owner.
 type FetchPool struct {
 	// DecodeWorkers sizes the shared block-decode pool: compressed
 	// sections fetched through this pool CRC-verify and decompress their

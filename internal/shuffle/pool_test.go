@@ -33,7 +33,7 @@ func drainRun(t *testing.T, r sortx.Source) []core.Record {
 	return got
 }
 
-// fetchRun opens seg through pool the way a SegmentSource's runs do — the
+// fetchRun opens seg through pool the way a PushSource's runs do — the
 // one remote read path.
 func fetchRun(pool *FetchPool, seg Segment) *LazyRun {
 	return &LazyRun{seg: seg, pool: pool}

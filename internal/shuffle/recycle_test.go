@@ -53,9 +53,9 @@ func requireRecycledDrain(t *testing.T, src ReduceSource) {
 	}
 }
 
-// TestSegmentSourceRecyclesBatches: a SegmentSource streaming a local
-// sealed section refills the batch it was handed back.
-func TestSegmentSourceRecyclesBatches(t *testing.T) {
+// TestPushSourceRecyclesBatches: a PushSource streaming a local sealed
+// section refills the batch it was handed back.
+func TestPushSourceRecyclesBatches(t *testing.T) {
 	dir, err := dfs.NewRunDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -65,26 +65,16 @@ func TestSegmentSourceRecyclesBatches(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("sealWave: ok=%v err=%v", ok, err)
 	}
-	seg, _ := w.SegmentOf(0)
-	completed := make(chan int, 1)
-	completed <- 0
-	mapsDone := make(chan struct{})
-	close(mapsDone)
-	src := &SegmentSource{
-		nMaps:     1,
-		segsOf:    func(int) []Segment { return []Segment{seg} },
-		mapsDone:  mapsDone,
-		completed: completed,
-		fail:      newFailState(),
-		batchSize: recycleBatch,
+	src := NewPushSource(1, recycleBatch, nil, 4)
+	if err := src.Offer(0, 0, SegmentsOf([]Wave{w}, 0)); err != nil {
+		t.Fatal(err)
 	}
 	defer src.Close()
 	requireRecycledDrain(t, src)
 }
 
 // TestInProcSpilledDrainRecyclesBatches: the in-proc source's drain of
-// mapper-side spill waves takes its batches from the transport's free list,
-// which its Recycle feeds.
+// mapper-side spill waves refills the batch its Recycle handed back.
 func TestInProcSpilledDrainRecyclesBatches(t *testing.T) {
 	dir, err := dfs.NewRunDir(t.TempDir())
 	if err != nil {

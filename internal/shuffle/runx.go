@@ -10,7 +10,6 @@ package shuffle
 
 import (
 	"fmt"
-	"sync"
 
 	"blmr/internal/codec"
 	"blmr/internal/core"
@@ -22,81 +21,37 @@ type runExchange struct {
 	srv  *Server
 	pool *FetchPool // the only way to a remote section
 	fail *failState
-
-	mu       sync.Mutex
-	waves    [][]Wave // per map task, in publish order
-	closed   int
-	mapsDone chan struct{}
-	// completedByPart streams map indexes to each partition's source in
-	// completion order; buffered to Maps so Close never blocks.
-	completedByPart []chan int
+	srcs []*PushSource // per partition; every closing map sink offers to each
 }
 
 func newRunExchange(cfg Config, srv *Server) *runExchange {
-	t := &runExchange{
-		cfg:             cfg,
-		srv:             srv,
-		pool:            NewFetchPool(),
-		fail:            newFailState(),
-		waves:           make([][]Wave, cfg.Maps),
-		mapsDone:        make(chan struct{}),
-		completedByPart: make([]chan int, cfg.Parts),
-	}
+	t := &runExchange{cfg: cfg, srv: srv, pool: NewFetchPool(), fail: newFailState(), srcs: make([]*PushSource, cfg.Parts)}
 	t.pool.DecodeWorkers = cfg.DecodeWorkers
-	for r := range t.completedByPart {
-		t.completedByPart[r] = make(chan int, cfg.Maps)
-	}
-	if cfg.Maps == 0 {
-		close(t.mapsDone)
+	for r := range t.srcs {
+		t.srcs[r] = newPushSource(cfg.Maps, cfg.BatchSize, t.pool, cfg.MergeFanIn, t.fail, false)
 	}
 	return t
 }
 
-// MapSink implements Transport.
+// MapSink implements Transport. Closing the sink offers the task's waves to
+// every partition's source as attempt 0, the way a coordinator push does.
 func (t *runExchange) MapSink(m int) MapSink {
 	s := NewRunSink(t.cfg.Dir, t.srv, fmt.Sprintf("m%d", m))
 	s.failed = t.fail.failed
 	s.onClose = func(waves []Wave) error {
-		t.mu.Lock()
-		t.waves[m] = waves
-		t.closed++
-		allDone := t.closed == t.cfg.Maps
-		t.mu.Unlock()
-		for _, ch := range t.completedByPart {
-			ch <- m // buffered to Maps: never blocks
-		}
-		if allDone {
-			close(t.mapsDone)
+		for r, src := range t.srcs {
+			if err := src.Offer(m, 0, SegmentsOf(waves, r)); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
 	return s
 }
 
-// ReduceSource implements Transport.
-func (t *runExchange) ReduceSource(r int) ReduceSource {
-	return &SegmentSource{
-		nMaps: t.cfg.Maps,
-		segsOf: func(m int) []Segment {
-			t.mu.Lock()
-			waves := t.waves[m]
-			t.mu.Unlock()
-			segs := make([]Segment, 0, len(waves))
-			for _, w := range waves {
-				if seg, ok := w.SegmentOf(r); ok {
-					segs = append(segs, seg)
-				}
-			}
-			return segs
-		},
-		mapsDone:  t.mapsDone,
-		completed: t.completedByPart[r],
-		fail:      t.fail,
-		batchSize: t.cfg.BatchSize,
-		pool:      t.pool,
-		prefetch:  t.cfg.MergeFanIn,
-	}
-}
+// ReduceSource implements Transport: partition r's one source — every call
+// for r returns the same PushSource.
+func (t *runExchange) ReduceSource(r int) ReduceSource { return t.srcs[r] }
 
 // Fail implements Transport.
 func (t *runExchange) Fail(err error) { t.fail.fail(err) }

@@ -10,16 +10,17 @@ package shuffle
 // connection per peer with pipelined prefetch. There is no other way to
 // open a remote section.
 //
-// Fetch recovery: sources fed by a live control plane (PushSource) carry a
-// route resolver. When a section fetch fails — dial error, dead server,
-// short section — the run burns the connection, backs off, re-resolves
-// the segment's current route (blocking until the control plane has routed
-// a re-executed attempt), reopens through the pool and skips the records it
-// already delivered (LazyRun.recover, the one re-route routine for merged
-// and streamed consumption alike). That leans on deterministic
-// re-execution: a re-executed map attempt seals byte-identical runs, so the
-// skipped prefix is the same data. Sources without a resolver keep the
-// fail-fast behaviour.
+// Fetch recovery: a PushSource fed by a live control plane (NewPushSource,
+// the multi-process workers) re-routes. When a section fetch fails — dial
+// error, dead server, short section — the run burns the connection, backs
+// off, re-resolves the segment's current route from the source's ledger
+// (blocking until the control plane has routed a re-executed attempt),
+// reopens through the pool and skips the records it already delivered
+// (LazyRun.recover, the one re-route routine for merged and streamed
+// consumption alike). That leans on deterministic re-execution: a
+// re-executed map attempt seals byte-identical runs, so the skipped prefix
+// is the same data. The in-process transports' sources do not re-route and
+// fail fast.
 
 import (
 	"fmt"
@@ -81,11 +82,18 @@ func (w Wave) SegmentOf(r int) (Segment, bool) {
 	return Segment{Path: w.Path, Addr: w.Addr, FileID: w.FileID, Off: sp.Off, N: sp.N, Comp: w.Comp}, true
 }
 
-// Resolver re-resolves one map segment's current route after a fetch
-// failure. wait=true blocks until a valid route exists (a re-executed
-// attempt was pushed) or the source is failed; wait=false returns ok=false
-// when the route is currently invalidated.
-type Resolver func(m, segIdx int, wait bool) (Segment, bool, error)
+// SegmentsOf projects waves onto partition r, the one projection every
+// source's offers are made of: r's non-empty section of each wave, in wave
+// order. Every wave must carry a span per partition.
+func SegmentsOf(waves []Wave, r int) []Segment {
+	var segs []Segment
+	for _, w := range waves {
+		if seg, ok := w.SegmentOf(r); ok {
+			segs = append(segs, seg)
+		}
+	}
+	return segs
+}
 
 // LazyRun is a Segment that opens on first Next. A fan-in-capped merge over
 // lazy runs therefore holds at most fan-in read buffers (and, for remote
@@ -114,7 +122,7 @@ type LazyRun struct {
 }
 
 // NewLazyRun wraps a local segment (a sealed run on this filesystem).
-// Remote segments are opened by the SegmentSource that owns their pool.
+// Remote segments are opened by the PushSource that owns their pool.
 func NewLazyRun(seg Segment) *LazyRun { return &LazyRun{seg: seg} }
 
 func (l *LazyRun) open() {
@@ -251,305 +259,99 @@ func (l *LazyRun) Close() error {
 	return rel()
 }
 
-// SegmentSource is the run-exchange ReduceSource for one partition: Runs
-// waits for the map barrier and returns every segment as a lazy run;
-// NextBatch streams each map task's segments as that task completes,
-// re-batched to batchSize records (pipelined consumption at map-task
-// granularity — the overlap a cross-process shuffle can actually offer).
-// Remote segments are fetched through pool (nil only when every segment is
-// local); NextBatch keeps up to prefetch section requests pipelined ahead
-// of consumption on one held connection per peer.
-type SegmentSource struct {
-	nMaps     int
-	segsOf    func(m int) []Segment // valid once map m has completed
-	mapsDone  <-chan struct{}       // closed when every map task has closed
-	completed <-chan int            // map indexes in completion order
-	fail      *failState
+// PushSource is the one ReduceSource for one partition's sealed runs. Each
+// finished map task's segments for the partition are offered to it: by the
+// coordinator's pushes on a multi-process worker, by a closing RunSink in
+// the in-process run exchange, and by the in-proc transport's spill drain.
+// Runs waits for every map (the shuffle barrier) and returns every segment
+// as a lazy run; NextBatch streams each map's segments as soon as that map
+// is offered, re-batched to batchSize records (pipelined consumption at
+// map-task granularity — the overlap a cross-process shuffle can actually
+// offer). Remote segments are fetched through pool (nil only when every
+// segment is local); NextBatch keeps up to prefetch section requests
+// pipelined ahead of consumption on one held connection per peer. Offer,
+// Invalidate and Fail are safe to call concurrently with the consuming task.
+//
+// The ledger keeps one route per map, and the last route installed wins: the
+// first offer of a map counts it toward the barrier and releases it to the
+// stream, a repeat of the live route's attempt or an older one is a no-op
+// (speculative clones make the coordinator's pushes at-least-once), and a
+// newer attempt — or any attempt once Invalidate has marked the route dead —
+// replaces the map's segments wholesale. With re-routing on, a failed fetch
+// re-resolves its segment from the ledger, parking while the route is dead.
+type PushSource struct {
 	batchSize int
 	pool      *FetchPool
 	prefetch  int          // max pipelined section requests (merge fan-in)
 	fetch     atomic.Int64 // wire bytes fetched from run-servers
-	resolve   Resolver     // optional re-route recovery (PushSource)
+	fail      *failState
+	reroute   bool // failed fetches re-resolve their route under rpol
 	rpol      retry.Policy
 
-	// streaming state
-	seen     int
-	queue    []*LazyRun           // completed maps' runs, in consumption order
-	inflight int                  // queued runs whose section is already requested
-	conns    map[string]*poolConn // conns held for pipelined streaming
-	cur      *LazyRun
-	spare    []core.Record // the last recycled batch, refilled by NextBatch
-}
-
-// FetchBytes reports how many bytes this partition fetched from remote
-// run-servers (compressed sections count their on-the-wire size; locally
-// opened sections count nothing).
-func (s *SegmentSource) FetchBytes() int64 { return s.fetch.Load() }
-
-// run wraps map m's i-th segment as a lazy run of this source: fetched
-// through its pool, counted in FetchBytes, re-routed through its resolver.
-func (s *SegmentSource) run(seg Segment, m, i int) *LazyRun {
-	lr := &LazyRun{seg: seg, fetch: &s.fetch, pool: s.pool, drop: s.dropConn, rpol: s.rpol}
-	if s.resolve != nil {
-		lr.route = func(wait bool) (Segment, bool, error) { return s.resolve(m, i, wait) }
-	}
-	return lr
-}
-
-// Runs implements ReduceSource: block on the map barrier, then return every
-// segment as a lazy run in (map task, publish order) order.
-func (s *SegmentSource) Runs() ([]sortx.Run, error) {
-	select {
-	case <-s.mapsDone:
-	case <-s.fail.done:
-		return nil, s.fail.failed()
-	}
-	var runs []sortx.Run
-	for m := 0; m < s.nMaps; m++ {
-		for i, seg := range s.segsOf(m) {
-			runs = append(runs, s.run(seg, m, i))
-		}
-	}
-	return runs, nil
-}
-
-// connFor returns the held streaming connection for addr, checking one out
-// on first use.
-func (s *SegmentSource) connFor(addr string) (*poolConn, error) {
-	if pc, ok := s.conns[addr]; ok {
-		return pc, nil
-	}
-	pc, err := s.pool.get(addr)
-	if err != nil {
-		return nil, err
-	}
-	if s.conns == nil {
-		s.conns = make(map[string]*poolConn)
-	}
-	s.conns[addr] = pc
-	return pc, nil
-}
-
-// dropConn removes a broken streaming connection: pipelined requests on it
-// are forgotten (their runs re-request elsewhere) and the conn is closed via
-// the pool.
-func (s *SegmentSource) dropConn(pc *poolConn) {
-	for _, lr := range s.queue {
-		if lr.held == pc {
-			lr.held = nil
-			s.inflight--
-		}
-	}
-	if s.conns[pc.addr] == pc { // a replacement conn to the same peer stays held
-		delete(s.conns, pc.addr)
-	}
-	pc.broken = true
-	s.pool.put(pc) // broken: closed there
-}
-
-// pump pipelines section requests for queued remote runs, bounded by the
-// prefetch budget. Requests go out in queue order per peer, matching the
-// order the responses will be consumed in. With a resolver wired in, stale
-// routes are refreshed first and unreachable peers are skipped: their runs
-// open — and re-route — themselves at the queue head instead.
-func (s *SegmentSource) pump() error {
-	for _, lr := range s.queue {
-		if s.inflight >= s.prefetch {
-			return nil
-		}
-		if lr.held != nil || lr.seg.Addr == "" {
-			continue
-		}
-		if lr.route != nil {
-			seg, ok, err := lr.route(false)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue // invalidated, not yet re-routed: wait at the head
-			}
-			lr.seg = seg
-		}
-		pc, err := s.connFor(lr.seg.Addr)
-		if err == nil {
-			if err = pc.request(lr.seg.FileID, lr.seg.Off, lr.seg.N); err != nil {
-				s.dropConn(pc)
-			}
-		}
-		if err != nil {
-			if lr.route != nil {
-				continue // dead peer
-			}
-			return err
-		}
-		s.fetch.Add(lr.seg.N)
-		lr.held = pc
-		s.inflight++
-	}
-	return nil
-}
-
-// NextBatch implements ReduceSource: stream records of completed map tasks,
-// into the batch last handed back through Recycle when there is one.
-func (s *SegmentSource) NextBatch() ([]core.Record, bool, error) {
-	var batch []core.Record
-	for {
-		if s.cur != nil {
-			if batch == nil {
-				batch, s.spare = s.spare, nil
-				if batch == nil {
-					batch = make([]core.Record, 0, s.batchSize)
-				}
-			}
-			for len(batch) < s.batchSize {
-				rec, ok := s.cur.Next()
-				if !ok {
-					break
-				}
-				batch = append(batch, rec)
-			}
-			if len(batch) == s.batchSize {
-				return batch, true, nil
-			}
-			if err := s.cur.Err(); err != nil {
-				return nil, false, err // the run already exhausted its re-routes
-			}
-			cerr := s.cur.Close()
-			s.cur = nil
-			if cerr != nil {
-				return nil, false, cerr
-			}
-		}
-		if err := s.pump(); err != nil {
-			return nil, false, err
-		}
-		if len(s.queue) > 0 {
-			s.cur, s.queue = s.queue[0], s.queue[1:]
-			if s.cur.held != nil {
-				s.inflight-- // adopted on open: no longer a queued prefetch
-			}
-			continue
-		}
-		if s.seen == s.nMaps {
-			return batch, len(batch) > 0, nil
-		}
-		// About to block for the next completed map: flush what we have so
-		// the reducer overlaps with still-running maps.
-		if len(batch) > 0 {
-			return batch, true, nil
-		}
-		select {
-		case m := <-s.completed:
-			s.seen++
-			for i, seg := range s.segsOf(m) {
-				s.queue = append(s.queue, s.run(seg, m, i))
-			}
-		case <-s.fail.done:
-			return nil, false, s.fail.failed()
-		}
-	}
-}
-
-// Recycle implements ReduceSource: keep the drained batch for the next
-// NextBatch, zeroed across its capacity so it pins none of the strings the
-// reducer was handed (those may be kept; only the header array is reused).
-func (s *SegmentSource) Recycle(batch []core.Record) {
-	clear(batch[:cap(batch)])
-	s.spare = batch[:0]
-}
-
-// Close implements ReduceSource: release the current run and hand every
-// held streaming connection back to the pool (connections abandoned
-// mid-section or with requests still pipelined are closed there instead).
-func (s *SegmentSource) Close() error {
-	var err error
-	if s.cur != nil {
-		err = s.cur.Close()
-		s.cur = nil
-	}
-	for _, pc := range s.conns {
-		s.pool.put(pc)
-	}
-	s.conns = nil
-	return err
-}
-
-// PushSource is a SegmentSource fed by an external control plane: the
-// multi-process workers' reduce tasks receive sealed-run routes as push
-// messages while map tasks are still running elsewhere on the cluster —
-// the cross-wave overlap the coordinator's streamed 'm' metadata enables.
-// Offer, Invalidate and Fail are safe to call concurrently with the
-// consuming task.
-//
-// Routes are attempt-aware: the first offer of a map counts it toward the
-// barrier, a duplicate offer of the same attempt is an idempotent no-op
-// (speculative clones make the coordinator's pushes at-least-once), and an
-// offer of a newer attempt supersedes the routing wholesale (re-execution
-// after the serving worker died). Invalidate marks a map's routing dead
-// without replacing it; fetch recovery then blocks in the resolver until a
-// superseding attempt is offered.
-type PushSource struct {
-	SegmentSource
 	mu      sync.Mutex
 	byMap   [][]Segment
 	attempt []int  // routed attempt ID (valid when got[m])
 	dead    []bool // routing invalidated, awaiting a superseding attempt
 	got     []bool
 	offered int
-	ch      chan int
-	done    chan struct{}
+	ch      chan int      // map indexes in first-offer order
+	done    chan struct{} // closed once every map has been offered
 	routeCh chan struct{} // closed and replaced on every route change
+
+	// streaming state, owned by the consuming task
+	seen     int
+	queue    []*LazyRun           // offered maps' runs, in consumption order
+	inflight int                  // queued runs whose section is already requested
+	conns    map[string]*poolConn // conns held for pipelined streaming
+	cur      *LazyRun
+	spare    []core.Record // the last recycled batch, refilled by NextBatch
 }
 
-// NewPushSource builds a source expecting one Offer per map task. Offered
-// segments are fetched through pool, with up to fanIn (the merge fan-in)
-// section requests pipelined ahead of streaming consumption.
+// NewPushSource builds a source expecting one Offer per map task, with
+// re-routing on: a failed section fetch re-resolves its route under a capped
+// backoff instead of failing the task. Offered segments are fetched through
+// pool, with up to fanIn (the merge fan-in) section requests pipelined ahead
+// of streaming consumption.
 func NewPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int) *PushSource {
+	return newPushSource(nMaps, batchSize, pool, fanIn, newFailState(), true)
+}
+
+// newPushSource builds a source aborted through fail. The in-process
+// transports share their own latch and pass reroute=false: in one process no
+// other attempt can ever be routed, so a broken fetch fails at once.
+func newPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int, fail *failState, reroute bool) *PushSource {
 	if batchSize <= 0 {
 		batchSize = 256
 	}
 	p := &PushSource{
-		byMap:   make([][]Segment, nMaps),
-		attempt: make([]int, nMaps),
-		dead:    make([]bool, nMaps),
-		got:     make([]bool, nMaps),
-		ch:      make(chan int, nMaps),
-		done:    make(chan struct{}),
-		routeCh: make(chan struct{}),
+		batchSize: batchSize,
+		pool:      pool,
+		prefetch:  fanIn,
+		fail:      fail,
+		reroute:   reroute,
+		rpol:      retry.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Attempts: 8},
+		byMap:     make([][]Segment, nMaps),
+		attempt:   make([]int, nMaps),
+		dead:      make([]bool, nMaps),
+		got:       make([]bool, nMaps),
+		ch:        make(chan int, nMaps),
+		done:      make(chan struct{}),
+		routeCh:   make(chan struct{}),
 	}
 	if nMaps == 0 {
 		close(p.done)
 	}
-	p.SegmentSource = SegmentSource{
-		nMaps: nMaps,
-		segsOf: func(m int) []Segment {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			return p.byMap[m]
-		},
-		mapsDone:  p.done,
-		completed: p.ch,
-		fail:      newFailState(),
-		batchSize: batchSize,
-		pool:      pool,
-		prefetch:  fanIn,
-		// Failed section fetches re-resolve their route under this capped
-		// backoff instead of failing the task.
-		resolve: p.resolveSeg,
-		rpol:    retry.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Attempts: 8},
-	}
 	return p
 }
 
+// FetchBytes reports how many bytes this partition fetched from remote
+// run-servers (compressed sections count their on-the-wire size; locally
+// opened sections count nothing).
+func (p *PushSource) FetchBytes() int64 { return p.fetch.Load() }
+
 // Offer records map task m's segments for this partition (empty for a map
-// that published nothing here) under the given attempt ID. The first offer
-// of a map counts it toward the source's barrier and releases it to the
-// consumer. While the routing held is live, a repeat of its attempt or an
-// older one is ignored and a newer attempt replaces it. Once it has been
-// invalidated, whatever attempt is offered next replaces and revives it: the
-// coordinator offers a route only when it installs one, and an original
-// that outlives its dead speculative clone carries the lower attempt — the
-// last route installed wins.
+// that published nothing here) under the given attempt ID, by the ledger
+// rule above.
 func (p *PushSource) Offer(m, attempt int, segs []Segment) error {
 	p.mu.Lock()
 	if m < 0 || m >= len(p.byMap) {
@@ -583,8 +385,8 @@ func (p *PushSource) Offer(m, attempt int, segs []Segment) error {
 }
 
 // Invalidate marks map m's routing dead (its serving worker was lost):
-// fetches of its segments park in the resolver until a superseding attempt
-// is offered. A map never routed is left untouched.
+// fetches of its segments park until a superseding attempt is offered. A map
+// never routed is left untouched.
 func (p *PushSource) Invalidate(m int) {
 	p.mu.Lock()
 	if m >= 0 && m < len(p.byMap) && p.got[m] {
@@ -593,8 +395,11 @@ func (p *PushSource) Invalidate(m int) {
 	p.mu.Unlock()
 }
 
-// resolveSeg is the source's Resolver: the current route of map m's i-th
-// segment, blocking (wait=true) while the routing is invalidated.
+// Fail aborts the source: the consuming task wakes with err.
+func (p *PushSource) Fail(err error) { p.fail.fail(err) }
+
+// resolveSeg is the current route of map m's i-th segment, blocking
+// (wait=true) while the routing is invalidated.
 func (p *PushSource) resolveSeg(m, i int, wait bool) (Segment, bool, error) {
 	for {
 		p.mu.Lock()
@@ -625,8 +430,198 @@ func (p *PushSource) resolveSeg(m, i int, wait bool) (Segment, bool, error) {
 	}
 }
 
-// Fail aborts the source: the consuming task wakes with err.
-func (p *PushSource) Fail(err error) { p.fail.fail(err) }
+// run wraps map m's i-th segment as a lazy run of this source: fetched
+// through its pool, counted in FetchBytes, and re-routed through the ledger
+// when re-routing is on.
+func (p *PushSource) run(seg Segment, m, i int) *LazyRun {
+	lr := &LazyRun{seg: seg, fetch: &p.fetch, pool: p.pool, drop: p.dropConn, rpol: p.rpol}
+	if p.reroute {
+		lr.route = func(wait bool) (Segment, bool, error) { return p.resolveSeg(m, i, wait) }
+	}
+	return lr
+}
+
+// Runs implements ReduceSource: block on the map barrier, then return every
+// segment as a lazy run in (map task, publish order) order.
+func (p *PushSource) Runs() ([]sortx.Run, error) {
+	select {
+	case <-p.done:
+	case <-p.fail.done:
+		return nil, p.fail.failed()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var runs []sortx.Run
+	for m, segs := range p.byMap {
+		for i, seg := range segs {
+			runs = append(runs, p.run(seg, m, i))
+		}
+	}
+	return runs, nil
+}
+
+// connFor returns the held streaming connection for addr, checking one out
+// on first use.
+func (p *PushSource) connFor(addr string) (*poolConn, error) {
+	if pc, ok := p.conns[addr]; ok {
+		return pc, nil
+	}
+	pc, err := p.pool.get(addr)
+	if err != nil {
+		return nil, err
+	}
+	if p.conns == nil {
+		p.conns = make(map[string]*poolConn)
+	}
+	p.conns[addr] = pc
+	return pc, nil
+}
+
+// dropConn removes a broken streaming connection: pipelined requests on it
+// are forgotten (their runs re-request elsewhere) and the conn is closed via
+// the pool.
+func (p *PushSource) dropConn(pc *poolConn) {
+	for _, lr := range p.queue {
+		if lr.held == pc {
+			lr.held = nil
+			p.inflight--
+		}
+	}
+	if p.conns[pc.addr] == pc { // a replacement conn to the same peer stays held
+		delete(p.conns, pc.addr)
+	}
+	pc.broken = true
+	p.pool.put(pc) // broken: closed there
+}
+
+// pump pipelines section requests for queued remote runs, bounded by the
+// prefetch budget. Requests go out in queue order per peer, matching the
+// order the responses will be consumed in. With re-routing on, stale routes
+// are refreshed first and unreachable peers are skipped: their runs open —
+// and re-route — themselves at the queue head instead.
+func (p *PushSource) pump() error {
+	for _, lr := range p.queue {
+		if p.inflight >= p.prefetch {
+			return nil
+		}
+		if lr.held != nil || lr.seg.Addr == "" {
+			continue
+		}
+		if lr.route != nil {
+			seg, ok, err := lr.route(false)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				continue // invalidated, not yet re-routed: wait at the head
+			}
+			lr.seg = seg
+		}
+		pc, err := p.connFor(lr.seg.Addr)
+		if err == nil {
+			if err = pc.request(lr.seg.FileID, lr.seg.Off, lr.seg.N); err != nil {
+				p.dropConn(pc)
+			}
+		}
+		if err != nil {
+			if lr.route != nil {
+				continue // dead peer
+			}
+			return err
+		}
+		p.fetch.Add(lr.seg.N)
+		lr.held = pc
+		p.inflight++
+	}
+	return nil
+}
+
+// NextBatch implements ReduceSource: stream records of offered map tasks,
+// into the batch last handed back through Recycle when there is one.
+func (p *PushSource) NextBatch() ([]core.Record, bool, error) {
+	var batch []core.Record
+	for {
+		if p.cur != nil {
+			if batch == nil {
+				batch, p.spare = p.spare, nil
+				if batch == nil {
+					batch = make([]core.Record, 0, p.batchSize)
+				}
+			}
+			for len(batch) < p.batchSize {
+				rec, ok := p.cur.Next()
+				if !ok {
+					break
+				}
+				batch = append(batch, rec)
+			}
+			if len(batch) == p.batchSize {
+				return batch, true, nil
+			}
+			if err := p.cur.Err(); err != nil {
+				return nil, false, err // the run already exhausted its re-routes
+			}
+			cerr := p.cur.Close()
+			p.cur = nil
+			if cerr != nil {
+				return nil, false, cerr
+			}
+		}
+		if err := p.pump(); err != nil {
+			return nil, false, err
+		}
+		if len(p.queue) > 0 {
+			p.cur, p.queue = p.queue[0], p.queue[1:]
+			if p.cur.held != nil {
+				p.inflight-- // adopted on open: no longer a queued prefetch
+			}
+			continue
+		}
+		if p.seen == len(p.byMap) {
+			return batch, len(batch) > 0, nil
+		}
+		// About to block for the next offered map: flush what we have so
+		// the reducer overlaps with still-running maps.
+		if len(batch) > 0 {
+			return batch, true, nil
+		}
+		select {
+		case m := <-p.ch:
+			p.seen++
+			p.mu.Lock()
+			for i, seg := range p.byMap[m] {
+				p.queue = append(p.queue, p.run(seg, m, i))
+			}
+			p.mu.Unlock()
+		case <-p.fail.done:
+			return nil, false, p.fail.failed()
+		}
+	}
+}
+
+// Recycle implements ReduceSource: keep the drained batch for the next
+// NextBatch, zeroed across its capacity so it pins none of the strings the
+// reducer was handed (those may be kept; only the header array is reused).
+func (p *PushSource) Recycle(batch []core.Record) {
+	clear(batch[:cap(batch)])
+	p.spare = batch[:0]
+}
+
+// Close implements ReduceSource: release the current run and hand every
+// held streaming connection back to the pool (connections abandoned
+// mid-section or with requests still pipelined are closed there instead).
+func (p *PushSource) Close() error {
+	var err error
+	if p.cur != nil {
+		err = p.cur.Close()
+		p.cur = nil
+	}
+	for _, pc := range p.conns {
+		p.pool.put(pc)
+	}
+	p.conns = nil
+	return err
+}
 
 // sealWave encodes one key-sorted run per partition into a single new
 // segment file in dir — each partition's section a self-contained run in

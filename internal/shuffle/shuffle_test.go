@@ -2,8 +2,11 @@ package shuffle
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"blmr/internal/codec"
 	"blmr/internal/core"
@@ -114,9 +117,9 @@ func TestFetchShortSection(t *testing.T) {
 	}
 }
 
-// TestSegmentSourceStreaming: NextBatch over completed maps yields every
-// record, re-batched.
-func TestSegmentSourceStreaming(t *testing.T) {
+// TestPushSourceStreaming: NextBatch over the run exchange's per-partition
+// sources yields every record of every closed map, re-batched.
+func TestPushSourceStreaming(t *testing.T) {
 	dir, err := dfs.NewRunDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -162,6 +165,68 @@ func TestSegmentSourceStreaming(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("streamed %d records, want %d", got, want)
+	}
+}
+
+// TestRunExchangeFailsFast: the in-process run exchange does not re-route —
+// no other attempt of a map can ever be routed in one process — so a sealed
+// wave cut short on disk fails the barrier merge with ErrCorrupt at once,
+// not after a re-route budget of several seconds.
+func TestRunExchangeFailsFast(t *testing.T) {
+	dir, err := dfs.NewRunDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	tr, err := New(TCP, Config{Maps: 1, Parts: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sink := tr.MapSink(0)
+	if err := sink.PublishWave([][]core.Record{sortedRecs("k", 500)}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir.Dir(), "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("sealed files %v (err %v), want one", files, err)
+	}
+	fi, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(files[0], fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	src := tr.ReduceSource(0)
+	defer src.Close()
+	runs, err := src.Runs()
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("Runs: %d runs, err %v", len(runs), err)
+	}
+	run := runs[0].(*LazyRun)
+	errc := make(chan error, 1)
+	go func() {
+		for {
+			if _, ok := run.Next(); !ok {
+				break
+			}
+		}
+		errc <- run.Err()
+	}()
+	select {
+	case err := <-errc:
+		_ = run.Close()
+		if !errors.Is(err, codec.ErrCorrupt) {
+			t.Fatalf("truncated wave: err = %v, want ErrCorrupt", err)
+		}
+	case <-time.After(time.Second):
+		// A re-routing source retries the same cut section forever.
+		t.Fatal("the truncated wave has not failed after 1 s: the in-process exchange re-routes")
 	}
 }
 
