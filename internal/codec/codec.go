@@ -22,12 +22,14 @@ func AppendRecord(dst []byte, r core.Record) []byte {
 	return dst
 }
 
-// AppendRecords appends all records to dst, growing it once, to the exact
-// size EncodedSize sums.
-func AppendRecords(dst []byte, recs []core.Record) []byte {
+// AppendRecords appends the records of every chunk to dst, in order,
+// growing it once, to the exact size EncodedSize sums.
+func AppendRecords(dst []byte, chunks ...[]core.Record) []byte {
 	var n int64
-	for _, r := range recs {
-		n += EncodedSize(r)
+	for _, recs := range chunks {
+		for _, r := range recs {
+			n += EncodedSize(r)
+		}
 	}
 	if int64(cap(dst)-len(dst)) < n {
 		// Not slices.Grow: the race build does not fuse its
@@ -36,8 +38,10 @@ func AppendRecords(dst []byte, recs []core.Record) []byte {
 		copy(grown, dst)
 		dst = grown
 	}
-	for _, r := range recs {
-		dst = AppendRecord(dst, r)
+	for _, recs := range chunks {
+		for _, r := range recs {
+			dst = AppendRecord(dst, r)
+		}
 	}
 	return dst
 }

@@ -158,8 +158,8 @@ func TestFuncAdapters(t *testing.T) {
 }
 
 // TestEmitterDoubles: a partition with no size hint grows by doubling from
-// 64 records, the growth rule RecordSink shares, so N records into one
-// partition cost at most ceil(log2(N/64)) + 1 allocations.
+// 64 records, so N records into one partition cost at most
+// ceil(log2(N/64)) + 1 allocations.
 func TestEmitterDoubles(t *testing.T) {
 	const n = 10000
 	e := NewPartitionedEmitter(1, 0)

@@ -10,7 +10,10 @@ import (
 // garbage collector. Map tasks draw their partition buffers from it
 // (NewPartitionedEmitter, Extrapolate), the run exchange hands a map task's
 // final wave back once it is sealed to disk, and the multi-process worker
-// decodes each map task's split into a buffer from it. Only the headers are
+// decodes each map task's split into a buffer from it. Reduce tasks collect
+// their output in chunks from it (RecordSink), which come back once the
+// output is assembled (mr.Assemble) or encoded onto the wire (a worker's
+// reduce reply). Only the headers are
 // recycled: the strings a recycled buffer held may still be kept by whoever
 // received them (a mapper keeps its input strings, a reducer the keys it
 // was given), so a buffer is zeroed across its full capacity on the way in
@@ -20,10 +23,13 @@ import (
 // constants below. sync.Pool itself does not fit: it empties itself over
 // two collections and reallocates its per-P arrays after each, so a
 // collection between two tasks costs them their buffers and allocates
-// besides.
+// besides. The bounds hold one sort_tcp_delta job's reducer output (1 M
+// records in 8192-record chunks) besides the map side's buffers; at half
+// of each, half of that output was allocated afresh every job, and the
+// benchmark's peak RSS read the same at both sizes (DESIGN §7).
 const (
-	freeRecordBufs  = 64       // buffers held at most
-	freeRecordBytes = 16 << 20 // record-header bytes held at most
+	freeRecordBufs  = 128      // buffers held at most
+	freeRecordBytes = 32 << 20 // record-header bytes held at most
 )
 
 type recordFreeList struct {

@@ -33,7 +33,7 @@ func (w *fakeWorker) RunReduce(t ReduceTask) (ReduceResult, error) {
 	if w.runReduce != nil {
 		return w.runReduce(t)
 	}
-	return ReduceResult{Output: []core.Record{{Key: fmt.Sprintf("r%d", t.Partition)}}}, nil
+	return ReduceResult{Output: core.Chunks{{{Key: fmt.Sprintf("r%d", t.Partition)}}}}, nil
 }
 
 // fakeWorkers builds n fake workers w0..wn-1 with the same slot budget.
@@ -142,7 +142,7 @@ func TestSchedulerRunsEverything(t *testing.T) {
 	if sum.ShuffleRecords != 70 || sum.MapSpills != 7 {
 		t.Fatalf("shuffle records %d, spills %d, want 70 and 7", sum.ShuffleRecords, sum.MapSpills)
 	}
-	if len(sum.Reduces) != 3 || len(sum.Reduces[2].Output) != 1 {
+	if len(sum.Reduces) != 3 || sum.Reduces[2].Output.Len() != 1 {
 		t.Fatalf("reduce results incomplete: %+v", sum.Reduces)
 	}
 	if sum.MapWall <= 0 {

@@ -13,6 +13,7 @@ import (
 	"blmr/internal/core"
 	"blmr/internal/dfs"
 	"blmr/internal/shuffle"
+	"blmr/internal/sortx"
 )
 
 // runExchange builds a TCP-transport exchange for maps map tasks.
@@ -111,5 +112,88 @@ func TestCombinedBuffersRecycledZeroed(t *testing.T) {
 	}
 	if !shortened {
 		t.Fatal("no combined partition was shorter than its buffer")
+	}
+}
+
+// sortedRunsSource is a ReduceSource over in-memory sorted runs, rewound
+// for every task that reads it.
+type sortedRunsSource struct{ runs []*sortx.SliceRun }
+
+func (s *sortedRunsSource) NextBatch() ([]core.Record, bool, error) { return nil, false, nil }
+func (s *sortedRunsSource) Recycle([]core.Record)                   {}
+func (s *sortedRunsSource) Close() error                            { return nil }
+func (s *sortedRunsSource) Runs() ([]sortx.Run, error) {
+	out := make([]sortx.Run, len(s.runs))
+	for i, r := range s.runs {
+		r.Rewind()
+		out[i] = r
+	}
+	return out, nil
+}
+
+// TestBarrierReduceDrawsOutputChunks: a barrier reduce task collects its
+// output in chunks from the record-buffer free list, so once a previous
+// task's output has been handed back, a task writing 20 000 records
+// allocates no more than the same task writing one record a group. As in
+// TestMapRunsReusePartitionBuffers, what the output costs is measured in
+// bytes against that baseline: the merge allocates too.
+func TestBarrierReduceDrawsOutputChunks(t *testing.T) {
+	const runs, perRun, keys = 4, 5000, 8
+	src := &sortedRunsSource{}
+	for range runs {
+		recs := make([]core.Record, perRun)
+		for i := range recs {
+			recs[i] = core.Record{Key: "k" + strconv.Itoa(i*keys/perRun), Value: strconv.Itoa(i)}
+		}
+		src.runs = append(src.runs, sortx.NewSliceRun(recs))
+	}
+	task := func(everyValue bool) func() {
+		job := Job{NewGroup: func() core.GroupReducer {
+			return core.GroupReducerFunc(func(k string, vs []string, out core.Output) {
+				if !everyValue {
+					vs = vs[:1]
+				}
+				for _, v := range vs {
+					out.Write(k, v)
+				}
+			})
+		}}
+		opts := Options{Mode: Barrier}
+		opts.Normalize()
+		want := keys
+		if everyValue {
+			want = runs * perRun
+		}
+		return func() {
+			res, err := RunReduceTask(job, opts, ReduceTask{}, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Output.Len() != want {
+				t.Fatalf("the task wrote %d records, want %d", res.Output.Len(), want)
+			}
+			res.Output.Recycle() // as mr.Assemble does
+		}
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 4 {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 4
+	}
+	for range 256 { // more than the free list holds: empty it, so the task's own chunks fill it
+		core.TakeRecords(1)
+	}
+	full, small := task(true), task(false)
+	full()
+	small()
+	fullBytes, smallBytes := allocated(full), allocated(small)
+	chunk := uint64(256 * unsafe.Sizeof(core.Record{})) // the sink's first chunk
+	if fullBytes > smallBytes && fullBytes-smallBytes >= chunk {
+		t.Errorf("a warmed task writing %d records allocated %d bytes, %d more than one writing %d; one output chunk takes %d",
+			runs*perRun, fullBytes, fullBytes-smallBytes, keys, chunk)
 	}
 }

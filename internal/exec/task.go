@@ -48,8 +48,10 @@ type ReduceTask struct {
 
 // ReduceResult reports one completed reduce task.
 type ReduceResult struct {
-	// Output is the task's final records.
-	Output []core.Record
+	// Output is the task's final records, in order, in chunks from core's
+	// record-buffer free list: whoever consumes them hands the chunks back
+	// (mr.Assemble, or a worker once it has encoded its reply).
+	Output core.Chunks
 	// Spills counts partial-result store spill runs (pipelined mode).
 	Spills int
 	// PeakPartialBytes is the largest partial-result store footprint
@@ -415,7 +417,7 @@ func runReduceBarrier(job Job, opts Options, t ReduceTask, src shuffle.ReduceSou
 		return res, err
 	}
 	merger := sortx.NewMerger(runs)
-	sink := core.NewRecordSink(0)
+	sink := core.NewRecordSink()
 	gr := job.NewGroup()
 	for {
 		key, values, ok := merger.NextGroup()
@@ -440,7 +442,7 @@ func runReduceBarrier(job Job, opts Options, t ReduceTask, src shuffle.ReduceSou
 	if c, ok := gr.(core.Cleanup); ok {
 		c.Cleanup(sink)
 	}
-	res.Output = sink.Recs
+	res.Output = sink.Chunks()
 	return res, nil
 }
 
@@ -522,7 +524,7 @@ func runReducePipelined(job Job, opts Options, t ReduceTask, src shuffle.ReduceS
 	var res ReduceResult
 	st := NewTaskStore(job, opts, scratch, t.Partition)
 	sr := job.NewStream(st)
-	sink := core.NewRecordSink(0)
+	sink := core.NewRecordSink()
 	for {
 		batch, ok, err := src.NextBatch()
 		if err != nil {
@@ -546,7 +548,7 @@ func runReducePipelined(job Job, opts Options, t ReduceTask, src shuffle.ReduceS
 			return res, err
 		}
 	}
-	res.Output = sink.Recs
+	res.Output = sink.Chunks()
 	return res, nil
 }
 

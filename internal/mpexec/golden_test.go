@@ -39,7 +39,7 @@ func goldens() []golden {
 		{FileID: 301, Comp: codec.None, CRC: 7, Spans: []shuffle.Span{{Off: 0, N: 5}}},
 	}
 	seg := shuffle.Segment{Addr: "127.0.0.1:40123", FileID: 300, Off: 100, N: 250, Comp: codec.DeltaBlock}
-	res := exec.ReduceResult{Spills: 1, PeakPartialBytes: 4096, MergePasses: 2, FetchBytes: 12000, Output: recs}
+	res := exec.ReduceResult{Spills: 1, PeakPartialBytes: 4096, MergePasses: 2, FetchBytes: 12000, Output: core.Chunks{recs}}
 	rec := func() message { return new(journalRecord) }
 	return []golden{
 		{"H", "0f3132372e302e302e313a343031323306772d34323432",

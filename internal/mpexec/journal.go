@@ -156,7 +156,7 @@ func (r *journalRecord) layout(w *wire) {
 		num(w, &r.reduce.PeakPartialBytes)
 		num(w, &r.reduce.MergePasses)
 		num(w, &r.reduce.FetchBytes)
-		w.records(&r.reduce.Output, newRecords)
+		w.chunks(&r.reduce.Output)
 	case jAborted:
 		w.str(&r.msg)
 	}

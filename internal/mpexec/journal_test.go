@@ -68,7 +68,7 @@ func mapRec(ticket uint64, m, attempt int, worker string) []byte {
 
 func redRec(ticket uint64, part, n int) []byte {
 	return encode(&journalRecord{kind: jReduceDone, ticket: ticket, id: part,
-		reduce: &exec.ReduceResult{Spills: n, Output: []core.Record{{Key: "k", Value: strconv.Itoa(n)}}}})
+		reduce: &exec.ReduceResult{Spills: n, Output: core.Chunks{{{Key: "k", Value: strconv.Itoa(n)}}}}})
 }
 
 func admitRec(ticket uint64) []byte {

@@ -305,6 +305,22 @@ func (w *wire) records(p *[]core.Record, take func(n int) []core.Record) {
 	*p = out
 }
 
+// chunks is records for a list held in chunks (a reduce task's output): it
+// encodes to the bytes records writes for the same records, straight from
+// the chunks, and decodes as one chunk (none for an empty list).
+func (w *wire) chunks(p *core.Chunks) {
+	if !w.decoding {
+		w.length(p.Len(), 2)
+		w.buf = codec.AppendRecords(w.buf, *p...)
+		return
+	}
+	var recs []core.Record
+	w.records(&recs, newRecords)
+	if w.err == nil && len(recs) > 0 {
+		*p = core.Chunks{recs}
+	}
+}
+
 // newRecords is records' take for a list that outlives its decode.
 func newRecords(n int) []core.Record { return make([]core.Record, 0, n) }
 
@@ -558,7 +574,7 @@ func (m *reduceDone) layout(w *wire) {
 	num(w, &m.res.FetchBytes)
 	num(w, &m.fetchDials)
 	num(w, &m.serverOpens)
-	w.records(&m.res.Output, newRecords)
+	w.chunks(&m.res.Output)
 }
 
 // taskError is 'E', a worker-side task failure: the job, the reply kind the

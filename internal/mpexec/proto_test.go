@@ -7,6 +7,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -154,5 +155,35 @@ func TestReduceTaskRejectsNegativeMapCount(t *testing.T) {
 	var rt reduceTask
 	if err := decode(payload, &rt); err == nil {
 		t.Fatalf("'R' frame with map count 2^64-1 decoded to %+v", rt)
+	}
+}
+
+// TestReduceReplyChunks: a reduce reply encodes its output straight from
+// the sink's chunks to the bytes the same records make as one list, and
+// decodes as one chunk — for no records, one, either side of the sink's
+// chunk boundaries (256 and 8192 records), and many chunks.
+func TestReduceReplyChunks(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 8191, 8192, 8193, 5*8192 + 17} {
+		sink := core.NewRecordSink()
+		flat := make([]core.Record, n)
+		for i := range flat {
+			flat[i] = core.Record{Key: strconv.Itoa(i), Value: "v"}
+			sink.Write(flat[i].Key, flat[i].Value)
+		}
+		chunked := encode(&reduceDone{job: 7, partition: 1, res: exec.ReduceResult{Output: sink.Chunks()}})
+		var one core.Chunks
+		if n > 0 {
+			one = core.Chunks{flat}
+		}
+		if want := encode(&reduceDone{job: 7, partition: 1, res: exec.ReduceResult{Output: one}}); !bytes.Equal(chunked, want) {
+			t.Fatalf("%d records: the chunked reply encodes to %d bytes unlike the flat one's %d", n, len(chunked), len(want))
+		}
+		var rd reduceDone
+		if err := decode(chunked, &rd); err != nil {
+			t.Fatalf("%d records: %v", n, err)
+		}
+		if len(rd.res.Output) > 1 || !slices.Equal(rd.res.Output.AppendTo(nil), flat) {
+			t.Fatalf("%d records: decoded %d chunks of %d records, want the records as one chunk", n, len(rd.res.Output), rd.res.Output.Len())
+		}
 	}
 }

@@ -263,6 +263,15 @@ func (w *workerState) startReduce(epoch int, payload []byte) {
 		w.replyError(epoch, jobID, msgReduceDone, partition, fmt.Errorf("unknown job %d", jobID))
 		return
 	}
+	if rt.nMaps > jb.opts.Mappers {
+		// The count sizes the reduce source. SplitMaps never makes more map
+		// tasks than the job's Mappers (normalised before the 'J' frame),
+		// so a larger one is corrupt: refuse it before anything is sized.
+		jb.tasks.Done()
+		w.replyError(epoch, jobID, msgReduceDone, partition,
+			fmt.Errorf("reduce task for %d maps, but job %d has at most %d", rt.nMaps, jobID, jb.opts.Mappers))
+		return
+	}
 	src := shuffle.NewPushSource(rt.nMaps, jb.opts.BatchSize, w.pool, jb.opts.MergeFanIn)
 	w.mu.Lock()
 	aborted := jb.aborted
@@ -314,9 +323,11 @@ func (w *workerState) runReduce(epoch int, jb *wjob, partition int, src *shuffle
 		}
 		return
 	}
-	w.reply(epoch, msgReduceDone, encode(&reduceDone{
+	reply := encode(&reduceDone{
 		job: jb.id, partition: partition, res: res,
 		spilledBytes: jb.dir.SpilledBytes(), rawSpilledBytes: jb.dir.RawSpilledBytes(),
 		fetchDials: w.pool.Dials(), serverOpens: w.srv.Opens(),
-	}))
+	})
+	res.Output.Recycle() // encoded: the reply holds the records' bytes
+	w.reply(epoch, msgReduceDone, reply)
 }

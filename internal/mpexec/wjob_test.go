@@ -68,3 +68,41 @@ func TestWorkerRejectsTruncatedControlFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRefusesHugeMapCount: an 'R' frame whose map count exceeds its
+// job's Mappers is refused with an error reply. The count sizes the
+// partition's reduce source, so 2^40 maps would have asked for terabytes.
+func TestWorkerRefusesHugeMapCount(t *testing.T) {
+	coord, conn := net.Pipe()
+	defer coord.Close()
+	defer conn.Close()
+	job := exec.Job{Mapper: core.MapperFunc(func(k, v string, e core.Emitter) { e.Emit(k, v) })}
+	w := &workerState{name: "w-test", jobs: make(map[int]*wjob),
+		resolve: func(string) (exec.Job, bool) { return job, true }}
+	epoch := w.install(conn)
+	opts := exec.Options{Mappers: 4, Reducers: 2}
+	opts.Normalize()
+	w.openJob(encode(&jobStart{7, "identity", opts}))
+	defer w.closeJob(7)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.startReduce(epoch, encode(&reduceTask{7, 1, 1 << 40, nil}))
+	}()
+	typ, payload, err := readMsg(bufio.NewReader(coord))
+	<-done
+	if err != nil || typ != msgError {
+		t.Fatalf("reduce task for 2^40 maps: frame %q err=%v, want an 'E'", typ, err)
+	}
+	var te taskError
+	if err := decode(payload, &te); err != nil {
+		t.Fatal(err)
+	}
+	if te.job != 7 || te.replyKind != msgReduceDone || te.id != 1 || !strings.Contains(te.msg, "1099511627776 maps") {
+		t.Fatalf("error frame %+v, want partition 1 of job 7 refused for its map count", te)
+	}
+	if jb := w.job(7); jb == nil || len(jb.reds) != 0 {
+		t.Fatal("the refused reduce task left a reduce source registered")
+	}
+}

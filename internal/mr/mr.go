@@ -203,6 +203,11 @@ func OpenSpillDir(opts Options) (*dfs.RunDir, error) {
 
 // Assemble folds a scheduler summary into a Result (shared with the
 // multi-process coordinator; SpilledBytes and Wall are the caller's).
+//
+// Assemble consumes the summary's outputs: it copies every reduce task's
+// records once into an exactly sized Result.Output, hands each output chunk
+// back to the record-buffer free list, and clears the summary's Output
+// fields, so nothing can read a chunk another task has since refilled.
 func Assemble(sum *exec.Summary) *Result {
 	res := &Result{
 		MapWall: sum.MapWall, ShuffleRecords: sum.ShuffleRecords, Spills: sum.MapSpills,
@@ -212,11 +217,14 @@ func Assemble(sum *exec.Summary) *Result {
 	}
 	var n int
 	for _, rr := range sum.Reduces {
-		n += len(rr.Output)
+		n += rr.Output.Len()
 	}
 	res.Output = make([]core.Record, 0, n)
-	for _, rr := range sum.Reduces {
-		res.Output = append(res.Output, rr.Output...)
+	for i := range sum.Reduces {
+		rr := &sum.Reduces[i]
+		res.Output = rr.Output.AppendTo(res.Output)
+		rr.Output.Recycle()
+		rr.Output = nil
 		res.Spills += rr.Spills
 		res.MergePasses += rr.MergePasses
 		res.FetchBytes += rr.FetchBytes

@@ -3,6 +3,8 @@ package shuffle
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -499,5 +501,84 @@ func TestPushSourceReRouteMidStream(t *testing.T) {
 	// path fault-free fetches use: one dial per server.
 	if d := pool.Dials(); d != 2 {
 		t.Fatalf("mid-stream re-route cost %d dials, want 2 (doomed server + replica)", d)
+	}
+}
+
+// TestPushSourceReRouteGivesUp: a wave cut short on disk behind a live
+// route fails at the same record on every re-read, while re-reading the
+// consumed prefix succeeds. The re-route budget is the run's, so both the
+// barrier merge's runs and the streaming drain fail with the cut's error in
+// bounded time instead of re-reading the section forever.
+func TestPushSourceReRouteGivesUp(t *testing.T) {
+	dir, err := dfs.NewRunDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dir.Close()
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	w, _, ok, err := sealWave(dir, srv, "a0", [][]core.Record{sortedRecs("k", 5000)}, nil)
+	if err != nil || !ok {
+		t.Fatalf("sealWave: ok=%v err=%v", ok, err)
+	}
+	seg, _ := w.SegmentOf(0)
+	files, err := filepath.Glob(filepath.Join(dir.Dir(), "*"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("sealed files %v (err %v), want one", files, err)
+	}
+	if err := os.Truncate(files[0], seg.Off+seg.N/2); err != nil {
+		t.Fatal(err)
+	}
+
+	drains := map[string]func(src *PushSource) error{
+		"Runs": func(src *PushSource) error {
+			runs, err := src.Runs()
+			if err != nil {
+				return err
+			}
+			m := sortx.NewMerger(runs)
+			m.Drain()
+			defer func() {
+				for _, r := range runs {
+					_ = r.(*LazyRun).Close()
+				}
+			}()
+			return m.Err()
+		},
+		"NextBatch": func(src *PushSource) error {
+			for {
+				batch, ok, err := src.NextBatch()
+				if err != nil || !ok {
+					return err
+				}
+				src.Recycle(batch)
+			}
+		},
+	}
+	for name, drain := range drains {
+		t.Run(name, func(t *testing.T) {
+			pool := NewFetchPool()
+			defer pool.Close()
+			src := NewPushSource(1, 64, pool, 4)
+			fastReroute(src)
+			defer src.Close()
+			if err := src.Offer(0, 0, []Segment{seg}); err != nil {
+				t.Fatal(err)
+			}
+			errc := make(chan error, 1)
+			go func() { errc <- drain(src) }()
+			select {
+			case err := <-errc:
+				if err == nil || !strings.Contains(err.Error(), "re-route gave up") {
+					t.Fatalf("draining a truncated section: err = %v, want the re-route to give up", err)
+				}
+			case <-time.After(5 * time.Second):
+				src.Fail(errors.New("test timed out"))
+				t.Fatal("a section cut short on a live route is still being re-read after 5 s")
+			}
+		})
 	}
 }

@@ -119,6 +119,13 @@ type LazyRun struct {
 	err       error
 	opened    bool
 	delivered int64 // records already handed to the merge (skip on re-route)
+	// The re-route budget is the run's, not one recover call's: reopens
+	// charged since delivery last passed failedAt, the delivered count at
+	// the last failure. A section cut short on a live worker re-reads its
+	// consumed prefix cleanly and fails again at the same record, so a
+	// budget renewed on every call would retry it forever.
+	reopens  int
+	failedAt int64
 }
 
 // NewLazyRun wraps a local segment (a sealed run on this filesystem).
@@ -202,16 +209,22 @@ func (l *LazyRun) Next() (core.Record, bool) {
 // recover re-routes after a fetch failure: burn the broken resource, back
 // off, re-resolve the segment (blocking until a live attempt is routed),
 // reopen through the pool and skip the prefix already delivered. Returns
-// true with l.src repositioned, or false with l.err set.
+// true with l.src repositioned, or false with l.err set once the run's
+// budget of pol.Attempts-1 reopens without progress is spent.
 func (l *LazyRun) recover() bool {
 	if l.route == nil {
 		return false
 	}
 	pol := l.rpol.Normalize()
 	lastErr := l.err
-	for k := 1; k < pol.Attempts; k++ {
+	if l.delivered > l.failedAt {
+		l.reopens = 0 // progress since the last failure: a fresh budget
+	}
+	l.failedAt = l.delivered
+	for l.reopens+1 < pol.Attempts {
+		l.reopens++
 		_ = l.Close()
-		time.Sleep(pol.Backoff(k))
+		time.Sleep(pol.Backoff(l.reopens))
 		seg, _, err := l.route(true)
 		if err != nil {
 			l.err = err // source failed/aborted: surface that, not the fetch error

@@ -88,7 +88,7 @@ func (e *Engine) barrierReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.N
 
 	// --- Reduce: one grouped invocation per key. ---
 	redTok := e.Col.TaskStart(metrics.StageReduce, p.Now())
-	out := core.NewRecordSink(0)
+	out := core.NewRecordSink()
 	gr := job.NewGroup()
 	sortx.Group(all, func(key string, values []string) {
 		gr.Reduce(key, values, out)
@@ -99,7 +99,7 @@ func (e *Engine) barrierReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.N
 	node.Compute(p, e.virtRecs(len(all))*job.Costs.ReduceCPUPerRecord)
 	e.Col.TaskEnd(redTok, p.Now())
 
-	e.writeOutput(p, node, out.Recs, res)
+	e.writeOutput(p, node, out.Chunks(), res)
 }
 
 // fetchBatch is one network chunk's worth of records heading for the
@@ -168,7 +168,7 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 
 	st := e.newStore(p, job, node)
 	sr := job.NewStream(st)
-	out := core.NewRecordSink(0)
+	out := core.NewRecordSink()
 	redTok := e.Col.TaskStart(metrics.StageReduce, p.Now())
 	consumed := 0
 	nextSnap := job.SnapshotPeriod
@@ -211,14 +211,15 @@ func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster
 	// Finalize: emit partial results (spill merges and KV reads charge
 	// their own disk time through the hooks).
 	sr.Finish(out)
-	node.Compute(p, e.virtRecs(len(out.Recs))*job.Costs.FinalizeCPUPerRecord)
+	recs := out.Chunks()
+	node.Compute(p, e.virtRecs(recs.Len())*job.Costs.FinalizeCPUPerRecord)
 	if sp, ok := st.(*store.SpillStore); ok {
 		res.Spills += sp.Spills
 	}
 	e.Col.MemSample(r, p.Now(), e.virtBytes(st.ApproxBytes()))
 	e.Col.TaskEnd(redTok, p.Now())
 
-	e.writeOutput(p, node, out.Recs, res)
+	e.writeOutput(p, node, recs, res)
 	return nil
 }
 
@@ -282,13 +283,15 @@ func (e *Engine) newStore(p *sim.Proc, job *JobSpec, node *cluster.Node) store.S
 	}
 }
 
-// writeOutput writes a reducer's final records to the HDFS and appends them
-// to the job result.
-func (e *Engine) writeOutput(p *sim.Proc, node *cluster.Node, recs []core.Record, res *Result) {
+// writeOutput writes a reducer's final records to the HDFS, appends them to
+// the job result and recycles their chunks.
+func (e *Engine) writeOutput(p *sim.Proc, node *cluster.Node, recs core.Chunks, res *Result) {
 	outTok := e.Col.TaskStart(metrics.StageOutput, p.Now())
-	e.fs.write(p, node, e.virtBytes(core.RecordsSize(recs)))
+	n := len(res.Output)
+	res.Output = recs.AppendTo(res.Output)
+	recs.Recycle()
+	e.fs.write(p, node, e.virtBytes(core.RecordsSize(res.Output[n:])))
 	e.Col.TaskEnd(outTok, p.Now())
-	res.Output = append(res.Output, recs...)
 }
 
 // storeHooks charges a store's I/O as local disk traffic (its bytes are

@@ -6,6 +6,7 @@ package sortx
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -376,28 +377,35 @@ func (s *SliceRun) Next() (core.Record, bool) {
 // the same backing slices without reallocating).
 func (s *SliceRun) Rewind() { s.pos = 0 }
 
-// mergeEntry is one run's head record in the merge heap. prefix caches
-// keyPrefix(rec.Key), so most heap comparisons never follow a key pointer.
-type mergeEntry struct {
+// mergeHead is one run's head record. prefix caches keyPrefix(rec.Key), so
+// most comparisons never follow a key pointer; an exhausted run's head is
+// done, with the largest prefix, and sorts after every record.
+type mergeHead struct {
 	rec    core.Record
 	prefix uint64
-	src    int
+	done   bool
 }
+
+var exhausted = mergeHead{prefix: math.MaxUint64, done: true}
 
 // Merger merges any number of sorted runs into one globally key-sorted
 // stream. Ties between runs are broken by run index, making the merge
 // stable with respect to run order.
 //
-// The heap is a plain slice of mergeEntry with hand-rolled sift-down:
-// unlike container/heap there is no interface boxing, so Next performs zero
-// allocations per record merged, and NextGroup none per group once its
-// values buffer has grown to the largest group.
+// It is a loser tree over run indices. Each run's head record stays in
+// heads[run]; tree[0] holds the current winner and tree[1:k] the loser of
+// each internal node, leaf run i sitting at position k+i. Replacing the
+// winner's head replays one leaf-to-root path, one comparison per level,
+// and moves only int32 run indices — where a binary heap compares twice a
+// level and swaps a whole head record. Next allocates nothing per record
+// merged, NextGroup nothing per group once its values buffer has grown to
+// the largest group, and Reset nothing once the merger has seen as many
+// runs.
 type Merger struct {
-	runs    []Run
-	entries []mergeEntry
-	values  []string // NextGroup's reused result buffer
-	// Comparisons counts heap comparisons performed, for CPU cost models.
-	Comparisons int64
+	runs   []Run
+	heads  []mergeHead
+	tree   []int32
+	values []string // NextGroup's reused result buffer
 }
 
 // NewMerger primes a merger with the given runs.
@@ -407,84 +415,99 @@ func NewMerger(runs []Run) *Merger {
 	return m
 }
 
-// Reset re-primes the merger over a new set of runs, reusing the heap's
-// backing storage (no allocation when the run count does not grow).
+// Reset re-primes the merger over a new set of runs, reusing its storage.
 func (m *Merger) Reset(runs []Run) {
+	k := len(runs)
 	m.runs = runs
-	m.entries = m.entries[:0]
-	m.Comparisons = 0
+	clear(m.heads) // a merge left undrained must not pin its heads' strings
+	m.heads = slices.Grow(m.heads[:0], k)[:k]
+	m.tree = slices.Grow(m.tree[:0], k)[:k]
 	for i, r := range runs {
 		if rec, ok := r.Next(); ok {
-			m.entries = append(m.entries, mergeEntry{rec: rec, prefix: keyPrefix(rec.Key), src: i})
+			m.heads[i] = mergeHead{rec: rec, prefix: keyPrefix(rec.Key)}
+		} else {
+			m.heads[i] = exhausted
 		}
 	}
-	for i := len(m.entries)/2 - 1; i >= 0; i-- {
-		m.siftDown(i)
+	if k > 0 {
+		m.tree[0] = m.build(1)
 	}
 }
 
-func (m *Merger) less(i, j int) bool {
-	a, b := &m.entries[i], &m.entries[j]
-	if a.prefix != b.prefix {
-		return a.prefix < b.prefix
+// build fills the losers of the subtree at position p and returns its
+// winner.
+func (m *Merger) build(p int) int32 {
+	k := len(m.heads)
+	if p >= k {
+		return int32(p - k)
 	}
-	if a.rec.Key != b.rec.Key {
-		return a.rec.Key < b.rec.Key
+	l, r := m.build(2*p), m.build(2*p+1)
+	if m.less(r, l) {
+		l, r = r, l
 	}
-	return a.src < b.src // stable across runs: earlier run wins ties
+	m.tree[p] = r
+	return l
 }
 
-func (m *Merger) siftDown(i int) {
-	n := len(m.entries)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && m.less(r, c) {
-			c = r
-		}
-		if !m.less(c, i) {
-			return
-		}
-		m.entries[i], m.entries[c] = m.entries[c], m.entries[i]
-		i = c
+// less orders runs a and b by their heads: key prefix, then exhaustion,
+// then key, then run index (the earlier run wins ties).
+func (m *Merger) less(a, b int32) bool {
+	x, y := &m.heads[a], &m.heads[b]
+	if x.prefix != y.prefix {
+		return x.prefix < y.prefix
 	}
+	if x.done != y.done {
+		return y.done
+	}
+	if x.rec.Key != y.rec.Key {
+		return x.rec.Key < y.rec.Key
+	}
+	return a < b
 }
 
 // Next returns the next record in global key order.
 func (m *Merger) Next() (core.Record, bool) {
-	if len(m.entries) == 0 {
+	if len(m.heads) == 0 {
 		return core.Record{}, false
 	}
-	e := m.entries[0]
-	if rec, ok := m.runs[e.src].Next(); ok {
-		m.entries[0].rec, m.entries[0].prefix = rec, keyPrefix(rec.Key)
-		m.siftDown(0)
-	} else {
-		n := len(m.entries) - 1
-		m.entries[0] = m.entries[n]
-		m.entries[n] = mergeEntry{} // release the strings
-		m.entries = m.entries[:n]
-		m.siftDown(0)
+	w := m.tree[0]
+	h := &m.heads[w]
+	if h.done {
+		return core.Record{}, false
 	}
-	m.Comparisons += int64(bits.Len(uint(len(m.entries))))
-	return e.rec, true
+	rec := h.rec
+	if next, ok := m.runs[w].Next(); ok {
+		h.rec, h.prefix = next, keyPrefix(next.Key)
+	} else {
+		*h = exhausted // releases the strings
+	}
+	for p := (int(w) + len(m.heads)) / 2; p > 0; p /= 2 {
+		if l := m.tree[p]; m.less(l, w) {
+			m.tree[p], w = w, l
+		}
+	}
+	m.tree[0] = w
+	return rec, true
 }
 
 // NextGroup returns the next key and all its values across all runs. The
 // values slice is the merger's own buffer, overwritten by the next call:
 // a caller may keep the strings, not the slice (core.GroupReducer's rule).
 func (m *Merger) NextGroup() (key string, values []string, ok bool) {
-	rec, ok := m.Next()
-	if !ok {
+	if len(m.heads) == 0 || m.heads[m.tree[0]].done {
 		return "", nil, false
 	}
-	key = rec.Key
-	values = append(m.values[:0], rec.Value)
-	for len(m.entries) > 0 && m.entries[0].rec.Key == key {
-		rec, _ = m.Next()
+	h := &m.heads[m.tree[0]]
+	key, prefix := h.rec.Key, h.prefix
+	values = m.values[:0]
+	for {
+		rec, _ := m.Next()
 		values = append(values, rec.Value)
+		// The cached prefix settles most group ends without reading a key.
+		h = &m.heads[m.tree[0]]
+		if h.prefix != prefix || h.done || h.rec.Key != key {
+			break
+		}
 	}
 	m.values = values
 	return key, values, true

@@ -1,8 +1,7 @@
 package sortx
 
-// Allocation-focused microbenchmarks of the k-way merge. The slice-heap
-// Merger must do zero allocations per record merged (the container/heap
-// predecessor boxed every entry through `any` in Push/Pop).
+// Allocation-focused microbenchmarks of the k-way merge. The loser-tree
+// Merger must do zero allocations per record merged.
 
 import (
 	"fmt"
@@ -97,7 +96,7 @@ func BenchmarkMergerNext(b *testing.B) {
 }
 
 // BenchmarkMergerDrain measures a full 8x4096 merge per op, amortizing the
-// (reused) heap setup into the run.
+// (reused) tree setup into the run.
 func BenchmarkMergerDrain(b *testing.B) {
 	sliceRuns := buildRuns(8, 4096, 8)
 	runs := make([]Run, len(sliceRuns))

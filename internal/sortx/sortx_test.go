@@ -205,18 +205,6 @@ func TestMergerReset(t *testing.T) {
 	}
 }
 
-func TestMergerCountsComparisons(t *testing.T) {
-	var big []core.Record
-	for i := 0; i < 1000; i++ {
-		big = append(big, core.Record{Key: core.EncodeUint64(uint64(i))})
-	}
-	m := NewMerger([]Run{NewSliceRun(big[:500]), NewSliceRun(big[500:])})
-	m.Drain()
-	if m.Comparisons <= 0 {
-		t.Fatal("expected comparison accounting")
-	}
-}
-
 func BenchmarkByKey(b *testing.B) { benchByKey(b, uniformKeys(1<<14)) }
 
 // BenchmarkByKeyWords is BenchmarkByKey on WordCount's map output.
