@@ -54,6 +54,8 @@
 // and reducers stream an external k-way merge (sortx.Merger over streaming
 // sortx.Sources) straight into the reduce function; pipelined reducers
 // hold partials in a disk-backed spill-merge store with the same budget.
+// Pipelined in-process mappers need no budget: each holds at most one batch
+// per partition and blocks on a full channel.
 // Datasets whose intermediate data dwarfs RAM complete with partial-result
 // memory pinned near the budget (see examples/spill), at byte-identical
 // output. SpillBytes (cmd/blmr -spill-bytes) is the real engine's one

@@ -112,9 +112,11 @@ type Options struct {
 	// an external k-way merge over all sealed runs straight into the group
 	// reducer — intermediate data never has to fit in RAM. Pipelined
 	// reducers hold partial results in a disk-backed spill-merge store
-	// with the same budget (Job.Merger required). 0 keeps everything in
-	// memory (on the in-proc transport; the run-exchange transports always
-	// materialize map output).
+	// with the same budget (Job.Merger required). Pipelined in-process
+	// map tasks are not budgeted: they hold one batch per partition and
+	// block on a full channel. 0 keeps everything in memory (on the
+	// in-proc transport; the run-exchange transports always materialize
+	// map output).
 	SpillBytes int64
 	// SpillDir is the directory for spill-run files. Empty means a fresh
 	// temporary directory, removed when the run returns.

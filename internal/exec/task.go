@@ -181,26 +181,15 @@ func runMapRuns(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapStat
 	return stats, sink.Close()
 }
 
-// streamSpiller is the optional MapSink capability behind mapper-side spill
-// waves on the stream discipline: a non-blocking Send plus sealing the
-// mapper's buffered batches to disk as one wave. The in-proc transport
-// implements it; when SpillBytes is set and the sink supports it, a mapper
-// outrunning its reducers spills instead of buffering without bound or
-// wedging on backpressure.
-type streamSpiller interface {
-	TrySend(p int, batch []core.Record) (bool, error)
-	SpillBatches(parts [][]core.Record) error
-}
-
 // runMapStream is the stream-discipline map body (the in-process pipelined
 // fast path): emitted records accumulate in per-partition batches — or, with
 // a combiner, in per-partition hash accumulators bounded by
 // max(BatchSize, minCombineKeys) distinct keys — and go to the transport one
-// batch per Send. With SpillBytes set (and no combiner, whose accumulators
-// are already bounded), full batches that cannot be delivered without
-// blocking stay buffered under a byte budget and seal to disk as a spill
-// wave when it trips; reducers drain sealed waves after the live stream
-// ends.
+// batch per Send, which blocks while the partition's channel is full. A
+// mapper therefore holds at most one batch per partition and the channels at
+// most QueueCap batches each; SpillBytes does not apply here. Backpressure
+// cannot wedge: every reduce task holds a slot, so a blocked Send always has
+// a live consumer.
 func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapStats, error) {
 	var stats MapStats
 	var firstErr error
@@ -213,82 +202,11 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 			firstErr = err
 		}
 	}
-	var spiller streamSpiller
-	if opts.SpillBytes > 0 && job.Combiner == nil {
-		spiller, _ = sink.(streamSpiller)
-	}
 	var em core.Emitter
-	var flushAll func()
-	if job.Combiner == nil && spiller != nil {
+	var flush func(p int) // send partition p's buffered records
+	if job.Combiner == nil {
 		bufs := make([][]core.Record, opts.Reducers)
-		bufBytes := make([]int64, opts.Reducers)
-		var buffered int64
-		spillAll := func() {
-			var n int64
-			for p := range bufs {
-				n += int64(len(bufs[p]))
-			}
-			if n == 0 {
-				return
-			}
-			if err := spiller.SpillBatches(bufs); err != nil {
-				firstErr = err
-				return
-			}
-			stats.ShuffleRecords += n
-			stats.Spills++
-			for p := range bufs {
-				if bufs[p] != nil {
-					bufs[p] = bufs[p][:0]
-				}
-				bufBytes[p] = 0
-			}
-			buffered = 0
-		}
-		em = core.EmitterFunc(func(k, v string) {
-			if firstErr != nil {
-				return
-			}
-			p := core.Partition(k, opts.Reducers)
-			b := bufs[p]
-			if b == nil {
-				b = sink.Batch()
-			}
-			b = append(b, core.Record{Key: k, Value: v})
-			bufs[p] = b
-			rb := store.ApproxRecordBytes(k, v)
-			bufBytes[p] += rb
-			buffered += rb
-			if len(b) < opts.BatchSize {
-				return
-			}
-			sent, err := spiller.TrySend(p, b)
-			if err != nil {
-				firstErr = err
-				return
-			}
-			if sent {
-				stats.ShuffleRecords += int64(len(b))
-				buffered -= bufBytes[p]
-				bufs[p], bufBytes[p] = nil, 0
-			} else if buffered >= opts.SpillBytes {
-				spillAll()
-			}
-		})
-		flushAll = func() {
-			// Mapper exit: the under-budget tail goes out on the blocking
-			// path — the stream is ending, so backpressure here is finite.
-			for p := range bufs {
-				if len(bufs[p]) == 0 {
-					continue
-				}
-				send(p, bufs[p])
-				bufs[p] = nil
-			}
-		}
-	} else if job.Combiner == nil {
-		bufs := make([][]core.Record, opts.Reducers)
-		flush := func(p int) {
+		flush = func(p int) {
 			if len(bufs[p]) == 0 {
 				return
 			}
@@ -307,11 +225,6 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 				flush(p)
 			}
 		})
-		flushAll = func() {
-			for p := range bufs {
-				flush(p)
-			}
-		}
 	} else {
 		// Combiner path: per-reducer hash accumulators fold same-key
 		// records map-side; a buffer drains only when it reaches
@@ -325,7 +238,7 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 		for p := range combufs {
 			combufs[p] = make(map[string]string, opts.BatchSize)
 		}
-		flush := func(p int) {
+		flush = func(p int) {
 			m := combufs[p]
 			if len(m) == 0 {
 				return
@@ -355,11 +268,6 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 				flush(p)
 			}
 		})
-		flushAll = func() {
-			for p := range combufs {
-				flush(p)
-			}
-		}
 	}
 	for _, r := range t.Split {
 		if firstErr != nil {
@@ -367,7 +275,9 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 		}
 		job.Mapper.Map(r.Key, r.Value, em)
 	}
-	flushAll() // mapper-exit flush of partial batches
+	for p := range opts.Reducers { // mapper-exit flush of partial batches
+		flush(p)
+	}
 	if firstErr != nil {
 		return stats, firstErr
 	}

@@ -7,10 +7,12 @@ import (
 	"slices"
 	"sync"
 
+	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/dfs"
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
+	"blmr/internal/store"
 )
 
 // Worker-side jobs and tasks: what one admitted job holds on a worker, its
@@ -31,13 +33,14 @@ type wjob struct {
 	sealed  []sealedFile                // run files registered with the run-server (+ seal CRCs)
 }
 
-// openJob admits one job: resolve its user code and give it a fresh spill
-// directory sealed with the job's codec. A failed open latches the job
-// aborted, so its tasks error back instead of wedging. A 'J' for a job this
-// worker already holds is a re-open after a coordinator restart: the sealed
-// outputs are kept (they are what re-attach recovers) and only the
-// per-session control state resets — unless the first open failed, which
-// left nothing to keep: that open is simply tried again.
+// openJob admits one job: resolve its user code, check its options
+// (checkJobOpts) and give it a fresh spill directory sealed with the job's
+// codec. A failed open latches the job aborted, so its tasks error back
+// instead of wedging. A 'J' for a job this worker already holds is a
+// re-open after a coordinator restart: the sealed outputs are kept (they
+// are what re-attach recovers) and only the per-session control state
+// resets — unless the first open failed, which left nothing to keep: that
+// open is simply tried again.
 func (w *workerState) openJob(payload []byte) {
 	var js jobStart
 	if err := decode(payload, &js); err != nil {
@@ -57,6 +60,8 @@ func (w *workerState) openJob(payload []byte) {
 		reds: make(map[int]*shuffle.PushSource), early: make(map[int][]mapSegs)}
 	if job, ok := w.resolve(js.name); !ok {
 		jb.aborted = fmt.Errorf("mpexec: no job %q in this worker's registry", js.name)
+	} else if err := checkJobOpts(js.opts); err != nil {
+		jb.aborted = err
 	} else if dir, err := dfs.NewRunDirComp("", js.opts.Compression); err != nil {
 		jb.aborted = err
 	} else {
@@ -65,6 +70,33 @@ func (w *workerState) openJob(payload []byte) {
 	w.mu.Lock()
 	w.jobs[js.id] = jb
 	w.mu.Unlock()
+}
+
+// checkJobOpts refuses options no coordinator sends: it normalises before
+// encoding a 'J', so a count below its floor or an enum out of range is a
+// corrupt or foreign frame, and a task run under it could divide by zero.
+// The check is here, not in the wire layout, because the journal's admit
+// record shares that layout and holds the options as the user submitted them.
+func checkJobOpts(o exec.Options) error {
+	for _, c := range []struct {
+		field string
+		v     int
+		ok    bool
+	}{
+		{"Mappers", o.Mappers, o.Mappers >= 1},
+		{"Reducers", o.Reducers, o.Reducers >= 1},
+		{"BatchSize", o.BatchSize, o.BatchSize >= 1},
+		{"QueueCap", o.QueueCap, o.QueueCap >= 1},
+		{"MergeFanIn", o.MergeFanIn, o.MergeFanIn >= 2},
+		{"Mode", int(o.Mode), o.Mode == exec.Barrier || o.Mode == exec.Pipelined},
+		{"Store", int(o.Store), o.Store >= store.InMemory && o.Store <= store.KV},
+		{"Compression", int(o.Compression), o.Compression <= codec.DeltaBlock},
+	} {
+		if !c.ok {
+			return fmt.Errorf("mpexec: job option %s = %d out of range", c.field, c.v)
+		}
+	}
+	return nil
 }
 
 // closeJob retires one job: no new tasks can claim it, and once in-flight

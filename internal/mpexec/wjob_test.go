@@ -7,8 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/exec"
+	"blmr/internal/store"
 )
 
 // TestWorkerReopenRetriesFailedOpen: a job whose open failed before it had a
@@ -104,5 +106,66 @@ func TestWorkerRefusesHugeMapCount(t *testing.T) {
 	}
 	if jb := w.job(7); jb == nil || len(jb.reds) != 0 {
 		t.Fatal("the refused reduce task left a reduce source registered")
+	}
+}
+
+// TestWorkerRefusesUnnormalisedOptions: a 'J' whose options were never
+// normalised (here Reducers 0, which exec.runMapRuns divides by) latches the
+// job aborted, naming the field. Its map task errors back instead of
+// panicking the worker with an integer divide by zero.
+func TestWorkerRefusesUnnormalisedOptions(t *testing.T) {
+	coord, conn := net.Pipe()
+	defer coord.Close()
+	defer conn.Close()
+	job := exec.Job{Mapper: core.MapperFunc(func(k, v string, e core.Emitter) { e.Emit(k, v) })}
+	w := &workerState{name: "w-test", jobs: make(map[int]*wjob),
+		resolve: func(string) (exec.Job, bool) { return job, true }}
+	epoch := w.install(conn)
+	opts := exec.Options{Mappers: 4}
+	opts.Normalize()
+	opts.Reducers = 0
+	w.openJob(encode(&jobStart{7, "identity", opts}))
+	defer w.closeJob(7)
+
+	w.wg.Add(1)
+	go w.runMap(epoch, encode(&mapTask{7, exec.MapTask{Index: 1, Split: []core.Record{{Key: "k", Value: "v"}}}}))
+	typ, payload, err := readMsg(bufio.NewReader(coord))
+	if err != nil || typ != msgError {
+		t.Fatalf("map task under Reducers 0: frame %q err=%v, want an 'E'", typ, err)
+	}
+	var te taskError
+	if err := decode(payload, &te); err != nil {
+		t.Fatal(err)
+	}
+	if te.job != 7 || te.replyKind != msgMapDone || te.id != 1 || !strings.Contains(te.msg, "Reducers") {
+		t.Fatalf("error frame %+v, want map 1 of job 7 refused naming Reducers", te)
+	}
+	w.wg.Wait()
+}
+
+// TestCheckJobOptsNamesField: every count below its floor and every enum
+// out of range is refused with an error naming the field; normalised
+// options pass.
+func TestCheckJobOptsNamesField(t *testing.T) {
+	good := exec.Options{}
+	good.Normalize()
+	if err := checkJobOpts(good); err != nil {
+		t.Fatalf("normalised options refused: %v", err)
+	}
+	for field, spoil := range map[string]func(*exec.Options){
+		"Mappers":     func(o *exec.Options) { o.Mappers = 0 },
+		"Reducers":    func(o *exec.Options) { o.Reducers = -1 },
+		"BatchSize":   func(o *exec.Options) { o.BatchSize = 0 },
+		"QueueCap":    func(o *exec.Options) { o.QueueCap = 0 },
+		"MergeFanIn":  func(o *exec.Options) { o.MergeFanIn = 1 },
+		"Mode":        func(o *exec.Options) { o.Mode = exec.Pipelined + 1 },
+		"Store":       func(o *exec.Options) { o.Store = store.KV + 1 },
+		"Compression": func(o *exec.Options) { o.Compression = codec.DeltaBlock + 1 },
+	} {
+		o := good
+		spoil(&o)
+		if err := checkJobOpts(o); err == nil || !strings.Contains(err.Error(), field+" = ") {
+			t.Errorf("%s out of range: err %v, want one naming the field", field, err)
+		}
 	}
 }

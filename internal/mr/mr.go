@@ -190,9 +190,8 @@ func Validate(job Job, opts Options) error {
 // OpenSpillDir opens the run directory an execution with these options
 // needs, or returns nil when the execution never touches disk: the
 // run-exchange transports always seal runs, and the in-proc transport needs
-// one whenever SpillBytes bounds task memory — barrier map waves, pipelined
-// mapper-side spill waves, and spill-merge reducer stores all seal runs
-// into it.
+// one whenever SpillBytes bounds task memory — barrier map waves and
+// spill-merge reducer stores seal runs into it.
 func OpenSpillDir(opts Options) (*dfs.RunDir, error) {
 	need := opts.Transport != shuffle.InProc || opts.SpillBytes > 0
 	if !need {

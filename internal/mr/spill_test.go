@@ -225,13 +225,18 @@ func (s *slowStream) Consume(rec core.Record, out core.Output) {
 
 func (s *slowStream) Finish(out core.Output) { s.inner.Finish(out) }
 
-// TestSpillMapperSideStream: the in-proc pipelined transport's mapper-side
-// spilling — reducers that lag fill the stream queues, and instead of
-// buffering without bound (or wedging on backpressure) the mapper seals its
-// buffered batches to disk as spill waves; reducers drain the sealed waves
-// after the live stream, same output. The KV reduce store keeps reducer-side
-// spills out of the count, so Spills > 0 proves the mapper-side path fired.
-func TestSpillMapperSideStream(t *testing.T) {
+// backpressureDeadline bounds TestPipelinedSlowReducerBackpressure's
+// pipelined run. It takes about 0.12 s on a 2-core host; a run still going
+// after this long has wedged on backpressure.
+const backpressureDeadline = 30 * time.Second
+
+// TestPipelinedSlowReducerBackpressure: reducers that lag fill the in-proc
+// stream's one-batch queues, and the mappers block on them instead of
+// setting batches aside — the channels are the one path from map to reduce.
+// SpillBytes bounds only the reducers' partial results, and the KV store
+// keeps those in its own cache, so nothing is sealed; the output matches the
+// barrier reference, and the run finishes instead of wedging.
+func TestPipelinedSlowReducerBackpressure(t *testing.T) {
 	input := workload.Text(11, 6000, 500, 8)
 	ref, err := Run(apps.WordCount(), input,
 		Options{Mappers: 4, Reducers: 2, Mode: Barrier})
@@ -243,18 +248,33 @@ func TestSpillMapperSideStream(t *testing.T) {
 	job.NewStream = func(st store.Store) core.StreamReducer {
 		return &slowStream{inner: inner(st)}
 	}
-	res, err := Run(job, input, Options{
+	type outcome struct {
+		res *Result
+		err error
+	}
+	opts := Options{
 		Mappers: 4, Reducers: 2, Mode: Pipelined, Store: store.KV,
 		SpillBytes: 16 << 10, SpillDir: t.TempDir(),
 		QueueCap: 1, BatchSize: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	requireSame(t, "mapper-side-stream-spill", ref.Output, res.Output)
-	if res.Spills == 0 || res.SpilledBytes == 0 {
-		t.Fatalf("mapper-side stream spilling never engaged: %d spills / %d bytes",
-			res.Spills, res.SpilledBytes)
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		res, err := Run(job, input, opts)
+		done <- outcome{res, err}
+	}()
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(backpressureDeadline):
+		t.Fatalf("pipelined run under backpressure still going after %v", backpressureDeadline)
 	}
-	t.Logf("mapper stream spilling: %d waves, %dKB sealed", res.Spills, res.SpilledBytes>>10)
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	requireSame(t, "slow-reducer-backpressure", ref.Output, out.res.Output)
+	if out.res.Spills != 0 || out.res.SpilledBytes != 0 {
+		t.Fatalf("pipelined run sealed %d spills / %d bytes, want none", out.res.Spills, out.res.SpilledBytes)
+	}
+	t.Logf("backpressured run: %v", time.Since(start))
 }

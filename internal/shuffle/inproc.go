@@ -1,10 +1,12 @@
 package shuffle
 
 // inproc is the single-process transport: the batched channel shuffle (the
-// engine's original pipelined data plane, with its free-list of recycled
-// batch buffers) plus shared-memory runs for barrier consumption. Sealed
-// spill waves (Options.SpillBytes crossings) still go to disk through
-// Config.Dir; final waves stay in memory as record slices.
+// engine's pipelined data plane, with its free-list of recycled batch
+// buffers) plus shared-memory runs for barrier consumption. The channels are
+// the only way a pipelined record reaches its reducer, and a mapper blocks
+// on a full one. Barrier map tasks' sealed waves (Options.SpillBytes
+// crossings) go to disk through Config.Dir; final waves stay in memory as
+// record slices.
 
 import (
 	"fmt"
@@ -26,10 +28,8 @@ type inproc struct {
 	chans []chan []core.Record
 	free  chan []core.Record
 
-	// Published waves per map task. The run discipline consumes them
-	// through Runs() after the map barrier; the stream discipline seals
-	// waves here only through SpillBatches (mapper-side spilling under
-	// SpillBytes), and NextBatch drains those once the channels close.
+	// Published waves per map task, consumed through Runs() after the map
+	// barrier (run discipline only; the stream discipline publishes none).
 	mu       sync.Mutex
 	waves    [][]inWave
 	closed   int
@@ -93,18 +93,15 @@ type inprocSink struct {
 	enc   *codec.RunEncoder
 }
 
-// batch returns an empty batch buffer: a recycled one when one is free.
-func (t *inproc) batch() []core.Record {
+// Batch implements MapSink: hand back a recycled buffer when one is free.
+func (s *inprocSink) Batch() []core.Record {
 	select {
-	case b := <-t.free:
+	case b := <-s.t.free:
 		return b
 	default:
-		return make([]core.Record, 0, t.cfg.BatchSize)
+		return make([]core.Record, 0, s.t.cfg.BatchSize)
 	}
 }
-
-// Batch implements MapSink: hand back a recycled buffer when one is free.
-func (s *inprocSink) Batch() []core.Record { return s.t.batch() }
 
 // Send implements MapSink: one channel operation per batch, blocking on
 // backpressure until the transport is failed.
@@ -115,26 +112,6 @@ func (s *inprocSink) Send(p int, batch []core.Record) error {
 	case <-s.t.fail.done:
 		return s.t.fail.failed()
 	}
-}
-
-// TrySend is the non-blocking half of mapper-side stream spilling: deliver
-// the batch only if the partition queue has room right now.
-func (s *inprocSink) TrySend(p int, batch []core.Record) (bool, error) {
-	select {
-	case s.t.chans[p] <- batch:
-		return true, nil
-	case <-s.t.fail.done:
-		return false, s.t.fail.failed()
-	default:
-		return false, nil
-	}
-}
-
-// SpillBatches seals the mapper's buffered stream batches as one disk wave
-// — the stream discipline's SpillBytes crossing. Reducers drain the sealed
-// waves once the live stream ends (see inprocSource.NextBatch).
-func (s *inprocSink) SpillBatches(parts [][]core.Record) error {
-	return s.PublishWave(parts, true)
 }
 
 // PublishWave implements MapSink: sealed waves go to disk (the map task
@@ -178,56 +155,22 @@ func (s *inprocSink) Close() error {
 type inprocSource struct {
 	t *inproc
 	r int
-	// spilled drains the partition's sealed spill waves once the live
-	// stream has ended (nil until then).
-	spilled *PushSource
 }
 
-// NextBatch implements ReduceSource over the partition's channel; once the
-// live stream ends it drains the mapper-side spill waves sealed to disk.
+// NextBatch implements ReduceSource over the partition's channel, which
+// closes once every map sink has closed.
 func (s *inprocSource) NextBatch() ([]core.Record, bool, error) {
-	if s.spilled != nil {
-		return s.spilled.NextBatch()
-	}
 	select {
 	case b, ok := <-s.t.chans[s.r]:
-		if ok {
-			return b, true, nil
-		}
-		s.spilled = s.t.spilledSource(s.r)
-		return s.spilled.NextBatch()
+		return b, ok, nil
 	case <-s.t.fail.done:
 		return nil, false, s.t.fail.failed()
 	}
 }
 
-// spilledSource is a pool-less PushSource offered every map's sealed waves
-// for partition r. The channels close only after every map sink Closed, so
-// the wave lists are final.
-func (t *inproc) spilledSource(r int) *PushSource {
-	src := newPushSource(t.cfg.Maps, t.cfg.BatchSize, nil, t.cfg.MergeFanIn, t.fail, false)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for m, waves := range t.waves {
-		var disk []Wave
-		for _, w := range waves {
-			if w.mem == nil { // run-discipline memory waves are barrier-only
-				disk = append(disk, w.disk)
-			}
-		}
-		_ = src.Offer(m, 0, SegmentsOf(disk, r)) // m is in range
-	}
-	return src
-}
-
 // Recycle implements ReduceSource: drop the string references, then return
 // the buffer to the free list (or let the GC take it when the list is full).
-// Once the stream has ended, batches go back to the spill drain instead.
 func (s *inprocSource) Recycle(batch []core.Record) {
-	if s.spilled != nil {
-		s.spilled.Recycle(batch)
-		return
-	}
 	clear(batch)
 	select {
 	case s.t.free <- batch[:0]:
@@ -264,9 +207,4 @@ func (s *inprocSource) Runs() ([]sortx.Run, error) {
 }
 
 // Close implements ReduceSource.
-func (s *inprocSource) Close() error {
-	if s.spilled != nil {
-		return s.spilled.Close()
-	}
-	return nil
-}
+func (s *inprocSource) Close() error { return nil }

@@ -109,13 +109,8 @@ func (p *FetchPool) decodePool() *codec.DecodePool {
 	return p.dec
 }
 
-// get checks out a connection to addr, dialing when none is idle. A nil
-// pool (a transport with no run-server, whose segments are all local) has
-// no way to reach a remote section.
+// get checks out a connection to addr, dialing when none is idle.
 func (p *FetchPool) get(addr string) (*poolConn, error) {
-	if p == nil {
-		return nil, fmt.Errorf("shuffle: remote run section on %s without a fetch pool", addr)
-	}
 	p.mu.Lock()
 	if cs := p.idle[addr]; len(cs) > 0 {
 		c := cs[len(cs)-1]

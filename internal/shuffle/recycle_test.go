@@ -21,7 +21,7 @@ const (
 	recycleRecs  = (recycleRuns + 3) * recycleBatch
 )
 
-// byteRecs returns n records with one-byte keys and empty values. A local
+// byteRecs returns n records with one-byte keys and empty values. A
 // section's reader copies each string out of its read buffer, but a string
 // that short needs no allocation, so what the guards count is headers.
 func byteRecs(n int) []core.Record {
@@ -53,47 +53,29 @@ func requireRecycledDrain(t *testing.T, src ReduceSource) {
 	}
 }
 
-// TestPushSourceRecyclesBatches: a PushSource streaming a local sealed
-// section refills the batch it was handed back.
+// TestPushSourceRecyclesBatches: a PushSource streaming a sealed section
+// from a run-server refills the batch it was handed back.
 func TestPushSourceRecyclesBatches(t *testing.T) {
 	dir, err := dfs.NewRunDir(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer dir.Close()
-	w, _, ok, err := sealWave(dir, nil, "t", [][]core.Record{byteRecs(recycleRecs)}, nil)
+	srv, err := NewServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pool := NewFetchPool()
+	defer pool.Close()
+	w, _, ok, err := sealWave(dir, srv, "t", [][]core.Record{byteRecs(recycleRecs)}, nil)
 	if err != nil || !ok {
 		t.Fatalf("sealWave: ok=%v err=%v", ok, err)
 	}
-	src := NewPushSource(1, recycleBatch, nil, 4)
+	src := NewPushSource(1, recycleBatch, pool, 4)
 	if err := src.Offer(0, 0, SegmentsOf([]Wave{w}, 0)); err != nil {
 		t.Fatal(err)
 	}
-	defer src.Close()
-	requireRecycledDrain(t, src)
-}
-
-// TestInProcSpilledDrainRecyclesBatches: the in-proc source's drain of
-// mapper-side spill waves refills the batch its Recycle handed back.
-func TestInProcSpilledDrainRecyclesBatches(t *testing.T) {
-	dir, err := dfs.NewRunDir(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dir.Close()
-	tr, err := New(InProc, Config{Maps: 1, Parts: 1, BatchSize: recycleBatch, Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	sink := tr.MapSink(0).(*inprocSink)
-	if err := sink.SpillBatches([][]core.Record{byteRecs(recycleRecs)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	src := tr.ReduceSource(0)
 	defer src.Close()
 	requireRecycledDrain(t, src)
 }

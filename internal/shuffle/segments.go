@@ -3,10 +3,10 @@ package shuffle
 // Segments: the unit of the run-exchange read path. A map task's sealed
 // wave is one multi-partition segment file; a Segment addresses one
 // partition's byte section of one wave, either on the local filesystem
-// (an in-process task's sealed spill waves) or behind a run-server (TCP,
-// multi-process workers).
+// (the in-proc transport's barrier waves, intermediate merge runs) or
+// behind a run-server (TCP, multi-process workers).
 // Every section is read through a LazyRun: local ones open the file,
-// remote ones go through the source's FetchPool — one multiplexed
+// remote ones go through a PushSource's FetchPool — one multiplexed
 // connection per peer with pipelined prefetch. There is no other way to
 // open a remote section.
 //
@@ -19,8 +19,8 @@ package shuffle
 // (LazyRun.recover, the one re-route routine for merged and streamed
 // consumption alike). That leans on deterministic re-execution: a
 // re-executed map attempt seals byte-identical runs, so the skipped prefix
-// is the same data. The in-process transports' sources do not re-route and
-// fail fast.
+// is the same data. The in-process run exchange's sources do not re-route
+// and fail fast.
 
 import (
 	"fmt"
@@ -274,14 +274,14 @@ func (l *LazyRun) Close() error {
 
 // PushSource is the one ReduceSource for one partition's sealed runs. Each
 // finished map task's segments for the partition are offered to it: by the
-// coordinator's pushes on a multi-process worker, by a closing RunSink in
-// the in-process run exchange, and by the in-proc transport's spill drain.
+// coordinator's pushes on a multi-process worker, and by a closing RunSink
+// in the in-process run exchange.
 // Runs waits for every map (the shuffle barrier) and returns every segment
 // as a lazy run; NextBatch streams each map's segments as soon as that map
 // is offered, re-batched to batchSize records (pipelined consumption at
 // map-task granularity — the overlap a cross-process shuffle can actually
-// offer). Remote segments are fetched through pool (nil only when every
-// segment is local); NextBatch keeps up to prefetch section requests
+// offer). Every segment is remote and fetched through pool; NextBatch keeps
+// up to prefetch section requests
 // pipelined ahead of consumption on one held connection per peer. Offer,
 // Invalidate and Fail are safe to call concurrently with the consuming task.
 //
@@ -329,8 +329,8 @@ func NewPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int) *PushSource
 	return newPushSource(nMaps, batchSize, pool, fanIn, newFailState(), true)
 }
 
-// newPushSource builds a source aborted through fail. The in-process
-// transports share their own latch and pass reroute=false: in one process no
+// newPushSource builds a source aborted through fail. The in-process run
+// exchange shares its own latch and passes reroute=false: in one process no
 // other attempt can ever be routed, so a broken fetch fails at once.
 func newPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int, fail *failState, reroute bool) *PushSource {
 	if batchSize <= 0 {
@@ -357,9 +357,8 @@ func newPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int, fail *failS
 	return p
 }
 
-// FetchBytes reports how many bytes this partition fetched from remote
-// run-servers (compressed sections count their on-the-wire size; locally
-// opened sections count nothing).
+// FetchBytes reports how many bytes this partition fetched from run-servers
+// (compressed sections count their on-the-wire size).
 func (p *PushSource) FetchBytes() int64 { return p.fetch.Load() }
 
 // Offer records map task m's segments for this partition (empty for a map
@@ -517,7 +516,7 @@ func (p *PushSource) pump() error {
 		if p.inflight >= p.prefetch {
 			return nil
 		}
-		if lr.held != nil || lr.seg.Addr == "" {
+		if lr.held != nil {
 			continue
 		}
 		if lr.route != nil {

@@ -36,7 +36,8 @@ type Kind int
 const (
 	// InProc exchanges intermediate data through process memory: batched
 	// channels (stream discipline) and shared record slices (run
-	// discipline). Sealed spill waves still go to disk through Config.Dir.
+	// discipline). Run-discipline map tasks' sealed spill waves go to disk
+	// through Config.Dir.
 	InProc Kind = iota
 	// TCP seals every map output wave as a spill-run segment file served by
 	// a loopback TCP run-server: reduce tasks fetch partition sections over

@@ -25,9 +25,9 @@ import "blmr/internal/core"
 const entryOverheadBytes = 64
 
 // ApproxRecordBytes is the framework's single per-buffered-record memory
-// accounting rule: payload bytes plus a fixed per-entry overhead. The
-// engines' mapper-side spill triggers use it for their flat record buffers
-// too, so "SpillBytes of buffered data" means the same number of records
+// accounting rule: payload bytes plus a fixed per-entry overhead. The map
+// tasks' spill triggers (exec.runMapRuns) use it for their flat record
+// buffers too, so "SpillBytes of buffered data" means the same number of records
 // whether the buffer is a store or a slice — spill triggering and memory
 // reports stay consistent (the numbers examples print are directly
 // comparable to the thresholds they were run with).
