@@ -239,19 +239,3 @@ func BenchmarkAppendRecord(b *testing.B) {
 		buf = AppendRecord(buf, r)
 	}
 }
-
-func BenchmarkDecode(b *testing.B) {
-	var buf []byte
-	for i := 0; i < 1024; i++ {
-		buf = AppendRecord(buf, core.Record{Key: "key-123456", Value: "value-payload"})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd := NewStreamReaderBytes(buf)
-		for {
-			if _, ok := rd.Next(); !ok {
-				break
-			}
-		}
-	}
-}

@@ -12,8 +12,12 @@ package codec
 //	          crc32c(4 bytes LE) | encLen bytes
 //
 // rawLen is the block payload's size before byte compression; lz=1 means
-// the payload is LZ-compressed (lz=0: stored verbatim, used when
-// compression would not shrink the block). dict=1 means the LZ stream
+// the payload is LZ-compressed, lz=0 that it is stored verbatim. The
+// encoder probes whether LZ pays: it LZ-compresses a run's first block, and
+// a block whose LZ saves less than 1/probeMinSaving (1/32) of its payload
+// fails the probe, so the next probeEvery-1 (15) blocks are stored without
+// building an LZ window, and the block after them probes again. A probed
+// block LZ would not shrink is stored too. dict=1 means the LZ stream
 // contains at least one copy reaching back into the dictionary window —
 // the tail (up to 32KiB) of the previous block's raw payload — which the
 // small-run workloads need: a 40KB run used to restart its byte-window
@@ -61,6 +65,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 
 	"blmr/internal/core"
 )
@@ -128,6 +133,21 @@ const (
 	// a repetition only needs one anchor inside it to be found, so seeding
 	// every other position halves the per-block seeding cost.
 	dictSeedStride = 2
+	// probeMinSaving is the LZ probe's bar: a block whose LZ encoding saves
+	// less than 1/probeMinSaving of its raw payload fails the probe. The bar
+	// sits in a wide gap: after front coding, LZ saves 0.6-1.1 % of a block
+	// of uniform 8-byte keys, sorted or not, and every other shape measured
+	// saves at least 20 % (Block on the same keys 21-26 %, unsorted
+	// WordCount keys under DeltaBlock 41 %, text lines 64 %).
+	probeMinSaving = 32
+	// probeEvery is the probe period: after a failed probe the encoder
+	// stores the next probeEvery-1 blocks without trying LZ, then probes
+	// again, so a run that turns compressible gets LZ back. A probe costs
+	// what LZ costs one block: on 1 M sorted uniform keys DeltaBlock encodes
+	// at about 61 ns/record probing only the first block and 116 probing
+	// every block, so probing every 16th adds about 3.4 ns/record. A wrong
+	// guess stores at most 15 blocks (480 KiB) that LZ would have shrunk.
+	probeEvery = 16
 )
 
 // lzCoder is the reusable byte-window compressor state.
@@ -261,22 +281,32 @@ func dictTail(raw []byte) []byte {
 	return raw
 }
 
-// commonPrefixLen returns the length of the longest common prefix.
-func commonPrefixLen(a []byte, b string) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
+// commonPrefixLen returns the length of the longest common prefix of a
+// and b, comparing 8 bytes at a time.
+func commonPrefixLen(a, b string) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := load64(a, i) ^ load64(b, i); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
 		}
 	}
-	return n
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
-// RunEncoder seals one record stream as a (possibly compressed) run. With a writer, completed blocks stream out incrementally so large
-// runs never need run-sized memory; with a nil writer the encoded run
+// load64 reads s[i:i+8] as a little-endian word (one load once compiled).
+func load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// RunEncoder seals one record stream as a (possibly compressed) run.
+// With a writer, completed blocks stream out incrementally, so large runs
+// never need run-sized memory; with a nil writer the encoded run
 // accumulates internally and Bytes returns it after Flush. Reset reuses
 // every internal buffer for the next run. Not safe for concurrent use.
 type RunEncoder struct {
@@ -284,9 +314,10 @@ type RunEncoder struct {
 	comp        Compression
 	blockTarget int
 	raw         []byte // current block payload (pre-LZ framing)
-	hist        []byte // previous block's dictionary tail
+	hist        []byte // previous block's dictionary tail, kept only for a block that tries LZ
 	comb        []byte // hist ++ raw, the LZ window for one sealBlock
-	lastKey     []byte // front-coding reference, reset per block
+	prevKey     string // front-coding reference: the block's previous key
+	storeLeft   int    // blocks to store verbatim before the next LZ probe
 	out         []byte // pending encoded run bytes
 	lz          *lzCoder
 	scratch     []byte // LZ output scratch
@@ -313,7 +344,8 @@ func (e *RunEncoder) Reset(w io.Writer) {
 	e.w = w
 	e.raw = e.raw[:0]
 	e.hist = e.hist[:0]
-	e.lastKey = e.lastKey[:0]
+	e.prevKey = ""
+	e.storeLeft = 0
 	e.out = e.out[:0]
 	e.rawBytes = 0
 	e.headerDone = false
@@ -343,13 +375,13 @@ func (e *RunEncoder) Append(r core.Record) error {
 		e.out = AppendRecord(e.out, r)
 		return e.maybeWrite()
 	case DeltaBlock:
-		shared := commonPrefixLen(e.lastKey, r.Key)
+		shared := commonPrefixLen(e.prevKey, r.Key)
 		e.raw = binary.AppendUvarint(e.raw, uint64(shared))
 		e.raw = binary.AppendUvarint(e.raw, uint64(len(r.Key)-shared))
 		e.raw = append(e.raw, r.Key[shared:]...)
 		e.raw = binary.AppendUvarint(e.raw, uint64(len(r.Value)))
 		e.raw = append(e.raw, r.Value...)
-		e.lastKey = append(e.lastKey[:0], r.Key...)
+		e.prevKey = r.Key
 	default: // Block
 		e.raw = AppendRecord(e.raw, r)
 	}
@@ -359,7 +391,8 @@ func (e *RunEncoder) Append(r core.Record) error {
 	return e.err
 }
 
-// sealBlock compresses and frames the pending payload as one block.
+// sealBlock frames the pending payload as one block: LZ-compressed when
+// the block probes LZ and LZ shrinks it, else stored (see probeMinSaving).
 func (e *RunEncoder) sealBlock() {
 	if !e.headerDone {
 		e.out = append(e.out, runMagic[:]...)
@@ -369,27 +402,38 @@ func (e *RunEncoder) sealBlock() {
 	if len(e.raw) == 0 {
 		return
 	}
-	// The LZ window is the previous block's dictionary tail followed by
-	// this block's payload — copies may reach across the block boundary.
-	e.comb = append(append(e.comb[:0], e.hist...), e.raw...)
-	var usedDict bool
-	e.scratch, usedDict = e.lz.compress(e.scratch[:0], e.comb, len(e.hist))
 	payload := e.raw
 	tag := uint64(len(e.raw)) << 2
-	if len(e.scratch) < len(e.raw) {
-		payload = e.scratch
-		tag = uint64(len(e.scratch))<<2 | 1
-		if usedDict {
-			tag |= 2
+	if e.storeLeft > 0 {
+		e.storeLeft--
+	} else {
+		// The LZ window is the previous block's dictionary tail followed by
+		// this block's payload — copies may reach across the block boundary.
+		e.comb = append(append(e.comb[:0], e.hist...), e.raw...)
+		var usedDict bool
+		e.scratch, usedDict = e.lz.compress(e.scratch[:0], e.comb, len(e.hist))
+		if len(e.scratch) < len(e.raw) {
+			payload = e.scratch
+			tag = uint64(len(e.scratch))<<2 | 1
+			if usedDict {
+				tag |= 2
+			}
+		}
+		if (len(e.raw)-len(e.scratch))*probeMinSaving < len(e.raw) {
+			e.storeLeft = probeEvery - 1
 		}
 	}
 	e.out = binary.AppendUvarint(e.out, uint64(len(e.raw)))
 	e.out = binary.AppendUvarint(e.out, tag)
 	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.Checksum(payload, crcTable))
 	e.out = append(e.out, payload...)
-	e.hist = append(e.hist[:0], dictTail(e.raw)...)
+	// Only a block that will try LZ reads the window this one leaves.
+	e.hist = e.hist[:0]
+	if e.storeLeft == 0 {
+		e.hist = append(e.hist, dictTail(e.raw)...)
+	}
 	e.raw = e.raw[:0]
-	e.lastKey = e.lastKey[:0] // front-coding restarts per block
+	e.prevKey = "" // front-coding restarts per block
 	_ = e.maybeWrite()
 }
 
@@ -610,6 +654,12 @@ func (p *blockParser) corrupt(format string, args ...any) bool {
 
 // uvarint decodes one varint from the current block.
 func (p *blockParser) uvarint() (uint64, bool) {
+	if p.off < len(p.block) {
+		if b := p.block[p.off]; b < 0x80 {
+			p.off++
+			return uint64(b), true
+		}
+	}
 	v, n := binary.Uvarint(p.block[p.off:])
 	if n <= 0 {
 		return 0, p.corrupt("bad varint in block at offset %d", p.off)

@@ -123,7 +123,8 @@ func TestCompressedRoundTripRandom(t *testing.T) {
 func TestCompressedRoundTripBlockBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	recs := randomRecords(rng, 200)
-	recs = append(recs, core.Record{Key: strings.Repeat("k", 500), Value: strings.Repeat("v", 700)})
+	recs = append(recs, core.Record{Key: strings.Repeat("k", 500), Value: strings.Repeat("v", 700)},
+		core.Record{Key: strings.Repeat("m", 128), Value: strings.Repeat("w", 256)}) // varints starting 0x80
 	for _, comp := range []Compression{Block, DeltaBlock} {
 		for _, target := range []int{1, 2, 3, 7, 16, 64, 257, 1 << 20} {
 			buf, _ := encodeRun(t, recs, comp, target)
@@ -285,10 +286,7 @@ func TestCompressedCorruptHeader(t *testing.T) {
 // must shrink substantially under DeltaBlock — the ratio the spill and
 // fetch paths bank on.
 func TestDeltaBlockCompresses(t *testing.T) {
-	var recs []core.Record
-	for i := 0; i < 4000; i++ {
-		recs = append(recs, core.Record{Key: fmt.Sprintf("word%08d", i/3), Value: "1"})
-	}
+	recs := repeatedWordKeys()
 	raw := int64(len(AppendRecords(nil, recs)))
 	for _, comp := range []Compression{Block, DeltaBlock} {
 		buf, rawBytes := encodeRun(t, recs, comp, 0)
@@ -303,8 +301,121 @@ func TestDeltaBlockCompresses(t *testing.T) {
 	}
 }
 
+// repeatedWordKeys is TestDeltaBlockCompresses' input: 4 000 sorted text
+// keys, each repeated three times.
+func repeatedWordKeys() []core.Record {
+	var recs []core.Record
+	for i := 0; i < 4000; i++ {
+		recs = append(recs, core.Record{Key: fmt.Sprintf("word%08d", i/3), Value: "1"})
+	}
+	return recs
+}
+
+// TestSealedBytesPinned: runs whose LZ pays seal to the same bytes they
+// sealed to before the LZ probe existed. Each run is pinned by its length
+// and CRC-32C, taken from the encoder that tried LZ on every block.
+func TestSealedBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		recs []core.Record
+		comp Compression
+		size int
+		crc  uint32
+	}{
+		{"wordcount-keys", wordCountKeys(8_000), Block, 17746, 0xd5d55fa3},
+		{"wordcount-keys", wordCountKeys(8_000), DeltaBlock, 8381, 0x84c6fe5c},
+		{"text-lines", textLines(8_000), Block, 256097, 0x02ea35cb},
+		{"text-lines", textLines(8_000), DeltaBlock, 237264, 0x8eb6c4b0},
+		{"repeated-word-keys", repeatedWordKeys(), Block, 10002, 0xaea21004},
+		{"repeated-word-keys", repeatedWordKeys(), DeltaBlock, 206, 0x3d809752},
+	} {
+		buf, _ := encodeRun(t, tc.recs, tc.comp, 0)
+		if crc := crc32.Checksum(buf, crcTable); len(buf) != tc.size || crc != tc.crc {
+			t.Errorf("%s/%v: sealed %d bytes, CRC %08x; pinned %d bytes, CRC %08x",
+				tc.name, tc.comp, len(buf), crc, tc.size, tc.crc)
+		}
+	}
+}
+
+// blockFrames walks a compressed run's framing and returns each block's
+// tag (encLen<<2 | dict<<1 | lz) and the bytes the run spends on block
+// headers: two length varints and a checksum per block.
+func blockFrames(t *testing.T, buf []byte) (tags []uint64, headers int) {
+	t.Helper()
+	for off := 5; off < len(buf); {
+		_, n1 := uvarintAt(t, buf, off)
+		tag, n2 := uvarintAt(t, buf, off+n1)
+		tags = append(tags, tag)
+		headers += n1 + n2 + 4
+		off += n1 + n2 + 4 + int(tag>>2)
+	}
+	return tags, headers
+}
+
+// randomThenText is a run whose LZ probe guesses wrong: its first block is
+// random 40-byte keys, the rest text lines that LZ shrinks by half.
+func randomThenText() []core.Record {
+	rng := rand.New(rand.NewSource(29))
+	var recs []core.Record
+	for range 800 {
+		k := make([]byte, 40)
+		rng.Read(k)
+		recs = append(recs, core.Record{Key: string(k)})
+	}
+	return append(recs, textLines(8_000)...)
+}
+
+// TestLZProbe: a block whose LZ saves less than 1/probeMinSaving of it
+// stores the next probeEvery-1 blocks verbatim; the block after them probes
+// again, and a run that became compressible gets LZ back. Runs whose LZ
+// pays compress every block.
+func TestLZProbe(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		recs   []core.Record
+		wantLZ func(block int) bool
+	}{
+		{"uniform-keys", sortedUniformKeys(200_000), func(i int) bool { return i%probeEvery == 0 }},
+		{"wordcount-keys", wordCountKeys(24_000), func(int) bool { return true }},
+		{"random-then-text", randomThenText(), func(i int) bool { return i >= probeEvery }},
+	} {
+		buf, _ := encodeRun(t, tc.recs, DeltaBlock, 0)
+		tags, _ := blockFrames(t, buf)
+		if len(tags) <= probeEvery {
+			t.Fatalf("%s: %d blocks, want more than %d", tc.name, len(tags), probeEvery)
+		}
+		for i, tag := range tags {
+			if lz := tag&1 == 1; lz != tc.wantLZ(i) {
+				t.Fatalf("%s: block %d of %d has lz=%v, want %v", tc.name, i, len(tags), lz, !lz)
+			}
+		}
+		requireRecords(t, tc.name, tc.recs, decodeRun(t, buf, DeltaBlock))
+	}
+}
+
+// maxSealedBytes bounds a run that stores every block it cannot shrink:
+// its raw bytes plus framing. Front coding costs DeltaBlock one extra byte
+// per record whose key shares no prefix with the record before it in its
+// block (a block's first record included); every other record it shrinks
+// or leaves as long.
+func maxSealedBytes(t *testing.T, recs []core.Record, comp Compression, buf []byte) int64 {
+	t.Helper()
+	tags, headers := blockFrames(t, buf)
+	bound := int64(len(AppendRecords(nil, recs)) + 5 + headers)
+	if comp != DeltaBlock {
+		return bound
+	}
+	for i, r := range recs {
+		if i == 0 || r.Key == "" || recs[i-1].Key == "" || recs[i-1].Key[0] != r.Key[0] {
+			bound++
+		}
+	}
+	return bound + int64(len(tags))
+}
+
 // TestIncompressibleStoredBlocks: random payloads take the stored-block
-// path and still round-trip (sealed size ≈ raw + framing, never corrupt).
+// path and still round-trip, and the run is never larger than its raw
+// bytes plus framing (maxSealedBytes).
 func TestIncompressibleStoredBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	recs := make([]core.Record, 50)
@@ -319,8 +430,8 @@ func TestIncompressibleStoredBlocks(t *testing.T) {
 	for _, comp := range []Compression{Block, DeltaBlock} {
 		buf, rawBytes := encodeRun(t, recs, comp, 0)
 		requireRecords(t, comp.String(), recs, decodeRun(t, buf, comp))
-		if int64(len(buf)) > rawBytes+rawBytes/8+64 {
-			t.Fatalf("%v: incompressible run expanded %d -> %d", comp, rawBytes, len(buf))
+		if bound := maxSealedBytes(t, recs, comp, buf); int64(len(buf)) > bound {
+			t.Fatalf("%v: incompressible run sealed %d -> %d bytes, bound %d", comp, rawBytes, len(buf), bound)
 		}
 	}
 }

@@ -167,6 +167,73 @@ func FuzzRunDecoder(f *testing.F) {
 	})
 }
 
+// fuzzBlockTarget is FuzzRunEncoder's block target: small, so one input
+// spans many blocks and the LZ probe's store-and-reprobe cycle runs.
+const fuzzBlockTarget = 64
+
+// FuzzRunEncoder seals the records fuzzRecords builds from each input with
+// Block and with DeltaBlock, and holds the serial, parallel and section
+// decoders to returning exactly those records, and the run to
+// maxSealedBytes. The committed corpus in testdata/fuzz/FuzzRunEncoder
+// holds sorted uniform 8-byte keys (the probe stores the blocks after the
+// first), sorted WordCount keys (every block keeps LZ) and a run whose
+// first block is random keys and whose later blocks repeat one record
+// shape (the probe guesses wrong, then LZ comes back at the next probe).
+func FuzzRunEncoder(f *testing.F) {
+	pool := NewDecodePool(2)
+	f.Cleanup(pool.Close)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		recs := fuzzRecords(b)
+		for _, comp := range []Compression{Block, DeltaBlock} {
+			buf, _ := encodeRun(t, recs, comp, fuzzBlockTarget)
+			if bound := maxSealedBytes(t, recs, comp, buf); int64(len(buf)) > bound {
+				t.Fatalf("%v: %d records sealed to %d bytes, bound %d", comp, len(recs), len(buf), bound)
+			}
+			var dec SectionDecoder
+			for name, rd := range map[string]RecordReader{
+				"serial":   NewRunDecoderBytes(buf, comp),
+				"parallel": NewParallelReader(pool, bytes.NewReader(buf), nil),
+				"section":  dec.Reset(bytes.NewReader(buf), comp, &Arena{}),
+			} {
+				got, err := drainRecords(rd)
+				if err != nil {
+					t.Fatalf("%v/%s: %v", comp, name, err)
+				}
+				requireRecords(t, comp.String()+"/"+name, recs, got)
+			}
+		}
+	})
+}
+
+// fuzzRecords cuts records out of a fuzz input. Each record is a shared
+// byte s, a suffix length byte n, n suffix bytes, a value length byte v and
+// v value bytes: its key is the first s%(len(prev)+1) bytes of the
+// previous key followed by the suffix (at most 31 bytes), its value up to
+// 255 bytes, so length varints of two bytes occur. A record the input cuts
+// short ends the list.
+func fuzzRecords(b []byte) []core.Record {
+	var recs []core.Record
+	prev := ""
+	for len(b) >= 2 {
+		shared := int(b[0]) % (len(prev) + 1)
+		n := int(b[1]) % 32
+		b = b[2:]
+		if len(b) < n+1 {
+			break
+		}
+		key := prev[:shared] + string(b[:n])
+		v := int(b[n])
+		b = b[n+1:]
+		if len(b) < v {
+			break
+		}
+		recs = append(recs, core.Record{Key: key, Value: string(b[:v])})
+		b = b[v:]
+		prev = key
+	}
+	return recs
+}
+
 // drainRecords reads rd to its end.
 func drainRecords(rd RecordReader) ([]core.Record, error) {
 	var got []core.Record

@@ -107,6 +107,36 @@ func checkCompressionAccounting(t *testing.T, name string, res *Result, comp cod
 	}
 }
 
+// TestCompressionProbedSortTCP: sort_tcp_delta's job shape with each
+// mapper's output sealed as one wave, so every section holds 100 000
+// uniform 8-byte keys in about 20 blocks: the encoder's LZ probe fails on
+// a section's first block, stores the next 15 and probes again. The stored
+// blocks cross the run-server, the parallel decode pool and the merge;
+// barrier output must stay byte-identical to the in-memory reference, and
+// the ratio is front coding's alone.
+func TestCompressionProbedSortTCP(t *testing.T) {
+	input := workload.UniformKeys(11, 400_000, 1<<40)
+	ref, err := Run(apps.Sort(), input, Options{Mappers: 2, Reducers: 2, Mode: Barrier})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(apps.Sort(), input, Options{
+		Mappers: 2, Reducers: 2, Mode: Barrier, Transport: shuffle.TCP,
+		SpillDir: t.TempDir(), Compression: codec.DeltaBlock,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExact(t, "probed-sort-tcp", ref.Output, res.Output)
+	checkCompressionAccounting(t, "probed-sort-tcp", res, codec.DeltaBlock, shuffle.TCP)
+	raw, sealed := float64(res.RawSpillBytes), float64(res.CompressedSpillBytes)
+	if sealed < raw/1.8 || sealed > raw/1.5 {
+		t.Fatalf("sealed %.0f of %.0f raw bytes (%.3fx), want between 1.5x and 1.8x", sealed, raw, raw/sealed)
+	}
+	t.Logf("raw=%dKB sealed=%dKB (%.3fx), fetched=%dKB",
+		res.RawSpillBytes>>10, res.CompressedSpillBytes>>10, raw/sealed, res.FetchBytes>>10)
+}
+
 // TestCompressionRatioWordCount: the acceptance floor — DeltaBlock must cut
 // the WordCount spill volume by at least 1.5x (sorted Zipf text keys are
 // the codec's home turf; the real corpus benchmarks land near 3x).
