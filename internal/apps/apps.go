@@ -14,6 +14,7 @@
 package apps
 
 import (
+	"math/bits"
 	"strings"
 
 	"blmr/internal/core"
@@ -72,13 +73,10 @@ func WordCount() App {
 			// Scan fields in place: emitting substrings avoids the
 			// per-line []string that strings.Fields would allocate.
 			for i := 0; i < len(value); {
-				for i < len(value) && asciiSpace(value[i]) {
+				for i < len(value) && asciiSpace[value[i]] {
 					i++
 				}
-				j := i
-				for j < len(value) && !asciiSpace(value[j]) {
-					j++
-				}
+				j := wordEnd(value, i)
 				if j > i {
 					emit.Emit(value[i:j], "1")
 				}
@@ -95,14 +93,40 @@ func WordCount() App {
 	}
 }
 
-// asciiSpace reports whether c is ASCII whitespace (the corpus generators
-// only emit single spaces; tabs and newlines are accepted for robustness).
-func asciiSpace(c byte) bool {
-	switch c {
-	case ' ', '\t', '\n', '\v', '\f', '\r':
-		return true
+// asciiSpace marks ASCII whitespace (the corpus generators only emit
+// single spaces; tabs and newlines are accepted for robustness).
+var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+
+// wordEnd returns the index of the first ASCII whitespace byte in s at or
+// after i, or len(s). It reads 8 bytes at a time: (x - 0x21…21) &^ x & highs
+// flags every byte below 0x21, which covers all of asciiSpace, and never a
+// byte with its top bit set. A borrow out of a flagged byte can flag the
+// byte above it falsely, but never hide a byte below 0x21, so the lowest
+// flag is exact and every flag is checked against the table: a control
+// byte that is not a space, or a false flag, only moves on to the next one.
+// The tail under 8 bytes is scanned byte by byte.
+func wordEnd(s string, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(s); i += 8 {
+		x := load64(s, i)
+		for m := (x - 0x21*ones) &^ x & highs; m != 0; m &= m - 1 {
+			if j := i + bits.TrailingZeros64(m)>>3; asciiSpace[s[j]] {
+				return j
+			}
+		}
 	}
-	return false
+	for i < len(s) && !asciiSpace[s[i]] {
+		i++
+	}
+	return i
+}
+
+// load64 reads s[i:i+8] as a little-endian word; the compiler merges the
+// byte loads into one.
+func load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // KNN returns the k-nearest-neighbors app (Section 4.4): each training

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"hash/maphash"
 	"slices"
 	"strings"
 	"unsafe"
@@ -18,13 +19,13 @@ const (
 )
 
 // table holds the in-memory partial results of a MemStore or SpillStore: a
-// hash index from key to slot, the slots in insertion order, and the slabs
-// their strings are copied into. It keeps no order. Nothing reads partial
-// results in key order except a drain — MemStore.Emit, SpillStore.spill,
-// the live run of SpillStore.Emit — and every drain but a failed spill's is
-// followed by clear or clearReuse, so the order is made once per drain, by
-// sorted, instead of being kept up on every insert. A drain moves nothing,
-// so the failed spill's table goes on as it was.
+// hash index from key to slot (index.go), the slots in insertion order, and
+// the slabs their strings are copied into. It keeps no order. Nothing reads
+// partial results in key order except a drain — MemStore.Emit,
+// SpillStore.spill, the live run of SpillStore.Emit — and every drain but a
+// failed spill's is followed by clear or clearReuse, so the order is made
+// once per drain, by sorted, instead of being kept up on every insert. A
+// drain moves nothing, so the failed spill's table goes on as it was.
 //
 // A slot mergeSum has folded into holds its value as a number in sums until
 // something reads it as a string: get, put, merge or a drain. sums[i] is
@@ -35,7 +36,8 @@ const (
 //
 // Not safe for concurrent use.
 type table struct {
-	index  map[string]int32 // key → position in slots
+	index  []indexEntry // key → position in slots; nil or a power of two long
+	seed   maphash.Seed // index's hash seed, made with its first array
 	slots  []core.Record
 	sums   []int64
 	widths []uint8 // at most 20, the length of MinInt64's form
@@ -52,7 +54,7 @@ type table struct {
 
 // get returns the value stored at key.
 func (t *table) get(key string) (string, bool) {
-	if i, ok := t.index[key]; ok {
+	if i, _ := t.find(key); i >= 0 {
 		return t.value(i), true
 	}
 	return "", false
@@ -70,21 +72,23 @@ func (t *table) value(i int32) string {
 
 // put inserts or replaces the value at key.
 func (t *table) put(key, val string) {
-	if i, ok := t.index[key]; ok {
+	i, free := t.find(key)
+	if i >= 0 {
 		t.set(i, val)
 		return
 	}
-	t.add(key, val)
+	t.add(key, val, free)
 }
 
 // merge stores val at an absent key and m(old, val) at a present one: one
 // probe, then an in-place swap or an insert.
 func (t *table) merge(key, val string, m Merger) {
-	if i, ok := t.index[key]; ok {
+	i, free := t.find(key)
+	if i >= 0 {
 		t.set(i, m(t.value(i), val))
 		return
 	}
-	t.add(key, val)
+	t.add(key, val, free)
 }
 
 // mergeSum is merge(key, val, SumMerger) without the strings. An absent key
@@ -94,9 +98,9 @@ func (t *table) merge(key, val string, m Merger) {
 // what SumMerger's string would have been charged, so the byte account
 // after every call is merge's.
 func (t *table) mergeSum(key, val string) {
-	i, ok := t.index[key]
-	if !ok {
-		t.add(key, val)
+	i, free := t.find(key)
+	if i < 0 {
+		t.add(key, val, free)
 		return
 	}
 	if int(i) >= len(t.widths) {
@@ -126,21 +130,17 @@ func (t *table) set(i int32, val string) {
 	t.slots[i].Value = val
 }
 
-// add inserts a key the index does not hold. The key is copied, so a
+// add inserts a key find has just missed at free. The key is copied, so a
 // long-lived store never pins the (possibly much larger) string it was cut
 // from — mapper output keys are substrings of whole input lines. The value
 // is copied too: the first value seen for a key is kept as passed, and on
 // the pooled fetch path that is a view into a shared decode-arena chunk
 // (see codec.Arena), which a key seen once would pin for good. A merged or
 // replaced value is the caller's own string.
-func (t *table) add(key, val string) {
-	if t.index == nil {
-		t.index = make(map[string]int32)
-	}
+func (t *table) add(key, val string, free int) {
 	t.bytes += ApproxRecordBytes(key, val)
-	key = t.copy(key)
-	t.index[key] = int32(len(t.slots))
-	t.slots = append(t.slots, core.Record{Key: key, Value: t.copy(val)})
+	t.insert(key, free)
+	t.slots = append(t.slots, core.Record{Key: t.copy(key), Value: t.copy(val)})
 }
 
 // copy copies s into the current slab and returns a view of the copy. A
@@ -206,7 +206,7 @@ func (t *table) emit(out core.Output) {
 func (t *table) clear() { *t = table{} }
 
 // clearReuse drops every entry but keeps the slabs, the slot and sum
-// arrays, the index's buckets and the sort scratch for the next fill — the
+// arrays, the index's array and the sort scratch for the next fill — the
 // clear for a spill store's fill/seal/clear cycle, which refills to the
 // same footprint over and over.
 //

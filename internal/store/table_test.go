@@ -2,7 +2,9 @@ package store
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -32,6 +34,17 @@ func peek(tab *table, i int32) string {
 	return tab.slots[i].Value
 }
 
+// indexed counts the index's occupied entries.
+func indexed(tab *table) int {
+	n := 0
+	for _, e := range tab.index {
+		if e.pos != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // checkPeek asserts tab holds exactly ref, as checkTable does, but formats
 // no running sum into its slot, so the table is left as it was found. It
 // walks the slots in the drain's key order through the table's own sorter
@@ -46,8 +59,8 @@ func checkPeek(t *testing.T, tab *table, ref map[string]string) {
 		bytes += ApproxRecordBytes(k, v)
 	}
 	sort.Strings(want)
-	if len(tab.slots) != len(want) || len(tab.index) != len(want) || tab.bytes != bytes {
-		t.Fatalf("Len,index,Bytes = %d,%d,%d want %d,%d", len(tab.slots), len(tab.index), tab.bytes, len(want), bytes)
+	if len(tab.slots) != len(want) || indexed(tab) != len(want) || tab.bytes != bytes {
+		t.Fatalf("Len,index,Bytes = %d,%d,%d want %d,%d", len(tab.slots), indexed(tab), tab.bytes, len(want), bytes)
 	}
 	run := tab.sorter.Sorted(tab.slots)
 	for n, k := range want {
@@ -55,8 +68,8 @@ func checkPeek(t *testing.T, tab *table, ref map[string]string) {
 		if r.Key != k {
 			t.Fatalf("drain[%d] = %q, want %q", n, r.Key, k)
 		}
-		i, ok := tab.index[k]
-		if !ok {
+		i, _ := tab.find(k)
+		if i < 0 {
 			t.Fatalf("%q not in the index", k)
 		}
 		if got := peek(tab, i); tab.slots[i].Key != k || got != ref[k] {
@@ -208,6 +221,33 @@ func keySet(prefix string, n int) []string {
 	return keys
 }
 
+// edgeKeys returns keys of lengths 0, 1, 7, 8, 9, 15, 16, 17 and 24 that
+// share their first 8 and last 8 bytes, all fill: at each length the key of
+// fill bytes alone; at 17 and 24 also that key with one middle byte set to
+// '0' or '~', at each middle position in turn; below 8 bytes also the key
+// with a NUL appended, which zero-padding into one word would make look the
+// same. So the index tells these keys apart only by length, by a middle
+// byte, or by a padding byte. Two calls with different fills give different
+// keys of the same lengths.
+func edgeKeys(fill byte) []string {
+	var keys []string
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 24} {
+		base := strings.Repeat(string(fill), n)
+		keys = append(keys, base)
+		if n < 8 {
+			keys = append(keys, base+"\x00")
+		}
+		for m := 8; m < n-8; m++ {
+			for _, c := range "0~" {
+				b := []byte(base)
+				b[m] = byte(c)
+				keys = append(keys, string(b))
+			}
+		}
+	}
+	return keys
+}
+
 // sumValues are mergeSum's operands in TestTableProperty besides plain
 // counts: values SumMerger reads the way strconv does (signs, spaces,
 // garbage, a 19-digit overflow), and the ends of int64, so sums wrap.
@@ -225,10 +265,15 @@ var sumValues = []string{
 // Len and Bytes are checked after every step, through peek so that a
 // running sum stays one across steps; get and each drain check them through
 // the table's own reads. The other operations share 100 of 130 draws and
-// mergeSum has 30, so 3900 steps give the others 3000 steps' worth.
+// mergeSum has 30, so 3900 steps give the others 3000 steps' worth. The
+// seeds run over keySet's 6-byte keys, then over edgeKeys, whose keys the
+// index can tell apart only by their lengths or middle bytes.
 func TestTableProperty(t *testing.T) {
-	sets := [][]string{keySet("a", 48), keySet("b", 48)}
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 8; seed++ {
+		sets := [][]string{keySet("a", 48), keySet("b", 48)}
+		if seed > 4 {
+			sets = [][]string{edgeKeys('a'), edgeKeys('b')}
+		}
 		rng := rand.New(rand.NewSource(seed))
 		var tab table
 		ref := map[string]string{}
@@ -275,6 +320,89 @@ func TestTableProperty(t *testing.T) {
 			checkPeek(t, &tab, ref)
 		}
 	}
+}
+
+// TestIndexTellsEdgeKeysApart: no key of edgeKeys matches another's index
+// entry. The hash seed is random, so the property test meets such an entry
+// on a probe only by chance; here every entry of the index but one holds
+// the other key's, and the one free entry is the last the probe reaches.
+func TestIndexTellsEdgeKeysApart(t *testing.T) {
+	keys := edgeKeys('a')
+	for _, a := range keys {
+		for _, b := range keys {
+			if a == b {
+				continue
+			}
+			var tab table
+			tab.put(a, "v")
+			e := tab.index[slices.IndexFunc(tab.index, func(e indexEntry) bool { return e.pos != 0 })]
+			mask := len(tab.index) - 1
+			last := (int(maphash.String(tab.seed, b)) + mask) & mask
+			for i := range tab.index {
+				tab.index[i] = e
+			}
+			tab.index[last] = indexEntry{}
+			if pos, free := tab.find(b); pos != -1 || free != last {
+				t.Fatalf("find(%q) with %q's entry everywhere = %d,%d, want -1,%d", b, a, pos, free, last)
+			}
+		}
+	}
+}
+
+// FuzzTableIndex runs fuzzed keys through put, merge, mergeSum, get, drain
+// and clearReuse against a map reference, as TestTableProperty does with
+// fixed key sets. The input is a list of operations, each an opcode byte, a
+// length byte (taken mod 33, so keys straddle the index's 8- and 16-byte
+// cut-overs) and that many key bytes.
+func FuzzTableIndex(f *testing.F) {
+	ops := func(keys ...string) []byte {
+		var b []byte
+		for i, k := range keys {
+			b = append(b, byte(i), byte(len(k)))
+			b = append(b, k...)
+		}
+		return b
+	}
+	f.Add(ops(edgeKeys('a')...))
+	f.Add(ops("", "\x00", "a", "a\x00", "", "\x00", "a", "a\x00"))
+	f.Add(ops(strings.Repeat("k", 17), "kkkkkkkk0kkkkkkkk", strings.Repeat("k", 17), "kkkkkkkk0kkkkkkkk",
+		strings.Repeat("k", 32), strings.Repeat("k", 31), strings.Repeat("k", 32)))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var tab table
+		ref := map[string]string{}
+		for len(in) >= 2 {
+			op, n := in[0], int(in[1])%33
+			in = in[2:]
+			k := string(in[:min(n, len(in))])
+			in = in[len(k):]
+			v := fmt.Sprint(op)
+			switch op % 7 {
+			case 0:
+				tab.put(k, v)
+				ref[k] = v
+			case 1:
+				tab.merge(k, v, concat)
+				ref[k] += v
+			case 2, 3:
+				tab.mergeSum(k, v)
+				if old, ok := ref[k]; ok {
+					v = SumMerger(old, v)
+				}
+				ref[k] = v
+			case 4:
+				got, ok := tab.get(k)
+				if want, wantOK := ref[k]; ok != wantOK || got != want {
+					t.Fatalf("get(%q) = %q,%v want %q,%v", k, got, ok, want, wantOK)
+				}
+			case 5:
+				checkTable(t, &tab, ref) // drains
+			case 6:
+				tab.clearReuse()
+				ref = map[string]string{}
+			}
+			checkPeek(t, &tab, ref)
+		}
+	})
 }
 
 // TestTableSlabKeysSurviveGrowth: slab-copied keys and first-seen values
@@ -327,7 +455,7 @@ func TestTableClearReuseRecycles(t *testing.T) {
 		}
 		checkTable(t, &tab, ref)
 		tab.clearReuse()
-		if len(tab.slots) != 0 || tab.bytes != 0 || len(tab.index) != 0 {
+		if len(tab.slots) != 0 || tab.bytes != 0 || indexed(&tab) != 0 {
 			t.Fatalf("cycle %d: clearReuse left %d keys / %d bytes", cycle, len(tab.slots), tab.bytes)
 		}
 	}
@@ -365,7 +493,8 @@ func TestTableProbeAllocatesNothing(t *testing.T) {
 }
 
 // TestTableAllocsPerInsert: slabs, and the index's and slot array's
-// amortised growth, keep fresh-key inserts well under one allocation each.
+// amortised growth, keep fresh-key inserts under one allocation per 200:
+// 36 for 10 000 keys, 11 of them the index's doublings (DESIGN.md §4).
 func TestTableAllocsPerInsert(t *testing.T) {
 	const n = 10_000
 	keys := make([]string, n)
@@ -378,8 +507,8 @@ func TestTableAllocsPerInsert(t *testing.T) {
 			tab.put(k, "v")
 		}
 	})
-	if perInsert := allocs / n; perInsert > 0.25 {
-		t.Fatalf("%.3f allocs per insert, want < 0.25 (total %.0f for %d inserts)", perInsert, allocs, n)
+	if perInsert := allocs / n; perInsert > 0.005 {
+		t.Fatalf("%.4f allocs per insert, want < 0.005 (total %.0f for %d inserts)", perInsert, allocs, n)
 	}
 	t.Logf("%.0f allocs for %d fresh-key inserts", allocs, n)
 }
