@@ -66,13 +66,14 @@
 // sweeps the trade-off).
 //
 // Sealed runs are compressible: mr.Options.Compression (cmd/blmr
-// -compress none|block|delta) selects a block codec for every run the
+// -compress none|block|delta) selects the block codec for every run the
 // engine seals — spill waves, run-exchange segments, intermediate merge
-// runs, pipelined store spills. codec.Block is a dependency-free
-// snappy-shaped LZ over 32KiB blocks; codec.DeltaBlock additionally
-// front-codes the keys inside each block, lossless in any order and the big
-// win for sorted text-heavy keys (a 1M-line WordCount spill seals ~30x
-// smaller).
+// runs, pipelined store spills. codec.None stores every 32KiB block as it
+// is; codec.Block is a dependency-free snappy-shaped LZ over the blocks;
+// codec.DeltaBlock additionally front-codes the keys inside each block,
+// lossless in any order and the big win for sorted text-heavy keys (a
+// 1M-line WordCount spill seals ~30x smaller). Only the sealing side knows
+// the codec: every run's header names it, and every reader learns it there.
 // Compressed sections travel compressed through the TCP run-server and
 // decompress at the consuming merger, so fetch bytes shrink by the same
 // ratio; decompressed merge order is unchanged, so barrier output stays
@@ -120,16 +121,18 @@
 // file instead of one per request — mr.Result.ServerOpens counts the
 // misses) and ships large sections zero-copy with offset sendfile, the
 // header flushed ahead (Linux; buffered io.Copy elsewhere and for small
-// sections). Consuming: compressed fetched sections CRC-verify and
-// decompress on a bounded per-pool worker pool (exec.Options.DecodeWorkers,
+// sections). Consuming: fetched Block and DeltaBlock sections CRC-verify
+// and decompress on a bounded per-pool worker pool (exec.Options.DecodeWorkers,
 // cmd/blmr -decode-workers, default min(GOMAXPROCS,8)) while the merger
 // consumes decoded blocks in submission order, so codec work overlaps
 // the merge — record order and job output are byte-identical at any
-// setting, and 1 decodes inline. Sealed runs have one format, "BLC3": a
-// per-block CRC32 that is always present and always checked, plus a
-// cross-block LZ dictionary window (a block's matches may reach 32KiB
-// into its predecessor's raw bytes; sections still start
-// self-contained). Older run magics are rejected as corrupt.
+// setting, and 1 decodes inline; None sections decode inline, their stored
+// blocks read straight into the connection's string arena. Sealed runs
+// have one format, "BLC3", whatever the codec: a per-block CRC32 that is
+// always present and always checked, plus a cross-block LZ dictionary
+// window (a block's matches may reach 32KiB into its predecessor's raw
+// bytes; sections still start self-contained). Older run magics, and the
+// headerless record stream None once sealed, are rejected as corrupt.
 //
 // The multi-process engine survives worker churn: workers heartbeat on
 // their control connection (every second, one pool-wide constant; silent

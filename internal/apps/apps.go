@@ -108,7 +108,7 @@ var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\v': true, '\f': 
 func wordEnd(s string, i int) int {
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
 	for ; i+8 <= len(s); i += 8 {
-		x := load64(s, i)
+		x := core.Load64(s, i)
 		for m := (x - 0x21*ones) &^ x & highs; m != 0; m &= m - 1 {
 			if j := i + bits.TrailingZeros64(m)>>3; asciiSpace[s[j]] {
 				return j
@@ -119,14 +119,6 @@ func wordEnd(s string, i int) int {
 		i++
 	}
 	return i
-}
-
-// load64 reads s[i:i+8] as a little-endian word; the compiler merges the
-// byte loads into one.
-func load64(s string, i int) uint64 {
-	s = s[i : i+8]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // KNN returns the k-nearest-neighbors app (Section 4.4): each training

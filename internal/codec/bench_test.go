@@ -73,18 +73,20 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecode drains one run per op: "raw" is 1 024 uncompressed
-// records from one buffer, the other cases the runs BenchmarkEncode seals,
-// decoded serially with no arena.
+// BenchmarkDecode drains one run per op: "none" is 1 024 records sealed
+// with None, the other cases the runs BenchmarkEncode seals, all decoded
+// serially from one buffer with no arena.
 func BenchmarkDecode(b *testing.B) {
-	b.Run("raw", func(b *testing.B) {
-		var buf []byte
+	b.Run("none", func(b *testing.B) {
+		e := NewRunEncoder(nil, None)
 		for i := 0; i < 1024; i++ {
-			buf = AppendRecord(buf, core.Record{Key: "key-123456", Value: "value-payload"})
+			_ = e.Append(core.Record{Key: "key-123456", Value: "value-payload"})
 		}
+		_ = e.Flush()
+		run := e.Bytes()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rd := NewStreamReaderBytes(buf)
+			rd := NewRunDecoderBytes(run, None)
 			for {
 				if _, ok := rd.Next(); !ok {
 					break

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"runtime"
 	"slices"
 	"strings"
@@ -14,17 +15,14 @@ import (
 	"blmr/internal/core"
 )
 
-// decodeRecords decodes every record of an in-memory buffer; ok is false when
-// the stream is corrupt.
+// decodeRecords parses every record of a bare record stream with the parser
+// blocks and DecodeViews share; ok is false when the stream is corrupt.
 func decodeRecords(buf []byte) (recs []core.Record, ok bool) {
-	sr := NewStreamReaderBytes(buf)
-	for {
-		r, more := sr.Next()
-		if !more {
-			return recs, sr.Err() == nil
-		}
+	p := blockParser{block: buf}
+	for r, more := p.next(); more; r, more = p.next() {
 		recs = append(recs, r)
 	}
+	return recs, p.err == nil
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -79,9 +77,10 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 // TestSpillRunRoundTripProperty models a spill run: records are key-sorted
-// before encoding, then decoded back through the streaming reader. Decoding
-// must preserve exact bytes and the sorted order, regardless of content
-// (binary keys, embedded NULs, empty strings).
+// before sealing with None, then decoded back through the streaming reader
+// over a 16-byte read buffer. Decoding must preserve exact bytes and the
+// sorted order, regardless of content (binary keys, embedded NULs, empty
+// strings).
 func TestSpillRunRoundTripProperty(t *testing.T) {
 	f := func(pairs [][2]string) bool {
 		recs := make([]core.Record, len(pairs))
@@ -91,8 +90,8 @@ func TestSpillRunRoundTripProperty(t *testing.T) {
 		slices.SortStableFunc(recs, func(a, b core.Record) int {
 			return strings.Compare(a.Key, b.Key)
 		})
-		buf := AppendRecords(nil, recs)
-		sr := NewStreamReader(bufio.NewReaderSize(bytes.NewReader(buf), 16))
+		buf := sealRun(t, recs, None)
+		sr := NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(buf), 16))
 		var got []core.Record
 		for {
 			r, ok := sr.Next()
@@ -111,86 +110,67 @@ func TestSpillRunRoundTripProperty(t *testing.T) {
 			}
 			prev = got[i].Key
 		}
-		// Re-encoding the decoded stream must reproduce the exact bytes.
-		return bytes.Equal(buf, AppendRecords(nil, got))
+		// Re-sealing the decoded stream must reproduce the exact bytes.
+		return bytes.Equal(buf, sealRun(t, got, None))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestStreamReaderTruncation: every possible truncation point of a valid
-// stream must yield either a clean shorter stream (cut exactly between
-// records) or ErrCorrupt — never a panic, never a phantom record.
-func TestStreamReaderTruncation(t *testing.T) {
-	recs := []core.Record{
-		{Key: "alpha", Value: "1"},
-		{Key: "beta", Value: strings.Repeat("v", 300)},
-		{Key: "\x00bin\xff", Value: ""},
-	}
-	buf := AppendRecords(nil, recs)
-	boundaries := map[int]int{0: 0} // truncation offset -> complete records
-	off := 0
-	for i, r := range recs {
-		off += int(EncodedSize(r))
-		boundaries[off] = i + 1
-	}
-	for cut := 0; cut <= len(buf); cut++ {
-		sr := NewStreamReader(bufio.NewReaderSize(bytes.NewReader(buf[:cut]), 16))
-		n := 0
-		for {
-			r, ok := sr.Next()
-			if !ok {
-				break
+// TestNoneCorruptLengthNoHugeAlloc: a None run whose block header, or a
+// record length inside a block, claims about 1 GiB must fail with
+// ErrCorrupt after reading only the bytes actually present — not allocate
+// the claimed length up front — with and without an arena.
+func TestNoneCorruptLengthNoHugeAlloc(t *testing.T) {
+	hugeBlock := []byte("BLC3\x00")                       // a None run header
+	hugeBlock = binary.AppendUvarint(hugeBlock, 1<<30)    // rawLen
+	hugeBlock = binary.AppendUvarint(hugeBlock, 1<<30<<2) // stored, encLen = rawLen
+	hugeBlock = append(hugeBlock, 0, 0, 0, 0)             // checksum
+	hugeBlock = append(hugeBlock, "only a few real bytes"...)
+	payload := binary.AppendUvarint(nil, 1<<30) // key "length": 1GiB
+	payload = append(payload, "only a few real bytes"...)
+	hugeRecord := []byte("BLC3\x00")
+	hugeRecord = binary.AppendUvarint(hugeRecord, uint64(len(payload)))
+	hugeRecord = binary.AppendUvarint(hugeRecord, uint64(len(payload))<<2)
+	hugeRecord = binary.LittleEndian.AppendUint32(hugeRecord, crc32.Checksum(payload, crcTable))
+	hugeRecord = append(hugeRecord, payload...)
+	for name, run := range map[string][]byte{"block length": hugeBlock, "record length": hugeRecord} {
+		for _, arena := range []*Arena{nil, new(Arena)} {
+			before := heapInUse()
+			var dec SectionDecoder
+			rd := dec.Reset(bytes.NewReader(run), arena)
+			if _, ok := rd.Next(); ok {
+				t.Fatalf("%s: corrupt run yielded a record", name)
 			}
-			if r != recs[n] {
-				t.Fatalf("cut=%d: record %d = %v, want %v", cut, n, r, recs[n])
+			if !errors.Is(rd.Err(), ErrCorrupt) {
+				t.Fatalf("%s: Err() = %v, want ErrCorrupt", name, rd.Err())
 			}
-			n++
-		}
-		if want, clean := boundaries[cut]; clean {
-			if sr.Err() != nil {
-				t.Fatalf("cut=%d at record boundary: unexpected error %v", cut, sr.Err())
+			if grown := heapInUse() - before; grown > 16<<20 {
+				t.Fatalf("%s: decoding a corrupt length allocated %d MB up front", name, grown>>20)
 			}
-			if n != want {
-				t.Fatalf("cut=%d: decoded %d records, want %d", cut, n, want)
-			}
-		} else if !errors.Is(sr.Err(), ErrCorrupt) {
-			t.Fatalf("cut=%d mid-record: err=%v, want ErrCorrupt", cut, sr.Err())
 		}
 	}
 }
 
-// TestStreamReaderCorruptLengthNoHugeAlloc: a bit-flipped length prefix
-// claiming a ~1GB value must fail with ErrCorrupt after reading only the
-// bytes actually present — not allocate the claimed length up front.
-func TestStreamReaderCorruptLengthNoHugeAlloc(t *testing.T) {
-	buf := binary.AppendUvarint(nil, 1<<30) // key "length": 1GiB
-	buf = append(buf, []byte("only a few real bytes")...)
-	before := heapInUse()
-	sr := NewStreamReader(bytes.NewReader(buf))
-	if _, ok := sr.Next(); ok {
-		t.Fatal("corrupt stream yielded a record")
-	}
-	if !errors.Is(sr.Err(), ErrCorrupt) {
-		t.Fatalf("Err() = %v, want ErrCorrupt", sr.Err())
-	}
-	if grown := heapInUse() - before; grown > 16<<20 {
-		t.Fatalf("decoding a corrupt length allocated %d MB up front", grown>>20)
-	}
-}
-
-// TestStreamReaderLargeValue: genuinely large values (crossing the chunked
-// read path) still round-trip.
-func TestStreamReaderLargeValue(t *testing.T) {
-	rec := core.Record{Key: "big", Value: strings.Repeat("x", 300<<10)}
-	sr := NewStreamReader(bytes.NewReader(AppendRecord(nil, rec)))
-	got, ok := sr.Next()
-	if !ok || sr.Err() != nil {
-		t.Fatalf("ok=%v err=%v", ok, sr.Err())
-	}
-	if got != rec {
-		t.Fatal("large value corrupted by chunked decode")
+// TestNoneLargeRecord: a record larger than an arena chunk seals into one
+// block of its own and round-trips through every decoder, arena or not.
+func TestNoneLargeRecord(t *testing.T) {
+	recs := []core.Record{{Key: "a", Value: "1"}, {Key: "big", Value: strings.Repeat("x", 300<<10)}, {Key: "z", Value: "2"}}
+	run := sealRun(t, recs, None)
+	pool := NewDecodePool(2)
+	defer pool.Close()
+	var dec SectionDecoder
+	for name, rd := range map[string]RecordReader{
+		"serial":   NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(run), 16)),
+		"arena":    dec.Reset(bytes.NewReader(run), new(Arena)),
+		"parallel": NewParallelReader(pool, bytes.NewReader(run), new(Arena)),
+	} {
+		got, err := drainRecords(rd)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireRecords(t, name, recs, got)
 	}
 }
 
@@ -200,26 +180,20 @@ func heapInUse() int64 {
 	return int64(ms.HeapInuse)
 }
 
-func TestStreamReaderScratchNotAliased(t *testing.T) {
-	var buf []byte
+// TestNoneStringsDoNotAliasScratch: without an arena, a None run's block
+// buffers are reused block after block, so every string must be a copy:
+// records from earlier blocks stay intact once later blocks are decoded.
+func TestNoneStringsDoNotAliasScratch(t *testing.T) {
+	var recs []core.Record
 	for i := 0; i < 3; i++ {
-		buf = AppendRecord(buf, core.Record{Key: strings.Repeat("k", 50), Value: strings.Repeat(string(rune('a'+i)), 50)})
+		recs = append(recs, core.Record{Key: strings.Repeat("k", 50), Value: strings.Repeat(string(rune('a'+i)), 50)})
 	}
-	sr := NewStreamReader(bytes.NewReader(buf))
-	var vals []string
-	for {
-		r, ok := sr.Next()
-		if !ok {
-			break
-		}
-		vals = append(vals, r.Value)
+	run, _ := encodeRun(t, recs, None, 1) // a block per record
+	got, err := drainRecords(NewRunDecoderBytes(run, None))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if vals[0] == vals[1] || vals[1] == vals[2] {
-		t.Fatal("decoded strings alias the scratch buffer")
-	}
-	if vals[0] != strings.Repeat("a", 50) {
-		t.Fatalf("vals[0] corrupted: %q", vals[0])
-	}
+	requireRecords(t, "after the last block", recs, got)
 }
 
 func TestEmptyBuffer(t *testing.T) {

@@ -1,37 +1,40 @@
 package codec
 
-// Block-compressed spill runs. A sealed run is normally a flat stream of
-// uvarint-framed records (the None codec: exactly the historical format).
-// The compressed codecs wrap that stream in a self-describing run header
-// followed by fixed-size blocks, so section reads (dfs.OpenRunAtComp, the
-// run-server wire path) stream block by block and only ever decompress the
-// blocks they touch:
+// Sealed runs. Every sealed run, whatever its codec, is a self-describing
+// run header followed by blocks of whole records, so section reads
+// (dfs.OpenRunAt, the run-server wire path) stream block by block and only
+// ever decompress the blocks they touch:
 //
 //	run    := "BLC3" | kind byte | block*
 //	block  := uvarint(rawLen) | uvarint(encLen<<2 | dict<<1 | lz) |
 //	          crc32c(4 bytes LE) | encLen bytes
 //
-// rawLen is the block payload's size before byte compression; lz=1 means
-// the payload is LZ-compressed, lz=0 that it is stored verbatim. The
-// encoder probes whether LZ pays: it LZ-compresses a run's first block, and
-// a block whose LZ saves less than 1/probeMinSaving (1/32) of its payload
-// fails the probe, so the next probeEvery-1 (15) blocks are stored without
-// building an LZ window, and the block after them probes again. A probed
-// block LZ would not shrink is stored too. dict=1 means the LZ stream
-// contains at least one copy reaching back into the dictionary window —
-// the tail (up to 32KiB) of the previous block's raw payload — which the
-// small-run workloads need: a 40KB run used to restart its byte-window
-// from scratch every 32KiB block. The bit is only set when a copy actually
-// lands in the window, so dict=0 blocks stay independently decodable (and
-// eligible for out-of-order parallel decode; see DecodePool). crc32c is
-// the Castagnoli CRC of the encLen payload bytes as they sit on disk/wire,
-// verified before the block is decompressed, so bit rot is caught at the
-// block that broke rather than surfacing as a confusing parse error
-// records later (or, for a corrupted stored block, not at all). Blocks
-// always hold whole records — a record never straddles a block boundary.
-// "BLC3" is the only format: sealed runs never outlive the state directory
-// they were written under, so the older "BLC1"/"BLC2" magics are rejected as
-// corrupt like any other.
+// kind is the run's Compression; a reader learns the codec from it and
+// from nowhere else. rawLen is the block payload's size before byte
+// compression; lz=1 means the payload is LZ-compressed, lz=0 that it is
+// stored verbatim. None never tries LZ: every block is stored, so a None
+// run is its records' standard framing plus 5 header bytes and at most 10
+// bytes per 32 KiB block (two 3-byte varints and the checksum). Block and
+// DeltaBlock probe whether LZ pays: the encoder LZ-compresses a run's first
+// block, and a block whose LZ saves less than 1/probeMinSaving (1/32) of
+// its payload fails the probe, so the next probeEvery-1 (15) blocks are
+// stored without building an LZ window, and the block after them probes
+// again. A probed block LZ would not shrink is stored too. dict=1 means the
+// LZ stream contains at least one copy reaching back into the dictionary
+// window — the tail (up to 32KiB) of the previous block's raw payload —
+// which the small-run workloads need: a 40KB run used to restart its
+// byte-window from scratch every 32KiB block. The bit is only set when a
+// copy actually lands in the window, so dict=0 blocks stay independently
+// decodable (and eligible for out-of-order parallel decode; see
+// DecodePool). crc32c is the Castagnoli CRC of the encLen payload bytes as
+// they sit on disk/wire, verified before the block is decompressed or
+// parsed, so bit rot is caught at the block that broke rather than
+// surfacing as a confusing parse error records later (or, for a stored
+// block, not at all). Blocks always hold whole records — a record never
+// straddles a block boundary. "BLC3" is the only format: sealed runs never
+// outlive the state directory they were written under, so the older
+// "BLC1"/"BLC2" magics and the headerless record stream None once sealed
+// are rejected as corrupt like any other bytes.
 //
 // The LZ layer is snappy-shaped but dependency-free: a greedy byte-window
 // compressor emitting varint literal/copy tags, window reset per run (not
@@ -56,8 +59,7 @@ package codec
 //
 // Decoders never panic on malformed input: every structural violation —
 // bad magic, impossible lengths, truncated payloads, copies reaching
-// before the window — surfaces as ErrCorrupt, the same contract
-// StreamReader gives raw runs.
+// before the window — surfaces as ErrCorrupt.
 
 import (
 	"bytes"
@@ -75,8 +77,8 @@ type Compression uint8
 
 // Available codecs.
 const (
-	// None seals runs as flat uvarint-framed record streams (the historical
-	// format; zero overhead, no header).
+	// None seals runs as stored blocks: the framing and checksums of the
+	// other codecs, never LZ.
 	None Compression = iota
 	// Block seals runs as LZ-compressed fixed-size blocks.
 	Block
@@ -104,8 +106,8 @@ func ParseCompression(s string) (Compression, error) {
 	return 0, fmt.Errorf("codec: unknown compression %q (want none|block|delta)", s)
 }
 
-// runMagic opens every compressed run (per-block CRCs, cross-block
-// dictionary window).
+// runMagic opens every sealed run (per-block CRCs, cross-block dictionary
+// window).
 var runMagic = [4]byte{'B', 'L', 'C', '3'}
 
 // crcTable is the Castagnoli polynomial, the same choice snappy and iSCSI
@@ -123,7 +125,7 @@ const (
 	dictWindowBytes = blockTargetBytes
 	// maxBlockRawBytes rejects implausible block headers before allocating.
 	// A single oversized record can legitimately exceed the target (blocks
-	// hold whole records), so the cap mirrors StreamReader's string cap.
+	// hold whole records), so the cap is far above it.
 	maxBlockRawBytes = 1 << 30
 	// minMatch is the shortest copy the LZ layer emits.
 	minMatch = 4
@@ -287,7 +289,7 @@ func commonPrefixLen(a, b string) int {
 	n := min(len(a), len(b))
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		if x := load64(a, i) ^ load64(b, i); x != 0 {
+		if x := core.Load64(a, i) ^ core.Load64(b, i); x != 0 {
 			return i + bits.TrailingZeros64(x)>>3
 		}
 	}
@@ -297,14 +299,7 @@ func commonPrefixLen(a, b string) int {
 	return i
 }
 
-// load64 reads s[i:i+8] as a little-endian word (one load once compiled).
-func load64(s string, i int) uint64 {
-	s = s[i : i+8]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
-// RunEncoder seals one record stream as a (possibly compressed) run.
+// RunEncoder seals one record stream as a run in its codec.
 // With a writer, completed blocks stream out incrementally, so large runs
 // never need run-sized memory; with a nil writer the encoded run
 // accumulates internally and Bytes returns it after Flush. Reset reuses
@@ -313,16 +308,16 @@ type RunEncoder struct {
 	w           io.Writer
 	comp        Compression
 	blockTarget int
-	raw         []byte // current block payload (pre-LZ framing)
-	hist        []byte // previous block's dictionary tail, kept only for a block that tries LZ
-	comb        []byte // hist ++ raw, the LZ window for one sealBlock
-	prevKey     string // front-coding reference: the block's previous key
-	storeLeft   int    // blocks to store verbatim before the next LZ probe
-	out         []byte // pending encoded run bytes
-	lz          *lzCoder
-	scratch     []byte // LZ output scratch
+	raw         []byte   // current block payload (pre-LZ framing); None builds it in out
+	block       int      // where the open block's payload starts in out, for None
+	hist        []byte   // previous block's dictionary tail, kept only for a block that tries LZ
+	comb        []byte   // hist ++ raw, the LZ window for one sealBlock
+	prevKey     string   // front-coding reference: the block's previous key
+	storeLeft   int      // blocks to store verbatim before the next LZ probe
+	out         []byte   // pending encoded run bytes
+	lz          *lzCoder // nil for None, which never tries LZ
+	scratch     []byte   // LZ output scratch
 	rawBytes    int64
-	headerDone  bool
 	err         error
 }
 
@@ -346,9 +341,9 @@ func (e *RunEncoder) Reset(w io.Writer) {
 	e.hist = e.hist[:0]
 	e.prevKey = ""
 	e.storeLeft = 0
-	e.out = e.out[:0]
+	e.out = append(append(e.out[:0], runMagic[:]...), byte(e.comp))
+	e.block = len(e.out)
 	e.rawBytes = 0
-	e.headerDone = false
 	e.err = nil
 }
 
@@ -370,11 +365,10 @@ func (e *RunEncoder) Append(r core.Record) error {
 		return e.err
 	}
 	e.rawBytes += EncodedSize(r)
-	switch e.comp {
-	case None:
+	switch {
+	case e.lz == nil:
 		e.out = AppendRecord(e.out, r)
-		return e.maybeWrite()
-	case DeltaBlock:
+	case e.comp == DeltaBlock:
 		shared := commonPrefixLen(e.prevKey, r.Key)
 		e.raw = binary.AppendUvarint(e.raw, uint64(shared))
 		e.raw = binary.AppendUvarint(e.raw, uint64(len(r.Key)-shared))
@@ -382,31 +376,39 @@ func (e *RunEncoder) Append(r core.Record) error {
 		e.raw = binary.AppendUvarint(e.raw, uint64(len(r.Value)))
 		e.raw = append(e.raw, r.Value...)
 		e.prevKey = r.Key
-	default: // Block
+	default:
 		e.raw = AppendRecord(e.raw, r)
 	}
-	if len(e.raw) >= e.blockTarget {
+	if len(e.payload()) >= e.blockTarget {
 		e.sealBlock()
 	}
 	return e.err
 }
 
-// sealBlock frames the pending payload as one block: LZ-compressed when
-// the block probes LZ and LZ shrinks it, else stored (see probeMinSaving).
-func (e *RunEncoder) sealBlock() {
-	if !e.headerDone {
-		e.out = append(e.out, runMagic[:]...)
-		e.out = append(e.out, byte(e.comp))
-		e.headerDone = true
+// payload is the open block's payload. None stores every block, so it
+// builds the payload in place at the tail of out, where sealBlock frames
+// it; the other codecs build it in raw, the input LZ reads.
+func (e *RunEncoder) payload() []byte {
+	if e.lz == nil {
+		return e.out[e.block:]
 	}
-	if len(e.raw) == 0 {
+	return e.raw
+}
+
+// sealBlock frames the pending payload as one block: LZ-compressed when
+// the codec tries LZ, the block probes it and LZ shrinks it, else stored
+// (see probeMinSaving).
+func (e *RunEncoder) sealBlock() {
+	raw := e.payload()
+	if len(raw) == 0 {
 		return
 	}
-	payload := e.raw
-	tag := uint64(len(e.raw)) << 2
-	if e.storeLeft > 0 {
+	payload, tag := raw, uint64(len(raw))<<2
+	switch {
+	case e.lz == nil: // None: every block is stored
+	case e.storeLeft > 0:
 		e.storeLeft--
-	} else {
+	default:
 		// The LZ window is the previous block's dictionary tail followed by
 		// this block's payload — copies may reach across the block boundary.
 		e.comb = append(append(e.comb[:0], e.hist...), e.raw...)
@@ -423,13 +425,22 @@ func (e *RunEncoder) sealBlock() {
 			e.storeLeft = probeEvery - 1
 		}
 	}
-	e.out = binary.AppendUvarint(e.out, uint64(len(e.raw)))
-	e.out = binary.AppendUvarint(e.out, tag)
-	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.Checksum(payload, crcTable))
-	e.out = append(e.out, payload...)
+	var buf [2*binary.MaxVarintLen64 + 4]byte
+	hdr := binary.AppendUvarint(buf[:0], uint64(len(raw)))
+	hdr = binary.AppendUvarint(hdr, tag)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, crcTable))
+	if e.lz == nil {
+		// Shift the payload, already in place, to make room for its header.
+		e.out = append(e.out, hdr...)
+		copy(e.out[e.block+len(hdr):], raw)
+		copy(e.out[e.block:], hdr)
+	} else {
+		e.out = append(append(e.out, hdr...), payload...)
+	}
+	e.block = len(e.out)
 	// Only a block that will try LZ reads the window this one leaves.
 	e.hist = e.hist[:0]
-	if e.storeLeft == 0 {
+	if e.lz != nil && e.storeLeft == 0 {
 		e.hist = append(e.hist, dictTail(e.raw)...)
 	}
 	e.raw = e.raw[:0]
@@ -454,19 +465,18 @@ func (e *RunEncoder) writeOut() error {
 		return err
 	}
 	e.out = e.out[:0]
+	e.block = 0
 	return nil
 }
 
-// Flush seals the partial tail block (and the header, so even an empty
-// compressed run is self-describing) and writes everything pending. The run
-// is complete once Flush returns.
+// Flush seals the partial tail block and writes everything pending, the
+// run header included, so even an empty run is self-describing. The run is
+// complete once Flush returns.
 func (e *RunEncoder) Flush() error {
 	if e.err != nil {
 		return e.err
 	}
-	if e.comp != None {
-		e.sealBlock() // writes the header even when no payload is pending
-	}
+	e.sealBlock()
 	if e.w != nil {
 		return e.writeOut()
 	}
@@ -477,67 +487,89 @@ func (e *RunEncoder) Flush() error {
 // The slice is owned by the encoder and valid until the next Reset.
 func (e *RunEncoder) Bytes() []byte { return e.out }
 
-// RecordReader is the streaming decode interface shared by the raw
-// StreamReader and the compressed block reader: Next is false at end of
-// stream or on error, Err distinguishes the two.
+// RecordReader is the streaming decode interface of every sealed-run
+// reader: Next is false at end of stream or on error, Err distinguishes the
+// two.
 type RecordReader interface {
 	Next() (core.Record, bool)
 	Err() error
 }
 
-// NewRunDecoder decodes a sealed run of the given codec from r. For None it
-// is the raw StreamReader; for the compressed codecs the run header is
-// validated and its kind governs decoding (the header self-describes, so a
-// Block reader given a DeltaBlock run still decodes correctly).
-func NewRunDecoder(r ByteScanner, comp Compression) RecordReader {
-	if comp == None {
-		return NewStreamReader(r)
-	}
-	return &blockReader{r: r}
+// NewRunDecoder decodes a sealed run from r. The run header names its codec.
+func NewRunDecoder(r ByteScanner) RecordReader { return &blockReader{r: r} }
+
+// NewRunDecoderBytes decodes a sealed in-memory run. It returns errors
+// instead of panicking — the only sanctioned decoder for buffers of on-disk
+// or wire provenance. The codec argument is ignored (the run header names
+// the codec); it stays only for an existing caller of this signature and
+// goes once that caller reads runs through NewRunDecoder.
+func NewRunDecoderBytes(b []byte, _ Compression) RecordReader {
+	return NewRunDecoder(bytes.NewReader(b))
 }
 
-// NewRunDecoderBytes decodes a sealed in-memory run. Like
-// NewStreamReaderBytes it returns errors instead of panicking — the only
-// sanctioned decoder for buffers of on-disk or wire provenance.
-func NewRunDecoderBytes(b []byte, comp Compression) RecordReader {
-	if comp == None {
-		return NewStreamReaderBytes(b)
+// crcBytes is the length of a block's checksum.
+const crcBytes = 4
+
+// RunHeaderBytes is the length of a run header: the magic and the kind
+// byte.
+const RunHeaderBytes = 5
+
+// HeaderKind returns the codec a sealed run's first bytes name; ok is false
+// when hdr is too short to hold a run header or is not one.
+func HeaderKind(hdr []byte) (kind Compression, ok bool) {
+	if len(hdr) < RunHeaderBytes || [4]byte(hdr[:4]) != runMagic || hdr[4] > byte(DeltaBlock) {
+		return 0, false
 	}
-	return NewRunDecoder(bytes.NewReader(b), comp)
+	return Compression(hdr[4]), true
 }
 
-// readRunHeader reads and validates the 5-byte run preamble, reporting
-// whether the run's blocks are front-coded (DeltaBlock).
-func readRunHeader(r ByteScanner) (delta bool, err error) {
-	var hdr [5]byte
+// readRunHeader reads and validates the run header into hdr, the caller's
+// scratch (a local would escape through io.ReadFull, once per run), and
+// returns the run's codec.
+func readRunHeader(r ByteScanner, hdr *[RunHeaderBytes]byte) (Compression, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return false, fmt.Errorf("%w: truncated run header: %v", ErrCorrupt, err)
+		return 0, fmt.Errorf("%w: truncated run header: %v", ErrCorrupt, err)
 	}
 	if [4]byte(hdr[:4]) != runMagic {
-		return false, fmt.Errorf("%w: bad run magic %q", ErrCorrupt, hdr[:4])
+		return 0, fmt.Errorf("%w: bad run magic %q", ErrCorrupt, string(hdr[:4]))
 	}
-	kind := Compression(hdr[4])
-	if kind != Block && kind != DeltaBlock {
-		return false, fmt.Errorf("%w: bad run codec %d", ErrCorrupt, hdr[4])
+	kind, ok := HeaderKind(hdr[:])
+	if !ok {
+		return 0, fmt.Errorf("%w: bad run codec %d", ErrCorrupt, hdr[4])
 	}
-	return kind == DeltaBlock, nil
+	return kind, nil
 }
 
 // blockFrame is one block as framed on disk/wire: the undecoded payload
 // plus everything needed to verify and decode it.
 type blockFrame struct {
 	rawLen  int
+	encLen  int
 	lz      bool
-	dict    bool    // payload copies reach into the previous block's tail
-	crc     uint32  // CRC-32C of payload, always checked before decode
-	payload []byte  // on-wire payload bytes (reused across frames)
-	crcBuf  [4]byte // read scratch: a local would escape through io.ReadFull, once per block
+	dict    bool                 // payload copies reach into the previous block's tail
+	crc     uint32               // CRC-32C of payload, always checked before decode
+	payload []byte               // on-wire payload bytes (reused across frames)
+	scratch [RunHeaderBytes]byte // read scratch: a local would escape through io.ReadFull
 }
 
 // readBlockFrame reads the next block frame from r into f, reusing
 // f.payload. It returns false at the clean end of the run; every other
 // shortfall is an error.
 func readBlockFrame(r ByteScanner, f *blockFrame) (bool, error) {
+	ok, err := readBlockHeader(r, f)
+	if ok {
+		err = f.readCRC(r)
+	}
+	if ok && err == nil {
+		f.payload, err = readPayload(r, f.payload[:0], f.encLen)
+	}
+	return ok && err == nil, err
+}
+
+// readBlockHeader reads the next block's lengths and flags into f, leaving
+// its checksum and payload next on r. It returns false at the clean end of
+// the run; every other shortfall is an error.
+func readBlockHeader(r ByteScanner, f *blockFrame) (bool, error) {
 	rawLen, err := binary.ReadUvarint(r)
 	if err != nil {
 		if err == io.EOF {
@@ -555,71 +587,91 @@ func readBlockFrame(r ByteScanner, f *blockFrame) (bool, error) {
 	if rawLen == 0 || rawLen > maxBlockRawBytes || encLen == 0 || encLen > rawLen {
 		return false, fmt.Errorf("%w: implausible block sizes raw=%d enc=%d", ErrCorrupt, rawLen, encLen)
 	}
+	if !f.lz && encLen != rawLen {
+		return false, fmt.Errorf("%w: stored block %d bytes, header says %d", ErrCorrupt, encLen, rawLen)
+	}
 	if f.dict && !f.lz {
 		return false, fmt.Errorf("%w: stored block flagged dictionary-dependent", ErrCorrupt)
 	}
-	f.rawLen = int(rawLen)
-	if _, err := io.ReadFull(r, f.crcBuf[:]); err != nil {
-		return false, fmt.Errorf("%w: truncated block checksum: %v", ErrCorrupt, err)
-	}
-	f.crc = binary.LittleEndian.Uint32(f.crcBuf[:])
-	// Fill the payload chunked, so a corrupt (huge) length fails at the
-	// first missing byte rather than allocating the claimed size up front.
-	const chunk = 64 << 10
-	f.payload = f.payload[:0]
-	for remaining := encLen; remaining > 0; {
-		c := uint64(chunk)
-		if remaining < c {
-			c = remaining
-		}
-		start := len(f.payload)
-		f.payload = append(f.payload, make([]byte, c)...)
-		if _, err := io.ReadFull(r, f.payload[start:]); err != nil {
-			return false, fmt.Errorf("%w: truncated block payload: %v", ErrCorrupt, err)
-		}
-		remaining -= c
-	}
+	f.rawLen, f.encLen = int(rawLen), int(encLen)
 	return true, nil
 }
 
-// decodeBlockPayload CRC-verifies and decompresses one framed block,
-// appending the raw payload to dst. hist is the previous block's dictionary
-// tail (ignored unless the frame is dictionary-dependent). This is the
-// CPU-heavy half of block decode, safe to run off the consuming goroutine
-// (it touches only the frame, hist, and dst).
+// readCRC reads the block's checksum, which follows its lengths.
+func (f *blockFrame) readCRC(r io.Reader) error {
+	if _, err := io.ReadFull(r, f.scratch[:crcBytes]); err != nil {
+		return fmt.Errorf("%w: truncated block checksum: %v", ErrCorrupt, err)
+	}
+	f.crc = binary.LittleEndian.Uint32(f.scratch[:crcBytes])
+	return nil
+}
+
+// readPayload appends n payload bytes from r to dst, 64 KiB at a time, so a
+// corrupt (huge) length fails at the first missing byte rather than
+// allocating the claimed size up front.
+func readPayload(r io.Reader, dst []byte, n int) ([]byte, error) {
+	for n > 0 {
+		c := min(n, 64<<10)
+		start := len(dst)
+		dst = append(dst, make([]byte, c)...)
+		if _, err := io.ReadFull(r, dst[start:]); err != nil {
+			return dst, fmt.Errorf("%w: truncated block payload: %v", ErrCorrupt, err)
+		}
+		n -= c
+	}
+	return dst, nil
+}
+
+// checkCRC verifies a block payload against its frame's checksum.
+func (f *blockFrame) checkCRC(payload []byte) error {
+	if got := crc32.Checksum(payload, crcTable); got != f.crc {
+		return fmt.Errorf("%w: block checksum mismatch: got %08x, want %08x", ErrCorrupt, got, f.crc)
+	}
+	return nil
+}
+
+// decodeBlockPayload CRC-verifies and decodes one framed block into a block
+// buffer, dst. A stored block's payload is the block: the two buffers swap
+// (f.payload becomes dst) instead of copying. hist is the previous block's
+// dictionary tail (ignored unless the frame is dictionary-dependent). This
+// is the CPU-heavy half of block decode, safe to run off the consuming
+// goroutine (it touches only the frame, hist, and dst).
 func decodeBlockPayload(dst []byte, f *blockFrame, hist []byte) ([]byte, error) {
-	if got := crc32.Checksum(f.payload, crcTable); got != f.crc {
-		return dst, fmt.Errorf("%w: block checksum mismatch: got %08x, want %08x", ErrCorrupt, got, f.crc)
+	if err := f.checkCRC(f.payload); err != nil {
+		return dst, err
 	}
 	if !f.lz {
-		if len(f.payload) != f.rawLen {
-			return dst, fmt.Errorf("%w: stored block %d bytes, header says %d", ErrCorrupt, len(f.payload), f.rawLen)
-		}
-		return append(dst, f.payload...), nil
+		block := f.payload
+		f.payload = dst[:0]
+		return block, nil
 	}
 	if !f.dict {
 		hist = nil
 	} else if len(hist) == 0 {
 		return dst, fmt.Errorf("%w: dictionary-dependent block with no preceding block", ErrCorrupt)
 	}
-	return lzDecompress(dst, f.payload, hist, f.rawLen)
+	return lzDecompress(dst[:0], f.payload, hist, f.rawLen)
 }
 
-// blockParser cuts records out of one decoded block payload. It is the
-// stateful, arena-touching half of block decode and must stay on the
-// consuming goroutine; setBlock hands it the next decoded payload.
+// blockParser cuts records out of one decoded block payload (and, for
+// DecodeViews, out of a bare record stream). It is the stateful,
+// arena-touching half of block decode and must stay on the consuming
+// goroutine; setBlock hands it the next decoded payload.
 type blockParser struct {
 	delta   bool
 	block   []byte // decoded current block payload
+	views   bool   // block is never written again: strings view it (standard framing only)
 	off     int    // cursor within block
 	prevKey []byte // front-coding state within block
 	arena   *Arena // optional: record strings cut from shared chunks
 	err     error
 }
 
-// setBlock points the parser at the next decoded block payload.
-func (p *blockParser) setBlock(b []byte) {
+// setBlock points the parser at the next decoded block payload; views says
+// the payload is never written again (an arena's bytes).
+func (p *blockParser) setBlock(b []byte, views bool) {
 	p.block = b
+	p.views = views
 	p.off = 0
 	p.prevKey = p.prevKey[:0] // front-coding restarts per block
 }
@@ -635,15 +687,47 @@ func (p *blockParser) next() (core.Record, bool) {
 	if p.delta {
 		return p.nextDelta()
 	}
-	key, ok := p.str()
-	if !ok {
-		return core.Record{}, false
+	b := p.block[p.off:]
+	k0, k1, ok := field(b, 0)
+	v0, v1 := k1, k1
+	if ok {
+		v0, v1, ok = field(b, k1)
 	}
-	val, ok := p.str()
 	if !ok {
-		return core.Record{}, false
+		return core.Record{}, p.corrupt("bad record in block at offset %d", p.off)
 	}
-	return core.Record{Key: key, Value: val}, true
+	p.off += v1
+	if p.views {
+		return core.Record{Key: view(b[k0:k1]), Value: view(b[v0:v1])}, true
+	}
+	return core.Record{Key: p.copy(b[k0:k1]), Value: p.copy(b[v0:v1])}, true
+}
+
+// field locates the length-prefixed string at b[at:]: its body is
+// b[start:end]. ok is false when the length prefix is malformed or b ends
+// inside the string.
+func field(b []byte, at int) (start, end int, ok bool) {
+	var l uint64
+	n := 1
+	if at < len(b) && b[at] < 0x80 {
+		l = uint64(b[at])
+	} else if l, n = binary.Uvarint(b[at:]); n <= 0 {
+		return 0, 0, false
+	}
+	start = at + n
+	if uint64(len(b)-start) < l {
+		return 0, 0, false
+	}
+	return start, start + int(l), true
+}
+
+// copy materializes a decoded key or value of a block that will be
+// written again: cut from the arena when there is one, else its own copy.
+func (p *blockParser) copy(b []byte) string {
+	if p.arena != nil {
+		return p.arena.String(b)
+	}
+	return string(b)
 }
 
 // corrupt latches a corruption error.
@@ -688,10 +772,7 @@ func (p *blockParser) str() (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if p.arena != nil {
-		return p.arena.String(s), true
-	}
-	return string(s), true
+	return p.copy(s), true
 }
 
 // nextDelta decodes one front-coded record.
@@ -724,10 +805,14 @@ func (p *blockParser) nextDelta() (core.Record, bool) {
 	return core.Record{Key: string(p.prevKey), Value: val}, true
 }
 
-// blockReader streams records out of a compressed run serially,
-// decompressing one block at a time on the calling goroutine. Two block
-// buffers alternate so the previous block's tail stays live as the next
-// block's dictionary window without a copy.
+// blockReader streams records out of a sealed run serially, decoding one
+// block at a time on the calling goroutine. Two block buffers alternate so
+// the previous block's tail stays live as the next block's dictionary
+// window without a copy; a stored block swaps with the payload buffer
+// instead of being copied into one. With an arena, a stored block of
+// standard framing (None, or Block where LZ did not pay) that fits an arena
+// chunk is read straight into the arena and its records' strings are views
+// of it: the payload is copied once, off the stream.
 type blockReader struct {
 	r          ByteScanner
 	headerDone bool
@@ -743,7 +828,11 @@ type blockReader struct {
 func (b *blockReader) Reset(r ByteScanner) {
 	b.r = r
 	b.headerDone = false
-	b.p.setBlock(b.p.block[:0])
+	block := b.p.block[:0]
+	if b.p.views {
+		block = nil // the arena's bytes, never a buffer to reuse
+	}
+	b.p.setBlock(block, false)
 	b.p.err = nil
 	b.err = nil
 }
@@ -768,59 +857,72 @@ func (b *blockReader) Next() (core.Record, bool) {
 // Err implements RecordReader.
 func (b *blockReader) Err() error { return b.err }
 
-// nextBlock reads, validates and decompresses the next block. false at
-// clean end of run or on error.
+// nextBlock reads, validates and decodes the next block. false at clean end
+// of run or on error.
 func (b *blockReader) nextBlock() bool {
 	if !b.headerDone {
-		delta, err := readRunHeader(b.r)
+		kind, err := readRunHeader(b.r, &b.frame.scratch)
 		if err != nil {
 			b.err = err
 			return false
 		}
-		b.p.delta = delta
+		b.p.delta = kind == DeltaBlock
 		b.p.arena = b.arena
 		b.headerDone = true
 	}
-	ok, err := readBlockFrame(b.r, &b.frame)
-	if err != nil {
-		b.err = err
-		return false
-	}
+	f := &b.frame
+	ok, err := readBlockHeader(b.r, f)
 	if !ok {
+		b.err = err
 		return false
 	}
-	// Swap buffers: the block just drained becomes spare scratch, and its
-	// bytes stay valid as the dictionary window for this decode.
-	prev := b.p.block
-	next, err := decodeBlockPayload(b.spare[:0], &b.frame, dictTail(prev))
-	b.spare = prev
+	prev, prevViews := b.p.block, b.p.views
+	var next []byte
+	views := b.arena != nil && !f.lz && !b.p.delta && crcBytes+f.encLen <= arenaChunkBytes
+	if views {
+		// One read for the checksum and the payload: the checksum's four
+		// bytes stay in the arena, unused.
+		if next, err = b.arena.read(b.r, crcBytes+f.encLen); err != nil {
+			err = fmt.Errorf("%w: truncated block: %v", ErrCorrupt, err)
+		} else {
+			f.crc = binary.LittleEndian.Uint32(next)
+			next = next[crcBytes:]
+			err = f.checkCRC(next)
+		}
+	} else {
+		err = f.readCRC(b.r)
+		if err == nil {
+			f.payload, err = readPayload(b.r, f.payload[:0], f.encLen)
+		}
+		if err == nil {
+			next, err = decodeBlockPayload(b.spare[:0], f, dictTail(prev))
+			b.spare = nil // now the block or the payload buffer
+		}
+	}
+	// The block just drained becomes spare scratch, unless the arena owns
+	// it; its bytes stayed valid as the dictionary window for this decode.
+	if !prevViews {
+		b.spare = prev
+	}
 	if err != nil {
 		b.err = err
 		return false
 	}
-	b.p.setBlock(next)
+	b.p.setBlock(next, views)
 	return true
 }
 
-// SectionDecoder is a reusable run decoder for section streams of varying
-// codecs — the shuffle fetch path resets one per pooled connection instead
-// of allocating a fresh decoder (plus block and scratch buffers) for every
+// SectionDecoder is a reusable run decoder for section streams — the
+// shuffle fetch path resets one per pooled connection instead of
+// allocating a fresh decoder (plus block and scratch buffers) for every
 // fetched section. Not safe for concurrent use; one section at a time.
-type SectionDecoder struct {
-	sr StreamReader
-	br blockReader
-}
+type SectionDecoder struct{ br blockReader }
 
-// Reset prepares the decoder for one section of the given codec read from
-// r, and returns the RecordReader to drain it with (valid until the next
-// Reset). A non-nil arena makes record strings share chunk backing — see
-// Arena for the retention trade-off.
-func (d *SectionDecoder) Reset(r ByteScanner, comp Compression, arena *Arena) RecordReader {
-	if comp == None {
-		d.sr.arena = arena
-		d.sr.Reset(r)
-		return &d.sr
-	}
+// Reset prepares the decoder for one section read from r, and returns the
+// RecordReader to drain it with (valid until the next Reset). A non-nil
+// arena makes record strings share chunk backing — see Arena for the
+// retention trade-off.
+func (d *SectionDecoder) Reset(r ByteScanner, arena *Arena) RecordReader {
 	d.br.Reset(r)
 	d.br.arena = arena
 	return &d.br

@@ -107,12 +107,36 @@ func TestCompressedRoundTripRandom(t *testing.T) {
 				if rawBytes != int64(len(raw)) {
 					t.Fatalf("%v: RawBytes=%d, standard encoding is %d", comp, rawBytes, len(raw))
 				}
-				if comp == None && !bytes.Equal(buf, raw) {
-					t.Fatalf("None encoding diverged from AppendRecords")
+				if comp == None {
+					requireNoneFraming(t, buf, raw)
 				}
 				requireRecords(t, fmt.Sprintf("trial%d-%s-%v", trial, order, comp), recs, decodeRun(t, buf, comp))
 			}
 		}
+	}
+}
+
+// requireNoneFraming fails unless a None run is the records' standard
+// encoding, raw, cut into stored blocks: the run header, then each block's
+// payload a stretch of raw in order, framed by at most 10 bytes.
+func requireNoneFraming(t *testing.T, run, raw []byte) {
+	t.Helper()
+	if kind, ok := HeaderKind(run); !ok || kind != None {
+		t.Fatalf("None run header %q", run[:min(len(run), RunHeaderBytes)])
+	}
+	var payloads []byte
+	for off := RunHeaderBytes; off < len(run); {
+		rawLen, n1 := uvarintAt(t, run, off)
+		tag, n2 := uvarintAt(t, run, off+n1)
+		if tag&3 != 0 || tag>>2 != rawLen || n1+n2+4 > 10 {
+			t.Fatalf("None block at %d: raw %d, tag %#x, %d header bytes", off, rawLen, tag, n1+n2+4)
+		}
+		off += n1 + n2 + 4
+		payloads = append(payloads, run[off:off+int(rawLen)]...)
+		off += int(rawLen)
+	}
+	if !bytes.Equal(payloads, raw) {
+		t.Fatalf("None blocks hold %d bytes that are not the records' standard encoding (%d bytes)", len(payloads), len(raw))
 	}
 }
 
@@ -125,7 +149,7 @@ func TestCompressedRoundTripBlockBoundaries(t *testing.T) {
 	recs := randomRecords(rng, 200)
 	recs = append(recs, core.Record{Key: strings.Repeat("k", 500), Value: strings.Repeat("v", 700)},
 		core.Record{Key: strings.Repeat("m", 128), Value: strings.Repeat("w", 256)}) // varints starting 0x80
-	for _, comp := range []Compression{Block, DeltaBlock} {
+	for _, comp := range allCompressions {
 		for _, target := range []int{1, 2, 3, 7, 16, 64, 257, 1 << 20} {
 			buf, _ := encodeRun(t, recs, comp, target)
 			requireRecords(t, fmt.Sprintf("%v-target%d", comp, target), recs, decodeRun(t, buf, comp))
@@ -133,10 +157,10 @@ func TestCompressedRoundTripBlockBoundaries(t *testing.T) {
 	}
 }
 
-// TestCompressedEmptyRun: a flushed empty compressed run is just the
+// TestCompressedEmptyRun: a flushed empty run of any codec is just the
 // self-describing header and decodes to zero records.
 func TestCompressedEmptyRun(t *testing.T) {
-	for _, comp := range []Compression{Block, DeltaBlock} {
+	for _, comp := range allCompressions {
 		buf, _ := encodeRun(t, nil, comp, 0)
 		if len(buf) != 5 {
 			t.Fatalf("%v: empty run is %d bytes, want 5 (header)", comp, len(buf))
@@ -208,16 +232,16 @@ func uvarintAt(t *testing.T, buf []byte, off int) (uint64, int) {
 	return 0, 0
 }
 
-// TestCompressedTruncationEveryOffset cuts a compressed run at every byte
-// offset: decoding must never panic, and must surface ErrCorrupt for every
-// cut that is not a clean block boundary. Cuts at block boundaries decode
-// (without error) to a strict prefix of the records — the same undetectable
-// case a raw run truncated at a record boundary has, which the transports
-// catch with section-length accounting.
+// TestCompressedTruncationEveryOffset cuts a run of every codec at every
+// byte offset: decoding must never panic, and must surface ErrCorrupt for
+// every cut that is not a clean block boundary. Cuts at block boundaries
+// decode (without error) to a strict prefix of the records — undetectable
+// inside the run, which the transports catch with section-length
+// accounting.
 func TestCompressedTruncationEveryOffset(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	recs := randomRecords(rng, 120)
-	for _, comp := range []Compression{Block, DeltaBlock} {
+	for _, comp := range allCompressions {
 		buf, _ := encodeRun(t, recs, comp, 64)
 		bounds := blockBoundaries(t, buf)
 		for cut := 0; cut < len(buf); cut++ {
@@ -427,7 +451,7 @@ func TestIncompressibleStoredBlocks(t *testing.T) {
 		recs[i] = core.Record{Key: string(k), Value: string(v)}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	for _, comp := range []Compression{Block, DeltaBlock} {
+	for _, comp := range allCompressions {
 		buf, rawBytes := encodeRun(t, recs, comp, 0)
 		requireRecords(t, comp.String(), recs, decodeRun(t, buf, comp))
 		if bound := maxSealedBytes(t, recs, comp, buf); int64(len(buf)) > bound {
@@ -471,7 +495,7 @@ func TestParseCompression(t *testing.T) {
 
 // TestArenaDecodeAllocatesPerChunk guards the decode path's allocation
 // budget: with an arena, draining a run of any codec allocates once per
-// 64KiB arena chunk, not once per record (front-coded keys used to cost a
+// 72KiB arena chunk, not once per record (front-coded keys used to cost a
 // discarded heap string each on top of the arena copy). The budget also
 // allows one allocation per 32KiB block: the race build does not fuse
 // readBlockFrame's append(payload, make(...)...) and pays it there.
@@ -491,7 +515,7 @@ func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
 		rd := bytes.NewReader(buf)
 		drain := func() {
 			rd.Reset(buf)
-			r := dec.Reset(rd, comp, &arena)
+			r := dec.Reset(rd, &arena)
 			got := 0
 			for _, ok := r.Next(); ok; _, ok = r.Next() {
 				got++
@@ -507,8 +531,8 @@ func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
 		}
 	}
 
-	// service_stream's shape: many small uncompressed sections through one
-	// decoder and one arena. Each section keeps filling the arena's current
+	// service_stream's shape: many small None sections through one decoder
+	// and one arena. Each section's block lands in the arena's current
 	// chunk, so allocations track the bytes decoded, not the section count.
 	const sections = 1000
 	sec, secStrBytes := smallSection()
@@ -518,7 +542,7 @@ func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
 	drainSections := func() {
 		for range sections {
 			rd.Reset(sec)
-			r := dec.Reset(rd, None, &arena)
+			r := dec.Reset(rd, &arena)
 			for _, ok := r.Next(); ok; _, ok = r.Next() {
 			}
 			if r.Err() != nil {
@@ -535,14 +559,17 @@ func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
 }
 
 // smallSection is one fetched section of service_stream's shape: about 20
-// short records, uncompressed. It returns the section and its string bytes.
+// short records sealed with None. It returns the section and its string
+// bytes.
 func smallSection() (sec []byte, strBytes int) {
+	e := NewRunEncoder(nil, None)
 	for i := range 20 {
 		r := core.Record{Key: fmt.Sprintf("word-%04d", i*37), Value: fmt.Sprint(i + 1)}
-		sec = AppendRecord(sec, r)
+		_ = e.Append(r)
 		strBytes += len(r.Key) + len(r.Value)
 	}
-	return sec, strBytes
+	_ = e.Flush()
+	return e.Bytes(), strBytes
 }
 
 // BenchmarkSectionDecodeSmall decodes many small sections through the
@@ -557,7 +584,7 @@ func BenchmarkSectionDecodeSmall(b *testing.B) {
 	b.ReportAllocs()
 	for range b.N {
 		rd.Reset(sec)
-		r := dec.Reset(rd, None, &arena)
+		r := dec.Reset(rd, &arena)
 		for _, ok := r.Next(); ok; _, ok = r.Next() {
 		}
 	}

@@ -38,9 +38,12 @@ func sealRun(t *testing.T, recs []core.Record, comp Compression) []byte {
 // TestBlockCRCCatchesBitRot: flipping any single payload byte of a sealed
 // run must surface ErrCorrupt naming the checksum — the corruption is
 // caught at the block that broke, before decompression can smear it into a
-// confusing parse error (or, for a stored block, silently altered data).
+// confusing parse error (or, for a stored block, silently altered data: a
+// flipped value byte of a None run decoded cleanly before None runs had
+// checksums). Each flip is decoded with and without an arena, since a None
+// block read into the arena is checked there.
 func TestBlockCRCCatchesBitRot(t *testing.T) {
-	for _, comp := range []Compression{Block, DeltaBlock} {
+	for _, comp := range allCompressions {
 		buf := sealRun(t, crcTestRecords(2000), comp)
 		// Flip bytes across the run body (past the 5-byte header, skipping
 		// the per-block length varints is unnecessary: a corrupt length is
@@ -49,14 +52,11 @@ func TestBlockCRCCatchesBitRot(t *testing.T) {
 		for _, off := range []int{16, 64, len(buf) / 2, len(buf) - 3} {
 			mut := append([]byte(nil), buf...)
 			mut[off] ^= 0x20
-			rd := NewRunDecoderBytes(mut, comp)
-			for {
-				if _, ok := rd.Next(); !ok {
-					break
+			for _, arena := range []*Arena{nil, new(Arena)} {
+				var dec SectionDecoder
+				if _, err := drainRecords(dec.Reset(bytes.NewReader(mut), arena)); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%v: flipped byte %d decoded cleanly (arena %v, err=%v)", comp, off, arena != nil, err)
 				}
-			}
-			if err := rd.Err(); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%v: flipped byte %d decoded cleanly (err=%v)", comp, off, err)
 			}
 		}
 		// Specifically: a flip in the middle of a stored/compressed payload
@@ -69,8 +69,7 @@ func TestBlockCRCCatchesBitRot(t *testing.T) {
 				break
 			}
 		}
-		if err := rd.Err(); err == nil ||
-			(!strings.Contains(err.Error(), "checksum") && !errors.Is(err, ErrCorrupt)) {
+		if err := rd.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "checksum") {
 			t.Fatalf("%v: payload flip error = %v", comp, err)
 		}
 	}
@@ -189,7 +188,7 @@ func TestSectionDecoderArena(t *testing.T) {
 	for _, comp := range []Compression{None, Block, DeltaBlock} {
 		buf := sealRun(t, recs, comp)
 		for pass := 0; pass < 2; pass++ { // reuse across Resets
-			rr := dec.Reset(bytes.NewReader(buf), comp, &arena)
+			rr := dec.Reset(bytes.NewReader(buf), &arena)
 			var got []core.Record
 			for {
 				r, ok := rr.Next()

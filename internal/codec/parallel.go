@@ -133,26 +133,28 @@ func recycleJob(j *decodeJob) {
 	jobPool.Put(j)
 }
 
-// ParallelReader is a RecordReader decoding one compressed run with a
-// DecodePool. Create per section with NewParallelReader; call Stop to
-// abandon a partially consumed section (idempotent; implied by a clean end
-// or a decode error). Not safe for concurrent use by multiple consumers.
+// ParallelReader is a RecordReader decoding one sealed run with a
+// DecodePool; it pays off for runs whose blocks may be LZ-compressed.
+// Create per section with NewParallelReader; call Stop to abandon a
+// partially consumed section (idempotent; implied by a clean end or a
+// decode error). Not safe for concurrent use by multiple consumers.
 type ParallelReader struct {
 	pool    *DecodePool
 	parser  blockParser
 	futures chan *decodeJob
 	stopc   chan struct{}
 	cur     *decodeJob
-	delta   bool  // written by the reader goroutine before the first send
-	readErr error // written by the reader goroutine before closing futures
+	hdr     [RunHeaderBytes]byte // the reader goroutine's header scratch
+	delta   bool                 // written by the reader goroutine before the first send
+	readErr error                // written by the reader goroutine before closing futures
 	err     error
 	started bool
 	stopped bool
 }
 
-// NewParallelReader starts decoding the compressed run from r (any block
-// codec; the header self-describes). A non-nil arena backs record strings
-// as in SectionDecoder. The reader goroutine owns r until the run ends,
+// NewParallelReader starts decoding the sealed run from r (any codec; the
+// header self-describes). A non-nil arena backs record strings as in
+// SectionDecoder. The reader goroutine owns r until the run ends,
 // Stop returns, or Next reports an error — only then may the caller touch
 // the underlying stream again.
 func NewParallelReader(pool *DecodePool, r ByteScanner, arena *Arena) *ParallelReader {
@@ -172,12 +174,12 @@ func NewParallelReader(pool *DecodePool, r ByteScanner, arena *Arena) *ParallelR
 // readLoop frames blocks off the stream and feeds the pool, in order.
 func (pr *ParallelReader) readLoop(r ByteScanner) {
 	defer close(pr.futures)
-	delta, err := readRunHeader(r)
+	kind, err := readRunHeader(r, &pr.hdr)
 	if err != nil {
 		pr.readErr = err
 		return
 	}
-	pr.delta = delta
+	pr.delta = kind == DeltaBlock
 	var prev *decodeJob
 	for {
 		j := jobPool.Get().(*decodeJob)
@@ -228,7 +230,7 @@ func (pr *ParallelReader) advance() bool {
 	}
 	pr.cur = j
 	pr.parser.delta = pr.delta
-	pr.parser.setBlock(j.block)
+	pr.parser.setBlock(j.block, false)
 	return true
 }
 

@@ -27,7 +27,7 @@ func drainParallel(t *testing.T, buf []byte, workers int, arena *Arena) ([]core.
 // merger depends on).
 func TestParallelDecodeMatchesSerial(t *testing.T) {
 	recs := crcTestRecords(8000) // several blocks, dict-dependent chains
-	for _, comp := range []Compression{Block, DeltaBlock} {
+	for _, comp := range allCompressions {
 		sealed := sealRun(t, recs, comp)
 		small := sealRun(t, crcTestRecords(500), comp) // one block, no dictionary
 		runs := [][]byte{sealed, small}
@@ -131,16 +131,18 @@ func TestParallelDecodeAfterPoolClose(t *testing.T) {
 	}
 }
 
-// FuzzRunDecoder feeds arbitrary bytes to the three compressed-run decoders
-// — the serial NewRunDecoderBytes, a ParallelReader on a 2-worker
-// DecodePool, and a SectionDecoder reset with an Arena — and holds them to
-// one outcome: the same records, and either a clean end from all three or
-// ErrCorrupt from all three. Each input is decoded a second time with its
-// block checksums recomputed (withBlockCRCs), so mutations reach the LZ and
-// front-coding parsers behind the CRC check. The committed corpus in
-// testdata/fuzz/FuzzRunDecoder holds a valid Block run, a DeltaBlock run
-// whose second block copies from the first one's tail (the dict bit), and
-// that run cut inside its second block.
+// FuzzRunDecoder feeds arbitrary bytes to the three run decoders — the
+// serial NewRunDecoderBytes, a ParallelReader on a 2-worker DecodePool, and
+// a SectionDecoder reset with an Arena (which reads None's stored blocks
+// straight into the arena) — and holds them to one outcome: the same
+// records, and either a clean end from all three or ErrCorrupt from all
+// three. Each input is decoded a second time with its block checksums
+// recomputed (withBlockCRCs), so mutations reach the LZ, front-coding and
+// record parsers behind the CRC check. The committed corpus in
+// testdata/fuzz/FuzzRunDecoder holds a valid None run of several blocks, a
+// valid Block run, a DeltaBlock run whose second block copies from the
+// first one's tail (the dict bit), and that run cut inside its second
+// block.
 func FuzzRunDecoder(f *testing.F) {
 	pool := NewDecodePool(2)
 	f.Cleanup(pool.Close)
@@ -153,7 +155,7 @@ func FuzzRunDecoder(f *testing.F) {
 			var dec SectionDecoder
 			for name, rd := range map[string]RecordReader{
 				"parallel": NewParallelReader(pool, bytes.NewReader(run), nil),
-				"section":  dec.Reset(bytes.NewReader(run), DeltaBlock, &Arena{}),
+				"section":  dec.Reset(bytes.NewReader(run), &Arena{}),
 			} {
 				got, err := drainRecords(rd)
 				if !slices.Equal(got, want) {
@@ -172,9 +174,8 @@ func FuzzRunDecoder(f *testing.F) {
 const fuzzBlockTarget = 64
 
 // FuzzRunEncoder seals the records fuzzRecords builds from each input with
-// Block and with DeltaBlock, and holds the serial, parallel and section
-// decoders to returning exactly those records, and the run to
-// maxSealedBytes. The committed corpus in testdata/fuzz/FuzzRunEncoder
+// every codec, and holds the serial, parallel and section decoders to
+// returning exactly those records, and the run to maxSealedBytes. The committed corpus in testdata/fuzz/FuzzRunEncoder
 // holds sorted uniform 8-byte keys (the probe stores the blocks after the
 // first), sorted WordCount keys (every block keeps LZ) and a run whose
 // first block is random keys and whose later blocks repeat one record
@@ -184,7 +185,7 @@ func FuzzRunEncoder(f *testing.F) {
 	f.Cleanup(pool.Close)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs := fuzzRecords(b)
-		for _, comp := range []Compression{Block, DeltaBlock} {
+		for _, comp := range allCompressions {
 			buf, _ := encodeRun(t, recs, comp, fuzzBlockTarget)
 			if bound := maxSealedBytes(t, recs, comp, buf); int64(len(buf)) > bound {
 				t.Fatalf("%v: %d records sealed to %d bytes, bound %d", comp, len(recs), len(buf), bound)
@@ -193,7 +194,7 @@ func FuzzRunEncoder(f *testing.F) {
 			for name, rd := range map[string]RecordReader{
 				"serial":   NewRunDecoderBytes(buf, comp),
 				"parallel": NewParallelReader(pool, bytes.NewReader(buf), nil),
-				"section":  dec.Reset(bytes.NewReader(buf), comp, &Arena{}),
+				"section":  dec.Reset(bytes.NewReader(buf), &Arena{}),
 			} {
 				got, err := drainRecords(rd)
 				if err != nil {
@@ -247,7 +248,7 @@ func drainRecords(rd RecordReader) ([]core.Record, error) {
 // fuzzed block header cannot have the decoders build gigabytes of records.
 const fuzzFixedRawBytes = 256 << 10
 
-// withBlockCRCs returns a copy of a compressed run with each whole block's
+// withBlockCRCs returns a copy of a sealed run with each whole block's
 // checksum recomputed over its payload, up to fuzzFixedRawBytes of declared
 // raw bytes. It stops at the first frame it cannot parse.
 func withBlockCRCs(b []byte) []byte {

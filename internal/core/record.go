@@ -39,6 +39,15 @@ func RecordsSize(recs []Record) int64 {
 	return n
 }
 
+// Load64 reads s[i:i+8] as a little-endian word. It is small enough to
+// inline, and the compiler merges the byte loads into one: the word-at-a-time
+// scans (key prefixes, word ends, index probes) read strings through it.
+func Load64(s string, i int) uint64 {
+	s = s[i : i+8]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
 // --- Order-preserving codecs ---------------------------------------------
 
 // EncodeUint64 encodes v so lexicographic string order equals numeric order.

@@ -39,7 +39,7 @@ func sealComp(t *testing.T, d *RunDir, recs []core.Record) (string, int64) {
 }
 
 func TestCompressedRunRoundTrip(t *testing.T) {
-	for _, comp := range []codec.Compression{codec.Block, codec.DeltaBlock} {
+	for _, comp := range []codec.Compression{codec.None, codec.Block, codec.DeltaBlock} {
 		d, err := NewRunDirComp(t.TempDir(), comp)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestCompressedRunRoundTrip(t *testing.T) {
 		defer d.Close()
 		recs := mkRecs(500, "cr-")
 		path, _ := sealComp(t, d, recs)
-		r, err := OpenRunComp(path, comp)
+		r, err := OpenRun(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestCompressedRunRoundTrip(t *testing.T) {
 				t.Fatalf("%v: record %d = %+v, want %+v", comp, i, got[i], recs[i])
 			}
 		}
-		if d.RawSpilledBytes() <= d.SpilledBytes() {
+		if comp != codec.None && d.RawSpilledBytes() <= d.SpilledBytes() {
 			t.Fatalf("%v: no compression win on redundant keys: raw=%d sealed=%d",
 				comp, d.RawSpilledBytes(), d.SpilledBytes())
 		}
@@ -104,7 +104,7 @@ func TestCompressedSectionReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p, part := range parts {
-		r, err := OpenRunAtComp(w.Path(), spans[p][0], spans[p][1], codec.DeltaBlock)
+		r, err := OpenRunAt(w.Path(), spans[p][0], spans[p][1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestCompressedTruncatedRun(t *testing.T) {
 	if err := os.Truncate(path, n-7); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRunComp(path, codec.DeltaBlock)
+	r, err := OpenRun(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCompressedTruncatedRun(t *testing.T) {
 }
 
 // TestCompressedRunSet: a RunSet on a compressed dir decodes appended
-// (pre-compressed) runs with the dir's codec.
+// (pre-compressed) runs, learning the codec from each run's header.
 func TestCompressedRunSet(t *testing.T) {
 	d, err := NewRunDirComp(t.TempDir(), codec.Block)
 	if err != nil {

@@ -7,9 +7,10 @@
 // the paper's jobs read from lives in simmr.
 //
 // Write path: a RunWriter accumulates arbitrary partial writes through a
-// buffered writer and seals the file on Close. Read path: OpenRunComp reopens
-// a sealed file as a RunReader, a sortx.Source that decodes records with a
-// bounded read buffer, so merging N runs costs O(N * readBufBytes) memory
+// buffered writer and seals the file on Close; only the writer names a
+// codec (the RunDir's). Read path: OpenRun reopens a sealed file as a
+// RunReader, a sortx.Source that learns the codec from the run header and
+// decodes records with bounded buffers, so merging N runs costs O(N) memory
 // no matter how large the runs are. A truncated or corrupt file surfaces
 // codec.ErrCorrupt from Err instead of panicking: partially written runs
 // are expected debris after crashes.
@@ -30,9 +31,9 @@ import (
 	"blmr/internal/sortx"
 )
 
-// readBufBytes is the per-open-run read buffer (a raw run's StreamReader
-// chunk is the same size). The external merge holds one per run, so this
-// bounds merge memory at runs*readBufBytes.
+// readBufBytes is the per-open-run read buffer. An open run also holds its
+// decoder's payload and block buffers, a 32 KiB block each, so the external
+// merge holds about 2*readBufBytes per run it streams.
 const readBufBytes = 64 << 10
 
 // dirSeq distinguishes RunDir instances within this process, so two
@@ -42,10 +43,10 @@ const readBufBytes = 64 << 10
 var dirSeq atomic.Int64
 
 // RunDir is a directory of spill-run files shared by every task of one job
-// execution. Create/OpenRunComp are safe for concurrent use by multiple tasks;
+// execution. Create/OpenRun are safe for concurrent use by multiple tasks;
 // individual writers and readers are single-owner. The directory carries
 // the job's sealed-run codec: every run sealed into it uses the same
-// codec.Compression, and comp-aware readers (RunSet.Runs) decode with it.
+// codec.Compression. Readers need not know it; each run's header names it.
 type RunDir struct {
 	dir     string
 	uniq    string // per-instance filename component: pid + instance seq
@@ -60,10 +61,10 @@ type RunDir struct {
 	created []string // every run file created, for non-owned-dir cleanup
 }
 
-// NewRunDir opens an uncompressed spill directory. An empty dir creates a
-// fresh temporary directory that Close will remove; a caller-provided dir
-// is used as-is and only the run files created through this RunDir are
-// cleaned up.
+// NewRunDir opens a spill directory sealing with codec.None. An empty dir
+// creates a fresh temporary directory that Close will remove; a
+// caller-provided dir is used as-is and only the run files created through
+// this RunDir are cleaned up.
 func NewRunDir(dir string) (*RunDir, error) { return NewRunDirComp(dir, codec.None) }
 
 // NewRunDirComp is NewRunDir with an explicit sealed-run codec.
@@ -99,7 +100,7 @@ func (d *RunDir) SpilledBytes() int64 { return d.spilled.Load() }
 func (d *RunDir) AddRawBytes(n int64) { d.raw.Add(n) }
 
 // RawSpilledBytes returns the total raw (pre-compression) encoded bytes
-// behind the sealed runs — equal to SpilledBytes when the codec is None.
+// behind the sealed runs — under None, SpilledBytes less the block framing.
 func (d *RunDir) RawSpilledBytes() int64 { return d.raw.Load() }
 
 // Create opens a new run file for writing. tag labels the file for
@@ -163,7 +164,7 @@ func (w *RunWriter) Write(p []byte) (int, error) {
 	return n, w.err
 }
 
-// Path returns the file path of the run (valid after Close for OpenRunComp).
+// Path returns the file path of the run (valid after Close for OpenRun).
 func (w *RunWriter) Path() string { return w.path }
 
 // Bytes returns the bytes written so far.
@@ -202,37 +203,33 @@ type RunReader struct {
 	err error
 }
 
-// OpenRunComp reopens a sealed run file written with the given codec.
-func OpenRunComp(path string, comp codec.Compression) (*RunReader, error) {
+// OpenRun reopens a sealed run file.
+func OpenRun(path string) (*RunReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open spill run: %w", err)
 	}
-	return newRunReader(f, f, comp), nil
+	return newRunReader(f, f), nil
 }
 
-// OpenRunAtComp reopens the byte range [off, off+n) of a sealed spill file
-// as one streaming run in the given codec — the read side of
-// multi-partition segment files, where each budget crossing seals a single
-// file holding every partition's sorted run back to back (Hadoop's io.sort
-// spill layout) and the writer remembers per-partition offsets. Each
-// section is a complete self-contained run (header and whole blocks), so
-// only the blocks the read actually touches are decompressed.
-func OpenRunAtComp(path string, off, n int64, comp codec.Compression) (*RunReader, error) {
+// OpenRunAt reopens the byte range [off, off+n) of a sealed spill file as
+// one streaming run — the read side of multi-partition segment files, where
+// each budget crossing seals a single file holding every partition's sorted
+// run back to back (Hadoop's io.sort spill layout) and the writer remembers
+// per-partition offsets. Each section is a complete self-contained run
+// (header and whole blocks), so only the blocks the read actually touches
+// are decompressed.
+func OpenRunAt(path string, off, n int64) (*RunReader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open spill segment: %w", err)
 	}
-	return newRunReader(f, io.NewSectionReader(f, off, n), comp), nil
+	return newRunReader(f, io.NewSectionReader(f, off, n)), nil
 }
 
-// newRunReader decodes r, which reads f. The raw StreamReader reads r in
-// 64 KiB chunks itself, so only the block reader gets a bufio layer.
-func newRunReader(f *os.File, r io.Reader, comp codec.Compression) *RunReader {
-	if comp == codec.None {
-		return &RunReader{f: f, sr: codec.NewStreamReader(r)}
-	}
-	return &RunReader{f: f, sr: codec.NewRunDecoder(bufio.NewReaderSize(r, readBufBytes), comp)}
+// newRunReader decodes r, which reads f.
+func newRunReader(f *os.File, r io.Reader) *RunReader {
+	return &RunReader{f: f, sr: codec.NewRunDecoder(bufio.NewReaderSize(r, readBufBytes))}
 }
 
 // Next implements sortx.Run.
@@ -274,9 +271,10 @@ func (s *RunSet) Compression() codec.Compression { return s.d.comp }
 
 // Append seals buf (one complete, key-sorted run, already encoded with the
 // directory's codec) as a new run file. rawBytes is the run's standard
-// (pre-compression) encoded size, for ratio accounting; pass len(buf) for
-// uncompressed runs. The write goes through the buffered partial-write path
-// so large runs never need a single syscall-sized buffer.
+// (pre-compression) encoded size, for ratio accounting: the encoder's
+// RawBytes, which under None is len(buf) less the block framing. The write
+// goes through the buffered partial-write path so large runs never need a
+// single syscall-sized buffer.
 func (s *RunSet) Append(buf []byte, rawBytes int64) error {
 	w, err := s.d.Create(s.tag)
 	if err != nil {
@@ -311,7 +309,7 @@ func (s *RunSet) Append(buf []byte, rawBytes int64) error {
 func (s *RunSet) Runs() ([]sortx.Run, error) {
 	runs := make([]sortx.Run, 0, len(s.paths))
 	for _, p := range s.paths {
-		r, err := OpenRunComp(p, s.d.comp)
+		r, err := OpenRun(p)
 		if err != nil {
 			_ = s.Release()
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"blmr/internal/codec"
@@ -12,7 +13,15 @@ import (
 	"blmr/internal/sortx"
 )
 
-func encodeRun(recs []core.Record) []byte { return codec.AppendRecords(nil, recs) }
+// encodeRun seals recs as a None run.
+func encodeRun(recs []core.Record) []byte {
+	enc := codec.NewRunEncoder(nil, codec.None)
+	for _, r := range recs {
+		_ = enc.Append(r)
+	}
+	_ = enc.Flush()
+	return enc.Bytes()
+}
 
 func mkRecs(n int, prefix string) []core.Record {
 	recs := make([]core.Record, n)
@@ -72,7 +81,7 @@ func TestRunWriterPartialWriteReopen(t *testing.T) {
 		t.Fatalf("dir accounted %d spilled bytes, want %d", d.SpilledBytes(), len(buf))
 	}
 
-	r, err := OpenRunComp(w.Path(), codec.None)
+	r, err := OpenRun(w.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +100,9 @@ func TestRunWriterPartialWriteReopen(t *testing.T) {
 	}
 }
 
-// TestRunReaderTruncatedFile: a run whose file was cut mid-record (a crash
+// TestRunReaderTruncatedFile: a run whose file was cut mid-block (a crash
 // between partial writes) must surface codec.ErrCorrupt, not panic, and
-// must still yield every record before the cut.
+// must still yield every record of the blocks before the cut.
 func TestRunReaderTruncatedFile(t *testing.T) {
 	d, err := NewRunDir(t.TempDir())
 	if err != nil {
@@ -101,7 +110,7 @@ func TestRunReaderTruncatedFile(t *testing.T) {
 	}
 	defer d.Close()
 
-	recs := mkRecs(100, "t")
+	recs := mkRecs(5000, "t") // ~80KB: three 32KB blocks
 	buf := encodeRun(recs)
 	w, err := d.Create("trunc")
 	if err != nil {
@@ -113,29 +122,31 @@ func TestRunReaderTruncatedFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash: truncate to the middle of record 51.
-	cut := int64(0)
-	for _, r := range recs[:51] {
-		cut += codec.EncodedSize(r)
-	}
-	if err := os.Truncate(w.Path(), cut+2); err != nil {
+	// Simulate the crash: truncate inside the second block.
+	if err := os.Truncate(w.Path(), int64(len(buf))/2); err != nil {
 		t.Fatal(err)
 	}
 
-	r, err := OpenRunComp(w.Path(), codec.None)
+	r, err := OpenRun(w.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	got := drain(t, r)
-	if len(got) != 51 {
-		t.Fatalf("decoded %d records before truncation point, want 51", len(got))
+	// The encoder seals a block once its payload reaches 32 KiB.
+	first, size := 0, int64(0)
+	for size < 32<<10 {
+		size += codec.EncodedSize(recs[first])
+		first++
+	}
+	if !slices.Equal(got, recs[:first]) {
+		t.Fatalf("decoded %d records before the truncation point, want the first block's %d", len(got), first)
 	}
 	if !errors.Is(r.Err(), codec.ErrCorrupt) {
 		t.Fatalf("Err() = %v, want codec.ErrCorrupt", r.Err())
 	}
 	// The reader is a sortx.Source; the merger must report the failure.
-	r2, err := OpenRunComp(w.Path(), codec.None)
+	r2, err := OpenRun(w.Path())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +171,7 @@ func TestRunSetLifecycle(t *testing.T) {
 	want := 0
 	for run := 0; run < 3; run++ {
 		recs := mkRecs(50, fmt.Sprintf("run%d-", run))
-		if err := s.Append(encodeRun(recs), int64(len(encodeRun(recs)))); err != nil {
+		if err := s.Append(encodeRun(recs), int64(len(codec.AppendRecords(nil, recs)))); err != nil {
 			t.Fatal(err)
 		}
 		want += len(recs)

@@ -124,8 +124,9 @@ type Options struct {
 	// MergeFanIn caps how many runs the external merge opens at once
 	// (default 64, Hadoop's io.sort.factor). When a partition has more
 	// runs, intermediate merge passes fold the excess into merged runs
-	// first, bounding merge memory (runs x 64KiB read buffers) and — over
-	// the TCP exchange — concurrently open fetch connections.
+	// first, bounding merge memory (runs x about 128 KiB of read and block
+	// buffers) and — over the TCP exchange — concurrently open fetch
+	// connections.
 	MergeFanIn int
 	// Staged (multi-process engine only) restores the pre-overlap control
 	// plane: the reduce wave is dispatched only after the entire map wave
@@ -147,22 +148,26 @@ type Options struct {
 	Speculative bool
 	// Compression selects the sealed-run codec (default codec.None).
 	// Every run the execution seals — spill waves, run-exchange segments,
-	// intermediate merge runs, pipelined store spills — is block-compressed
-	// with it, and compressed sections travel compressed over the TCP
-	// exchange, shrinking both spill I/O and fetch bytes.
+	// intermediate merge runs, pipelined store spills — is sealed as
+	// checksummed blocks in it: stored under codec.None, LZ-compressed
+	// where that pays under codec.Block, whose sections travel compressed
+	// over the TCP exchange, shrinking both spill I/O and fetch bytes.
 	// codec.DeltaBlock additionally front-codes the sorted keys inside each
 	// block, the big win for text-heavy keys (WordCount-class workloads).
-	// Decompressed merge order is unchanged, so outputs stay byte-identical
-	// across codecs.
+	// Only the sealing side reads this field: every run names its codec in
+	// its header. Decoded merge order is unchanged, so outputs stay
+	// byte-identical across codecs.
 	Compression codec.Compression
 	// DecodeWorkers sizes the TCP fetch plane's parallel block-decode pool:
-	// compressed fetched sections CRC-verify and decompress on that many
-	// shared workers while the merger consumes decoded blocks in order, so
-	// codec work overlaps the merge (and other sections) instead of
-	// serializing on the consuming goroutine. Decoded record order — and
-	// job output — is byte-identical at any setting. 1 decodes inline; 0
-	// defaults to min(GOMAXPROCS, 8). Ignored off the TCP exchange and
-	// under codec.None.
+	// fetched sections whose run header names codec.Block or
+	// codec.DeltaBlock CRC-verify and decompress on that many shared
+	// workers while the merger consumes decoded blocks in order, so codec
+	// work overlaps the merge (and other sections) instead of serializing
+	// on the consuming goroutine. Decoded record order — and job output —
+	// is byte-identical at any setting. 1 decodes inline; 0 defaults to
+	// min(GOMAXPROCS, 8). Ignored off the TCP exchange, and for
+	// codec.None sections, which decode inline straight into the
+	// connection's arena.
 	DecodeWorkers int
 }
 

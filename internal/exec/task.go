@@ -336,7 +336,7 @@ func runReduceBarrier(job Job, opts Options, t ReduceTask, src shuffle.ReduceSou
 		}
 		// One small copy per group so a reducer that retains its key (most
 		// do, into the output) never pins what the key aliases — a whole
-		// input line on the in-proc transport, a 64KiB decode-arena chunk
+		// input line on the in-proc transport, a 72KiB decode-arena chunk
 		// on the pooled TCP fetch path. It is the loop's one allocation per
 		// group and stays a heap string on purpose: cutting keys from an
 		// output-side arena instead would save ~3 % of a sort's CPU, and
@@ -423,9 +423,7 @@ func mergeOnce(group []sortx.Run, scratch *dfs.RunDir, part int, enc *codec.RunE
 		return nil, err
 	}
 	scratch.AddRawBytes(enc.RawBytes())
-	return shuffle.NewLazyRun(shuffle.Segment{
-		Path: w.Path(), Off: 0, N: w.Bytes(), Comp: scratch.Compression(),
-	}), nil
+	return shuffle.NewLazyRun(shuffle.Segment{Path: w.Path(), Off: 0, N: w.Bytes()}), nil
 }
 
 // runReducePipelined consumes arriving batches through the stream reducer,

@@ -3,7 +3,9 @@ package mpexec
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"blmr/internal/codec"
@@ -11,15 +13,19 @@ import (
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
 	"blmr/internal/store"
+	"blmr/internal/wal"
 )
 
 // golden is one frame payload or journal record: its decoded value, and the
 // exact bytes the commit before the codecs were unified (9c166b5) put on the
 // wire or in the journal for it — printed there by its own encoders,
 // including the five ('H', 'M', 'r', 'j', 'F') that were then open-coded in
-// coordinator.go and worker.go. The bytes must never change: a worker and a
-// coordinator, or a journal and the binary resuming it, may be one commit
-// apart.
+// coordinator.go and worker.go. The bytes must not change by accident: a
+// worker and a coordinator, or a journal and the binary resuming it, may be
+// one commit apart. They changed once on purpose, when waves and segments
+// stopped naming their codec (every sealed run's header names it): the 'm',
+// 'R' and 'S' frames lost a field per wave or segment, and the journal's map
+// record lost the same field and became kind 'w' (parentMapRecord).
 type golden struct {
 	name  string
 	hex   string
@@ -35,10 +41,10 @@ func goldens() []golden {
 	decoded.Transport = shuffle.TCP // not on the wire: every decode sets it
 	recs := []core.Record{{Key: "k1", Value: "v1"}, {Key: "key-two", Value: "value two"}}
 	waves := []shuffle.Wave{
-		{FileID: 300, Comp: codec.DeltaBlock, CRC: 0xdeadbeef, Spans: []shuffle.Span{{Off: 0, N: 100}, {Off: 100, N: 0}, {Off: 100, N: 250}}},
-		{FileID: 301, Comp: codec.None, CRC: 7, Spans: []shuffle.Span{{Off: 0, N: 5}}},
+		{FileID: 300, CRC: 0xdeadbeef, Spans: []shuffle.Span{{Off: 0, N: 100}, {Off: 100, N: 0}, {Off: 100, N: 250}}},
+		{FileID: 301, CRC: 7, Spans: []shuffle.Span{{Off: 0, N: 5}}},
 	}
-	seg := shuffle.Segment{Addr: "127.0.0.1:40123", FileID: 300, Off: 100, N: 250, Comp: codec.DeltaBlock}
+	seg := shuffle.Segment{Addr: "127.0.0.1:40123", FileID: 300, Off: 100, N: 250}
 	res := exec.ReduceResult{Spills: 1, PeakPartialBytes: 4096, MergePasses: 2, FetchBytes: 12000, Output: core.Chunks{recs}}
 	rec := func() message { return new(journalRecord) }
 	return []golden{
@@ -51,14 +57,14 @@ func goldens() []golden {
 		{"j", "07", &jobEnd{7}, func() message { return new(jobEnd) }},
 		{"M", "07ac020502026b31027631076b65792d74776f0976616c75652074776f",
 			&mapTask{7, exec.MapTask{Index: 300, Attempt: 5, Split: recs}}, func() message { return new(mapTask) }},
-		{"m", "07ac0205b96002f0a204e0c5080902ac0202effdb6f50d030064640064fa01ad020007010005",
+		{"m", "07ac0205b96002f0a204e0c5080902ac02effdb6f50d030064640064fa01ad0207010005",
 			&mapDone{job: 7, index: 300, attempt: 5, shuffleRecords: 12345, spills: 2, spilledBytes: 70000,
 				rawSpilledBytes: 140000, serverOpens: 9, waves: waves}, func() message { return new(mapDone) }},
-		{"m head", "07ac0205b96002f0a204e0c5080902ac0202effdb6f50d030064640064fa01ad020007010005",
+		{"m head", "07ac0205b96002f0a204e0c5080902ac02effdb6f50d030064640064fa01ad0207010005",
 			&replyHead{7, 300}, func() message { return new(replyHead) }},
-		{"R", "070206020001010f3132372e302e302e313a3430313233ac0264fa0102030400",
+		{"R", "070206020001010f3132372e302e302e313a3430313233ac0264fa01030400",
 			&reduceTask{7, 2, 6, []mapSegs{{0, 1, []shuffle.Segment{seg}}, {3, 4, nil}}}, func() message { return new(reduceTask) }},
-		{"S", "0702030a010f3132372e302e302e313a3430313233ac0264fa0102",
+		{"S", "0702030a010f3132372e302e302e313a3430313233ac0264fa01",
 			&segPush{7, 2, mapSegs{3, 9, []shuffle.Segment{seg}}}, func() message { return new(segPush) }},
 		{"S invalidate", "0702030000",
 			&segPush{7, 2, mapSegs{3, -1, nil}}, func() message { return new(segPush) }},
@@ -73,7 +79,7 @@ func goldens() []golden {
 		{"journal a", "610309776f7264636f756e740c06030180800410800240010202010102026b31027631076b65792d74776f0976616c75652074776f",
 			&journalRecord{kind: jAdmit, ticket: 3, admit: &journalJob{name: "wordcount", opts: decoded, input: recs}}, rec},
 		{"journal s", "730307", &journalRecord{kind: jStart, ticket: 3, id: 7}, rec},
-		{"journal m", "6d03ac020506772d34323432b9600202ac0202effdb6f50d030064640064fa01ad020007010005",
+		{"journal w", "7703ac020506772d34323432b9600202ac02effdb6f50d030064640064fa01ad0207010005",
 			&journalRecord{kind: jMapDone, ticket: 3, id: 300, mapDone: &journalMap{attempt: 5, worker: "w-4242",
 				shuffleRecords: 12345, spills: 2, waves: waves}}, rec},
 		{"journal r", "72030201802002e05d02026b31027631076b65792d74776f0976616c75652074776f",
@@ -133,6 +139,50 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 	if _, err := peekJournalRecord(nil); err == nil {
 		t.Errorf("an empty journal record peeked without error")
+	}
+}
+
+// parentMapRecord is a journal map record as it was written while waves
+// named their codec: kind 'm', then the layout of "journal w" with a codec
+// field after each wave's file ID.
+const parentMapRecord = "6d03ac020506772d34323432b9600202ac0202effdb6f50d030064640064fa01ad020007010005"
+
+// TestJournalRejectsParentMapRecord: a journal holding a map record of the
+// layout before waves lost their codec field fails replay, in the fold and
+// in a resuming service alike, rather than being read with its fields
+// shifted.
+func TestJournalRejectsParentMapRecord(t *testing.T) {
+	old, err := hex.DecodeString(parentMapRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admit := encodeJournalAdmit(3, "wordcount", exec.Options{Mappers: 1, Reducers: 1}, nil)
+	start := encode(&journalRecord{kind: jStart, ticket: 3, id: 7})
+	if _, err := foldJournal([][]byte{admit, start, old}); err == nil || !strings.Contains(err.Error(), "unknown journal record kind") {
+		t.Fatalf("fold of a parent-layout map record: err %v, want an unknown kind", err)
+	}
+	dir := t.TempDir()
+	log, _, err := wal.Open(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range [][]byte{admit, start, old} {
+		if err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Listen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	resolve := func(string) (exec.Job, bool) { return exec.Job{}, true }
+	if s, err := NewService(c, 1, ServiceConfig{StateDir: dir, Resolver: resolve}); err == nil {
+		s.Close()
+		t.Fatal("a service resumed a journal holding a parent-layout map record")
 	}
 }
 

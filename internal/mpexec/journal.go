@@ -19,7 +19,7 @@ import (
 //
 //	'a' admit:   ticket | name | opts | input records
 //	's' start:   ticket | coordinator job ID
-//	'm' mapDone: ticket | mapIndex | attempt | workerName | shuffleRecords |
+//	'w' mapDone: ticket | mapIndex | attempt | workerName | shuffleRecords |
 //	             spills | waves (wire.waves's layout, proto.go)
 //	'r' redDone: ticket | partition | spills | peakPartialBytes |
 //	             mergePasses | fetchBytes | output records
@@ -28,7 +28,7 @@ import (
 //
 // journalRecord.layout states these layouts, once each, for encode and
 // decode alike (see wire, proto.go). The header — kind, ticket, and the id
-// that follows the ticket in 's', 'm' and 'r' — is all a fold reads; the
+// that follows the ticket in 's', 'w' and 'r' — is all a fold reads; the
 // rest is the kind's body, which the live append path never decodes and
 // resume decodes exactly once per record.
 //
@@ -38,11 +38,15 @@ import (
 // included — because a resumed job must run under exactly the options it
 // was admitted with to reproduce its output byte for byte. The count binds
 // a journal to the binary that wrote it: replay fails on an admit record
-// whose options carry any other number of fields.
+// whose options carry any other number of fields. A record kind binds its
+// body's layout the same way: when a body changes, its kind byte does too,
+// and a record of the retired kind fails replay as an unknown kind instead
+// of being read with its fields shifted. The map record was 'm' while
+// waves named their codec; it has been 'w' since.
 //
 // One fold, journalState, decides which records of a stream are still live,
 // for resume, for compaction and for -journal-stat alike: the last 'a' and
-// 's' per ticket, the last 'm' per (ticket, map index) and the last 'r' per
+// 's' per ticket, the last 'w' per (ticket, map index) and the last 'r' per
 // (ticket, partition), in journal order — the order the coordinator
 // installed the routes in, so a map whose speculative clone won and then
 // died resumes on the original's route, not on the dead clone's higher
@@ -55,7 +59,7 @@ import (
 const (
 	jAdmit      = 'a'
 	jStart      = 's'
-	jMapDone    = 'm'
+	jMapDone    = 'w'
 	jReduceDone = 'r'
 	jDone       = 'd'
 	jAborted    = 'x'
@@ -100,10 +104,10 @@ func (jj *journalJob) firstAttempt() int {
 type journalRecord struct {
 	kind   byte
 	ticket uint64
-	id     int // coordinator job ID ('s'), map index ('m'), partition ('r')
+	id     int // coordinator job ID ('s'), map index ('w'), partition ('r')
 
 	admit   *journalJob        // 'a': name, opts, input
-	mapDone *journalMap        // 'm'
+	mapDone *journalMap        // 'w'
 	reduce  *exec.ReduceResult // 'r'
 	msg     string             // 'x'
 

@@ -36,10 +36,10 @@
 //	                                                  (coord -> worker)
 //	'm' mapDone: job | index | attempt | shuffleRecords | spills |
 //	             spilledBytes | rawSpilledBytes | serverOpens |
-//	             waveCount | { fileID | comp | crc | spanCount | { off | n } }
+//	             waveCount | { fileID | crc | spanCount | { off | n } }
 //	'R' reduce:  job | partition | nMaps |
 //	             mapCount | { mapIndex | attempt | segCount |
-//	                          { addr | fileID | off | n | comp } }
+//	                          { addr | fileID | off | n } }
 //	'S' segPush: job | partition | mapIndex | attempt+1 | segCount |
 //	             { segment }                          (coord -> worker)
 //	'r' redDone: job | partition | spills | peakPartialBytes | mergePasses |
@@ -66,10 +66,10 @@
 // follows for each map that completes afterwards (empty segment lists
 // included — the reduce task counts distinct maps to know when its routing
 // table is sealed). 'F' aborts the job's running reduce sources, the
-// cross-process mirror of a transport Fail. comp is the
-// wave/segment's sealed-run codec (codec.Compression): sealed runs travel
-// compressed between workers' run-servers and decompress only at the
-// consuming merger.
+// cross-process mirror of a transport Fail. Sealed runs travel as sealed
+// (compressed, under a compressing codec) between workers' run-servers and
+// decode only at the consuming merger; no frame names their codec, since
+// every run's header does.
 //
 // Failure semantics ride on two additions. 'h' heartbeats flow every
 // heartbeatInterval; the coordinator treats a worker silent for missedBeats
@@ -373,13 +373,12 @@ func (w *wire) opts(o *exec.Options) {
 }
 
 // waves is sealed-wave metadata — the one layout the 'm' frame and the
-// journal's 'm' record share: waveCount | { fileID | comp | crc | spanCount |
+// journal's 'w' record share: waveCount | { fileID | crc | spanCount |
 // { off | n } }. Where a wave lives (its run-server address) is not part of
 // it; the reader supplies that.
 func (w *wire) waves(p *[]shuffle.Wave) {
-	list(w, p, 4, func(wv *shuffle.Wave) {
+	list(w, p, 3, func(wv *shuffle.Wave) {
 		w.u64(&wv.FileID)
-		num(w, &wv.Comp)
 		num(w, &wv.CRC)
 		list(w, &wv.Spans, 2, func(sp *shuffle.Span) {
 			num(w, &sp.Off)
@@ -389,12 +388,11 @@ func (w *wire) waves(p *[]shuffle.Wave) {
 }
 
 func (w *wire) segs(p *[]shuffle.Segment) {
-	list(w, p, 5, func(s *shuffle.Segment) {
+	list(w, p, 4, func(s *shuffle.Segment) {
 		w.str(&s.Addr)
 		w.u64(&s.FileID)
 		num(w, &s.Off)
 		num(w, &s.N)
-		num(w, &s.Comp)
 	})
 }
 

@@ -218,7 +218,7 @@ func TestClusterRestartMidMap(t *testing.T) {
 		t.Skip("subprocess crash-restart test")
 	}
 	rc := startRestartCluster(t, "midmap", 0, 3, "MPEXEC_SLOW=1")
-	rc.waitJournal(t, 1, func(c map[byte]int) bool { return c['m'] >= 2 }, 60*time.Second)
+	rc.waitJournal(t, 1, func(c map[byte]int) bool { return c[jMapDoneKind] >= 2 }, 60*time.Second)
 	rc.kill(t)
 	s := rc.resume(t)
 	resumed := s.Resumed()
@@ -401,7 +401,7 @@ func benchCoordRestart(b *testing.B, cold bool) {
 // Journal kind bytes mirrored for the test package (the schema doc in
 // internal/mpexec/journal.go is authoritative).
 const (
-	jMapDoneKind    = byte('m')
+	jMapDoneKind    = byte('w')
 	jReduceDoneKind = byte('r')
 )
 

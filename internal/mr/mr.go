@@ -66,7 +66,8 @@ type Result struct {
 	SpilledBytes int64
 	// RawSpillBytes is the standard (pre-compression) encoded size of the
 	// sealed runs behind SpilledBytes; RawSpillBytes/CompressedSpillBytes
-	// is the job's spill compression ratio (1 under codec.None).
+	// is the job's spill compression ratio (just under 1 under codec.None,
+	// whose runs add only block framing to the records).
 	RawSpillBytes int64
 	// CompressedSpillBytes equals SpilledBytes, named for the ratio pair.
 	CompressedSpillBytes int64

@@ -91,7 +91,7 @@ func (a AggregationGroup) Reduce(key string, values []string, out core.Output) {
 	if len(values) == 1 {
 		// Single-value groups skip the fold, so the retained value would
 		// alias the merge input — on the pooled TCP fetch path, a view
-		// into a shared 64KiB decode-arena chunk. Clone it: thousands of
+		// into a shared 72KiB decode-arena chunk. Clone it: thousands of
 		// hapax keys each pinning a chunk would hold the whole fetched
 		// partition live for the lifetime of the output (see codec.Arena).
 		out.Write(key, strings.Clone(values[0]))

@@ -29,7 +29,7 @@ func (s SelectionGroup) Reduce(key string, values []string, out core.Output) {
 	}
 	for _, v := range sorted {
 		// Clone: top-k retains a sparse subset of the group's values, and
-		// on the pooled TCP fetch path those are views into shared 64KiB
+		// on the pooled TCP fetch path those are views into shared 72KiB
 		// decode-arena chunks — keeping k short strings must not pin the
 		// whole fetched partition (see codec.Arena). Dense retainers
 		// (Identity) keep every value, so for them the chunks are all

@@ -8,7 +8,8 @@ package shuffle
 // severs the connection. The fetching side ends a section cleanly or with
 // an error, and it burns a connection whose error length is past the cap.
 // The committed corpus in testdata/fuzz/FuzzBLR2 holds well-formed requests
-// and responses for the fixture's section: run-server file 1, 40 records.
+// and responses for the fixture's section: run-server file 1, 40 records
+// sealed with None (173 bytes).
 
 import (
 	"bufio"
@@ -21,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/dfs"
 )
@@ -51,12 +51,15 @@ func FuzzBLR2(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A pool with parallel decode on: each response is fetched through it
+	// too, so the run header's codec picks the decoder as in production.
+	pool := NewFetchPool()
+	pool.DecodeWorkers = 2
+	f.Cleanup(func() { pool.Close() })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzServe(t, srv, seg.FileID, file, data)
-		for _, comp := range []codec.Compression{codec.None, codec.Block, codec.DeltaBlock} {
-			seg.Comp = comp
-			fuzzFetch(t, seg, data)
-		}
+		fuzzFetch(t, nil, seg, data)
+		fuzzFetch(t, pool, seg, data)
 	})
 }
 
@@ -143,15 +146,16 @@ func (c *scriptConn) Read(p []byte) (int, error)  { return c.script.Read(p) }
 func (c *scriptConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c *scriptConn) Close() error                { return nil }
 
-// fuzzFetch reads data as the response to one request for seg, opening and
+// fuzzFetch reads data as the response to one request for seg on a
+// connection of pool (nil: none, so decode stays serial), opening and
 // draining the section.
-func fuzzFetch(t *testing.T, seg Segment, data []byte) {
+func fuzzFetch(t *testing.T, pool *FetchPool, seg Segment, data []byte) {
 	conn := &scriptConn{script: bytes.NewReader(data)}
-	pc := &poolConn{addr: "fuzz", conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	pc := &poolConn{pool: pool, addr: "fuzz", conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	if err := pc.request(seg.FileID, seg.Off, seg.N); err != nil {
 		t.Fatal(err)
 	}
-	run, err := pc.openSection(seg.Comp)
+	run, err := pc.openSection()
 	if err != nil {
 		r := bytes.NewReader(data)
 		id, err1 := binary.ReadUvarint(r)

@@ -272,7 +272,7 @@ func TestPooledFetchDecodeWorkers(t *testing.T) {
 	}
 }
 
-// benchSection seals one big uncompressed run and returns its segment: the
+// benchSection seals one big None run and returns its segment: the
 // serve benchmarks request the same section repeatedly over one BLR2
 // connection, so the numbers isolate the server's send path.
 func benchSection(b *testing.B, dir *dfs.RunDir, srv *Server) Segment {

@@ -31,11 +31,12 @@ import (
 // through a PushSource wired to the pool. Safe for concurrent use; each
 // checked-out connection is single-owner.
 type FetchPool struct {
-	// DecodeWorkers sizes the shared block-decode pool: compressed
-	// sections fetched through this pool CRC-verify and decompress their
-	// blocks on that many workers while the merger consumes decoded blocks
-	// in order (codec.DecodePool). 0 or 1 keeps decode inline on the
-	// consuming goroutine. Set before the first fetch.
+	// DecodeWorkers sizes the shared block-decode pool: Block and
+	// DeltaBlock sections fetched through this pool (as their run headers
+	// say) CRC-verify and decompress their blocks on that many workers
+	// while the merger consumes decoded blocks in order
+	// (codec.DecodePool). 0 or 1 keeps decode inline on the consuming
+	// goroutine, as None sections always are. Set before the first fetch.
 	DecodeWorkers int
 
 	mu     sync.Mutex
@@ -90,9 +91,9 @@ func (p *FetchPool) Close() error {
 }
 
 // decodePool lazily starts the shared block-decode workers; nil when
-// parallel decode is off (or the pool is closed).
+// parallel decode is off (or the pool is closed, or there is none).
 func (p *FetchPool) decodePool() *codec.DecodePool {
-	if p.DecodeWorkers <= 1 {
+	if p == nil || p.DecodeWorkers <= 1 {
 		return nil
 	}
 	p.decMu.Lock()
@@ -307,7 +308,7 @@ func (c *poolConn) sectionDone() {
 // retain, and the pipelined stores clone keys at node creation and fold
 // values or keep them as live output payload — so a chunk outlives its
 // decode window only by what the task genuinely keeps.
-func (c *poolConn) openSection(comp codec.Compression) (*pooledRun, error) {
+func (c *poolConn) openSection() (*pooledRun, error) {
 	n, err := c.beginSection()
 	if err != nil {
 		return nil, err
@@ -315,17 +316,15 @@ func (c *poolConn) openSection(comp codec.Compression) (*pooledRun, error) {
 	c.sr = sectionReader{br: c.br, remaining: n}
 	var rr codec.RecordReader
 	c.par = nil
-	if comp != codec.None && c.pool != nil {
-		if dp := c.pool.decodePool(); dp != nil {
-			// Compressed sections decode on the shared worker pool: block
-			// CRC + LZ work overlaps the merge (and other sections), while
-			// record parsing — and the arena — stays on this goroutine.
-			c.par = codec.NewParallelReader(dp, &c.sr, &c.arena)
-			rr = c.par
-		}
+	if dp := c.pool.decodePool(); dp != nil && c.mayLZ(n) {
+		// Sections whose blocks may be LZ decode on the shared worker pool:
+		// block CRC + LZ work overlaps the merge (and other sections), while
+		// record parsing — and the arena — stays on this goroutine.
+		c.par = codec.NewParallelReader(dp, &c.sr, &c.arena)
+		rr = c.par
 	}
 	if rr == nil {
-		rr = c.dec.Reset(&c.sr, comp, &c.arena)
+		rr = c.dec.Reset(&c.sr, &c.arena)
 	}
 	c.run = pooledRun{
 		pc: c,
@@ -333,6 +332,17 @@ func (c *poolConn) openSection(comp codec.Compression) (*pooledRun, error) {
 		rr: rr,
 	}
 	return &c.run, nil
+}
+
+// mayLZ peeks the run header of the n-byte section next on the stream and
+// reports whether its codec may LZ-compress blocks. A None section stays on
+// the serial decoder, which reads its stored blocks straight into the
+// arena; so does a section too short or malformed to name a codec, for the
+// decoder to report.
+func (c *poolConn) mayLZ(n int64) bool {
+	hdr, _ := c.br.Peek(int(min(n, codec.RunHeaderBytes)))
+	kind, ok := codec.HeaderKind(hdr)
+	return ok && kind != codec.None
 }
 
 // pooledRun streams one fetched section off a pooled connection. It

@@ -51,8 +51,6 @@ type Wave struct {
 	FileID uint64
 	// Addr is the serving run-server ("" = open Path locally).
 	Addr string
-	// Comp is the codec every span of the wave was sealed with.
-	Comp codec.Compression
 	// CRC is the CRC-32C of the whole sealed file, computed while sealing.
 	// The crash-restart re-attach handshake compares it against a returning
 	// worker's on-disk scan to prove a journaled wave survived intact.
@@ -67,10 +65,6 @@ type Segment struct {
 	Addr   string // run-server address (remote)
 	FileID uint64
 	Off, N int64
-	// Comp is the section's sealed-run codec. Compressed sections travel
-	// compressed over the wire (the server ships file bytes verbatim) and
-	// are decompressed by the reader on the fetching side.
-	Comp codec.Compression
 }
 
 // SegmentOf returns partition r's segment of the wave, ok=false when empty.
@@ -79,7 +73,7 @@ func (w Wave) SegmentOf(r int) (Segment, bool) {
 	if sp.N == 0 {
 		return Segment{}, false
 	}
-	return Segment{Path: w.Path, Addr: w.Addr, FileID: w.FileID, Off: sp.Off, N: sp.N, Comp: w.Comp}, true
+	return Segment{Path: w.Path, Addr: w.Addr, FileID: w.FileID, Off: sp.Off, N: sp.N}, true
 }
 
 // SegmentsOf projects waves onto partition r, the one projection every
@@ -136,7 +130,7 @@ func (l *LazyRun) open() {
 	l.opened = true
 	l.err = nil
 	if l.seg.Addr == "" {
-		r, err := dfs.OpenRunAtComp(l.seg.Path, l.seg.Off, l.seg.N, l.seg.Comp)
+		r, err := dfs.OpenRunAt(l.seg.Path, l.seg.Off, l.seg.N)
 		if err != nil {
 			l.err = err
 			return
@@ -152,8 +146,8 @@ func (l *LazyRun) open() {
 			l.err = err
 			return
 		}
-		// Compressed sections count their compressed size — the bytes that
-		// actually cross the wire.
+		// Sections count their sealed size — the bytes that actually cross
+		// the wire.
 		if l.fetch != nil {
 			l.fetch.Add(l.seg.N)
 		}
@@ -161,7 +155,7 @@ func (l *LazyRun) open() {
 	}
 	var pr *pooledRun
 	if err == nil {
-		pr, err = pc.openSection(l.seg.Comp)
+		pr, err = pc.openSection()
 	}
 	put := func() error {
 		if !held {
@@ -659,7 +653,7 @@ func sealWave(dir *dfs.RunDir, srv *Server, tag string, parts [][]core.Record, e
 	if err != nil {
 		return Wave{}, enc, false, err
 	}
-	w = Wave{Comp: dir.Compression(), Spans: make([]Span, len(parts))}
+	w = Wave{Spans: make([]Span, len(parts))}
 	// Every file byte flows through the encoder, so a checksumming shim
 	// between encoder and writer sees the sealed file exactly as it lands
 	// on disk — the CRC the re-attach survival scan will recompute.

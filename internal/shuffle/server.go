@@ -20,8 +20,8 @@ package shuffle
 // Any other opening magic — older protocol versions included — is answered
 // with nothing and the connection is closed. Responses are served in request
 // order per connection (an error response leaves the connection usable; a
-// framing violation severs it). The section payload is the same codec record
-// stream dfs.OpenRunAtComp reads locally, so a truncated transfer (killed
+// framing violation severs it). The section payload is the same sealed run
+// dfs.OpenRunAt reads locally, so a truncated transfer (killed
 // worker, reset connection) surfaces codec.ErrCorrupt or a short-section
 // error from the fetching side's Err — never silent data loss.
 

@@ -1,6 +1,10 @@
 package store
 
-import "hash/maphash"
+import (
+	"hash/maphash"
+
+	"blmr/internal/core"
+)
 
 // minIndexEntries is the index's first size, a power of two: filling
 // 10 000 keys costs the index 11 allocations (DESIGN.md §4).
@@ -27,20 +31,12 @@ func entryFor(key string, pos int) indexEntry {
 // keyWords returns the head and tail an entry keeps for key.
 func keyWords(key string) (head, tail uint64) {
 	if n := len(key); n >= 8 {
-		return load64(key, 0), load64(key, n-8)
+		return core.Load64(key, 0), core.Load64(key, n-8)
 	}
 	for i := len(key) - 1; i >= 0; i-- {
 		head = head<<8 | uint64(key[i])
 	}
 	return head, 0
-}
-
-// load64 reads s[i:i+8] as a little-endian word; the compiler merges the
-// byte loads into one.
-func load64(s string, i int) uint64 {
-	s = s[i : i+8]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }
 
 // find returns key's position in slots, or -1 and the free entry where an

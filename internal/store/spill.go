@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+
 	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/sortx"
@@ -15,7 +17,8 @@ import (
 // Runs call, matching the spill lifecycle. A RunStore names its codec, and
 // the spill store encodes every run it appends with it.
 type RunStore interface {
-	// Compression is the codec runs are encoded with and decoded by.
+	// Compression is the codec the spill store seals runs with (readers
+	// learn it from each run's header).
 	Compression() codec.Compression
 	// Append seals buf as one immutable run. rawBytes is the run's standard
 	// (pre-compression) encoded size, for compression-ratio accounting. The
@@ -53,7 +56,7 @@ func (m *memRuns) Runs() ([]sortx.Run, error) {
 		// The error-returning decoder, never the panicking codec.Reader:
 		// these buffers hold spill-lifecycle data, and a decode failure must
 		// fail the job, not crash the worker.
-		out[i] = codec.NewRunDecoderBytes(r, m.comp)
+		out[i] = codec.NewRunDecoder(bytes.NewReader(r))
 	}
 	return out, nil
 }
@@ -75,7 +78,7 @@ type SpillStore struct {
 	hooks     Hooks
 	runs      RunStore
 	enc       *codec.RunEncoder // reusable run encoder (~threshold bytes once warm)
-	runLens   []int64           // sealed size of each run, for read accounting
+	runLens   []int64           // record bytes of each run, for the hooks' read accounting
 	spilled   int64
 	err       error
 	// Spills counts how many spill runs were written (for tests/metrics).
@@ -177,15 +180,15 @@ func (s *SpillStore) spill() {
 		s.err = err
 		return
 	}
-	buf := s.enc.Bytes()
-	if err := s.runs.Append(buf, s.enc.RawBytes()); err != nil {
+	buf, raw := s.enc.Bytes(), s.enc.RawBytes()
+	if err := s.runs.Append(buf, raw); err != nil {
 		s.err = err
 		return
 	}
-	s.runLens = append(s.runLens, int64(len(buf)))
+	s.runLens = append(s.runLens, raw)
 	s.spilled += int64(len(buf))
 	s.Spills++
-	s.hooks.DiskWrite(int64(len(buf)))
+	s.hooks.DiskWrite(raw)
 	// Everything the table held is now encoded in the sealed run, so its
 	// slabs can be recycled for the next fill cycle (clearReuse's
 	// no-escaped-strings contract holds).

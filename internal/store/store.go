@@ -90,10 +90,14 @@ type Hooks interface {
 	// per-operation cost. The other stores never call it.
 	Op()
 	// DiskWrite is called when bytes go to spill storage: a sealed spill
-	// run, or a KV log append.
+	// run, or a KV log append. A spill run counts its records' encoded
+	// bytes (codec.RunEncoder.RawBytes), not its block framing: the
+	// simulator scales these bytes up from small real runs, and framing,
+	// at most 10 bytes per 32 KiB block of a run at scale, would scale up
+	// with them into a cost no run at scale pays.
 	DiskWrite(bytes int64)
 	// DiskRead is called when spilled bytes are read back: a spill run at
-	// the final merge, or a KV log entry.
+	// the final merge (the bytes DiskWrite was charged), or a KV log entry.
 	DiskRead(bytes int64)
 }
 

@@ -305,7 +305,7 @@ func BenchmarkKVStoreMerge(b *testing.B)     { benchMerge(b, benchKV()) }
 
 // TestFirstSeenValueIsCopied: the first value merged for a key is retained
 // as is (no merge runs), and on the pooled fetch path it is a view into a
-// 64 KiB decode-arena chunk. The tree stores must copy it, or every key
+// 72 KiB decode-arena chunk. The tree stores must copy it, or every key
 // seen once pins a chunk until the output is released.
 func TestFirstSeenValueIsCopied(t *testing.T) {
 	var sb strings.Builder
