@@ -118,6 +118,57 @@ func TestSpillRunRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestStreamReaderTruncation: every possible truncation point of a None run,
+// sealed a block per record and read through a 16-byte buffered stream, must
+// yield either a clean shorter run (cut exactly between blocks) or
+// ErrCorrupt — never a panic, never a phantom record — with and without an
+// arena.
+func TestStreamReaderTruncation(t *testing.T) {
+	recs := []core.Record{
+		{Key: "alpha", Value: "1"},
+		{Key: "beta", Value: strings.Repeat("v", 300)},
+		{Key: "\x00bin\xff", Value: ""},
+	}
+	buf, _ := encodeRun(t, recs, None, 1) // a block per record
+	bounds := blockBoundaries(t, buf)
+	boundaries := map[int]int{} // truncation offset -> complete records
+	n := 0
+	for off := 0; off <= len(buf); off++ {
+		if bounds[off] {
+			boundaries[off] = n
+			n++
+		}
+	}
+	if n != len(recs)+1 {
+		t.Fatalf("found %d block boundaries, want %d", n, len(recs)+1)
+	}
+	for cut := 0; cut <= len(buf); cut++ {
+		var dec SectionDecoder
+		for name, rd := range map[string]RecordReader{
+			"stream": NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(buf[:cut]), 16)),
+			"arena":  dec.Reset(bytes.NewReader(buf[:cut]), new(Arena)),
+		} {
+			n := 0
+			for r, ok := rd.Next(); ok; r, ok = rd.Next() {
+				if n >= len(recs) || r != recs[n] {
+					t.Fatalf("%s: cut=%d: record %d = %v, want a prefix of %v", name, cut, n, r, recs)
+				}
+				n++
+			}
+			if want, clean := boundaries[cut]; clean {
+				if rd.Err() != nil {
+					t.Fatalf("%s: cut=%d at block boundary: unexpected error %v", name, cut, rd.Err())
+				}
+				if n != want {
+					t.Fatalf("%s: cut=%d: decoded %d records, want %d", name, cut, n, want)
+				}
+			} else if !errors.Is(rd.Err(), ErrCorrupt) {
+				t.Fatalf("%s: cut=%d mid-block: err=%v, want ErrCorrupt", name, cut, rd.Err())
+			}
+		}
+	}
+}
+
 // TestNoneCorruptLengthNoHugeAlloc: a None run whose block header, or a
 // record length inside a block, claims about 1 GiB must fail with
 // ErrCorrupt after reading only the bytes actually present — not allocate
