@@ -80,12 +80,12 @@ type options struct {
 	timeline        bool
 
 	// Real engine only; real records that -transport was given.
-	real                           bool
-	transport                      shuffle.Kind
-	mapTasks, fanIn, decodeWorkers int
-	staged, verify                 bool
-	chaosKill                      time.Duration
-	workerCoord                    string
+	real            bool
+	transport       shuffle.Kind
+	mapTasks, fanIn int
+	staged, verify  bool
+	chaosKill       time.Duration
+	workerCoord     string
 
 	// Job service.
 	serve, submit, resume, journalStat bool
@@ -136,7 +136,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.IntVar(&o.workers, "workers", 0, "with -transport tcp: run N worker subprocesses (multi-process cluster mode); with the simulator: place tasks on an N-node sub-cluster (0 = all nodes)")
 	fs.IntVar(&o.mapTasks, "map-tasks", 0, "real engine: number of map tasks (0 = NumCPU)")
 	fs.IntVar(&o.fanIn, "merge-fan-in", 0, "real engine: external merge fan-in cap (0 = default 64)")
-	fs.IntVar(&o.decodeWorkers, "decode-workers", 0, "real engine, tcp transport: parallel block-decode workers per fetch pool; fetched compressed sections CRC-check and decompress concurrently with the merge (1 = inline, 0 = default min(GOMAXPROCS, 8))")
 	enumFlag(fs, "compress", "sealed-run codec: none|block|delta (default none) — compresses spill runs, run-exchange segments and TCP fetch bytes (delta front-codes sorted keys)", &o.comp, codec.ParseCompression)
 	fs.BoolVar(&o.verify, "verify", false, "real engine: check output against the single-process in-memory path (byte-identical in barrier mode)")
 	fs.BoolVar(&o.serve, "serve", false, "run the multi-tenant job service: spawn -workers worker subprocesses and accept -submit jobs on -addr until SIGTERM (drains admitted jobs); its own -mode/-reducers/-spill-bytes/-compress are what a submission's zero fields inherit")
@@ -204,7 +203,7 @@ func (o *options) mrOptions() mr.Options {
 	return mr.Options{
 		Mappers: o.mapTasks, Reducers: o.reducers, Mode: o.mode,
 		Transport: o.transport, Store: o.store, SpillBytes: o.spillBytes,
-		MergeFanIn: o.fanIn, DecodeWorkers: o.decodeWorkers, Compression: o.comp,
+		MergeFanIn: o.fanIn, Compression: o.comp,
 		Staged: o.staged, Speculative: o.speculative,
 	}
 }

@@ -22,7 +22,7 @@ import (
 // with every simulator flag set.
 const (
 	batchArgs = "-app sort -size 0.5 -mode barrier -transport tcp -workers 3 -reducers 4 -map-tasks 6 " +
-		"-spill-bytes 65536 -compress delta -merge-fan-in 8 -decode-workers 2 -store kv -staged " +
+		"-spill-bytes 65536 -compress delta -merge-fan-in 8 -store kv -staged " +
 		"-speculative -combine -verify -chaos-kill 60ms"
 	serveArgs = "-serve -workers 3 -policy least-loaded -max-concurrent 3 -max-queued 5 -state-dir /tmp/st " +
 		"-map-tasks 6 -mode barrier -reducers 3 -spill-bytes 8192 -compress block"
@@ -41,7 +41,7 @@ func TestFlagForms(t *testing.T) {
 	yes, no := true, false
 	batchOpts := mr.Options{
 		Mappers: 6, Reducers: 4, Mode: mr.Barrier, Transport: shuffle.TCP, Store: store.KV,
-		SpillBytes: 65536, MergeFanIn: 8, DecodeWorkers: 2, Compression: codec.DeltaBlock,
+		SpillBytes: 65536, MergeFanIn: 8, Compression: codec.DeltaBlock,
 		Staged: true, Speculative: true,
 	}
 	serveOpts := mr.Options{Mappers: 6, Reducers: 3, Mode: mr.Barrier, SpillBytes: 8192, Compression: codec.Block}
@@ -118,17 +118,18 @@ func TestFlagForms(t *testing.T) {
 	}
 }
 
-// TestFlagSurface: 32 flags, a bad enumerated value is a usage error, and the
-// two flags whose options became constants are gone rather than ignored.
+// TestFlagSurface: 31 flags, a bad enumerated value is a usage error, and the
+// retired flags are gone rather than ignored: two whose options became
+// constants, and -decode-workers, whose decode pool was deleted.
 func TestFlagSurface(t *testing.T) {
 	n := 0
 	(&options{}).flagSet().VisitAll(func(*flag.Flag) { n++ })
-	if n != 32 {
-		t.Errorf("%d flags, want 32", n)
+	if n != 31 {
+		t.Errorf("%d flags, want 31", n)
 	}
 	for _, args := range []string{
 		"-mode staged", "-store disk", "-compress zstd", "-transport udp",
-		"-heartbeat 10ms", "-spec-threshold 0.5",
+		"-heartbeat 10ms", "-spec-threshold 0.5", "-decode-workers 2",
 	} {
 		fs := (&options{}).flagSet()
 		fs.SetOutput(io.Discard)

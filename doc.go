@@ -121,13 +121,10 @@
 // file instead of one per request — mr.Result.ServerOpens counts the
 // misses) and ships large sections zero-copy with offset sendfile, the
 // header flushed ahead (Linux; buffered io.Copy elsewhere and for small
-// sections). Consuming: fetched Block and DeltaBlock sections CRC-verify
-// and decompress on a bounded per-pool worker pool (exec.Options.DecodeWorkers,
-// cmd/blmr -decode-workers, default min(GOMAXPROCS,8)) while the merger
-// consumes decoded blocks in submission order, so codec work overlaps
-// the merge — record order and job output are byte-identical at any
-// setting, and 1 decodes inline; None sections decode inline, their stored
-// blocks read straight into the connection's string arena. Sealed runs
+// sections). Consuming: every fetched section decodes on the goroutine
+// that drains it, through the codec.SectionDecoder its pooled connection
+// owns, CRC-checking each block as it goes; stored blocks of standard
+// framing are read straight into the connection's string arena. Sealed runs
 // have one format, "BLC3", whatever the codec: a per-block CRC32 that is
 // always present and always checked, plus a cross-block LZ dictionary
 // window (a block's matches may reach 32KiB into its predecessor's raw

@@ -205,17 +205,14 @@ func TestNoneCorruptLengthNoHugeAlloc(t *testing.T) {
 }
 
 // TestNoneLargeRecord: a record larger than an arena chunk seals into one
-// block of its own and round-trips through every decoder, arena or not.
+// block of its own and round-trips through both decoders, arena or not.
 func TestNoneLargeRecord(t *testing.T) {
 	recs := []core.Record{{Key: "a", Value: "1"}, {Key: "big", Value: strings.Repeat("x", 300<<10)}, {Key: "z", Value: "2"}}
 	run := sealRun(t, recs, None)
-	pool := NewDecodePool(2)
-	defer pool.Close()
 	var dec SectionDecoder
 	for name, rd := range map[string]RecordReader{
-		"serial":   NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(run), 16)),
-		"arena":    dec.Reset(bytes.NewReader(run), new(Arena)),
-		"parallel": NewParallelReader(pool, bytes.NewReader(run), new(Arena)),
+		"serial": NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(run), 16)),
+		"arena":  dec.Reset(bytes.NewReader(run), new(Arena)),
 	} {
 		got, err := drainRecords(rd)
 		if err != nil {

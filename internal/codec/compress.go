@@ -25,8 +25,7 @@ package codec
 // which the small-run workloads need: a 40KB run used to restart its
 // byte-window from scratch every 32KiB block. The bit is only set when a
 // copy actually lands in the window, so dict=0 blocks stay independently
-// decodable (and eligible for out-of-order parallel decode; see
-// DecodePool). crc32c is the Castagnoli CRC of the encLen payload bytes as
+// decodable. crc32c is the Castagnoli CRC of the encLen payload bytes as
 // they sit on disk/wire, verified before the block is decompressed or
 // parsed, so bit rot is caught at the block that broke rather than
 // surfacing as a confusing parse error records later (or, for a stored
@@ -510,34 +509,24 @@ func NewRunDecoderBytes(b []byte, _ Compression) RecordReader {
 // crcBytes is the length of a block's checksum.
 const crcBytes = 4
 
-// RunHeaderBytes is the length of a run header: the magic and the kind
+// runHeaderBytes is the length of a run header: the magic and the kind
 // byte.
-const RunHeaderBytes = 5
-
-// HeaderKind returns the codec a sealed run's first bytes name; ok is false
-// when hdr is too short to hold a run header or is not one.
-func HeaderKind(hdr []byte) (kind Compression, ok bool) {
-	if len(hdr) < RunHeaderBytes || [4]byte(hdr[:4]) != runMagic || hdr[4] > byte(DeltaBlock) {
-		return 0, false
-	}
-	return Compression(hdr[4]), true
-}
+const runHeaderBytes = 5
 
 // readRunHeader reads and validates the run header into hdr, the caller's
 // scratch (a local would escape through io.ReadFull, once per run), and
 // returns the run's codec.
-func readRunHeader(r ByteScanner, hdr *[RunHeaderBytes]byte) (Compression, error) {
+func readRunHeader(r ByteScanner, hdr *[runHeaderBytes]byte) (Compression, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, fmt.Errorf("%w: truncated run header: %v", ErrCorrupt, err)
 	}
 	if [4]byte(hdr[:4]) != runMagic {
 		return 0, fmt.Errorf("%w: bad run magic %q", ErrCorrupt, string(hdr[:4]))
 	}
-	kind, ok := HeaderKind(hdr[:])
-	if !ok {
+	if hdr[4] > byte(DeltaBlock) {
 		return 0, fmt.Errorf("%w: bad run codec %d", ErrCorrupt, hdr[4])
 	}
-	return kind, nil
+	return Compression(hdr[4]), nil
 }
 
 // blockFrame is one block as framed on disk/wire: the undecoded payload
@@ -549,21 +538,7 @@ type blockFrame struct {
 	dict    bool                 // payload copies reach into the previous block's tail
 	crc     uint32               // CRC-32C of payload, always checked before decode
 	payload []byte               // on-wire payload bytes (reused across frames)
-	scratch [RunHeaderBytes]byte // read scratch: a local would escape through io.ReadFull
-}
-
-// readBlockFrame reads the next block frame from r into f, reusing
-// f.payload. It returns false at the clean end of the run; every other
-// shortfall is an error.
-func readBlockFrame(r ByteScanner, f *blockFrame) (bool, error) {
-	ok, err := readBlockHeader(r, f)
-	if ok {
-		err = f.readCRC(r)
-	}
-	if ok && err == nil {
-		f.payload, err = readPayload(r, f.payload[:0], f.encLen)
-	}
-	return ok && err == nil, err
+	scratch [runHeaderBytes]byte // read scratch: a local would escape through io.ReadFull
 }
 
 // readBlockHeader reads the next block's lengths and flags into f, leaving
@@ -633,9 +608,7 @@ func (f *blockFrame) checkCRC(payload []byte) error {
 // decodeBlockPayload CRC-verifies and decodes one framed block into a block
 // buffer, dst. A stored block's payload is the block: the two buffers swap
 // (f.payload becomes dst) instead of copying. hist is the previous block's
-// dictionary tail (ignored unless the frame is dictionary-dependent). This
-// is the CPU-heavy half of block decode, safe to run off the consuming
-// goroutine (it touches only the frame, hist, and dst).
+// dictionary tail (ignored unless the frame is dictionary-dependent).
 func decodeBlockPayload(dst []byte, f *blockFrame, hist []byte) ([]byte, error) {
 	if err := f.checkCRC(f.payload); err != nil {
 		return dst, err
@@ -654,9 +627,8 @@ func decodeBlockPayload(dst []byte, f *blockFrame, hist []byte) ([]byte, error) 
 }
 
 // blockParser cuts records out of one decoded block payload (and, for
-// DecodeViews, out of a bare record stream). It is the stateful,
-// arena-touching half of block decode and must stay on the consuming
-// goroutine; setBlock hands it the next decoded payload.
+// DecodeViews, out of a bare record stream); setBlock hands it the next
+// decoded payload.
 type blockParser struct {
 	delta   bool
 	block   []byte // decoded current block payload
@@ -805,8 +777,8 @@ func (p *blockParser) nextDelta() (core.Record, bool) {
 	return core.Record{Key: string(p.prevKey), Value: val}, true
 }
 
-// blockReader streams records out of a sealed run serially, decoding one
-// block at a time on the calling goroutine. Two block buffers alternate so
+// blockReader streams records out of a sealed run, decoding one block at a
+// time on the calling goroutine. Two block buffers alternate so
 // the previous block's tail stays live as the next block's dictionary
 // window without a copy; a stored block swaps with the payload buffer
 // instead of being copied into one. With an arena, a stored block of

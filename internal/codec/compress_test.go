@@ -121,11 +121,12 @@ func TestCompressedRoundTripRandom(t *testing.T) {
 // payload a stretch of raw in order, framed by at most 10 bytes.
 func requireNoneFraming(t *testing.T, run, raw []byte) {
 	t.Helper()
-	if kind, ok := HeaderKind(run); !ok || kind != None {
-		t.Fatalf("None run header %q", run[:min(len(run), RunHeaderBytes)])
+	var hdr [runHeaderBytes]byte
+	if kind, err := readRunHeader(bytes.NewReader(run), &hdr); err != nil || kind != None {
+		t.Fatalf("None run header %q: %v, %v", hdr, kind, err)
 	}
 	var payloads []byte
-	for off := RunHeaderBytes; off < len(run); {
+	for off := runHeaderBytes; off < len(run); {
 		rawLen, n1 := uvarintAt(t, run, off)
 		tag, n2 := uvarintAt(t, run, off+n1)
 		if tag&3 != 0 || tag>>2 != rawLen || n1+n2+4 > 10 {
@@ -271,14 +272,12 @@ func TestCompressedTruncationEveryOffset(t *testing.T) {
 	}
 }
 
-// TestCompressedCorruptHeader: bad magic and bad codec bytes are rejected,
-// by the serial and the parallel reader alike. The retired "BLC1"/"BLC2"
+// TestCompressedCorruptHeader: bad magic and bad codec bytes are rejected.
+// The retired "BLC1"/"BLC2"
 // magics are bad magics like any other: nothing writes them and no sealed
 // run outlives its state directory, so the decoder carries no path for them.
 func TestCompressedCorruptHeader(t *testing.T) {
 	buf, _ := encodeRun(t, []core.Record{{Key: "k", Value: "v"}}, Block, 0)
-	pool := NewDecodePool(2)
-	defer pool.Close()
 	for _, mut := range []struct {
 		name string
 		at   int
@@ -292,16 +291,12 @@ func TestCompressedCorruptHeader(t *testing.T) {
 	} {
 		bad := append([]byte(nil), buf...)
 		bad[mut.at] = mut.to
-		for name, rd := range map[string]RecordReader{
-			"serial":   NewRunDecoderBytes(bad, Block),
-			"parallel": NewParallelReader(pool, bytes.NewReader(bad), nil),
-		} {
-			if _, ok := rd.Next(); ok {
-				t.Fatalf("%s/%s: decoded a record from a corrupt header", mut.name, name)
-			}
-			if err := rd.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), mut.want) {
-				t.Fatalf("%s/%s: err=%v, want ErrCorrupt %q", mut.name, name, err, mut.want)
-			}
+		rd := NewRunDecoderBytes(bad, Block)
+		if _, ok := rd.Next(); ok {
+			t.Fatalf("%s: decoded a record from a corrupt header", mut.name)
+		}
+		if err := rd.Err(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), mut.want) {
+			t.Fatalf("%s: err=%v, want ErrCorrupt %q", mut.name, err, mut.want)
 		}
 	}
 }
@@ -498,7 +493,7 @@ func TestParseCompression(t *testing.T) {
 // 72KiB arena chunk, not once per record (front-coded keys used to cost a
 // discarded heap string each on top of the arena copy). The budget also
 // allows one allocation per 32KiB block: the race build does not fuse
-// readBlockFrame's append(payload, make(...)...) and pays it there.
+// readPayload's append(dst, make(...)...) and pays it there.
 func TestArenaDecodeAllocatesPerChunk(t *testing.T) {
 	const n = 20000
 	recs := make([]core.Record, n)

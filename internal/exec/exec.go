@@ -158,16 +158,10 @@ type Options struct {
 	// its header. Decoded merge order is unchanged, so outputs stay
 	// byte-identical across codecs.
 	Compression codec.Compression
-	// DecodeWorkers sizes the TCP fetch plane's parallel block-decode pool:
-	// fetched sections whose run header names codec.Block or
-	// codec.DeltaBlock CRC-verify and decompress on that many shared
-	// workers while the merger consumes decoded blocks in order, so codec
-	// work overlaps the merge (and other sections) instead of serializing
-	// on the consuming goroutine. Decoded record order — and job output —
-	// is byte-identical at any setting. 1 decodes inline; 0 defaults to
-	// min(GOMAXPROCS, 8). Ignored off the TCP exchange, and for
-	// codec.None sections, which decode inline straight into the
-	// connection's arena.
+	// DecodeWorkers is read by no engine: every fetched section decodes on
+	// the goroutine that consumes it. The field stays only because the
+	// benchmark module sets it; it goes once the benchmark reads the
+	// engines' recorder (ROADMAP item 1b).
 	DecodeWorkers int
 }
 
@@ -187,12 +181,6 @@ func (o *Options) Normalize() {
 	}
 	if o.MergeFanIn <= 1 {
 		o.MergeFanIn = 64
-	}
-	if o.DecodeWorkers <= 0 {
-		o.DecodeWorkers = runtime.GOMAXPROCS(0)
-		if o.DecodeWorkers > 8 {
-			o.DecodeWorkers = 8
-		}
 	}
 }
 

@@ -65,7 +65,7 @@ var CalibWordCount = simmr.CostModel{
 	// delta codec measures far higher on the bench corpus; 2.8 is a
 	// conservative per-class figure for mixed real text).
 	CompressRatio: 2.8,
-	CompressDelay: 0.4e-9, // parallel-decode effective rate (see simmr.DefaultCosts)
+	CompressDelay: 0.4e-9, // effective decode rate (see simmr.DefaultCosts)
 }
 
 // --- Sort -------------------------------------------------------------------
@@ -97,7 +97,7 @@ var CalibSort = simmr.CostModel{
 	// Uniform encoded keys barely LZ-compress; the win is key delta
 	// structure only (the wall-clock codecs measure ~1.5x).
 	CompressRatio: 1.5,
-	CompressDelay: 0.4e-9, // parallel-decode effective rate (see simmr.DefaultCosts)
+	CompressDelay: 0.4e-9, // effective decode rate (see simmr.DefaultCosts)
 }
 
 // --- k-Nearest Neighbors ------------------------------------------------------

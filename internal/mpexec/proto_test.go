@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"slices"
@@ -46,14 +47,16 @@ func populatedOptions(t *testing.T) exec.Options {
 
 // TestOptsRoundTrip: the one exec.Options wire codec carries every field
 // through both of its users, the 'J' job-open frame and the journal's 'a'
-// admit record. The only fields that may differ are the two putOpts
-// documents: Transport (always TCP across processes) and SpillDir (local to
-// the reading side). A new Options field that putOpts/opts do not carry
-// comes back zero and fails here.
+// admit record. The only fields that may differ are the three opts
+// documents: Transport (always TCP across processes), SpillDir (local to
+// the reading side) and the decode-worker count (read by no engine). A new
+// Options field that putOpts/opts do not carry comes back zero and fails
+// here.
 func TestOptsRoundTrip(t *testing.T) {
 	sent := populatedOptions(t)
 	want := sent
 	want.Transport = shuffle.TCP
+	want.DecodeWorkers = 0
 
 	want.SpillDir = "/worker/local"
 	id, name, got, err := decodeJobStart(encodeJobStart(7, "wordcount", sent), exec.Options{SpillDir: want.SpillDir})
@@ -82,8 +85,10 @@ func TestOptsRoundTrip(t *testing.T) {
 // and a record with any other count is refused outright. The first case is
 // byte for byte what the binary before the count existed journaled — 17 bare
 // values, Mappers first: replay must fail naming the mismatch, not read the
-// thirteenth value as the input's record count. The others are this layout
-// with a field added or dropped, on the 'J' frame.
+// thirteenth value as the input's record count. The second is byte for byte
+// the admit record of the binary before the decode-worker count left the
+// layout — 12 fields: replay must fail naming that count. The others are
+// this layout with a field added or dropped, on the 'J' frame.
 func TestOptsRejectOtherLayouts(t *testing.T) {
 	old := binary.AppendUvarint([]byte{jAdmit}, 3)
 	old = putStr(old, "wordcount")
@@ -94,6 +99,13 @@ func TestOptsRejectOtherLayouts(t *testing.T) {
 	old = putRecords(old, []core.Record{{Key: "k", Value: "v"}})
 	if _, _, _, err := replayJournal([][]byte{old}); err == nil || !strings.Contains(err.Error(), "another build") {
 		t.Fatalf("replay of the previous binary's admit record: err = %v, want a field-count mismatch", err)
+	}
+	twelve, err := hex.DecodeString("610309776f7264636f756e740c06030180800410800240010202010102026b31027631076b65792d74776f0976616c75652074776f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := replayJournal([][]byte{twelve}); err == nil || !strings.Contains(err.Error(), "options carry 12 fields") {
+		t.Fatalf("replay of a 12-field admit record: err = %v, want a field-count mismatch naming 12", err)
 	}
 
 	for _, n := range []uint64{optsFields - 1, optsFields + 1} {

@@ -45,7 +45,7 @@ func Serve(coordAddr string, job exec.Job, opts exec.Options) error {
 
 // ServeJobs is a worker process's main loop: dial the coordinator, start a
 // run-server, register, and execute tasks until the coordinator says bye.
-// base carries worker-local knobs (spill directory, decode pool size); the
+// base carries the worker-local knob, the spill directory; the
 // task-body options that must match the coordinator (mode, partition count,
 // spill budget, codec, ...) arrive per job in the 'J' frame, so one pool
 // serves concurrent heterogeneous jobs.
@@ -107,7 +107,6 @@ func (w *workerState) serveConn(coordAddr string, conn net.Conn) (bye bool, err 
 		}
 		w.srv, w.advertise = srv, advertise
 		w.pool = shuffle.NewFetchPool()
-		w.pool.DecodeWorkers = w.base.DecodeWorkers
 	}
 	if err := writeMsg(conn, msgHello, encode(&hello{w.advertise, w.name})); err != nil {
 		return false, nil // connection already dead: re-dial

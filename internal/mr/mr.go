@@ -132,7 +132,6 @@ func Run(job Job, input []core.Record, opts Options) (*Result, error) {
 		Maps: len(maps), Parts: opts.Reducers,
 		QueueCap: opts.QueueCap, BatchSize: opts.BatchSize,
 		Dir: spillDir, MergeFanIn: opts.MergeFanIn,
-		DecodeWorkers: opts.DecodeWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("mr: job %q: %w", job.Name, err)

@@ -66,18 +66,13 @@ func BenchmarkPipelinedSort1M_Spill1MiB(b *testing.B) {
 }
 
 // Barrier WordCount over the sealed-run TCP exchange: plain runs, then
-// delta-compressed runs decoded by one worker and by the default pool.
-func benchBarrierTCP(b *testing.B, comp codec.Compression, decodeWorkers int) {
+// delta-compressed runs, where LZ pays on the fetch path (WordCount keys).
+func benchBarrierTCP(b *testing.B, comp codec.Compression) {
 	benchRun(b, apps.WordCount(), workload.Text(2, 250_000, 20_000, 4), Options{
 		Mode: Barrier, Mappers: 4, Reducers: 4, Transport: shuffle.TCP,
-		Compression: comp, DecodeWorkers: decodeWorkers, SpillDir: b.TempDir(),
+		Compression: comp, SpillDir: b.TempDir(),
 	}, nil)
 }
 
-func BenchmarkBarrierWordCount250K_TCP(b *testing.B) { benchBarrierTCP(b, codec.None, 0) }
-func BenchmarkBarrierWordCount250K_TCPDeltaDecode1(b *testing.B) {
-	benchBarrierTCP(b, codec.DeltaBlock, 1)
-}
-func BenchmarkBarrierWordCount250K_TCPDeltaDecodeN(b *testing.B) {
-	benchBarrierTCP(b, codec.DeltaBlock, 0)
-}
+func BenchmarkBarrierWordCount250K_TCP(b *testing.B)      { benchBarrierTCP(b, codec.None) }
+func BenchmarkBarrierWordCount250K_TCPDelta(b *testing.B) { benchBarrierTCP(b, codec.DeltaBlock) }

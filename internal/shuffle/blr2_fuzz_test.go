@@ -51,15 +51,9 @@ func FuzzBLR2(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// A pool with parallel decode on: each response is fetched through it
-	// too, so the run header's codec picks the decoder as in production.
-	pool := NewFetchPool()
-	pool.DecodeWorkers = 2
-	f.Cleanup(func() { pool.Close() })
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzServe(t, srv, seg.FileID, file, data)
-		fuzzFetch(t, nil, seg, data)
-		fuzzFetch(t, pool, seg, data)
+		fuzzFetch(t, seg, data)
 	})
 }
 
@@ -147,11 +141,10 @@ func (c *scriptConn) Write(p []byte) (int, error) { return len(p), nil }
 func (c *scriptConn) Close() error                { return nil }
 
 // fuzzFetch reads data as the response to one request for seg on a
-// connection of pool (nil: none, so decode stays serial), opening and
-// draining the section.
-func fuzzFetch(t *testing.T, pool *FetchPool, seg Segment, data []byte) {
+// connection outside any pool, opening and draining the section.
+func fuzzFetch(t *testing.T, seg Segment, data []byte) {
 	conn := &scriptConn{script: bytes.NewReader(data)}
-	pc := &poolConn{pool: pool, addr: "fuzz", conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	pc := &poolConn{addr: "fuzz", conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 	if err := pc.request(seg.FileID, seg.Off, seg.N); err != nil {
 		t.Fatal(err)
 	}

@@ -30,17 +30,15 @@ func sortedWave() [][]core.Record {
 }
 
 // TestCompressedWaveFetch seals a wave with each codec and fetches every
-// section back, with parallel decode off and on: each section's run header
-// names the wave's codec, and that alone picks the decoder.
+// section back: each section's run header names the wave's codec, and that
+// alone tells the decoder how to read it.
 func TestCompressedWaveFetch(t *testing.T) {
 	for _, comp := range []codec.Compression{codec.None, codec.Block, codec.DeltaBlock} {
-		for _, workers := range []int{0, 2} {
-			testWaveFetch(t, comp, workers)
-		}
+		testWaveFetch(t, comp)
 	}
 }
 
-func testWaveFetch(t *testing.T, comp codec.Compression, workers int) {
+func testWaveFetch(t *testing.T, comp codec.Compression) {
 	dir, err := dfs.NewRunDirComp(t.TempDir(), comp)
 	if err != nil {
 		t.Fatal(err)
@@ -52,7 +50,6 @@ func testWaveFetch(t *testing.T, comp codec.Compression, workers int) {
 	}
 	defer srv.Close()
 	pool := NewFetchPool()
-	pool.DecodeWorkers = workers
 	defer pool.Close()
 	parts := sortedWave()
 	w, _, ok, err := sealWave(dir, srv, "t", parts, nil)
@@ -73,18 +70,18 @@ func testWaveFetch(t *testing.T, comp codec.Compression, workers int) {
 		if !ok {
 			t.Fatalf("partition %d empty", p)
 		}
-		if kind, ok := codec.HeaderKind(file[seg.Off:]); !ok || kind != comp {
-			t.Fatalf("%v: partition %d's run header names %v (ok=%v)", comp, p, kind, ok)
+		if hdr := file[seg.Off:][:5]; string(hdr[:4]) != "BLC3" || codec.Compression(hdr[4]) != comp {
+			t.Fatalf("%v: partition %d's run header is %q", comp, p, hdr)
 		}
 		run := fetchRun(pool, seg) // remote: w.Addr is the run-server
 		got := drainRun(t, run)
 		_ = run.Close()
 		if len(got) != len(part) {
-			t.Fatalf("%v, %d workers: partition %d: %d records, want %d", comp, workers, p, len(got), len(part))
+			t.Fatalf("%v: partition %d: %d records, want %d", comp, p, len(got), len(part))
 		}
 		for i := range part {
 			if got[i] != part[i] {
-				t.Fatalf("%v, %d workers: partition %d record %d: %+v, want %+v", comp, workers, p, i, got[i], part[i])
+				t.Fatalf("%v: partition %d record %d: %+v, want %+v", comp, p, i, got[i], part[i])
 			}
 		}
 	}

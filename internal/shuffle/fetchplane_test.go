@@ -218,58 +218,52 @@ func TestServerUnregister(t *testing.T) {
 	}
 }
 
-// TestPooledFetchDecodeWorkers: compressed sections fetched through the
-// parallel block-decode pipeline are byte-identical to the sealed records at
-// every worker count (run under -race in CI: concurrent CRC+decompress
-// against the consuming merge).
+// TestPooledFetchDecodeWorkers: DeltaBlock sections that span several
+// codec blocks, fetched one after another over one pooled connection, come
+// back byte-identical to the sealed records: the connection's decoder and
+// arena carry across sections and block boundaries. The subtest keeps the
+// name of the one-worker case, which is how every section decodes now: on
+// the goroutine that drains it.
 func TestPooledFetchDecodeWorkers(t *testing.T) {
-	dir, err := dfs.NewRunDirComp(t.TempDir(), codec.DeltaBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dir.Close()
-	srv, err := NewServer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	const waves = 6
-	var segs []Segment
-	var want []core.Record
-	for i := 0; i < waves; i++ {
-		// Large enough that every run spans several 32KiB codec blocks.
-		part := sortedRecs(fmt.Sprintf("w%02d", i), 8000)
-		w, _, ok, err := sealWave(dir, srv, "t", [][]core.Record{part}, nil)
-		if err != nil || !ok {
-			t.Fatalf("sealWave: ok=%v err=%v", ok, err)
+	t.Run("workers1", func(t *testing.T) {
+		dir, err := dfs.NewRunDirComp(t.TempDir(), codec.DeltaBlock)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seg, _ := w.SegmentOf(0)
-		segs = append(segs, seg)
-		want = append(want, part...)
-	}
+		defer dir.Close()
+		srv, err := NewServer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		pool := NewFetchPool()
+		defer pool.Close()
 
-	for _, workers := range []int{1, 4, 16} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			pool := NewFetchPool()
-			pool.DecodeWorkers = workers
-			defer pool.Close()
-			var got []core.Record
-			for _, seg := range segs {
-				lr := fetchRun(pool, seg)
-				got = append(got, drainRun(t, lr)...)
-				_ = lr.Close()
+		const waves = 6
+		for i := 0; i < waves; i++ {
+			// Large enough that every run spans several 32KiB codec blocks.
+			want := sortedRecs(fmt.Sprintf("w%02d", i), 8000)
+			w, _, ok, err := sealWave(dir, srv, "t", [][]core.Record{want}, nil)
+			if err != nil || !ok {
+				t.Fatalf("sealWave: ok=%v err=%v", ok, err)
 			}
+			seg, _ := w.SegmentOf(0)
+			lr := fetchRun(pool, seg)
+			got := drainRun(t, lr)
+			_ = lr.Close()
 			if len(got) != len(want) {
-				t.Fatalf("%d records, want %d", len(got), len(want))
+				t.Fatalf("wave %d: %d records, want %d", i, len(got), len(want))
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("record %d: %v vs %v", i, got[i], want[i])
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("wave %d record %d: %v vs %v", i, j, got[j], want[j])
 				}
 			}
-		})
-	}
+		}
+		if d := pool.Dials(); d != 1 {
+			t.Fatalf("%d dials for %d sections from one server, want 1", d, waves)
+		}
+	})
 }
 
 // benchSection seals one big None run and returns its segment: the

@@ -28,24 +28,15 @@ import (
 // FetchPool is a per-peer pool of multiplexed run-server connections,
 // shared by every reduce task of one worker process (or of one in-process
 // TCP-transport execution). Get/put are internal; sections are fetched
-// through a PushSource wired to the pool. Safe for concurrent use; each
-// checked-out connection is single-owner.
+// through a PushSource wired to the pool. Every section decodes on the
+// goroutine that drains it, through the codec.SectionDecoder its
+// connection owns. Safe for concurrent use; each checked-out connection is
+// single-owner.
 type FetchPool struct {
-	// DecodeWorkers sizes the shared block-decode pool: Block and
-	// DeltaBlock sections fetched through this pool (as their run headers
-	// say) CRC-verify and decompress their blocks on that many workers
-	// while the merger consumes decoded blocks in order
-	// (codec.DecodePool). 0 or 1 keeps decode inline on the consuming
-	// goroutine, as None sections always are. Set before the first fetch.
-	DecodeWorkers int
-
 	mu     sync.Mutex
 	idle   map[string][]*poolConn
 	closed bool
 	dials  atomic.Int64
-
-	decMu sync.Mutex
-	dec   *codec.DecodePool
 }
 
 // dialRetry is the capped-exponential-backoff policy for run-server dials,
@@ -67,8 +58,7 @@ func (p *FetchPool) Dials() int64 { return p.dials.Load() }
 // Close closes every idle pooled connection and marks the pool closed:
 // connections returned later are closed instead of pooled, so the peers'
 // run-servers reap their handler goroutines. Checked-out connections are
-// owned (and closed) by their fetchers; sections they are still decoding
-// fall back to inline decode once the decode pool stops.
+// owned (and closed) by their fetchers.
 func (p *FetchPool) Close() error {
 	p.mu.Lock()
 	idle := p.idle
@@ -80,34 +70,7 @@ func (p *FetchPool) Close() error {
 			_ = c.conn.Close()
 		}
 	}
-	p.decMu.Lock()
-	dec := p.dec
-	p.dec = nil
-	p.decMu.Unlock()
-	if dec != nil {
-		dec.Close()
-	}
 	return nil
-}
-
-// decodePool lazily starts the shared block-decode workers; nil when
-// parallel decode is off (or the pool is closed, or there is none).
-func (p *FetchPool) decodePool() *codec.DecodePool {
-	if p == nil || p.DecodeWorkers <= 1 {
-		return nil
-	}
-	p.decMu.Lock()
-	defer p.decMu.Unlock()
-	if p.dec == nil {
-		p.mu.Lock()
-		closed := p.closed
-		p.mu.Unlock()
-		if closed {
-			return nil
-		}
-		p.dec = codec.NewDecodePool(p.DecodeWorkers)
-	}
-	return p.dec
 }
 
 // get checks out a connection to addr, dialing when none is idle.
@@ -126,7 +89,6 @@ func (p *FetchPool) get(addr string) (*poolConn, error) {
 	}
 	p.dials.Add(1)
 	c := &poolConn{
-		pool: p,
 		addr: addr,
 		conn: conn,
 		br:   bufio.NewReaderSize(conn, 64<<10),
@@ -141,13 +103,6 @@ func (p *FetchPool) get(addr string) (*poolConn, error) {
 // response bytes (an abandoned section) or a protocol error is out of sync
 // and is closed instead.
 func (p *FetchPool) put(c *poolConn) {
-	// An abandoned section may still have a parallel-decode reader on the
-	// connection; quiesce it before the conn is pooled or closed so
-	// nothing races the socket.
-	if c.par != nil {
-		c.par.Stop()
-		c.par = nil
-	}
 	if c.broken || len(c.pending) > 0 {
 		_ = c.conn.Close()
 		return
@@ -176,7 +131,6 @@ type pendingSec struct {
 // poolConn is one multiplexed run-server connection. Single-owner while
 // checked out; responses arrive in request order.
 type poolConn struct {
-	pool    *FetchPool
 	addr    string
 	conn    net.Conn
 	br      *bufio.Reader
@@ -191,7 +145,6 @@ type poolConn struct {
 	arena codec.Arena
 	sr    sectionReader
 	run   pooledRun
-	par   *codec.ParallelReader // active parallel section, if any
 }
 
 // sectionReader is a codec.ByteScanner over the next n payload bytes of the
@@ -314,35 +267,12 @@ func (c *poolConn) openSection() (*pooledRun, error) {
 		return nil, err
 	}
 	c.sr = sectionReader{br: c.br, remaining: n}
-	var rr codec.RecordReader
-	c.par = nil
-	if dp := c.pool.decodePool(); dp != nil && c.mayLZ(n) {
-		// Sections whose blocks may be LZ decode on the shared worker pool:
-		// block CRC + LZ work overlaps the merge (and other sections), while
-		// record parsing — and the arena — stays on this goroutine.
-		c.par = codec.NewParallelReader(dp, &c.sr, &c.arena)
-		rr = c.par
-	}
-	if rr == nil {
-		rr = c.dec.Reset(&c.sr, &c.arena)
-	}
 	c.run = pooledRun{
 		pc: c,
 		n:  n,
-		rr: rr,
+		rr: c.dec.Reset(&c.sr, &c.arena),
 	}
 	return &c.run, nil
-}
-
-// mayLZ peeks the run header of the n-byte section next on the stream and
-// reports whether its codec may LZ-compress blocks. A None section stays on
-// the serial decoder, which reads its stored blocks straight into the
-// arena; so does a section too short or malformed to name a codec, for the
-// decoder to report.
-func (c *poolConn) mayLZ(n int64) bool {
-	hdr, _ := c.br.Peek(int(min(n, codec.RunHeaderBytes)))
-	kind, ok := codec.HeaderKind(hdr)
-	return ok && kind != codec.None
 }
 
 // pooledRun streams one fetched section off a pooled connection. It
@@ -363,10 +293,6 @@ func (r *pooledRun) Next() (core.Record, bool) {
 	}
 	rec, ok := r.rr.Next()
 	if !ok {
-		// With a parallel decoder, a false Next means its reader goroutine
-		// has exited (clean end or drained error) — the section stream is
-		// quiescent, so the remaining-bytes check below is race-free.
-		r.pc.par = nil
 		if err := r.rr.Err(); err != nil {
 			r.err = fmt.Errorf("shuffle: fetched run: %w", err)
 			r.pc.broken = true

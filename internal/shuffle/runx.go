@@ -26,7 +26,6 @@ type runExchange struct {
 
 func newRunExchange(cfg Config, srv *Server) *runExchange {
 	t := &runExchange{cfg: cfg, srv: srv, pool: NewFetchPool(), fail: newFailState(), srcs: make([]*PushSource, cfg.Parts)}
-	t.pool.DecodeWorkers = cfg.DecodeWorkers
 	for r := range t.srcs {
 		t.srcs[r] = newPushSource(cfg.Maps, cfg.BatchSize, t.pool, cfg.MergeFanIn, t.fail, false)
 	}

@@ -81,10 +81,9 @@ type Config struct {
 	// the TCP transport uses it to bound pipelined section prefetch per
 	// reduce source (default 64).
 	MergeFanIn int
-	// DecodeWorkers sizes the TCP transport's parallel block-decode pool
-	// (FetchPool.DecodeWorkers): compressed fetched sections CRC-verify
-	// and decompress on that many workers, overlapping the merge. <= 1
-	// decodes inline.
+	// DecodeWorkers is read by no transport: every fetched section decodes
+	// on the goroutine that consumes it. The field stays only because the
+	// benchmark module sets it; it goes with ROADMAP item 1b.
 	DecodeWorkers int
 }
 

@@ -115,9 +115,10 @@ func DefaultCosts() CostModel {
 		// with zero-copy sends (no per-section open+seek), so the fixed fetch
 		// latency is connection/RPC cost only.
 		RunFetchDelay: 1.0e-3,
-		// Effective consumer-side rate: block decode runs on the fetch
-		// plane's parallel decode pool, overlapping the merge, so the charged
-		// per-byte cost is below the raw ~1.6 GB/s LZ-class codec speed.
+		// Effective consumer-side rate, below the raw ~1.6 GB/s LZ-class
+		// codec speed. It was calibrated when the fetch plane still decoded
+		// blocks on a worker pool, and is kept so that the sweeps stay
+		// byte-identical; ROADMAP item 3 recalibrates it from spans.
 		CompressDelay:     0.4e-9,
 		CompressRatio:     2.0,
 		KVOpDelay:         1.0 / 30000,
