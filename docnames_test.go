@@ -1,6 +1,9 @@
 package blmr
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -13,10 +16,12 @@ import (
 // docHistory are names DESIGN.md cites in backticks as history: code that
 // was deleted on purpose, in sentences that say so.
 var docHistory = map[string]bool{
-	"BenchmarkWordCountSpill1M_Comp*": true, // §8: pruned, measured by sort_tcp_delta now
-	"BenchmarkMR*":                    true, // §9: the root bench_test.go arms bench/ replaced
-	"BenchmarkFaultPredicted*":        true, // §9: likewise, now a harness.Parity row
-	"TestMapRetryPreservesOutput":     true, // §15: went with Config.FailMapTask
+	"BenchmarkMR*":                true, // §9: the root bench_test.go arms bench/ replaced
+	"BenchmarkFaultPredicted*":    true, // §9: likewise, now a harness.Parity row
+	"TestMapRetryPreservesOutput": true, // §15: went with Config.FailMapTask
+	"codec.Reader":                true, // §8: the panicking buffer decoder, deleted
+	"store.SpillHooks":            true, // §4: replaced by store.Hooks
+	"simmr.RunExchange":           true, // §7: deleted with SpillExchange
 }
 
 var (
@@ -24,17 +29,23 @@ var (
 	docTestName = regexp.MustCompile(`\b((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)(\{[^}]*\}|\*)?`)
 	docGoFile   = regexp.MustCompile(`([\w./*-]+\.go)\b(?::(\d+))?`)
 	goTestFunc  = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	docQualName = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)`)
 )
 
-// TestDocNamesExist: every test, fuzz target or benchmark and every .go
-// file that DESIGN.md names in backticks exists in the repository, and a
-// file.go:N reference points inside its file, so a change that renames or
-// deletes one fails here until the doc follows. A brace group expands
-// (`BenchmarkX{A,B}` names two benchmarks), and a * makes a name a prefix
-// or a path a glob; docHistory lists the exceptions.
+// TestDocNamesExist: every test, fuzz target or benchmark, every .go file
+// and every qualified identifier (`pkg.Name`, pkg one of the repository's
+// packages and Name capitalised) that DESIGN.md names in backticks exists
+// in the repository — the last as a top-level func, type, var or const, or
+// a method, declared in a package of that name — and a file.go:N reference
+// points inside its file, so a change that renames or deletes one fails
+// here until the doc follows. A brace group expands (`BenchmarkX{A,B}`
+// names two benchmarks), and a * makes a name a prefix or a path a glob;
+// docHistory lists the exceptions. Lower-case dotted names such as metric
+// names are not identifiers and are not checked.
 func TestDocNamesExist(t *testing.T) {
 	funcs := map[string]bool{}
-	files := map[string]int{} // path -> line count
+	decls := map[string]bool{} // "pkg.Name" for every declaration
+	files := map[string]int{}  // path -> line count
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -49,6 +60,9 @@ func TestDocNamesExist(t *testing.T) {
 		files[filepath.ToSlash(path)] = strings.Count(string(src), "\n")
 		for _, m := range goTestFunc.FindAllSubmatch(src, -1) {
 			funcs[string(m[1])] = true
+		}
+		if err == nil {
+			err = declare(decls, path, src)
 		}
 		return err
 	})
@@ -70,6 +84,11 @@ func TestDocNamesExist(t *testing.T) {
 				}
 			}
 		}
+		for _, m := range docQualName.FindAllStringSubmatch(span[1], -1) {
+			if decls[m[1]] && !decls[m[0]] && !docHistory[m[0]] {
+				t.Errorf("DESIGN.md cites %s (in `%s`), which package %s does not declare", m[0], span[1], m[1])
+			}
+		}
 		for _, m := range docGoFile.FindAllStringSubmatch(span[1], -1) {
 			line, _ := strconv.Atoi(m[2])
 			if !docHistory[m[1]] && !fileNamed(files, m[1], line) {
@@ -77,6 +96,36 @@ func TestDocNamesExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// declare adds "pkg.Name" to decls for every top-level declaration and
+// method of one Go file, pkg its package clause (an external test
+// package counts as the package it tests).
+func declare(decls map[string]bool, path string, src []byte) error {
+	f, err := parser.ParseFile(token.NewFileSet(), path, src, parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	pkg := strings.TrimSuffix(f.Name.Name, "_test")
+	decls[pkg] = true
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			decls[pkg+"."+d.Name.Name] = true
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					decls[pkg+"."+spec.Name.Name] = true
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						decls[pkg+"."+n.Name] = true
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // expandBraces is name with each alternative of a {a,b} suffix appended,

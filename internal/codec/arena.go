@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"io"
-	"unsafe"
-)
+import "unsafe"
 
 // arenaChunkBytes is the allocation granularity of an Arena. Large enough
 // to amortize away per-record allocations, small enough that a stray
@@ -40,16 +37,6 @@ func (a *Arena) String(b []byte) string {
 	s := a.alloc(len(b))
 	copy(s, b)
 	return view(s)
-}
-
-// read fills the next n bytes of the arena from r and returns them; the
-// strings of a stored block read this way view its bytes with no further
-// copy. n is at most arenaChunkBytes, so a corrupt length allocates no more
-// than one chunk before the read fails.
-func (a *Arena) read(r io.Reader, n int) ([]byte, error) {
-	b := a.alloc(n)
-	_, err := io.ReadFull(r, b)
-	return b, err
 }
 
 // alloc reserves the next n bytes of the current chunk, starting a fresh

@@ -1,15 +1,17 @@
 // Package codec serializes records as uvarint-length-prefixed key/value
-// pairs. The bare record stream (AppendRecords, DecodeViews) is the
-// payload of mpexec's control frames; every sealed run — spill runs,
-// shuffle segments, store spills — wraps the same framing in the one block
-// format of compress.go, with a per-block CRC-32C and optional LZ.
+// pairs, wrapped in the one sealed-run format of compress.go: blocks of
+// whole records, each with a CRC-32C, LZ-compressed where it pays. It is the
+// only byte form of a record list — spill runs, shuffle segments, store
+// spills, and the record lists of mpexec's frames and journal records
+// (AppendRun, DecodeRun) alike. A run is read by one block reader, from a
+// stream or in place from a buffer.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+	"math/bits"
 
 	"blmr/internal/core"
 )
@@ -24,68 +26,60 @@ func AppendRecord(dst []byte, r core.Record) []byte {
 	return dst
 }
 
-// AppendRecords appends the records of every chunk to dst, in order,
-// growing it once, to the exact size EncodedSize sums.
-func AppendRecords(dst []byte, chunks ...[]core.Record) []byte {
-	var n int64
-	for _, recs := range chunks {
-		for _, r := range recs {
-			n += EncodedSize(r)
-		}
-	}
-	if int64(cap(dst)-len(dst)) < n {
-		// Not slices.Grow: the race build does not fuse its
-		// append(s, make(...)...) and allocates twice.
-		grown := make([]byte, len(dst), int64(len(dst))+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for _, recs := range chunks {
-		for _, r := range recs {
-			dst = AppendRecord(dst, r)
-		}
-	}
-	return dst
-}
-
 // EncodedSize returns the exact encoded size of r in bytes.
 func EncodedSize(r core.Record) int64 {
 	return int64(uvarintLen(uint64(len(r.Key))) + len(r.Key) + uvarintLen(uint64(len(r.Value))) + len(r.Value))
 }
 
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+// uvarintLen is the length of v's uvarint encoding: 7 bits a byte.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // ErrCorrupt reports a structurally invalid record stream: a malformed
 // length prefix, or a stream that ends mid-record (a partial write that was
 // never completed).
 var ErrCorrupt = errors.New("codec: corrupt record stream")
 
-// DecodeViews parses n records from the front of b and appends them to dst.
-// It runs the parser that cuts records out of a run's blocks, on a buffer
-// that is already whole, and copies nothing: the records' strings are views
-// into b, so b must never be written again while any of them is live. Fewer
-// than n whole records in b is ErrCorrupt; bytes after the n-th record are
-// ignored.
-func DecodeViews(dst []core.Record, b []byte, n int) ([]core.Record, error) {
-	p := blockParser{block: b, views: true}
-	for range n {
-		r, ok := p.next()
-		if !ok {
-			if p.err == nil {
-				p.err = fmt.Errorf("%w: truncated record", ErrCorrupt)
-			}
-			return dst, p.err
+// AppendRun appends the records of every chunk, in order, to dst as one
+// sealed None run (stored blocks, each with its checksum), growing dst at
+// most once. It is the byte form of every record list mpexec puts in a
+// frame or a journal record.
+func AppendRun(dst []byte, chunks ...[]core.Record) []byte {
+	var n int64
+	for _, recs := range chunks {
+		for _, r := range recs {
+			n += EncodedSize(r)
 		}
+	}
+	// The run header, plus at most 14 bytes (two 5-byte varints and the
+	// checksum) per block: every block but the last holds at least
+	// blockTargetBytes.
+	n += runHeaderBytes + (n/blockTargetBytes+1)*(2*5+crcBytes)
+	if need := int64(len(dst)) + n; int64(cap(dst)) < need {
+		// Not slices.Grow: the race build does not fuse its
+		// append(s, make(...)...) and allocates twice.
+		dst = append(make([]byte, 0, need), dst...)
+	}
+	e := RunEncoder{comp: None, blockTarget: blockTargetBytes, out: append(append(dst, runMagic[:]...), byte(None))}
+	e.block = len(e.out)
+	for _, recs := range chunks {
+		for _, r := range recs {
+			_ = e.Append(r) // with no writer, nothing fails
+		}
+	}
+	_ = e.Flush()
+	return e.out
+}
+
+// DecodeRun appends every record of the sealed run b to dst, decoding in
+// place as NewRunDecoderBytes does: the strings of stored blocks are views
+// of b, so b must never be written again while any of them is live. A run
+// that is corrupt anywhere, its checksums included, is ErrCorrupt.
+func DecodeRun(dst []core.Record, b []byte) ([]core.Record, error) {
+	rd := NewRunDecoderBytes(b, None)
+	for r, ok := rd.Next(); ok; r, ok = rd.Next() {
 		dst = append(dst, r)
 	}
-	return dst, nil
+	return dst, rd.Err()
 }
 
 // ByteScanner is the reader the block decoders read from. *bufio.Reader and

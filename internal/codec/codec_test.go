@@ -15,14 +15,11 @@ import (
 	"blmr/internal/core"
 )
 
-// decodeRecords parses every record of a bare record stream with the parser
-// blocks and DecodeViews share; ok is false when the stream is corrupt.
-func decodeRecords(buf []byte) (recs []core.Record, ok bool) {
-	p := blockParser{block: buf}
-	for r, more := p.next(); more; r, more = p.next() {
-		recs = append(recs, r)
-	}
-	return recs, p.err == nil
+// roundTrip seals recs as AppendRun does for mpexec's frames and decodes
+// them back in place; ok is false on a decode error.
+func roundTrip(recs []core.Record) (got []core.Record, ok bool) {
+	got, err := DecodeRun(nil, AppendRun(nil, recs))
+	return got, err == nil
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -32,7 +29,7 @@ func TestRoundTrip(t *testing.T) {
 		{Key: "long-key-" + strings.Repeat("x", 200), Value: strings.Repeat("v", 1000)},
 		{Key: "\x00binary\xff", Value: "\x1f"},
 	}
-	got, ok := decodeRecords(AppendRecords(nil, recs))
+	got, ok := roundTrip(recs)
 	if !ok || len(got) != len(recs) {
 		t.Fatalf("decoded %d records (clean stream: %v), want %d", len(got), ok, len(recs))
 	}
@@ -60,7 +57,7 @@ func TestRoundTripProperty(t *testing.T) {
 		for i, p := range pairs {
 			recs[i] = core.Record{Key: p[0], Value: p[1]}
 		}
-		got, ok := decodeRecords(AppendRecords(nil, recs))
+		got, ok := roundTrip(recs)
 		if !ok || len(got) != len(recs) {
 			return false
 		}
@@ -228,25 +225,37 @@ func heapInUse() int64 {
 	return int64(ms.HeapInuse)
 }
 
-// TestNoneStringsDoNotAliasScratch: without an arena, a None run's block
-// buffers are reused block after block, so every string must be a copy:
-// records from earlier blocks stay intact once later blocks are decoded.
+// TestNoneStringsDoNotAliasScratch: read off a stream without an arena, a
+// None run's block buffers are reused block after block, so every string
+// must be a copy: records from earlier blocks stay intact once later blocks
+// are decoded. Read in place, they view the run, which nothing reuses.
 func TestNoneStringsDoNotAliasScratch(t *testing.T) {
 	var recs []core.Record
 	for i := 0; i < 3; i++ {
 		recs = append(recs, core.Record{Key: strings.Repeat("k", 50), Value: strings.Repeat(string(rune('a'+i)), 50)})
 	}
 	run, _ := encodeRun(t, recs, None, 1) // a block per record
-	got, err := drainRecords(NewRunDecoderBytes(run, None))
-	if err != nil {
-		t.Fatal(err)
+	for name, rd := range map[string]RecordReader{
+		"stream":   NewRunDecoder(bytes.NewReader(run)),
+		"in place": NewRunDecoderBytes(run, None),
+	} {
+		got, err := drainRecords(rd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRecords(t, name+": after the last block", recs, got)
 	}
-	requireRecords(t, "after the last block", recs, got)
 }
 
+// TestEmptyBuffer: an empty record list is a header-only run, which
+// decodes to no records; an empty buffer is not a run at all.
 func TestEmptyBuffer(t *testing.T) {
-	if recs, ok := decodeRecords(nil); !ok || recs != nil {
-		t.Fatalf("empty buffer decoded to %v (clean stream: %v), want no records and no error", recs, ok)
+	empty := AppendRun(nil)
+	if recs, err := DecodeRun(nil, empty); err != nil || recs != nil {
+		t.Fatalf("empty run %q decoded to %v, %v; want no records and no error", empty, recs, err)
+	}
+	if _, err := DecodeRun(nil, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty buffer: err %v, want ErrCorrupt", err)
 	}
 }
 

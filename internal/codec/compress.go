@@ -61,7 +61,6 @@ package codec
 // before the window — surfaces as ErrCorrupt.
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -497,13 +496,50 @@ type RecordReader interface {
 // NewRunDecoder decodes a sealed run from r. The run header names its codec.
 func NewRunDecoder(r ByteScanner) RecordReader { return &blockReader{r: r} }
 
-// NewRunDecoderBytes decodes a sealed in-memory run. It returns errors
-// instead of panicking — the only sanctioned decoder for buffers of on-disk
-// or wire provenance. The codec argument is ignored (the run header names
-// the codec); it stays only for an existing caller of this signature and
-// goes once that caller reads runs through NewRunDecoder.
+// NewRunDecoderBytes decodes a sealed run held whole in b, in place: every
+// block's checksum is verified where it lies, and the strings of stored
+// blocks are views of b (DeltaBlock keys excepted, which are rebuilt), so b
+// must never be written again while any decoded record is live. LZ blocks
+// decompress into the reader's own buffers. The codec argument is ignored
+// (the run header names the codec); it stays only for the benchmark's
+// existing call of this signature.
 func NewRunDecoderBytes(b []byte, _ Compression) RecordReader {
-	return NewRunDecoder(bytes.NewReader(b))
+	in := &runBytes{b: b}
+	return &blockReader{r: in, in: in}
+}
+
+// runBytes is a run held whole in memory as a block reader's source. Run
+// and block headers are read through it as through any stream; a block's
+// checksum and payload are sliced out of it where they lie.
+type runBytes struct{ b []byte }
+
+func (s *runBytes) Read(p []byte) (int, error) {
+	if len(s.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, s.b)
+	s.b = s.b[n:]
+	return n, nil
+}
+
+func (s *runBytes) ReadByte() (byte, error) {
+	if len(s.b) == 0 {
+		return 0, io.EOF
+	}
+	c := s.b[0]
+	s.b = s.b[1:]
+	return c, nil
+}
+
+// slice returns the next n bytes in place, capped so that no append through
+// the slice can reach past them.
+func (s *runBytes) slice(n int) ([]byte, error) {
+	if len(s.b) < n {
+		return nil, io.ErrUnexpectedEOF
+	}
+	b := s.b[:n:n]
+	s.b = s.b[n:]
+	return b, nil
 }
 
 // crcBytes is the length of a block's checksum.
@@ -529,16 +565,15 @@ func readRunHeader(r ByteScanner, hdr *[runHeaderBytes]byte) (Compression, error
 	return Compression(hdr[4]), nil
 }
 
-// blockFrame is one block as framed on disk/wire: the undecoded payload
-// plus everything needed to verify and decode it.
+// blockFrame is one block's header as framed on disk/wire, and the buffer
+// its checksum and payload are read into when they cannot be read in place.
 type blockFrame struct {
 	rawLen  int
 	encLen  int
 	lz      bool
 	dict    bool                 // payload copies reach into the previous block's tail
-	crc     uint32               // CRC-32C of payload, always checked before decode
-	payload []byte               // on-wire payload bytes (reused across frames)
-	scratch [runHeaderBytes]byte // read scratch: a local would escape through io.ReadFull
+	payload []byte               // checksum and on-wire payload bytes (reused across frames)
+	scratch [runHeaderBytes]byte // run header scratch: a local would escape through io.ReadFull
 }
 
 // readBlockHeader reads the next block's lengths and flags into f, leaving
@@ -572,16 +607,7 @@ func readBlockHeader(r ByteScanner, f *blockFrame) (bool, error) {
 	return true, nil
 }
 
-// readCRC reads the block's checksum, which follows its lengths.
-func (f *blockFrame) readCRC(r io.Reader) error {
-	if _, err := io.ReadFull(r, f.scratch[:crcBytes]); err != nil {
-		return fmt.Errorf("%w: truncated block checksum: %v", ErrCorrupt, err)
-	}
-	f.crc = binary.LittleEndian.Uint32(f.scratch[:crcBytes])
-	return nil
-}
-
-// readPayload appends n payload bytes from r to dst, 64 KiB at a time, so a
+// readPayload appends n bytes from r to dst, 64 KiB at a time, so a
 // corrupt (huge) length fails at the first missing byte rather than
 // allocating the claimed size up front.
 func readPayload(r io.Reader, dst []byte, n int) ([]byte, error) {
@@ -590,49 +616,39 @@ func readPayload(r io.Reader, dst []byte, n int) ([]byte, error) {
 		start := len(dst)
 		dst = append(dst, make([]byte, c)...)
 		if _, err := io.ReadFull(r, dst[start:]); err != nil {
-			return dst, fmt.Errorf("%w: truncated block payload: %v", ErrCorrupt, err)
+			return dst, err
 		}
 		n -= c
 	}
 	return dst, nil
 }
 
-// checkCRC verifies a block payload against its frame's checksum.
-func (f *blockFrame) checkCRC(payload []byte) error {
-	if got := crc32.Checksum(payload, crcTable); got != f.crc {
-		return fmt.Errorf("%w: block checksum mismatch: got %08x, want %08x", ErrCorrupt, got, f.crc)
-	}
-	return nil
-}
-
-// decodeBlockPayload CRC-verifies and decodes one framed block into a block
-// buffer, dst. A stored block's payload is the block: the two buffers swap
-// (f.payload becomes dst) instead of copying. hist is the previous block's
-// dictionary tail (ignored unless the frame is dictionary-dependent).
-func decodeBlockPayload(dst []byte, f *blockFrame, hist []byte) ([]byte, error) {
-	if err := f.checkCRC(f.payload); err != nil {
-		return dst, err
+// decode verifies one block against its checksum and decodes it. framed is
+// the block's checksum followed by its payload; a stored block is its
+// payload, and an LZ block decompresses into dst. hist is the previous
+// block's dictionary tail (ignored unless the block is dictionary-dependent).
+func (f *blockFrame) decode(dst, framed, hist []byte) ([]byte, error) {
+	payload := framed[crcBytes:]
+	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(framed); got != want {
+		return dst, fmt.Errorf("%w: block checksum mismatch: got %08x, want %08x", ErrCorrupt, got, want)
 	}
 	if !f.lz {
-		block := f.payload
-		f.payload = dst[:0]
-		return block, nil
+		return payload, nil
 	}
 	if !f.dict {
 		hist = nil
 	} else if len(hist) == 0 {
 		return dst, fmt.Errorf("%w: dictionary-dependent block with no preceding block", ErrCorrupt)
 	}
-	return lzDecompress(dst[:0], f.payload, hist, f.rawLen)
+	return lzDecompress(dst[:0], payload, hist, f.rawLen)
 }
 
-// blockParser cuts records out of one decoded block payload (and, for
-// DecodeViews, out of a bare record stream); setBlock hands it the next
-// decoded payload.
+// blockParser cuts records out of one decoded block payload; setBlock hands
+// it the next one.
 type blockParser struct {
 	delta   bool
 	block   []byte // decoded current block payload
-	views   bool   // block is never written again: strings view it (standard framing only)
+	views   bool   // block is never written again: strings view it (DeltaBlock keys are rebuilt)
 	off     int    // cursor within block
 	prevKey []byte // front-coding state within block
 	arena   *Arena // optional: record strings cut from shared chunks
@@ -640,7 +656,8 @@ type blockParser struct {
 }
 
 // setBlock points the parser at the next decoded block payload; views says
-// the payload is never written again (an arena's bytes).
+// the payload is never written again (an arena's bytes, or an in-memory
+// run's).
 func (p *blockParser) setBlock(b []byte, views bool) {
 	p.block = b
 	p.views = views
@@ -669,10 +686,7 @@ func (p *blockParser) next() (core.Record, bool) {
 		return core.Record{}, p.corrupt("bad record in block at offset %d", p.off)
 	}
 	p.off += v1
-	if p.views {
-		return core.Record{Key: view(b[k0:k1]), Value: view(b[v0:v1])}, true
-	}
-	return core.Record{Key: p.copy(b[k0:k1]), Value: p.copy(b[v0:v1])}, true
+	return core.Record{Key: p.cut(b[k0:k1]), Value: p.cut(b[v0:v1])}, true
 }
 
 // field locates the length-prefixed string at b[at:]: its body is
@@ -693,9 +707,12 @@ func field(b []byte, at int) (start, end int, ok bool) {
 	return start, start + int(l), true
 }
 
-// copy materializes a decoded key or value of a block that will be
-// written again: cut from the arena when there is one, else its own copy.
-func (p *blockParser) copy(b []byte) string {
+// cut is a decoded key or value as a string: a view of a block that is
+// never written again, else a copy, out of the arena when there is one.
+func (p *blockParser) cut(b []byte) string {
+	if p.views {
+		return view(b)
+	}
 	if p.arena != nil {
 		return p.arena.String(b)
 	}
@@ -744,7 +761,7 @@ func (p *blockParser) str() (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return p.copy(s), true
+	return p.cut(s), true
 }
 
 // nextDelta decodes one front-coded record.
@@ -781,32 +798,24 @@ func (p *blockParser) nextDelta() (core.Record, bool) {
 // time on the calling goroutine. Two block buffers alternate so
 // the previous block's tail stays live as the next block's dictionary
 // window without a copy; a stored block swaps with the payload buffer
-// instead of being copied into one. With an arena, a stored block of
-// standard framing (None, or Block where LZ did not pay) that fits an arena
-// chunk is read straight into the arena and its records' strings are views
-// of it: the payload is copied once, off the stream.
+// instead of being copied into one.
+//
+// A stored block can also be parsed where its bytes stay, its records'
+// strings views of it. The two sources differ only in where those bytes
+// come from: a run held whole in memory (in) is sliced in place, and with
+// an arena a stored block of standard framing (None, or Block where LZ did
+// not pay) that fits an arena chunk is read straight into the arena, copied
+// once off the stream. A viewed block is never the reader's to reuse: it
+// never becomes spare scratch, so no later block decodes into it.
 type blockReader struct {
 	r          ByteScanner
+	in         *runBytes // r, when the run is whole in memory
 	headerDone bool
 	frame      blockFrame
 	p          blockParser
 	spare      []byte // the other half of the double buffer
 	arena      *Arena
 	err        error
-}
-
-// Reset points the reader at a new run, keeping its block and payload
-// buffers (and arena).
-func (b *blockReader) Reset(r ByteScanner) {
-	b.r = r
-	b.headerDone = false
-	block := b.p.block[:0]
-	if b.p.views {
-		block = nil // the arena's bytes, never a buffer to reuse
-	}
-	b.p.setBlock(block, false)
-	b.p.err = nil
-	b.err = nil
 }
 
 // Next implements RecordReader.
@@ -848,31 +857,40 @@ func (b *blockReader) nextBlock() bool {
 		b.err = err
 		return false
 	}
+	// The block's checksum and payload, in one piece. This is the one place
+	// the two sources differ: a run in memory is sliced where it lies, and
+	// off a stream a stored block of standard framing is read once into the
+	// arena (at most a chunk, so a corrupt length allocates no more before
+	// the read fails). A stored block read either way is parsed in place,
+	// its strings views of it. Anything else is read into the payload buffer.
+	n := crcBytes + f.encLen
+	var framed []byte
+	inPlace := true
+	switch {
+	case b.in != nil:
+		framed, err = b.in.slice(n)
+	case b.arena != nil && !f.lz && !b.p.delta && n <= arenaChunkBytes:
+		framed = b.arena.alloc(n)
+		_, err = io.ReadFull(b.r, framed)
+	default:
+		f.payload, err = readPayload(b.r, f.payload[:0], n)
+		framed, inPlace = f.payload, false
+	}
 	prev, prevViews := b.p.block, b.p.views
 	var next []byte
-	views := b.arena != nil && !f.lz && !b.p.delta && crcBytes+f.encLen <= arenaChunkBytes
-	if views {
-		// One read for the checksum and the payload: the checksum's four
-		// bytes stay in the arena, unused.
-		if next, err = b.arena.read(b.r, crcBytes+f.encLen); err != nil {
-			err = fmt.Errorf("%w: truncated block: %v", ErrCorrupt, err)
-		} else {
-			f.crc = binary.LittleEndian.Uint32(next)
-			next = next[crcBytes:]
-			err = f.checkCRC(next)
-		}
+	if err != nil {
+		err = fmt.Errorf("%w: truncated block: %v", ErrCorrupt, err)
 	} else {
-		err = f.readCRC(b.r)
-		if err == nil {
-			f.payload, err = readPayload(b.r, f.payload[:0], f.encLen)
-		}
-		if err == nil {
-			next, err = decodeBlockPayload(b.spare[:0], f, dictTail(prev))
-			b.spare = nil // now the block or the payload buffer
-		}
+		next, err = f.decode(b.spare[:0], framed, dictTail(prev))
 	}
-	// The block just drained becomes spare scratch, unless the arena owns
-	// it; its bytes stayed valid as the dictionary window for this decode.
+	switch {
+	case f.lz: // decompressed into the spare buffer
+		b.spare = nil
+	case !inPlace: // the payload buffer is the block: swap, don't copy
+		f.payload, b.spare = b.spare[:0], nil
+	}
+	// The block just drained becomes spare scratch, unless it is a view:
+	// its bytes stayed valid as the dictionary window for this decode.
 	if !prevViews {
 		b.spare = prev
 	}
@@ -880,7 +898,7 @@ func (b *blockReader) nextBlock() bool {
 		b.err = err
 		return false
 	}
-	b.p.setBlock(next, views)
+	b.p.setBlock(next, inPlace && !f.lz)
 	return true
 }
 
@@ -890,12 +908,17 @@ func (b *blockReader) nextBlock() bool {
 // fetched section. Not safe for concurrent use; one section at a time.
 type SectionDecoder struct{ br blockReader }
 
-// Reset prepares the decoder for one section read from r, and returns the
-// RecordReader to drain it with (valid until the next Reset). A non-nil
-// arena makes record strings share chunk backing — see Arena for the
-// retention trade-off.
+// Reset prepares the decoder for one section read from r, keeping its
+// block and payload buffers, and returns the RecordReader to drain it with
+// (valid until the next Reset). A non-nil arena makes record strings share
+// chunk backing — see Arena for the retention trade-off.
 func (d *SectionDecoder) Reset(r ByteScanner, arena *Arena) RecordReader {
-	d.br.Reset(r)
-	d.br.arena = arena
-	return &d.br
+	b := &d.br
+	b.r, b.arena, b.headerDone, b.err, b.p.err = r, arena, false, nil, nil
+	block := b.p.block[:0]
+	if b.p.views {
+		block = nil // a view, never a buffer to reuse
+	}
+	b.p.setBlock(block, false)
+	return b
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -11,31 +12,36 @@ import (
 	"blmr/internal/core"
 )
 
-// FuzzRunDecoder feeds arbitrary bytes to the two run decoders — the
-// serial NewRunDecoderBytes and a SectionDecoder reset with an Arena
-// (which reads None's stored blocks straight into the arena) — and holds
-// them to one outcome: the same records, and either a clean end from both
-// or ErrCorrupt from both. Each input is decoded a second time with its
-// block checksums recomputed (withBlockCRCs), so mutations reach the LZ,
-// front-coding and record parsers behind the CRC check. The committed
-// corpus in testdata/fuzz/FuzzRunDecoder holds a valid None run of several
-// blocks, a valid Block run, a DeltaBlock run whose second block copies
-// from the first one's tail (the dict bit), and that run cut inside its
-// second block.
+// FuzzRunDecoder feeds arbitrary bytes to the block reader's three ways in —
+// in place from a buffer (NewRunDecoderBytes), off a stream, and off a
+// stream through a SectionDecoder reset with an Arena (which reads None's
+// stored blocks straight into the arena) — and holds them to one outcome:
+// the same records, and either a clean end from all or ErrCorrupt from all.
+// Each input is decoded a second time with its block checksums recomputed
+// (withBlockCRCs), so mutations reach the LZ, front-coding and record
+// parsers behind the CRC check. The committed corpus in
+// testdata/fuzz/FuzzRunDecoder holds a valid None run of several blocks, a
+// valid Block run, a DeltaBlock run whose second block copies from the
+// first one's tail (the dict bit), and that run cut inside its second block.
 func FuzzRunDecoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, run := range [][]byte{b, withBlockCRCs(b)} {
 			want, wantErr := drainRecords(NewRunDecoderBytes(run, DeltaBlock))
 			if wantErr != nil && !errors.Is(wantErr, ErrCorrupt) {
-				t.Fatalf("serial: err %v, want ErrCorrupt", wantErr)
+				t.Fatalf("in place: err %v, want ErrCorrupt", wantErr)
 			}
 			var dec SectionDecoder
-			got, err := drainRecords(dec.Reset(bytes.NewReader(run), &Arena{}))
-			if !slices.Equal(got, want) {
-				t.Fatalf("section: decoded %d records, serial %d", len(got), len(want))
-			}
-			if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
-				t.Fatalf("section: err %v, serial err %v", err, wantErr)
+			for name, rd := range map[string]RecordReader{
+				"stream": NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(run), 16)),
+				"arena":  dec.Reset(bytes.NewReader(run), &Arena{}),
+			} {
+				got, err := drainRecords(rd)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: decoded %d records, in place %d", name, len(got), len(want))
+				}
+				if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, ErrCorrupt)) {
+					t.Fatalf("%s: err %v, in place err %v", name, err, wantErr)
+				}
 			}
 		}
 	})
@@ -46,13 +52,13 @@ func FuzzRunDecoder(f *testing.F) {
 const fuzzBlockTarget = 64
 
 // FuzzRunEncoder seals the records fuzzRecords builds from each input with
-// every codec, and holds the serial and section decoders to returning
-// exactly those records, and the run to maxSealedBytes. The committed
-// corpus in testdata/fuzz/FuzzRunEncoder holds sorted uniform 8-byte keys
-// (the probe stores the blocks after the first), sorted WordCount keys
-// (every block keeps LZ) and a run whose first block is random keys and
-// whose later blocks repeat one record shape (the probe guesses wrong,
-// then LZ comes back at the next probe).
+// every codec, and holds the block reader to returning exactly those
+// records in place, off a stream and through an arena, and the run to
+// maxSealedBytes. The committed corpus in testdata/fuzz/FuzzRunEncoder
+// holds sorted uniform 8-byte keys (the probe stores the blocks after the
+// first), sorted WordCount keys (every block keeps LZ) and a run whose first
+// block is random keys and whose later blocks repeat one record shape (the
+// probe guesses wrong, then LZ comes back at the next probe).
 func FuzzRunEncoder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		recs := fuzzRecords(b)
@@ -63,8 +69,9 @@ func FuzzRunEncoder(f *testing.F) {
 			}
 			var dec SectionDecoder
 			for name, rd := range map[string]RecordReader{
-				"serial":  NewRunDecoderBytes(buf, comp),
-				"section": dec.Reset(bytes.NewReader(buf), &Arena{}),
+				"in place": NewRunDecoderBytes(buf, comp),
+				"stream":   NewRunDecoder(bufio.NewReaderSize(bytes.NewReader(buf), 16)),
+				"arena":    dec.Reset(bytes.NewReader(buf), &Arena{}),
 			} {
 				got, err := drainRecords(rd)
 				if err != nil {

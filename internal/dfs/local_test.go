@@ -171,7 +171,11 @@ func TestRunSetLifecycle(t *testing.T) {
 	want := 0
 	for run := 0; run < 3; run++ {
 		recs := mkRecs(50, fmt.Sprintf("run%d-", run))
-		if err := s.Append(encodeRun(recs), int64(len(codec.AppendRecords(nil, recs)))); err != nil {
+		var raw int64
+		for _, r := range recs {
+			raw += codec.EncodedSize(r)
+		}
+		if err := s.Append(encodeRun(recs), raw); err != nil {
 			t.Fatal(err)
 		}
 		want += len(recs)

@@ -29,7 +29,11 @@ import (
 // changed once more when the decode-worker count, which no engine reads,
 // left the options layout: the 'J' frame and the journal's admit record
 // lost that field and carry 11 options instead of 12
-// (TestOptsRejectOtherLayouts).
+// (TestOptsRejectOtherLayouts). And once more when record lists became
+// sealed None runs, checksummed per block: the 'M' and 'r' frames and the
+// journal's admit and reduce records carry a run after their record count,
+// and those two records' kinds went 'a' → 'i' and 'r' → 'o'
+// (parentAdmitRecord, parentReduceRecord).
 type golden struct {
 	name  string
 	hex   string
@@ -59,7 +63,7 @@ func goldens() []golden {
 		{"J", "0709776f7264636f756e740b0603018080041080024001020101",
 			&jobStart{7, "wordcount", decoded}, func() message { return new(jobStart) }},
 		{"j", "07", &jobEnd{7}, func() message { return new(jobEnd) }},
-		{"M", "07ac020502026b31027631076b65792d74776f0976616c75652074776f",
+		{"M", "07ac020502424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
 			&mapTask{7, exec.MapTask{Index: 300, Attempt: 5, Split: recs}}, func() message { return new(mapTask) }},
 		{"m", "07ac0205b96002f0a204e0c5080902ac02effdb6f50d030064640064fa01ad0207010005",
 			&mapDone{job: 7, index: 300, attempt: 5, shuffleRecords: 12345, spills: 2, spilledBytes: 70000,
@@ -72,21 +76,21 @@ func goldens() []golden {
 			&segPush{7, 2, mapSegs{3, 9, []shuffle.Segment{seg}}}, func() message { return new(segPush) }},
 		{"S invalidate", "0702030000",
 			&segPush{7, 2, mapSegs{3, -1, nil}}, func() message { return new(segPush) }},
-		{"r", "070201802002f4038407e05d030902026b31027631076b65792d74776f0976616c75652074776f",
+		{"r", "070201802002f4038407e05d030902424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
 			&reduceDone{job: 7, partition: 2, res: res, spilledBytes: 500, rawSpilledBytes: 900, fetchDials: 3, serverOpens: 9},
 			func() message { return new(reduceDone) }},
-		{"r head", "070201802002f4038407e05d030902026b31027631076b65792d74776f0976616c75652074776f",
+		{"r head", "070201802002f4038407e05d030902424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
 			&replyHead{7, 2}, func() message { return new(replyHead) }},
 		{"E", "076dac0204626f6f6d", &taskError{7, msgMapDone, 300, "boom"}, func() message { return new(taskError) }},
 		{"F", "070b7461736b206661696c6564", &abort{7, "task failed"}, func() message { return new(abort) }},
 
-		{"journal a", "610309776f7264636f756e740b060301808004108002400102010102026b31027631076b65792d74776f0976616c75652074776f",
+		{"journal i", "690309776f7264636f756e740b060301808004108002400102010102424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
 			&journalRecord{kind: jAdmit, ticket: 3, admit: &journalJob{name: "wordcount", opts: decoded, input: recs}}, rec},
 		{"journal s", "730307", &journalRecord{kind: jStart, ticket: 3, id: 7}, rec},
 		{"journal w", "7703ac020506772d34323432b9600202ac02effdb6f50d030064640064fa01ad0207010005",
 			&journalRecord{kind: jMapDone, ticket: 3, id: 300, mapDone: &journalMap{attempt: 5, worker: "w-4242",
 				shuffleRecords: 12345, spills: 2, waves: waves}}, rec},
-		{"journal r", "72030201802002e05d02026b31027631076b65792d74776f0976616c75652074776f",
+		{"journal o", "6f030201802002e05d02424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
 			&journalRecord{kind: jReduceDone, ticket: 3, id: 2, reduce: &res}, rec},
 		{"journal d", "6403", &journalRecord{kind: jDone, ticket: 3}, rec},
 		{"journal x", "780304626f6f6d", &journalRecord{kind: jAborted, ticket: 3, msg: "boom"}, rec},
@@ -146,6 +150,16 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
+// parentAdmitRecord and parentReduceRecord are the journal's admit and
+// reduce records as they were written while record lists were bare: kinds
+// 'a' and 'r', then the layouts of "journal i" and "journal o" with the
+// records framed back to back after their count, no run header, no
+// checksum.
+const (
+	parentAdmitRecord  = "610309776f7264636f756e740b060301808004108002400102010102026b31027631076b65792d74776f0976616c75652074776f"
+	parentReduceRecord = "72030201802002e05d02026b31027631076b65792d74776f0976616c75652074776f"
+)
+
 // parentMapRecord is a journal map record as it was written while waves
 // named their codec: kind 'm', then the layout of "journal w" with a codec
 // field after each wave's file ID.
@@ -156,14 +170,31 @@ const parentMapRecord = "6d03ac020506772d34323432b9600202ac0202effdb6f50d0300646
 // in a resuming service alike, rather than being read with its fields
 // shifted.
 func TestJournalRejectsParentMapRecord(t *testing.T) {
-	old, err := hex.DecodeString(parentMapRecord)
+	requireReplayRefuses(t, parentMapRecord)
+}
+
+// TestJournalRejectsParentRecordLists: a journal holding an admit or a
+// reduce record of the layout before record lists became runs fails replay
+// as an unknown kind, in the fold and in a resuming service alike.
+func TestJournalRejectsParentRecordLists(t *testing.T) {
+	for _, old := range []string{parentAdmitRecord, parentReduceRecord} {
+		requireReplayRefuses(t, old)
+	}
+}
+
+// requireReplayRefuses journals a live admit and start record followed by
+// oldHex, a record of a retired kind, and requires both foldJournal and
+// NewService's resume to fail on it as an unknown kind.
+func requireReplayRefuses(t *testing.T, oldHex string) {
+	t.Helper()
+	old, err := hex.DecodeString(oldHex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	admit := encodeJournalAdmit(3, "wordcount", exec.Options{Mappers: 1, Reducers: 1}, nil)
 	start := encode(&journalRecord{kind: jStart, ticket: 3, id: 7})
 	if _, err := foldJournal([][]byte{admit, start, old}); err == nil || !strings.Contains(err.Error(), "unknown journal record kind") {
-		t.Fatalf("fold of a parent-layout map record: err %v, want an unknown kind", err)
+		t.Fatalf("fold of parent-layout record %q: err %v, want an unknown kind", old[0], err)
 	}
 	dir := t.TempDir()
 	log, _, err := wal.Open(filepath.Join(dir, "journal.wal"))
@@ -186,7 +217,7 @@ func TestJournalRejectsParentMapRecord(t *testing.T) {
 	resolve := func(string) (exec.Job, bool) { return exec.Job{}, true }
 	if s, err := NewService(c, 1, ServiceConfig{StateDir: dir, Resolver: resolve}); err == nil {
 		s.Close()
-		t.Fatal("a service resumed a journal holding a parent-layout map record")
+		t.Fatalf("a service resumed a journal holding parent-layout record %q", old[0])
 	}
 }
 

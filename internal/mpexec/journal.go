@@ -17,18 +17,21 @@ import (
 // service ticket ID, so a fold can sort an interleaved multi-job stream
 // into per-job state:
 //
-//	'a' admit:   ticket | name | opts | input records
+//	'i' admit:   ticket | name | opts | inputCount | run
 //	's' start:   ticket | coordinator job ID
 //	'w' mapDone: ticket | mapIndex | attempt | workerName | shuffleRecords |
 //	             spills | waves (wire.waves's layout, proto.go)
-//	'r' redDone: ticket | partition | spills | peakPartialBytes |
-//	             mergePasses | fetchBytes | output records
+//	'o' redDone: ticket | partition | spills | peakPartialBytes |
+//	             mergePasses | fetchBytes | outputCount | run
 //	'd' done:    ticket
 //	'x' aborted: ticket | message
 //
+// run is wire.records's: the input or output records as one sealed None
+// run, the format of the 'M' and 'r' frames, checksummed per block.
+//
 // journalRecord.layout states these layouts, once each, for encode and
 // decode alike (see wire, proto.go). The header — kind, ticket, and the id
-// that follows the ticket in 's', 'w' and 'r' — is all a fold reads; the
+// that follows the ticket in 's', 'w' and 'o' — is all a fold reads; the
 // rest is the kind's body, which the live append path never decodes and
 // resume decodes exactly once per record.
 //
@@ -42,11 +45,13 @@ import (
 // body's layout the same way: when a body changes, its kind byte does too,
 // and a record of the retired kind fails replay as an unknown kind instead
 // of being read with its fields shifted. The map record was 'm' while
-// waves named their codec; it has been 'w' since.
+// waves named their codec; it has been 'w' since. The admit and reduce
+// records were 'a' and 'r' while their records were a bare, unchecksummed
+// list; they have been 'i' and 'o' since their records became a run.
 //
 // One fold, journalState, decides which records of a stream are still live,
-// for resume, for compaction and for -journal-stat alike: the last 'a' and
-// 's' per ticket, the last 'w' per (ticket, map index) and the last 'r' per
+// for resume, for compaction and for -journal-stat alike: the last 'i' and
+// 's' per ticket, the last 'w' per (ticket, map index) and the last 'o' per
 // (ticket, partition), in journal order — the order the coordinator
 // installed the routes in, so a map whose speculative clone won and then
 // died resumes on the original's route, not on the dead clone's higher
@@ -57,10 +62,10 @@ import (
 
 // Journal record kinds.
 const (
-	jAdmit      = 'a'
+	jAdmit      = 'i'
 	jStart      = 's'
 	jMapDone    = 'w'
-	jReduceDone = 'r'
+	jReduceDone = 'o'
 	jDone       = 'd'
 	jAborted    = 'x'
 )
@@ -74,7 +79,7 @@ type journalMap struct {
 	waves          []shuffle.Wave // Addr empty until re-attach patches it
 }
 
-// journalJob is one admitted job as the journal holds it: the 'a' record's
+// journalJob is one admitted job as the journal holds it: the 'i' record's
 // body, and once a replay has assembled it (journalState.jobs) what the
 // ticket's other live records add — the state a resumed job re-enters with.
 type journalJob struct {
@@ -104,11 +109,11 @@ func (jj *journalJob) firstAttempt() int {
 type journalRecord struct {
 	kind   byte
 	ticket uint64
-	id     int // coordinator job ID ('s'), map index ('w'), partition ('r')
+	id     int // coordinator job ID ('s'), map index ('w'), partition ('o')
 
-	admit   *journalJob        // 'a': name, opts, input
+	admit   *journalJob        // 'i': name, opts, input
 	mapDone *journalMap        // 'w'
-	reduce  *exec.ReduceResult // 'r'
+	reduce  *exec.ReduceResult // 'o'
 	msg     string             // 'x'
 
 	raw []byte // as framed; what compaction rewrites

@@ -30,7 +30,7 @@ func putStr(b []byte, s string) []byte {
 
 func putRecords(b []byte, recs []core.Record) []byte {
 	b = binary.AppendUvarint(b, uint64(len(recs)))
-	return codec.AppendRecords(b, recs)
+	return codec.AppendRun(b, recs)
 }
 
 func encodeJobStart(id int, name string, o exec.Options) []byte {

@@ -32,7 +32,7 @@
 //	'h' beat:    (empty)                              (worker -> coord)
 //	'J' job:     job | name | opts                    (coord -> worker)
 //	'j' jobEnd:  job                                  (coord -> worker)
-//	'M' map:     job | index | attempt | recordCount | codec records
+//	'M' map:     job | index | attempt | recordCount | run
 //	                                                  (coord -> worker)
 //	'm' mapDone: job | index | attempt | shuffleRecords | spills |
 //	             spilledBytes | rawSpilledBytes | serverOpens |
@@ -44,11 +44,16 @@
 //	             { segment }                          (coord -> worker)
 //	'r' redDone: job | partition | spills | peakPartialBytes | mergePasses |
 //	             spilledBytes | rawSpilledBytes | fetchBytes | fetchDials |
-//	             serverOpens | recordCount | codec records
+//	             serverOpens | recordCount | run
 //	'E' error:   job | replyKind byte ('m'|'r') | id | message
 //	                                                  (worker -> coord)
 //	'F' abort:   job | message                        (coord -> worker)
 //	'B' bye:     (empty)                              (coord -> worker)
+//
+// run, a split's or an output's records, is the rest of the payload: one
+// sealed run of codec None (codec.AppendRun), the format every spill run
+// and shuffle segment has, with a CRC-32C per block. It must hold exactly
+// recordCount records.
 //
 // The coordinator is multi-tenant: every job-scoped frame leads with the
 // coordinator-assigned job ID, so one worker pool carries several admitted
@@ -283,22 +288,28 @@ func (w *wire) str(p *string) {
 	}
 }
 
-// records is a count-prefixed record list, always a payload's final field.
-// A record encodes to >= 2 bytes (two zero-length strings). Decoded records
-// are views into the payload (codec.DecodeViews), not copies; their headers
-// go into take(n), a buffer of capacity n or more.
+// records is a count-prefixed record list, always a payload's final field:
+// the count, then the records as one sealed None run (codec.AppendRun), the
+// bytes a spill run of them holds, checksummed block by block. A record
+// encodes to >= 2 bytes (two zero-length strings). Decoded records are
+// views into the payload (codec.DecodeRun), not copies; their headers go
+// into take(n), a buffer of capacity n or more. A run that fails a
+// checksum, or that holds other than n records, is codec.ErrCorrupt.
 func (w *wire) records(p *[]core.Record, take func(n int) []core.Record) {
 	n := w.length(len(*p), 2)
 	if !w.decoding {
-		w.buf = codec.AppendRecords(w.buf, *p)
+		w.buf = codec.AppendRun(w.buf, *p)
 		return
 	}
 	if w.err != nil {
 		return
 	}
-	out, err := codec.DecodeViews(take(n), w.buf[w.off:], n)
+	out, err := codec.DecodeRun(take(n), w.buf[w.off:])
+	if err == nil && len(out) != n {
+		err = fmt.Errorf("%w: %d records, count says %d", codec.ErrCorrupt, len(out), n)
+	}
 	if err != nil {
-		w.err = fmt.Errorf("mpexec: truncated record stream: %v", err)
+		w.err = fmt.Errorf("mpexec: record list: %w", err)
 		return
 	}
 	w.off = len(w.buf)
@@ -311,7 +322,7 @@ func (w *wire) records(p *[]core.Record, take func(n int) []core.Record) {
 func (w *wire) chunks(p *core.Chunks) {
 	if !w.decoding {
 		w.length(p.Len(), 2)
-		w.buf = codec.AppendRecords(w.buf, *p...)
+		w.buf = codec.AppendRun(w.buf, *p...)
 		return
 	}
 	var recs []core.Record

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"reflect"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/exec"
 	"blmr/internal/shuffle"
@@ -83,12 +85,14 @@ func TestOptsRoundTrip(t *testing.T) {
 
 // TestOptsRejectOtherLayouts: the options layout leads with its field count,
 // and a record with any other count is refused outright. The first case is
-// byte for byte what the binary before the count existed journaled — 17 bare
-// values, Mappers first: replay must fail naming the mismatch, not read the
+// what the binary before the count existed journaled — 17 bare values,
+// Mappers first: replay must fail naming the mismatch, not read the
 // thirteenth value as the input's record count. The second is byte for byte
 // the admit record of the binary before the decode-worker count left the
-// layout — 12 fields: replay must fail naming that count. The others are
-// this layout with a field added or dropped, on the 'J' frame.
+// layout — 12 fields: replay must fail naming that count. Both carry this
+// binary's admit kind byte: under their own, 'a', they fail as an unknown
+// kind first (TestJournalRejectsParentRecordLists). The others are this
+// layout with a field added or dropped, on the 'J' frame.
 func TestOptsRejectOtherLayouts(t *testing.T) {
 	old := binary.AppendUvarint([]byte{jAdmit}, 3)
 	old = putStr(old, "wordcount")
@@ -104,6 +108,7 @@ func TestOptsRejectOtherLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twelve[0] = jAdmit
 	if _, _, _, err := replayJournal([][]byte{twelve}); err == nil || !strings.Contains(err.Error(), "options carry 12 fields") {
 		t.Fatalf("replay of a 12-field admit record: err = %v, want a field-count mismatch naming 12", err)
 	}
@@ -153,6 +158,45 @@ func TestDecodedRecordsOutliveNextFrame(t *testing.T) {
 	}
 	if !slices.Equal(first.t.Split, split("a")) || !slices.Equal(second.t.Split, split("b")) {
 		t.Fatal("decoding the next frame changed an earlier frame's records")
+	}
+}
+
+// TestRecordListsAreChecksummed: the records of an 'M' split and of an 'r'
+// output travel as a sealed run, so a corrupt byte anywhere in it — run or
+// block header, checksum, key or value — fails the decode with
+// codec.ErrCorrupt where a bare record list decoded a flipped value byte
+// silently; and so does a record count that disagrees with the run. Each
+// byte is flipped to its complement, which also turns the run's codec byte
+// into no codec at all.
+func TestRecordListsAreChecksummed(t *testing.T) {
+	recs := []core.Record{{Key: "k1", Value: "v1"}, {Key: "key-two", Value: "value two"}}
+	for _, tc := range []struct {
+		name  string
+		m     message
+		fresh func() message
+	}{
+		{"M", &mapTask{7, exec.MapTask{Index: 3, Attempt: 1, Split: recs}}, func() message { return new(mapTask) }},
+		{"r", &reduceDone{job: 7, partition: 2, res: exec.ReduceResult{Output: core.Chunks{recs}}}, func() message { return new(reduceDone) }},
+	} {
+		payload := encode(tc.m)
+		run := bytes.Index(payload, []byte("BLC3"))
+		if err := decode(payload, tc.fresh()); err != nil || run < 1 {
+			t.Fatalf("%s: run at %d, decode: %v", tc.name, run, err)
+		}
+		for i := run; i < len(payload); i++ {
+			bad := slices.Clone(payload)
+			bad[i] ^= 0xff
+			if err := decode(bad, tc.fresh()); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("%s: run byte %d of %d flipped: err %v, want codec.ErrCorrupt", tc.name, i-run, len(payload)-run, err)
+			}
+		}
+		for _, n := range []byte{0, 1, 3} {
+			bad := slices.Clone(payload)
+			bad[run-1] = n // the record count, 2
+			if err := decode(bad, tc.fresh()); !errors.Is(err, codec.ErrCorrupt) {
+				t.Errorf("%s: count %d over a run of 2 records: err %v, want codec.ErrCorrupt", tc.name, n, err)
+			}
+		}
 	}
 }
 

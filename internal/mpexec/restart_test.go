@@ -243,7 +243,7 @@ func TestClusterRestartMidReduce(t *testing.T) {
 		t.Skip("subprocess crash-restart test")
 	}
 	rc := startRestartCluster(t, "midreduce", 0, 3, "MPEXEC_SLOWRED=1")
-	rc.waitJournal(t, 1, func(c map[byte]int) bool { return c['r'] >= 1 }, 60*time.Second)
+	rc.waitJournal(t, 1, func(c map[byte]int) bool { return c[jReduceDoneKind] >= 1 }, 60*time.Second)
 	rc.kill(t)
 	s := rc.resume(t)
 	resumed := s.Resumed()
@@ -402,7 +402,7 @@ func benchCoordRestart(b *testing.B, cold bool) {
 // internal/mpexec/journal.go is authoritative).
 const (
 	jMapDoneKind    = byte('w')
-	jReduceDoneKind = byte('r')
+	jReduceDoneKind = byte('o')
 )
 
 func BenchmarkCoordRestart_Cold(b *testing.B) {

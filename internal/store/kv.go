@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"blmr/internal/codec"
 	"blmr/internal/core"
 )
 
@@ -203,14 +204,11 @@ func (s *KVStore) compact() {
 	s.liveBytes = int64(len(s.log))
 }
 
-// appendEntry encodes one entry at the end of the log as uvarint(len(key)),
-// key, uvarint(len(val)), val.
+// appendEntry encodes one entry at the end of the log in the records'
+// standard framing: uvarint(len(key)), key, uvarint(len(val)), val.
 func (s *KVStore) appendEntry(key, val string) logLoc {
 	off := len(s.log)
-	s.log = binary.AppendUvarint(s.log, uint64(len(key)))
-	s.log = append(s.log, key...)
-	s.log = binary.AppendUvarint(s.log, uint64(len(val)))
-	s.log = append(s.log, val...)
+	s.log = codec.AppendRecord(s.log, core.Record{Key: key, Value: val})
 	n := len(s.log) - off
 	s.hooks.DiskWrite(int64(n))
 	return logLoc{off: int64(off), n: n}

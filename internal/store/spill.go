@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-
 	"blmr/internal/codec"
 	"blmr/internal/core"
 	"blmr/internal/sortx"
@@ -53,10 +51,9 @@ func (m *memRuns) Append(buf []byte, rawBytes int64) error {
 func (m *memRuns) Runs() ([]sortx.Run, error) {
 	out := make([]sortx.Run, len(m.runs))
 	for i, r := range m.runs {
-		// The error-returning decoder, never the panicking codec.Reader:
-		// these buffers hold spill-lifecycle data, and a decode failure must
-		// fail the job, not crash the worker.
-		out[i] = codec.NewRunDecoder(bytes.NewReader(r))
+		// Read in place: nothing writes a sealed run again, so its records'
+		// strings view it, and one kept past Release keeps its run alive.
+		out[i] = codec.NewRunDecoderBytes(r, m.comp)
 	}
 	return out, nil
 }
