@@ -47,6 +47,12 @@
 // spill stores keep a key's running sum as an int64 from its second value
 // on, charge it the length of its decimal form, and format it once, when
 // it is drained, so that record parses one count and allocates nothing.
+// Post-reduction and selection fold through store.Merge too, with the
+// merger that also reunites their spilled partials
+// (reducers.SetUnionMerger, reducers.SelectionMerger): one fold path, and
+// no store can be read or written by key any other way. The KV store
+// alone keeps a get-then-put per fold, the off-the-shelf cost the paper
+// measured.
 //
 // The shuffle is also memory-bounded on demand: mr.Options.SpillBytes caps
 // each task's buffered intermediate data. Barrier mappers spill sorted,

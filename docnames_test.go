@@ -20,7 +20,6 @@ var docHistory = map[string]bool{
 	"BenchmarkFaultPredicted*":    true, // §9: likewise, now a harness.Parity row
 	"TestMapRetryPreservesOutput": true, // §15: went with Config.FailMapTask
 	"codec.Reader":                true, // §8: the panicking buffer decoder, deleted
-	"store.SpillHooks":            true, // §4: replaced by store.Hooks
 	"simmr.RunExchange":           true, // §7: deleted with SpillExchange
 }
 

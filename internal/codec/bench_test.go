@@ -47,30 +47,33 @@ var benchRuns = []struct {
 	{"delta-text", func() []core.Record { return wordCountKeys(8_000) }},
 }
 
-// BenchmarkEncode seals one run with DeltaBlock per op, reusing the
-// encoder as a map task does across waves, and reports ns per record and
-// the sealed size.
+// BenchmarkEncode seals one run per op, reusing the encoder as a map task
+// does across waves, and reports ns per record and the sealed size: each
+// benchRuns shape with DeltaBlock, and the WordCount run with None, the
+// codec of mpexec's record lists and of plain sealed waves.
 func BenchmarkEncode(b *testing.B) {
 	for _, bc := range benchRuns {
-		b.Run(bc.name, func(b *testing.B) {
-			recs := bc.recs()
-			e := NewRunEncoder(nil, DeltaBlock)
-			b.ResetTimer()
-			for range b.N {
-				e.Reset(nil)
-				for _, r := range recs {
-					if err := e.Append(r); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := e.Flush(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/rec")
-			b.ReportMetric(float64(len(e.Bytes())), "sealed-B")
-		})
+		b.Run(bc.name, func(b *testing.B) { benchEncode(b, bc.recs(), DeltaBlock) })
 	}
+	b.Run("none-text", func(b *testing.B) { benchEncode(b, wordCountKeys(8_000), None) })
+}
+
+func benchEncode(b *testing.B, recs []core.Record, comp Compression) {
+	e := NewRunEncoder(nil, comp)
+	b.ResetTimer()
+	for range b.N {
+		e.Reset(nil)
+		for _, r := range recs {
+			if err := e.Append(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := e.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/rec")
+	b.ReportMetric(float64(len(e.Bytes())), "sealed-B")
 }
 
 // BenchmarkDecode drains one run per op: "none" is 1 024 records sealed

@@ -362,11 +362,15 @@ func (e *RunEncoder) Append(r core.Record) error {
 	if e.err != nil {
 		return e.err
 	}
-	e.rawBytes += EncodedSize(r)
+	// None and Block append the standard framing, so the bytes they append
+	// are the record's raw size; only DeltaBlock's framing differs.
 	switch {
 	case e.lz == nil:
+		n := len(e.out)
 		e.out = AppendRecord(e.out, r)
+		e.rawBytes += int64(len(e.out) - n)
 	case e.comp == DeltaBlock:
+		e.rawBytes += EncodedSize(r)
 		shared := commonPrefixLen(e.prevKey, r.Key)
 		e.raw = binary.AppendUvarint(e.raw, uint64(shared))
 		e.raw = binary.AppendUvarint(e.raw, uint64(len(r.Key)-shared))
@@ -375,7 +379,9 @@ func (e *RunEncoder) Append(r core.Record) error {
 		e.raw = append(e.raw, r.Value...)
 		e.prevKey = r.Key
 	default:
+		n := len(e.raw)
 		e.raw = AppendRecord(e.raw, r)
+		e.rawBytes += int64(len(e.raw) - n)
 	}
 	if len(e.payload()) >= e.blockTarget {
 		e.sealBlock()

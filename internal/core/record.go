@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Record is a key/value pair flowing between stages. Keys compare
@@ -125,20 +126,40 @@ func packStrings(parts []string) string {
 }
 
 func unpackStrings(s string) []string {
-	if s == "" {
-		return nil
-	}
 	var out []string
-	b := []byte(s)
-	for len(b) > 0 {
-		n, sz := binary.Uvarint(b)
-		if sz <= 0 || int(n) > len(b)-sz {
-			panic("core: corrupt packed string")
-		}
-		out = append(out, string(b[sz:sz+int(n)]))
-		b = b[sz+int(n):]
+	for c := NewListCursor(s); c.Next(); {
+		out = append(out, strings.Clone(c.Elem))
 	}
 	return out
+}
+
+// ListCursor reads a packed list or tuple (JoinList, JoinValues) in place,
+// one element at a time, so a caller that only compares or copies the
+// elements never makes a string of each. A corrupt list panics, as
+// SplitList does.
+type ListCursor struct {
+	Elem   string // the current element, a view into the list
+	Framed string // the current element as it lies in the list, length prefix included
+	rest   string
+}
+
+// NewListCursor returns a cursor before the first element of s.
+func NewListCursor(s string) ListCursor { return ListCursor{rest: s} }
+
+// Next moves to the next element and reports whether there is one.
+func (c *ListCursor) Next() bool {
+	if c.rest == "" {
+		c.Elem, c.Framed = "", ""
+		return false
+	}
+	// At most MaxVarintLen64 bytes, so the conversion stays on the stack.
+	n, sz := binary.Uvarint([]byte(c.rest[:min(len(c.rest), binary.MaxVarintLen64)]))
+	if sz <= 0 || n > uint64(len(c.rest)-sz) {
+		panic("core: corrupt packed string")
+	}
+	end := sz + int(n)
+	c.Elem, c.Framed, c.rest = c.rest[sz:end], c.rest[:end], c.rest[end:]
+	return true
 }
 
 // JoinValues packs a fixed-arity tuple of parts into one value string.

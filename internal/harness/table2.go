@@ -28,7 +28,9 @@ type Table2Row struct {
 // read from that file instead, the path relative to internal/reducers:
 // barrier-less Sort needs the sum merger behind Store.MergeSum, which the
 // barrier form does not, so its row counts store.SumMerger. WordCount's
-// barrier form folds with it too, so neither of its forms counts it.
+// barrier form folds with it too, so neither of its forms counts it. The
+// barrier-less k-NN and Post Processing fold through the list merge in
+// lists.go, so both rows count it.
 var table2Spec = []struct {
 	app      string
 	file     string
@@ -51,13 +53,13 @@ var table2Spec = []struct {
 		app:      "k-Nearest Neighbors",
 		file:     "selection.go",
 		orig:     []string{"SelectionGroup", "SelectionGroup.Reduce"},
-		noBarier: []string{"SelectionStream", "NewSelectionStream", "SelectionStream.Consume", "SelectionStream.Finish", "insertTopK", "SelectionMerger"},
+		noBarier: []string{"SelectionStream", "NewSelectionStream", "SelectionStream.Consume", "SelectionStream.Finish", "SelectionMerger", "lists.go:mergeLists"},
 	},
 	{
 		app:      "Post Processing",
 		file:     "postreduce.go",
 		orig:     []string{"PostReductionGroup", "PostReductionGroup.Reduce"},
-		noBarier: []string{"PostReductionStream", "NewPostReductionStream", "PostReductionStream.Consume", "PostReductionStream.Finish", "SetUnionMerger"},
+		noBarier: []string{"PostReductionStream", "NewPostReductionStream", "PostReductionStream.Consume", "PostReductionStream.Finish", "SetUnionMerger", "lists.go:mergeLists"},
 	},
 	{
 		app:      "Genetic Algorithm",

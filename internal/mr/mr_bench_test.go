@@ -1,20 +1,21 @@
 package mr
 
 // The go test -bench functions something still cites. The repo benchmark
-// (bench/: wc_inproc, sort_tcp_delta) is where end-to-end numbers come from;
-// these six stay because CI's bench-smoke step compiles and runs two of
-// them (PipelinedWordCount1M_Batch256, PipelinedSort1M_Spill1MiB) and
-// CHANGES.md claims quote the others by name: PipelinedSort1M_Batch256
-// (PR 4's slab arenas; PR 14's all-miss guard; PR 25's hash-indexed table),
-// BarrierWordCount250K_TCP (PR 5's pooled fetch path) and
-// BarrierWordCount250K_TCPDeltaDecode{1,N} (PR 8's decode pool).
+// (bench/) is where end-to-end numbers come from. CI's bench-smoke step runs
+// PipelinedWordCount1M_Batch256, PipelinedSort1M_Spill1MiB,
+// BarrierWordCount250K_TCPDelta, PipelinedLastFM and PipelinedKNN once each;
+// CHANGES.md quotes the rest by name. PipelinedLastFM and PipelinedKNN time
+// the two list-valued folds, post-reduction and selection, which no bench/
+// workload runs.
 
 import (
+	"slices"
 	"testing"
 
 	"blmr/internal/apps"
 	"blmr/internal/codec"
 	"blmr/internal/core"
+	"blmr/internal/harness"
 	"blmr/internal/shuffle"
 	"blmr/internal/workload"
 )
@@ -76,3 +77,30 @@ func benchBarrierTCP(b *testing.B, comp codec.Compression) {
 
 func BenchmarkBarrierWordCount250K_TCP(b *testing.B)      { benchBarrierTCP(b, codec.None) }
 func BenchmarkBarrierWordCount250K_TCPDelta(b *testing.B) { benchBarrierTCP(b, codec.DeltaBlock) }
+
+// benchModes runs job over the TCP run exchange, 4 maps x 4 reduces, once a
+// sub-benchmark per mode: the pipelined arm folds every record into the
+// reducers' stores, the barrier arm is its reference.
+func benchModes(b *testing.B, job Job, ds harness.Dataset) {
+	input := slices.Concat(ds.Splits...)
+	for _, mode := range []Mode{Pipelined, Barrier} {
+		b.Run(mode.String(), func(b *testing.B) {
+			benchRun(b, job, input, Options{
+				Mode: mode, Mappers: 4, Reducers: 4, Transport: shuffle.TCP, SpillDir: b.TempDir(),
+			}, nil)
+		})
+	}
+}
+
+// Last.fm unique listeners at size 16 (320 000 listens): each listen joins
+// its track's user set.
+func BenchmarkPipelinedLastFM(b *testing.B) {
+	benchModes(b, apps.LastFM(), harness.LastFMData(16))
+}
+
+// k-NN at size 16 (24 000 training points x 12 queries): each distance
+// joins its query's top-10 list.
+func BenchmarkPipelinedKNN(b *testing.B) {
+	ds, exp := harness.KNNData(16)
+	benchModes(b, apps.KNN(10, exp), ds)
+}

@@ -1,7 +1,7 @@
 package reducers
 
 import (
-	"sort"
+	"math"
 	"strconv"
 
 	"blmr/internal/core"
@@ -40,20 +40,10 @@ func NewPostReductionStream(st store.Store) *PostReductionStream {
 	return &PostReductionStream{st: st}
 }
 
-// Consume implements core.StreamReducer.
+// Consume implements core.StreamReducer: the value joins the key's set in
+// one store fold, like AggregationStream's.
 func (p *PostReductionStream) Consume(rec core.Record, out core.Output) {
-	var set []string
-	if prev, ok := p.st.Get(rec.Key); ok {
-		set = core.SplitList(prev)
-	}
-	pos := sort.SearchStrings(set, rec.Value)
-	if pos < len(set) && set[pos] == rec.Value {
-		return // duplicate
-	}
-	set = append(set, "")
-	copy(set[pos+1:], set[pos:])
-	set[pos] = rec.Value
-	p.st.Put(rec.Key, core.JoinList(set...))
+	p.st.Merge(rec.Key, core.JoinList(rec.Value), SetUnionMerger)
 }
 
 // Finish implements core.StreamReducer: post-process each set to its count.
@@ -64,29 +54,4 @@ func (p *PostReductionStream) Finish(out core.Output) {
 }
 
 // SetUnionMerger merges two sorted duplicate-free sets into one.
-func SetUnionMerger(a, b string) string {
-	la, lb := core.SplitList(a), core.SplitList(b)
-	merged := make([]string, 0, len(la)+len(lb))
-	i, j := 0, 0
-	for i < len(la) || j < len(lb) {
-		switch {
-		case i >= len(la):
-			merged = append(merged, lb[j])
-			j++
-		case j >= len(lb):
-			merged = append(merged, la[i])
-			i++
-		case la[i] < lb[j]:
-			merged = append(merged, la[i])
-			i++
-		case la[i] > lb[j]:
-			merged = append(merged, lb[j])
-			j++
-		default:
-			merged = append(merged, la[i])
-			i++
-			j++
-		}
-	}
-	return core.JoinList(merged...)
-}
+func SetUnionMerger(a, b string) string { return mergeLists(a, b, math.MaxInt, true) }

@@ -183,22 +183,24 @@ func TestSelectionKeepsSmallest(t *testing.T) {
 }
 
 func TestSelectionMergerProperty(t *testing.T) {
-	// Property: merging two top-k lists equals computing top-k of the union.
+	// Property: merging two top-k lists, each folded one value at a time
+	// as SelectionStream.Consume folds, equals the k smallest of the union.
 	f := func(xs, ys []uint16, kk uint8) bool {
 		k := int(kk%8) + 1
+		merge := SelectionMerger(k)
 		mk := func(vals []uint16) string {
-			var list []string
+			list := ""
 			for _, v := range vals {
-				list = insertTopK(list, core.EncodeUint64(uint64(v)), k)
+				list = merge(list, core.JoinList(core.EncodeUint64(uint64(v))))
 			}
-			return core.JoinList(list...)
+			return list
 		}
-		merged := SelectionMerger(k)(mk(xs), mk(ys))
 		var all []string
 		for _, v := range append(append([]uint16{}, xs...), ys...) {
-			all = insertTopK(all, core.EncodeUint64(uint64(v)), k)
+			all = append(all, core.EncodeUint64(uint64(v)))
 		}
-		return merged == core.JoinList(all...)
+		sort.Strings(all)
+		return merge(mk(xs), mk(ys)) == core.JoinList(all[:min(k, len(all))]...)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -356,15 +358,5 @@ func TestSumMerger(t *testing.T) {
 	}
 	if store.SumMerger("-2", "2") != "0" {
 		t.Fatal("-2+2")
-	}
-}
-
-func TestInsertTopKBounds(t *testing.T) {
-	var list []string
-	for i := 9; i >= 0; i-- {
-		list = insertTopK(list, fmt.Sprintf("%d", i), 3)
-	}
-	if len(list) != 3 || list[0] != "0" || list[2] != "2" {
-		t.Fatalf("list = %v", list)
 	}
 }

@@ -43,8 +43,8 @@ func (s SelectionGroup) Reduce(key string, values []string, out core.Output) {
 // order and the largest entry evicted when the list exceeds k — the paper's
 // "size-k ordered linked list".
 type SelectionStream struct {
-	st store.Store
-	k  int
+	st    store.Store
+	merge store.Merger // SelectionMerger(k)
 }
 
 // NewSelectionStream creates a top-k selector over st. Use
@@ -53,17 +53,13 @@ func NewSelectionStream(st store.Store, k int) *SelectionStream {
 	if k <= 0 {
 		panic("reducers: selection k must be positive")
 	}
-	return &SelectionStream{st: st, k: k}
+	return &SelectionStream{st: st, merge: SelectionMerger(k)}
 }
 
-// Consume implements core.StreamReducer.
+// Consume implements core.StreamReducer: the value joins the key's list in
+// one store fold, like AggregationStream's.
 func (s *SelectionStream) Consume(rec core.Record, out core.Output) {
-	var list []string
-	if prev, ok := s.st.Get(rec.Key); ok {
-		list = core.SplitList(prev)
-	}
-	list = insertTopK(list, rec.Value, s.k)
-	s.st.Put(rec.Key, core.JoinList(list...))
+	s.st.Merge(rec.Key, core.JoinList(rec.Value), s.merge)
 }
 
 // Finish implements core.StreamReducer: unpack each key's list into
@@ -76,41 +72,8 @@ func (s *SelectionStream) Finish(out core.Output) {
 	}))
 }
 
-// insertTopK inserts v into the sorted list, keeping at most k entries.
-func insertTopK(list []string, v string, k int) []string {
-	pos := sort.SearchStrings(list, v)
-	if pos >= k {
-		return list // v is larger than everything we keep
-	}
-	list = append(list, "")
-	copy(list[pos+1:], list[pos:])
-	list[pos] = v
-	if len(list) > k {
-		list = list[:k]
-	}
-	return list
-}
-
 // SelectionMerger returns a spill merger that merges two top-k lists into
 // one, preserving the k smallest entries overall.
 func SelectionMerger(k int) store.Merger {
-	return func(a, b string) string {
-		la, lb := core.SplitList(a), core.SplitList(b)
-		merged := make([]string, 0, len(la)+len(lb))
-		i, j := 0, 0
-		for (i < len(la) || j < len(lb)) && len(merged) < k {
-			switch {
-			case i >= len(la):
-				merged = append(merged, lb[j])
-				j++
-			case j >= len(lb) || la[i] <= lb[j]:
-				merged = append(merged, la[i])
-				i++
-			default:
-				merged = append(merged, lb[j])
-				j++
-			}
-		}
-		return core.JoinList(merged...)
-	}
+	return func(a, b string) string { return mergeLists(a, b, k, false) }
 }

@@ -50,8 +50,9 @@ type CostModel struct {
 	// ReduceCPUPerRecord is reduce time per intermediate record (both the
 	// grouped reduce pass and the streaming Consume path).
 	ReduceCPUPerRecord float64
-	// StoreCPUPerOp is partial-result store overhead per Get/Put pair in
-	// the barrier-less path (tree insertion, paper Section 6.1.1).
+	// StoreCPUPerOp is partial-result store overhead per record folded
+	// into the store (one Merge) in the barrier-less path (tree insertion,
+	// paper Section 6.1.1).
 	StoreCPUPerOp float64
 	// SortCPUPerCompare is merge-sort time per comparison in the barrier
 	// path's sort phase.

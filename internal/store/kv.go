@@ -20,8 +20,10 @@ const (
 
 // KVStore is the off-the-shelf partial-result store, the stand-in for the
 // BerkeleyDB JE, Tokyo Cabinet and MongoDB stores the paper evaluated: an
-// LRU record cache in front of an append-only log with compaction. Every Get/Put goes through the cache and may touch the log —
-// exactly the read-modify-update cycle the paper describes in Section 5.2.
+// LRU record cache in front of an append-only log with compaction. Every
+// Merge is a get then a put, each through the cache and each may touch the
+// log — exactly the read-modify-update cycle the paper describes in Section
+// 5.2.
 //
 // Like BerkeleyDB as the authors configured it, the store gives up
 // crash-durability for speed: the framework re-executes failed tasks, so the
@@ -77,8 +79,9 @@ func kvEntrySize(key, val string) int64 {
 	return int64(len(key)+len(val)) + core.RecordOverheadBytes
 }
 
-// Get implements Store.
-func (s *KVStore) Get(key string) (string, bool) {
+// get returns the value at key, reading it back from the log into the cache
+// if it was evicted: one store operation.
+func (s *KVStore) get(key string) (string, bool) {
 	s.hooks.Op()
 	if el, ok := s.cache[key]; ok {
 		s.lru.MoveToFront(el)
@@ -95,8 +98,9 @@ func (s *KVStore) Get(key string) (string, bool) {
 	return val, true
 }
 
-// Put implements Store.
-func (s *KVStore) Put(key, val string) {
+// put stores val at key in the cache, marking it dirty: one store
+// operation.
+func (s *KVStore) put(key, val string) {
 	s.hooks.Op()
 	if el, ok := s.cache[key]; ok {
 		e := el.Value.(*cacheEntry)
@@ -115,10 +119,10 @@ func (s *KVStore) Put(key, val string) {
 // store has no merge primitive, and paying the full read-modify-write
 // cycle per record is exactly the behaviour the paper measured.
 func (s *KVStore) Merge(key, val string, m Merger) {
-	if prev, ok := s.Get(key); ok {
+	if prev, ok := s.get(key); ok {
 		val = m(prev, val)
 	}
-	s.Put(key, val)
+	s.put(key, val)
 }
 
 // MergeSum implements Store as Merge with SumMerger: the same get-then-put.
@@ -147,7 +151,7 @@ func (s *KVStore) SpilledBytes() int64 { return int64(len(s.log)) }
 // Emit implements Store. The KV store has no ordered iteration, so keys are
 // collected and sorted first (this final sort is small relative to the
 // per-record read-modify-write traffic that dominates the KV strategy), and
-// each is read back through Get, paying the store's cost.
+// each is read back through get, paying the store's cost.
 func (s *KVStore) Emit(out core.Output) {
 	keys := make([]string, 0, len(s.index)+len(s.cache))
 	for k := range s.index {
@@ -160,7 +164,7 @@ func (s *KVStore) Emit(out core.Output) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		if v, ok := s.Get(k); ok {
+		if v, ok := s.get(k); ok {
 			out.Write(k, v)
 		}
 	}

@@ -20,17 +20,17 @@ func (h *ioCounter) DiskRead(n int64)  { h.read += n }
 func TestKVPutGetBasic(t *testing.T) {
 	h := &ioCounter{}
 	s := NewKVStore(0, h)
-	s.Put("a", "1")
-	s.Put("b", "2")
-	if v, ok := s.Get("a"); !ok || v != "1" {
-		t.Fatalf("Get(a) = %q,%v", v, ok)
+	s.put("a", "1")
+	s.put("b", "2")
+	if v, ok := s.get("a"); !ok || v != "1" {
+		t.Fatalf("get(a) = %q,%v", v, ok)
 	}
-	if _, ok := s.Get("missing"); ok {
+	if _, ok := s.get("missing"); ok {
 		t.Fatal("found missing key")
 	}
-	s.Put("a", "updated")
-	if v, _ := s.Get("a"); v != "updated" {
-		t.Fatalf("Get(a) = %q after update", v)
+	s.put("a", "updated")
+	if v, _ := s.get("a"); v != "updated" {
+		t.Fatalf("get(a) = %q after update", v)
 	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d", s.Len())
@@ -45,7 +45,7 @@ func TestKVEvictionSpillsToLog(t *testing.T) {
 	s := NewKVStore(300, h)
 	const n = 100
 	for i := 0; i < n; i++ {
-		s.Put(fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
+		s.put(fmt.Sprintf("key-%03d", i), fmt.Sprintf("val-%03d", i))
 	}
 	if h.wrote == 0 || s.SpilledBytes() != h.wrote {
 		t.Fatalf("evictions wrote %d bytes, log holds %d", h.wrote, s.SpilledBytes())
@@ -56,8 +56,8 @@ func TestKVEvictionSpillsToLog(t *testing.T) {
 	// Everything must still be readable (from the log).
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%03d", i)
-		if v, ok := s.Get(k); !ok || v != fmt.Sprintf("val-%03d", i) {
-			t.Fatalf("Get(%s) = %q,%v", k, v, ok)
+		if v, ok := s.get(k); !ok || v != fmt.Sprintf("val-%03d", i) {
+			t.Fatalf("get(%s) = %q,%v", k, v, ok)
 		}
 	}
 	if h.read == 0 {
@@ -77,12 +77,12 @@ func TestKVReadModifyWriteCycle(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < keys; i++ {
 			k := fmt.Sprintf("w%02d", i)
-			prev, _ := s.Get(k)
-			s.Put(k, prev+"x")
+			prev, _ := s.get(k)
+			s.put(k, prev+"x")
 		}
 	}
 	for i := 0; i < keys; i++ {
-		v, ok := s.Get(fmt.Sprintf("w%02d", i))
+		v, ok := s.get(fmt.Sprintf("w%02d", i))
 		if !ok || len(v) != rounds {
 			t.Fatalf("key %d: len=%d ok=%v, want %d", i, len(v), ok, rounds)
 		}
@@ -97,7 +97,7 @@ func TestKVCompaction(t *testing.T) {
 	const rounds = 30_000
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < 8; i++ {
-			s.Put(fmt.Sprintf("k%d", i), fmt.Sprintf("value-%d-%05d", i, r))
+			s.put(fmt.Sprintf("k%d", i), fmt.Sprintf("value-%d-%05d", i, r))
 		}
 	}
 	if h.wrote < 2*kvCompactMinBytes || s.SpilledBytes() >= kvCompactMinBytes {
@@ -105,7 +105,7 @@ func TestKVCompaction(t *testing.T) {
 	}
 	// All keys still correct after compaction.
 	for i := 0; i < 8; i++ {
-		v, ok := s.Get(fmt.Sprintf("k%d", i))
+		v, ok := s.get(fmt.Sprintf("k%d", i))
 		if want := fmt.Sprintf("value-%d-%05d", i, rounds-1); !ok || v != want {
 			t.Fatalf("k%d = %q,%v, want %q", i, v, ok, want)
 		}
@@ -118,9 +118,9 @@ func TestKVLenWithMixedCacheLogKeys(t *testing.T) {
 	s := NewKVStore(150, nil)
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 	for _, k := range keys {
-		s.Put(k, "some-longish-value-here")
+		s.put(k, "some-longish-value-here")
 	}
-	s.Get("alpha") // back into the cache, and still in the log
+	s.get("alpha") // back into the cache, and still in the log
 	if s.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d (cache+log dedup)", s.Len(), len(keys))
 	}
@@ -144,7 +144,7 @@ func TestKVKeysComplete(t *testing.T) {
 	want := map[string]bool{}
 	for i := 0; i < 60; i++ {
 		k := fmt.Sprintf("key-%02d", i)
-		s.Put(k, "v")
+		s.put(k, "v")
 		want[k] = true
 	}
 	if s.SpilledBytes() == 0 {
@@ -163,16 +163,16 @@ func TestKVKeysComplete(t *testing.T) {
 	}
 }
 
-// TestKVOpCounts: every Get, hit or miss, and every Put is one Op; a store
+// TestKVOpCounts: every get, hit or miss, and every put is one Op; a store
 // within its cache budget touches no log.
 func TestKVOpCounts(t *testing.T) {
 	h := &ioCounter{}
 	s := NewKVStore(128, h)
-	s.Put("a", "1")
-	if v, ok := s.Get("a"); !ok || v != "1" {
-		t.Fatalf("Get(a) = %q,%v", v, ok)
+	s.put("a", "1")
+	if v, ok := s.get("a"); !ok || v != "1" {
+		t.Fatalf("get(a) = %q,%v", v, ok)
 	}
-	if _, ok := s.Get("missing"); ok {
+	if _, ok := s.get("missing"); ok {
 		t.Fatal("found missing key")
 	}
 	if h.ops != 3 {
@@ -190,10 +190,10 @@ func TestKVHooksObserved(t *testing.T) {
 	h := &ioCounter{}
 	s := NewKVStore(100, h)
 	for i := 0; i < 50; i++ {
-		s.Put(fmt.Sprintf("key-%04d", i), "some-value")
+		s.put(fmt.Sprintf("key-%04d", i), "some-value")
 	}
 	for i := 0; i < 50; i++ {
-		s.Get(fmt.Sprintf("key-%04d", i))
+		s.get(fmt.Sprintf("key-%04d", i))
 	}
 	if h.ops != 100 {
 		t.Fatalf("ops = %d, want 100", h.ops)
@@ -212,14 +212,14 @@ func TestKVMatchesMapProperty(t *testing.T) {
 		for i, op := range ops {
 			k := fmt.Sprintf("k%d", op%37)
 			v := fmt.Sprintf("v%d", i)
-			s.Put(k, v)
+			s.put(k, v)
 			ref[k] = v
 		}
 		if s.Len() != len(ref) {
 			return false
 		}
 		for k, v := range ref {
-			got, ok := s.Get(k)
+			got, ok := s.get(k)
 			if !ok || got != v {
 				return false
 			}
@@ -239,7 +239,7 @@ func BenchmarkKVPutHot(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Put(keys[i&1023], "value-payload")
+		s.put(keys[i&1023], "value-payload")
 	}
 }
 
@@ -250,12 +250,12 @@ func BenchmarkKVReadModifyWriteCold(b *testing.B) {
 	keys := make([]string, 1<<14)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%08d", i)
-		s.Put(keys[i], "0")
+		s.put(keys[i], "0")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := keys[rng.Intn(len(keys))]
-		v, _ := s.Get(k)
-		s.Put(k, v)
+		v, _ := s.get(k)
+		s.put(k, v)
 	}
 }

@@ -108,18 +108,6 @@ func NewSpillStore(threshold int64, merger Merger, hooks Hooks, runs RunStore) *
 	}
 }
 
-// Get implements Store. Only the in-memory partial is visible; spilled
-// partials for the key are merged at Emit.
-func (s *SpillStore) Get(key string) (string, bool) { return s.t.get(key) }
-
-// Put implements Store, spilling if the memory threshold is exceeded.
-func (s *SpillStore) Put(key, val string) {
-	s.t.put(key, val)
-	if s.t.bytes >= s.threshold {
-		s.spill()
-	}
-}
-
 // Merge implements Store in a single probe. Spilled partials for the key
 // stay untouched; they are reunited with the in-memory partial by the
 // Merger at Emit, so folding into only the live table is correct.

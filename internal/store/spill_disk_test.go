@@ -182,7 +182,7 @@ func TestApproxBytesConsistent(t *testing.T) {
 	var want int64
 	for i := 0; i < 100; i++ {
 		k, v := fmt.Sprintf("key%04d", i), "12"
-		m.Put(k, v)
+		m.Merge(k, v, sumMerger)
 		want += ApproxRecordBytes(k, v)
 	}
 	if m.ApproxBytes() != want {
@@ -190,7 +190,7 @@ func TestApproxBytesConsistent(t *testing.T) {
 	}
 	// SpillStore: ApproxBytes covers tree + retained scratch.
 	s := NewSpillStore(1<<20, sumMerger, nil, nil)
-	s.Put("a", "1")
+	s.Merge("a", "1", sumMerger)
 	if s.ApproxBytes() < s.MemBytes() {
 		t.Fatal("ApproxBytes must include MemBytes")
 	}

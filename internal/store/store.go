@@ -14,6 +14,9 @@
 //
 // All three expose the same Store interface so reducers are agnostic to the
 // memory-management policy, and report their I/O through the same Hooks.
+// A reducer writes a partial only by folding into it (Merge, MergeSum) and
+// reads partials only by draining them (Emit). The KV store's per-record
+// get-then-put stays behind its Merge.
 package store
 
 import "blmr/internal/core"
@@ -43,25 +46,21 @@ type Merger func(a, b string) string
 // Store holds per-key partial results during barrier-less reduction.
 // Implementations are single-owner (one reduce task), not concurrency-safe.
 type Store interface {
-	// Get returns the currently reachable partial result for key. For
-	// SpillMerge this is only the in-memory portion; spilled partials for
-	// the same key are reunited at Emit time via the Merger.
-	Get(key string) (string, bool)
-	// Put records the partial result for key.
-	Put(key, val string)
 	// Merge folds val into the partial result for key with m (the
-	// read-modify-write cycle of a running aggregate): absent keys store
-	// val. The in-memory and spill stores do this in one probe and, for a
-	// present key, one in-place swap, where a Get+Put pair would probe
-	// twice; they copy a first-seen val, so they never pin the buffer it was
-	// cut from. The KV store keeps its off-the-shelf get-then-put cost,
-	// which is the point of that strategy.
+	// read-modify-write cycle of a running aggregate, and the only way a
+	// reducer writes a partial): absent keys store val. The in-memory and
+	// spill stores do this in one probe and, for a present key, one
+	// in-place swap; they copy a first-seen val, so they never pin the
+	// buffer it was cut from. For SpillMerge the fold reaches only the
+	// in-memory partial; spilled partials for the same key are reunited at
+	// Emit by the store's Merger. The KV store keeps its off-the-shelf
+	// get-then-put cost, which is the point of that strategy.
 	Merge(key, val string, m Merger)
-	// MergeSum is Merge(key, val, SumMerger): every Get, accounted byte
-	// count and Emit record is the same. The in-memory and spill stores
-	// keep a key's running sum as a number from its second value on and
-	// format it only when it is read — by Get, Put, Merge or a drain — so
-	// a fold allocates nothing, however large the count.
+	// MergeSum is Merge(key, val, SumMerger): every accounted byte count
+	// and Emit record is the same. The in-memory and spill stores keep a
+	// key's running sum as a number from its second value on and format it
+	// only when it is read — by Merge or a drain — so a fold allocates
+	// nothing, however large the count.
 	MergeSum(key, val string)
 	// Len returns the number of keys currently reachable without a merge
 	// (in-memory keys for SpillMerge, all keys otherwise).
@@ -86,8 +85,9 @@ type Store interface {
 // it. The stores call it with the real bytes they move; a nil Hooks
 // observes nothing.
 type Hooks interface {
-	// Op is called once per KVStore Get or Put: the off-the-shelf store's
-	// per-operation cost. The other stores never call it.
+	// Op is called once per KVStore get or put — two per Merge, one per
+	// key read back at Emit: the off-the-shelf store's per-operation cost.
+	// The other stores never call it.
 	Op()
 	// DiskWrite is called when bytes go to spill storage: a sealed spill
 	// run, or a KV log append. A spill run counts its records' encoded
@@ -147,12 +147,6 @@ type MemStore struct {
 
 // NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{} }
-
-// Get implements Store.
-func (m *MemStore) Get(key string) (string, bool) { return m.t.get(key) }
-
-// Put implements Store.
-func (m *MemStore) Put(key, val string) { m.t.put(key, val) }
 
 // Merge implements Store in a single probe.
 func (m *MemStore) Merge(key, val string, mg Merger) { m.t.merge(key, val, mg) }

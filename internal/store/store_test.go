@@ -24,14 +24,10 @@ type sink struct {
 
 func (s *sink) Write(k, v string) { s.recs = append(s.recs, core.Record{Key: k, Value: v}) }
 
-// aggregate drives a store like an aggregation reducer: read previous
-// partial, add, store back.
+// aggregate drives a store like an aggregation reducer: fold delta into
+// the key's partial sum.
 func aggregate(s Store, key string, delta int) {
-	prev := 0
-	if v, ok := s.Get(key); ok {
-		prev, _ = strconv.Atoi(v)
-	}
-	s.Put(key, strconv.Itoa(prev+delta))
+	s.Merge(key, strconv.Itoa(delta), sumMerger)
 }
 
 func allStores(t *testing.T, spillThreshold int64) map[string]Store {
@@ -96,7 +92,7 @@ func TestMemStoreBytesGrowWithKeys(t *testing.T) {
 	s := NewMemStore()
 	var last int64
 	for i := 0; i < 100; i++ {
-		s.Put(fmt.Sprintf("key%04d", i), "value")
+		s.Merge(fmt.Sprintf("key%04d", i), "value", sumMerger)
 		if s.MemBytes() <= last {
 			t.Fatalf("MemBytes did not grow at key %d", i)
 		}
@@ -318,9 +314,13 @@ func TestFirstSeenValueIsCopied(t *testing.T) {
 		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
 		return len(s) > 0 && p >= lo && p < lo+uintptr(len(backing))
 	}
-	for name, s := range map[string]Store{
-		"in-memory":   NewMemStore(),
-		"spill-merge": NewSpillStore(1<<20, sumMerger, nil, nil),
+	mem, spill := NewMemStore(), NewSpillStore(1<<20, sumMerger, nil, nil)
+	for name, s := range map[string]struct {
+		Store
+		t *table
+	}{
+		"in-memory":   {mem, &mem.t},
+		"spill-merge": {spill, &spill.t},
 	} {
 		for i := 0; i < 500; i++ {
 			// Key and value are both views into backing; every third key is
@@ -330,8 +330,8 @@ func TestFirstSeenValueIsCopied(t *testing.T) {
 			if i%3 == 0 {
 				s.Merge(k, v, sumMerger)
 			}
-			if got, ok := s.Get(k); !ok || inside(got) {
-				t.Fatalf("%s: Get(%q) = %q,%v: a view into the caller's backing string", name, k, got, ok)
+			if got, ok := s.t.get(k); !ok || inside(got) {
+				t.Fatalf("%s: stored %q = %q,%v: a view into the caller's backing string", name, k, got, ok)
 			}
 		}
 		out := &sink{}

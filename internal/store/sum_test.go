@@ -30,7 +30,7 @@ func TestDecimalWidth(t *testing.T) {
 }
 
 // FuzzMergeSum runs one key's values, comma-separated, through MergeSum on
-// one store and Merge with SumMerger on another: Get and MemBytes must agree
+// one store and Merge with SumMerger on another: the value and MemBytes must agree
 // after every call, and Emit at the end.
 func FuzzMergeSum(f *testing.F) {
 	for _, seed := range []string{
@@ -46,16 +46,16 @@ func FuzzMergeSum(f *testing.F) {
 		for i, v := range strings.Split(seq, ",") {
 			sum.MergeSum("k", v)
 			merge.Merge("k", v, SumMerger)
-			want, _ := merge.Get("k")
+			want, _ := merge.t.get("k")
 			if got := peek(&sum.t, 0); got != want || sum.MemBytes() != merge.MemBytes() {
 				t.Fatalf("value %d (%q): %q and %d bytes, Merge's %q and %d",
 					i, v, got, sum.MemBytes(), want, merge.MemBytes())
 			}
-			// Every third step reads the sum back through Get, which formats
+			// Every third step reads the sum back as merge does, which formats
 			// it, so folds start from both a running sum and a string.
 			if i%3 == 2 {
-				if got, _ := sum.Get("k"); got != want {
-					t.Fatalf("value %d (%q): Get = %q, Merge's %q", i, v, got, want)
+				if got, _ := sum.t.get("k"); got != want {
+					t.Fatalf("value %d (%q): read back %q, Merge's %q", i, v, got, want)
 				}
 			}
 		}

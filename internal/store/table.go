@@ -28,7 +28,7 @@ const (
 // drain moves nothing, so the failed spill's table goes on as it was.
 //
 // A slot mergeSum has folded into holds its value as a number in sums until
-// something reads it as a string: get, put, merge or a drain. sums[i] is
+// something reads it as a string: merge or a drain. sums[i] is
 // the value SumMerger would have left, widths[i] the length of its decimal
 // form — the bytes the slot is charged for; a zero width means the slot's
 // value is its string. Both arrays reach as far as the last slot mergeSum
@@ -52,14 +52,6 @@ type table struct {
 	spareSlabs [][]byte
 }
 
-// get returns the value stored at key.
-func (t *table) get(key string) (string, bool) {
-	if i, _ := t.find(key); i >= 0 {
-		return t.value(i), true
-	}
-	return "", false
-}
-
 // value returns slot i's value, formatting a running sum into the slot
 // first.
 func (t *table) value(i int32) string {
@@ -68,16 +60,6 @@ func (t *table) value(i int32) string {
 		t.widths[i] = 0
 	}
 	return t.slots[i].Value
-}
-
-// put inserts or replaces the value at key.
-func (t *table) put(key, val string) {
-	i, free := t.find(key)
-	if i >= 0 {
-		t.set(i, val)
-		return
-	}
-	t.add(key, val, free)
 }
 
 // merge stores val at an absent key and m(old, val) at a present one: one
@@ -135,8 +117,8 @@ func (t *table) set(i int32, val string) {
 // from — mapper output keys are substrings of whole input lines. The value
 // is copied too: the first value seen for a key is kept as passed, and on
 // the pooled fetch path that is a view into a shared decode-arena chunk
-// (see codec.Arena), which a key seen once would pin for good. A merged or
-// replaced value is the caller's own string.
+// (see codec.Arena), which a key seen once would pin for good. A merged
+// value is the Merger's own string.
 func (t *table) add(key, val string, free int) {
 	t.bytes += ApproxRecordBytes(key, val)
 	t.insert(key, free)

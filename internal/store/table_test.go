@@ -15,6 +15,21 @@ import (
 
 func concat(old, v string) string { return old + v }
 
+// get returns the value at key, formatting a running sum into its slot
+// first, as merge reads it. Nothing but a test reads a table by key.
+func (t *table) get(key string) (string, bool) {
+	if i, _ := t.find(key); i >= 0 {
+		return t.value(i), true
+	}
+	return "", false
+}
+
+// put stores val at key, replacing any value: merge with a merger that
+// keeps the new value.
+func (t *table) put(key, val string) {
+	t.merge(key, val, func(_, v string) string { return v })
+}
+
 // drained reads t in key order through the drain run, without clearing.
 func drained(t *table) (keys, vals []string) {
 	run := t.sorted()
