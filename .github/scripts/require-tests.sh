@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # Usage: require-tests.sh PKG PATTERN
 #
-# Fails unless every |-separated alternative of a `go test -run` PATTERN
-# still matches at least one test in PKG, so a renamed or deleted test
-# cannot silently shrink a looped CI step.
+# Fails unless every |-separated alternative of a `go test -run` or `-fuzz`
+# PATTERN still matches at least one test or fuzz target in PKG, so a
+# renamed or deleted one cannot silently shrink a looped CI step or leave a
+# fuzz step fuzzing nothing (go test -fuzz exits 0 on a pattern that
+# matches no target).
 set -euo pipefail
 pkg=$1
 pattern=$2
@@ -11,8 +13,8 @@ IFS='|' read -ra alts <<<"$pattern"
 status=0
 for alt in "${alts[@]}"; do
   listed=$(go test -list "$alt" "$pkg")
-  if ! grep -q '^Test' <<<"$listed"; then
-    echo "-run alternative '$alt' matches no test in $pkg" >&2
+  if ! grep -qE '^(Test|Fuzz)' <<<"$listed"; then
+    echo "alternative '$alt' matches no test or fuzz target in $pkg" >&2
     status=1
   fi
 done

@@ -7,11 +7,11 @@
 // The implementation lives under internal/: a discrete-event cluster
 // simulator (sim, cluster) carrying the full MapReduce engine over a
 // simulated HDFS (simmr), a real-concurrency engine split into an execution
-// plane (exec: task bodies plus a slot-aware scheduler), pluggable shuffle
-// transports (shuffle: in-process batched channels, a sealed spill-run
-// exchange, and the same exchange over a loopback TCP run-server) and a thin
-// composition (mr), a multi-process engine running worker subprocesses over that wire
-// format (mpexec), the seven Reduce-operation classes (reducers),
+// plane (exec: task bodies plus a slot-aware scheduler), two shuffle
+// transports (shuffle: in-process batched channels, and a sealed-run
+// exchange over a loopback TCP run-server) and a thin composition (mr), a
+// multi-process engine running worker subprocesses over that wire format
+// (mpexec), the seven Reduce-operation classes (reducers),
 // partial-result stores including disk spill-and-merge and a
 // BerkeleyDB-style KV store (store), the paper's six benchmark
 // applications (apps), and an experiment harness reproducing every table
@@ -28,13 +28,14 @@
 // of the harness's grid (KillSweep and PolicySweep excepted), and
 // cmd/experiments prints them all.
 //
-// The real-concurrency engine's shuffle is batched and allocation-lean:
-// mr.Options.BatchSize sets the records-per-channel-send granularity
-// (default 256; 1 reproduces record-at-a-time shuffling), mr.Options.QueueCap
-// the per-reducer buffering in batches, and Job.Combiner enables map-side
-// folding of same-key records
-// (each buffer holds max(BatchSize, 4096) distinct keys) so
-// aggregation-class jobs shuffle a fraction of their intermediate records.
+// The real-concurrency engine's shuffle is batched and allocation-lean: a
+// mapper sends shuffle.BatchSize (256) records a channel operation, each
+// partition's channel holds shuffle.QueueCap (64) batches, drained batches
+// go back to the mappers through a free channel, and Job.Combiner folds
+// same-key records map-side (a pipelined mapper's buffer holds up to 4096
+// distinct keys a partition) so aggregation-class jobs shuffle a fraction
+// of their intermediate records. The batch shape is two constants, not
+// options (DESIGN.md §2, §15).
 //
 // The barrier-less reducer does one read-modify-update of a partial result
 // per intermediate record (the paper's Algorithm 2), so the in-memory and

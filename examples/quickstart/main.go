@@ -24,15 +24,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The pipelined shuffle moves records in batches (Options.BatchSize);
-	// BatchSize 1 reproduces record-at-a-time shuffling for comparison.
-	pipelined, err := mr.Run(job, input, mr.Options{Mode: mr.Pipelined, BatchSize: 256})
+	// The pipelined shuffle moves records to the reducers as the mappers
+	// emit them, 256 to a channel send (shuffle.BatchSize).
+	pipelined, err := mr.Run(job, input, mr.Options{Mode: mr.Pipelined})
 	if err != nil {
 		log.Fatal(err)
 	}
 	// A map-side combiner (the app's merger) folds duplicate words before
 	// they are shuffled at all.
-	withCombiner, err := mr.Run(job.WithCombiner(true), input, mr.Options{Mode: mr.Pipelined, BatchSize: 256})
+	withCombiner, err := mr.Run(job.WithCombiner(true), input, mr.Options{Mode: mr.Pipelined})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -158,8 +158,7 @@ func LastFM() App {
 		Name:  "lastfm",
 		Class: core.ClassPostReduction,
 		Mapper: core.MapperFunc(func(key, value string, emit core.Emitter) {
-			parts := core.SplitValues(value)
-			emit.Emit(parts[0], parts[1]) // (track, user)
+			emit.Emit(core.SplitPair(value)) // (track, user), views into value
 		}),
 		NewGroup: func() core.GroupReducer { return reducers.PostReductionGroup{} },
 		NewStream: func(st store.Store) core.StreamReducer {

@@ -188,6 +188,21 @@ func TestLastFMUniqueUsers(t *testing.T) {
 	}
 }
 
+// TestLastFMMapperAllocatesNothing: the mapper emits views into its input
+// value, never a split copy of it.
+func TestLastFMMapperAllocatesNothing(t *testing.T) {
+	rec := workload.Listens(6, 1, 50, 200)[0]
+	mapper := LastFM().Mapper
+	var got [2]string
+	em := core.EmitterFunc(func(k, v string) { got = [2]string{k, v} })
+	if n := testing.AllocsPerRun(100, func() { mapper.Map(rec.Key, rec.Value, em) }); n != 0 {
+		t.Fatalf("the LastFM mapper made %.1f allocations a record, want 0", n)
+	}
+	if track, user := core.SplitPair(rec.Value); got != [2]string{track, user} {
+		t.Fatalf("emitted %q, want (%q, %q)", got, track, user)
+	}
+}
+
 func TestLastFMGenerated(t *testing.T) {
 	input := workload.Listens(6, 5000, 50, 200)
 	b, s := runApp(LastFM(), input)

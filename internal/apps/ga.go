@@ -49,8 +49,8 @@ func gaWindowOp(window []core.Record, out core.Output) {
 	}
 	inds := make([]ind, len(window))
 	for i, r := range window {
-		parts := core.SplitValues(r.Value)
-		inds[i] = ind{key: r.Key, fitness: core.DecodeUint64(parts[0]), genome: parts[1]}
+		fitness, genome := core.SplitPair(r.Value)
+		inds[i] = ind{key: r.Key, fitness: core.DecodeUint64(fitness), genome: genome}
 	}
 	// Rank by fitness descending, key ascending for determinism.
 	for i := 1; i < len(inds); i++ {

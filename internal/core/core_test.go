@@ -79,6 +79,32 @@ func TestJoinSplitValues(t *testing.T) {
 	if SplitValues("") != nil {
 		t.Fatal("SplitValues(\"\") should be nil")
 	}
+	if n := ListLen(JoinList(parts...)); n != len(parts) {
+		t.Fatalf("ListLen = %d, want %d", n, len(parts))
+	}
+	if n := ListLen(""); n != 0 {
+		t.Fatalf("ListLen of the empty list = %d", n)
+	}
+}
+
+// TestSplitPair: a two-part tuple reads back as views, empty parts
+// included; any other arity panics.
+func TestSplitPair(t *testing.T) {
+	for _, want := range [][2]string{{"track1", "user2"}, {"", "x"}, {"x", ""}, {"", ""}} {
+		if a, b := SplitPair(JoinValues(want[0], want[1])); a != want[0] || b != want[1] {
+			t.Fatalf("SplitPair = %q, %q, want %q, %q", a, b, want[0], want[1])
+		}
+	}
+	for _, parts := range [][]string{nil, {"one"}, {"a", "b", "c"}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SplitPair of %d parts did not panic", len(parts))
+				}
+			}()
+			SplitPair(JoinValues(parts...))
+		}()
+	}
 }
 
 func TestPartitionStableAndInRange(t *testing.T) {

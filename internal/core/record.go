@@ -168,8 +168,31 @@ func JoinValues(parts ...string) string { return packStrings(parts) }
 // SplitValues unpacks a value produced by JoinValues.
 func SplitValues(s string) []string { return unpackStrings(s) }
 
+// SplitPair reads a two-part tuple produced by JoinValues in place: both
+// parts are views into s, so it allocates nothing. A value of any other
+// arity panics, as a corrupt one does.
+func SplitPair(s string) (a, b string) {
+	n := 0
+	for c := NewListCursor(s); c.Next(); n++ {
+		a, b = b, c.Elem // after two parts: a is the first, b the second
+	}
+	if n != 2 {
+		panic(fmt.Sprintf("core: packed pair has %d parts", n))
+	}
+	return a, b
+}
+
 // JoinList packs a variable-length list of elements into one value string.
 func JoinList(elems ...string) string { return packStrings(elems) }
 
 // SplitList unpacks a list produced by JoinList.
 func SplitList(s string) []string { return unpackStrings(s) }
+
+// ListLen counts the elements of a list produced by JoinList, in place.
+func ListLen(s string) int {
+	n := 0
+	for c := NewListCursor(s); c.Next(); {
+		n++
+	}
+	return n
+}

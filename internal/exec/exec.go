@@ -62,7 +62,7 @@ type Job struct {
 	// the spill merge function "is often functionally the same"). In
 	// run-discipline map tasks each published wave is combined before
 	// sealing; in stream-discipline (in-process pipelined) tasks a hash
-	// accumulator holding max(BatchSize, 4096) distinct keys folds records
+	// accumulator of up to 4096 distinct keys a partition folds records
 	// before batching. It must be commutative and associative, and the
 	// reduce function must tolerate pre-combined values: see WithCombiner.
 	Combiner store.Merger
@@ -97,14 +97,6 @@ type Options struct {
 	// is the one settable memory bound; without it a SpillMerge store spills
 	// to in-memory runs past 64 MiB and the KV store caches 16 MiB.
 	Store store.Kind
-	// QueueCap is the per-reducer channel buffer in batches (default 64,
-	// mirroring simmr.Config.QueueCapBatches). Total per-reducer
-	// buffering is QueueCap*BatchSize records.
-	QueueCap int
-	// BatchSize is the number of records a mapper accumulates per reducer
-	// before sending one batch over the channel (default 256). 1
-	// reproduces the original record-at-a-time shuffle.
-	BatchSize int
 	// SpillBytes, when > 0, bounds each task's buffered intermediate data
 	// (accounted with store.ApproxRecordBytes) and turns the shuffle into
 	// an external one: run-discipline map tasks sort, encode and seal runs
@@ -158,11 +150,13 @@ type Options struct {
 	// its header. Decoded merge order is unchanged, so outputs stay
 	// byte-identical across codecs.
 	Compression codec.Compression
-	// DecodeWorkers is read by no engine: every fetched section decodes on
-	// the goroutine that consumes it. The field stays only because the
-	// benchmark module sets it; it goes once the benchmark reads the
-	// engines' recorder (ROADMAP item 1b).
-	DecodeWorkers int
+	// DecodeWorkers, QueueCap and BatchSize are read by no engine: every
+	// fetched section decodes on the goroutine that consumes it, and the
+	// pipelined batch shape is the constants shuffle.BatchSize and
+	// shuffle.QueueCap. The fields stay only because the benchmark module
+	// sets them; they go once the benchmark reads the engines' recorder
+	// (ROADMAP item 1b).
+	DecodeWorkers, QueueCap, BatchSize int
 }
 
 // Normalize fills defaulted fields in place.
@@ -172,12 +166,6 @@ func (o *Options) Normalize() {
 	}
 	if o.Reducers <= 0 {
 		o.Reducers = runtime.NumCPU()
-	}
-	if o.QueueCap <= 0 {
-		o.QueueCap = 64
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
 	}
 	if o.MergeFanIn <= 1 {
 		o.MergeFanIn = 64

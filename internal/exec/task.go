@@ -183,11 +183,11 @@ func runMapRuns(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapStat
 
 // runMapStream is the stream-discipline map body (the in-process pipelined
 // fast path): emitted records accumulate in per-partition batches — or, with
-// a combiner, in per-partition hash accumulators bounded by
-// max(BatchSize, minCombineKeys) distinct keys — and go to the transport one
-// batch per Send, which blocks while the partition's channel is full. A
-// mapper therefore holds at most one batch per partition and the channels at
-// most QueueCap batches each; SpillBytes does not apply here. Backpressure
+// a combiner, in per-partition hash accumulators bounded by combineKeys
+// distinct keys — and go to the transport one shuffle.BatchSize batch per
+// Send, which blocks while the partition's channel is full. A mapper
+// therefore holds at most one batch per partition and the channels at most
+// shuffle.QueueCap batches each; SpillBytes does not apply here. Backpressure
 // cannot wedge: every reduce task holds a slot, so a blocked Send always has
 // a live consumer.
 func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapStats, error) {
@@ -221,7 +221,7 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 			}
 			b = append(b, core.Record{Key: k, Value: v})
 			bufs[p] = b
-			if len(b) >= opts.BatchSize {
+			if len(b) >= shuffle.BatchSize {
 				flush(p)
 			}
 		})
@@ -230,13 +230,13 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 		// records map-side; a buffer drains only when it reaches
 		// combineKeys *distinct* keys (or mapper exit), so skewed streams
 		// combine across far more than one batch's worth of records.
-		// Draining re-batches to BatchSize. Presize modestly and let maps
-		// grow: a combineKeys-sized map per (mapper, reducer) pair would
-		// cost quadratic memory in core count before any record arrives.
-		combineKeys := max(opts.BatchSize, minCombineKeys)
+		// Draining re-batches to shuffle.BatchSize. Presize modestly and
+		// let maps grow: a combineKeys-sized map per (mapper, reducer) pair
+		// would cost quadratic memory in core count before any record
+		// arrives.
 		combufs := make([]map[string]string, opts.Reducers)
 		for p := range combufs {
-			combufs[p] = make(map[string]string, opts.BatchSize)
+			combufs[p] = make(map[string]string, shuffle.BatchSize)
 		}
 		flush = func(p int) {
 			m := combufs[p]
@@ -246,7 +246,7 @@ func runMapStream(job Job, opts Options, t MapTask, sink shuffle.MapSink) (MapSt
 			b := sink.Batch()
 			for k, v := range m {
 				b = append(b, core.Record{Key: k, Value: v})
-				if len(b) >= opts.BatchSize {
+				if len(b) >= shuffle.BatchSize {
 					send(p, b)
 					b = sink.Batch()
 				}
@@ -465,7 +465,7 @@ func runReducePipelined(job Job, opts Options, t ReduceTask, src shuffle.ReduceS
 const (
 	spillMergeBudgetBytes = 64 << 20 // SpillMerge store size before it spills to in-memory runs
 	kvCacheBytes          = 16 << 20 // KV store cache
-	minCombineKeys        = 4096     // a combine buffer holds max(BatchSize, this) distinct keys
+	combineKeys           = 4096     // distinct keys a combine buffer holds before it drains
 )
 
 // NewTaskStore builds reduce task r's partial-result store. With SpillBytes

@@ -33,7 +33,11 @@ import (
 // sealed None runs, checksummed per block: the 'M' and 'r' frames and the
 // journal's admit and reduce records carry a run after their record count,
 // and those two records' kinds went 'a' → 'i' and 'r' → 'o'
-// (parentAdmitRecord, parentReduceRecord).
+// (parentAdmitRecord, parentReduceRecord). And once more when the batch
+// shape became constants: the 'J' frame and the admit record lost the
+// batch size and queue depth and carry 9 options instead of 11, the admit
+// record keeping its kind because the field count already refuses the
+// older layout (TestOptsRejectOtherLayouts).
 type golden struct {
 	name  string
 	hex   string
@@ -43,7 +47,7 @@ type golden struct {
 
 func goldens() []golden {
 	opts := exec.Options{Mappers: 6, Reducers: 3, Mode: exec.Pipelined, SpillBytes: 65536,
-		MergeFanIn: 16, BatchSize: 256, QueueCap: 64, Store: store.SpillMerge,
+		MergeFanIn: 16, Store: store.SpillMerge,
 		Compression: codec.DeltaBlock, Staged: true, Speculative: true}
 	decoded := opts
 	decoded.Transport = shuffle.TCP // not on the wire: every decode sets it
@@ -60,7 +64,7 @@ func goldens() []golden {
 			&hello{"127.0.0.1:40123", "w-4242"}, func() message { return new(hello) }},
 		{"A", "010702ac02effdb6f50dad0207",
 			&reattach{[]sealedJob{{7, []sealedFile{{300, 0xdeadbeef}, {301, 7}}}}}, func() message { return new(reattach) }},
-		{"J", "0709776f7264636f756e740b0603018080041080024001020101",
+		{"J", "0709776f7264636f756e74090603018080041001020101",
 			&jobStart{7, "wordcount", decoded}, func() message { return new(jobStart) }},
 		{"j", "07", &jobEnd{7}, func() message { return new(jobEnd) }},
 		{"M", "07ac020502424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
@@ -84,7 +88,7 @@ func goldens() []golden {
 		{"E", "076dac0204626f6f6d", &taskError{7, msgMapDone, 300, "boom"}, func() message { return new(taskError) }},
 		{"F", "070b7461736b206661696c6564", &abort{7, "task failed"}, func() message { return new(abort) }},
 
-		{"journal i", "690309776f7264636f756e740b060301808004108002400102010102424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
+		{"journal i", "690309776f7264636f756e7409060301808004100102010102424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f",
 			&journalRecord{kind: jAdmit, ticket: 3, admit: &journalJob{name: "wordcount", opts: decoded, input: recs}}, rec},
 		{"journal s", "730307", &journalRecord{kind: jStart, ticket: 3, id: 7}, rec},
 		{"journal w", "7703ac020506772d34323432b9600202ac02effdb6f50d030064640064fa01ad0207010005",

@@ -350,17 +350,18 @@ func list[T any](w *wire, p *[]T, elemBytes int, each func(*T)) {
 }
 
 // optsFields is how many values opts carries after its leading count.
-const optsFields = 11
+const optsFields = 9
 
 // opts is the one wire form of exec.Options: a field count, then every
 // field that affects execution, shared by the 'J' frame and the journal's
 // admit record. SpillDir is left out — it names a directory on whichever
 // machine reads it, so each side keeps its own — and so are Transport,
-// which across processes is always TCP, and the decode-worker count, which
-// no engine reads. Any other field count is a layout this
-// binary does not write — a journal or a worker from another build — and is
-// rejected rather than read with every later field shifted. A field added
-// to exec.Options must be added here; TestOptsRoundTrip fails until it is.
+// which across processes is always TCP, and the three fields no engine
+// reads (DecodeWorkers, QueueCap, BatchSize). Any other field count is a
+// layout this binary does not write — a journal or a worker from another
+// build — and is rejected rather than read with every later field shifted.
+// A field added to exec.Options must be added here; TestOptsRoundTrip fails
+// until it is.
 func (w *wire) opts(o *exec.Options) {
 	n := uint64(optsFields)
 	w.u64(&n)
@@ -372,8 +373,6 @@ func (w *wire) opts(o *exec.Options) {
 	num(w, &o.Mode)
 	num(w, &o.SpillBytes)
 	num(w, &o.MergeFanIn)
-	num(w, &o.BatchSize)
-	num(w, &o.QueueCap)
 	num(w, &o.Store)
 	num(w, &o.Compression)
 	w.flag(&o.Staged)

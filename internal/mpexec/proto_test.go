@@ -49,16 +49,16 @@ func populatedOptions(t *testing.T) exec.Options {
 
 // TestOptsRoundTrip: the one exec.Options wire codec carries every field
 // through both of its users, the 'J' job-open frame and the journal's 'a'
-// admit record. The only fields that may differ are the three opts
+// admit record. The only fields that may differ are the ones opts
 // documents: Transport (always TCP across processes), SpillDir (local to
-// the reading side) and the decode-worker count (read by no engine). A new
+// the reading side) and the three fields no engine reads. A new
 // Options field that putOpts/opts do not carry comes back zero and fails
 // here.
 func TestOptsRoundTrip(t *testing.T) {
 	sent := populatedOptions(t)
 	want := sent
 	want.Transport = shuffle.TCP
-	want.DecodeWorkers = 0
+	want.DecodeWorkers, want.QueueCap, want.BatchSize = 0, 0, 0
 
 	want.SpillDir = "/worker/local"
 	id, name, got, err := decodeJobStart(encodeJobStart(7, "wordcount", sent), exec.Options{SpillDir: want.SpillDir})
@@ -89,10 +89,12 @@ func TestOptsRoundTrip(t *testing.T) {
 // Mappers first: replay must fail naming the mismatch, not read the
 // thirteenth value as the input's record count. The second is byte for byte
 // the admit record of the binary before the decode-worker count left the
-// layout — 12 fields: replay must fail naming that count. Both carry this
-// binary's admit kind byte: under their own, 'a', they fail as an unknown
-// kind first (TestJournalRejectsParentRecordLists). The others are this
-// layout with a field added or dropped, on the 'J' frame.
+// layout — 12 fields — and the third that of the binary before the batch
+// size and queue depth left it — 11 fields: replay must fail naming each
+// count. The first two carry this binary's admit kind byte: under their
+// own, 'a', they fail as an unknown kind first
+// (TestJournalRejectsParentRecordLists). The others are this layout with a
+// field added or dropped, on the 'J' frame.
 func TestOptsRejectOtherLayouts(t *testing.T) {
 	old := binary.AppendUvarint([]byte{jAdmit}, 3)
 	old = putStr(old, "wordcount")
@@ -111,6 +113,14 @@ func TestOptsRejectOtherLayouts(t *testing.T) {
 	twelve[0] = jAdmit
 	if _, _, _, err := replayJournal([][]byte{twelve}); err == nil || !strings.Contains(err.Error(), "options carry 12 fields") {
 		t.Fatalf("replay of a 12-field admit record: err = %v, want a field-count mismatch naming 12", err)
+	}
+
+	eleven, err := hex.DecodeString("690309776f7264636f756e740b060301808004108002400102010102424c43330018600f8e5e3a026b31027631076b65792d74776f0976616c75652074776f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := replayJournal([][]byte{eleven}); err == nil || !strings.Contains(err.Error(), "options carry 11 fields") {
+		t.Fatalf("replay of an 11-field admit record: err = %v, want a field-count mismatch naming 11", err)
 	}
 
 	for _, n := range []uint64{optsFields - 1, optsFields + 1} {

@@ -85,8 +85,6 @@ func checkJobOpts(o exec.Options) error {
 	}{
 		{"Mappers", o.Mappers, o.Mappers >= 1},
 		{"Reducers", o.Reducers, o.Reducers >= 1},
-		{"BatchSize", o.BatchSize, o.BatchSize >= 1},
-		{"QueueCap", o.QueueCap, o.QueueCap >= 1},
 		{"MergeFanIn", o.MergeFanIn, o.MergeFanIn >= 2},
 		{"Mode", int(o.Mode), o.Mode == exec.Barrier || o.Mode == exec.Pipelined},
 		{"Store", int(o.Store), o.Store >= store.InMemory && o.Store <= store.KV},
@@ -304,7 +302,7 @@ func (w *workerState) startReduce(epoch int, payload []byte) {
 			fmt.Errorf("reduce task for %d maps, but job %d has at most %d", rt.nMaps, jobID, jb.opts.Mappers))
 		return
 	}
-	src := shuffle.NewPushSource(rt.nMaps, jb.opts.BatchSize, w.pool, jb.opts.MergeFanIn)
+	src := shuffle.NewPushSource(rt.nMaps, w.pool, jb.opts.MergeFanIn)
 	w.mu.Lock()
 	aborted := jb.aborted
 	buffered := jb.early[partition]

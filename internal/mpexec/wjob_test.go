@@ -155,8 +155,6 @@ func TestCheckJobOptsNamesField(t *testing.T) {
 	for field, spoil := range map[string]func(*exec.Options){
 		"Mappers":     func(o *exec.Options) { o.Mappers = 0 },
 		"Reducers":    func(o *exec.Options) { o.Reducers = -1 },
-		"BatchSize":   func(o *exec.Options) { o.BatchSize = 0 },
-		"QueueCap":    func(o *exec.Options) { o.QueueCap = 0 },
 		"MergeFanIn":  func(o *exec.Options) { o.MergeFanIn = 1 },
 		"Mode":        func(o *exec.Options) { o.Mode = exec.Pipelined + 1 },
 		"Store":       func(o *exec.Options) { o.Store = store.KV + 1 },

@@ -1,15 +1,11 @@
 package mr
 
-// Compressed-run equivalence suite: every app must produce the same output
-// over every shuffle transport in both modes with sealed-run compression
-// on, at a 16KiB spill budget so the compressed path carries real volume.
-// Barrier output must stay byte-identical to the uncompressed in-memory
-// reference — the codecs change bytes on disk and on the wire, never the
-// decompressed merge order. Run under -race in CI: the suite doubles as a
-// race exercise of concurrent compressed sealing, serving and fetching.
+// Compressed-run tests: the byte accounting every run's sealed bytes must
+// satisfy (checkCompressionAccounting, which FuzzJob applies to each run),
+// and the ratios and fetch volumes the codecs must reach on their home
+// workloads. Output equivalence across codecs is FuzzJob's.
 
 import (
-	"fmt"
 	"testing"
 
 	"blmr/internal/apps"
@@ -18,62 +14,11 @@ import (
 	"blmr/internal/workload"
 )
 
-var compressionAxis = []codec.Compression{codec.None, codec.DeltaBlock}
-
-func TestCompressionEquivalence(t *testing.T) {
-	for _, tc := range equivalenceCases() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			mappers := 4
-			if tc.orderSensitive {
-				mappers = 1
-			}
-			ref, err := Run(tc.app, tc.input,
-				Options{Mappers: mappers, Reducers: tc.reducers, Mode: Barrier})
-			if err != nil {
-				t.Fatalf("in-proc barrier reference: %v", err)
-			}
-			for _, kind := range allTransports {
-				for _, comp := range compressionAxis {
-					name := fmt.Sprintf("%v-%v", kind, comp)
-					res, err := Run(tc.app, tc.input, Options{
-						Mappers: mappers, Reducers: tc.reducers, Mode: Barrier,
-						Transport: kind, SpillBytes: 16 << 10, SpillDir: t.TempDir(),
-						Compression: comp,
-					})
-					if err != nil {
-						t.Fatalf("barrier %s: %v", name, err)
-					}
-					requireExact(t, tc.name+"-barrier-"+name, ref.Output, res.Output)
-					checkCompressionAccounting(t, name, res, comp, kind)
-
-					res, err = Run(tc.app, tc.input, Options{
-						Mappers: mappers, Reducers: tc.reducers, Mode: Pipelined,
-						Transport: kind, SpillBytes: 16 << 10, SpillDir: t.TempDir(),
-						Compression: comp, BatchSize: 64,
-					})
-					if err != nil {
-						t.Fatalf("pipelined %s: %v", name, err)
-					}
-					if tc.orderSensitive {
-						if len(res.Output) != len(ref.Output) {
-							t.Fatalf("pipelined %s: %d records vs barrier's %d",
-								name, len(res.Output), len(ref.Output))
-						}
-						continue
-					}
-					requireSame(t, tc.name+"-pipelined-"+name, ref.Output, res.Output)
-				}
-			}
-		})
-	}
-}
-
-// checkCompressionAccounting asserts the byte accounting invariants: no
-// codec reports expansion beyond framing, None's stored runs never shrink,
-// and TCP fetches move the sealed bytes.
-func checkCompressionAccounting(t *testing.T, name string, res *Result, comp codec.Compression, kind shuffle.Kind) {
+// checkCompressionAccounting asserts the byte accounting invariants of a run
+// that sealed at most sections sections: no codec reports expansion beyond
+// framing, None's stored runs never shrink, and TCP fetches move the sealed
+// bytes.
+func checkCompressionAccounting(t *testing.T, name string, res *Result, comp codec.Compression, kind shuffle.Kind, sections int) {
 	t.Helper()
 	if res.CompressedSpillBytes != res.SpilledBytes {
 		t.Fatalf("%s: CompressedSpillBytes %d != SpilledBytes %d",
@@ -87,8 +32,8 @@ func checkCompressionAccounting(t *testing.T, name string, res *Result, comp cod
 		t.Fatalf("%s: uncompressed runs shrank %d -> %d",
 			name, res.RawSpillBytes, res.CompressedSpillBytes)
 	}
-	// Generous slack for tiny runs: per-run header + block framing.
-	if res.CompressedSpillBytes > res.RawSpillBytes+res.RawSpillBytes/4+4096 {
+	// Generous slack for tiny runs: a section's header and block framing.
+	if res.CompressedSpillBytes > res.RawSpillBytes+res.RawSpillBytes/4+64*int64(sections) {
 		t.Fatalf("%s: compression expanded %d -> %d",
 			name, res.RawSpillBytes, res.CompressedSpillBytes)
 	}
@@ -112,7 +57,7 @@ func checkCompressionAccounting(t *testing.T, name string, res *Result, comp cod
 // mapper's output sealed as one wave, so every section holds 100 000
 // uniform 8-byte keys in about 20 blocks: the encoder's LZ probe fails on
 // a section's first block, stores the next 15 and probes again. The stored
-// blocks cross the run-server, the parallel decode pool and the merge;
+// blocks cross the run-server, the fetch path's block decoder and the merge;
 // barrier output must stay byte-identical to the in-memory reference, and
 // the ratio is front coding's alone.
 func TestCompressionProbedSortTCP(t *testing.T) {
@@ -129,7 +74,7 @@ func TestCompressionProbedSortTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireExact(t, "probed-sort-tcp", ref.Output, res.Output)
-	checkCompressionAccounting(t, "probed-sort-tcp", res, codec.DeltaBlock, shuffle.TCP)
+	checkCompressionAccounting(t, "probed-sort-tcp", res, codec.DeltaBlock, shuffle.TCP, 2*2)
 	raw, sealed := float64(res.RawSpillBytes), float64(res.CompressedSpillBytes)
 	if sealed < raw/1.8 || sealed > raw/1.5 {
 		t.Fatalf("sealed %.0f of %.0f raw bytes (%.3fx), want between 1.5x and 1.8x", sealed, raw, raw/sealed)
@@ -185,32 +130,4 @@ func TestCompressionCutsFetchBytes(t *testing.T) {
 			delta.FetchBytes, plain.FetchBytes)
 	}
 	t.Logf("fetch bytes: %dKB plain -> %dKB delta", plain.FetchBytes>>10, delta.FetchBytes>>10)
-}
-
-// TestCompressionWithCombinerAndFanIn: compression composes with map-side
-// combining and multi-pass merging (intermediate merge runs are sealed
-// compressed too), still byte-identical.
-func TestCompressionWithCombinerAndFanIn(t *testing.T) {
-	input := workload.Text(23, 4000, 500, 10)
-	app := apps.WordCount()
-	ref, err := Run(app, input, Options{Mappers: 4, Reducers: 3, Mode: Barrier})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range allTransports {
-		combined := app
-		combined.Combiner = app.Merger
-		res, err := Run(combined, input, Options{
-			Mappers: 4, Reducers: 3, Mode: Barrier, Transport: kind,
-			SpillBytes: 4 << 10, SpillDir: t.TempDir(), MergeFanIn: 2,
-			Compression: codec.DeltaBlock,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		requireSame(t, "compress-combine-"+kind.String(), ref.Output, res.Output)
-		if res.MergePasses == 0 {
-			t.Fatalf("%v: expected multi-pass merging at fan-in 2", kind)
-		}
-	}
 }

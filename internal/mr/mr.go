@@ -2,12 +2,12 @@
 // counterpart of the simulated engine. Since the exec/shuffle split it is a
 // thin composition of three layers: the execution plane (internal/exec:
 // task descriptors, task bodies, a scheduler with per-worker slots and
-// first-error propagation), a pluggable shuffle transport (internal/shuffle:
-// in-process batched channels, a sealed spill-run exchange, or the same
-// exchange over a loopback TCP run-server), and this package's Run, which
-// wires a LocalWorker to a transport and assembles the Result. The
-// multi-process engine (internal/mpexec) composes the same layers with
-// remote workers instead.
+// first-error propagation), one of two shuffle transports (internal/shuffle:
+// InProc, batched channels and shared-memory runs; or TCP, every map output
+// wave sealed as a run file and fetched from a loopback run-server), and
+// this package's Run, which wires a LocalWorker to a transport and assembles
+// the Result. The multi-process engine (internal/mpexec) composes the same
+// layers with remote workers instead.
 package mr
 
 import (
@@ -130,7 +130,6 @@ func Run(job Job, input []core.Record, opts Options) (*Result, error) {
 	maps := exec.SplitMaps(input, opts.Mappers)
 	tr, err := shuffle.New(opts.Transport, shuffle.Config{
 		Maps: len(maps), Parts: opts.Reducers,
-		QueueCap: opts.QueueCap, BatchSize: opts.BatchSize,
 		Dir: spillDir, MergeFanIn: opts.MergeFanIn,
 	})
 	if err != nil {

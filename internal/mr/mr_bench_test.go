@@ -37,11 +37,11 @@ func benchRun(b *testing.B, job Job, input []core.Record, opts Options, check fu
 	}
 }
 
-// 1M lines of Zipf text, ~4M intermediate records, over the batched in-proc
-// channels: the barrier-less fast path.
+// 1M lines of Zipf text, ~4M intermediate records, over the in-proc
+// channels in batches of shuffle.BatchSize: the barrier-less fast path.
 func BenchmarkPipelinedWordCount1M_Batch256(b *testing.B) {
 	benchRun(b, apps.WordCount(), workload.Text(1, 1_000_000, 20_000, 4),
-		Options{Mode: Pipelined, Mappers: 4, Reducers: 4, BatchSize: 256}, nil)
+		Options{Mode: Pipelined, Mappers: 4, Reducers: 4}, nil)
 }
 
 func benchSortInput() []core.Record { return workload.UniformKeys(2, 1_000_000, 1<<40) }
@@ -50,7 +50,7 @@ func benchSortInput() []core.Record { return workload.UniformKeys(2, 1_000_000, 
 // inserted and sorted once at Emit.
 func BenchmarkPipelinedSort1M_Batch256(b *testing.B) {
 	benchRun(b, apps.Sort(), benchSortInput(),
-		Options{Mode: Pipelined, Mappers: 4, Reducers: 4, BatchSize: 256}, nil)
+		Options{Mode: Pipelined, Mappers: 4, Reducers: 4}, nil)
 }
 
 // The same sort with partial results bounded at 1MiB per reducer (~17.5MB

@@ -48,12 +48,9 @@ func (m *Moments) Reduce(key string, values []string, out core.Output) {
 }
 
 func (m *Moments) add(v string) {
-	parts := core.SplitValues(v)
-	if len(parts) != 2 {
-		panic("reducers: Moments value must be MomentsValue-encoded")
-	}
-	x, _ := strconv.ParseFloat(parts[0], 64)
-	x2, _ := strconv.ParseFloat(parts[1], 64)
+	a, b := core.SplitPair(v)
+	x, _ := strconv.ParseFloat(a, 64)
+	x2, _ := strconv.ParseFloat(b, 64)
 	m.n++
 	m.sum += x
 	m.sumSq += x2

@@ -49,7 +49,7 @@ func (p *PostReductionStream) Consume(rec core.Record, out core.Output) {
 // Finish implements core.StreamReducer: post-process each set to its count.
 func (p *PostReductionStream) Finish(out core.Output) {
 	p.st.Emit(core.OutputFunc(func(key, joined string) {
-		out.Write(key, strconv.Itoa(len(core.SplitList(joined))))
+		out.Write(key, strconv.Itoa(core.ListLen(joined)))
 	}))
 }
 

@@ -44,7 +44,7 @@ type inWave struct {
 }
 
 func newInProc(cfg Config) *inproc {
-	freeCap := cfg.Parts * cfg.QueueCap
+	freeCap := cfg.Parts * QueueCap
 	if freeCap > 1<<14 {
 		freeCap = 1 << 14
 	}
@@ -57,7 +57,7 @@ func newInProc(cfg Config) *inproc {
 		mapsDone: make(chan struct{}),
 	}
 	for r := range t.chans {
-		t.chans[r] = make(chan []core.Record, cfg.QueueCap)
+		t.chans[r] = make(chan []core.Record, QueueCap)
 	}
 	if cfg.Maps == 0 {
 		t.finish()
@@ -99,7 +99,7 @@ func (s *inprocSink) Batch() []core.Record {
 	case b := <-s.t.free:
 		return b
 	default:
-		return make([]core.Record, 0, s.t.cfg.BatchSize)
+		return make([]core.Record, 0, BatchSize)
 	}
 }
 

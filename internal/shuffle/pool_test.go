@@ -230,7 +230,7 @@ func TestPushSourceOverlap(t *testing.T) {
 		return seg
 	}
 
-	src := NewPushSource(3, 8, pool, 4)
+	src := NewPushSource(3, pool, 4)
 	if err := src.Offer(0, 0, []Segment{seal("m0")}); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestPushSourceOverlap(t *testing.T) {
 	}
 
 	// Fail wakes a source blocked on outstanding pushes.
-	blocked := NewPushSource(2, 8, pool, 4)
+	blocked := NewPushSource(2, pool, 4)
 	if err := blocked.Offer(0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestPushSourceReRouteParked(t *testing.T) {
 
 	pool := NewFetchPool()
 	defer pool.Close()
-	src := NewPushSource(1, 16, pool, 4)
+	src := NewPushSource(1, pool, 4)
 	fastReroute(src)
 	if err := src.Offer(0, 0, []Segment{seg1}); err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestPushSourceReRouteToOlderAttempt(t *testing.T) {
 
 	pool := NewFetchPool()
 	defer pool.Close()
-	src := NewPushSource(1, 16, pool, 4)
+	src := NewPushSource(1, pool, 4)
 	fastReroute(src)
 	if err := src.Offer(0, 3, []Segment{seg1}); err != nil {
 		t.Fatal(err)
@@ -453,7 +453,7 @@ func TestPushSourceReRouteMidStream(t *testing.T) {
 
 	pool := NewFetchPool()
 	defer pool.Close()
-	src := NewPushSource(1, 64, pool, 4)
+	src := NewPushSource(1, pool, 4)
 	fastReroute(src)
 	if err := src.Offer(0, 0, []Segment{seg1}); err != nil {
 		t.Fatal(err)
@@ -562,7 +562,7 @@ func TestPushSourceReRouteGivesUp(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pool := NewFetchPool()
 			defer pool.Close()
-			src := NewPushSource(1, 64, pool, 4)
+			src := NewPushSource(1, pool, 4)
 			fastReroute(src)
 			defer src.Close()
 			if err := src.Offer(0, 0, []Segment{seg}); err != nil {

@@ -16,9 +16,8 @@ import (
 // NextBatch, AllocsPerRun's warm-up call and recycleRuns measured calls, and
 // one to spare so the section does not end inside the measurement.
 const (
-	recycleBatch = 256
-	recycleRuns  = 6
-	recycleRecs  = (recycleRuns + 3) * recycleBatch
+	recycleRuns = 6
+	recycleRecs = (recycleRuns + 3) * BatchSize
 )
 
 // byteRecs returns n records with one-byte keys and empty values. A
@@ -37,13 +36,13 @@ func byteRecs(n int) []core.Record {
 func requireRecycledDrain(t *testing.T, src ReduceSource) {
 	t.Helper()
 	batch, ok, err := src.NextBatch()
-	if err != nil || !ok || len(batch) != recycleBatch {
+	if err != nil || !ok || len(batch) != BatchSize {
 		t.Fatalf("first batch: %d records, ok=%v err=%v", len(batch), ok, err)
 	}
 	src.Recycle(batch)
 	allocs := testing.AllocsPerRun(recycleRuns, func() {
 		batch, ok, err := src.NextBatch()
-		if err != nil || !ok || len(batch) != recycleBatch {
+		if err != nil || !ok || len(batch) != BatchSize {
 			t.Fatalf("batch: %d records, ok=%v err=%v", len(batch), ok, err)
 		}
 		src.Recycle(batch)
@@ -72,7 +71,7 @@ func TestPushSourceRecyclesBatches(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("sealWave: ok=%v err=%v", ok, err)
 	}
-	src := NewPushSource(1, recycleBatch, pool, 4)
+	src := NewPushSource(1, pool, 4)
 	if err := src.Offer(0, 0, SegmentsOf([]Wave{w}, 0)); err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type runExchange struct {
 func newRunExchange(cfg Config, srv *Server) *runExchange {
 	t := &runExchange{cfg: cfg, srv: srv, pool: NewFetchPool(), fail: newFailState(), srcs: make([]*PushSource, cfg.Parts)}
 	for r := range t.srcs {
-		t.srcs[r] = newPushSource(cfg.Maps, cfg.BatchSize, t.pool, cfg.MergeFanIn, t.fail, false)
+		t.srcs[r] = newPushSource(cfg.Maps, t.pool, cfg.MergeFanIn, t.fail, false)
 	}
 	return t
 }

@@ -272,7 +272,7 @@ func (l *LazyRun) Close() error {
 // in the in-process run exchange.
 // Runs waits for every map (the shuffle barrier) and returns every segment
 // as a lazy run; NextBatch streams each map's segments as soon as that map
-// is offered, re-batched to batchSize records (pipelined consumption at
+// is offered, re-batched to BatchSize records (pipelined consumption at
 // map-task granularity — the overlap a cross-process shuffle can actually
 // offer). Every segment is remote and fetched through pool; NextBatch keeps
 // up to prefetch section requests
@@ -287,13 +287,12 @@ func (l *LazyRun) Close() error {
 // replaces the map's segments wholesale. With re-routing on, a failed fetch
 // re-resolves its segment from the ledger, parking while the route is dead.
 type PushSource struct {
-	batchSize int
-	pool      *FetchPool
-	prefetch  int          // max pipelined section requests (merge fan-in)
-	fetch     atomic.Int64 // wire bytes fetched from run-servers
-	fail      *failState
-	reroute   bool // failed fetches re-resolve their route under rpol
-	rpol      retry.Policy
+	pool     *FetchPool
+	prefetch int          // max pipelined section requests (merge fan-in)
+	fetch    atomic.Int64 // wire bytes fetched from run-servers
+	fail     *failState
+	reroute  bool // failed fetches re-resolve their route under rpol
+	rpol     retry.Policy
 
 	mu      sync.Mutex
 	byMap   [][]Segment
@@ -319,31 +318,27 @@ type PushSource struct {
 // backoff instead of failing the task. Offered segments are fetched through
 // pool, with up to fanIn (the merge fan-in) section requests pipelined ahead
 // of streaming consumption.
-func NewPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int) *PushSource {
-	return newPushSource(nMaps, batchSize, pool, fanIn, newFailState(), true)
+func NewPushSource(nMaps int, pool *FetchPool, fanIn int) *PushSource {
+	return newPushSource(nMaps, pool, fanIn, newFailState(), true)
 }
 
 // newPushSource builds a source aborted through fail. The in-process run
 // exchange shares its own latch and passes reroute=false: in one process no
 // other attempt can ever be routed, so a broken fetch fails at once.
-func newPushSource(nMaps, batchSize int, pool *FetchPool, fanIn int, fail *failState, reroute bool) *PushSource {
-	if batchSize <= 0 {
-		batchSize = 256
-	}
+func newPushSource(nMaps int, pool *FetchPool, fanIn int, fail *failState, reroute bool) *PushSource {
 	p := &PushSource{
-		batchSize: batchSize,
-		pool:      pool,
-		prefetch:  fanIn,
-		fail:      fail,
-		reroute:   reroute,
-		rpol:      retry.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Attempts: 8},
-		byMap:     make([][]Segment, nMaps),
-		attempt:   make([]int, nMaps),
-		dead:      make([]bool, nMaps),
-		got:       make([]bool, nMaps),
-		ch:        make(chan int, nMaps),
-		done:      make(chan struct{}),
-		routeCh:   make(chan struct{}),
+		pool:     pool,
+		prefetch: fanIn,
+		fail:     fail,
+		reroute:  reroute,
+		rpol:     retry.Policy{Base: 50 * time.Millisecond, Max: 2 * time.Second, Attempts: 8},
+		byMap:    make([][]Segment, nMaps),
+		attempt:  make([]int, nMaps),
+		dead:     make([]bool, nMaps),
+		got:      make([]bool, nMaps),
+		ch:       make(chan int, nMaps),
+		done:     make(chan struct{}),
+		routeCh:  make(chan struct{}),
 	}
 	if nMaps == 0 {
 		close(p.done)
@@ -551,17 +546,17 @@ func (p *PushSource) NextBatch() ([]core.Record, bool, error) {
 			if batch == nil {
 				batch, p.spare = p.spare, nil
 				if batch == nil {
-					batch = make([]core.Record, 0, p.batchSize)
+					batch = make([]core.Record, 0, BatchSize)
 				}
 			}
-			for len(batch) < p.batchSize {
+			for len(batch) < BatchSize {
 				rec, ok := p.cur.Next()
 				if !ok {
 					break
 				}
 				batch = append(batch, rec)
 			}
-			if len(batch) == p.batchSize {
+			if len(batch) == BatchSize {
 				return batch, true, nil
 			}
 			if err := p.cur.Err(); err != nil {

@@ -64,16 +64,21 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("shuffle: unknown transport %q (want inproc|tcp)", s)
 }
 
+// The batch shape of the pipelined shuffle, the same on every engine: a
+// batch holds BatchSize records — a mapper's channel send, a run-exchange
+// source's NextBatch — and a partition's channel holds QueueCap batches, so
+// a lagging reducer has QueueCap*BatchSize records of slack before its
+// mappers block. The simulator's pipelined reducer queue holds QueueCap
+// batches too.
+const (
+	BatchSize = 256
+	QueueCap  = 64
+)
+
 // Config parameterizes a transport for one job execution.
 type Config struct {
 	// Maps and Parts are the map-task and partition (reduce-task) counts.
 	Maps, Parts int
-	// QueueCap is the per-partition channel buffer in batches (stream
-	// discipline).
-	QueueCap int
-	// BatchSize is the records-per-batch granularity: channel sends for the
-	// stream discipline, decode batching for run-discipline NextBatch.
-	BatchSize int
 	// Dir stores sealed run files. Required for TCP, and for InProc when map
 	// tasks seal spill waves (Options.SpillBytes).
 	Dir *dfs.RunDir
@@ -81,10 +86,12 @@ type Config struct {
 	// the TCP transport uses it to bound pipelined section prefetch per
 	// reduce source (default 64).
 	MergeFanIn int
-	// DecodeWorkers is read by no transport: every fetched section decodes
-	// on the goroutine that consumes it. The field stays only because the
-	// benchmark module sets it; it goes with ROADMAP item 1b.
-	DecodeWorkers int
+	// DecodeWorkers, QueueCap and BatchSize are read by no engine: every
+	// fetched section decodes on the goroutine that consumes it, and the
+	// batch shape is the constants BatchSize and QueueCap. The fields stay
+	// only because the benchmark module sets them; they go with ROADMAP
+	// item 1b.
+	DecodeWorkers, QueueCap, BatchSize int
 }
 
 // Transport is one job execution's shuffle data plane. MapSink and
@@ -146,12 +153,6 @@ type ReduceSource interface {
 
 // New builds the transport of the given kind.
 func New(kind Kind, cfg Config) (Transport, error) {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 64
-	}
 	if cfg.MergeFanIn <= 0 {
 		cfg.MergeFanIn = 64
 	}

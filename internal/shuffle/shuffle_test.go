@@ -125,7 +125,7 @@ func TestPushSourceStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dir.Close()
-	tr, err := New(TCP, Config{Maps: 3, Parts: 2, BatchSize: 16, Dir: dir})
+	tr, err := New(TCP, Config{Maps: 3, Parts: 2, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPushSourceStreaming(t *testing.T) {
 	want := 0
 	for m := 0; m < 3; m++ {
 		sink := tr.MapSink(m)
-		parts := [][]core.Record{sortedRecs("a", 10+m), sortedRecs("b", 5*m)}
+		parts := [][]core.Record{sortedRecs("a", BatchSize+10+m), sortedRecs("b", BatchSize/2*m)}
 		for _, p := range parts {
 			want += len(p)
 		}
@@ -155,7 +155,7 @@ func TestPushSourceStreaming(t *testing.T) {
 			if !ok {
 				break
 			}
-			if len(batch) > 16 {
+			if len(batch) > BatchSize {
 				t.Fatalf("batch of %d exceeds BatchSize", len(batch))
 			}
 			got += len(batch)

@@ -6,6 +6,7 @@ import (
 	"blmr/internal/cluster"
 	"blmr/internal/core"
 	"blmr/internal/metrics"
+	"blmr/internal/shuffle"
 	"blmr/internal/sim"
 	"blmr/internal/sortx"
 	"blmr/internal/store"
@@ -112,30 +113,27 @@ type fetchBatch struct {
 // every Figure 9/10 run and cmd/blmr used).
 const kvCacheBytes = 512 << 20
 
-// queueCapBatches bounds the pipelined reducer's in-flight record batches
-// (backpressure), as exec.Options.QueueCap defaults on the real engine.
-const queueCapBatches = 64
-
 // pipelinedReduce is the barrier-less path: one fetch process per mapper
 // pulls records as they become available and enqueues them; the reducer
 // consumes the FIFO queue record-by-record through a StreamReducer whose
 // partial results live in the configured store. Memory is tracked against
 // the heap budget; crossing it fails the task, and with it the job (Figure
-// 5(a)).
-func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.Node, shuffle *shuffleState, res *Result) error {
+// 5(a)). The queue holds shuffle.QueueCap batches, the real engine's
+// channel depth.
+func (e *Engine) pipelinedReduce(p *sim.Proc, job *JobSpec, r int, node *cluster.Node, sh *shuffleState, res *Result) error {
 	k := p.Kernel()
 	ratio := compressRatio(job)
 	shTok := e.Col.TaskStart(metrics.StageShuffle, p.Now())
-	queue := sim.NewQueue[fetchBatch](k, fmt.Sprintf("rq-%d", r), queueCapBatches)
-	wg := sim.NewWaitGroup(k, fmt.Sprintf("pfetchers-%d", r), len(shuffle.maps))
+	queue := sim.NewQueue[fetchBatch](k, fmt.Sprintf("rq-%d", r), shuffle.QueueCap)
+	wg := sim.NewWaitGroup(k, fmt.Sprintf("pfetchers-%d", r), len(sh.maps))
 	chunk := e.C.Cfg.TransferChunkBytes
 	peers := make(map[*cluster.Node]bool) // pooled fetch plane: one dial per peer
-	for m := range shuffle.maps {
+	for m := range sh.maps {
 		m := m
 		k.Spawn(fmt.Sprintf("pfetch-%d-%d", r, m), func(fp *sim.Proc) {
 			defer wg.Done()
-			mo := shuffle.maps[m]
-			e.waitMapOutput(fp, job, shuffle, mo)
+			mo := sh.maps[m]
+			e.waitMapOutput(fp, job, sh, mo)
 			e.guardLost(fp, mo)
 			recs := mo.parts[r]
 			if len(recs) > 0 {
