@@ -18,6 +18,7 @@ package mr
 //	go test -run '^$' -fuzz FuzzJob -fuzztime 30s ./internal/mr/
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"sync"
@@ -123,45 +124,108 @@ func FuzzJob(f *testing.F) {
 			Mappers: min(int(mappers), 16), Reducers: min(int(reducers), 16),
 			Mode: Mode(mode % 2), Transport: shuffle.Kind(transport % 2),
 			Store: store.Kind(storeKind % 3), Compression: codec.Compression(comp % 3),
-			SpillBytes: int64(spill), MergeFanIn: int(fanIn), SpillDir: t.TempDir(),
+			SpillBytes: int64(spill), MergeFanIn: int(fanIn),
 		}
 		if opts.SpillBytes > 0 {
 			opts.SpillBytes = max(opts.SpillBytes, 1<<10) // a wave holds more than a few records
 		}
-		norm := opts
-		norm.Normalize()
-		a := int(app) % len(fuzzApps)
-		rf := reference(fuzzRefKey{a, seed, int(size) % (fuzzApps[a].max + 1), norm.Reducers})
-		if rf.err != nil {
-			t.Fatalf("reference run: %v", rf.err)
-		}
-		job := rf.job
-		if strip&stripMapper != 0 {
-			job.Mapper = nil
-		}
-		if strip&stripGroup != 0 {
-			job.NewGroup = nil
-		}
-		if strip&stripStream != 0 {
-			job.NewStream = nil
-		}
-		if strip&stripMerger != 0 {
-			job.Merger = nil
-		}
-		job = job.WithCombiner(combine)
-
-		res, err := Run(job, rf.input, opts)
-		if verr := Validate(job, norm); verr != nil {
-			if err == nil {
-				t.Fatalf("Run accepted a job Validate refuses (%v)", verr)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRun(t, job, rf, norm, res)
+		checkJob(t, int(app)%len(fuzzApps), seed, int(size), opts, combine, strip)
 	})
+}
+
+// checkJob runs app a on its input of seed and size records (clamped to the
+// app's max) with opts, a combiner if combine is set and the job fields strip
+// names removed, and holds the run to its reference: Validate's refusals must
+// be errors, every accepted run must pass checkRun.
+func checkJob(t *testing.T, a int, seed uint64, size int, opts Options, combine bool, strip uint8) {
+	t.Helper()
+	opts.SpillDir = t.TempDir()
+	norm := opts
+	norm.Normalize()
+	rf := reference(fuzzRefKey{a, seed, size % (fuzzApps[a].max + 1), norm.Reducers})
+	if rf.err != nil {
+		t.Fatalf("reference run: %v", rf.err)
+	}
+	job := rf.job
+	if strip&stripMapper != 0 {
+		job.Mapper = nil
+	}
+	if strip&stripGroup != 0 {
+		job.NewGroup = nil
+	}
+	if strip&stripStream != 0 {
+		job.NewStream = nil
+	}
+	if strip&stripMerger != 0 {
+		job.Merger = nil
+	}
+	job = job.WithCombiner(combine)
+
+	res, err := Run(job, rf.input, opts)
+	if verr := Validate(job, norm); verr != nil {
+		if err == nil {
+			t.Fatalf("Run accepted a job Validate refuses (%v)", verr)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRun(t, job, rf, norm, res)
+}
+
+// sweepAxis runs every app on an input of at most size records once per
+// value of one option axis, each run held to its reference by checkJob: the
+// corpus's shapes of the axis, at one more input and task count.
+func sweepAxis(t *testing.T, seed uint64, size int, axis []Options) {
+	for a := range fuzzApps {
+		for i, opts := range axis {
+			t.Run(fmt.Sprintf("app%d-axis%d", a, i), func(t *testing.T) {
+				t.Parallel()
+				checkJob(t, a, seed, min(size, fuzzApps[a].max), opts, false, 0)
+			})
+		}
+	}
+}
+
+// TestTransportEquivalence: both transports in both modes, and barrier runs
+// under a map-side spill budget.
+func TestTransportEquivalence(t *testing.T) {
+	var axis []Options
+	for _, tr := range []shuffle.Kind{shuffle.InProc, shuffle.TCP} {
+		axis = append(axis, Options{Mappers: 3, Reducers: 2, Mode: Barrier, Transport: tr},
+			Options{Mappers: 3, Reducers: 2, Mode: Pipelined, Transport: tr},
+			Options{Mappers: 3, Reducers: 2, Mode: Barrier, Transport: tr, SpillBytes: 16 << 10})
+	}
+	sweepAxis(t, 101, 300, axis)
+}
+
+// TestSpillEquivalence: map-side spill budgets in barrier mode, store spill
+// budgets in pipelined mode.
+func TestSpillEquivalence(t *testing.T) {
+	var axis []Options
+	for _, spill := range []int64{4 << 10, 16 << 10} {
+		axis = append(axis, Options{Mappers: 2, Reducers: 3, Mode: Barrier, SpillBytes: spill},
+			Options{Mappers: 2, Reducers: 3, Mode: Pipelined, SpillBytes: spill})
+	}
+	sweepAxis(t, 102, 300, axis)
+}
+
+// TestCompressionEquivalence: each codec over the run exchange, in both modes.
+func TestCompressionEquivalence(t *testing.T) {
+	var axis []Options
+	for _, comp := range []codec.Compression{codec.None, codec.Block, codec.DeltaBlock} {
+		axis = append(axis, Options{Mappers: 2, Reducers: 2, Mode: Barrier, Transport: shuffle.TCP, Compression: comp},
+			Options{Mappers: 2, Reducers: 2, Mode: Pipelined, Transport: shuffle.TCP, Compression: comp})
+	}
+	sweepAxis(t, 103, 300, axis)
+}
+
+// TestBatchedPipelinedEquivalence: in-proc pipelined runs with one map task
+// and one reducer, so the partition spans more shuffle.BatchSize batches
+// than a shuffle.QueueCap queue holds.
+func TestBatchedPipelinedEquivalence(t *testing.T) {
+	sweepAxis(t, 104, 1<<16, []Options{{Mappers: 1, Reducers: 1, Mode: Pipelined}})
 }
 
 // checkRun holds one run with normalised options opts to its reference and
